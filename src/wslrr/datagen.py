@@ -39,6 +39,7 @@ from .scenarios import (
     scenario_from_json,
     scenario_to_json,
     validate_spec,
+    _sconf_confidences,
 )
 
 POINTS = "points"
@@ -172,12 +173,7 @@ def sample_weak_dataset(spec: ScenarioSpec, j: FiniteJoint, n: Union[int, dict],
         q = pair_distribution(spec, j, channel="XX").matrix
         pos = _categorical(q, philox_uniforms(seed, 0, count), "pair channel XX")
         pairs = np.stack([pos // n_x, pos % n_x], axis=1)
-        pi = m.priors
-        cp, cn = m.class_conditionals[0], m.class_conditionals[1]
-        num = (pi[0] ** 2 * cp[pairs[:, 0]] * cp[pairs[:, 1]]
-               + pi[1] ** 2 * cn[pairs[:, 0]] * cn[pairs[:, 1]])
-        den = m.instance_marginal[pairs[:, 0]] * m.instance_marginal[pairs[:, 1]]
-        conf = num / den
+        conf = _sconf_confidences(m, np.arange(n_x), np.arange(n_x))[pairs[:, 0], pairs[:, 1]]
         return WeakDataset(spec=spec, seed=int(seed),
                            channels=(DatasetChannel("XX", CONF_PAIRS, pairs=pairs, confidences=conf),))
 
@@ -304,4 +300,8 @@ def dataset_from_json(text: str) -> WeakDataset:
         else:
             raise SchemaMismatch(f"unknown channel kind {kind!r}")
         channels.append(ch)
-    return WeakDataset(spec=spec, seed=int(raw["seed"]), channels=tuple(channels))
+    try:
+        seed = int(raw["seed"])
+    except (TypeError, ValueError) as e:
+        raise SchemaMismatch(f"dataset seed must be an integer, got {raw['seed']!r}") from e
+    return WeakDataset(spec=spec, seed=seed, channels=tuple(channels))

@@ -1,18 +1,22 @@
 """Decontamination matrices: inversion, marginal chain, and the special paths.
 
-A decontamination matrix D(x) satisfies D(x) observed(x) = P(x).  Four
+A decontamination matrix D(x) satisfies D(x) observed(x) = P(x).  Five
 constructions are implemented:
 
 * ``inversion``: D = (M M_trsf)^-1 for square invertible systems (the whole
-  mixture family, and CL);
+  mixture family, CCN, CL and the confidence family);
 * ``marginal-chain``: D[k, j] = P(Y=k | S=s_j, x), defined for the label
   channel family without any invertibility assumption;
 * ``mcl-blockwise``: the closed-form blockwise inverse of the
   multi-complementary matrix, one block per excluded-set size;
+* ``conf-diagonal``: diag(r_k(x) / r_sel(x)) for the confidence family;
 * ``sconf-special``: the per-pair diagonal built from the pair confidence.
 
-Square systems are inverted with the 2x2 closed form or partial-pivot
-elimination, never a library call, so results are bit-reproducible.
+:func:`decontaminate` builds every D(x) in one numpy pass over the instance
+axis, validating the spec once per call; the per-instance functions are
+single-instance calls of the same kernels.  Square systems are inverted
+with the 2x2 closed form or partial-pivot Gauss-Jordan batched with
+per-instance pivots, never a library call, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -31,18 +35,17 @@ from .scenarios import (
     FAMILY_MCD,
     FAMILY_SCONF,
     MCL,
-    Pconf,
-    SCConf,
-    Soft,
-    SubConf,
     ContaminationModel,
     ScenarioSpec,
-    compound_label_space,
-    contamination_matrix,
-    observed_distribution,
     validate_spec,
-    _sconf_confidence_from_marginals,
+    _check_instance,
+    _contamination_tensor,
+    _diagonal_stack,
+    _member_mask,
+    _sconf_confidences,
     _sconf_denominators,
+    _superclass_probability,
+    _transform_tensor,
 )
 
 SINGULAR_TOL = 1e-12
@@ -67,6 +70,45 @@ class DecontaminationResult:
     pair_matrices: Optional[np.ndarray] = None  # (n_x, n_x, 2, 2)
 
 
+def _invert_stack(a: np.ndarray) -> np.ndarray:
+    """Inverse of every matrix in the (n, k, k) stack ``a``: the 2x2 closed form, or
+    Gauss-Jordan on the row-scaled system with each instance's own partial pivots.
+    Raises Singular when a row-scaled determinant or pivot is below SINGULAR_TOL."""
+    n, k = a.shape[0], a.shape[1]
+    scale = np.max(np.abs(a), axis=2)
+    if np.any(scale == 0.0):
+        raise Singular("matrix has an all-zero row")
+    if k == 2:
+        s = a / scale[:, :, None]
+        if np.any(np.abs(s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0]) <= SINGULAR_TOL):
+            raise Singular("2x2 system is numerically singular")
+        det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
+        adj = np.stack([a[:, 1, 1], -a[:, 0, 1], -a[:, 1, 0], a[:, 0, 0]], axis=1)
+        return adj.reshape(n, 2, 2) / det[:, None, None]
+    work = a / scale[:, :, None]
+    inv = np.eye(k) / scale[:, :, None]
+    det_scaled = np.ones(n)
+    rows = np.arange(n)
+    for col in range(k):
+        pivot = col + np.argmax(np.abs(work[:, col:, col]), axis=1)
+        for arr in (work, inv):
+            arr[rows, col], arr[rows, pivot] = arr[rows, pivot], arr[rows, col]
+        det_scaled = np.where(pivot != col, -det_scaled, det_scaled)
+        p = work[rows, col, col]
+        det_scaled *= p
+        if np.any(np.abs(p) <= SINGULAR_TOL):
+            raise Singular(f"pivot {np.min(np.abs(p)):.3e} below threshold at column {col}")
+        work[:, col] /= p[:, None]
+        inv[:, col] /= p[:, None]
+        f = work[:, :, col].copy()
+        f[:, col] = 0.0
+        work -= f[:, :, None] * work[:, None, col]
+        inv -= f[:, :, None] * inv[:, None, col]
+    if np.any(np.abs(det_scaled) <= SINGULAR_TOL):
+        raise Singular(f"scaled determinant {np.min(np.abs(det_scaled)):.3e} below threshold")
+    return inv
+
+
 def invert_square(a: np.ndarray) -> np.ndarray:
     """Deterministic inverse: closed form for 2x2, partial-pivot Gauss-Jordan
     otherwise.  Raises Singular when the row-scaled determinant is below
@@ -74,40 +116,7 @@ def invert_square(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NonSquare(f"cannot invert a {a.shape} matrix")
-    n = a.shape[0]
-    scale = np.max(np.abs(a), axis=1)
-    if np.any(scale == 0.0):
-        raise Singular("matrix has an all-zero row")
-    if n == 2:
-        s = a / scale[:, None]
-        if abs(s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0]) <= SINGULAR_TOL:
-            raise Singular("2x2 system is numerically singular")
-        det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-        return np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]]) / det
-    # Gauss-Jordan with partial pivoting on the row-scaled system
-    work = a / scale[:, None]
-    inv = np.eye(n) / scale[:, None]
-    det_scaled = 1.0
-    for col in range(n):
-        pivot = col + int(np.argmax(np.abs(work[col:, col])))
-        if pivot != col:
-            work[[col, pivot]] = work[[pivot, col]]
-            inv[[col, pivot]] = inv[[pivot, col]]
-            det_scaled = -det_scaled
-        p = work[col, col]
-        det_scaled *= p
-        if abs(p) <= SINGULAR_TOL:
-            raise Singular(f"pivot {abs(p):.3e} below threshold at column {col}")
-        work[col] /= p
-        inv[col] /= p
-        for r in range(n):
-            if r != col and work[r, col] != 0.0:
-                f = work[r, col]
-                work[r] -= f * work[col]
-                inv[r] -= f * inv[col]
-    if abs(det_scaled) <= SINGULAR_TOL:
-        raise Singular(f"scaled determinant {abs(det_scaled):.3e} below threshold")
-    return inv
+    return _invert_stack(a[None])[0]
 
 
 def decontaminate_inversion(cm: ContaminationModel, i: int) -> np.ndarray:
@@ -115,22 +124,37 @@ def decontaminate_inversion(cm: ContaminationModel, i: int) -> np.ndarray:
     diagonal times the inverse contamination matrix."""
     if cm.family == FAMILY_SCONF:
         raise WrongFamily("Sconf does not go through the square inversion path")
-    return invert_square(cm.matrix[i] @ cm.transform[i])
+    return _invert_stack(cm.matrix[[i]] @ cm.transform[[i]])[0]
+
+
+def _marginal_chain(spec: ScenarioSpec, j: FiniteJoint, m: Marginals, idx) -> np.ndarray:
+    """P(Y=k | S=s_j, x_i) for i in ``idx``: (len(idx), K, m), zero where a
+    channel has no mass at x_i."""
+    if spec.family != FAMILY_CCN:
+        raise WrongFamily(f"marginal chain is defined for the label-channel family, not {spec.name}")
+    mats = _contamination_tensor(spec, m, idx)
+    terms = j.joint[:, idx].T[:, :, None] * mats.transpose(0, 2, 1)  # P(Y=k, S=s_j, x)
+    masses = terms.sum(axis=1, keepdims=True)
+    out = np.zeros(terms.shape)
+    np.divide(terms, masses, out=out, where=masses > 0.0)
+    return out
 
 
 def decontaminate_marginal_chain(spec: ScenarioSpec, j: FiniteJoint, i: int) -> np.ndarray:
     """Column j holds P(Y=. | S=s_j, x_i); channels with zero mass at x_i get
     zero columns (they carry no probability, so reconstruction is unaffected)."""
-    if spec.family != FAMILY_CCN:
-        raise WrongFamily(f"marginal chain is defined for the label-channel family, not {spec.name}")
     m = compute_marginals(j)
-    mat = contamination_matrix(spec, m, i)  # (m_ch, K)
-    p = j.joint[:, i]
-    masses = mat @ p
-    out = np.zeros((j.K, mat.shape[0]))
-    live = masses > 0.0
-    out[:, live] = (mat[live, :] * p[None, :]).T / masses[live][None, :]
-    return out
+    validate_spec(spec, m)
+    _check_instance(m, i)
+    return _marginal_chain(spec, j, m, [i])[0]
+
+
+def _size_d_sets(K: int, d: int) -> np.ndarray:
+    """(N_d, K) membership mask of the size-d compound labels, canonical order."""
+    if not 1 <= d <= K - 1:
+        raise BadSize(f"block size d={d} outside 1..{K - 1}")
+    mask = _member_mask(K)
+    return mask[mask.sum(axis=1) == d]
 
 
 def mcl_block_inverse(K: int, d: int) -> np.ndarray:
@@ -139,30 +163,13 @@ def mcl_block_inverse(K: int, d: int) -> np.ndarray:
     Entry (i, j) is 1 - ((K-1)/d) when class i+1 belongs to the j-th size-d
     set in canonical order, else 1.  Satisfies block_inverse @ block = I.
     """
-    if not 1 <= d <= K - 1:
-        raise BadSize(f"block size d={d} outside 1..{K - 1}")
-    sets = [s for s in compound_label_space(K) if len(s) == d]
-    out = np.ones((K, len(sets)))
-    for jdx, s in enumerate(sets):
-        for c in s:
-            out[c - 1, jdx] = 1.0 - (K - 1) / d
-    return out
+    return 1.0 - (K - 1) / d * _size_d_sets(K, d).T
 
 
 def mcl_block(K: int, d: int) -> np.ndarray:
     """N_d x K forward block: row j is the uniform channel law of the j-th
     size-d excluded set, 1/binomial(K-1, d) on the classes outside it."""
-    if not 1 <= d <= K - 1:
-        raise BadSize(f"block size d={d} outside 1..{K - 1}")
-    sets = [s for s in compound_label_space(K) if len(s) == d]
-    out = np.empty((len(sets), K))
-    w = 1.0 / math.comb(K - 1, d)
-    for jdx, s in enumerate(sets):
-        row = np.full(K, w)
-        for c in s:
-            row[c - 1] = 0.0
-        out[jdx] = row
-    return out
+    return (1.0 - _size_d_sets(K, d)) / math.comb(K - 1, d)
 
 
 def mcl_inverse(spec: MCL, K: int) -> np.ndarray:
@@ -176,32 +183,38 @@ def mcl_inverse(spec: MCL, K: int) -> np.ndarray:
     return np.hstack([mcl_block_inverse(K, d) for d in range(1, K)])
 
 
-def sconf_decontamination(pi_p: float, r: float) -> np.ndarray:
-    """Per-pair 2x2 diagonal diag((r - pi_n)/(pi_p - pi_n), (pi_p - r)/(pi_p - pi_n))."""
+def sconf_decontamination(pi_p: float, r) -> np.ndarray:
+    """Per-pair 2x2 diagonal diag((r - pi_n)/(pi_p - pi_n), (pi_p - r)/(pi_p - pi_n)).
+
+    ``r`` may also be an array of pair confidences; the result then stacks
+    one diagonal per entry, with shape r.shape + (2, 2)."""
     if abs(pi_p - 0.5) <= 1e-9:
         raise DegenerateParams("Sconf requires the positive prior away from 1/2")
     pi_n = 1.0 - pi_p
-    return np.diag([(r - pi_n) / (pi_p - pi_n), (pi_p - r) / (pi_p - pi_n)])
+    r = np.asarray(r, dtype=np.float64)
+    out = np.zeros(r.shape + (2, 2))
+    out[..., 0, 0] = (r - pi_n) / (pi_p - pi_n)
+    out[..., 1, 1] = (pi_p - r) / (pi_p - pi_n)
+    return out
+
+
+def _conf_diagonal(spec: ScenarioSpec, m: Marginals, idx) -> np.ndarray:
+    if spec.family != FAMILY_CONF:
+        raise WrongFamily(f"{spec.name} is not a confidence scenario")
+    r = m.class_probabilities[:, idx]
+    denom = _superclass_probability(spec, r)
+    zero = denom <= 0.0
+    if np.any(zero):
+        raise ZeroConfidence(f"super-class probability is zero at instance {idx[int(np.argmax(zero))]}")
+    return _diagonal_stack(r / denom)
 
 
 def conf_diagonal_inverse(spec: ScenarioSpec, m: Marginals, i: int) -> np.ndarray:
     """diag(r_k(x) / r_sel(x)) where r_sel is the super-class probability
     of the sampled classes (1 for Soft).  Raises ZeroConfidence when the
     super-class probability vanishes at x."""
-    if spec.family != FAMILY_CONF:
-        raise WrongFamily(f"{spec.name} is not a confidence scenario")
-    r = m.class_probabilities[:, i]
-    if isinstance(spec, SubConf):
-        denom = float(sum(r[c - 1] for c in spec.Y_s))
-    elif isinstance(spec, SCConf):
-        denom = float(r[spec.y_s - 1])
-    elif isinstance(spec, Pconf):
-        denom = float(r[0])
-    else:  # Soft
-        denom = 1.0
-    if denom <= 0.0:
-        raise ZeroConfidence(f"super-class probability is zero at instance {i}")
-    return np.diag(r / denom)
+    _check_instance(m, i)
+    return _conf_diagonal(spec, m, [i])[0]
 
 
 def default_method(spec: ScenarioSpec) -> str:
@@ -225,21 +238,18 @@ def decontaminate(spec: ScenarioSpec, j: FiniteJoint, method: str = "auto") -> D
     if method == "auto":
         method = default_method(spec)
 
+    idx = np.arange(j.n_x)
+
     if method == METHOD_SCONF:
         if spec.family != FAMILY_SCONF:
             raise WrongFamily(f"sconf-special only applies to Sconf, not {spec.name}")
-        pi_p = float(m.priors[0])
-        pairs = np.empty((j.n_x, j.n_x, 2, 2))
-        for a in range(j.n_x):
-            for b in range(j.n_x):
-                r = _sconf_confidence_from_marginals(m, a, b)
-                _sconf_denominators(m, r)
-                pairs[a, b] = sconf_decontamination(pi_p, r)
+        r = _sconf_confidences(m, idx, idx)
+        _sconf_denominators(m, r)
+        pairs = sconf_decontamination(float(m.priors[0]), r)
         return DecontaminationResult(spec=spec, method=method, pair_matrices=pairs)
 
     if method == METHOD_MARGINAL_CHAIN:
-        mats = np.stack([decontaminate_marginal_chain(spec, j, i) for i in range(j.n_x)])
-        return DecontaminationResult(spec=spec, method=method, matrices=mats)
+        return DecontaminationResult(spec=spec, method=method, matrices=_marginal_chain(spec, j, m, idx))
 
     if method == METHOD_MCL_BLOCKWISE:
         if not isinstance(spec, MCL):
@@ -249,14 +259,12 @@ def decontaminate(spec: ScenarioSpec, j: FiniteJoint, method: str = "auto") -> D
         return DecontaminationResult(spec=spec, method=method, matrices=mats)
 
     if method == METHOD_DIAGONAL:
-        mats = np.stack([conf_diagonal_inverse(spec, m, i) for i in range(j.n_x)])
-        return DecontaminationResult(spec=spec, method=method, matrices=mats)
+        return DecontaminationResult(spec=spec, method=method, matrices=_conf_diagonal(spec, m, idx))
 
     if method == METHOD_INVERSION:
-        cm = observed_distribution(spec, j)
-        if cm.family == FAMILY_SCONF:
+        if spec.family == FAMILY_SCONF:
             raise WrongFamily("use sconf-special for Sconf")
-        mats = np.stack([decontaminate_inversion(cm, i) for i in range(j.n_x)])
+        mats = _invert_stack(_contamination_tensor(spec, m, idx) @ _transform_tensor(spec, m, idx))
         return DecontaminationResult(spec=spec, method=method, matrices=mats)
 
     raise WrongFamily(f"unknown decontamination method {method!r}")

@@ -3,9 +3,12 @@
 The classification risk is the exact double sum of joint mass times loss.
 A rewrite moves that sum onto the observed channels: corrected losses are
 the loss vector times a decontamination matrix, and pairing them with the
-observed channel masses reproduces the risk exactly.  Closed forms for the
-corrected losses of each concrete scenario are kept alongside the generic
-matrix product as an independent cross-check.
+observed channel masses reproduces the risk exactly.  The loss table is
+built in one vectorised pass over the (n_x, K) scores (:func:`loss_vector`
+is its single-instance call), and the rewritten risk is one contraction
+sum_i lam[:, i] . D(x_i) . observed(x_i).  Closed forms for the corrected
+losses of each concrete scenario are kept alongside the generic matrix
+product as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -16,9 +19,10 @@ from typing import ClassVar, Optional
 import numpy as np
 
 from .core import FiniteJoint, Marginals, marginals as compute_marginals
-from .decontam import DecontaminationResult, decontaminate, invert_square
+from .decontam import DecontaminationResult, decontaminate, invert_square, mcl_block_inverse, mcl_inverse
 from .errors import (
     EmptyChannel,
+    IndexOutOfRange,
     NonDifferentiableLoss,
     NonFiniteScore,
     ShapeMismatch,
@@ -46,6 +50,9 @@ from .scenarios import (
     compound_label_space,
     observed_distribution,
     specs_equal,
+    transform_matrix,
+    _mixture_matrix,
+    _superclass_probability,
 )
 
 LOSS_NAMES = ("zero-one", "logistic", "squared")
@@ -72,10 +79,11 @@ class LossSpec:
         return self.differentiable[self.name]
 
 
-def _check_scores(scores: np.ndarray) -> np.ndarray:
+def _check_scores(scores, table: bool = False) -> np.ndarray:
+    """Finite float64 scores: a K-vector, or an (n, K) table when ``table``."""
     g = np.asarray(scores, dtype=np.float64)
-    if g.ndim != 1:
-        raise ShapeMismatch(f"scores must be a K-vector, got shape {g.shape}")
+    if g.ndim != (2 if table else 1):
+        raise ShapeMismatch(f"scores must be {'an (n, K) table' if table else 'a K-vector'}, got {g.shape}")
     if not np.all(np.isfinite(g)):
         raise NonFiniteScore("scores contain NaN or infinity")
     return g
@@ -96,26 +104,30 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def loss_vector(ls: LossSpec, scores) -> np.ndarray:
-    """K-vector with entry k equal to the loss when the true class is k+1."""
-    g = _check_scores(scores)
-    K = g.shape[0]
+def _loss_table(ls: LossSpec, g: np.ndarray) -> np.ndarray:
+    """(n, K) losses at the (n, K) scores ``g``: entry (i, k) is the loss at
+    x_i when the true class is k+1."""
     if ls.name == "zero-one":
-        out = np.ones(K)
-        out[int(np.argmax(g))] = 0.0
+        out = np.ones(g.shape)
+        out[np.arange(g.shape[0]), np.argmax(g, axis=1)] = 0.0
         return out
     if ls.name == "logistic":
         with np.errstate(invalid="ignore"):  # inf - inf on overflowed scores
             sp, sm = _softplus(g), _softplus(-g)
-            return sp.sum() - sp + sm
-    base = float(g @ g)
-    return base - 2.0 * g + 1.0
+            return sp.sum(axis=1, keepdims=True) - sp + sm
+    return np.einsum("ik,ik->i", g, g)[:, None] - 2.0 * g + 1.0
+
+
+def loss_vector(ls: LossSpec, scores) -> np.ndarray:
+    """K-vector with entry k equal to the loss when the true class is k+1."""
+    return _loss_table(ls, _check_scores(scores)[None, :])[0]
 
 
 def loss_score_slope(ls: LossSpec, scores) -> tuple:
     """Common structure of the loss gradients: the gradient of entry k is
-    base(g) - scale * e_k.  Returns (base, scale)."""
-    g = _check_scores(scores)
+    base(g) - scale * e_k.  Returns (base, scale); ``scores`` may also be an
+    (n, K) table, giving one base row per instance."""
+    g = _check_scores(scores, table=np.ndim(scores) == 2)
     if not ls.is_differentiable:
         raise NonDifferentiableLoss("zero-one loss has no gradient")
     if ls.name == "logistic":
@@ -137,8 +149,8 @@ def score_matrix(model, j: FiniteJoint) -> np.ndarray:
 
 def loss_matrix(ls: LossSpec, model, j: FiniteJoint) -> np.ndarray:
     """(K, n_x) table of per-class losses at every instance."""
-    scores = score_matrix(model, j)
-    return np.stack([loss_vector(ls, scores[i]) for i in range(j.n_x)], axis=1)
+    scores = _check_scores(score_matrix(model, j), table=True)
+    return np.ascontiguousarray(_loss_table(ls, scores).T)
 
 
 # ---------------------------------------------------------------------------
@@ -175,19 +187,13 @@ def rewritten_risk(spec: ScenarioSpec, j: FiniteJoint, model, ls: LossSpec,
         return _sconf_rewritten_risk(spec, j, lam, sconf_form)
     cm = observed_distribution(spec, j)
     dr = decontaminate(spec, j, method=method)
-    total = 0.0
-    for i in range(j.n_x):
-        total += float(corrected_losses(lam[:, i], dr, i) @ cm.observed[i])
-    return total
+    return float(np.einsum("ki,ikm,im->", lam, dr.matrices, cm.observed))
 
 
 def _sconf_rewritten_risk(spec, j, lam, form: str) -> float:
     cm = observed_distribution(spec, j)
-    m = compute_marginals(j)
-    pi_p, pi_n = float(m.priors[0]), float(m.priors[1])
-    r = cm.pair_confidence
-    wp = (r - pi_n) / (pi_p - pi_n)
-    wn = (pi_p - r) / (pi_p - pi_n)
+    d = decontaminate(spec, j, method="sconf-special").pair_matrices
+    wp, wn = d[..., 0, 0], d[..., 1, 1]
     lp, ln = lam[0], lam[1]
     if form == "x-only":
         per_pair = wp * lp[:, None] + wn * ln[:, None]
@@ -305,9 +311,7 @@ class ChannelTerms:
 
 
 def _mixture_decontamination(spec, m: Marginals) -> np.ndarray:
-    from .scenarios import _mixture_matrix, transform_matrix
-    a = _mixture_matrix(spec, m) @ transform_matrix(spec, m, 0)
-    return invert_square(a)
+    return invert_square(_mixture_matrix(spec, m) @ transform_matrix(spec, m, 0))
 
 
 def _point_terms(label, indices, col) -> ChannelTerms:
@@ -333,6 +337,11 @@ def channel_terms(ds, spec: ScenarioSpec, j: FiniteJoint) -> list:
     """
     if not specs_equal(ds.spec, spec):
         raise SpecMismatch(f"dataset was generated for {ds.spec.name}, not {spec.name}")
+    for c in ds.channels:
+        for arr in (c.indices, c.pairs):
+            if arr is not None and arr.size and (arr.min() < 0 or arr.max() >= j.n_x):
+                bad = arr[(arr < 0) | (arr >= j.n_x)][0]
+                raise IndexOutOfRange(f"channel {c.label!r} names instance {bad}, outside 0..{j.n_x - 1}")
     m = compute_marginals(j)
     by_label = {c.label: c for c in ds.channels}
 
@@ -379,18 +388,8 @@ def channel_terms(ds, spec: ScenarioSpec, j: FiniteJoint) -> list:
     conf = np.asarray(ch.confidences, dtype=np.float64)
     if idx.size == 0:
         return [ChannelTerms(ch.label, 0, idx, np.zeros((0, m.K)), np.zeros(0, dtype=int))]
-    if isinstance(spec, SubConf):
-        coeff = float(sum(m.priors[c - 1] for c in spec.Y_s))
-        den = conf[:, [c - 1 for c in spec.Y_s]].sum(axis=1)
-    elif isinstance(spec, SCConf):
-        coeff = float(m.priors[spec.y_s - 1])
-        den = conf[:, spec.y_s - 1]
-    elif isinstance(spec, Pconf):
-        coeff = float(m.priors[0])
-        den = conf[:, 0]
-    else:  # Soft
-        coeff = 1.0
-        den = np.ones(len(idx))
+    coeff = float(_superclass_probability(spec, m.priors[:, None])[0])
+    den = _superclass_probability(spec, conf.T)
     if np.any(den <= 0.0):
         raise ZeroConfidence("a sampled instance has zero super-class confidence")
     w = coeff * conf / den[:, None]
@@ -406,25 +405,20 @@ def _ccn_stream_terms(ds, spec, j: FiniteJoint, m: Marginals) -> ChannelTerms:
     """
     K = j.K
     space = compound_label_space(K)
-    need_model = isinstance(spec, (CCN, GCCN))
-    cmodel = observed_distribution(spec, j) if need_model else None
+    cmodel = observed_distribution(spec, j) if isinstance(spec, (CCN, GCCN)) else None
+    inv = None  # CL and MCL weight channel c by column c of the blockwise inverse
+    if isinstance(spec, CL):
+        inv = mcl_block_inverse(K, 1)
+    elif isinstance(spec, MCL):
+        inv = mcl_inverse(spec, K)
 
     idx_parts, w_parts = [], []
     for c, ch in enumerate(ds.channels):
         arr = np.asarray(ch.indices, dtype=int)
         if arr.size == 0:
             continue
-        if isinstance(spec, CL):
-            w = np.ones(K)
-            w[c] -= K - 1
-            w_parts.append(np.tile(w, (arr.size, 1)))
-        elif isinstance(spec, MCL):
-            sbar = space[c]
-            d = len(sbar)
-            w = np.ones(K)
-            for cls in sbar:
-                w[cls - 1] = 1.0 - (K - 1) / d
-            w_parts.append(np.tile(w, (arr.size, 1)))
+        if inv is not None:
+            w_parts.append(np.tile(inv[:, c], (arr.size, 1)))
         elif isinstance(spec, (PPL, PCPL)):
             members = [cls - 1 for cls in space[c]]
             r = m.class_probabilities[:, arr]

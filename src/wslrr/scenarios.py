@@ -14,7 +14,10 @@ pipeline:
   diagonal of confidence ratios.
 
 Sconf is pair-shaped and kept out of the generic pipeline; its structures
-live in the ``pair_*`` fields of :class:`ContaminationModel`.
+live in the ``pair_*`` fields of :class:`ContaminationModel`, built from
+outer products.  Every kernel is batched over the instance axis, one numpy
+pass per call with the spec validated once; :func:`contamination_matrix`
+and :func:`transform_matrix` are single-instance calls of the same kernels.
 """
 
 from __future__ import annotations
@@ -266,12 +269,7 @@ def compound_label_index(K: int, members) -> int:
 
 def _member_mask(K: int) -> np.ndarray:
     """(|S|, K) indicator matrix: mask[j, k-1] = 1 iff class k is in s_j."""
-    space = compound_label_space(K)
-    mask = np.zeros((len(space), K))
-    for j, s in enumerate(space):
-        for c in s:
-            mask[j, c - 1] = 1.0
-    return mask
+    return np.array([[float(c in s) for c in range(1, K + 1)] for s in compound_label_space(K)])
 
 
 def _compound_str(members) -> str:
@@ -357,7 +355,6 @@ def validate_spec(spec: ScenarioSpec, m: Marginals, rewrite_preconditions: bool 
         q = np.asarray(spec.q)
         if np.any(q < 0.0) or abs(q.sum() - 1.0) > PARAM_TOL:
             raise DegenerateParams("MCL size probabilities must be nonnegative and sum to 1")
-        compound_label_space(K)  # KTooLarge guard
     elif isinstance(spec, SubConf):
         if not spec.Y_s:
             raise DegenerateParams("SubConf class subset must be nonempty")
@@ -381,7 +378,9 @@ def _check_column_stochastic(tensor: np.ndarray, what: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Matrix builders
+# Matrix kernels, batched over the instance axis: each stacks one matrix per
+# index in ``idx`` on axis 0 (the per-instance functions pass one index) and
+# leaves validation to its caller, which runs validate_spec once per call.
 # ---------------------------------------------------------------------------
 
 def _mixture_matrix(spec: ScenarioSpec, m: Marginals) -> np.ndarray:
@@ -409,64 +408,120 @@ def _mixture_matrix(spec: ScenarioSpec, m: Marginals) -> np.ndarray:
     raise UnsupportedScenario(spec.name)
 
 
-def _channel_matrix(spec: ScenarioSpec, m: Marginals, i: int) -> np.ndarray:
-    K = m.K
+def _channel_tensor(spec: ScenarioSpec, m: Marginals, idx) -> np.ndarray:
+    """P(S=s_j | Y=k, x_i) for the label-channel family: (len(idx), |S|, K)."""
+    K, n = m.K, len(idx)
     if isinstance(spec, CCN):
-        return np.array(spec.flip[i], dtype=np.float64)
+        return spec.flip[idx]
     if isinstance(spec, GCCN):
-        return np.array(spec.cond[i], dtype=np.float64)
-    if isinstance(spec, CL):
-        return (np.ones((K, K)) - np.eye(K)) / (K - 1)
+        return spec.cond[idx]
     mask = _member_mask(K)
     if isinstance(spec, PPL):
-        return spec.C[:, i, None] * mask
-    if isinstance(spec, PCPL):
-        return mask / (2 ** (K - 1) - 1)
-    if isinstance(spec, MCL):
+        return spec.C[:, idx].T[:, :, None] * mask
+    if isinstance(spec, CL):
+        mat = (np.ones((K, K)) - np.eye(K)) / (K - 1)
+    elif isinstance(spec, PCPL):
+        mat = mask / (2 ** (K - 1) - 1)
+    elif isinstance(spec, MCL):
         sizes = mask.sum(axis=1).astype(int)
         row_scale = np.array([spec.q[d - 1] / math.comb(K - 1, d) for d in sizes])
-        return row_scale[:, None] * (1.0 - mask)
-    raise UnsupportedScenario(spec.name)
-
-
-def _confidence_diagonal(spec: ScenarioSpec, m: Marginals, i: int) -> np.ndarray:
-    r = m.class_probabilities[:, i]
-    if np.any(r <= 0.0):
-        raise ZeroConfidence(f"instance {i} has zero class probabilities; confidence ratios undefined")
-    if isinstance(spec, SubConf):
-        numer = float(sum(r[c - 1] for c in spec.Y_s))
-    elif isinstance(spec, SCConf):
-        numer = float(r[spec.y_s - 1])
-    elif isinstance(spec, Pconf):
-        numer = float(r[0])
-    elif isinstance(spec, Soft):
-        numer = 1.0
+        mat = row_scale[:, None] * (1.0 - mask)
     else:
         raise UnsupportedScenario(spec.name)
-    return np.diag(numer / r)
+    return np.broadcast_to(mat, (n,) + mat.shape)
 
 
-def _sconf_denominators(m: Marginals, r: float) -> tuple:
+def _superclass_probability(spec: ScenarioSpec, r: np.ndarray) -> np.ndarray:
+    """Probability of the sampled super-class given x, for class-probability
+    columns ``r`` of shape (K, n): the sum over the sampled classes, and 1
+    for Soft, whose super-class is every class."""
+    if isinstance(spec, Soft):
+        return np.ones(r.shape[1])
+    if isinstance(spec, SubConf):
+        members = [c - 1 for c in spec.Y_s]
+    elif isinstance(spec, SCConf):
+        members = [spec.y_s - 1]
+    elif isinstance(spec, Pconf):
+        members = [0]
+    else:
+        raise UnsupportedScenario(spec.name)
+    return r[members].sum(axis=0)
+
+
+def _diagonal_stack(v: np.ndarray) -> np.ndarray:
+    """(n, K, K) stack of diagonal matrices from the (K, n) columns ``v``."""
+    K, n = v.shape
+    out = np.zeros((n, K, K))
+    out[:, np.arange(K), np.arange(K)] = v.T
+    return out
+
+
+def _confidence_tensor(spec: ScenarioSpec, m: Marginals, idx) -> np.ndarray:
+    """diag(r_sel(x) / r_k(x)) for the confidence family: (len(idx), K, K)."""
+    r = m.class_probabilities[:, idx]
+    zero = np.any(r <= 0.0, axis=0)
+    if np.any(zero):
+        raise ZeroConfidence(f"instance {idx[int(np.argmax(zero))]} has zero class probabilities")
+    return _diagonal_stack(_superclass_probability(spec, r) / r)
+
+
+def _contamination_tensor(spec: ScenarioSpec, m: Marginals, idx) -> np.ndarray:
+    """M(x_i) for every i in ``idx``, C-contiguous: (len(idx), m, b)."""
+    if spec.family == FAMILY_MCD:
+        out = np.broadcast_to(_mixture_matrix(spec, m), (len(idx), 2, 2))
+    elif spec.family == FAMILY_CCN:
+        out = _channel_tensor(spec, m, idx)
+    elif spec.family == FAMILY_CONF:
+        out = _confidence_tensor(spec, m, idx)
+    else:
+        raise UnsupportedScenario(f"{spec.name} is pair-shaped; use the Sconf pair kernel")
+    return np.ascontiguousarray(out)
+
+
+def _transform_tensor(spec: ScenarioSpec, m: Marginals, idx) -> np.ndarray:
+    """M_trsf(x_i) for every i in ``idx``: reciprocal priors for the mixture
+    family (and Sconf), identity otherwise."""
+    mat = np.diag(1.0 / m.priors) if spec.family in (FAMILY_MCD, FAMILY_SCONF) else np.eye(m.K)
+    return np.ascontiguousarray(np.broadcast_to(mat, (len(idx),) + mat.shape))
+
+
+def _sconf_confidences(m: Marginals, a, b) -> np.ndarray:
+    """Pair confidences r(x_i, x_i2) for i in ``a`` and i2 in ``b``, as the
+    outer products of the class-weighted conditionals: (len(a), len(b))."""
+    pi_p, pi_n = float(m.priors[0]), float(m.priors[1])
+    cp, cn = m.class_conditionals[0], m.class_conditionals[1]
+    num = np.outer(pi_p ** 2 * cp[a], cp[b]) + np.outer(pi_n ** 2 * cn[a], cn[b])
+    den = np.outer(m.instance_marginal[a], m.instance_marginal[b])
+    zero = den <= 0.0
+    if np.any(zero):
+        ia, ib = np.argwhere(zero)[0]
+        raise ZeroPairMass(f"pair ({a[ia]}, {b[ib]}) has zero product mass")
+    return num / den
+
+
+def _sconf_denominators(m: Marginals, r: np.ndarray) -> tuple:
     pi_p, pi_n = float(m.priors[0]), float(m.priors[1])
     dp, dn = r - pi_n, pi_p - r
-    if abs(dp) < 1e-12 or abs(dn) < 1e-12:
+    bad = (np.abs(dp) < 1e-12) | (np.abs(dn) < 1e-12)
+    if np.any(bad):
         raise DegenerateParams(
-            f"Sconf confidence r={r} coincides with a prior; matrix entries blow up")
+            f"Sconf confidence r={r[bad][0]} coincides with a prior; matrix entries blow up")
     return dp, dn
 
 
-def _sconf_pair_matrix(m: Marginals, i: int, i2: int, r: float) -> np.ndarray:
-    """2x2 contamination matrix of the pair (x_i, x_{i2}); both rows map the
-    class conditionals at x_i to the product mass P(x_i) P(x_{i2})."""
+def _sconf_pair_tensor(m: Marginals, a, b) -> tuple:
+    """(r, M): confidences and 2x2 matrices of the pairs (x_i, x_i2), i in ``a``, i2 in
+    ``b``; both rows of M map the class conditionals at x_i to the mass P(x_i) P(x_i2)."""
     pi_p, pi_n = float(m.priors[0]), float(m.priors[1])
-    cpp, cnp = m.class_conditionals[0, i2], m.class_conditionals[1, i2]
+    r = _sconf_confidences(m, a, b)
     dp, dn = _sconf_denominators(m, r)
-    return np.array([
-        [pi_p * (pi_p ** 2 * cpp - pi_n ** 2 * cnp) / dp,
-         pi_p * (pi_n ** 2 * cnp - pi_n ** 2 * cpp) / dp],
-        [pi_n * (pi_p ** 2 * cnp - pi_p ** 2 * cpp) / dn,
-         pi_n * (pi_p ** 2 * cpp - pi_n ** 2 * cnp) / dn],
-    ])
+    cpp, cnp = m.class_conditionals[0, b], m.class_conditionals[1, b]
+    pm = np.empty(r.shape + (2, 2))
+    pm[..., 0, 0] = pi_p * (pi_p ** 2 * cpp - pi_n ** 2 * cnp) / dp
+    pm[..., 0, 1] = pi_p * (pi_n ** 2 * cnp - pi_n ** 2 * cpp) / dp
+    pm[..., 1, 0] = pi_n * (pi_p ** 2 * cnp - pi_p ** 2 * cpp) / dn
+    pm[..., 1, 1] = pi_n * (pi_p ** 2 * cpp - pi_n ** 2 * cnp) / dn
+    return r, pm
 
 
 def base_distributions(spec: ScenarioSpec, m: Marginals, i: int) -> np.ndarray:
@@ -482,9 +537,7 @@ def transform_matrix(spec: ScenarioSpec, m: Marginals, i: int) -> np.ndarray:
     """M_trsf(x_i) with B = M_trsf P: reciprocal priors for the mixture
     family (and Sconf), identity otherwise."""
     _check_instance(m, i)
-    if spec.family in (FAMILY_MCD, FAMILY_SCONF):
-        return np.diag(1.0 / m.priors)
-    return np.eye(m.K)
+    return _transform_tensor(spec, m, [i])[0]
 
 
 def contamination_matrix(spec: ScenarioSpec, m: Marginals, i: int, i2: Optional[int] = None) -> np.ndarray:
@@ -494,17 +547,12 @@ def contamination_matrix(spec: ScenarioSpec, m: Marginals, i: int, i2: Optional[
     """
     validate_spec(spec, m)
     _check_instance(m, i)
-    if spec.family == FAMILY_MCD:
-        return _mixture_matrix(spec, m)
-    if spec.family == FAMILY_CCN:
-        return _channel_matrix(spec, m, i)
-    if spec.family == FAMILY_CONF:
-        return _confidence_diagonal(spec, m, i)
+    if spec.family != FAMILY_SCONF:
+        return _contamination_tensor(spec, m, [i])[0]
     if i2 is None:
         raise ShapeMismatch("Sconf contamination matrix needs the pair partner index i2")
     _check_instance(m, i2)
-    r = _sconf_confidence_from_marginals(m, i, i2)
-    return _sconf_pair_matrix(m, i, i2, r)
+    return _sconf_pair_tensor(m, [i], [i2])[1][0, 0]
 
 
 def _check_instance(m: Marginals, i: int) -> None:
@@ -559,22 +607,16 @@ def observed_distribution(spec: ScenarioSpec, j: FiniteJoint) -> ContaminationMo
     m = compute_marginals(j)
     validate_spec(spec, m)
     labels = channel_labels(spec, j.K)
-    n_x = j.n_x
+    idx = np.arange(j.n_x)
 
     if spec.family == FAMILY_SCONF:
-        conf = np.empty((n_x, n_x))
-        pm = np.empty((n_x, n_x, 2, 2))
-        for i in range(n_x):
-            for i2 in range(n_x):
-                r = _sconf_confidence_from_marginals(m, i, i2)
-                conf[i, i2] = r
-                pm[i, i2] = _sconf_pair_matrix(m, i, i2, r)
+        conf, pm = _sconf_pair_tensor(m, idx, idx)
         pair = PairDistribution(tag="XX", matrix=np.outer(m.instance_marginal, m.instance_marginal))
         return ContaminationModel(spec=spec, family=spec.family, channels=labels,
                                   pair=pair, pair_matrix=pm, pair_confidence=conf)
 
-    mats = np.stack([contamination_matrix(spec, m, i) for i in range(n_x)])
-    trsf = np.stack([transform_matrix(spec, m, i) for i in range(n_x)])
+    mats = _contamination_tensor(spec, m, idx)
+    trsf = _transform_tensor(spec, m, idx)
     observed = np.einsum("imb,ibk,ki->im", mats, trsf, j.joint)
     return ContaminationModel(spec=spec, family=spec.family, channels=labels,
                               matrix=mats, transform=trsf, observed=observed)
@@ -630,13 +672,7 @@ def pair_distribution(spec: ScenarioSpec, j: FiniteJoint, channel: Optional[str]
 
 
 def _sconf_confidence_from_marginals(m: Marginals, i: int, i2: int) -> float:
-    pi_p, pi_n = float(m.priors[0]), float(m.priors[1])
-    num = (pi_p ** 2 * m.class_conditionals[0, i] * m.class_conditionals[0, i2]
-           + pi_n ** 2 * m.class_conditionals[1, i] * m.class_conditionals[1, i2])
-    den = m.instance_marginal[i] * m.instance_marginal[i2]
-    if den <= 0.0:
-        raise ZeroPairMass(f"pair ({i}, {i2}) has zero product mass")
-    return float(num / den)
+    return float(_sconf_confidences(m, [i], [i2])[0, 0])
 
 
 def sconf_confidence(j: FiniteJoint, i: int, i2: int) -> float:
@@ -732,8 +768,7 @@ def reduce_spec(parent, child, m: Marginals) -> Reduction:
             cond = np.array(child.flip, dtype=np.float64)
             return Reduction("GCCN", "CCN", child, {"cond": "label-flip probabilities"},
                              parent=GCCN(cond=cond))
-        mask = _member_mask(K)
-        cond = np.stack([child.C[:, i, None] * mask for i in range(n_x)])
+        cond = _channel_tensor(child, m, np.arange(n_x))
         return Reduction("GCCN", "PPL", child, {"cond": "C(s, x) on labels containing the class"},
                          parent=GCCN(cond=cond))
 

@@ -76,10 +76,7 @@ def empirical_gradient(ds: WeakDataset, spec: ScenarioSpec, model: LinearModel,
         raise NonDifferentiableLoss("zero-one loss admits no gradient; use logistic or squared")
     scores = score_matrix(model, j)
     # per-instance gradient structure: d loss_k / d g = base(g) - scale * e_k
-    bases = np.empty_like(scores)
-    scale = 0.0
-    for i in range(j.n_x):
-        bases[i], scale = loss_score_slope(ls, scores[i])
+    bases, scale = loss_score_slope(ls, scores)
 
     dW = np.zeros_like(model.weights)
     db = np.zeros_like(model.bias)
@@ -122,20 +119,16 @@ def train_erm(ds: WeakDataset, spec: ScenarioSpec, ls: LossSpec, cfg: TrainConfi
 def train_supervised_exact(j: FiniteJoint, ls: LossSpec, cfg: TrainConfig) -> tuple:
     """Baseline: descend the exact classification risk itself (the
     infinite-sample supervised objective).  Returns (model, trace)."""
-    from .risk import classification_risk, loss_gradients
+    from .risk import classification_risk
 
     model = init_model(j.K, j.d_feat, cfg.seed)
     trace = [classification_risk(j, model, ls)]
     for epoch in range(cfg.epochs):
-        scores = score_matrix(model, j)
-        dW = np.zeros_like(model.weights)
-        db = np.zeros_like(model.bias)
-        for i in range(j.n_x):
-            grads = loss_gradients(ls, scores[i])       # (K, K): rows are classes
-            dscores = j.joint[:, i] @ grads              # weight rows by joint mass
-            dW += np.outer(dscores, j.features[i])
-            db += dscores
-        dW += 2.0 * cfg.l2 * model.weights
+        # the joint-weighted sum over classes of base(g) - scale * e_k
+        bases, scale = loss_score_slope(ls, score_matrix(model, j))
+        dscores = j.joint.sum(axis=0)[:, None] * bases - scale * j.joint.T  # (n_x, K)
+        dW = dscores.T @ j.features + 2.0 * cfg.l2 * model.weights
+        db = dscores.sum(axis=0)
         model.weights = model.weights - cfg.learning_rate * dW
         model.bias = model.bias - cfg.learning_rate * db
         if not (np.all(np.isfinite(model.weights)) and np.all(np.isfinite(model.bias))):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FiniteJoint, marginals as compute_marginals, validate_joint
-from .datagen import dataset_to_json, philox_uniforms, sample_weak_dataset
+from .datagen import datasets_equal, philox_uniforms, sample_weak_dataset
 from .decontam import (
     METHOD_DIAGONAL,
     METHOD_INVERSION,
@@ -30,7 +30,7 @@ from .decontam import (
     mcl_block,
     mcl_block_inverse,
 )
-from .errors import WslrrError
+from .errors import ShapeMismatch, WslrrError
 from .risk import (
     LossSpec,
     channel_terms,
@@ -67,6 +67,8 @@ from .scenarios import (
     observed_distribution,
     pair_distribution,
     reduce_spec,
+    _member_mask,
+    _sconf_confidences,
 )
 from .train import TrainConfig, init_model, predictions, train_erm, train_supervised_exact
 
@@ -121,6 +123,10 @@ class VerifyConfig:
     threads: int = 0  # 0: use WSLRR_THREADS or the CPU count
     scenarios: tuple = ALL_SCENARIO_NAMES + ABSTRACT_SCENARIO_NAMES
 
+    def __post_init__(self):
+        if self.K < 2 or self.nx < 1:
+            raise ShapeMismatch(f"the harness needs K >= 2 and nx >= 1, got K={self.K}, nx={self.nx}")
+
 
 @dataclass(frozen=True)
 class AggregateReport:
@@ -142,6 +148,11 @@ def _report(name, scenario, params, err, tol, seed, t0) -> CheckReport:
                        elapsed=time.perf_counter() - t0)
 
 
+def _failure(name, scenario, params, tol, seed, t0, e: WslrrError) -> CheckReport:
+    failed = dict(params, error=f"{type(e).__name__}: {e}")
+    return _report(name, scenario, failed, float("inf"), tol, seed, t0)
+
+
 def _guarded(name, scenario, params, tol, seed, body) -> CheckReport:
     """Run a check body returning the max error; a library error becomes a
     failed report carrying the message instead of an exception."""
@@ -149,9 +160,7 @@ def _guarded(name, scenario, params, tol, seed, body) -> CheckReport:
     try:
         err = body()
     except WslrrError as e:
-        failed = dict(params)
-        failed["error"] = f"{type(e).__name__}: {e}"
-        return _report(name, scenario, failed, float("inf"), tol, seed, t0)
+        return _failure(name, scenario, params, tol, seed, t0, e)
     return _report(name, scenario, params, err, tol, seed, t0)
 
 
@@ -177,9 +186,7 @@ def _joint_ok(name: str, j: FiniteJoint) -> bool:
         return False
     if name == "Sconf":
         pi_p, pi_n = m.priors[0], m.priors[1]
-        cp, cn = m.class_conditionals[0], m.class_conditionals[1]
-        r = (pi_p ** 2 * np.outer(cp, cp) + pi_n ** 2 * np.outer(cn, cn))
-        r /= np.outer(m.instance_marginal, m.instance_marginal)
+        r = _sconf_confidences(m, np.arange(j.n_x), np.arange(j.n_x))
         if np.min(np.abs(r - pi_n)) < 1e-3 or np.min(np.abs(pi_p - r)) < 1e-3:
             return False
     return True
@@ -221,16 +228,11 @@ def make_spec(name: str, j: FiniteJoint, seed: int, trial: int) -> ScenarioSpec:
     if name == "PPL":
         # instance-dependent proper weights: each instance mixes label sizes
         # with its own law, uniform within a size (see the MCL construction)
-        n_s = len(compound_label_space(K))
-        sizes = np.array([len(s) for s in compound_label_space(K)])
+        sizes = [len(s) for s in compound_label_space(K)]
         alpha = philox_uniforms(seed, 7000 + trial, nx * (K - 1)).reshape(nx, K - 1) + 0.1
         alpha /= alpha.sum(axis=1, keepdims=True)
-        c_table = np.empty((n_s, nx))
-        for i in range(nx):
-            for jdx in range(n_s):
-                d = sizes[jdx]
-                c_table[jdx, i] = alpha[i, d - 1] / math.comb(K - 1, d - 1)
-        return PPL(C=c_table)
+        binom = np.array([math.comb(K - 1, d - 1) for d in sizes], dtype=np.float64)
+        return PPL(C=alpha[:, np.array(sizes) - 1].T / binom[:, None])
     if name == "MCL":
         q = philox_uniforms(seed, 8000 + trial, K - 1) + 0.1
         return MCL(q=tuple(q / q.sum()))
@@ -261,18 +263,12 @@ def verify_formulation(spec: ScenarioSpec, j: FiniteJoint, tol: float = TOL_MATR
     def body():
         m = compute_marginals(j)
         cm = observed_distribution(spec, j)
-        err = 0.0
         if spec.family == FAMILY_SCONF:
-            for i in range(j.n_x):
-                b = m.class_conditionals[:, i]
-                for i2 in range(j.n_x):
-                    target = m.instance_marginal[i] * m.instance_marginal[i2]
-                    err = max(err, float(np.max(np.abs(cm.pair_matrix[i, i2] @ b - target))))
-            err = max(err, abs(float(cm.pair.matrix.sum()) - 1.0))
-            return err
-        for i in range(j.n_x):
-            lhs = cm.matrix[i] @ cm.transform[i] @ j.joint[:, i]
-            err = max(err, float(np.max(np.abs(lhs - cm.observed[i]))))
+            rows = cm.pair_matrix @ m.class_conditionals.T[:, None, :, None]  # (n_x, n_x, 2, 1)
+            target = np.outer(m.instance_marginal, m.instance_marginal)[:, :, None, None]
+            return max(float(np.max(np.abs(rows - target))), abs(float(cm.pair.matrix.sum()) - 1.0))
+        lhs = cm.matrix @ cm.transform @ j.joint.T[:, :, None]
+        err = float(np.max(np.abs(lhs[:, :, 0] - cm.observed)))
         if spec.family == FAMILY_MCD:
             rows = cm.matrix.sum(axis=2)
             err = max(err, float(np.max(np.abs(rows - 1.0))))
@@ -293,14 +289,8 @@ def _sconf_block_identity_error(spec: Sconf, j: FiniteJoint) -> float:
     m = compute_marginals(j)
     cm = observed_distribution(spec, j)
     dr = decontaminate(spec, j, method=METHOD_SCONF)
-    inv_prior = np.diag(1.0 / m.priors)
-    err = 0.0
-    for i in range(j.n_x):
-        acc = np.zeros((2, 2))
-        for i2 in range(j.n_x):
-            acc += dr.pair_matrices[i, i2] @ inv_prior @ cm.pair_matrix[i, i2]
-        err = max(err, float(np.max(np.abs(acc - np.eye(2)))))
-    return err
+    acc = (dr.pair_matrices @ np.diag(1.0 / m.priors) @ cm.pair_matrix).sum(axis=1)
+    return float(np.max(np.abs(acc - np.eye(2))))
 
 
 def verify_reconstruction(spec: ScenarioSpec, j: FiniteJoint, tol: float = TOL_MATRIX,
@@ -315,11 +305,8 @@ def verify_reconstruction(spec: ScenarioSpec, j: FiniteJoint, tol: float = TOL_M
     def body():
         cm = observed_distribution(spec, j)
         dr = decontaminate(spec, j, method=resolved)
-        err = 0.0
-        for i in range(j.n_x):
-            rec = dr.matrices[i] @ cm.observed[i]
-            err = max(err, float(np.max(np.abs(rec - j.joint[:, i]))))
-        return err
+        rec = dr.matrices @ cm.observed[:, :, None]
+        return float(np.max(np.abs(rec[:, :, 0] - j.joint.T)))
 
     return _guarded(f"reconstruction[{resolved}]", spec.name, {}, tol, seed, body)
 
@@ -350,12 +337,9 @@ def _mutated_rewritten_risk(spec, j, model, ls, method) -> float:
         return -rewritten_risk(spec, j, model, ls)
     cm = observed_distribution(spec, j)
     dr = decontaminate(spec, j, method=method)
-    total = 0.0
-    for i in range(j.n_x):
-        corr = corrected_losses(lam[:, i], dr, i)
-        corr[0] = -corr[0]
-        total += float(corr @ cm.observed[i])
-    return total
+    corr = np.einsum("ki,ikm->im", lam, dr.matrices)
+    corr[:, 0] = -corr[:, 0]
+    return float(np.sum(corr * cm.observed))
 
 
 def verify_closed_form(spec: ScenarioSpec, j: FiniteJoint, model, ls: LossSpec,
@@ -508,17 +492,10 @@ def verify_pcpl_half_identity(j: FiniteJoint, model, ls: LossSpec,
     cm = observed_distribution(spec, j)
     lam = loss_matrix(ls, model, j)
     dr = decontaminate(spec, j, method=METHOD_MARGINAL_CHAIN)
-    space = compound_label_space(j.K)
-    left = 0.0
-    right = 0.0
-    for i in range(j.n_x):
-        corr = corrected_losses(lam[:, i], dr, i)
-        r = m.class_probabilities[:, i]
-        for jdx, s in enumerate(space):
-            mass = cm.observed[i, jdx]
-            left += mass * corr[jdx]
-            den = sum(r[c - 1] for c in s)
-            right += 0.5 * mass * float((r * lam[:, i]).sum() / den)
+    left = float(np.sum(cm.observed * np.einsum("ki,ikm->im", lam, dr.matrices)))
+    r = m.class_probabilities
+    den = (_member_mask(j.K) @ r).T  # super-class probability of each label at each x
+    right = float(np.sum(0.5 * cm.observed * ((r * lam).sum(axis=0)[:, None] / den)))
     return _report("pcpl-half-identity", "PCPL", {"loss": ls.name}, abs(left - right),
                    tol, seed, t0)
 
@@ -569,7 +546,7 @@ def verify_mc_consistency(name: str, cfg: VerifyConfig, n: int = 0) -> CheckRepo
 
     ds2 = sample_weak_dataset(spec, j, n, seed=cfg.seed + 1000)
     est2 = empirical_risk(ds2, spec, model, ls, j)
-    identical = dataset_to_json(ds) == dataset_to_json(ds2) and est == est2
+    identical = datasets_equal(ds, ds2) and est == est2
 
     err = abs(est - exact) if identical else float("inf")
     return _report(f"mc-consistency[n={n}]", name,
@@ -677,7 +654,9 @@ def _scenario_trial_inputs(name: str, cfg: VerifyConfig, trial: int):
 def build_registry(cfg: VerifyConfig) -> list:
     """Named thunks in report order; each returns one or more CheckReports.
 
-    An empty scenario list or a zero trial count yields an empty registry.
+    A library error inside a task becomes one failed report named after the
+    task, so a single failing check never aborts the run.  An empty scenario
+    list or a zero trial count yields an empty registry.
     """
     ls = LossSpec("logistic")
     tasks = []
@@ -685,44 +664,34 @@ def build_registry(cfg: VerifyConfig) -> list:
         return tasks
 
     def add(name, fn):
-        tasks.append((name, fn))
+        def guarded():
+            t0 = time.perf_counter()
+            try:
+                return fn()
+            except WslrrError as e:
+                scenario = name.split(":")[1] if ":" in name else ""
+                return _failure(name, scenario, {}, 0.0, cfg.seed, t0, e)
+        tasks.append((name, guarded))
 
+    def worst_over_trials(name, trials, check):
+        """The worst report of ``check(spec, j, model)`` over the trials."""
+        return lambda: _worst([check(*_scenario_trial_inputs(name, cfg, t)) for t in range(trials)])
+
+    few = min(cfg.trials, 5)
     for name in cfg.scenarios:
-        def formulation(name=name):
-            reports = []
-            for trial in range(min(cfg.trials, 5)):
-                spec, j, _ = _scenario_trial_inputs(name, cfg, trial)
-                reports.append(verify_formulation(spec, j, seed=cfg.seed))
-            return _worst(reports)
-        add(f"formulation:{name}", formulation)
-
+        add(f"formulation:{name}", worst_over_trials(
+            name, few, lambda spec, j, _: verify_formulation(spec, j, seed=cfg.seed)))
     for name in cfg.scenarios:
         for method in _reconstruction_methods(name):
-            def reconstruction(name=name, method=method):
-                reports = []
-                for trial in range(min(cfg.trials, 5)):
-                    spec, j, _ = _scenario_trial_inputs(name, cfg, trial)
-                    reports.append(verify_reconstruction(spec, j, method=method, seed=cfg.seed))
-                return _worst(reports)
-            add(f"reconstruction:{name}:{method}", reconstruction)
-
+            add(f"reconstruction:{name}:{method}", worst_over_trials(
+                name, few, lambda spec, j, _, method=method:
+                verify_reconstruction(spec, j, method=method, seed=cfg.seed)))
     for name in cfg.scenarios:
-        def risk_eq(name=name):
-            reports = []
-            for trial in range(cfg.trials):
-                spec, j, model = _scenario_trial_inputs(name, cfg, trial)
-                reports.append(verify_risk_equality(spec, j, model, ls, seed=cfg.seed))
-            return _worst(reports)
-        add(f"risk-equality:{name}", risk_eq)
-
+        add(f"risk-equality:{name}", worst_over_trials(
+            name, cfg.trials, lambda spec, j, model: verify_risk_equality(spec, j, model, ls, seed=cfg.seed)))
     for name in CLOSED_FORM_NAMES:
-        def closed(name=name):
-            reports = []
-            for trial in range(min(cfg.trials, 5)):
-                spec, j, model = _scenario_trial_inputs(name, cfg, trial)
-                reports.append(verify_closed_form(spec, j, model, ls, seed=cfg.seed))
-            return _worst(reports)
-        add(f"closed-form:{name}", closed)
+        add(f"closed-form:{name}", worst_over_trials(
+            name, few, lambda spec, j, model: verify_closed_form(spec, j, model, ls, seed=cfg.seed)))
 
     def reduction():
         j = random_joint(cfg.K, cfg.nx, cfg.d_feat, cfg.seed, 21)

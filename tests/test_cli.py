@@ -124,3 +124,42 @@ class TestTrainCommand:
         assert main(["train", "--data", str(ds_path), "--joint", str(joint_file),
                      "--loss", "logistic", "--lr", "1e6", "--epochs", "30",
                      "--out", str(tmp_path / "boom.json")]) == 1
+
+
+class TestMalformedInputs:
+    """Malformed inputs end with a typed error and exit 2, never a traceback."""
+
+    def _dataset(self, joint_file, tmp_path):
+        ds_path = tmp_path / "ds.json"
+        main(["simulate", "--joint", str(joint_file), "--scenario", "PU",
+              "--n", "20", "--seed", "5", "--out", str(ds_path)])
+        return ds_path, json.loads(ds_path.read_text())
+
+    def _train(self, ds_path, joint_file):
+        return main(["train", "--data", str(ds_path), "--joint", str(joint_file),
+                     "--lr", "0.1", "--epochs", "2"])
+
+    def test_instance_index_outside_joint(self, joint_file, tmp_path, capsys):
+        ds_path, raw = self._dataset(joint_file, tmp_path)
+        raw["channels"][0]["items"][0] = 99
+        ds_path.write_text(json.dumps(raw))
+        assert self._train(ds_path, joint_file) == 2
+        assert "IndexOutOfRange" in capsys.readouterr().err
+
+    def test_negative_instance_index(self, joint_file, tmp_path, capsys):
+        ds_path, raw = self._dataset(joint_file, tmp_path)
+        raw["channels"][1]["items"][-1] = -1
+        ds_path.write_text(json.dumps(raw))
+        assert self._train(ds_path, joint_file) == 2
+        assert "IndexOutOfRange" in capsys.readouterr().err
+
+    def test_non_integer_seed(self, joint_file, tmp_path, capsys):
+        ds_path, raw = self._dataset(joint_file, tmp_path)
+        raw["seed"] = "abc"
+        ds_path.write_text(json.dumps(raw))
+        assert self._train(ds_path, joint_file) == 2
+        assert "SchemaMismatch" in capsys.readouterr().err
+
+    def test_verify_all_single_class(self, capsys):
+        assert main(["verify-all", "--K", "1", "--trials", "1"]) == 2
+        assert "ShapeMismatch" in capsys.readouterr().err

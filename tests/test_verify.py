@@ -95,3 +95,16 @@ class TestAggregate:
         a, b = verify_all(base), verify_all(par)
         assert [c.name for c in a.checks] == [c.name for c in b.checks]
         assert [c.max_abs_err for c in a.checks] == [c.max_abs_err for c in b.checks]
+
+    def test_failing_task_becomes_failed_report(self):
+        # no admissible SU joint exists at 400 instances: the pair checks fail
+        # as a report instead of ending the run
+        cfg = VerifyConfig(scenarios=("SU",), trials=1, nx=400, threads=1)
+        rep = verify_all(cfg)
+        pair = [c for c in rep.checks if c.name == "pair-checks"]
+        assert len(pair) == 1 and not pair[0].passed
+        assert "could not draw an admissible joint" in pair[0].params["error"]
+        assert not rep.passed
+        assert json.loads(rep.to_json())["checks"]
+        others = [c for c in rep.checks if c.name != "pair-checks"]
+        assert others and all(c.passed for c in others)
