@@ -64,7 +64,8 @@ def _categorical(probs: np.ndarray, u: np.ndarray, what: str) -> np.ndarray:
         raise ZeroChannelMass(f"{what} has zero total probability")
     cum = np.cumsum(flat / total)
     pos = np.searchsorted(cum, u, side="right")
-    return np.minimum(pos, flat.size - 1)
+    # u >= cum[-1] < 1 by rounding: take the last item that has mass
+    return np.minimum(pos, np.flatnonzero(flat > 0)[-1])
 
 
 @dataclass(eq=False)
@@ -123,6 +124,18 @@ def sampling_channels(spec: ScenarioSpec, K: int) -> tuple:
     return ("X",)
 
 
+def dataset_channels(spec: ScenarioSpec, K: int) -> tuple:
+    """(label, kind) of every channel of a sampled dataset, in order."""
+    if spec.family == FAMILY_MCD:
+        return tuple((label, PAIRS if label in ("S", "D", "PC") else POINTS)
+                     for label in sampling_channels(spec, K))
+    if spec.family == FAMILY_SCONF:
+        return (("XX", CONF_PAIRS),)
+    if spec.family == FAMILY_CCN:
+        return tuple((label, POINTS) for label in channel_labels(spec, K))
+    return (("X", CONF_POINTS),)
+
+
 def _resolve_sizes(spec: ScenarioSpec, K: int, n: Union[int, dict]) -> dict:
     names = sampling_channels(spec, K)
     if isinstance(n, (int, np.integer)):
@@ -155,17 +168,17 @@ def sample_weak_dataset(spec: ScenarioSpec, j: FiniteJoint, n: Union[int, dict],
     if spec.family == FAMILY_MCD:
         cm = observed_distribution(spec, j)
         channels = []
-        for stream, label in enumerate(sampling_channels(spec, j.K)):
+        for stream, (label, kind) in enumerate(dataset_channels(spec, j.K)):
             count = sizes[label]
             u = philox_uniforms(seed, stream, count)
-            if label in ("S", "D", "PC"):
+            if kind == PAIRS:
                 q = pair_distribution(spec, j, channel=label).matrix
                 pos = _categorical(q, u, f"pair channel {label}")
-                channels.append(DatasetChannel(label, PAIRS,
+                channels.append(DatasetChannel(label, kind,
                                                pairs=np.stack([pos // n_x, pos % n_x], axis=1)))
             else:
                 pos = _categorical(cm.observed[:, stream], u, f"channel {label}")
-                channels.append(DatasetChannel(label, POINTS, indices=pos))
+                channels.append(DatasetChannel(label, kind, indices=pos))
         return WeakDataset(spec=spec, seed=int(seed), channels=tuple(channels))
 
     if spec.family == FAMILY_SCONF:
@@ -242,23 +255,43 @@ def _sample_label_stream(spec: ScenarioSpec, j: FiniteJoint, count: int, seed: i
 # ---------------------------------------------------------------------------
 
 def dataset_to_json(ds: WeakDataset) -> str:
+    """One-line JSON without indentation, written by the C encoder; the items
+    are fresh lists, so the encoder's cycle check is skipped."""
     channels = []
     for c in ds.channels:
         if c.kind == POINTS:
-            items = [int(v) for v in c.indices]
+            items = c.indices.tolist()
         elif c.kind == PAIRS:
-            items = [[int(a), int(b)] for a, b in c.pairs]
+            items = c.pairs.tolist()
         elif c.kind == CONF_POINTS:
-            items = [{"index": int(i), "confidences": row.tolist()}
-                     for i, row in zip(c.indices, c.confidences)]
+            items = [{"index": i, "confidences": row}
+                     for i, row in zip(c.indices.tolist(), c.confidences.tolist())]
         else:
-            items = [{"pair": [int(a), int(b)], "confidence": float(r)}
-                     for (a, b), r in zip(c.pairs, c.confidences)]
+            items = [{"pair": p, "confidence": r}
+                     for p, r in zip(c.pairs.tolist(), c.confidences.tolist())]
         channels.append({"label": c.label, "kind": c.kind, "items": items})
     return json.dumps(
         {"spec": json.loads(scenario_to_json(ds.spec)), "seed": ds.seed, "channels": channels},
-        indent=2,
+        check_circular=False,
     )
+
+
+def _item_array(items, key: Optional[str], kind: str, shape: tuple) -> np.ndarray:
+    """Field ``key`` of every item (the items themselves when None) as integers
+    (``kind`` "i") or numbers ("f") of shape ``shape``, None matching any
+    length; anything else is a SchemaMismatch."""
+    what = "items" if key is None else f"item field {key!r}"
+    try:
+        arr = np.asarray(items if key is None else [it[key] for it in items])
+    except (TypeError, KeyError, ValueError) as e:  # no such field, ragged nesting
+        raise SchemaMismatch(f"bad channel {what}: {e!r}") from e
+    if arr.shape[:1] == (0,):
+        arr = np.empty([n or 0 for n in shape])
+    elif (arr.dtype.kind not in ("i" if kind == "i" else "if") or arr.ndim != len(shape)
+            or any(n not in (None, m) for n, m in zip(shape, arr.shape))):
+        raise SchemaMismatch(f"channel {what} must be {'integers' if kind == 'i' else 'numbers'} "
+                             f"of shape {shape}, got {arr.dtype} values of shape {arr.shape}")
+    return arr.astype(np.int64 if kind == "i" else np.float64)
 
 
 def dataset_from_json(text: str) -> WeakDataset:
@@ -275,31 +308,18 @@ def dataset_from_json(text: str) -> WeakDataset:
             raise SchemaMismatch('each channel needs keys "label", "kind", "items"')
         kind, items = c["kind"], c["items"]
         if kind == POINTS:
-            ch = DatasetChannel(c["label"], kind, indices=np.asarray(items, dtype=int))
+            fields = {"indices": _item_array(items, None, "i", (None,))}
         elif kind == PAIRS:
-            arr = np.asarray(items, dtype=int).reshape(-1, 2) if items else np.empty((0, 2), dtype=int)
-            ch = DatasetChannel(c["label"], kind, pairs=arr)
+            fields = {"pairs": _item_array(items, None, "i", (None, 2))}
         elif kind == CONF_POINTS:
-            try:
-                idx = np.array([it["index"] for it in items], dtype=int)
-                conf = np.array([it["confidences"] for it in items], dtype=np.float64)
-            except (TypeError, KeyError) as e:
-                raise SchemaMismatch(f"bad conf-points items: {e}") from e
-            if not items:
-                conf = np.empty((0, 0))
-            ch = DatasetChannel(c["label"], kind, indices=idx, confidences=conf)
+            fields = {"indices": _item_array(items, "index", "i", (None,)),
+                      "confidences": _item_array(items, "confidences", "f", (None, None))}
         elif kind == CONF_PAIRS:
-            try:
-                pr = np.array([it["pair"] for it in items], dtype=int).reshape(-1, 2)
-                conf = np.array([it["confidence"] for it in items], dtype=np.float64)
-            except (TypeError, KeyError) as e:
-                raise SchemaMismatch(f"bad conf-pairs items: {e}") from e
-            if not items:
-                pr = np.empty((0, 2), dtype=int)
-            ch = DatasetChannel(c["label"], kind, pairs=pr, confidences=conf)
+            fields = {"pairs": _item_array(items, "pair", "i", (None, 2)),
+                      "confidences": _item_array(items, "confidence", "f", (None,))}
         else:
             raise SchemaMismatch(f"unknown channel kind {kind!r}")
-        channels.append(ch)
+        channels.append(DatasetChannel(c["label"], kind, **fields))
     try:
         seed = int(raw["seed"])
     except (TypeError, ValueError) as e:

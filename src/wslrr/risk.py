@@ -6,7 +6,9 @@ the loss vector times a decontamination matrix, and pairing them with the
 observed channel masses reproduces the risk exactly.  The loss table is
 built in one vectorised pass over the (n_x, K) scores (:func:`loss_vector`
 is its single-instance call), and the rewritten risk is one contraction
-sum_i lam[:, i] . D(x_i) . observed(x_i).  Closed forms for the corrected
+sum_i lam[:, i] . D(x_i) . observed(x_i).  The exact and empirical risks,
+and their gradients, are one weighted loss sum_i W[i] . loss(g(x_i)) that
+differs only in the (n_x, K) table W.  Closed forms for the corrected
 losses of each concrete scenario are kept alongside the generic matrix
 product as an independent cross-check.
 """
@@ -19,6 +21,7 @@ from typing import ClassVar, Optional
 import numpy as np
 
 from .core import FiniteJoint, Marginals, marginals as compute_marginals
+from .datagen import CONF_POINTS, PAIRS, dataset_channels
 from .decontam import DecontaminationResult, decontaminate, invert_square, mcl_block_inverse, mcl_inverse
 from .errors import (
     EmptyChannel,
@@ -153,13 +156,30 @@ def loss_matrix(ls: LossSpec, model, j: FiniteJoint) -> np.ndarray:
     return np.ascontiguousarray(_loss_table(ls, scores).T)
 
 
+def weighted_loss(W: np.ndarray, model, ls: LossSpec, j: FiniteJoint, grad: bool = False):
+    """The weighted loss sum_i W[i] . loss(g(x_i)) for an (n_x, K) table W.
+
+    W is joint.T for the exact risk and :func:`weight_table` for the
+    empirical one.  With ``grad`` this returns (value, dW, db), where
+    (dW, db) is the gradient in the linear model's parameters.
+    """
+    scores = _check_scores(score_matrix(model, j), table=True)
+    value = float(np.sum(W * _loss_table(ls, scores)))
+    if not grad:
+        return value
+    # the gradient of loss entry k in the scores is base(g) - scale * e_k
+    bases, scale = loss_score_slope(ls, scores)
+    dscores = W.sum(axis=1)[:, None] * bases - scale * W  # (n_x, K)
+    return value, dscores.T @ j.features, dscores.sum(axis=0)
+
+
 # ---------------------------------------------------------------------------
 # Exact risks
 # ---------------------------------------------------------------------------
 
 def classification_risk(j: FiniteJoint, model, ls: LossSpec) -> float:
     """Exact risk: the double sum of joint mass times per-class loss."""
-    return float(np.sum(j.joint * loss_matrix(ls, model, j)))
+    return weighted_loss(j.joint.T, model, ls, j)
 
 
 def corrected_losses(L: np.ndarray, dr: DecontaminationResult, i: int) -> np.ndarray:
@@ -299,33 +319,33 @@ def closed_form_corrected_loss(spec: ScenarioSpec, m: Marginals, i: int, L,
 class ChannelTerms:
     """Flattened per-channel estimator terms.
 
-    Each entry e contributes weights[e] . loss(g(x_idx[e])) to draw draw[e];
+    Each entry e contributes weights[e] . loss(g(x_idx[e])) to draw
+    e mod n_draws (pair terms list every first instance, then every second);
     the channel's estimate is the mean over its n_draws draw totals, and the
     full estimator is the sum of the channel estimates.
     """
     label: str
     n_draws: int
     idx: np.ndarray       # (n_entries,)
-    weights: np.ndarray   # (n_entries, K)
-    draw: np.ndarray      # (n_entries,)
+    weights: np.ndarray   # (n_entries, K), a broadcast view when all share one row
 
 
 def _mixture_decontamination(spec, m: Marginals) -> np.ndarray:
     return invert_square(_mixture_matrix(spec, m) @ transform_matrix(spec, m, 0))
 
 
-def _point_terms(label, indices, col) -> ChannelTerms:
-    n = len(indices)
-    return ChannelTerms(label, n, np.asarray(indices, dtype=int),
-                        np.tile(col, (n, 1)), np.arange(n))
+def _shared_row_terms(label, n, idx, row) -> ChannelTerms:
+    """Entries that all carry the weight ``row``, as one broadcast view."""
+    return ChannelTerms(label, n, idx, np.broadcast_to(row, (len(idx), row.size)))
 
 
-def _pair_half_terms(label, pairs, col) -> ChannelTerms:
-    pairs = np.asarray(pairs, dtype=int)
+def _pair_terms(label, pairs, first, second) -> ChannelTerms:
+    """One draw per pair, weighted by ``first`` at its first instance and by
+    ``second`` at its second (K-vectors, or one row per pair)."""
     n = pairs.shape[0]
-    idx = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    w = np.tile(col / 2.0, (2 * n, 1))
-    return ChannelTerms(label, n, idx, w, np.concatenate([np.arange(n), np.arange(n)]))
+    w = np.empty((2 * n, np.shape(first)[-1]))
+    w[:n], w[n:] = first, second
+    return ChannelTerms(label, n, pairs.T.ravel(), w)
 
 
 def channel_terms(ds, spec: ScenarioSpec, j: FiniteJoint) -> list:
@@ -337,63 +357,51 @@ def channel_terms(ds, spec: ScenarioSpec, j: FiniteJoint) -> list:
     """
     if not specs_equal(ds.spec, spec):
         raise SpecMismatch(f"dataset was generated for {ds.spec.name}, not {spec.name}")
+    found, expected = tuple((c.label, c.kind) for c in ds.channels), dataset_channels(spec, j.K)
+    if found != expected:
+        raise SpecMismatch(f"dataset channels {found} do not match {spec.name} on a K={j.K} joint, "
+                           f"which has {expected}")
     for c in ds.channels:
         for arr in (c.indices, c.pairs):
             if arr is not None and arr.size and (arr.min() < 0 or arr.max() >= j.n_x):
                 bad = arr[(arr < 0) | (arr >= j.n_x)][0]
                 raise IndexOutOfRange(f"channel {c.label!r} names instance {bad}, outside 0..{j.n_x - 1}")
+        if c.kind == CONF_POINTS and c.n_draws and c.confidences.shape[1] != j.K:
+            raise ShapeMismatch(f"channel {c.label!r} has {c.confidences.shape[1]} confidences "
+                                f"per draw, not K={j.K}")
     m = compute_marginals(j)
-    by_label = {c.label: c for c in ds.channels}
 
     if spec.family == FAMILY_MCD:
         dag = _mixture_decontamination(spec, m)
-        col0, col1 = dag[:, 0], dag[:, 1]
-        if spec.name in ("MCD", "UU", "PU"):
-            a, b = ds.channels
-            return [_point_terms(a.label, a.indices, col0),
-                    _point_terms(b.label, b.indices, col1)]
-        if spec.name in ("SU", "DU"):
-            pair_ch, point_ch = by_label[spec.name[0]], by_label["U"]
-            return [_pair_half_terms(pair_ch.label, pair_ch.pairs, col0),
-                    _point_terms(point_ch.label, point_ch.indices, col1)]
-        if spec.name == "SD":
-            return [_pair_half_terms("S", by_label["S"].pairs, col0),
-                    _pair_half_terms("D", by_label["D"].pairs, col1)]
-        # Pcomp: the first element of each pair is a Sup draw, the second an Inf draw
-        pc = by_label["PC"]
-        pairs = np.asarray(pc.pairs, dtype=int)
-        n = pairs.shape[0]
-        idx = np.concatenate([pairs[:, 0], pairs[:, 1]])
-        w = np.vstack([np.tile(col0, (n, 1)), np.tile(col1, (n, 1))])
-        return [ChannelTerms("PC", n, idx, w, np.concatenate([np.arange(n), np.arange(n)]))]
+        if spec.name == "Pcomp":
+            # the first element of each pair is a Sup draw, the second an Inf draw
+            return [_pair_terms("PC", ds.channels[0].pairs, dag[:, 0], dag[:, 1])]
+        # dataset channel k is observed channel k: points, or pairs whose two
+        # instances carry half the weight each
+        return [_shared_row_terms(c.label, c.n_draws, c.pairs.T.ravel(), dag[:, k] / 2.0) if c.kind == PAIRS
+                else _shared_row_terms(c.label, c.n_draws, c.indices, dag[:, k])
+                for k, c in enumerate(ds.channels)]
 
     if spec.family == FAMILY_SCONF:
-        ch = ds.channels[0]
-        pairs = np.asarray(ch.pairs, dtype=int)
-        r = np.asarray(ch.confidences, dtype=np.float64)
-        pi_p, pi_n = float(m.priors[0]), float(m.priors[1])
-        wp = (r - pi_n) / (pi_p - pi_n) / 2.0
-        wn = (pi_p - r) / (pi_p - pi_n) / 2.0
-        n = pairs.shape[0]
-        w = np.stack([wp, wn], axis=1)
-        return [ChannelTerms(ch.label, n, np.concatenate([pairs[:, 0], pairs[:, 1]]),
-                             np.vstack([w, w]), np.concatenate([np.arange(n), np.arange(n)]))]
+        ch, (pi_p, pi_n) = ds.channels[0], m.priors
+        r = ch.confidences
+        w = np.stack([r - pi_n, pi_p - r], axis=1) / (pi_p - pi_n) / 2.0
+        return [_pair_terms(ch.label, ch.pairs, w, w)]
 
     if spec.family == FAMILY_CCN:
         return [_ccn_stream_terms(ds, spec, j, m)]
 
     # confidence family: one channel of instances with attached confidences
     ch = ds.channels[0]
-    idx = np.asarray(ch.indices, dtype=int)
-    conf = np.asarray(ch.confidences, dtype=np.float64)
+    idx, conf = ch.indices, ch.confidences
     if idx.size == 0:
-        return [ChannelTerms(ch.label, 0, idx, np.zeros((0, m.K)), np.zeros(0, dtype=int))]
+        return [ChannelTerms(ch.label, 0, idx, np.zeros((0, m.K)))]
     coeff = float(_superclass_probability(spec, m.priors[:, None])[0])
     den = _superclass_probability(spec, conf.T)
     if np.any(den <= 0.0):
         raise ZeroConfidence("a sampled instance has zero super-class confidence")
     w = coeff * conf / den[:, None]
-    return [ChannelTerms(ch.label, len(idx), idx, w, np.arange(len(idx)))]
+    return [ChannelTerms(ch.label, len(idx), idx, w)]
 
 
 def _ccn_stream_terms(ds, spec, j: FiniteJoint, m: Marginals) -> ChannelTerms:
@@ -436,27 +444,41 @@ def _ccn_stream_terms(ds, spec, j: FiniteJoint, m: Marginals) -> ChannelTerms:
         raise EmptyChannel("dataset has no draws in any label channel")
     idx = np.concatenate(idx_parts)
     w = np.vstack(w_parts)
-    return ChannelTerms("SX", idx.size, idx, w, np.arange(idx.size))
+    return ChannelTerms("SX", idx.size, idx, w)
 
 
 def per_draw_values(terms: ChannelTerms, lam: np.ndarray) -> np.ndarray:
     """Draw totals of a channel given the (K, n_x) loss table."""
     contrib = np.einsum("ek,ke->e", terms.weights, lam[:, terms.idx])
-    vals = np.zeros(terms.n_draws)
-    np.add.at(vals, terms.draw, contrib)
-    return vals
+    per_draw = len(terms.idx) // max(terms.n_draws, 1)  # entries per draw
+    return contrib.reshape(per_draw, terms.n_draws).sum(axis=0)
 
 
-def empirical_risk(ds, spec: ScenarioSpec, model, ls: LossSpec, j: FiniteJoint) -> float:
-    """Sample estimate of the risk from a weak dataset.
-
+def weight_table(ds, spec: ScenarioSpec, j: FiniteJoint) -> np.ndarray:
+    """The (n_x, K) table W with empirical risk sum_i W[i] . loss(g(x_i)):
+    every channel's estimator terms over its draw count, summed per instance.
     Raises EmptyChannel when a channel that enters as a mean has no draws,
     SpecMismatch when the dataset belongs to another scenario.
     """
-    lam = loss_matrix(ls, model, j)
-    total = 0.0
+    W = np.zeros((j.n_x, j.K))
     for terms in channel_terms(ds, spec, j):
         if terms.n_draws == 0:
             raise EmptyChannel(f"channel {terms.label!r} has no samples")
-        total += float(per_draw_values(terms, lam).mean())
-    return total
+        counts = np.bincount(terms.idx, minlength=j.n_x)
+        if terms.weights.strides[0] == 0:  # one shared row: count its entries
+            W += counts[:, None] * terms.weights[0] / terms.n_draws
+            continue
+        # pairwise sums of each instance's run in a stable (radix, for 16-bit keys)
+        # sort: np.add.at would add the n draws one by one and lose about n * eps
+        order = np.argsort(terms.idx.astype(np.min_scalar_type(j.n_x - 1)), kind="stable")
+        inst = np.flatnonzero(counts)
+        runs = np.add.reduceat(np.take(terms.weights, order, axis=0),
+                               np.cumsum(counts[inst]) - counts[inst], axis=0)
+        W[inst] += runs / terms.n_draws
+    return W
+
+
+def empirical_risk(ds, spec: ScenarioSpec, model, ls: LossSpec, j: FiniteJoint) -> float:
+    """Sample estimate of the risk from a weak dataset; raises as
+    :func:`weight_table` does."""
+    return weighted_loss(weight_table(ds, spec, j), model, ls, j)

@@ -1,7 +1,8 @@
 """Linear-model ERM on empirical corrected risks, by full-batch descent.
 
-Corrected risks are linear in the per-class losses, so the analytic
-gradient reuses the estimator's per-draw loss weights.  Corrected losses
+Corrected risks are linear in the per-class losses, so a dataset folds
+once into an (n_x, K) weight table and every epoch, value and analytic
+gradient alike, is one weighted loss over the instances.  Corrected losses
 can be negative, making the objective nonconvex or unbounded below; a
 non-finite risk or parameter surfaces as the Diverged error, which callers
 treat as a reported outcome rather than a crash.
@@ -16,8 +17,8 @@ import numpy as np
 
 from .core import FiniteJoint
 from .datagen import WeakDataset, philox_uniforms
-from .errors import Diverged, NonDifferentiableLoss, ParseError, SchemaMismatch, ShapeMismatch
-from .risk import LossSpec, channel_terms, empirical_risk, loss_score_slope, score_matrix
+from .errors import Diverged, ParseError, SchemaMismatch, ShapeMismatch
+from .risk import LossSpec, score_matrix, weight_table, weighted_loss
 from .scenarios import ScenarioSpec
 
 
@@ -72,72 +73,47 @@ def empirical_gradient(ds: WeakDataset, spec: ScenarioSpec, model: LinearModel,
                        ls: LossSpec, j: FiniteJoint, l2: float = 0.0) -> tuple:
     """Analytic gradient (dW, db) of the empirical corrected risk plus the
     ridge term 2 * l2 * W.  Requires a differentiable loss."""
-    if not ls.is_differentiable:
-        raise NonDifferentiableLoss("zero-one loss admits no gradient; use logistic or squared")
-    scores = score_matrix(model, j)
-    # per-instance gradient structure: d loss_k / d g = base(g) - scale * e_k
-    bases, scale = loss_score_slope(ls, scores)
-
-    dW = np.zeros_like(model.weights)
-    db = np.zeros_like(model.bias)
-    for terms in channel_terms(ds, spec, j):
-        if terms.n_draws == 0:
-            continue
-        wsum = terms.weights.sum(axis=1)
-        dscores = wsum[:, None] * bases[terms.idx] - scale * terms.weights  # (n_e, K)
-        dscores /= terms.n_draws
-        dW += dscores.T @ j.features[terms.idx]
-        db += dscores.sum(axis=0)
+    _, dW, db = weighted_loss(weight_table(ds, spec, j), model, ls, j, grad=True)
     return dW + 2.0 * l2 * model.weights, db
+
+
+def _descend(W: np.ndarray, ls: LossSpec, cfg: TrainConfig, j: FiniteJoint, what: str) -> tuple:
+    """Full-batch gradient descent on the weighted loss of the (n_x, K)
+    table W, plus the ridge term.  Returns (model, trace); trace[e] is the
+    loss after epoch e."""
+    model = init_model(j.K, j.d_feat, cfg.seed)
+    value, dW, db = weighted_loss(W, model, ls, j, grad=True)
+    if not np.isfinite(value):
+        raise Diverged(f"initial {what} is {value}")
+    trace = [value]
+    for epoch in range(1, cfg.epochs + 1):
+        model.weights = model.weights - cfg.learning_rate * (dW + 2.0 * cfg.l2 * model.weights)
+        model.bias = model.bias - cfg.learning_rate * db
+        if not (np.all(np.isfinite(model.weights)) and np.all(np.isfinite(model.bias))):
+            raise Diverged(f"parameters became non-finite at epoch {epoch}")
+        value, dW, db = weighted_loss(W, model, ls, j, grad=True)
+        if not np.isfinite(value):
+            raise Diverged(f"{what} became non-finite at epoch {epoch}")
+        trace.append(value)
+    return model, trace
 
 
 def train_erm(ds: WeakDataset, spec: ScenarioSpec, ls: LossSpec, cfg: TrainConfig,
               j: FiniteJoint) -> tuple:
     """Full-batch gradient descent on the empirical corrected risk.
 
-    Returns (model, trace); trace[0] is the initial risk and trace[e] the
-    risk after epoch e.  Raises Diverged when the risk or the parameters
-    stop being finite.
+    The dataset is folded once into its weight table, so an epoch costs
+    O(n_x K d) whatever the sample count.  Returns (model, trace); trace[0]
+    is the initial risk and trace[e] the risk after epoch e.  Raises
+    Diverged when the risk or the parameters stop being finite.
     """
-    model = init_model(j.K, j.d_feat, cfg.seed)
-    trace = [empirical_risk(ds, spec, model, ls, j)]
-    if not np.isfinite(trace[0]):
-        raise Diverged(f"initial empirical risk is {trace[0]}")
-    for epoch in range(cfg.epochs):
-        dW, db = empirical_gradient(ds, spec, model, ls, j, l2=cfg.l2)
-        model.weights = model.weights - cfg.learning_rate * dW
-        model.bias = model.bias - cfg.learning_rate * db
-        if not (np.all(np.isfinite(model.weights)) and np.all(np.isfinite(model.bias))):
-            raise Diverged(f"parameters became non-finite at epoch {epoch + 1}")
-        value = empirical_risk(ds, spec, model, ls, j)
-        if not np.isfinite(value):
-            raise Diverged(f"empirical risk became non-finite at epoch {epoch + 1}")
-        trace.append(value)
-    return model, trace
+    return _descend(weight_table(ds, spec, j), ls, cfg, j, "empirical risk")
 
 
 def train_supervised_exact(j: FiniteJoint, ls: LossSpec, cfg: TrainConfig) -> tuple:
     """Baseline: descend the exact classification risk itself (the
     infinite-sample supervised objective).  Returns (model, trace)."""
-    from .risk import classification_risk
-
-    model = init_model(j.K, j.d_feat, cfg.seed)
-    trace = [classification_risk(j, model, ls)]
-    for epoch in range(cfg.epochs):
-        # the joint-weighted sum over classes of base(g) - scale * e_k
-        bases, scale = loss_score_slope(ls, score_matrix(model, j))
-        dscores = j.joint.sum(axis=0)[:, None] * bases - scale * j.joint.T  # (n_x, K)
-        dW = dscores.T @ j.features + 2.0 * cfg.l2 * model.weights
-        db = dscores.sum(axis=0)
-        model.weights = model.weights - cfg.learning_rate * dW
-        model.bias = model.bias - cfg.learning_rate * db
-        if not (np.all(np.isfinite(model.weights)) and np.all(np.isfinite(model.bias))):
-            raise Diverged(f"parameters became non-finite at epoch {epoch + 1}")
-        value = classification_risk(j, model, ls)
-        if not np.isfinite(value):
-            raise Diverged(f"risk became non-finite at epoch {epoch + 1}")
-        trace.append(value)
-    return model, trace
+    return _descend(j.joint.T, ls, cfg, j, "risk")
 
 
 def predictions(model: LinearModel, j: FiniteJoint) -> np.ndarray:

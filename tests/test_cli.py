@@ -129,10 +129,10 @@ class TestTrainCommand:
 class TestMalformedInputs:
     """Malformed inputs end with a typed error and exit 2, never a traceback."""
 
-    def _dataset(self, joint_file, tmp_path):
+    def _dataset(self, joint_file, tmp_path, scenario="PU"):
         ds_path = tmp_path / "ds.json"
-        main(["simulate", "--joint", str(joint_file), "--scenario", "PU",
-              "--n", "20", "--seed", "5", "--out", str(ds_path)])
+        assert main(["simulate", "--joint", str(joint_file), "--scenario", scenario,
+                     "--n", "20", "--seed", "5", "--out", str(ds_path)]) == 0
         return ds_path, json.loads(ds_path.read_text())
 
     def _train(self, ds_path, joint_file):
@@ -159,6 +159,23 @@ class TestMalformedInputs:
         ds_path.write_text(json.dumps(raw))
         assert self._train(ds_path, joint_file) == 2
         assert "SchemaMismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario, item", [("PU", "x"), ("PU", 1.5), ("SU", [0, "x"]), ("SU", [0, 1.5])])
+    def test_non_integer_item(self, joint_file, tmp_path, capsys, scenario, item):
+        ds_path, raw = self._dataset(joint_file, tmp_path, scenario)
+        raw["channels"][0]["items"][0] = item
+        ds_path.write_text(json.dumps(raw))
+        assert self._train(ds_path, joint_file) == 2
+        assert "SchemaMismatch" in capsys.readouterr().err
+
+    def test_channels_of_another_class_count(self, joint_file, tmp_path, capsys):
+        # a CL dataset drawn on a K=4 joint has four label channels, the
+        # K=2 joint two
+        j4 = tmp_path / "j4.json"
+        j4.write_text(joint_to_json(random_joint(4, 5, 3, seed=3, stream=0)))
+        ds_path, _ = self._dataset(j4, tmp_path, "CL")
+        assert self._train(ds_path, joint_file) == 2
+        assert "SpecMismatch" in capsys.readouterr().err
 
     def test_verify_all_single_class(self, capsys):
         assert main(["verify-all", "--K", "1", "--trials", "1"]) == 2

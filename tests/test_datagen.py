@@ -33,6 +33,15 @@ class TestRng:
         with pytest.raises(ZeroChannelMass):
             _categorical(np.zeros(4), philox_uniforms(0, 0, 3), "empty channel")
 
+    def test_clamp_skips_zero_mass_tail(self):
+        # ten masses of 0.1 sum to 1 - eps/2, so a uniform at or above the last
+        # cumulative value exists; it must not select the zero-mass tail
+        probs = np.array([0.1] * 10 + [0.0, 0.0])
+        cum = np.cumsum(probs / probs.sum())
+        assert cum[-1] < 1.0
+        u = np.array([cum[-1], np.nextafter(1.0, 0.0)])
+        assert np.array_equal(_categorical(probs, u, "tail"), [9, 9])
+
 
 class TestSampling:
     def test_deterministic_across_runs(self, binary_joint):

@@ -4,7 +4,8 @@ Sampling reads the observed channel masses of the mixture and label
 families, so these digests pin both: a refactor of the contamination
 kernels must leave every sampled array and every observed mass
 bit-identical.  The digests cover dtype-normalized array bytes and shapes
-(little-endian int64 and float64), channel labels and kinds.
+(little-endian int64 and float64), channel labels and kinds.  The dataset
+JSON text is pinned too, for one scenario per channel kind.
 """
 
 import hashlib
@@ -12,7 +13,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from wslrr.datagen import sample_weak_dataset
+from wslrr.datagen import dataset_to_json, sample_weak_dataset
 from wslrr.scenarios import observed_distribution
 from wslrr.verify import ABSTRACT_SCENARIO_NAMES, ALL_SCENARIO_NAMES, make_spec, scenario_joint
 
@@ -58,6 +59,16 @@ GOLDEN = {
 }
 
 
+# sha256 of the dataset JSON text: points (PU), pairs and points (SU),
+# conf-points (Soft), conf-pairs (Sconf)
+JSON_GOLDEN = {
+    "PU": "be122ad01e17d79dc50c646cffba5bae9faef0e81f24428bc120d7d0b79f7c58",
+    "SU": "8e92930905535e996bf69d657df5b41dbb0edc6eb0d9a965b1008cc95aa0566f",
+    "Soft": "0b39d1d2980dba699cba43bf1399db719c25b2aafc0f0d0ca83592eee388cb6d",
+    "Sconf": "42a6232f4a434a7988eb7cf7208a7eb9095c8ff4f8b7917df90f877614a36c9e",
+}
+
+
 def _digest(parts) -> str:
     h = hashlib.sha256()
     for a in parts:
@@ -97,3 +108,10 @@ def test_observed_masses_hash(name):
     cm = observed_distribution(spec, j)
     got = None if cm.observed is None else _digest([cm.observed])
     assert got == GOLDEN[name][1]
+
+
+@pytest.mark.parametrize("name", sorted(JSON_GOLDEN))
+def test_dataset_json_hash(name):
+    spec, j = _case(name)
+    text = dataset_to_json(sample_weak_dataset(spec, j, 400, seed=29))
+    assert hashlib.sha256(text.encode()).hexdigest() == JSON_GOLDEN[name]

@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
 
+import wslrr.risk
 from wslrr.datagen import sample_weak_dataset
 from wslrr.errors import Diverged, NonDifferentiableLoss
-from wslrr.risk import LossSpec, empirical_risk
+from wslrr.risk import (
+    LossSpec,
+    channel_terms,
+    empirical_risk,
+    loss_matrix,
+    loss_score_slope,
+    per_draw_values,
+    score_matrix,
+)
 from wslrr.scenarios import PU, UU
 from wslrr.train import (
     LinearModel,
@@ -16,7 +25,14 @@ from wslrr.train import (
     train_erm,
     train_supervised_exact,
 )
-from wslrr.verify import make_spec, scenario_joint, separable_binary_joint
+from wslrr.verify import (
+    ABSTRACT_SCENARIO_NAMES,
+    ALL_SCENARIO_NAMES,
+    make_spec,
+    scenario_joint,
+    seeded_model,
+    separable_binary_joint,
+)
 
 LOGISTIC = LossSpec("logistic")
 
@@ -73,6 +89,49 @@ class TestGradient:
                 denom = max(1.0, abs(numeric), abs(grad[ix]))
                 assert abs(numeric - grad[ix]) / denom <= 1e-5
                 it.iternext()
+
+
+def _per_draw_risk_and_gradient(ds, spec, model, ls, j):
+    """The estimator term by term: the sum of per-channel draw means, and
+    the gradient accumulated one channel's terms at a time."""
+    lam = loss_matrix(ls, model, j)
+    bases, scale = loss_score_slope(ls, score_matrix(model, j))
+    risk, dW, db = 0.0, np.zeros_like(model.weights), np.zeros_like(model.bias)
+    for terms in channel_terms(ds, spec, j):
+        risk += float(per_draw_values(terms, lam).mean())
+        wsum = terms.weights.sum(axis=1)
+        dscores = (wsum[:, None] * bases[terms.idx] - scale * terms.weights) / terms.n_draws
+        dW += dscores.T @ j.features[terms.idx]
+        db += dscores.sum(axis=0)
+    return risk, dW, db
+
+
+class TestWeightTable:
+    @pytest.mark.parametrize("name", ALL_SCENARIO_NAMES + ABSTRACT_SCENARIO_NAMES)
+    def test_matches_per_draw_path(self, name):
+        j = scenario_joint(name, 4, 7, 3, seed=43, trial=1)
+        spec = make_spec(name, j, 43, 1)
+        model = seeded_model(j, 43, 1)
+        ds = sample_weak_dataset(spec, j, 300, seed=5)
+        risk, dW, db = _per_draw_risk_and_gradient(ds, spec, model, LOGISTIC, j)
+        assert abs(empirical_risk(ds, spec, model, LOGISTIC, j) - risk) <= 1e-12
+        gW, gb = empirical_gradient(ds, spec, model, LOGISTIC, j)
+        assert np.max(np.abs(gW - dW)) <= 1e-12 and np.max(np.abs(gb - db)) <= 1e-12
+
+    @pytest.mark.parametrize("epochs", [1, 9])
+    def test_train_compiles_the_dataset_once(self, monkeypatch, epochs):
+        j = scenario_joint("GCCN", 3, 6, 3, seed=17, trial=0)
+        spec = make_spec("GCCN", j, 17, 0)
+        ds = sample_weak_dataset(spec, j, 200, seed=2)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return channel_terms(*args)
+
+        monkeypatch.setattr(wslrr.risk, "channel_terms", counted)
+        _, trace = train_erm(ds, spec, LOGISTIC, TrainConfig(learning_rate=0.1, epochs=epochs), j)
+        assert len(trace) == epochs + 1 and len(calls) == 1
 
 
 class TestTrainErm:

@@ -89,17 +89,10 @@ class TestAggregate:
         names2 = [n for n, _ in build_registry(cfg)]
         assert names1 == names2
 
-    def test_threads_do_not_change_results(self):
-        base = VerifyConfig(scenarios=("PU",), trials=2, mc_samples=2000, threads=1)
-        par = VerifyConfig(scenarios=("PU",), trials=2, mc_samples=2000, threads=4)
-        a, b = verify_all(base), verify_all(par)
-        assert [c.name for c in a.checks] == [c.name for c in b.checks]
-        assert [c.max_abs_err for c in a.checks] == [c.max_abs_err for c in b.checks]
-
     def test_failing_task_becomes_failed_report(self):
         # no admissible SU joint exists at 400 instances: the pair checks fail
         # as a report instead of ending the run
-        cfg = VerifyConfig(scenarios=("SU",), trials=1, nx=400, threads=1)
+        cfg = VerifyConfig(scenarios=("SU",), trials=1, nx=400)
         rep = verify_all(cfg)
         pair = [c for c in rep.checks if c.name == "pair-checks"]
         assert len(pair) == 1 and not pair[0].passed
