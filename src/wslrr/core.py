@@ -82,14 +82,18 @@ class Marginals:
 def validate_joint(K: int, features, joint) -> FiniteJoint:
     """Validate raw arrays and return an immutable FiniteJoint.
 
-    Raises ShapeMismatch, NegativeEntry, NonNormalized or ZeroInstanceMass.
+    Raises ShapeMismatch (also for non-numeric or ragged arrays),
+    NegativeEntry, NonNormalized or ZeroInstanceMass.
     Classes with zero prior are accepted here; :func:`marginals` rejects them
     because the scenario matrices divide by the priors.
     """
     if not isinstance(K, (int, np.integer)) or K < 2:
         raise ShapeMismatch(f"K must be an integer >= 2, got {K!r}")
-    f = np.asarray(features, dtype=np.float64)
-    j = np.asarray(joint, dtype=np.float64)
+    try:
+        f = np.asarray(features, dtype=np.float64)
+        j = np.asarray(joint, dtype=np.float64)
+    except (TypeError, ValueError) as e:  # non-numeric entries, ragged nesting
+        raise ShapeMismatch(f"features and joint must be numeric arrays: {e}") from e
     if f.ndim != 2 or f.shape[0] < 1 or f.shape[1] < 1:
         raise ShapeMismatch(f"features must be (n_x, d_feat) with n_x, d_feat >= 1, got {f.shape}")
     if j.shape != (K, f.shape[0]):

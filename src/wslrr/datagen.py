@@ -28,9 +28,7 @@ from .scenarios import (
     FAMILY_MCD,
     FAMILY_SCONF,
     MCL,
-    Pconf,
-    SCConf,
-    SubConf,
+    Soft,
     ScenarioSpec,
     channel_labels,
     compound_label_space,
@@ -40,6 +38,7 @@ from .scenarios import (
     scenario_to_json,
     validate_spec,
     _sconf_confidences,
+    _superclass_probability,
 )
 
 POINTS = "points"
@@ -194,16 +193,8 @@ def sample_weak_dataset(spec: ScenarioSpec, j: FiniteJoint, n: Union[int, dict],
         return _sample_label_stream(spec, j, sizes["SX"], seed)
 
     # confidence family: instances from the conditional sample law, oracle vectors attached
-    count = sizes["X"]
-    if isinstance(spec, SubConf):
-        dist = j.joint[[c - 1 for c in spec.Y_s], :].sum(axis=0)
-    elif isinstance(spec, SCConf):
-        dist = j.joint[spec.y_s - 1, :]
-    elif isinstance(spec, Pconf):
-        dist = j.joint[0, :]
-    else:  # Soft
-        dist = m.instance_marginal
-    idx = _categorical(dist, philox_uniforms(seed, 0, count), "channel X")
+    dist = m.instance_marginal if isinstance(spec, Soft) else _superclass_probability(spec, j.joint)
+    idx = _categorical(dist, philox_uniforms(seed, 0, sizes["X"]), "channel X")
     conf = m.class_probabilities[:, idx].T.copy()
     return WeakDataset(spec=spec, seed=int(seed),
                        channels=(DatasetChannel("X", CONF_POINTS, indices=idx, confidences=conf),))
@@ -320,8 +311,7 @@ def dataset_from_json(text: str) -> WeakDataset:
         else:
             raise SchemaMismatch(f"unknown channel kind {kind!r}")
         channels.append(DatasetChannel(c["label"], kind, **fields))
-    try:
-        seed = int(raw["seed"])
-    except (TypeError, ValueError) as e:
-        raise SchemaMismatch(f"dataset seed must be an integer, got {raw['seed']!r}") from e
+    seed = raw["seed"]
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise SchemaMismatch(f"dataset seed must be an integer, got {seed!r}")
     return WeakDataset(spec=spec, seed=seed, channels=tuple(channels))

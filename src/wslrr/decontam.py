@@ -8,7 +8,8 @@ constructions are implemented:
 * ``marginal-chain``: D[k, j] = P(Y=k | S=s_j, x), defined for the label
   channel family without any invertibility assumption;
 * ``mcl-blockwise``: the closed-form blockwise inverse of the
-  multi-complementary matrix, one block per excluded-set size;
+  multi-complementary matrix, one block per excluded-set size (CL is the
+  single size-1 block);
 * ``conf-diagonal``: diag(r_k(x) / r_sel(x)) for the confidence family;
 * ``sconf-special``: the per-pair diagonal built from the pair confidence.
 
@@ -34,6 +35,7 @@ from .scenarios import (
     FAMILY_CONF,
     FAMILY_MCD,
     FAMILY_SCONF,
+    CL,
     MCL,
     ContaminationModel,
     ScenarioSpec,
@@ -177,7 +179,7 @@ def mcl_inverse(spec: MCL, K: int) -> np.ndarray:
     canonical channel order; left-inverts the size-scaled MCL matrix for any
     size law summing to one."""
     if not isinstance(spec, MCL):
-        raise WrongFamily("blockwise inverse is specific to MCL")
+        raise WrongFamily(f"the blockwise inverse is specific to MCL and CL, not {spec.name}")
     if len(spec.q) != K - 1:
         raise BadSize(f"MCL size law has {len(spec.q)} entries, expected {K - 1}")
     return np.hstack([mcl_block_inverse(K, d) for d in range(1, K)])
@@ -252,9 +254,8 @@ def decontaminate(spec: ScenarioSpec, j: FiniteJoint, method: str = "auto") -> D
         return DecontaminationResult(spec=spec, method=method, matrices=_marginal_chain(spec, j, m, idx))
 
     if method == METHOD_MCL_BLOCKWISE:
-        if not isinstance(spec, MCL):
-            raise WrongFamily("mcl-blockwise requires an MCL spec")
-        inv = mcl_inverse(spec, j.K)
+        # CL is MCL with excluded sets of size 1 only (the MCL -> CL edge)
+        inv = mcl_block_inverse(j.K, 1) if isinstance(spec, CL) else mcl_inverse(spec, j.K)
         mats = np.broadcast_to(inv, (j.n_x,) + inv.shape).copy()
         return DecontaminationResult(spec=spec, method=method, matrices=mats)
 

@@ -8,21 +8,28 @@ built in one vectorised pass over the (n_x, K) scores (:func:`loss_vector`
 is its single-instance call), and the rewritten risk is one contraction
 sum_i lam[:, i] . D(x_i) . observed(x_i).  The exact and empirical risks,
 and their gradients, are one weighted loss sum_i W[i] . loss(g(x_i)) that
-differs only in the (n_x, K) table W.  Closed forms for the corrected
+differs only in the (n_x, K) table W; the empirical table weighs each draw
+by a column of the same D(x) the rewrite uses.  Closed forms for the corrected
 losses of each concrete scenario are kept alongside the generic matrix
 product as an independent cross-check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import ClassVar, Optional
 
 import numpy as np
 
 from .core import FiniteJoint, Marginals, marginals as compute_marginals
 from .datagen import CONF_POINTS, PAIRS, dataset_channels
-from .decontam import DecontaminationResult, decontaminate, invert_square, mcl_block_inverse, mcl_inverse
+from .decontam import (
+    METHOD_INVERSION,
+    METHOD_MARGINAL_CHAIN,
+    METHOD_MCL_BLOCKWISE,
+    DecontaminationResult,
+    decontaminate,
+)
 from .errors import (
     EmptyChannel,
     IndexOutOfRange,
@@ -37,9 +44,7 @@ from .scenarios import (
     FAMILY_CCN,
     FAMILY_MCD,
     FAMILY_SCONF,
-    CCN,
     CL,
-    GCCN,
     MCD,
     MCL,
     PCPL,
@@ -53,8 +58,6 @@ from .scenarios import (
     compound_label_space,
     observed_distribution,
     specs_equal,
-    transform_matrix,
-    _mixture_matrix,
     _superclass_probability,
 )
 
@@ -244,8 +247,7 @@ def closed_form_corrected_loss(spec: ScenarioSpec, m: Marginals, i: int, L,
         lp, ln = float(L[0]), float(L[1])
         s2 = pi_p * pi_p + pi_n * pi_n
         if isinstance(spec, (UU, MCD)):
-            g1 = spec.gamma_1 if isinstance(spec, UU) else spec.gamma_p
-            g2 = spec.gamma_2 if isinstance(spec, UU) else spec.gamma_n
+            g1, g2 = astuple(spec)  # the rates of the first and the second channel
             den = 1.0 - g1 - g2
             return np.array([((1.0 - g2) * pi_p * lp - g2 * pi_n * ln) / den,
                              (-g1 * pi_p * lp + (1.0 - g1) * pi_n * ln) / den])
@@ -330,10 +332,6 @@ class ChannelTerms:
     weights: np.ndarray   # (n_entries, K), a broadcast view when all share one row
 
 
-def _mixture_decontamination(spec, m: Marginals) -> np.ndarray:
-    return invert_square(_mixture_matrix(spec, m) @ transform_matrix(spec, m, 0))
-
-
 def _shared_row_terms(label, n, idx, row) -> ChannelTerms:
     """Entries that all carry the weight ``row``, as one broadcast view."""
     return ChannelTerms(label, n, idx, np.broadcast_to(row, (len(idx), row.size)))
@@ -351,9 +349,13 @@ def _pair_terms(label, pairs, first, second) -> ChannelTerms:
 def channel_terms(ds, spec: ScenarioSpec, j: FiniteJoint) -> list:
     """Estimator terms for every channel of a weak dataset.
 
-    The weights already fold in channel masses (reciprocal priors for the
-    mixture family, the super-class prior for confidence data), so the risk
-    estimate is simply the sum over channels of per-channel means.
+    A draw from observed channel c at x weighs the losses by column c of the
+    decontamination matrix D(x) that the rewrite uses, so the estimate is the
+    sample version of the rewritten risk; Sconf and the confidence family
+    weigh by the dataset's own confidences instead.  The weights already fold
+    in channel masses (reciprocal priors for the mixture family, the
+    super-class prior for confidence data), so the risk estimate is simply the
+    sum over channels of per-channel means.
     """
     if not specs_equal(ds.spec, spec):
         raise SpecMismatch(f"dataset was generated for {ds.spec.name}, not {spec.name}")
@@ -372,7 +374,7 @@ def channel_terms(ds, spec: ScenarioSpec, j: FiniteJoint) -> list:
     m = compute_marginals(j)
 
     if spec.family == FAMILY_MCD:
-        dag = _mixture_decontamination(spec, m)
+        dag = decontaminate(spec, j, METHOD_INVERSION).matrices[0]  # the same at every x
         if spec.name == "Pcomp":
             # the first element of each pair is a Sup draw, the second an Inf draw
             return [_pair_terms("PC", ds.channels[0].pairs, dag[:, 0], dag[:, 1])]
@@ -389,7 +391,15 @@ def channel_terms(ds, spec: ScenarioSpec, j: FiniteJoint) -> list:
         return [_pair_terms(ch.label, ch.pairs, w, w)]
 
     if spec.family == FAMILY_CCN:
-        return [_ccn_stream_terms(ds, spec, j, m)]
+        # one stream over all label channels; the literature estimators for CL and MCL
+        # use the blockwise inverse, the other label channels the marginal chain
+        method = METHOD_MCL_BLOCKWISE if isinstance(spec, (CL, MCL)) else METHOD_MARGINAL_CHAIN
+        dag = decontaminate(spec, j, method).matrices
+        idx = np.concatenate([c.indices for c in ds.channels])
+        if idx.size == 0:
+            raise EmptyChannel("dataset has no draws in any label channel")
+        chan = np.repeat(np.arange(len(ds.channels)), [c.n_draws for c in ds.channels])
+        return [ChannelTerms("SX", idx.size, idx, dag[idx, :, chan])]
 
     # confidence family: one channel of instances with attached confidences
     ch = ds.channels[0]
@@ -402,49 +412,6 @@ def channel_terms(ds, spec: ScenarioSpec, j: FiniteJoint) -> list:
         raise ZeroConfidence("a sampled instance has zero super-class confidence")
     w = coeff * conf / den[:, None]
     return [ChannelTerms(ch.label, len(idx), idx, w)]
-
-
-def _ccn_stream_terms(ds, spec, j: FiniteJoint, m: Marginals) -> ChannelTerms:
-    """One logical stream over all compound-label channels.
-
-    Weight columns follow the family defaults: the closed inversion weights
-    for CL and MCL (the literature estimators), confidence ratios for
-    partial labels, and the marginal-chain columns for CCN and GCCN.
-    """
-    K = j.K
-    space = compound_label_space(K)
-    cmodel = observed_distribution(spec, j) if isinstance(spec, (CCN, GCCN)) else None
-    inv = None  # CL and MCL weight channel c by column c of the blockwise inverse
-    if isinstance(spec, CL):
-        inv = mcl_block_inverse(K, 1)
-    elif isinstance(spec, MCL):
-        inv = mcl_inverse(spec, K)
-
-    idx_parts, w_parts = [], []
-    for c, ch in enumerate(ds.channels):
-        arr = np.asarray(ch.indices, dtype=int)
-        if arr.size == 0:
-            continue
-        if inv is not None:
-            w_parts.append(np.tile(inv[:, c], (arr.size, 1)))
-        elif isinstance(spec, (PPL, PCPL)):
-            members = [cls - 1 for cls in space[c]]
-            r = m.class_probabilities[:, arr]
-            den = r[members, :].sum(axis=0)
-            w = np.zeros((arr.size, K))
-            w[:, members] = (r[members, :] / den[None, :]).T
-            w_parts.append(w)
-        else:  # CCN / GCCN: marginal-chain column at each drawn instance
-            mats = cmodel.matrix[arr, c, :]           # (n, K)
-            masses = cmodel.observed[arr, c]          # (n,)
-            w_parts.append(mats * j.joint[:, arr].T / masses[:, None])
-        idx_parts.append(arr)
-
-    if not idx_parts:
-        raise EmptyChannel("dataset has no draws in any label channel")
-    idx = np.concatenate(idx_parts)
-    w = np.vstack(w_parts)
-    return ChannelTerms("SX", idx.size, idx, w)
 
 
 def per_draw_values(terms: ChannelTerms, lam: np.ndarray) -> np.ndarray:

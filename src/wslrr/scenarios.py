@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import Callable, ClassVar, Optional, Union
 
@@ -59,6 +60,15 @@ FAMILY_SCONF = "Sconf-pairwise"
 # Scenario parameter records
 # ---------------------------------------------------------------------------
 
+def _require(spec, kind, field: str, values) -> None:
+    """SchemaMismatch unless every one of ``values`` is a ``kind``
+    (numbers.Real or numbers.Integral, numpy scalars included, bools not)."""
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, kind):
+            what = "integers" if kind is numbers.Integral else "numbers"
+            raise SchemaMismatch(f"{spec.name} {field} must be {what}, got {v!r}")
+
+
 @dataclass(frozen=True)
 class MCD:
     """Two noisy labeled channels mixing the class conditionals."""
@@ -66,6 +76,9 @@ class MCD:
     gamma_n: float
     name: ClassVar[str] = "MCD"
     family: ClassVar[str] = FAMILY_MCD
+
+    def __post_init__(self):
+        _require(self, numbers.Real, "rates", (self.gamma_p, self.gamma_n))
 
 
 @dataclass(frozen=True)
@@ -75,6 +88,9 @@ class UU:
     gamma_2: float
     name: ClassVar[str] = "UU"
     family: ClassVar[str] = FAMILY_MCD
+
+    def __post_init__(self):
+        _require(self, numbers.Real, "rates", (self.gamma_1, self.gamma_2))
 
 
 @dataclass(frozen=True)
@@ -160,6 +176,7 @@ class MCL:
     family: ClassVar[str] = FAMILY_CCN
 
     def __post_init__(self):
+        _require(self, numbers.Real, "q", self.q)
         object.__setattr__(self, "q", tuple(float(v) for v in self.q))
 
 
@@ -177,6 +194,7 @@ class SubConf:
     family: ClassVar[str] = FAMILY_CONF
 
     def __post_init__(self):
+        _require(self, numbers.Integral, "Y_s", self.Y_s)
         object.__setattr__(self, "Y_s", tuple(sorted(int(v) for v in self.Y_s)))
 
 
@@ -186,6 +204,10 @@ class SCConf:
     y_s: int
     name: ClassVar[str] = "SCConf"
     family: ClassVar[str] = FAMILY_CONF
+
+    def __post_init__(self):
+        _require(self, numbers.Integral, "y_s", (self.y_s,))
+        object.__setattr__(self, "y_s", int(self.y_s))
 
 
 @dataclass(frozen=True)
@@ -740,15 +762,6 @@ def reduce_spec(parent, child, m: Marginals) -> Reduction:
     if pname == "UU":
         if K != 2:
             raise NotBinary("the UU family is binary")
-        pi_p, pi_n = float(m.priors[0]), float(m.priors[1])
-        s2 = pi_p * pi_p + pi_n * pi_n
-        table = {
-            "PU": (0.0, pi_p),
-            "SU": (pi_n * pi_n / s2, pi_p),
-            "DU": (0.5, pi_p),
-            "SD": (pi_n * pi_n / s2, 0.5),
-            "Pcomp": (pi_n * pi_n / (pi_p + pi_n * pi_n), pi_p * pi_p / (pi_p * pi_p + pi_n)),
-        }
         if cname == "MCD":
             if isinstance(parent, str):
                 raise ValidationError("UU -> MCD needs the parent UU spec (its rates carry over)")
@@ -756,8 +769,9 @@ def reduce_spec(parent, child, m: Marginals) -> Reduction:
             return Reduction("UU", "MCD", child_spec,
                              {"gamma_p": parent.gamma_1, "gamma_n": parent.gamma_2},
                              parent=parent)
-        g1, g2 = table[cname]
         child_spec = child if not isinstance(child, str) else SCENARIO_TYPES[cname]()
+        # the UU rates are the child's off-diagonal mixture entries
+        g1, g2 = _mixture_matrix(child_spec, m)[[0, 1], [1, 0]].tolist()
         return Reduction("UU", cname, child_spec, {"gamma_1": g1, "gamma_2": g2},
                          parent=UU(gamma_1=g1, gamma_2=g2))
 
@@ -781,12 +795,11 @@ def reduce_spec(parent, child, m: Marginals) -> Reduction:
         if isinstance(child, str):
             raise ValidationError("PPL -> MCL needs the child MCL spec (its size law fixes C)")
         space = compound_label_space(K)
-        c_table = np.empty((n_s, n_x))
-        for jdx, s in enumerate(space):
-            d_bar = K - len(s)  # size of the complementary label
-            c_table[jdx, :] = child.q[d_bar - 1] / math.comb(K - 1, len(s) - 1)
-        # child row for an excluded set equals the parent row of its complement
+        # child row for an excluded set equals the parent row of its complement, so the
+        # complement's weight is the scale of the child's row (its largest entry)
         row_map = np.array([space.index(tuple(sorted(set(range(1, K + 1)) - set(s)))) for s in space])
+        c_table = np.empty((n_s, n_x))
+        c_table[row_map] = _channel_tensor(child, m, [0])[0].max(axis=1)[:, None]
         return Reduction("PPL", "MCL", child,
                          {"C": "q over complement sizes divided by binomial(K-1, |s|-1)"},
                          parent=PPL(C=c_table), row_map=row_map)

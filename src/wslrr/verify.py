@@ -18,7 +18,6 @@ import numpy as np
 from .core import FiniteJoint, marginals as compute_marginals, validate_joint
 from .datagen import datasets_equal, philox_uniforms, sample_weak_dataset
 from .decontam import (
-    METHOD_DIAGONAL,
     METHOD_INVERSION,
     METHOD_MARGINAL_CHAIN,
     METHOD_MCL_BLOCKWISE,
@@ -39,20 +38,26 @@ from .risk import (
     loss_matrix,
     per_draw_values,
     rewritten_risk,
+    weight_table,
+    weighted_loss,
 )
 from .scenarios import (
+    BINARY_ONLY,
     CCN,
     CL,
+    CONCRETE_SCENARIOS,
     FAMILY_CCN,
     FAMILY_MCD,
     FAMILY_SCONF,
     GCCN,
     MCD,
     MCL,
+    NEEDS_OFFCENTER_PRIOR,
     PCPL,
     PPL,
     PU,
     Pcomp,
+    SCENARIO_TYPES,
     SCConf,
     SU,
     Sconf,
@@ -80,12 +85,8 @@ MC_SIGMAS = 5.0
 # falls below rounding (one instance); pairwise sums of 1e5 draws lose ~log2(1e5)
 MC_ROUNDING = 16.0
 
-ALL_SCENARIO_NAMES = (
-    "PU", "Pconf", "UU", "SU", "DU", "SD", "Pcomp", "Sconf",
-    "CL", "MCL", "PCPL", "PPL", "SCConf", "SubConf", "Soft",
-)
+ALL_SCENARIO_NAMES = CONCRETE_SCENARIOS
 ABSTRACT_SCENARIO_NAMES = ("MCD", "CCN", "GCCN")
-BINARY_NAMES = {"PU", "Pconf", "UU", "SU", "DU", "SD", "Pcomp", "Sconf", "MCD", "CCN"}
 CLOSED_FORM_NAMES = tuple(n for n in ALL_SCENARIO_NAMES if n not in ("CL", "MCL"))
 
 
@@ -182,7 +183,7 @@ def _joint_ok(name: str, j: FiniteJoint) -> bool:
     m = compute_marginals(j)
     if np.min(m.class_probabilities) < 1e-3:
         return False
-    if name in ("SU", "DU", "SD", "Sconf") and abs(m.priors[0] - 0.5) < 0.05:
+    if name in NEEDS_OFFCENTER_PRIOR and abs(m.priors[0] - 0.5) < 0.05:
         return False
     if name == "Sconf":
         pi_p, pi_n = m.priors[0], m.priors[1]
@@ -195,7 +196,7 @@ def _joint_ok(name: str, j: FiniteJoint) -> bool:
 def scenario_joint(name: str, K: int, nx: int, d_feat: int, seed: int, trial: int) -> FiniteJoint:
     """Seeded joint rejected until the scenario's preconditions hold (the
     preconditions are modeling assumptions, not failures)."""
-    if name in BINARY_NAMES:
+    if name in BINARY_ONLY:
         K = 2
     for attempt in range(200):
         stream = 1000 * trial + 2 * attempt + 11
@@ -242,7 +243,6 @@ def make_spec(name: str, j: FiniteJoint, seed: int, trial: int) -> ScenarioSpec:
         return SubConf(Y_s=members)
     if name == "SCConf":
         return SCConf(y_s=(trial % K) + 1)
-    from .scenarios import SCENARIO_TYPES
     return SCENARIO_TYPES[name]()
 
 
@@ -567,10 +567,11 @@ def verify_gradient_check(spec: ScenarioSpec, j: FiniteJoint, ds, ls: LossSpec,
     t0 = time.perf_counter()
     model = seeded_model(j, seed, 3)
     dW, db = empirical_gradient(ds, spec, model, ls, j)
+    W = weight_table(ds, spec, j)  # the empirical risk is the weighted loss of this table
     err = 0.0
 
     def risk_at(w, b):
-        return empirical_risk(ds, spec, LinearModel(w, b), ls, j)
+        return weighted_loss(W, LinearModel(w, b), ls, j)
 
     for arr, grad in ((model.weights, dW), (model.bias, db)):
         it = np.nditer(arr, flags=["multi_index"])
@@ -627,17 +628,11 @@ def verify_erm_sanity(seed: int = 7, agreement: float = 0.95) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 def _reconstruction_methods(name: str) -> tuple:
-    if name in ("MCD", "UU", "PU", "SU", "DU", "SD", "Pcomp"):
-        return ("inversion",)
-    if name == "Sconf":
-        return (METHOD_SCONF,)
     if name == "CL":
         return (METHOD_MARGINAL_CHAIN, METHOD_INVERSION)
     if name == "MCL":
         return (METHOD_MARGINAL_CHAIN, METHOD_MCL_BLOCKWISE)
-    if name in ("CCN", "GCCN", "PPL", "PCPL"):
-        return (METHOD_MARGINAL_CHAIN,)
-    return (METHOD_DIAGONAL,)
+    return (default_method(SCENARIO_TYPES[name]),)  # the family default reads only the family
 
 
 def _worst(reports: list) -> CheckReport:
@@ -646,7 +641,7 @@ def _worst(reports: list) -> CheckReport:
 
 
 def _scenario_trial_inputs(name: str, cfg: VerifyConfig, trial: int):
-    K = 2 if name in BINARY_NAMES else 2 + (trial % min(4, cfg.K - 1))
+    K = 2 if name in BINARY_ONLY else 2 + (trial % min(4, cfg.K - 1))
     nx = 3 + (trial % 6)
     j = scenario_joint(name, K, nx, cfg.d_feat, cfg.seed, trial)
     spec = make_spec(name, j, cfg.seed, trial)

@@ -160,6 +160,38 @@ class TestMalformedInputs:
         assert self._train(ds_path, joint_file) == 2
         assert "SchemaMismatch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", [1.5, True, "3"])
+    def test_seed_of_another_type(self, joint_file, tmp_path, capsys, seed):
+        # rejected, not truncated or converted to an integer
+        ds_path, raw = self._dataset(joint_file, tmp_path)
+        raw["seed"] = seed
+        ds_path.write_text(json.dumps(raw))
+        assert self._train(ds_path, joint_file) == 2
+        assert "SchemaMismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("features", [[["a"], [1.0]], [[0.0], [1.0, 2.0]]])
+    def test_malformed_joint_arrays(self, tmp_path, capsys, features):
+        path = tmp_path / "joint.json"
+        path.write_text(json.dumps({"K": 2, "features": features, "joint": [[0.25, 0.25], [0.25, 0.25]]}))
+        assert main(["verify", "--joint", str(path), "--scenario", "PU"]) == 2
+        assert "ShapeMismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario, params", [
+        ("UU", {"gamma_1": "a", "gamma_2": 0.1}),
+        ("UU", {"gamma_1": 0.1, "gamma_2": None}),
+        ("MCD", {"gamma_p": True, "gamma_n": 0.1}),
+        ("SCConf", {"y_s": 1.5}),
+        ("SCConf", {"y_s": True}),
+        ("SCConf", {"y_s": "x"}),
+        ("SubConf", {"Y_s": [1.5]}),
+        ("SubConf", {"Y_s": ["1"]}),
+        ("MCL", {"q": ["1.0"]}),
+    ])
+    def test_wrongly_typed_scalar_params(self, joint_file, capsys, scenario, params):
+        assert main(["verify", "--joint", str(joint_file), "--scenario", scenario,
+                     "--params", json.dumps(params)]) == 2
+        assert "SchemaMismatch" in capsys.readouterr().err
+
     @pytest.mark.parametrize("scenario, item", [("PU", "x"), ("PU", 1.5), ("SU", [0, "x"]), ("SU", [0, 1.5])])
     def test_non_integer_item(self, joint_file, tmp_path, capsys, scenario, item):
         ds_path, raw = self._dataset(joint_file, tmp_path, scenario)

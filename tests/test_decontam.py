@@ -202,3 +202,20 @@ class TestDecontaminateDispatch:
     def test_wrong_method_family(self, binary_joint):
         with pytest.raises(WrongFamily):
             decontaminate(PU(), binary_joint, method=METHOD_MARGINAL_CHAIN)
+
+    @pytest.mark.parametrize("K", [2, 3, 4, 6])
+    def test_cl_blockwise_is_the_size_one_block(self, K):
+        # the MCL -> CL edge: CL keeps only the excluded sets of size 1
+        j = random_joint(K, 5, 2, seed=8, stream=K)
+        dr = decontaminate(CL(), j, method=METHOD_MCL_BLOCKWISE)
+        assert dr.matrices.shape == (j.n_x, K, K)
+        for i in range(j.n_x):
+            assert np.array_equal(dr.matrices[i], mcl_block_inverse(K, 1))
+        rec = dr.matrices @ observed_distribution(CL(), j).observed[:, :, None]
+        assert np.max(np.abs(rec[:, :, 0] - j.joint.T)) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["PU", "PPL", "PCPL", "GCCN", "Soft"])
+    def test_blockwise_needs_cl_or_mcl(self, name, multi_joint, binary_joint):
+        j = binary_joint if name == "PU" else multi_joint
+        with pytest.raises(WrongFamily):
+            decontaminate(make_spec(name, j, 5, 0), j, method=METHOD_MCL_BLOCKWISE)

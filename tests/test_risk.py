@@ -15,6 +15,7 @@ from wslrr.errors import (
 )
 from wslrr.risk import (
     LossSpec,
+    channel_terms,
     classification_risk,
     closed_form_corrected_loss,
     corrected_losses,
@@ -24,9 +25,20 @@ from wslrr.risk import (
     loss_vector,
     rewritten_risk,
 )
-from wslrr.scenarios import CL, PU, Pcomp, Soft, UU, observed_distribution
+from wslrr.scenarios import (
+    CL,
+    FAMILY_CCN,
+    FAMILY_MCD,
+    PU,
+    SCENARIO_TYPES,
+    Pcomp,
+    Soft,
+    UU,
+    observed_distribution,
+)
 from wslrr.train import LinearModel, init_model
 from wslrr.verify import (
+    ABSTRACT_SCENARIO_NAMES,
     ALL_SCENARIO_NAMES,
     make_spec,
     random_joint,
@@ -241,13 +253,51 @@ class TestEmpiricalRisk:
         assert est == pytest.approx(exact, abs=1e-10)
 
 
+MIXTURE_AND_LABEL_NAMES = [n for n in ALL_SCENARIO_NAMES + ABSTRACT_SCENARIO_NAMES
+                           if SCENARIO_TYPES[n].family in (FAMILY_MCD, FAMILY_CCN)]
+
+
+@pytest.mark.parametrize("name", MIXTURE_AND_LABEL_NAMES)
+def test_channel_terms_match_reference_weights(name):
+    """Every estimator entry carries the weight of an independent reference:
+    the closed-form corrected losses of the unit loss vectors for the mixture
+    family (column c of D), :func:`_weight_for` for the label channels."""
+    j = scenario_joint(name, 4, 5, 2, seed=43, trial=1)
+    spec = make_spec(name, j, 43, 1)
+    ds = sample_weak_dataset(spec, j, 60, seed=9)
+    m, cm = marginals(j), observed_distribution(spec, j)
+    idx, rows = [], []
+    dag = np.array([closed_form_corrected_loss(spec, m, 0, e) for e in np.eye(2)]) \
+        if spec.family == FAMILY_MCD else None
+    if spec.name == "Pcomp":  # the first instance of a pair is a Sup draw, the second an Inf draw
+        pairs = ds.channels[0].pairs
+        idx, rows = [pairs[:, 0], pairs[:, 1]], [[dag[:, 0]] * len(pairs), [dag[:, 1]] * len(pairs)]
+    else:
+        for c, ch in enumerate(ds.channels):
+            if dag is None:
+                idx.append(ch.indices)
+                rows.append([_weight_for(spec, j, m, cm, c, i) for i in ch.indices])
+            elif ch.pairs is not None:  # each instance of a pair carries half the weight
+                idx += [ch.pairs[:, 0], ch.pairs[:, 1]]
+                rows.append([dag[:, c] / 2.0] * 2 * ch.n_draws)
+            else:
+                idx.append(ch.indices)
+                rows.append([dag[:, c]] * ch.n_draws)
+    expected = np.vstack([np.reshape(r, (-1, j.K)) for r in rows])
+    terms = channel_terms(ds, spec, j)
+    assert np.array_equal(np.concatenate([t.idx for t in terms]), np.concatenate(idx))
+    weights = np.vstack([t.weights for t in terms])
+    # two formulas of a 2x2 inverse D differ by about eps * cond * |D|, with cond ~ |D|,
+    # so the mixture bar scales with |D|^2 (SU here: 6.2e-15 on entries of 4.3)
+    scale = max(1.0, float(np.max(np.abs(expected)))) ** 2 if spec.family == FAMILY_MCD else 1.0
+    assert np.max(np.abs(weights - expected)) <= 1e-15 * scale
+
+
 def _exact_expectation_of_estimator(spec, j, model):
     """Exact expectation of the per-draw estimator terms (population version
-    of empirical_risk), built from the channel laws themselves."""
-    from wslrr.datagen import sample_weak_dataset as _s  # noqa: F401
-    from wslrr.risk import channel_terms, per_draw_values
-    from wslrr import datagen
-    from wslrr.scenarios import FAMILY_CCN, FAMILY_CONF, FAMILY_MCD, FAMILY_SCONF
+    of empirical_risk), built from the channel laws themselves and from the
+    hand-coded corrected losses, not from the estimator's own weights."""
+    from wslrr.scenarios import FAMILY_SCONF
     from wslrr.scenarios import pair_distribution as pd
 
     lam = loss_matrix(LOGISTIC, model, j)
@@ -258,35 +308,32 @@ def _exact_expectation_of_estimator(spec, j, model):
         return rewritten_risk(spec, j, model, LOGISTIC)
 
     if spec.family == FAMILY_MCD:
-        # population mean per channel: channel density times draw value
+        # population mean per channel: channel density times draw value, where
+        # corr[:, c] is the corrected loss of channel c at every instance
         total = 0.0
-        from wslrr.risk import _mixture_decontamination
-        dag = _mixture_decontamination(spec, m)
+        corr = np.array([closed_form_corrected_loss(spec, m, i, lam[:, i]) for i in range(j.n_x)])
         if spec.name in ("SU", "DU", "SD", "Pcomp"):
             chans = {"SU": (("S", 0), ("U", 1)), "DU": (("D", 0), ("U", 1)),
                      "SD": (("S", 0), ("D", 1)), "Pcomp": (("PC", None),)}[spec.name]
             for label, col in chans:
                 if label == "PC":
                     q = pd(spec, j, channel="PC").matrix
-                    vals = (dag[:, 0] @ lam)[:, None] + (dag[:, 1] @ lam)[None, :]
+                    vals = corr[:, 0][:, None] + corr[:, 1][None, :]
                     total += float(np.sum(q * vals))
                 elif label in ("S", "D"):
                     q = pd(spec, j, channel=label).matrix
-                    v = dag[:, col] @ lam
+                    v = corr[:, col]
                     total += float(np.sum(q * (v[:, None] + v[None, :]) / 2.0))
                 else:
-                    total += float(cm.observed[:, col] @ (dag[:, col] @ lam))
+                    total += float(cm.observed[:, col] @ corr[:, col])
             return total
         for col in (0, 1):
-            total += float(cm.observed[:, col] @ (dag[:, col] @ lam))
+            total += float(cm.observed[:, col] @ corr[:, col])
         return total
 
     if spec.family == FAMILY_CCN:
-        ds = sample_weak_dataset(spec, j, 1, seed=0)  # channel scaffolding only
         total = 0.0
-        from wslrr.risk import _ccn_stream_terms
         for c in range(cm.observed.shape[1]):
-            fake = [type(ch)(ch.label, ch.kind, indices=np.arange(j.n_x)) for ch in ds.channels]
             # weight column c at each instance, paired with the channel mass
             for i in range(j.n_x):
                 mass = cm.observed[i, c]

@@ -16,6 +16,7 @@ from wslrr.errors import (
 from wslrr.scenarios import (
     CL,
     DU,
+    MCD,
     MCL,
     PCPL,
     PPL,
@@ -153,6 +154,26 @@ class TestSpecValidation:
     def test_subconf_strict_subset(self, multi_joint):
         with pytest.raises(DegenerateParams):
             validate_spec(SubConf(Y_s=(1, 2, 3, 4)), marginals(multi_joint))
+
+    @pytest.mark.parametrize("make", [
+        lambda: UU(gamma_1="0.1", gamma_2=0.2),
+        lambda: UU(gamma_1=0.1, gamma_2=None),
+        lambda: MCD(gamma_p=0.1, gamma_n=np.True_),
+        lambda: SCConf(y_s=1.0),
+        lambda: SCConf(y_s=False),
+        lambda: SubConf(Y_s=(1, 2.5)),
+        lambda: MCL(q=("0.5", 0.5)),
+        lambda: MCL(q=(True, 0.0)),
+    ])
+    def test_wrongly_typed_params_on_construction(self, make):
+        with pytest.raises(SchemaMismatch):
+            make()
+
+    def test_numpy_scalars_accepted(self):
+        assert UU(gamma_1=np.float64(0.1), gamma_2=np.int64(0)).gamma_2 == 0
+        assert MCD(gamma_p=np.float32(0.25), gamma_n=0).gamma_p == 0.25
+        assert SCConf(y_s=np.int64(2)).y_s == 2 and type(SCConf(y_s=np.int64(2)).y_s) is int
+        assert SubConf(Y_s=(np.int32(3), 1)).Y_s == (1, 3)
 
 
 class TestObservedDistribution:
