@@ -26,9 +26,6 @@ from .errors import (
 from .scenarios import (
     FAMILY_CCN,
     FAMILY_MCD,
-    FAMILY_SCONF,
-    MCL,
-    Soft,
     ScenarioSpec,
     channel_labels,
     compound_label_space,
@@ -112,27 +109,21 @@ def datasets_equal(a: WeakDataset, b: WeakDataset) -> bool:
 
 
 def sampling_channels(spec: ScenarioSpec, K: int) -> tuple:
-    """Channel names a sample-size request may address."""
-    if spec.family == FAMILY_MCD:
-        # Pcomp observes one stream of comparison pairs, not two point channels
-        return ("PC",) if spec.name == "Pcomp" else channel_labels(spec, K)
-    if spec.family == FAMILY_SCONF:
-        return ("XX",)
-    if spec.family == FAMILY_CCN:
-        return ("SX",)
-    return ("X",)
+    """Channel names a sample-size request may address: the record's streams,
+    or its observed channels when each is sampled on its own."""
+    return spec.streams or channel_labels(spec, K)
 
 
 def dataset_channels(spec: ScenarioSpec, K: int) -> tuple:
-    """(label, kind) of every channel of a sampled dataset, in order."""
-    if spec.family == FAMILY_MCD:
-        return tuple((label, PAIRS if label in ("S", "D", "PC") else POINTS)
-                     for label in sampling_channels(spec, K))
-    if spec.family == FAMILY_SCONF:
-        return (("XX", CONF_PAIRS),)
+    """(label, kind) of every channel of a sampled dataset, in order: the
+    label channels' one stream grouped by label; otherwise every sampling
+    channel, pairs or points, with the oracle confidences attached outside
+    the mixture family."""
     if spec.family == FAMILY_CCN:
         return tuple((label, POINTS) for label in channel_labels(spec, K))
-    return (("X", CONF_POINTS),)
+    pairs, points = (PAIRS, POINTS) if spec.family == FAMILY_MCD else (CONF_PAIRS, CONF_POINTS)
+    return tuple((label, pairs if label in spec.pair_channels else points)
+                 for label in sampling_channels(spec, K))
 
 
 def _resolve_sizes(spec: ScenarioSpec, K: int, n: Union[int, dict]) -> dict:
@@ -163,59 +154,48 @@ def sample_weak_dataset(spec: ScenarioSpec, j: FiniteJoint, n: Union[int, dict],
     validate_spec(spec, m)
     sizes = _resolve_sizes(spec, j.K, n)
     n_x = j.n_x
-
-    if spec.family == FAMILY_MCD:
-        cm = observed_distribution(spec, j)
-        channels = []
-        for stream, (label, kind) in enumerate(dataset_channels(spec, j.K)):
-            count = sizes[label]
-            u = philox_uniforms(seed, stream, count)
-            if kind == PAIRS:
-                q = pair_distribution(spec, j, channel=label).matrix
-                pos = _categorical(q, u, f"pair channel {label}")
-                channels.append(DatasetChannel(label, kind,
-                                               pairs=np.stack([pos // n_x, pos % n_x], axis=1)))
-            else:
-                pos = _categorical(cm.observed[:, stream], u, f"channel {label}")
-                channels.append(DatasetChannel(label, kind, indices=pos))
-        return WeakDataset(spec=spec, seed=int(seed), channels=tuple(channels))
-
-    if spec.family == FAMILY_SCONF:
-        count = sizes["XX"]
-        q = pair_distribution(spec, j, channel="XX").matrix
-        pos = _categorical(q, philox_uniforms(seed, 0, count), "pair channel XX")
-        pairs = np.stack([pos // n_x, pos % n_x], axis=1)
-        conf = _sconf_confidences(m, np.arange(n_x), np.arange(n_x))[pairs[:, 0], pairs[:, 1]]
-        return WeakDataset(spec=spec, seed=int(seed),
-                           channels=(DatasetChannel("XX", CONF_PAIRS, pairs=pairs, confidences=conf),))
-
     if spec.family == FAMILY_CCN:
         return _sample_label_stream(spec, j, sizes["SX"], seed)
 
-    # confidence family: instances from the conditional sample law, oracle vectors attached
-    dist = m.instance_marginal if isinstance(spec, Soft) else _superclass_probability(spec, j.joint)
-    idx = _categorical(dist, philox_uniforms(seed, 0, sizes["X"]), "channel X")
-    conf = m.class_probabilities[:, idx].T.copy()
-    return WeakDataset(spec=spec, seed=int(seed),
-                       channels=(DatasetChannel("X", CONF_POINTS, indices=idx, confidences=conf),))
+    # every other channel is drawn by its kind, one Philox stream per channel
+    observed = observed_distribution(spec, j).observed if spec.family == FAMILY_MCD else None
+    channels = []
+    for stream, (label, kind) in enumerate(dataset_channels(spec, j.K)):
+        u = philox_uniforms(seed, stream, sizes[label])
+        if kind in (PAIRS, CONF_PAIRS):
+            q = pair_distribution(spec, j, channel=label).matrix
+            pos = _categorical(q, u, f"pair channel {label}")
+            pairs = np.stack([pos // n_x, pos % n_x], axis=1)
+            conf = (_sconf_confidences(m, np.arange(n_x), np.arange(n_x))[pairs[:, 0], pairs[:, 1]]
+                    if kind == CONF_PAIRS else None)
+            channels.append(DatasetChannel(label, kind, pairs=pairs, confidences=conf))
+        elif kind == POINTS:  # a mixture channel: its exact density
+            pos = _categorical(observed[:, stream], u, f"channel {label}")
+            channels.append(DatasetChannel(label, kind, indices=pos))
+        else:  # confidence data: the super-class law, oracle class probabilities attached
+            dist = m.instance_marginal if spec.members is None else _superclass_probability(spec, j.joint)
+            idx = _categorical(dist, u, f"channel {label}")
+            channels.append(DatasetChannel(label, kind, indices=idx,
+                                           confidences=m.class_probabilities[:, idx].T.copy()))
+    return WeakDataset(spec=spec, seed=int(seed), channels=tuple(channels))
 
 
 def _sample_label_stream(spec: ScenarioSpec, j: FiniteJoint, count: int, seed: int) -> WeakDataset:
     """(compound label, instance) draws, grouped into per-label channels.
 
-    MCL is sampled in its stated two stages: the excluded-set size first
-    (independent of x), then the (label, x) pair from that size's
-    conditional law.
+    A record with a ``size_law`` (MCL) is sampled in its stated two stages:
+    the excluded-set size first (independent of x), then the (label, x) pair
+    from that size's conditional law.
     """
     n_x = j.n_x
     labels = channel_labels(spec, j.K)
     cm = observed_distribution(spec, j)
     flat = cm.observed.T  # (m_channels, n_x), channel-major
 
-    if isinstance(spec, MCL):
+    if spec.size_law is not None:
         space = compound_label_space(j.K)
         sizes_of = np.array([len(s) for s in space])
-        q = np.asarray(spec.q)
+        q = np.asarray(spec.size_law)
         d_draw = _categorical(q, philox_uniforms(seed, 0, count), "size law") + 1
         u2 = philox_uniforms(seed, 1, count)
         chan = np.empty(count, dtype=int)

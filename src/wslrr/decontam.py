@@ -33,10 +33,12 @@ from .errors import BadSize, DegenerateParams, NonSquare, Singular, WrongFamily,
 from .scenarios import (
     FAMILY_CCN,
     FAMILY_CONF,
-    FAMILY_MCD,
     FAMILY_SCONF,
-    CL,
-    MCL,
+    METHOD_DIAGONAL,
+    METHOD_INVERSION,
+    METHOD_MARGINAL_CHAIN,
+    METHOD_MCL_BLOCKWISE,
+    METHOD_SCONF,
     ContaminationModel,
     ScenarioSpec,
     validate_spec,
@@ -51,12 +53,6 @@ from .scenarios import (
 )
 
 SINGULAR_TOL = 1e-12
-
-METHOD_INVERSION = "inversion"
-METHOD_MARGINAL_CHAIN = "marginal-chain"
-METHOD_SCONF = "sconf-special"
-METHOD_MCL_BLOCKWISE = "mcl-blockwise"
-METHOD_DIAGONAL = "conf-diagonal"
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,8 +71,11 @@ class DecontaminationResult:
 def _invert_stack(a: np.ndarray) -> np.ndarray:
     """Inverse of every matrix in the (n, k, k) stack ``a``: the 2x2 closed form, or
     Gauss-Jordan on the row-scaled system with each instance's own partial pivots.
-    Raises Singular when a row-scaled determinant or pivot is below SINGULAR_TOL."""
+    Raises NonSquare for non-square systems, Singular when a row-scaled
+    determinant or pivot is below SINGULAR_TOL."""
     n, k = a.shape[0], a.shape[1]
+    if a.shape[2] != k:
+        raise NonSquare(f"cannot invert {k} x {a.shape[2]} systems: the channel count is not the class count")
     scale = np.max(np.abs(a), axis=2)
     if np.any(scale == 0.0):
         raise Singular("matrix has an all-zero row")
@@ -174,15 +173,14 @@ def mcl_block(K: int, d: int) -> np.ndarray:
     return (1.0 - _size_d_sets(K, d)) / math.comb(K - 1, d)
 
 
-def mcl_inverse(spec: MCL, K: int) -> np.ndarray:
+def mcl_inverse(spec: ScenarioSpec, K: int) -> np.ndarray:
     """Horizontal concatenation of the blockwise inverses, aligned with the
     canonical channel order; left-inverts the size-scaled MCL matrix for any
-    size law summing to one."""
-    if not isinstance(spec, MCL):
+    size law summing to one, and is CL's single size-1 block."""
+    sizes = spec.excluded_sizes(K)
+    if not sizes:
         raise WrongFamily(f"the blockwise inverse is specific to MCL and CL, not {spec.name}")
-    if len(spec.q) != K - 1:
-        raise BadSize(f"MCL size law has {len(spec.q)} entries, expected {K - 1}")
-    return np.hstack([mcl_block_inverse(K, d) for d in range(1, K)])
+    return np.hstack([mcl_block_inverse(K, d) for d in sizes])
 
 
 def sconf_decontamination(pi_p: float, r) -> np.ndarray:
@@ -220,26 +218,23 @@ def conf_diagonal_inverse(spec: ScenarioSpec, m: Marginals, i: int) -> np.ndarra
 
 
 def default_method(spec: ScenarioSpec) -> str:
-    if spec.family == FAMILY_MCD:
-        return METHOD_INVERSION
-    if spec.family == FAMILY_CCN:
-        return METHOD_MARGINAL_CHAIN
-    if spec.family == FAMILY_CONF:
-        return METHOD_DIAGONAL
-    return METHOD_SCONF
+    return spec.method
 
 
 def decontaminate(spec: ScenarioSpec, j: FiniteJoint, method: str = "auto") -> DecontaminationResult:
     """Build per-instance decontamination matrices by the requested method.
 
     ``method`` is "inversion", "marginal-chain", "mcl-blockwise",
-    "conf-diagonal", "sconf-special" or "auto" (family default).
+    "conf-diagonal", "sconf-special" or "auto" (the record's default method).
     """
     m = compute_marginals(j)
     validate_spec(spec, m)
-    if method == "auto":
-        method = default_method(spec)
+    return _decontaminate(spec, j, m, spec.method if method == "auto" else method)
 
+
+def _decontaminate(spec: ScenarioSpec, j: FiniteJoint, m: Marginals, method: str) -> DecontaminationResult:
+    """:func:`decontaminate` on the marginals ``m`` of ``j``, with the spec
+    already validated and ``method`` resolved."""
     idx = np.arange(j.n_x)
 
     if method == METHOD_SCONF:
@@ -253,19 +248,22 @@ def decontaminate(spec: ScenarioSpec, j: FiniteJoint, method: str = "auto") -> D
     if method == METHOD_MARGINAL_CHAIN:
         return DecontaminationResult(spec=spec, method=method, matrices=_marginal_chain(spec, j, m, idx))
 
-    if method == METHOD_MCL_BLOCKWISE:
-        # CL is MCL with excluded sets of size 1 only (the MCL -> CL edge)
-        inv = mcl_block_inverse(j.K, 1) if isinstance(spec, CL) else mcl_inverse(spec, j.K)
-        mats = np.broadcast_to(inv, (j.n_x,) + inv.shape).copy()
-        return DecontaminationResult(spec=spec, method=method, matrices=mats)
-
     if method == METHOD_DIAGONAL:
         return DecontaminationResult(spec=spec, method=method, matrices=_conf_diagonal(spec, m, idx))
+
+    if method == METHOD_MCL_BLOCKWISE:
+        inv = mcl_inverse(spec, j.K)
+        return DecontaminationResult(spec=spec, method=method,
+                                     matrices=np.broadcast_to(inv, (j.n_x,) + inv.shape).copy())
 
     if method == METHOD_INVERSION:
         if spec.family == FAMILY_SCONF:
             raise WrongFamily("use sconf-special for Sconf")
-        mats = _invert_stack(_contamination_tensor(spec, m, idx) @ _transform_tensor(spec, m, idx))
+        # a system that is the same at every x is inverted once, then copied out
+        fixed = spec.matrix(m) is not None
+        sel = idx[:1] if fixed else idx
+        inv = _invert_stack(_contamination_tensor(spec, m, sel) @ _transform_tensor(spec, m, sel))
+        mats = np.broadcast_to(inv, (j.n_x,) + inv.shape[1:]).copy() if fixed else inv
         return DecontaminationResult(spec=spec, method=method, matrices=mats)
 
     raise WrongFamily(f"unknown decontamination method {method!r}")

@@ -23,13 +23,7 @@ import numpy as np
 
 from .core import FiniteJoint, Marginals, marginals as compute_marginals
 from .datagen import CONF_POINTS, PAIRS, dataset_channels
-from .decontam import (
-    METHOD_INVERSION,
-    METHOD_MARGINAL_CHAIN,
-    METHOD_MCL_BLOCKWISE,
-    DecontaminationResult,
-    decontaminate,
-)
+from .decontam import DecontaminationResult, _decontaminate, decontaminate
 from .errors import (
     EmptyChannel,
     IndexOutOfRange,
@@ -58,6 +52,7 @@ from .scenarios import (
     compound_label_space,
     observed_distribution,
     specs_equal,
+    validate_spec,
     _superclass_probability,
 )
 
@@ -359,6 +354,8 @@ def channel_terms(ds, spec: ScenarioSpec, j: FiniteJoint) -> list:
     """
     if not specs_equal(ds.spec, spec):
         raise SpecMismatch(f"dataset was generated for {ds.spec.name}, not {spec.name}")
+    m = compute_marginals(j)
+    validate_spec(spec, m)
     found, expected = tuple((c.label, c.kind) for c in ds.channels), dataset_channels(spec, j.K)
     if found != expected:
         raise SpecMismatch(f"dataset channels {found} do not match {spec.name} on a K={j.K} joint, "
@@ -371,13 +368,13 @@ def channel_terms(ds, spec: ScenarioSpec, j: FiniteJoint) -> list:
         if c.kind == CONF_POINTS and c.n_draws and c.confidences.shape[1] != j.K:
             raise ShapeMismatch(f"channel {c.label!r} has {c.confidences.shape[1]} confidences "
                                 f"per draw, not K={j.K}")
-    m = compute_marginals(j)
 
     if spec.family == FAMILY_MCD:
-        dag = decontaminate(spec, j, METHOD_INVERSION).matrices[0]  # the same at every x
-        if spec.name == "Pcomp":
-            # the first element of each pair is a Sup draw, the second an Inf draw
-            return [_pair_terms("PC", ds.channels[0].pairs, dag[:, 0], dag[:, 1])]
+        dag = _decontaminate(spec, j, m, spec.estimator).matrices[0]  # the same at every x
+        if spec.streams:
+            # one stream of pairs: the first element is a draw from observed
+            # channel 0 (Pcomp's Sup), the second from channel 1 (Inf)
+            return [_pair_terms(spec.streams[0], ds.channels[0].pairs, dag[:, 0], dag[:, 1])]
         # dataset channel k is observed channel k: points, or pairs whose two
         # instances carry half the weight each
         return [_shared_row_terms(c.label, c.n_draws, c.pairs.T.ravel(), dag[:, k] / 2.0) if c.kind == PAIRS
@@ -391,10 +388,10 @@ def channel_terms(ds, spec: ScenarioSpec, j: FiniteJoint) -> list:
         return [_pair_terms(ch.label, ch.pairs, w, w)]
 
     if spec.family == FAMILY_CCN:
-        # one stream over all label channels; the literature estimators for CL and MCL
-        # use the blockwise inverse, the other label channels the marginal chain
-        method = METHOD_MCL_BLOCKWISE if isinstance(spec, (CL, MCL)) else METHOD_MARGINAL_CHAIN
-        dag = decontaminate(spec, j, method).matrices
+        # one stream over all label channels, each draw weighed by its channel's
+        # column of the record's estimator decontamination (the blockwise
+        # inverse for CL and MCL, as in the literature, else the marginal chain)
+        dag = _decontaminate(spec, j, m, spec.estimator).matrices
         idx = np.concatenate([c.indices for c in ds.channels])
         if idx.size == 0:
             raise EmptyChannel("dataset has no draws in any label channel")

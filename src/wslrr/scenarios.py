@@ -1,23 +1,33 @@
 """Weak-supervision scenarios as matrix contaminations of a clean joint.
 
-Each scenario is a small parameter record.  The operations here build, per
-instance, the contamination matrix M(x), the transform M_trsf(x) that maps
-the risk-defining vector P(x) to the base distributions B(x), and the
-observed channel masses M(x) M_trsf(x) P(x).  Three families share one
-pipeline:
+Each setting is a frozen record that owns its per-setting data, as class
+attributes or one small method each; the kernels here read that data and
+never branch on the setting.  They build, per instance, the contamination
+matrix M(x), the transform M_trsf(x) that maps the risk-defining vector
+P(x) to the base distributions B(x), and the observed channel masses
+M(x) M_trsf(x) P(x).  A record declares its channel ``labels(K)`` (fixed
+``channels``), the ``pair_channels`` drawn as index pairs, the ``streams``
+a sample-size request names when they are not the labels (Pcomp's single
+``PC`` stream), the preconditions ``binary_only``, ``offcenter_prior`` and
+``check(K, n_x)``, and its decontamination ``method`` (the default),
+``estimator`` (weighs the empirical risk's draws) and exact ``inverse``.
+Three families share one pipeline and differ in what M reads:
 
-* mixture family (``MCD``): base distributions are the two class
-  conditionals, M_trsf is the reciprocal-prior diagonal, M mixes rows;
-* label-channel family (``CCN``): base distributions equal P(x), M holds
-  the conditional channel probabilities P(S=s_j | Y=k, x);
-* confidence family (``Conf``): base distributions equal P(x), M is a
-  diagonal of confidence ratios.
+* mixture family (``MCD``): the rows ``mixture(pi_p, pi_n)``, the same at
+  every x; B holds the class conditionals, M_trsf the reciprocal priors;
+* label-channel family (``CCN``): P(S=s_j | Y=k, x), one ``matrix`` for
+  every x (CL, PCPL, MCL) or a per-instance ``tensor`` (CCN, GCCN, PPL);
+* confidence family (``Conf``): the diagonal r_sel(x) / r_k(x), r_sel
+  summing the class probabilities of the super-class ``members`` (None
+  for Soft, whose super-class probability is exactly 1).
 
-Sconf is pair-shaped and kept out of the generic pipeline; its structures
-live in the ``pair_*`` fields of :class:`ContaminationModel`, built from
-outer products.  Every kernel is batched over the instance axis, one numpy
-pass per call with the spec validated once; :func:`contamination_matrix`
-and :func:`transform_matrix` are single-instance calls of the same kernels.
+A matrix that is the same at every x is built once and copied out to the
+(n_x, ...) stack.  Sconf is pair-shaped and kept out of the generic
+pipeline; its structures live in the ``pair_*`` fields of
+:class:`ContaminationModel`, built from outer products.  Every kernel is
+batched over the instance axis with the spec validated once per call;
+:func:`contamination_matrix` and :func:`transform_matrix` are
+single-instance calls of the same kernels.
 """
 
 from __future__ import annotations
@@ -33,6 +43,7 @@ import numpy as np
 
 from .core import FiniteJoint, Marginals, marginals as compute_marginals
 from .errors import (
+    BadSize,
     DegenerateParams,
     IndexOutOfRange,
     KTooLarge,
@@ -55,171 +66,383 @@ FAMILY_CCN = "CCN-family"
 FAMILY_CONF = "Conf-family"
 FAMILY_SCONF = "Sconf-pairwise"
 
+METHOD_INVERSION = "inversion"
+METHOD_MARGINAL_CHAIN = "marginal-chain"
+METHOD_SCONF = "sconf-special"
+METHOD_MCL_BLOCKWISE = "mcl-blockwise"
+METHOD_DIAGONAL = "conf-diagonal"
+
 
 # ---------------------------------------------------------------------------
 # Scenario parameter records
 # ---------------------------------------------------------------------------
 
 def _require(spec, kind, field: str, values) -> None:
-    """SchemaMismatch unless every one of ``values`` is a ``kind``
+    """SchemaMismatch unless ``values`` is a sequence of ``kind``
     (numbers.Real or numbers.Integral, numpy scalars included, bools not)."""
+    what = "integers" if kind is numbers.Integral else "numbers"
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise SchemaMismatch(f"{spec.name} {field} must be a sequence of {what}, got {values!r}") from None
     for v in values:
         if isinstance(v, bool) or not isinstance(v, kind):
-            what = "integers" if kind is numbers.Integral else "numbers"
             raise SchemaMismatch(f"{spec.name} {field} must be {what}, got {v!r}")
 
 
+class _Setting:
+    """The per-setting data the kernels read; records override what differs."""
+    name: ClassVar[str]
+    family: ClassVar[str]
+    channels: ClassVar[tuple] = ()
+    pair_channels: ClassVar[tuple] = ()
+    streams: ClassVar[tuple] = ()
+    binary_only: ClassVar[bool] = False
+    offcenter_prior: ClassVar[bool] = False  # the rewrite divides by the prior gap
+    method: ClassVar[str]
+    estimator: ClassVar[str]
+    inverse: ClassVar[str] = METHOD_INVERSION
+    size_law = None  # MCL: the excluded-set size law, sampled before the label
+
+    def labels(self, K: int) -> tuple:
+        return self.channels
+
+    def check(self, K: int, n_x: int) -> None:
+        """Raise unless the parameters fit a K-class joint on n_x instances."""
+
+    def matrix(self, m: Marginals) -> Optional[np.ndarray]:
+        """M when it is the same at every instance; None when M depends on x,
+        and ``tensor(m, idx)`` stacks M(x_i) for every i in ``idx``."""
+        return None
+
+    def excluded_sizes(self, K: int) -> tuple:
+        """Excluded-set sizes of the blockwise inverse; empty when there is none."""
+        return ()
+
+
+class _Mixture(_Setting):
+    """Two channels mixing the class conditionals by ``mixture(pi_p, pi_n)``."""
+    family = FAMILY_MCD
+    binary_only = True
+    method = estimator = METHOD_INVERSION
+
+    def matrix(self, m: Marginals) -> np.ndarray:
+        return np.array(self.mixture(float(m.priors[0]), float(m.priors[1])))
+
+
+class _LabelChannel(_Setting):
+    """Labels drawn through P(S=s_j | Y=k, x), sampled as one (label, x) stream;
+    the labels are the nonempty strict subsets of the classes (CL overrides)."""
+    family = FAMILY_CCN
+    streams = ("SX",)
+    method = estimator = METHOD_MARGINAL_CHAIN
+
+    def labels(self, K: int) -> tuple:
+        return tuple(_compound_str(s) for s in compound_label_space(K))
+
+
+class _Confidence(_Setting):
+    """Points from the super-class ``members`` (0-based; None for every class)
+    with their class probabilities attached."""
+    family = FAMILY_CONF
+    streams = ("X",)
+    method = estimator = METHOD_DIAGONAL
+
+    def labels(self, K: int) -> tuple:
+        return tuple(str(k) for k in range(1, K + 1))
+
+    def tensor(self, m: Marginals, idx) -> np.ndarray:
+        """diag(r_sel(x) / r_k(x)): (len(idx), K, K)."""
+        r = m.class_probabilities[:, idx]
+        zero = np.any(r <= 0.0, axis=0)
+        if np.any(zero):
+            raise ZeroConfidence(f"instance {idx[int(np.argmax(zero))]} has zero class probabilities")
+        return _diagonal_stack(_superclass_probability(self, r) / r)
+
+
 @dataclass(frozen=True)
-class MCD:
+class MCD(_Mixture):
     """Two noisy labeled channels mixing the class conditionals."""
     gamma_p: float
     gamma_n: float
-    name: ClassVar[str] = "MCD"
-    family: ClassVar[str] = FAMILY_MCD
+    name = "MCD"
+    channels = ("P_noisy", "N_noisy")
 
     def __post_init__(self):
         _require(self, numbers.Real, "rates", (self.gamma_p, self.gamma_n))
 
+    def check(self, K, n_x):
+        if not (0.0 <= self.gamma_p <= 1.0 and 0.0 <= self.gamma_n <= 1.0):
+            raise DegenerateParams("MCD mixing rates must lie in [0, 1]")
+        if self.gamma_p + self.gamma_n >= 1.0:
+            raise DegenerateParams("MCD requires gamma_p + gamma_n < 1")
+
+    def mixture(self, pi_p, pi_n):
+        return [[1.0 - self.gamma_p, self.gamma_p], [self.gamma_n, 1.0 - self.gamma_n]]
+
 
 @dataclass(frozen=True)
-class UU:
+class UU(_Mixture):
     """Two unlabeled channels with mixture rates (1-gamma_1) and gamma_2."""
     gamma_1: float
     gamma_2: float
-    name: ClassVar[str] = "UU"
-    family: ClassVar[str] = FAMILY_MCD
+    name = "UU"
+    channels = ("U1", "U2")
 
     def __post_init__(self):
         _require(self, numbers.Real, "rates", (self.gamma_1, self.gamma_2))
 
+    def check(self, K, n_x):
+        if not (0.0 <= self.gamma_1 <= 1.0 and 0.0 <= self.gamma_2 <= 1.0):
+            raise DegenerateParams("UU mixing rates must lie in [0, 1]")
+        if abs(self.gamma_1 + self.gamma_2 - 1.0) <= PARAM_TOL:
+            raise DegenerateParams("UU requires gamma_1 + gamma_2 != 1 (channels coincide)")
 
-@dataclass(frozen=True)
-class PU:
-    name: ClassVar[str] = "PU"
-    family: ClassVar[str] = FAMILY_MCD
-
-
-@dataclass(frozen=True)
-class SU:
-    name: ClassVar[str] = "SU"
-    family: ClassVar[str] = FAMILY_MCD
+    def mixture(self, pi_p, pi_n):
+        return [[1.0 - self.gamma_1, self.gamma_1], [self.gamma_2, 1.0 - self.gamma_2]]
 
 
 @dataclass(frozen=True)
-class DU:
-    name: ClassVar[str] = "DU"
-    family: ClassVar[str] = FAMILY_MCD
+class PU(_Mixture):
+    name = "PU"
+    channels = ("P", "U")
+
+    def mixture(self, pi_p, pi_n):
+        return [[1.0, 0.0], [pi_p, pi_n]]
 
 
 @dataclass(frozen=True)
-class SD:
-    name: ClassVar[str] = "SD"
-    family: ClassVar[str] = FAMILY_MCD
+class SU(_Mixture):
+    name = "SU"
+    channels = ("S", "U")
+    pair_channels = ("S",)
+    offcenter_prior = True
+
+    def mixture(self, pi_p, pi_n):
+        s2 = pi_p * pi_p + pi_n * pi_n
+        return [[pi_p * pi_p / s2, pi_n * pi_n / s2], [pi_p, pi_n]]
 
 
 @dataclass(frozen=True)
-class Pcomp:
-    name: ClassVar[str] = "Pcomp"
-    family: ClassVar[str] = FAMILY_MCD
+class DU(_Mixture):
+    name = "DU"
+    channels = ("D", "U")
+    pair_channels = ("D",)
+    offcenter_prior = True
+
+    def mixture(self, pi_p, pi_n):
+        return [[0.5, 0.5], [pi_p, pi_n]]
 
 
 @dataclass(frozen=True)
-class Sconf:
-    name: ClassVar[str] = "Sconf"
-    family: ClassVar[str] = FAMILY_SCONF
+class SD(_Mixture):
+    name = "SD"
+    channels = pair_channels = ("S", "D")
+    offcenter_prior = True
+
+    def mixture(self, pi_p, pi_n):
+        s2 = pi_p * pi_p + pi_n * pi_n
+        return [[pi_p * pi_p / s2, pi_n * pi_n / s2], [0.5, 0.5]]
+
+
+@dataclass(frozen=True)
+class Pcomp(_Mixture):
+    """Comparison pairs: the first point is drawn from Sup, the second from Inf."""
+    name = "Pcomp"
+    channels = ("Sup", "Inf")
+    pair_channels = streams = ("PC",)
+
+    def mixture(self, pi_p, pi_n):
+        return [[pi_p / (pi_p + pi_n * pi_n), pi_n * pi_n / (pi_p + pi_n * pi_n)],
+                [pi_p * pi_p / (pi_p * pi_p + pi_n), pi_n / (pi_p * pi_p + pi_n)]]
+
+
+@dataclass(frozen=True)
+class Sconf(_Setting):
+    name = "Sconf"
+    family = FAMILY_SCONF
+    channels = ("pair_p", "pair_n")
+    pair_channels = streams = ("XX",)
+    binary_only = offcenter_prior = True
+    method = estimator = METHOD_SCONF
 
 
 @dataclass(frozen=True, eq=False)
-class CCN:
+class CCN(_LabelChannel):
     """Binary label noise: flip[i, noisy, clean] = P(noisy label | clean label, x_i)."""
     flip: np.ndarray
-    name: ClassVar[str] = "CCN"
-    family: ClassVar[str] = FAMILY_CCN
+    name = "CCN"
+    binary_only = True
 
     def __post_init__(self):
         object.__setattr__(self, "flip", np.asarray(self.flip, dtype=np.float64))
 
+    def check(self, K, n_x):
+        if self.flip.shape != (n_x, 2, 2):
+            raise ShapeMismatch(f"CCN flip tensor must be ({n_x}, 2, 2), got {self.flip.shape}")
+        _check_column_stochastic(self.flip, "CCN flip")
+
+    def tensor(self, m, idx):
+        return self.flip[idx]
+
 
 @dataclass(frozen=True, eq=False)
-class GCCN:
+class GCCN(_LabelChannel):
     """Compound-label channel: cond[i, j, k] = P(S = s_j | Y=k+1, x_i)."""
     cond: np.ndarray
-    name: ClassVar[str] = "GCCN"
-    family: ClassVar[str] = FAMILY_CCN
+    name = "GCCN"
 
     def __post_init__(self):
         object.__setattr__(self, "cond", np.asarray(self.cond, dtype=np.float64))
 
+    def check(self, K, n_x):
+        n_s = len(compound_label_space(K))
+        if self.cond.shape != (n_x, n_s, K):
+            raise ShapeMismatch(f"GCCN cond tensor must be ({n_x}, {n_s}, {K}), got {self.cond.shape}")
+        _check_column_stochastic(self.cond, "GCCN cond")
+
+    def tensor(self, m, idx):
+        return self.cond[idx]
+
 
 @dataclass(frozen=True, eq=False)
-class PPL:
+class PPL(_LabelChannel):
     """Proper partial labels: C[j, i] is the weight of compound label s_j at x_i."""
     C: np.ndarray
-    name: ClassVar[str] = "PPL"
-    family: ClassVar[str] = FAMILY_CCN
+    name = "PPL"
 
     def __post_init__(self):
         object.__setattr__(self, "C", np.asarray(self.C, dtype=np.float64))
 
+    def check(self, K, n_x):
+        n_s = len(compound_label_space(K))
+        if self.C.shape != (n_s, n_x):
+            raise ShapeMismatch(f"PPL weight table must be ({n_s}, {n_x}), got {self.C.shape}")
+        if np.any(self.C < 0.0):
+            raise DegenerateParams("PPL weights must be nonnegative")
+        # properness: for every class y and instance x the weights of the
+        # labels containing y sum to one
+        totals = _member_mask(K).T @ self.C
+        if np.max(np.abs(totals - 1.0)) > PARAM_TOL:
+            raise DegenerateParams("PPL weights are not proper: sum over labels containing a class must be 1")
+
+    def tensor(self, m, idx):
+        return self.C[:, idx].T[:, :, None] * _member_mask(m.K)
+
 
 @dataclass(frozen=True)
-class PCPL:
-    name: ClassVar[str] = "PCPL"
-    family: ClassVar[str] = FAMILY_CCN
+class PCPL(_LabelChannel):
+    """Partial labels drawn uniformly among the compound labels holding the class."""
+    name = "PCPL"
+
+    def matrix(self, m):
+        return _member_mask(m.K) / (2 ** (m.K - 1) - 1)
 
 
 @dataclass(frozen=True)
-class MCL:
+class MCL(_LabelChannel):
     """Multi-complementary labels; q[d-1] = P(|excluded set| = d) for d in 1..K-1."""
     q: tuple
-    name: ClassVar[str] = "MCL"
-    family: ClassVar[str] = FAMILY_CCN
+    name = "MCL"
+    estimator = inverse = METHOD_MCL_BLOCKWISE
 
     def __post_init__(self):
         _require(self, numbers.Real, "q", self.q)
         object.__setattr__(self, "q", tuple(float(v) for v in self.q))
 
+    @property
+    def size_law(self) -> tuple:
+        return self.q
+
+    def check(self, K, n_x):
+        if len(self.q) != K - 1:
+            raise ShapeMismatch(f"MCL size distribution must have K-1={K - 1} entries, got {len(self.q)}")
+        q = np.asarray(self.q)
+        if np.any(q < 0.0) or abs(q.sum() - 1.0) > PARAM_TOL:
+            raise DegenerateParams("MCL size probabilities must be nonnegative and sum to 1")
+
+    def matrix(self, m):
+        K = m.K
+        mask = _member_mask(K)
+        sizes = mask.sum(axis=1).astype(int)
+        row_scale = np.array([self.q[d - 1] / math.comb(K - 1, d) for d in sizes])
+        return row_scale[:, None] * (1.0 - mask)
+
+    def excluded_sizes(self, K):
+        if len(self.q) != K - 1:
+            raise BadSize(f"MCL size law has {len(self.q)} entries, expected {K - 1}")
+        return tuple(range(1, K))
+
 
 @dataclass(frozen=True)
-class CL:
-    name: ClassVar[str] = "CL"
-    family: ClassVar[str] = FAMILY_CCN
+class CL(_LabelChannel):
+    """Complementary labels: one class the instance does not belong to."""
+    name = "CL"
+    estimator = METHOD_MCL_BLOCKWISE
+
+    def labels(self, K):
+        return super().labels(K)[:K]  # the size-1 compound labels, which lead the canonical order
+
+    def matrix(self, m):
+        return (np.ones((m.K, m.K)) - np.eye(m.K)) / (m.K - 1)
+
+    def excluded_sizes(self, K):
+        return (1,)
 
 
 @dataclass(frozen=True)
-class SubConf:
+class SubConf(_Confidence):
     """Samples from a super-class: Y_s is a nonempty strict subset of 1..K."""
     Y_s: tuple
-    name: ClassVar[str] = "SubConf"
-    family: ClassVar[str] = FAMILY_CONF
+    name = "SubConf"
 
     def __post_init__(self):
         _require(self, numbers.Integral, "Y_s", self.Y_s)
         object.__setattr__(self, "Y_s", tuple(sorted(int(v) for v in self.Y_s)))
 
+    @property
+    def members(self) -> tuple:
+        return tuple(c - 1 for c in self.Y_s)
+
+    def check(self, K, n_x):
+        if not self.Y_s:
+            raise DegenerateParams("SubConf class subset must be nonempty")
+        if not all(1 <= c <= K for c in self.Y_s) or len(set(self.Y_s)) != len(self.Y_s):
+            raise ShapeMismatch(f"SubConf subset {self.Y_s} is not a set of classes in 1..{K}")
+        if len(self.Y_s) >= K:
+            raise DegenerateParams("SubConf class subset must be a strict subset of 1..K")
+
 
 @dataclass(frozen=True)
-class SCConf:
+class SCConf(_Confidence):
     """Samples from a single class y_s in 1..K."""
     y_s: int
-    name: ClassVar[str] = "SCConf"
-    family: ClassVar[str] = FAMILY_CONF
+    name = "SCConf"
 
     def __post_init__(self):
         _require(self, numbers.Integral, "y_s", (self.y_s,))
         object.__setattr__(self, "y_s", int(self.y_s))
 
+    @property
+    def members(self) -> tuple:
+        return (self.y_s - 1,)
+
+    def check(self, K, n_x):
+        if not 1 <= self.y_s <= K:
+            raise ShapeMismatch(f"SCConf class y_s={self.y_s} outside 1..{K}")
+
 
 @dataclass(frozen=True)
-class Pconf:
-    name: ClassVar[str] = "Pconf"
-    family: ClassVar[str] = FAMILY_CONF
+class Pconf(_Confidence):
+    name = "Pconf"
+    binary_only = True
+    members = (0,)
 
 
 @dataclass(frozen=True)
-class Soft:
-    name: ClassVar[str] = "Soft"
-    family: ClassVar[str] = FAMILY_CONF
+class Soft(_Confidence):
+    name = "Soft"
+    members = None
 
 
 ScenarioSpec = Union[
@@ -239,10 +462,6 @@ CONCRETE_SCENARIOS = (
     "PU", "Pconf", "UU", "SU", "DU", "SD", "Pcomp", "Sconf",
     "CL", "MCL", "PCPL", "PPL", "SCConf", "SubConf", "Soft",
 )
-
-BINARY_ONLY = {"MCD", "UU", "PU", "SU", "DU", "SD", "Pcomp", "Sconf", "CCN", "Pconf"}
-NEEDS_OFFCENTER_PRIOR = {"SU", "DU", "SD", "Sconf"}
-COMPOUND_SCENARIOS = {"GCCN", "PPL", "PCPL", "MCL"}
 
 
 def specs_equal(a: ScenarioSpec, b: ScenarioSpec) -> bool:
@@ -300,27 +519,7 @@ def _compound_str(members) -> str:
 
 def channel_labels(spec: ScenarioSpec, K: int) -> tuple:
     """Observed-channel labels, in the row order of the contamination matrix."""
-    fixed = {
-        "MCD": ("P_noisy", "N_noisy"),
-        "UU": ("U1", "U2"),
-        "PU": ("P", "U"),
-        "SU": ("S", "U"),
-        "DU": ("D", "U"),
-        "SD": ("S", "D"),
-        "Pcomp": ("Sup", "Inf"),
-        "Sconf": ("pair_p", "pair_n"),
-    }
-    if spec.name in fixed:
-        return fixed[spec.name]
-    if spec.name == "CCN":
-        return ("1", "2")
-    if spec.name == "CL":
-        return tuple(str(k) for k in range(1, K + 1))
-    if spec.name in COMPOUND_SCENARIOS:
-        return tuple(_compound_str(s) for s in compound_label_space(K))
-    if spec.family == FAMILY_CONF:
-        return tuple(str(k) for k in range(1, K + 1))
-    raise UnsupportedScenario(spec.name)
+    return spec.labels(K)
 
 
 # ---------------------------------------------------------------------------
@@ -335,60 +534,14 @@ def validate_spec(spec: ScenarioSpec, m: Marginals, rewrite_preconditions: bool 
     only the rewrites divide by the prior gap.
     Raises NotBinary, DegenerateParams, ShapeMismatch or KTooLarge.
     """
-    K, n_x = m.K, m.n_x
-    if spec.name in BINARY_ONLY and K != 2:
+    K = m.K
+    if spec.binary_only and K != 2:
         raise NotBinary(f"{spec.name} requires K=2, got K={K}")
-    if (rewrite_preconditions and spec.name in NEEDS_OFFCENTER_PRIOR
-            and abs(m.priors[0] - 0.5) <= PARAM_TOL):
+    if rewrite_preconditions and spec.offcenter_prior and abs(m.priors[0] - 0.5) <= PARAM_TOL:
         raise DegenerateParams(f"{spec.name} requires the positive prior away from 1/2")
-    if isinstance(spec, MCD):
-        if not (0.0 <= spec.gamma_p <= 1.0 and 0.0 <= spec.gamma_n <= 1.0):
-            raise DegenerateParams("MCD mixing rates must lie in [0, 1]")
-        if spec.gamma_p + spec.gamma_n >= 1.0:
-            raise DegenerateParams("MCD requires gamma_p + gamma_n < 1")
-    elif isinstance(spec, UU):
-        if not (0.0 <= spec.gamma_1 <= 1.0 and 0.0 <= spec.gamma_2 <= 1.0):
-            raise DegenerateParams("UU mixing rates must lie in [0, 1]")
-        if abs(spec.gamma_1 + spec.gamma_2 - 1.0) <= PARAM_TOL:
-            raise DegenerateParams("UU requires gamma_1 + gamma_2 != 1 (channels coincide)")
-    elif isinstance(spec, CCN):
-        if spec.flip.shape != (n_x, 2, 2):
-            raise ShapeMismatch(f"CCN flip tensor must be ({n_x}, 2, 2), got {spec.flip.shape}")
-        _check_column_stochastic(spec.flip, "CCN flip")
-    elif isinstance(spec, GCCN):
-        n_s = len(compound_label_space(K))
-        if spec.cond.shape != (n_x, n_s, K):
-            raise ShapeMismatch(f"GCCN cond tensor must be ({n_x}, {n_s}, {K}), got {spec.cond.shape}")
-        _check_column_stochastic(spec.cond, "GCCN cond")
-    elif isinstance(spec, PPL):
-        n_s = len(compound_label_space(K))
-        if spec.C.shape != (n_s, n_x):
-            raise ShapeMismatch(f"PPL weight table must be ({n_s}, {n_x}), got {spec.C.shape}")
-        if np.any(spec.C < 0.0):
-            raise DegenerateParams("PPL weights must be nonnegative")
-        # properness: for every class y and instance x the weights of the
-        # labels containing y sum to one
-        totals = _member_mask(K).T @ spec.C
-        if np.max(np.abs(totals - 1.0)) > PARAM_TOL:
-            raise DegenerateParams("PPL weights are not proper: sum over labels containing a class must be 1")
-    elif isinstance(spec, MCL):
-        if len(spec.q) != K - 1:
-            raise ShapeMismatch(f"MCL size distribution must have K-1={K - 1} entries, got {len(spec.q)}")
-        q = np.asarray(spec.q)
-        if np.any(q < 0.0) or abs(q.sum() - 1.0) > PARAM_TOL:
-            raise DegenerateParams("MCL size probabilities must be nonnegative and sum to 1")
-    elif isinstance(spec, SubConf):
-        if not spec.Y_s:
-            raise DegenerateParams("SubConf class subset must be nonempty")
-        if not all(1 <= c <= K for c in spec.Y_s) or len(set(spec.Y_s)) != len(spec.Y_s):
-            raise ShapeMismatch(f"SubConf subset {spec.Y_s} is not a set of classes in 1..{K}")
-        if len(spec.Y_s) >= K:
-            raise DegenerateParams("SubConf class subset must be a strict subset of 1..K")
-    elif isinstance(spec, SCConf):
-        if not 1 <= spec.y_s <= K:
-            raise ShapeMismatch(f"SCConf class y_s={spec.y_s} outside 1..{K}")
-    if spec.name in COMPOUND_SCENARIOS or spec.name == "CL":
-        compound_label_space(K)
+    spec.check(K, m.n_x)
+    if spec.family == FAMILY_CCN:
+        compound_label_space(K)  # the label channels and the blockwise inverse index its subsets
 
 
 def _check_column_stochastic(tensor: np.ndarray, what: str) -> None:
@@ -405,69 +558,13 @@ def _check_column_stochastic(tensor: np.ndarray, what: str) -> None:
 # leaves validation to its caller, which runs validate_spec once per call.
 # ---------------------------------------------------------------------------
 
-def _mixture_matrix(spec: ScenarioSpec, m: Marginals) -> np.ndarray:
-    pi_p, pi_n = float(m.priors[0]), float(m.priors[1])
-    s2 = pi_p * pi_p + pi_n * pi_n
-    if isinstance(spec, MCD):
-        return np.array([[1.0 - spec.gamma_p, spec.gamma_p],
-                         [spec.gamma_n, 1.0 - spec.gamma_n]])
-    if isinstance(spec, UU):
-        return np.array([[1.0 - spec.gamma_1, spec.gamma_1],
-                         [spec.gamma_2, 1.0 - spec.gamma_2]])
-    if isinstance(spec, PU):
-        return np.array([[1.0, 0.0], [pi_p, pi_n]])
-    if isinstance(spec, SU):
-        return np.array([[pi_p * pi_p / s2, pi_n * pi_n / s2], [pi_p, pi_n]])
-    if isinstance(spec, DU):
-        return np.array([[0.5, 0.5], [pi_p, pi_n]])
-    if isinstance(spec, SD):
-        return np.array([[pi_p * pi_p / s2, pi_n * pi_n / s2], [0.5, 0.5]])
-    if isinstance(spec, Pcomp):
-        return np.array([
-            [pi_p / (pi_p + pi_n * pi_n), pi_n * pi_n / (pi_p + pi_n * pi_n)],
-            [pi_p * pi_p / (pi_p * pi_p + pi_n), pi_n / (pi_p * pi_p + pi_n)],
-        ])
-    raise UnsupportedScenario(spec.name)
-
-
-def _channel_tensor(spec: ScenarioSpec, m: Marginals, idx) -> np.ndarray:
-    """P(S=s_j | Y=k, x_i) for the label-channel family: (len(idx), |S|, K)."""
-    K, n = m.K, len(idx)
-    if isinstance(spec, CCN):
-        return spec.flip[idx]
-    if isinstance(spec, GCCN):
-        return spec.cond[idx]
-    mask = _member_mask(K)
-    if isinstance(spec, PPL):
-        return spec.C[:, idx].T[:, :, None] * mask
-    if isinstance(spec, CL):
-        mat = (np.ones((K, K)) - np.eye(K)) / (K - 1)
-    elif isinstance(spec, PCPL):
-        mat = mask / (2 ** (K - 1) - 1)
-    elif isinstance(spec, MCL):
-        sizes = mask.sum(axis=1).astype(int)
-        row_scale = np.array([spec.q[d - 1] / math.comb(K - 1, d) for d in sizes])
-        mat = row_scale[:, None] * (1.0 - mask)
-    else:
-        raise UnsupportedScenario(spec.name)
-    return np.broadcast_to(mat, (n,) + mat.shape)
-
-
 def _superclass_probability(spec: ScenarioSpec, r: np.ndarray) -> np.ndarray:
     """Probability of the sampled super-class given x, for class-probability
-    columns ``r`` of shape (K, n): the sum over the sampled classes, and 1
+    columns ``r`` of shape (K, n): the sum over the members, and exactly 1
     for Soft, whose super-class is every class."""
-    if isinstance(spec, Soft):
+    if spec.members is None:
         return np.ones(r.shape[1])
-    if isinstance(spec, SubConf):
-        members = [c - 1 for c in spec.Y_s]
-    elif isinstance(spec, SCConf):
-        members = [spec.y_s - 1]
-    elif isinstance(spec, Pconf):
-        members = [0]
-    else:
-        raise UnsupportedScenario(spec.name)
-    return r[members].sum(axis=0)
+    return r[list(spec.members)].sum(axis=0)
 
 
 def _diagonal_stack(v: np.ndarray) -> np.ndarray:
@@ -478,26 +575,14 @@ def _diagonal_stack(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _confidence_tensor(spec: ScenarioSpec, m: Marginals, idx) -> np.ndarray:
-    """diag(r_sel(x) / r_k(x)) for the confidence family: (len(idx), K, K)."""
-    r = m.class_probabilities[:, idx]
-    zero = np.any(r <= 0.0, axis=0)
-    if np.any(zero):
-        raise ZeroConfidence(f"instance {idx[int(np.argmax(zero))]} has zero class probabilities")
-    return _diagonal_stack(_superclass_probability(spec, r) / r)
-
-
 def _contamination_tensor(spec: ScenarioSpec, m: Marginals, idx) -> np.ndarray:
-    """M(x_i) for every i in ``idx``, C-contiguous: (len(idx), m, b)."""
-    if spec.family == FAMILY_MCD:
-        out = np.broadcast_to(_mixture_matrix(spec, m), (len(idx), 2, 2))
-    elif spec.family == FAMILY_CCN:
-        out = _channel_tensor(spec, m, idx)
-    elif spec.family == FAMILY_CONF:
-        out = _confidence_tensor(spec, m, idx)
-    else:
-        raise UnsupportedScenario(f"{spec.name} is pair-shaped; use the Sconf pair kernel")
-    return np.ascontiguousarray(out)
+    """M(x_i) for every i in ``idx``, C-contiguous: (len(idx), m, b).  A
+    matrix that is the same at every x is materialized, never a stride-0
+    view, so every contraction over the stack sums as it would per instance."""
+    mat = spec.matrix(m)
+    if mat is None:
+        return np.ascontiguousarray(spec.tensor(m, idx))
+    return np.broadcast_to(mat, (len(idx),) + mat.shape).copy()
 
 
 def _transform_tensor(spec: ScenarioSpec, m: Marginals, idx) -> np.ndarray:
@@ -654,43 +739,26 @@ def pair_distribution(spec: ScenarioSpec, j: FiniteJoint, channel: Optional[str]
         raise NotBinary(f"pair distributions are defined for K=2, got K={j.K}")
     m = compute_marginals(j)
     validate_spec(spec, m, rewrite_preconditions=False)
+    if not spec.pair_channels:
+        raise UnsupportedScenario(f"{spec.name} has no pair distribution")
+    if channel is None:
+        if len(spec.pair_channels) > 1:
+            raise ValidationError(f"{spec.name} has pair channels {spec.pair_channels}; pass one as channel")
+        channel = spec.pair_channels[0]
+    if channel not in spec.pair_channels:
+        raise ValidationError(f"unknown pair channel {channel!r} for {spec.name}")
     pi_p, pi_n = float(m.priors[0]), float(m.priors[1])
     cp, cn = m.class_conditionals[0], m.class_conditionals[1]
-
-    def similar():
-        s2 = pi_p * pi_p + pi_n * pi_n
-        return (pi_p ** 2 * np.outer(cp, cp) + pi_n ** 2 * np.outer(cn, cn)) / s2
-
-    def dissimilar():
-        return (np.outer(cp, cn) + np.outer(cn, cp)) / 2.0
-
-    if isinstance(spec, SU):
-        which = channel or "S"
-    elif isinstance(spec, DU):
-        which = channel or "D"
-    elif isinstance(spec, SD):
-        if channel not in ("S", "D"):
-            raise ValidationError('SD has two pair channels; pass channel="S" or channel="D"')
-        which = channel
-    elif isinstance(spec, Pcomp):
-        which = channel or "PC"
-    elif isinstance(spec, Sconf):
-        which = channel or "XX"
-    else:
-        raise UnsupportedScenario(f"{spec.name} has no pair distribution")
-
-    if which == "S":
-        return PairDistribution(tag="S", matrix=similar())
-    if which == "D":
-        return PairDistribution(tag="D", matrix=dissimilar())
-    if which == "PC":
-        denom = pi_p ** 2 + pi_p * pi_n + pi_n ** 2
+    if channel == "S":
+        q = (pi_p ** 2 * np.outer(cp, cp) + pi_n ** 2 * np.outer(cn, cn)) / (pi_p * pi_p + pi_n * pi_n)
+    elif channel == "D":
+        q = (np.outer(cp, cn) + np.outer(cn, cp)) / 2.0
+    elif channel == "PC":
         q = (pi_p ** 2 * np.outer(cp, cp) + pi_p * pi_n * np.outer(cp, cn)
-             + pi_n ** 2 * np.outer(cn, cn)) / denom
-        return PairDistribution(tag="PC", matrix=q)
-    if which == "XX":
-        return PairDistribution(tag="XX", matrix=np.outer(m.instance_marginal, m.instance_marginal))
-    raise ValidationError(f"unknown pair channel {which!r} for {spec.name}")
+             + pi_n ** 2 * np.outer(cn, cn)) / (pi_p ** 2 + pi_p * pi_n + pi_n ** 2)
+    else:
+        q = np.outer(m.instance_marginal, m.instance_marginal)
+    return PairDistribution(tag=channel, matrix=q)
 
 
 def _sconf_confidence_from_marginals(m: Marginals, i: int, i2: int) -> float:
@@ -771,7 +839,7 @@ def reduce_spec(parent, child, m: Marginals) -> Reduction:
                              parent=parent)
         child_spec = child if not isinstance(child, str) else SCENARIO_TYPES[cname]()
         # the UU rates are the child's off-diagonal mixture entries
-        g1, g2 = _mixture_matrix(child_spec, m)[[0, 1], [1, 0]].tolist()
+        g1, g2 = child_spec.matrix(m)[[0, 1], [1, 0]].tolist()
         return Reduction("UU", cname, child_spec, {"gamma_1": g1, "gamma_2": g2},
                          parent=UU(gamma_1=g1, gamma_2=g2))
 
@@ -782,7 +850,7 @@ def reduce_spec(parent, child, m: Marginals) -> Reduction:
             cond = np.array(child.flip, dtype=np.float64)
             return Reduction("GCCN", "CCN", child, {"cond": "label-flip probabilities"},
                              parent=GCCN(cond=cond))
-        cond = _channel_tensor(child, m, np.arange(n_x))
+        cond = child.tensor(m, np.arange(n_x))
         return Reduction("GCCN", "PPL", child, {"cond": "C(s, x) on labels containing the class"},
                          parent=GCCN(cond=cond))
 
@@ -799,7 +867,7 @@ def reduce_spec(parent, child, m: Marginals) -> Reduction:
         # complement's weight is the scale of the child's row (its largest entry)
         row_map = np.array([space.index(tuple(sorted(set(range(1, K + 1)) - set(s)))) for s in space])
         c_table = np.empty((n_s, n_x))
-        c_table[row_map] = _channel_tensor(child, m, [0])[0].max(axis=1)[:, None]
+        c_table[row_map] = child.matrix(m).max(axis=1)[:, None]
         return Reduction("PPL", "MCL", child,
                          {"C": "q over complement sizes divided by binomial(K-1, |s|-1)"},
                          parent=PPL(C=c_table), row_map=row_map)

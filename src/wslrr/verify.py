@@ -18,9 +18,7 @@ import numpy as np
 from .core import FiniteJoint, marginals as compute_marginals, validate_joint
 from .datagen import datasets_equal, philox_uniforms, sample_weak_dataset
 from .decontam import (
-    METHOD_INVERSION,
     METHOD_MARGINAL_CHAIN,
-    METHOD_MCL_BLOCKWISE,
     METHOD_SCONF,
     decontaminate,
     default_method,
@@ -42,7 +40,6 @@ from .risk import (
     weighted_loss,
 )
 from .scenarios import (
-    BINARY_ONLY,
     CCN,
     CL,
     CONCRETE_SCENARIOS,
@@ -52,7 +49,6 @@ from .scenarios import (
     GCCN,
     MCD,
     MCL,
-    NEEDS_OFFCENTER_PRIOR,
     PCPL,
     PPL,
     PU,
@@ -183,7 +179,7 @@ def _joint_ok(name: str, j: FiniteJoint) -> bool:
     m = compute_marginals(j)
     if np.min(m.class_probabilities) < 1e-3:
         return False
-    if name in NEEDS_OFFCENTER_PRIOR and abs(m.priors[0] - 0.5) < 0.05:
+    if SCENARIO_TYPES[name].offcenter_prior and abs(m.priors[0] - 0.5) < 0.05:
         return False
     if name == "Sconf":
         pi_p, pi_n = m.priors[0], m.priors[1]
@@ -196,7 +192,7 @@ def _joint_ok(name: str, j: FiniteJoint) -> bool:
 def scenario_joint(name: str, K: int, nx: int, d_feat: int, seed: int, trial: int) -> FiniteJoint:
     """Seeded joint rejected until the scenario's preconditions hold (the
     preconditions are modeling assumptions, not failures)."""
-    if name in BINARY_ONLY:
+    if SCENARIO_TYPES[name].binary_only:
         K = 2
     for attempt in range(200):
         stream = 1000 * trial + 2 * attempt + 11
@@ -514,10 +510,10 @@ def verify_mcl_blocks(max_K: int = 6, tol: float = TOL_MATRIX, seed: int = 0) ->
 
 def verify_method_agreement(spec: ScenarioSpec, j: FiniteJoint, model, ls: LossSpec,
                             tol: float = TOL_RISK, seed: int = 0) -> CheckReport:
-    """Inversion-style and marginal-chain rewrites give the same risk."""
+    """The record's exact inverse (inversion, or MCL's blockwise inverse) and
+    the marginal chain give the same rewritten risk."""
     t0 = time.perf_counter()
-    inv_method = METHOD_MCL_BLOCKWISE if isinstance(spec, MCL) else METHOD_INVERSION
-    a = rewritten_risk(spec, j, model, ls, method=inv_method)
+    a = rewritten_risk(spec, j, model, ls, method=spec.inverse)
     b = rewritten_risk(spec, j, model, ls, method=METHOD_MARGINAL_CHAIN)
     return _report("method-agreement", spec.name, {"loss": ls.name}, abs(a - b),
                    tol, seed, t0)
@@ -628,11 +624,10 @@ def verify_erm_sanity(seed: int = 7, agreement: float = 0.95) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 def _reconstruction_methods(name: str) -> tuple:
-    if name == "CL":
-        return (METHOD_MARGINAL_CHAIN, METHOD_INVERSION)
-    if name == "MCL":
-        return (METHOD_MARGINAL_CHAIN, METHOD_MCL_BLOCKWISE)
-    return (default_method(SCENARIO_TYPES[name]),)  # the family default reads only the family
+    """The record's default method, and for CL and MCL, whose method agreement
+    is checked too, also their exact inverse."""
+    cls = SCENARIO_TYPES[name]
+    return (cls.method, cls.inverse) if name in ("CL", "MCL") else (cls.method,)
 
 
 def _worst(reports: list) -> CheckReport:
@@ -641,7 +636,7 @@ def _worst(reports: list) -> CheckReport:
 
 
 def _scenario_trial_inputs(name: str, cfg: VerifyConfig, trial: int):
-    K = 2 if name in BINARY_ONLY else 2 + (trial % min(4, cfg.K - 1))
+    K = 2 if SCENARIO_TYPES[name].binary_only else 2 + (trial % min(4, cfg.K - 1))
     nx = 3 + (trial % 6)
     j = scenario_joint(name, K, nx, cfg.d_feat, cfg.seed, trial)
     spec = make_spec(name, j, cfg.seed, trial)

@@ -71,6 +71,12 @@ class TestInversion:
         expect = np.ones((4, 4)) - 3.0 * np.eye(4)
         assert np.max(np.abs(dag - expect)) <= 1e-12
 
+    @pytest.mark.parametrize("name", ["MCL", "GCCN", "PPL", "PCPL"])
+    def test_more_channels_than_classes_is_non_square(self, name):
+        j = random_joint(3, 5, 2, seed=11, stream=0)
+        with pytest.raises(NonSquare):
+            decontaminate(make_spec(name, j, 3, 0), j, METHOD_INVERSION)
+
     def test_collapsed_channels_are_singular(self, toy_joint):
         # a coin-flip label channel carries no class information
         from wslrr.scenarios import CCN

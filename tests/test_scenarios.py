@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -123,6 +125,33 @@ class TestContaminationMatrix:
         mat = contamination_matrix(Soft(), m, 1)
         assert np.allclose(mat, np.diag(1.0 / m.class_probabilities[:, 1]))
 
+    @pytest.mark.parametrize("make, joint, expect", [
+        # mixture family: rows are the channels' weights on (p(x|+), p(x|-)); p = priors
+        (lambda: UU(gamma_1=0.2, gamma_2=0.3), "toy_joint", lambda p, r: [[0.8, 0.2], [0.3, 0.7]]),
+        (lambda: MCD(gamma_p=0.1, gamma_n=0.25), "binary_joint", lambda p, r: [[0.9, 0.1], [0.25, 0.75]]),
+        (SU, "toy_joint", lambda p, r: [[p[0] ** 2 / (p[0] ** 2 + p[1] ** 2),
+                                         p[1] ** 2 / (p[0] ** 2 + p[1] ** 2)], [p[0], p[1]]]),
+        (DU, "binary_joint", lambda p, r: [[0.5, 0.5], [p[0], p[1]]]),
+        (SD, "binary_joint", lambda p, r: [[p[0] ** 2 / (p[0] ** 2 + p[1] ** 2),
+                                            p[1] ** 2 / (p[0] ** 2 + p[1] ** 2)], [0.5, 0.5]]),
+        (Pcomp, "toy_joint", lambda p, r: [[p[0] / (p[0] + p[1] ** 2), p[1] ** 2 / (p[0] + p[1] ** 2)],
+                                           [p[0] ** 2 / (p[0] ** 2 + p[1]), p[1] / (p[0] ** 2 + p[1])]]),
+        # PCPL: every compound label holding the class, uniformly: 1 / (2^(K-1) - 1)
+        (PCPL, "multi_joint", lambda p, r: [[float(k in s) / 7.0 for k in (1, 2, 3, 4)]
+                                            for d in (1, 2, 3) for s in itertools.combinations((1, 2, 3, 4), d)]),
+        # confidence family: diag(P(super-class | x) / P(Y=k | x))
+        (lambda: SCConf(y_s=2), "multi_joint", lambda p, r: np.diag(r[1] / r)),
+        (lambda: SubConf(Y_s=(1, 3)), "multi_joint", lambda p, r: np.diag((r[0] + r[2]) / r)),
+    ])
+    def test_paper_matrices(self, make, joint, expect, request):
+        j = request.getfixturevalue(joint)
+        m = marginals(j)
+        p = [float(v) for v in j.joint.sum(axis=1)]
+        for i in range(j.n_x):
+            r = j.joint[:, i] / j.joint[:, i].sum()
+            mat = contamination_matrix(make(), m, i)
+            assert np.max(np.abs(mat - np.array(expect(p, r)))) <= 1e-15
+
     def test_sconf_needs_pair(self, binary_joint):
         with pytest.raises(ShapeMismatch):
             contamination_matrix(Sconf(), marginals(binary_joint), 0)
@@ -164,6 +193,8 @@ class TestSpecValidation:
         lambda: SubConf(Y_s=(1, 2.5)),
         lambda: MCL(q=("0.5", 0.5)),
         lambda: MCL(q=(True, 0.0)),
+        lambda: SubConf(Y_s=1),
+        lambda: MCL(q=0.5),
     ])
     def test_wrongly_typed_params_on_construction(self, make):
         with pytest.raises(SchemaMismatch):

@@ -101,3 +101,13 @@ class TestAggregate:
         assert json.loads(rep.to_json())["checks"]
         others = [c for c in rep.checks if c.name != "pair-checks"]
         assert others and all(c.passed for c in others)
+
+    def test_nx_does_not_reach_the_per_trial_checks(self):
+        # the formulation tasks draw joints of 3 + trial % 6 instances, so --nx
+        # leaves their errors unchanged
+        def formulation_errors(nx):
+            tasks = build_registry(VerifyConfig(nx=nx))
+            return {name: fn().max_abs_err for name, fn in tasks if name.startswith("formulation:")}
+
+        at6 = formulation_errors(6)
+        assert len(at6) == 18 and at6 == formulation_errors(40)
