@@ -1,26 +1,20 @@
 """Contamination matrices, exact risk rewrites, and corrected-loss training
 for fifteen weak-supervision settings on finite discrete distributions."""
 
-from .core import FiniteJoint, Marginals, joint_from_json, joint_to_json, marginals, risk_vector, validate_joint
+from .core import FiniteJoint, Marginals, joint_from_json, joint_to_json, marginals, validate_joint
 from .datagen import WeakDataset, dataset_from_json, dataset_to_json, sample_weak_dataset
 from .decontam import (
     DecontaminationResult,
-    conf_diagonal_inverse,
     decontaminate,
-    decontaminate_inversion,
-    decontaminate_marginal_chain,
     mcl_block_inverse,
     mcl_inverse,
-    sconf_decontamination,
 )
 from .errors import WslrrError
 from .risk import (
     LossSpec,
     classification_risk,
     closed_form_corrected_loss,
-    corrected_losses,
     empirical_risk,
-    loss_vector,
     rewritten_risk,
 )
 from .scenarios import (
@@ -45,16 +39,12 @@ from .scenarios import (
     ContaminationModel,
     PairDistribution,
     ScenarioSpec,
-    base_distributions,
     compound_label_space,
-    contamination_matrix,
     observed_distribution,
     pair_distribution,
     reduce_spec,
     scenario_from_json,
     scenario_to_json,
-    sconf_confidence,
-    transform_matrix,
 )
 from .train import LinearModel, TrainConfig, empirical_gradient, init_model, train_erm
 from .verify import CheckReport, VerifyConfig, verify_all

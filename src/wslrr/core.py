@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import (
     EmptyClass,
-    IndexOutOfRange,
     NegativeEntry,
     NonNormalized,
     ParseError,
@@ -129,13 +128,6 @@ def marginals(j: FiniteJoint) -> Marginals:
         class_conditionals=_frozen(cond),
         class_probabilities=_frozen(conf),
     )
-
-
-def risk_vector(j: FiniteJoint, i: int) -> np.ndarray:
-    """Column i of the joint: the K-vector with entries P(Y=k, x_i)."""
-    if not 0 <= i < j.n_x:
-        raise IndexOutOfRange(f"instance index {i} outside 0..{j.n_x - 1}")
-    return j.joint[:, i].copy()
 
 
 # ---- JSON format: {"K": int, "features": [[...]], "joint": [[...]]} -----------

@@ -27,7 +27,6 @@ from .scenarios import (
     FAMILY_CCN,
     FAMILY_MCD,
     ScenarioSpec,
-    channel_labels,
     compound_label_space,
     observed_distribution,
     pair_distribution,
@@ -111,7 +110,7 @@ def datasets_equal(a: WeakDataset, b: WeakDataset) -> bool:
 def sampling_channels(spec: ScenarioSpec, K: int) -> tuple:
     """Channel names a sample-size request may address: the record's streams,
     or its observed channels when each is sampled on its own."""
-    return spec.streams or channel_labels(spec, K)
+    return spec.streams or spec.labels(K)
 
 
 def dataset_channels(spec: ScenarioSpec, K: int) -> tuple:
@@ -120,7 +119,7 @@ def dataset_channels(spec: ScenarioSpec, K: int) -> tuple:
     channel, pairs or points, with the oracle confidences attached outside
     the mixture family."""
     if spec.family == FAMILY_CCN:
-        return tuple((label, POINTS) for label in channel_labels(spec, K))
+        return tuple((label, POINTS) for label in spec.labels(K))
     pairs, points = (PAIRS, POINTS) if spec.family == FAMILY_MCD else (CONF_PAIRS, CONF_POINTS)
     return tuple((label, pairs if label in spec.pair_channels else points)
                  for label in sampling_channels(spec, K))
@@ -188,7 +187,7 @@ def _sample_label_stream(spec: ScenarioSpec, j: FiniteJoint, count: int, seed: i
     from that size's conditional law.
     """
     n_x = j.n_x
-    labels = channel_labels(spec, j.K)
+    labels = spec.labels(j.K)
     cm = observed_distribution(spec, j)
     flat = cm.observed.T  # (m_channels, n_x), channel-major
 

@@ -14,9 +14,9 @@ constructions are implemented:
 * ``sconf-special``: the per-pair diagonal built from the pair confidence.
 
 :func:`decontaminate` builds every D(x) in one numpy pass over the instance
-axis, validating the spec once per call; the per-instance functions are
-single-instance calls of the same kernels.  Square systems are inverted
-with the 2x2 closed form or partial-pivot Gauss-Jordan batched with
+axis, validating the spec once per call; D(x_i) is its ``matrices[i]``, and
+the corrected losses at x_i are ``lam[:, i] @ D(x_i)``.  Square systems are
+inverted with the 2x2 closed form or partial-pivot Gauss-Jordan batched with
 per-instance pivots, never a library call, so results are deterministic.
 """
 
@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .core import FiniteJoint, Marginals, marginals as compute_marginals
-from .errors import BadSize, DegenerateParams, NonSquare, Singular, WrongFamily, ZeroConfidence
+from .errors import BadSize, NonSquare, Singular, WrongFamily, ZeroConfidence
 from .scenarios import (
     FAMILY_CCN,
     FAMILY_CONF,
@@ -39,10 +39,8 @@ from .scenarios import (
     METHOD_MARGINAL_CHAIN,
     METHOD_MCL_BLOCKWISE,
     METHOD_SCONF,
-    ContaminationModel,
     ScenarioSpec,
     validate_spec,
-    _check_instance,
     _contamination_tensor,
     _diagonal_stack,
     _member_mask,
@@ -110,24 +108,6 @@ def _invert_stack(a: np.ndarray) -> np.ndarray:
     return inv
 
 
-def invert_square(a: np.ndarray) -> np.ndarray:
-    """Deterministic inverse: closed form for 2x2, partial-pivot Gauss-Jordan
-    otherwise.  Raises Singular when the row-scaled determinant is below
-    SINGULAR_TOL, NonSquare for non-square input."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NonSquare(f"cannot invert a {a.shape} matrix")
-    return _invert_stack(a[None])[0]
-
-
-def decontaminate_inversion(cm: ContaminationModel, i: int) -> np.ndarray:
-    """(M(x_i) M_trsf(x_i))^-1; for the mixture family this equals the prior
-    diagonal times the inverse contamination matrix."""
-    if cm.family == FAMILY_SCONF:
-        raise WrongFamily("Sconf does not go through the square inversion path")
-    return _invert_stack(cm.matrix[[i]] @ cm.transform[[i]])[0]
-
-
 def _marginal_chain(spec: ScenarioSpec, j: FiniteJoint, m: Marginals, idx) -> np.ndarray:
     """P(Y=k | S=s_j, x_i) for i in ``idx``: (len(idx), K, m), zero where a
     channel has no mass at x_i."""
@@ -139,15 +119,6 @@ def _marginal_chain(spec: ScenarioSpec, j: FiniteJoint, m: Marginals, idx) -> np
     out = np.zeros(terms.shape)
     np.divide(terms, masses, out=out, where=masses > 0.0)
     return out
-
-
-def decontaminate_marginal_chain(spec: ScenarioSpec, j: FiniteJoint, i: int) -> np.ndarray:
-    """Column j holds P(Y=. | S=s_j, x_i); channels with zero mass at x_i get
-    zero columns (they carry no probability, so reconstruction is unaffected)."""
-    m = compute_marginals(j)
-    validate_spec(spec, m)
-    _check_instance(m, i)
-    return _marginal_chain(spec, j, m, [i])[0]
 
 
 def _size_d_sets(K: int, d: int) -> np.ndarray:
@@ -183,15 +154,15 @@ def mcl_inverse(spec: ScenarioSpec, K: int) -> np.ndarray:
     return np.hstack([mcl_block_inverse(K, d) for d in sizes])
 
 
-def sconf_decontamination(pi_p: float, r) -> np.ndarray:
-    """Per-pair 2x2 diagonal diag((r - pi_n)/(pi_p - pi_n), (pi_p - r)/(pi_p - pi_n)).
-
-    ``r`` may also be an array of pair confidences; the result then stacks
-    one diagonal per entry, with shape r.shape + (2, 2)."""
-    if abs(pi_p - 0.5) <= 1e-9:
-        raise DegenerateParams("Sconf requires the positive prior away from 1/2")
+def _sconf_diagonals(m: Marginals) -> np.ndarray:
+    """diag((r - pi_n)/(pi_p - pi_n), (pi_p - r)/(pi_p - pi_n)) for the
+    confidence r of every pair (x_i, x_i2): (n_x, n_x, 2, 2).  The spec's
+    validation keeps pi_p away from 1/2."""
+    idx = np.arange(m.n_x)
+    r = _sconf_confidences(m, idx, idx)
+    _sconf_denominators(m, r)
+    pi_p = float(m.priors[0])
     pi_n = 1.0 - pi_p
-    r = np.asarray(r, dtype=np.float64)
     out = np.zeros(r.shape + (2, 2))
     out[..., 0, 0] = (r - pi_n) / (pi_p - pi_n)
     out[..., 1, 1] = (pi_p - r) / (pi_p - pi_n)
@@ -207,18 +178,6 @@ def _conf_diagonal(spec: ScenarioSpec, m: Marginals, idx) -> np.ndarray:
     if np.any(zero):
         raise ZeroConfidence(f"super-class probability is zero at instance {idx[int(np.argmax(zero))]}")
     return _diagonal_stack(r / denom)
-
-
-def conf_diagonal_inverse(spec: ScenarioSpec, m: Marginals, i: int) -> np.ndarray:
-    """diag(r_k(x) / r_sel(x)) where r_sel is the super-class probability
-    of the sampled classes (1 for Soft).  Raises ZeroConfidence when the
-    super-class probability vanishes at x."""
-    _check_instance(m, i)
-    return _conf_diagonal(spec, m, [i])[0]
-
-
-def default_method(spec: ScenarioSpec) -> str:
-    return spec.method
 
 
 def decontaminate(spec: ScenarioSpec, j: FiniteJoint, method: str = "auto") -> DecontaminationResult:
@@ -240,10 +199,7 @@ def _decontaminate(spec: ScenarioSpec, j: FiniteJoint, m: Marginals, method: str
     if method == METHOD_SCONF:
         if spec.family != FAMILY_SCONF:
             raise WrongFamily(f"sconf-special only applies to Sconf, not {spec.name}")
-        r = _sconf_confidences(m, idx, idx)
-        _sconf_denominators(m, r)
-        pairs = sconf_decontamination(float(m.priors[0]), r)
-        return DecontaminationResult(spec=spec, method=method, pair_matrices=pairs)
+        return DecontaminationResult(spec=spec, method=method, pair_matrices=_sconf_diagonals(m))
 
     if method == METHOD_MARGINAL_CHAIN:
         return DecontaminationResult(spec=spec, method=method, matrices=_marginal_chain(spec, j, m, idx))

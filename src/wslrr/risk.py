@@ -3,15 +3,15 @@
 The classification risk is the exact double sum of joint mass times loss.
 A rewrite moves that sum onto the observed channels: corrected losses are
 the loss vector times a decontamination matrix, and pairing them with the
-observed channel masses reproduces the risk exactly.  The loss table is
-built in one vectorised pass over the (n_x, K) scores (:func:`loss_vector`
-is its single-instance call), and the rewritten risk is one contraction
-sum_i lam[:, i] . D(x_i) . observed(x_i).  The exact and empirical risks,
-and their gradients, are one weighted loss sum_i W[i] . loss(g(x_i)) that
-differs only in the (n_x, K) table W; the empirical table weighs each draw
-by a column of the same D(x) the rewrite uses.  Closed forms for the corrected
-losses of each concrete scenario are kept alongside the generic matrix
-product as an independent cross-check.
+observed channel masses reproduces the risk exactly.  The (K, n_x) loss
+table ``lam`` is built in one vectorised pass over the (n_x, K) scores; the
+corrected losses at x_i are ``lam[:, i] @ D(x_i)``, and the rewritten risk
+is one contraction sum_i lam[:, i] . D(x_i) . observed(x_i).  The exact and
+empirical risks, and their gradients, are one weighted loss
+sum_i W[i] . loss(g(x_i)) that differs only in the (n_x, K) table W; the
+empirical table weighs each draw by a column of the same D(x) the rewrite
+uses.  Closed forms for the corrected losses of each concrete scenario are
+kept alongside the generic matrix product as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import FiniteJoint, Marginals, marginals as compute_marginals
 from .datagen import CONF_POINTS, PAIRS, dataset_channels
-from .decontam import DecontaminationResult, _decontaminate, decontaminate
+from .decontam import _decontaminate, decontaminate
 from .errors import (
     EmptyChannel,
     IndexOutOfRange,
@@ -53,6 +53,7 @@ from .scenarios import (
     observed_distribution,
     specs_equal,
     validate_spec,
+    _sconf_confidences,
     _superclass_probability,
 )
 
@@ -80,11 +81,11 @@ class LossSpec:
         return self.differentiable[self.name]
 
 
-def _check_scores(scores, table: bool = False) -> np.ndarray:
-    """Finite float64 scores: a K-vector, or an (n, K) table when ``table``."""
+def _check_scores(scores) -> np.ndarray:
+    """Finite float64 scores: an (n, K) table."""
     g = np.asarray(scores, dtype=np.float64)
-    if g.ndim != (2 if table else 1):
-        raise ShapeMismatch(f"scores must be {'an (n, K) table' if table else 'a K-vector'}, got {g.shape}")
+    if g.ndim != 2:
+        raise ShapeMismatch(f"scores must be an (n, K) table, got {g.shape}")
     if not np.all(np.isfinite(g)):
         raise NonFiniteScore("scores contain NaN or infinity")
     return g
@@ -119,28 +120,16 @@ def _loss_table(ls: LossSpec, g: np.ndarray) -> np.ndarray:
     return np.einsum("ik,ik->i", g, g)[:, None] - 2.0 * g + 1.0
 
 
-def loss_vector(ls: LossSpec, scores) -> np.ndarray:
-    """K-vector with entry k equal to the loss when the true class is k+1."""
-    return _loss_table(ls, _check_scores(scores)[None, :])[0]
-
-
 def loss_score_slope(ls: LossSpec, scores) -> tuple:
-    """Common structure of the loss gradients: the gradient of entry k is
-    base(g) - scale * e_k.  Returns (base, scale); ``scores`` may also be an
-    (n, K) table, giving one base row per instance."""
-    g = _check_scores(scores, table=np.ndim(scores) == 2)
+    """Common structure of the loss gradients at the (n, K) scores: the
+    gradient of entry k at instance i is base[i] - scale * e_k.  Returns
+    (base, scale)."""
+    g = _check_scores(scores)
     if not ls.is_differentiable:
         raise NonDifferentiableLoss("zero-one loss has no gradient")
     if ls.name == "logistic":
         return _sigmoid(g), 1.0
     return 2.0 * g, 2.0
-
-
-def loss_gradients(ls: LossSpec, scores) -> np.ndarray:
-    """(K, K) matrix whose row k is the gradient of loss entry k in the scores."""
-    base, scale = loss_score_slope(ls, scores)
-    K = base.shape[0]
-    return np.tile(base, (K, 1)) - scale * np.eye(K)
 
 
 def score_matrix(model, j: FiniteJoint) -> np.ndarray:
@@ -150,7 +139,7 @@ def score_matrix(model, j: FiniteJoint) -> np.ndarray:
 
 def loss_matrix(ls: LossSpec, model, j: FiniteJoint) -> np.ndarray:
     """(K, n_x) table of per-class losses at every instance."""
-    scores = _check_scores(score_matrix(model, j), table=True)
+    scores = _check_scores(score_matrix(model, j))
     return np.ascontiguousarray(_loss_table(ls, scores).T)
 
 
@@ -161,7 +150,7 @@ def weighted_loss(W: np.ndarray, model, ls: LossSpec, j: FiniteJoint, grad: bool
     empirical one.  With ``grad`` this returns (value, dW, db), where
     (dW, db) is the gradient in the linear model's parameters.
     """
-    scores = _check_scores(score_matrix(model, j), table=True)
+    scores = _check_scores(score_matrix(model, j))
     value = float(np.sum(W * _loss_table(ls, scores)))
     if not grad:
         return value
@@ -178,17 +167,6 @@ def weighted_loss(W: np.ndarray, model, ls: LossSpec, j: FiniteJoint, grad: bool
 def classification_risk(j: FiniteJoint, model, ls: LossSpec) -> float:
     """Exact risk: the double sum of joint mass times per-class loss."""
     return weighted_loss(j.joint.T, model, ls, j)
-
-
-def corrected_losses(L: np.ndarray, dr: DecontaminationResult, i: int) -> np.ndarray:
-    """Row product of the loss vector with the decontamination matrix at x_i."""
-    if dr.matrices is None:
-        raise ShapeMismatch("pairwise decontamination has no per-instance matrix; use the pair path")
-    mat = dr.matrices[i]
-    L = np.asarray(L, dtype=np.float64)
-    if L.shape[0] != mat.shape[0]:
-        raise ShapeMismatch(f"loss vector has {L.shape[0]} entries, matrix expects {mat.shape[0]}")
-    return L @ mat
 
 
 def rewritten_risk(spec: ScenarioSpec, j: FiniteJoint, model, ls: LossSpec,
@@ -230,9 +208,9 @@ def closed_form_corrected_loss(spec: ScenarioSpec, m: Marginals, i: int, L,
                                i2: Optional[int] = None) -> np.ndarray:
     """Hand-coded corrected losses per scenario.
 
-    Matches the generic ``corrected_losses`` entrywise, except CL and MCL
-    where this returns the inversion-based weights (the marginal-chain ones
-    legitimately differ entry by entry while giving the same risk).  Sconf
+    Matches the generic product ``lam[:, i] @ D(x_i)`` entrywise, except CL
+    and MCL where this returns the inversion-based weights (the marginal-chain
+    ones legitimately differ entry by entry while giving the same risk).  Sconf
     is pair-shaped and needs ``i2``.
     """
     L = np.asarray(L, dtype=np.float64)
@@ -264,8 +242,7 @@ def closed_form_corrected_loss(spec: ScenarioSpec, m: Marginals, i: int, L,
         # Sconf
         if i2 is None:
             raise ShapeMismatch("Sconf closed form needs the pair partner index i2")
-        from .scenarios import _sconf_confidence_from_marginals
-        r = _sconf_confidence_from_marginals(m, i, i2)
+        r = float(_sconf_confidences(m, [i], [i2])[0, 0])
         return np.array([(r - pi_n) / (pi_p - pi_n) * lp, (pi_p - r) / (pi_p - pi_n) * ln])
 
     if spec.family == FAMILY_CCN:

@@ -25,9 +25,9 @@ A matrix that is the same at every x is built once and copied out to the
 (n_x, ...) stack.  Sconf is pair-shaped and kept out of the generic
 pipeline; its structures live in the ``pair_*`` fields of
 :class:`ContaminationModel`, built from outer products.  Every kernel is
-batched over the instance axis with the spec validated once per call;
-:func:`contamination_matrix` and :func:`transform_matrix` are
-single-instance calls of the same kernels.
+batched over the instance axis with the spec validated once per call, and
+the API works on whole joints: M(x_i) is ``observed_distribution(spec,
+j).matrix[i]`` and M_trsf(x_i) its ``transform[i]``.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .core import FiniteJoint, Marginals, marginals as compute_marginals
 from .errors import (
     BadSize,
     DegenerateParams,
-    IndexOutOfRange,
     KTooLarge,
     NotAnEdge,
     NotBinary,
@@ -88,6 +87,15 @@ def _require(spec, kind, field: str, values) -> None:
     for v in values:
         if isinstance(v, bool) or not isinstance(v, kind):
             raise SchemaMismatch(f"{spec.name} {field} must be {what}, got {v!r}")
+
+
+def _float_array(spec, field: str, value) -> np.ndarray:
+    """``value`` as a float64 array; SchemaMismatch when it is not a
+    rectangular array of numbers."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as e:
+        raise SchemaMismatch(f"{spec.name} {field} must be a rectangular array of numbers: {e}") from None
 
 
 class _Setting:
@@ -275,7 +283,7 @@ class CCN(_LabelChannel):
     binary_only = True
 
     def __post_init__(self):
-        object.__setattr__(self, "flip", np.asarray(self.flip, dtype=np.float64))
+        object.__setattr__(self, "flip", _float_array(self, "flip", self.flip))
 
     def check(self, K, n_x):
         if self.flip.shape != (n_x, 2, 2):
@@ -293,7 +301,7 @@ class GCCN(_LabelChannel):
     name = "GCCN"
 
     def __post_init__(self):
-        object.__setattr__(self, "cond", np.asarray(self.cond, dtype=np.float64))
+        object.__setattr__(self, "cond", _float_array(self, "cond", self.cond))
 
     def check(self, K, n_x):
         n_s = len(compound_label_space(K))
@@ -312,14 +320,14 @@ class PPL(_LabelChannel):
     name = "PPL"
 
     def __post_init__(self):
-        object.__setattr__(self, "C", np.asarray(self.C, dtype=np.float64))
+        object.__setattr__(self, "C", _float_array(self, "C", self.C))
 
     def check(self, K, n_x):
         n_s = len(compound_label_space(K))
         if self.C.shape != (n_s, n_x):
             raise ShapeMismatch(f"PPL weight table must be ({n_s}, {n_x}), got {self.C.shape}")
-        if np.any(self.C < 0.0):
-            raise DegenerateParams("PPL weights must be nonnegative")
+        if not np.all(np.isfinite(self.C)) or np.any(self.C < 0.0):
+            raise DegenerateParams("PPL weights must be finite and nonnegative")
         # properness: for every class y and instance x the weights of the
         # labels containing y sum to one
         totals = _member_mask(K).T @ self.C
@@ -358,8 +366,8 @@ class MCL(_LabelChannel):
         if len(self.q) != K - 1:
             raise ShapeMismatch(f"MCL size distribution must have K-1={K - 1} entries, got {len(self.q)}")
         q = np.asarray(self.q)
-        if np.any(q < 0.0) or abs(q.sum() - 1.0) > PARAM_TOL:
-            raise DegenerateParams("MCL size probabilities must be nonnegative and sum to 1")
+        if not np.all(np.isfinite(q)) or np.any(q < 0.0) or abs(q.sum() - 1.0) > PARAM_TOL:
+            raise DegenerateParams("MCL size probabilities must be finite, nonnegative and sum to 1")
 
     def matrix(self, m):
         K = m.K
@@ -498,16 +506,6 @@ def compound_label_space(K: int, k_max: int = K_MAX_DEFAULT) -> tuple:
     return tuple(out)
 
 
-def compound_label_index(K: int, members) -> int:
-    """Row index of a compound label in the canonical order."""
-    key = tuple(sorted(int(v) for v in members))
-    space = compound_label_space(K)
-    try:
-        return space.index(key)
-    except ValueError:
-        raise ShapeMismatch(f"{key} is not a nonempty strict subset of 1..{K}") from None
-
-
 def _member_mask(K: int) -> np.ndarray:
     """(|S|, K) indicator matrix: mask[j, k-1] = 1 iff class k is in s_j."""
     return np.array([[float(c in s) for c in range(1, K + 1)] for s in compound_label_space(K)])
@@ -515,11 +513,6 @@ def _member_mask(K: int) -> np.ndarray:
 
 def _compound_str(members) -> str:
     return ",".join(str(c) for c in members)
-
-
-def channel_labels(spec: ScenarioSpec, K: int) -> tuple:
-    """Observed-channel labels, in the row order of the contamination matrix."""
-    return spec.labels(K)
 
 
 # ---------------------------------------------------------------------------
@@ -545,8 +538,8 @@ def validate_spec(spec: ScenarioSpec, m: Marginals, rewrite_preconditions: bool 
 
 
 def _check_column_stochastic(tensor: np.ndarray, what: str) -> None:
-    if np.any(tensor < 0.0):
-        raise DegenerateParams(f"{what} has negative entries")
+    if not np.all(np.isfinite(tensor)) or np.any(tensor < 0.0):
+        raise DegenerateParams(f"{what} has negative or non-finite entries")
     sums = tensor.sum(axis=1)
     if np.max(np.abs(sums - 1.0)) > PARAM_TOL:
         raise DegenerateParams(f"{what} columns must each sum to 1 (conditional channel)")
@@ -554,8 +547,8 @@ def _check_column_stochastic(tensor: np.ndarray, what: str) -> None:
 
 # ---------------------------------------------------------------------------
 # Matrix kernels, batched over the instance axis: each stacks one matrix per
-# index in ``idx`` on axis 0 (the per-instance functions pass one index) and
-# leaves validation to its caller, which runs validate_spec once per call.
+# index in ``idx`` on axis 0 and leaves validation to its caller, which runs
+# validate_spec once per call.
 # ---------------------------------------------------------------------------
 
 def _superclass_probability(spec: ScenarioSpec, r: np.ndarray) -> np.ndarray:
@@ -631,42 +624,6 @@ def _sconf_pair_tensor(m: Marginals, a, b) -> tuple:
     return r, pm
 
 
-def base_distributions(spec: ScenarioSpec, m: Marginals, i: int) -> np.ndarray:
-    """B(x_i): class conditionals for the mixture family (and Sconf), the
-    risk-defining joint column for the channel and confidence families."""
-    _check_instance(m, i)
-    if spec.family in (FAMILY_MCD, FAMILY_SCONF):
-        return m.class_conditionals[:, i].copy()
-    return m.class_probabilities[:, i] * m.instance_marginal[i]
-
-
-def transform_matrix(spec: ScenarioSpec, m: Marginals, i: int) -> np.ndarray:
-    """M_trsf(x_i) with B = M_trsf P: reciprocal priors for the mixture
-    family (and Sconf), identity otherwise."""
-    _check_instance(m, i)
-    return _transform_tensor(spec, m, [i])[0]
-
-
-def contamination_matrix(spec: ScenarioSpec, m: Marginals, i: int, i2: Optional[int] = None) -> np.ndarray:
-    """M(x_i) mapping base distributions to observed channel masses.
-
-    Sconf is pair-shaped: pass the second instance as ``i2``.
-    """
-    validate_spec(spec, m)
-    _check_instance(m, i)
-    if spec.family != FAMILY_SCONF:
-        return _contamination_tensor(spec, m, [i])[0]
-    if i2 is None:
-        raise ShapeMismatch("Sconf contamination matrix needs the pair partner index i2")
-    _check_instance(m, i2)
-    return _sconf_pair_tensor(m, [i], [i2])[1][0, 0]
-
-
-def _check_instance(m: Marginals, i: int) -> None:
-    if not 0 <= i < m.n_x:
-        raise IndexOutOfRange(f"instance index {i} outside 0..{m.n_x - 1}")
-
-
 # ---------------------------------------------------------------------------
 # Observed distributions
 # ---------------------------------------------------------------------------
@@ -676,12 +633,6 @@ class PairDistribution:
     """n_x x n_x matrix of pair probabilities; ``tag`` names which pair law."""
     tag: str
     matrix: np.ndarray
-
-    def row_marginal(self) -> np.ndarray:
-        return self.matrix.sum(axis=1)
-
-    def column_marginal(self) -> np.ndarray:
-        return self.matrix.sum(axis=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -713,7 +664,7 @@ def observed_distribution(spec: ScenarioSpec, j: FiniteJoint) -> ContaminationMo
     """Instantiate the full contamination model of ``spec`` on ``j``."""
     m = compute_marginals(j)
     validate_spec(spec, m)
-    labels = channel_labels(spec, j.K)
+    labels = spec.labels(j.K)
     idx = np.arange(j.n_x)
 
     if spec.family == FAMILY_SCONF:
@@ -761,20 +712,6 @@ def pair_distribution(spec: ScenarioSpec, j: FiniteJoint, channel: Optional[str]
     return PairDistribution(tag=channel, matrix=q)
 
 
-def _sconf_confidence_from_marginals(m: Marginals, i: int, i2: int) -> float:
-    return float(_sconf_confidences(m, [i], [i2])[0, 0])
-
-
-def sconf_confidence(j: FiniteJoint, i: int, i2: int) -> float:
-    """Probability that x_i and x_{i2} carry the same label given both."""
-    if j.K != 2:
-        raise NotBinary("Sconf confidence is defined for K=2")
-    m = compute_marginals(j)
-    _check_instance(m, i)
-    _check_instance(m, i2)
-    return _sconf_confidence_from_marginals(m, i, i2)
-
-
 # ---------------------------------------------------------------------------
 # Reduction graph
 # ---------------------------------------------------------------------------
@@ -789,7 +726,7 @@ class Reduction:
     (complement relabeling for PPL -> MCL, dropped zero rows for MCL -> CL).
     When the parent is not representable as a spec (SubConf -> Soft realizes
     the super-class probability as the constant 1), ``parent_matrix`` builds
-    its matrix directly.
+    its (n_x, K, K) stack from the marginals directly.
     """
     parent_name: str
     child_name: str
@@ -798,7 +735,7 @@ class Reduction:
     parent: Optional[ScenarioSpec] = None
     row_map: Optional[np.ndarray] = None
     parent_zero_rows: Optional[np.ndarray] = None
-    parent_matrix: Optional[Callable] = None  # (m, i) -> np.ndarray
+    parent_matrix: Optional[Callable] = None  # m -> (n_x, K, K) stack
 
 
 REDUCTION_EDGES = (
@@ -885,11 +822,12 @@ def reduce_spec(parent, child, m: Marginals) -> Reduction:
             return Reduction("SubConf", "SCConf", child_spec, {"Y_s": (child_spec.y_s,)},
                              parent=SubConf(Y_s=(child_spec.y_s,)))
         # Soft: the super-class covers every class, so its probability is 1
-        def full_set_matrix(mm: Marginals, i: int, _spec=None) -> np.ndarray:
-            r = mm.class_probabilities[:, i]
-            if np.any(r <= 0.0):
-                raise ZeroConfidence(f"instance {i} has zero class probabilities")
-            return np.diag(1.0 / r)
+        def full_set_matrix(mm: Marginals) -> np.ndarray:
+            r = mm.class_probabilities
+            zero = np.any(r <= 0.0, axis=0)
+            if np.any(zero):
+                raise ZeroConfidence(f"instance {int(np.argmax(zero))} has zero class probabilities")
+            return _diagonal_stack(1.0 / r)
 
         return Reduction("SubConf", "Soft", Soft(), {"Y_s": "all classes (super-class probability 1)"},
                          parent_matrix=full_set_matrix)

@@ -21,7 +21,6 @@ from .decontam import (
     METHOD_MARGINAL_CHAIN,
     METHOD_SCONF,
     decontaminate,
-    default_method,
     mcl_block,
     mcl_block_inverse,
 )
@@ -31,7 +30,6 @@ from .risk import (
     channel_terms,
     classification_risk,
     closed_form_corrected_loss,
-    corrected_losses,
     empirical_risk,
     loss_matrix,
     per_draw_values,
@@ -62,7 +60,6 @@ from .scenarios import (
     UU,
     ScenarioSpec,
     compound_label_space,
-    contamination_matrix,
     observed_distribution,
     pair_distribution,
     reduce_spec,
@@ -296,7 +293,7 @@ def verify_reconstruction(spec: ScenarioSpec, j: FiniteJoint, tol: float = TOL_M
     if spec.family == FAMILY_SCONF:
         return _guarded(f"reconstruction[{METHOD_SCONF}]", spec.name, {}, tol, seed,
                         lambda: _sconf_block_identity_error(spec, j))
-    resolved = default_method(spec) if method == "auto" else method
+    resolved = spec.method if method == "auto" else method
 
     def body():
         cm = observed_distribution(spec, j)
@@ -356,7 +353,7 @@ def verify_closed_form(spec: ScenarioSpec, j: FiniteJoint, model, ls: LossSpec,
         dr = decontaminate(spec, j, method="auto")
         for i in range(j.n_x):
             closed = closed_form_corrected_loss(spec, m, i, lam[:, i])
-            generic = corrected_losses(lam[:, i], dr, i)
+            generic = lam[:, i] @ dr.matrices[i]
             err = max(err, float(np.max(np.abs(closed - generic))))
     return _report("closed-form", spec.name, {"loss": ls.name}, err, tol, seed, t0)
 
@@ -366,29 +363,21 @@ def verify_reduction_graph(j: FiniteJoint, tol: float = TOL_REDUCTION,
     """Every edge of the reduction graph: the child matrix equals the parent
     matrix under the recorded assignments (modulo the documented row
     relabelings)."""
-    m = compute_marginals(j)
     K, nx = j.K, j.n_x
     reports = []
 
     def check(parent, child, binary: bool):
         t0 = time.perf_counter()
-        if binary and K != 2:
-            jb = random_joint(2, nx, j.d_feat, seed, 4242)
-            mm = compute_marginals(jb)
-        else:
-            mm = m
+        jj = random_joint(2, nx, j.d_feat, seed, 4242) if binary and K != 2 else j
+        mm = compute_marginals(jj)
         red = reduce_spec(parent, child, mm)
-        err = 0.0
-        for i in range(mm.n_x):
-            child_mat = contamination_matrix(red.child, mm, i)
-            if red.parent_matrix is not None:
-                parent_mat = red.parent_matrix(mm, i)
-            else:
-                parent_mat = contamination_matrix(red.parent, mm, i)
-            rows = red.row_map if red.row_map is not None else np.arange(child_mat.shape[0])
-            err = max(err, float(np.max(np.abs(child_mat - parent_mat[rows]))))
-            if red.parent_zero_rows is not None:
-                err = max(err, float(np.max(np.abs(parent_mat[red.parent_zero_rows]))))
+        child_mats = observed_distribution(red.child, jj).matrix
+        parent_mats = (red.parent_matrix(mm) if red.parent_matrix is not None
+                       else observed_distribution(red.parent, jj).matrix)
+        rows = red.row_map if red.row_map is not None else np.arange(child_mats.shape[1])
+        err = float(np.max(np.abs(child_mats - parent_mats[:, rows])))
+        if red.parent_zero_rows is not None:
+            err = max(err, float(np.max(np.abs(parent_mats[:, red.parent_zero_rows]))))
         assignments = {k: (v if isinstance(v, (int, float, str)) else str(v))
                        for k, v in red.assignments.items()}
         reports.append(_report(f"reduction[{red.parent_name}->{red.child_name}]",
@@ -424,9 +413,8 @@ def verify_worked_example(seed: int = 0) -> CheckReport:
     p = philox_uniforms(seed, 90, K) + 0.1
     p /= p.sum()
     j = validate_joint(K, [[0.0]], (p / p.sum()).reshape(K, 1))
-    m = compute_marginals(j)
 
-    mat = contamination_matrix(spec, m, 0)
+    mat = observed_distribution(spec, j).matrix[0]
     expect = (np.ones((K, K)) - np.eye(K)) / 3.0
     err = max(err, float(np.max(np.abs(mat - expect))))
 
@@ -462,14 +450,14 @@ def verify_pair_symmetry(j: FiniteJoint, tol: float = TOL_MATRIX, seed: int = 0,
             left = float(np.sum(q * h[:, None]))
             right = float(np.sum(q * h[None, :]))
             err = max(err, abs(left - right))
-        row = contamination_matrix(spec, m, 0)[0]  # the pair channel's pointwise row
+        row = observed_distribution(spec, j).matrix[0, 0]  # the pair channel's pointwise row
         tilde = row @ m.class_conditionals
         err = max(err, float(np.max(np.abs(q.sum(axis=1) - tilde))))
         reports.append(_report(f"pair-symmetry[{name}]", spec.name, {}, err, tol, seed, t0))
 
     t0 = time.perf_counter()
     q = pair_distribution(Pcomp(), j, channel="PC").matrix
-    mat = contamination_matrix(Pcomp(), m, 0)
+    mat = observed_distribution(Pcomp(), j).matrix[0]
     sup = mat[0] @ m.class_conditionals
     inf = mat[1] @ m.class_conditionals
     err = float(np.max(np.abs(q.sum(axis=1) - sup)))

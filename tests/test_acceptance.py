@@ -21,14 +21,13 @@ from wslrr.risk import (
     LossSpec,
     classification_risk,
     closed_form_corrected_loss,
-    corrected_losses,
     loss_matrix,
     rewritten_risk,
 )
 from wslrr.scenarios import (
     CL,
     compound_label_space,
-    contamination_matrix,
+    observed_distribution,
 )
 from wslrr.verify import (
     ALL_SCENARIO_NAMES,
@@ -87,7 +86,7 @@ def test_criterion_02_reconstruction_every_method():
 
 def test_criterion_03_worked_example():
     j4 = validate_joint(4, [[0.0]], np.full((4, 1), 0.25))
-    mat = contamination_matrix(CL(), marginals(j4), 0)
+    mat = observed_distribution(CL(), j4).matrix[0]
     exact_entries = set(np.unique(mat)) == {0.0, 1.0 / 3.0}
     inv = mcl_block_inverse(4, 1)
     exact_inverse = set(np.unique(inv)) == {-2.0, 1.0}
@@ -164,7 +163,7 @@ def test_criterion_08_closed_forms_match_generic():
         dr = decontaminate(spec, j)
         for i in range(j.n_x):
             closed = closed_form_corrected_loss(spec, m, i, lam[:, i])
-            generic = corrected_losses(lam[:, i], dr, i)
+            generic = lam[:, i] @ dr.matrices[i]
             worst = max(worst, float(np.max(np.abs(closed - generic))))
     _line(8, worst <= 1e-12, f"13 scenarios, max entrywise gap = {worst:.2e}")
 

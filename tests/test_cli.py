@@ -209,6 +209,14 @@ class TestMalformedInputs:
         assert self._train(ds_path, joint_file) == 2
         assert "SpecMismatch" in capsys.readouterr().err
 
+    def test_nan_size_law_exit_2(self, tmp_path, capsys):
+        # NaN fails every comparison, so it must be refused explicitly
+        jp = tmp_path / "j4.json"
+        jp.write_text(joint_to_json(random_joint(4, 5, 3, seed=3, stream=0)))
+        assert main(["simulate", "--joint", str(jp), "--scenario", "MCL",
+                     "--params", '{"q": [NaN, 0.5, 0.5]}', "--n", "50", "--seed", "1"]) == 2
+        assert "DegenerateParams" in capsys.readouterr().err
+
     def test_verify_all_single_class(self, capsys):
         assert main(["verify-all", "--K", "1", "--trials", "1"]) == 2
         assert "ShapeMismatch" in capsys.readouterr().err

@@ -7,12 +7,10 @@ from wslrr.core import (
     joint_from_json,
     joint_to_json,
     marginals,
-    risk_vector,
     validate_joint,
 )
 from wslrr.errors import (
     EmptyClass,
-    IndexOutOfRange,
     NegativeEntry,
     NonNormalized,
     ParseError,
@@ -77,18 +75,6 @@ class TestMarginals:
     def test_deterministic(self, toy_joint):
         a, b = marginals(toy_joint), marginals(toy_joint)
         assert np.array_equal(a.class_probabilities, b.class_probabilities)
-
-
-class TestRiskVector:
-    def test_uniform(self, uniform_joint):
-        assert np.array_equal(risk_vector(uniform_joint, 0), [0.25, 0.25])
-
-    def test_column_read(self, toy_joint):
-        assert np.array_equal(risk_vector(toy_joint, 1), [0.1, 0.4])
-
-    def test_out_of_range(self, toy_joint):
-        with pytest.raises(IndexOutOfRange):
-            risk_vector(toy_joint, toy_joint.n_x)
 
 
 @settings(max_examples=50, deadline=None)

@@ -68,11 +68,13 @@ class TestSampling:
         assert np.array_equal(ch.confidences, m.class_probabilities[:, ch.indices].T)
 
     def test_sconf_pairs_carry_pair_confidence(self, binary_joint):
-        from wslrr.scenarios import Sconf, sconf_confidence
         ds = sample_weak_dataset(make_spec("Sconf", binary_joint, 1, 0), binary_joint, 32, seed=5)
         ch = ds.channel("XX")
+        P = binary_joint.joint
         for (a, b), r in zip(ch.pairs[:10], ch.confidences[:10]):
-            assert r == pytest.approx(sconf_confidence(binary_joint, int(a), int(b)), abs=1e-12)
+            # P(same label | x_a, x_b), enumerating the label pairs
+            same = (P[0, a] * P[0, b] + P[1, a] * P[1, b]) / (P[:, a].sum() * P[:, b].sum())
+            assert r == pytest.approx(same, abs=1e-12)
 
     @pytest.mark.parametrize("name", ["PU", "CL", "Soft", "Pcomp", "MCL"])
     def test_channel_frequencies_match_exact_law(self, name):

@@ -3,27 +3,26 @@ import pytest
 
 from wslrr.core import marginals, validate_joint
 from wslrr.decontam import (
+    METHOD_DIAGONAL,
     METHOD_INVERSION,
     METHOD_MARGINAL_CHAIN,
     METHOD_MCL_BLOCKWISE,
-    conf_diagonal_inverse,
+    _invert_stack,
     decontaminate,
-    decontaminate_inversion,
-    decontaminate_marginal_chain,
-    invert_square,
     mcl_block,
     mcl_block_inverse,
     mcl_inverse,
-    sconf_decontamination,
 )
 from wslrr.errors import BadSize, DegenerateParams, NonSquare, Singular, WrongFamily
 from wslrr.scenarios import (
+    CCN,
     CL,
     MCL,
     PPL,
     PU,
     Pconf,
     SCConf,
+    Sconf,
     Soft,
     UU,
     compound_label_space,
@@ -33,41 +32,41 @@ from wslrr.verify import make_spec, random_joint
 
 
 class TestInvertSquare:
+    """The batched inversion kernel on one-matrix stacks."""
+
     def test_matches_known_2x2(self):
-        inv = invert_square(np.array([[1.0, 0.0], [0.4, 0.6]]))
+        inv = _invert_stack(np.array([[[1.0, 0.0], [0.4, 0.6]]]))[0]
         assert np.allclose(inv, [[1.0, 0.0], [-2.0 / 3.0, 5.0 / 3.0]], atol=1e-15)
 
     def test_larger_system(self):
         rng = np.random.default_rng(3)
         a = rng.normal(size=(5, 5)) + 5 * np.eye(5)
-        assert np.max(np.abs(invert_square(a) @ a - np.eye(5))) < 1e-12
+        assert np.max(np.abs(_invert_stack(a[None])[0] @ a - np.eye(5))) < 1e-12
 
     def test_non_square(self):
         with pytest.raises(NonSquare):
-            invert_square(np.ones((2, 3)))
+            _invert_stack(np.ones((1, 2, 3)))
 
     def test_singular(self):
         with pytest.raises(Singular):
-            invert_square(np.array([[1.0, 1.0], [1.0, 1.0]]))
+            _invert_stack(np.array([[[1.0, 1.0], [1.0, 1.0]]]))
 
 
 class TestInversion:
     def test_pu_decontamination(self, toy_joint):
         cm = observed_distribution(PU(), toy_joint)
-        dag = decontaminate_inversion(cm, 0)
+        dag = decontaminate(PU(), toy_joint, METHOD_INVERSION).matrices[0]
         assert np.allclose(dag, [[0.4, 0.0], [-0.4, 1.0]], atol=1e-15)
         for i in range(toy_joint.n_x):
             assert np.max(np.abs(dag @ cm.observed[i] - toy_joint.joint[:, i])) <= 1e-12
 
     def test_identity_contamination(self, toy_joint):
-        cm = observed_distribution(UU(gamma_1=0.0, gamma_2=0.0), toy_joint)
-        dag = decontaminate_inversion(cm, 0)
+        dag = decontaminate(UU(gamma_1=0.0, gamma_2=0.0), toy_joint, METHOD_INVERSION).matrices[0]
         # inverse of the reciprocal-prior transform alone
         assert np.allclose(dag, np.diag([0.4, 0.6]), atol=1e-15)
 
     def test_cl_k4_inverse(self, multi_joint):
-        cm = observed_distribution(CL(), multi_joint)
-        dag = decontaminate_inversion(cm, 0)
+        dag = decontaminate(CL(), multi_joint, METHOD_INVERSION).matrices[0]
         expect = np.ones((4, 4)) - 3.0 * np.eye(4)
         assert np.max(np.abs(dag - expect)) <= 1e-12
 
@@ -79,12 +78,9 @@ class TestInversion:
 
     def test_collapsed_channels_are_singular(self, toy_joint):
         # a coin-flip label channel carries no class information
-        from wslrr.scenarios import CCN
-
         flip = np.full((toy_joint.n_x, 2, 2), 0.5)
-        cm = observed_distribution(CCN(flip=flip), toy_joint)
         with pytest.raises(Singular):
-            decontaminate_inversion(cm, 0)
+            decontaminate(CCN(flip=flip), toy_joint, METHOD_INVERSION)
 
     def test_near_degenerate_mixture_rejected_upfront(self, toy_joint):
         from wslrr.errors import DegenerateParams as DP
@@ -96,7 +92,7 @@ class TestInversion:
 class TestMarginalChain:
     def test_cl_uniform(self):
         j = validate_joint(4, [[0.0]], np.full((4, 1), 0.25))
-        dag = decontaminate_marginal_chain(CL(), j, 0)
+        dag = decontaminate(CL(), j, METHOD_MARGINAL_CHAIN).matrices[0]
         assert np.allclose(dag[~np.eye(4, dtype=bool)], 1.0 / 3.0, atol=1e-15)
         assert np.allclose(np.diag(dag), 0.0)
 
@@ -104,18 +100,18 @@ class TestMarginalChain:
         # r = (0.5, 0.3, 0.2) at the single instance; the {1,2} column
         j = validate_joint(3, [[0.0]], np.array([[0.5], [0.3], [0.2]]))
         spec = PPL(C=np.full((6, 1), 1.0 / 3.0))  # the uniform (proper) table
-        dag = decontaminate_marginal_chain(spec, j, 0)
+        dag = decontaminate(spec, j, METHOD_MARGINAL_CHAIN).matrices[0]
         col = dag[:, compound_label_space(3).index((1, 2))]
         assert np.allclose(col, [0.625, 0.375, 0.0], atol=1e-15)
 
     def test_zero_mass_channel_gets_zero_column(self, multi_joint):
         q = (1.0, 0.0, 0.0)  # only singleton exclusions ever observed
-        dag = decontaminate_marginal_chain(MCL(q=q), multi_joint, 0)
-        assert np.array_equal(dag[:, 4:], np.zeros((4, 10)))
+        dag = decontaminate(MCL(q=q), multi_joint, METHOD_MARGINAL_CHAIN).matrices
+        assert np.array_equal(dag[:, :, 4:], np.zeros((multi_joint.n_x, 4, 10)))
 
     def test_wrong_family(self, toy_joint):
         with pytest.raises(WrongFamily):
-            decontaminate_marginal_chain(PU(), toy_joint, 0)
+            decontaminate(PU(), toy_joint, METHOD_MARGINAL_CHAIN)
 
 
 class TestMclBlocks:
@@ -155,35 +151,49 @@ class TestMclBlocks:
 
 
 class TestSconfDecontamination:
+    """The pair diagonal diag((r - pi_n)/(pi_p - pi_n), (pi_p - r)/(pi_p - pi_n))
+    at pairs of known confidence r; it is undefined where r meets a prior."""
+
     def test_confidence_at_negative_prior(self):
-        assert np.allclose(sconf_decontamination(0.7, 0.3), np.diag([0.0, 1.0]), atol=1e-15)
+        # x_0 is purely negative and P(- | x_1) = pi_n = 0.4, so r(x_0, x_1) = pi_n
+        j = validate_joint(2, np.zeros((3, 1)), [[0.0, 0.3, 0.3], [0.2, 0.2, 0.0]])
+        with pytest.raises(DegenerateParams, match="coincides with a prior"):
+            decontaminate(Sconf(), j)
 
     def test_confidence_at_positive_prior(self):
-        assert np.allclose(sconf_decontamination(0.7, 0.7), np.diag([1.0, 0.0]), atol=1e-15)
+        # x_0 is purely positive and P(+ | x_1) = pi_p = 0.6, so r(x_0, x_1) = pi_p
+        j = validate_joint(2, np.zeros((3, 1)), [[0.2, 0.3, 0.1], [0.0, 0.2, 0.2]])
+        with pytest.raises(DegenerateParams, match="coincides with a prior"):
+            decontaminate(Sconf(), j)
 
     def test_interior_value(self):
-        assert np.allclose(sconf_decontamination(0.6, 0.5), np.diag([0.5, 0.5]), atol=1e-12)
+        # pi_p = 0.6; x_0 is purely positive, P(+ | x_1) = 1/2 and x_2 is purely
+        # negative, so r is 1, 1/2 and 0 on the pairs (x_0, x_0), (x_0, x_1), (x_0, x_2)
+        j = validate_joint(2, np.zeros((3, 1)), [[0.4, 0.2, 0.0], [0.0, 0.2, 0.2]])
+        d = decontaminate(Sconf(), j).pair_matrices[0]
+        assert np.allclose(d[0], np.diag([3.0, -2.0]), atol=1e-12)
+        assert np.allclose(d[1], np.diag([0.5, 0.5]), atol=1e-12)
+        assert np.allclose(d[2], np.diag([-2.0, 3.0]), atol=1e-12)
 
-    def test_degenerate_prior(self):
+    def test_degenerate_prior(self, uniform_joint):
         with pytest.raises(DegenerateParams):
-            sconf_decontamination(0.5, 0.4)
+            decontaminate(Sconf(), uniform_joint)
 
 
 class TestConfDiagonal:
     def test_soft_is_confidence_diagonal(self, toy_joint):
         m = marginals(toy_joint)
-        dag = conf_diagonal_inverse(Soft(), m, 0)
+        dag = decontaminate(Soft(), toy_joint, METHOD_DIAGONAL).matrices[0]
         assert np.allclose(dag, np.diag(m.class_probabilities[:, 0]), atol=1e-15)
 
     def test_pconf_ratio(self):
         j = validate_joint(2, [[0.0], [1.0]][:2], [[0.4, 0.1], [0.1, 0.4]])
-        m = marginals(j)
-        dag = conf_diagonal_inverse(Pconf(), m, 0)
+        dag = decontaminate(Pconf(), j, METHOD_DIAGONAL).matrices[0]
         assert np.allclose(dag, np.diag([1.0, 0.25]), atol=1e-14)
 
     def test_scconf_entries(self):
         j = validate_joint(3, [[0.0]], np.array([[0.3], [0.6], [0.1]]))
-        dag = conf_diagonal_inverse(SCConf(y_s=2), marginals(j), 0)
+        dag = decontaminate(SCConf(y_s=2), j, METHOD_DIAGONAL).matrices[0]
         assert np.allclose(dag, np.diag([0.5, 1.0, 1.0 / 6.0]), atol=1e-14)
 
 

@@ -1,41 +1,27 @@
-"""Batched instance-axis kernels against the per-instance public functions.
+"""Batched instance-axis kernels against independent per-instance references.
 
-The whole-joint operations build every instance in one numpy pass; the
-per-instance functions are single-instance calls of the same kernels.
-These tests check that instance i of a batch is the per-instance result,
-that every decontamination still reconstructs the joint, that the typed
-errors are unchanged, and that validation runs a constant number of times
-per call whatever the instance count.
+The whole-joint operations build every instance in one numpy pass.  These
+tests compare instance i of each batch with the paper's formulas typed in
+below and evaluated one instance at a time with plain numpy (a per-instance
+Gauss-Jordan loop and a 2x2 adjugate for the inversions), check that every
+decontamination still reconstructs the joint, that the typed errors are
+unchanged, and that validation runs a constant number of times per call
+whatever the instance count.
 """
+
+import itertools
+import math
 
 import numpy as np
 import pytest
 
 import wslrr.decontam
 import wslrr.scenarios
-from wslrr.core import marginals, validate_joint
-from wslrr.decontam import (
-    _invert_stack,
-    conf_diagonal_inverse,
-    decontaminate,
-    decontaminate_inversion,
-    decontaminate_marginal_chain,
-    invert_square,
-    mcl_inverse,
-    sconf_decontamination,
-)
+from wslrr.core import validate_joint
+from wslrr.decontam import _invert_stack, decontaminate
 from wslrr.errors import DegenerateParams, Singular, ZeroConfidence, ZeroPairMass
-from wslrr.risk import LOSS_NAMES, LossSpec, classification_risk, loss_matrix, loss_vector, rewritten_risk
-from wslrr.scenarios import (
-    CCN,
-    SCConf,
-    Sconf,
-    Soft,
-    contamination_matrix,
-    observed_distribution,
-    sconf_confidence,
-    transform_matrix,
-)
+from wslrr.risk import LOSS_NAMES, LossSpec, classification_risk, loss_matrix, rewritten_risk
+from wslrr.scenarios import CCN, SCConf, Sconf, Soft, observed_distribution
 from wslrr.verify import (
     ABSTRACT_SCENARIO_NAMES,
     ALL_SCENARIO_NAMES,
@@ -50,6 +36,7 @@ NAMES = ALL_SCENARIO_NAMES + ABSTRACT_SCENARIO_NAMES
 TOL_SAME = 1e-15
 TOL_MATRIX = 1e-12
 TOL_RISK = 1e-10
+MIXTURE = ("UU", "MCD", "PU", "SU", "DU", "SD", "Pcomp")
 
 
 def _case(name, nx):
@@ -61,6 +48,82 @@ def _methods(name):
     extra = {"CCN": ("inversion",), "Pconf": ("inversion",), "SCConf": ("inversion",),
              "SubConf": ("inversion",), "Soft": ("inversion",)}
     return _reconstruction_methods(name) + extra.get(name, ())
+
+
+def _close(got, ref, rel):
+    """Entrywise agreement within ``rel`` times the reference's scale (at least 1)."""
+    ref = np.asarray(ref, dtype=np.float64)
+    return float(np.max(np.abs(got - ref))) <= rel * max(1.0, float(np.max(np.abs(ref))))
+
+
+# ---------------------------------------------------------------------------
+# Per-instance references: the paper's formulas, one instance at a time
+# ---------------------------------------------------------------------------
+
+def _labels(K):
+    """The compound labels in canonical order: by size, then lexicographic."""
+    return [s for d in range(1, K) for s in itertools.combinations(range(1, K + 1), d)]
+
+
+def _reference_matrix(spec, j, i):
+    """M(x_i) of every non-pair setting."""
+    K, name = j.K, spec.name
+    pp, pn = (float(v) for v in j.joint.sum(axis=1)[:2])
+    r = j.joint[:, i] / j.joint[:, i].sum()
+    s2 = pp * pp + pn * pn
+    rows = {
+        "UU": lambda: [[1 - spec.gamma_1, spec.gamma_1], [spec.gamma_2, 1 - spec.gamma_2]],
+        "MCD": lambda: [[1 - spec.gamma_p, spec.gamma_p], [spec.gamma_n, 1 - spec.gamma_n]],
+        "PU": lambda: [[1.0, 0.0], [pp, pn]],
+        "SU": lambda: [[pp * pp / s2, pn * pn / s2], [pp, pn]],
+        "DU": lambda: [[0.5, 0.5], [pp, pn]],
+        "SD": lambda: [[pp * pp / s2, pn * pn / s2], [0.5, 0.5]],
+        "Pcomp": lambda: [[pp / (pp + pn * pn), pn * pn / (pp + pn * pn)],
+                          [pp * pp / (pp * pp + pn), pn / (pp * pp + pn)]],
+        "CCN": lambda: spec.flip[i],
+        "GCCN": lambda: spec.cond[i],
+        "PPL": lambda: [[spec.C[jdx, i] * (k in s) for k in range(1, K + 1)]
+                        for jdx, s in enumerate(_labels(K))],
+        "PCPL": lambda: [[(k in s) / (2 ** (K - 1) - 1) for k in range(1, K + 1)] for s in _labels(K)],
+        "MCL": lambda: [[spec.q[len(s) - 1] / math.comb(K - 1, len(s)) * (k not in s)
+                         for k in range(1, K + 1)] for s in _labels(K)],
+        "CL": lambda: [[(k != c) / (K - 1) for k in range(K)] for c in range(K)],
+    }
+    if name in rows:
+        return np.array(rows[name](), dtype=np.float64)
+    return np.diag(_superclass_probability(spec, r) / r)
+
+
+def _superclass_probability(spec, r):
+    """P(the sampled super-class | x) from the class probabilities ``r`` at x."""
+    return {"SubConf": lambda: sum(r[c - 1] for c in spec.Y_s), "SCConf": lambda: r[spec.y_s - 1],
+            "Pconf": lambda: r[0], "Soft": lambda: 1.0}[spec.name]()
+
+
+def _reference_transform(name, j):
+    """M_trsf(x): the reciprocal priors for the mixture family, else the identity."""
+    return np.diag(1.0 / j.joint.sum(axis=1)) if name in MIXTURE else np.eye(j.K)
+
+
+def _pair_confidence(j, i, i2):
+    """P(same label | x_i, x_i2), enumerating the label pairs."""
+    num = sum(j.joint[y, i] * j.joint[y, i2] for y in range(2))
+    return num / (j.joint[:, i].sum() * j.joint[:, i2].sum())
+
+
+def _reference_pair_matrix(j, i, i2):
+    """The Sconf matrix of the pair (x_i, x_i2): both rows map the class
+    conditionals at x_i to the pair mass."""
+    pp, pn = (float(v) for v in j.joint.sum(axis=1))
+    cp, cn = j.joint[0, i2] / pp, j.joint[1, i2] / pn
+    r = _pair_confidence(j, i, i2)
+    return np.array([[pp * (pp ** 2 * cp - pn ** 2 * cn) / (r - pn), pp * (pn ** 2 * cn - pn ** 2 * cp) / (r - pn)],
+                     [pn * (pp ** 2 * cn - pp ** 2 * cp) / (pp - r), pn * (pp ** 2 * cp - pn ** 2 * cn) / (pp - r)]])
+
+
+def _adjugate_inverse(a):
+    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+    return np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]]) / det
 
 
 def _gauss_jordan_loop(a):
@@ -85,53 +148,81 @@ def _gauss_jordan_loop(a):
     return inv
 
 
+def _reference_decontamination(method, spec, j, i):
+    """D(x_i) by ``method``, from the per-instance references above."""
+    K = j.K
+    mat = _reference_matrix(spec, j, i)
+    if method == "inversion":
+        a = mat @ _reference_transform(spec.name, j)
+        return _adjugate_inverse(a) if K == 2 else _gauss_jordan_loop(a)
+    if method == "marginal-chain":  # D[k, c] = P(Y=k | S=s_c, x_i)
+        terms = j.joint[:, i][:, None] * mat.T
+        mass = terms.sum(axis=0)
+        return np.where(mass > 0.0, terms / np.where(mass > 0.0, mass, 1.0), 0.0)
+    if method == "conf-diagonal":
+        r = j.joint[:, i] / j.joint[:, i].sum()
+        return np.diag(r / _superclass_probability(spec, r))
+    # mcl-blockwise: 1 - (K-1)/d on the classes of a size-d excluded set, 1 elsewhere
+    sets = _labels(K) if spec.name == "MCL" else [(c,) for c in range(1, K + 1)]
+    return np.array([[1.0 - (K - 1) / len(s) * (k in s) for s in sets] for k in range(1, K + 1)])
+
+
+def _reference_losses(name, g):
+    """The loss of every true class at the scores ``g`` of one instance."""
+    K = len(g)
+    if name == "zero-one":
+        return [float(k != int(np.argmax(g))) for k in range(K)]
+    if name == "logistic":  # one-vs-all: softplus(-g_k) plus softplus(g_c) over c != k
+        return [math.log1p(math.exp(-g[k])) + sum(math.log1p(math.exp(g[c])) for c in range(K) if c != k)
+                for k in range(K)]
+    return [sum((g[c] - float(c == k)) ** 2 for c in range(K)) for k in range(K)]
+
+
+# ---------------------------------------------------------------------------
+# Batches against the references
+# ---------------------------------------------------------------------------
+
 @pytest.mark.parametrize("name", NAMES)
 @pytest.mark.parametrize("nx", [1, 5, 23])
 def test_batched_contamination_matches_per_instance(name, nx):
     spec, j = _case(name, nx)
-    m = marginals(j)
     cm = observed_distribution(spec, j)
     if spec.family == "Sconf-pairwise":
         for i in range(nx):
             for i2 in range(nx):
-                assert np.max(np.abs(cm.pair_matrix[i, i2] - contamination_matrix(spec, m, i, i2))) <= TOL_SAME
-                assert abs(cm.pair_confidence[i, i2] - sconf_confidence(j, i, i2)) <= TOL_SAME
+                assert abs(cm.pair_confidence[i, i2] - _pair_confidence(j, i, i2)) <= TOL_MATRIX
+                assert _close(cm.pair_matrix[i, i2], _reference_pair_matrix(j, i, i2), TOL_MATRIX)
         return
-    mats = np.stack([contamination_matrix(spec, m, i) for i in range(nx)])
-    trsf = np.stack([transform_matrix(spec, m, i) for i in range(nx)])
-    assert np.max(np.abs(cm.matrix - mats)) <= TOL_SAME
-    assert np.max(np.abs(cm.transform - trsf)) <= TOL_SAME
+    trsf = _reference_transform(name, j)
     for i in range(nx):
-        assert np.max(np.abs(mats[i] @ trsf[i] @ j.joint[:, i] - cm.observed[i])) <= TOL_MATRIX
+        mat = _reference_matrix(spec, j, i)
+        assert _close(cm.matrix[i], mat, TOL_SAME)
+        assert _close(cm.transform[i], trsf, TOL_SAME)
+        assert np.max(np.abs(mat @ trsf @ j.joint[:, i] - cm.observed[i])) <= TOL_MATRIX
 
 
 @pytest.mark.parametrize("name", NAMES)
 @pytest.mark.parametrize("nx", [1, 5, 23])
 def test_batched_decontamination_matches_per_instance(name, nx):
     spec, j = _case(name, nx)
-    m = marginals(j)
     cm = observed_distribution(spec, j)
     for method in _methods(name):
         dr = decontaminate(spec, j, method=method)
         if method == "sconf-special":
-            pi_p = float(m.priors[0])
-            inv_prior = np.diag(1.0 / m.priors)
+            pp, pn = (float(v) for v in j.joint.sum(axis=1))
+            inv_prior = np.diag([1.0 / pp, 1.0 / pn])
             for i in range(nx):
                 acc = np.zeros((2, 2))
                 for i2 in range(nx):
-                    one = sconf_decontamination(pi_p, sconf_confidence(j, i, i2))
-                    assert np.max(np.abs(dr.pair_matrices[i, i2] - one)) <= TOL_SAME
+                    r = _pair_confidence(j, i, i2)
+                    one = np.diag([(r - pn) / (pp - pn), (pp - r) / (pp - pn)])
+                    assert _close(dr.pair_matrices[i, i2], one, TOL_MATRIX)
                     acc += dr.pair_matrices[i, i2] @ inv_prior @ cm.pair_matrix[i, i2]
                 assert np.max(np.abs(acc - np.eye(2))) <= TOL_MATRIX
             continue
-        per_instance = {
-            "inversion": lambda i: decontaminate_inversion(cm, i),
-            "marginal-chain": lambda i: decontaminate_marginal_chain(spec, j, i),
-            "conf-diagonal": lambda i: conf_diagonal_inverse(spec, m, i),
-            "mcl-blockwise": lambda i: mcl_inverse(spec, j.K),
-        }[method]
         for i in range(nx):
-            assert np.max(np.abs(dr.matrices[i] - per_instance(i))) <= TOL_SAME, method
+            ref = _reference_decontamination(method, spec, j, i)
+            assert _close(dr.matrices[i], ref, TOL_SAME), method
             rec = dr.matrices[i] @ cm.observed[i]
             assert np.max(np.abs(rec - j.joint[:, i])) <= TOL_MATRIX, method
 
@@ -143,9 +234,9 @@ def test_loss_table_and_rewritten_risk(name):
     for loss in LOSS_NAMES:
         ls = LossSpec(loss)
         lam = loss_matrix(ls, model, j)
-        scores = j.features @ model.weights.T + model.bias
-        rows = np.stack([loss_vector(ls, scores[i]) for i in range(j.n_x)], axis=1)
-        assert np.max(np.abs(lam - rows)) <= TOL_SAME
+        for i in range(j.n_x):
+            scores = model.weights @ j.features[i] + model.bias
+            assert _close(lam[:, i], _reference_losses(loss, scores), TOL_SAME * 4)
         exact = classification_risk(j, model, ls)
         for method in _methods(name):
             assert abs(rewritten_risk(spec, j, model, ls, method=method) - exact) <= TOL_RISK
@@ -158,9 +249,7 @@ def test_inverse_stack_matches_the_loop(k):
     a[::3] = a[::3][:, ::-1]  # rows reversed: the pivots differ between instances
     inv = _invert_stack(a)
     for i in range(a.shape[0]):
-        assert np.array_equal(inv[i], invert_square(a[i]))
-        if k > 2:
-            assert np.array_equal(inv[i], _gauss_jordan_loop(a[i]))
+        assert np.array_equal(inv[i], _adjugate_inverse(a[i]) if k == 2 else _gauss_jordan_loop(a[i]))
         assert np.max(np.abs(inv[i] @ a[i] - np.eye(k))) <= TOL_MATRIX
 
 
@@ -186,8 +275,10 @@ def test_zero_confidence_names_the_first_instance():
         observed_distribution(Soft(), j)
     with pytest.raises(ZeroConfidence, match="instance 2$"):
         decontaminate(SCConf(y_s=1), j, method="conf-diagonal")
+    last = validate_joint(2, np.zeros((5, 1)), [[0.1, 0.1, 0.1, 0.2, 0.0],
+                                                [0.1, 0.1, 0.1, 0.1, 0.1]])
     with pytest.raises(ZeroConfidence, match="instance 4$"):
-        conf_diagonal_inverse(SCConf(y_s=1), marginals(j), 4)
+        decontaminate(SCConf(y_s=1), last, method="conf-diagonal")
 
 
 def test_sconf_prior_coincidence_is_degenerate():
@@ -195,22 +286,19 @@ def test_sconf_prior_coincidence_is_degenerate():
     # pair confidence r(x_0, x_1) coincides with the prior
     joint = np.array([[0.2, 0.3, 0.1], [0.0, 0.2, 0.2]])
     j = validate_joint(2, np.zeros((3, 1)), joint)
-    m = marginals(j)
     for call in (lambda: observed_distribution(Sconf(), j),
-                 lambda: decontaminate(Sconf(), j),
-                 lambda: contamination_matrix(Sconf(), m, 0, 1)):
+                 lambda: decontaminate(Sconf(), j)):
         with pytest.raises(DegenerateParams):
             call()
-    contamination_matrix(Sconf(), m, 0, 2)
 
 
 def test_sconf_zero_pair_mass():
     joint = np.array([[0.3, 1e-170, 0.3], [0.2, 0.0, 0.2]])
     j = validate_joint(2, np.zeros((3, 1)), joint)
-    with pytest.raises(ZeroPairMass, match=r"pair \(1, 1\)"):
-        observed_distribution(Sconf(), j)
-    with pytest.raises(ZeroPairMass):
-        sconf_confidence(j, 1, 1)
+    for call in (lambda: observed_distribution(Sconf(), j),
+                 lambda: decontaminate(Sconf(), j)):
+        with pytest.raises(ZeroPairMass, match=r"pair \(1, 1\)"):
+            call()
 
 
 @pytest.mark.parametrize("name", ["GCCN", "CCN", "PPL", "Soft", "PU", "Sconf"])

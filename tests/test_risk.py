@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wslrr.core import marginals, validate_joint
 from wslrr.datagen import sample_weak_dataset
@@ -12,20 +14,21 @@ from wslrr.errors import (
     NonFiniteScore,
     SpecMismatch,
     UnsupportedScenario,
+    ValidationError,
 )
 from wslrr.risk import (
     LossSpec,
     channel_terms,
     classification_risk,
     closed_form_corrected_loss,
-    corrected_losses,
     empirical_risk,
-    loss_gradients,
     loss_matrix,
-    loss_vector,
+    loss_score_slope,
     rewritten_risk,
+    weighted_loss,
 )
 from wslrr.scenarios import (
+    CCN,
     CL,
     FAMILY_CCN,
     FAMILY_MCD,
@@ -51,21 +54,41 @@ SQUARED = LossSpec("squared")
 ZERO_ONE = LossSpec("zero-one")
 
 
+def _at_scores(g):
+    """A one-instance joint and a model whose scores there are ``g``."""
+    K = len(g)
+    j = validate_joint(K, [[0.0]], np.full((K, 1), 1.0 / K))
+    return j, LinearModel(weights=np.zeros((K, 1)), bias=np.asarray(g, dtype=np.float64))
+
+
+def _losses(ls, g):
+    """Entry k is the loss at the scores ``g`` when the true class is k+1."""
+    j, model = _at_scores(g)
+    return loss_matrix(ls, model, j)[:, 0]
+
+
+def _loss_gradients(ls, g):
+    """Row k is the gradient of loss entry k in the scores: the bias gradient
+    of the weighted loss whose only weight is class k."""
+    j, model = _at_scores(g)
+    return np.array([weighted_loss(e[None, :], model, ls, j, grad=True)[2] for e in np.eye(len(g))])
+
+
 class TestLosses:
     def test_zero_one(self):
-        assert np.array_equal(loss_vector(ZERO_ONE, [2.0, 1.0]), [0.0, 1.0])
+        assert np.array_equal(_losses(ZERO_ONE, [2.0, 1.0]), [0.0, 1.0])
 
     def test_zero_one_tie_breaks_low(self):
-        assert np.array_equal(loss_vector(ZERO_ONE, [1.0, 1.0, 1.0]), [0.0, 1.0, 1.0])
+        assert np.array_equal(_losses(ZERO_ONE, [1.0, 1.0, 1.0]), [0.0, 1.0, 1.0])
 
     def test_logistic_at_zero_margin(self):
         # each one-vs-all term contributes ln 2
-        L = loss_vector(LOGISTIC, [0.0, 0.0])
+        L = _losses(LOGISTIC, [0.0, 0.0])
         assert np.allclose(L, 2.0 * math.log(2.0), atol=1e-15)
 
     def test_squared_componentwise(self):
         g = np.array([0.2, -0.1, 0.4])
-        L = loss_vector(SQUARED, g)
+        L = _losses(SQUARED, g)
         for k in range(3):
             target = np.zeros(3)
             target[k] = 1.0
@@ -73,32 +96,36 @@ class TestLosses:
 
     def test_non_finite_scores(self):
         with pytest.raises(NonFiniteScore):
-            loss_vector(LOGISTIC, [np.inf, 0.0])
+            _losses(LOGISTIC, [np.inf, 0.0])
 
     def test_zero_one_has_no_gradient(self):
         with pytest.raises(NonDifferentiableLoss):
-            loss_gradients(ZERO_ONE, [0.1, 0.2])
+            loss_score_slope(ZERO_ONE, [[0.1, 0.2]])
+        with pytest.raises(NonDifferentiableLoss):
+            _loss_gradients(ZERO_ONE, [0.1, 0.2])
 
     @pytest.mark.parametrize("ls", (LOGISTIC, SQUARED))
     def test_gradients_match_finite_differences(self, ls):
         g = np.array([0.3, -0.7, 0.2])
-        grads = loss_gradients(ls, g)
+        grads = _loss_gradients(ls, g)
         eps = 1e-6
         for k in range(3):
             for jdx in range(3):
                 up, down = g.copy(), g.copy()
                 up[jdx] += eps
                 down[jdx] -= eps
-                numeric = (loss_vector(ls, up)[k] - loss_vector(ls, down)[k]) / (2 * eps)
+                numeric = (_losses(ls, up)[k] - _losses(ls, down)[k]) / (2 * eps)
                 assert grads[k, jdx] == pytest.approx(numeric, abs=1e-8)
 
 
 class TestCorrectedLosses:
+    """The corrected losses at x_i: the loss vector times D(x_i)."""
+
     def test_pu_form(self, binary_joint):
         dr = decontaminate(PU(), binary_joint)
         pi_p = float(marginals(binary_joint).priors[0])
         L = np.array([0.8, 0.3])
-        corr = corrected_losses(L, dr, 0)
+        corr = L @ dr.matrices[0]
         assert corr[0] == pytest.approx(pi_p * L[0] - pi_p * L[1], abs=1e-12)
         assert corr[1] == pytest.approx(L[1], abs=1e-12)
 
@@ -107,15 +134,17 @@ class TestCorrectedLosses:
         m = marginals(binary_joint)
         dr = decontaminate(spec, binary_joint)
         L = np.array([1.2, -0.4])
-        assert np.allclose(corrected_losses(L, dr, 0),
-                           closed_form_corrected_loss(spec, m, 0, L), atol=1e-12)
+        for i in range(binary_joint.n_x):
+            assert np.allclose(L @ dr.matrices[i], closed_form_corrected_loss(spec, m, i, L), atol=1e-12)
 
-    def test_identity_decontamination_is_noop(self, multi_joint):
-        L = np.array([0.5, 1.0, 0.2, 0.1])
-        from wslrr.decontam import DecontaminationResult
-        eye = np.broadcast_to(np.eye(4), (multi_joint.n_x, 4, 4)).copy()
-        dr = DecontaminationResult(spec=CL(), method="inversion", matrices=eye)
-        assert np.array_equal(corrected_losses(L, dr, 0), L)
+    def test_identity_decontamination_is_noop(self, binary_joint):
+        # noise-free labels: the label channel is the identity at every x
+        spec = CCN(flip=np.broadcast_to(np.eye(2), (binary_joint.n_x, 2, 2)))
+        L = np.array([0.5, 1.0])
+        for method in (METHOD_INVERSION, METHOD_MARGINAL_CHAIN):
+            dr = decontaminate(spec, binary_joint, method=method)
+            for i in range(binary_joint.n_x):
+                assert np.array_equal(L @ dr.matrices[i], L)
 
 
 class TestClassificationRisk:
@@ -135,8 +164,10 @@ class TestClassificationRisk:
         expect = 0.0
         for k in range(2):
             for i in range(3):
-                scores = model.weights @ j.features[i] + model.bias
-                expect += j.joint[k, i] * loss_vector(LOGISTIC, scores)[k]
+                g = model.weights @ j.features[i] + model.bias
+                # one-vs-all: softplus(-g_k) plus softplus(g_c) over c != k
+                loss = math.log1p(math.exp(-g[k])) + math.log1p(math.exp(g[1 - k]))
+                expect += j.joint[k, i] * loss
         assert classification_risk(j, model, LOGISTIC) == pytest.approx(expect, abs=1e-14)
 
 
@@ -170,6 +201,42 @@ class TestRewrittenRisk:
         assert sym == pytest.approx(classification_risk(binary_joint, model, LOGISTIC), abs=1e-10)
 
 
+@st.composite
+def _sparse_joints(draw, binary: bool):
+    """K in 2..4 (2 for binary-only settings), n_x in 1..5, about 30% zero
+    cells, every instance mass positive, the first prior at least 1e-3 from 1/2."""
+    K = 2 if binary else draw(st.integers(2, 4))
+    n_x = draw(st.integers(1, 5))
+    cells = draw(st.lists(st.tuples(st.integers(0, 9), st.floats(0.01, 1.0)),
+                          min_size=K * n_x, max_size=K * n_x))
+    u = np.array([0.0 if z < 3 else v for z, v in cells]).reshape(K, n_x)
+    keep = draw(st.lists(st.integers(0, K - 1), min_size=n_x, max_size=n_x))
+    for i in np.flatnonzero(u.sum(axis=0) == 0.0):  # an empty column gets one cell back
+        u[keep[i], i] = cells[keep[i] * n_x + i][1]
+    u /= u.sum()
+    assume(abs(u[0].sum() / u.sum() - 0.5) >= 1e-3)
+    feats = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).uniform(-1.0, 1.0, (n_x, 2))
+    return validate_joint(K, feats, u / u.sum())
+
+
+@pytest.mark.parametrize("name", ALL_SCENARIO_NAMES + ABSTRACT_SCENARIO_NAMES)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 10_000))
+def test_rewrite_is_exact_or_a_typed_error_on_sparse_joints(name, data, seed):
+    """On joints with zero cells the rewrite either reproduces the exact risk
+    or refuses the input with a ValidationError; never another exception, a
+    NaN or a warning (warnings are errors in this suite)."""
+    j = data.draw(_sparse_joints(SCENARIO_TYPES[name].binary_only))
+    model = init_model(j.K, j.d_feat, seed)
+    try:
+        spec = make_spec(name, j, seed, 0)
+        exact = classification_risk(j, model, LOGISTIC)
+        rewritten = rewritten_risk(spec, j, model, LOGISTIC)
+    except ValidationError:
+        return
+    assert math.isfinite(rewritten) and abs(rewritten - exact) <= 1e-10
+
+
 class TestClosedForms:
     def test_pcomp(self, binary_joint):
         m = marginals(binary_joint)
@@ -200,7 +267,7 @@ class TestClosedForms:
         dr = decontaminate(spec, j)
         for i in range(j.n_x):
             closed = closed_form_corrected_loss(spec, m, i, lam[:, i])
-            generic = corrected_losses(lam[:, i], dr, i)
+            generic = lam[:, i] @ dr.matrices[i]
             assert np.max(np.abs(closed - generic)) <= 1e-12
 
     def test_no_closed_form_for_gccn(self, multi_joint):

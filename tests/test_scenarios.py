@@ -12,12 +12,13 @@ from wslrr.errors import (
     NotAnEdge,
     NotBinary,
     SchemaMismatch,
-    ShapeMismatch,
     ValidationError,
 )
 from wslrr.scenarios import (
+    CCN,
     CL,
     DU,
+    GCCN,
     MCD,
     MCL,
     PCPL,
@@ -32,18 +33,13 @@ from wslrr.scenarios import (
     Soft,
     SubConf,
     UU,
-    base_distributions,
-    channel_labels,
     compound_label_space,
-    contamination_matrix,
     observed_distribution,
     pair_distribution,
     reduce_spec,
     scenario_from_json,
     scenario_to_json,
-    sconf_confidence,
     specs_equal,
-    transform_matrix,
     validate_spec,
 )
 from wslrr.verify import make_spec, random_joint
@@ -74,55 +70,58 @@ class TestCompoundLabelSpace:
 
 
 class TestBaseAndTransform:
+    """The base distributions B(x_i) = M_trsf(x_i) P(x_i), read from the
+    model's ``transform`` stack."""
+
+    @staticmethod
+    def _base(spec, j, i):
+        return observed_distribution(spec, j).transform[i] @ j.joint[:, i]
+
     def test_pu_base_is_class_conditionals(self, toy_joint):
         # spec's derivation oracle: 0.3/0.4 and 0.2/0.6
-        b = base_distributions(PU(), marginals(toy_joint), 0)
-        assert np.allclose(b, [0.3 / 0.4, 0.2 / 0.6], atol=1e-15)
+        assert np.allclose(self._base(PU(), toy_joint, 0), [0.3 / 0.4, 0.2 / 0.6], atol=1e-15)
 
     def test_cl_base_is_risk_vector(self, multi_joint):
-        b = base_distributions(CL(), marginals(multi_joint), 2)
-        assert np.allclose(b, multi_joint.joint[:, 2], atol=1e-15)
+        assert np.allclose(self._base(CL(), multi_joint, 2), multi_joint.joint[:, 2], atol=1e-15)
 
     def test_soft_base_uniform(self, uniform_joint):
-        b = base_distributions(Soft(), marginals(uniform_joint), 1)
-        assert np.allclose(b, [0.25, 0.25], atol=1e-15)
+        assert np.allclose(self._base(Soft(), uniform_joint, 1), [0.25, 0.25], atol=1e-15)
 
     def test_pu_transform_reciprocal_priors(self, toy_joint):
-        t = transform_matrix(PU(), marginals(toy_joint), 0)
+        t = observed_distribution(PU(), toy_joint).transform
         assert np.allclose(t, np.diag([2.5, 5.0 / 3.0]), atol=1e-15)
 
     def test_ppl_transform_identity(self, multi_joint):
-        m = marginals(multi_joint)
-        t = transform_matrix(make_spec("PPL", multi_joint, 1, 0), m, 0)
-        assert np.array_equal(t, np.eye(4))
+        t = observed_distribution(make_spec("PPL", multi_joint, 1, 0), multi_joint).transform
+        assert np.array_equal(t, np.broadcast_to(np.eye(4), t.shape))
 
     def test_mcd_transform_uniform(self, uniform_joint):
-        t = transform_matrix(UU(gamma_1=0.1, gamma_2=0.2), marginals(uniform_joint), 0)
+        t = observed_distribution(UU(gamma_1=0.1, gamma_2=0.2), uniform_joint).transform
         assert np.allclose(t, np.diag([2.0, 2.0]))
 
 
 class TestContaminationMatrix:
     def test_pu_matrix(self, toy_joint):
-        mat = contamination_matrix(PU(), marginals(toy_joint), 0)
+        mat = observed_distribution(PU(), toy_joint).matrix
         assert np.allclose(mat, [[1.0, 0.0], [0.4, 0.6]], atol=1e-15)
 
     def test_uu_noise_free_is_identity(self, toy_joint):
-        mat = contamination_matrix(UU(gamma_1=0.0, gamma_2=0.0), marginals(toy_joint), 0)
-        assert np.array_equal(mat, np.eye(2))
+        mat = observed_distribution(UU(gamma_1=0.0, gamma_2=0.0), toy_joint).matrix
+        assert np.array_equal(mat, np.broadcast_to(np.eye(2), mat.shape))
 
     def test_cl_k4(self, multi_joint):
-        mat = contamination_matrix(CL(), marginals(multi_joint), 0)
-        assert np.array_equal(mat, (np.ones((4, 4)) - np.eye(4)) / 3.0)
+        mat = observed_distribution(CL(), multi_joint).matrix
+        assert np.array_equal(mat, np.broadcast_to((np.ones((4, 4)) - np.eye(4)) / 3.0, mat.shape))
 
     def test_mcl_column_stochastic(self, multi_joint):
         spec = make_spec("MCL", multi_joint, 7, 0)
-        mat = contamination_matrix(spec, marginals(multi_joint), 0)
-        assert mat.shape == (14, 4)
-        assert np.allclose(mat.sum(axis=0), 1.0, atol=1e-12)
+        mat = observed_distribution(spec, multi_joint).matrix
+        assert mat.shape == (multi_joint.n_x, 14, 4)
+        assert np.allclose(mat.sum(axis=1), 1.0, atol=1e-12)
 
     def test_conf_diagonal(self, toy_joint):
         m = marginals(toy_joint)
-        mat = contamination_matrix(Soft(), m, 1)
+        mat = observed_distribution(Soft(), toy_joint).matrix[1]
         assert np.allclose(mat, np.diag(1.0 / m.class_probabilities[:, 1]))
 
     @pytest.mark.parametrize("make, joint, expect", [
@@ -145,16 +144,18 @@ class TestContaminationMatrix:
     ])
     def test_paper_matrices(self, make, joint, expect, request):
         j = request.getfixturevalue(joint)
-        m = marginals(j)
         p = [float(v) for v in j.joint.sum(axis=1)]
+        mats = observed_distribution(make(), j).matrix
         for i in range(j.n_x):
             r = j.joint[:, i] / j.joint[:, i].sum()
-            mat = contamination_matrix(make(), m, i)
-            assert np.max(np.abs(mat - np.array(expect(p, r)))) <= 1e-15
+            assert np.max(np.abs(mats[i] - np.array(expect(p, r)))) <= 1e-15
 
     def test_sconf_needs_pair(self, binary_joint):
-        with pytest.raises(ShapeMismatch):
-            contamination_matrix(Sconf(), marginals(binary_joint), 0)
+        # Sconf is pair-shaped: one 2x2 matrix per pair, none per instance
+        cm = observed_distribution(Sconf(), binary_joint)
+        n = binary_joint.n_x
+        assert cm.matrix is None and cm.observed is None
+        assert cm.pair_matrix.shape == (n, n, 2, 2) and cm.pair_confidence.shape == (n, n)
 
 
 class TestSpecValidation:
@@ -195,10 +196,27 @@ class TestSpecValidation:
         lambda: MCL(q=(True, 0.0)),
         lambda: SubConf(Y_s=1),
         lambda: MCL(q=0.5),
+        lambda: CCN(flip=[["a"]]),
+        lambda: GCCN(cond=[[1], [1, 2]]),
+        lambda: PPL(C=[["x"]]),
+        lambda: PPL(C={"a": 1}),
     ])
     def test_wrongly_typed_params_on_construction(self, make):
         with pytest.raises(SchemaMismatch):
             make()
+
+    @pytest.mark.parametrize("name, field", [("MCL", "q"), ("CCN", "flip"), ("GCCN", "cond"), ("PPL", "C")])
+    def test_nan_params_are_degenerate(self, name, field, multi_joint, binary_joint):
+        # every comparison with NaN is false, so NaN entries must be refused explicitly
+        j = binary_joint if name == "CCN" else multi_joint
+        spec = make_spec(name, j, 3, 0)
+        values = np.array(getattr(spec, field), dtype=np.float64)
+        values.flat[0] = np.nan
+        bad = type(spec)(**{field: tuple(values) if name == "MCL" else values})
+        with pytest.raises(DegenerateParams):
+            validate_spec(bad, marginals(j))
+        with pytest.raises(DegenerateParams):
+            observed_distribution(bad, j)
 
     def test_numpy_scalars_accepted(self):
         assert UU(gamma_1=np.float64(0.1), gamma_2=np.int64(0)).gamma_2 == 0
@@ -280,20 +298,24 @@ class TestSconfConfidence:
         feats = [[0.0], [1.0], [2.0]]
         return validate_joint(2, feats, [[0.3, 0.3, 0.0], [0.0, 0.0, 0.4]])
 
+    @staticmethod
+    def _confidence(j):
+        return observed_distribution(Sconf(), j).pair_confidence
+
     def test_same_label_pair_has_confidence_one(self):
-        j = self._pure_label_joint()
-        assert sconf_confidence(j, 0, 1) == pytest.approx(1.0, abs=1e-15)
+        assert self._confidence(self._pure_label_joint())[0, 1] == pytest.approx(1.0, abs=1e-15)
 
     def test_opposite_pair_has_confidence_zero(self):
-        j = self._pure_label_joint()
-        assert sconf_confidence(j, 0, 2) == pytest.approx(0.0, abs=1e-15)
+        assert self._confidence(self._pure_label_joint())[0, 2] == pytest.approx(0.0, abs=1e-15)
 
     def test_matches_label_pair_enumeration(self, binary_joint):
         m = marginals(binary_joint)
-        for i, i2 in ((0, 1), (2, 3), (1, 4)):
-            num = sum(binary_joint.joint[y, i] * binary_joint.joint[y, i2] for y in range(2))
-            expect = num / (m.instance_marginal[i] * m.instance_marginal[i2])
-            assert sconf_confidence(binary_joint, i, i2) == pytest.approx(expect, abs=1e-12)
+        conf = self._confidence(binary_joint)
+        for i in range(binary_joint.n_x):
+            for i2 in range(binary_joint.n_x):
+                num = sum(binary_joint.joint[y, i] * binary_joint.joint[y, i2] for y in range(2))
+                expect = num / (m.instance_marginal[i] * m.instance_marginal[i2])
+                assert conf[i, i2] == pytest.approx(expect, abs=1e-12)
 
     def test_sconf_rows_hit_pair_mass(self, binary_joint):
         m = marginals(binary_joint)
@@ -331,11 +353,11 @@ class TestReduce:
 
 class TestChannelsAndJson:
     def test_channel_orders(self, multi_joint):
-        assert channel_labels(PU(), 2) == ("P", "U")
-        assert channel_labels(Pcomp(), 2) == ("Sup", "Inf")
-        assert channel_labels(CL(), 4) == ("1", "2", "3", "4")
-        labels = channel_labels(PCPL(), 3)
-        assert labels == ("1", "2", "3", "1,2", "1,3", "2,3")
+        assert PU().labels(2) == ("P", "U")
+        assert Pcomp().labels(2) == ("Sup", "Inf")
+        assert CL().labels(4) == ("1", "2", "3", "4")
+        assert PCPL().labels(3) == ("1", "2", "3", "1,2", "1,3", "2,3")
+        assert observed_distribution(CL(), multi_joint).channels == ("1", "2", "3", "4")
 
     def test_round_trip_simple(self):
         spec = UU(gamma_1=0.25, gamma_2=0.125)

@@ -1,11 +1,14 @@
-"""Per-setting dispatch stays in the scenario records.
+"""Per-setting dispatch stays in the scenario records, and the library works
+on whole joints.
 
 Each setting declares its data on its record in ``scenarios.py``; the family
-kernels and their callers read those attributes.  This test counts the sites
+kernels and their callers read those attributes.  One test counts the sites
 that still choose behaviour by the concrete setting, ``isinstance(spec, ...)``
 calls and comparisons against ``spec.name``, outside the two deliberate
 per-setting ladders: the independent closed-form oracle and the per-edge
-reduction table.
+reduction table.  Another counts the functions that take an instance index:
+every kernel builds the whole (n_x, ...) stack, and callers index it, so only
+the closed-form oracle, which is per instance by design, takes one.
 """
 
 import ast
@@ -14,6 +17,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "wslrr"
 LADDERS = {"closed_form_corrected_loss", "reduce_spec"}
 MAX_DISPATCH_SITES = 10
+INSTANCE_PARAMS = {"i", "i2"}
+PER_INSTANCE_ORACLE = "closed_form_corrected_loss"
 
 
 def _is_spec(node) -> bool:
@@ -64,3 +69,39 @@ def test_counter_sees_both_kinds_of_site():
         "    return isinstance(spec, A)\n"
     )
     assert _dispatch_sites(tree) == [2, 3]
+
+
+def _instance_index_functions(tree) -> list:
+    """Names of the functions, public, private or nested, with a parameter
+    named ``i`` or ``i2``, leaving out the per-instance oracle."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p]
+            name = getattr(node, "name", "<lambda>")
+            if INSTANCE_PARAMS & set(params) and name != PER_INSTANCE_ORACLE:
+                found.append(name)
+    return found
+
+
+def test_no_function_takes_an_instance_index():
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        names = _instance_index_functions(ast.parse(path.read_text(), filename=str(path)))
+        if names:
+            found[path.name] = names
+    assert sum(len(v) for v in found.values()) == 0, f"functions taking an instance index: {found}"
+
+
+def test_instance_index_counter_sees_every_kind_of_function():
+    tree = ast.parse(
+        "def f(m, i): pass\n"
+        "def _g(m, *, i2=None): pass\n"
+        "class A:\n"
+        "    def h(self, m, idx):\n"
+        "        def nested(mm, i): pass\n"
+        "        return lambda i: i\n"
+        "def closed_form_corrected_loss(spec, m, i, L, i2=None): pass\n"
+    )
+    assert sorted(_instance_index_functions(tree)) == ["<lambda>", "_g", "f", "nested"]
