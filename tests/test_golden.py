@@ -60,12 +60,16 @@ GOLDEN = {
 
 
 # sha256 of the dataset JSON text: points (PU), pairs and points (SU),
-# conf-points (Soft), conf-pairs (Sconf)
+# conf-points (Soft), conf-pairs (Sconf), an array-valued spec (GCCN), two
+# pair channels (SD) and conf-points with a spec tuple (SubConf)
 JSON_GOLDEN = {
     "PU": "be122ad01e17d79dc50c646cffba5bae9faef0e81f24428bc120d7d0b79f7c58",
     "SU": "8e92930905535e996bf69d657df5b41dbb0edc6eb0d9a965b1008cc95aa0566f",
     "Soft": "0b39d1d2980dba699cba43bf1399db719c25b2aafc0f0d0ca83592eee388cb6d",
     "Sconf": "42a6232f4a434a7988eb7cf7208a7eb9095c8ff4f8b7917df90f877614a36c9e",
+    "GCCN": "68c281029cf937321973f5e58f3abc86e63fb3a18a524a1ee75638416ed3f78b",
+    "SD": "c1eea015e526288c2777c35eb14416c49c07d30ca236a9e70dfa673d26d83ae6",
+    "SubConf": "932728eedcdfd41d3bca35e4fd6ce54a7a87dacd89d2a99e6a42fe29ea16b027",
 }
 
 
