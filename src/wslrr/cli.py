@@ -17,7 +17,7 @@ from .core import joint_from_json
 from .datagen import dataset_from_json, dataset_to_json, sample_weak_dataset
 from .errors import Diverged, ValidationError, WslrrError
 from .risk import LossSpec, classification_risk
-from .scenarios import SCENARIO_TYPES, scenario_from_json, validate_spec
+from .scenarios import SCENARIO_TYPES, _scenario_from_object, scenario_from_json, validate_spec
 from .train import TrainConfig, model_to_json, train_erm
 from .verify import (
     AggregateReport,
@@ -51,7 +51,7 @@ def _load_scenario(arg: str, params_json: str | None):
             raise ValidationError(f"--params is not valid JSON: {e}") from e
     else:
         params = {}
-    return scenario_from_json(json.dumps({"name": matches[0], "params": params}))
+    return _scenario_from_object({"name": matches[0], "params": params})
 
 
 def _parse_sizes(text: str):

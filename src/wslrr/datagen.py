@@ -30,10 +30,10 @@ from .scenarios import (
     compound_label_space,
     observed_distribution,
     pair_distribution,
-    scenario_from_json,
-    scenario_to_json,
     validate_spec,
+    _scenario_from_object,
     _sconf_confidences,
+    _spec_object,
     _superclass_probability,
 )
 
@@ -224,26 +224,54 @@ def _sample_label_stream(spec: ScenarioSpec, j: FiniteJoint, count: int, seed: i
 # JSON: {"spec": {...}, "seed": u64, "channels": [{"label", "kind", "items"}]}
 # ---------------------------------------------------------------------------
 
+_encode = json.JSONEncoder(check_circular=False).encode  # values are fresh lists and scalars
+
+
+def _distinct_rows(*arrays) -> tuple:
+    """(first, inverse) over the rows of equal-length arrays, compared bit for
+    bit: the first row of each distinct bit pattern, and the pattern of every
+    row.  Float equality would merge 0.0 with -0.0, which are written apart."""
+    n = len(arrays[0])
+    raw = np.concatenate([np.ascontiguousarray(a).reshape(n, -1).view(np.uint8) for a in arrays], axis=1)
+    keys = raw.view(np.dtype((np.void, raw.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse.ravel()
+
+
+def _items_json(c: DatasetChannel) -> str:
+    """The channel's item list as JSON text.  Points and pairs go through the
+    C encoder; a confidence item repeats its instance's values once per draw,
+    so each distinct (index, row) item or pair confidence is formatted once
+    and its text reused."""
+    if c.kind == POINTS:
+        return _encode(c.indices.tolist())
+    if c.kind == PAIRS:
+        return _encode(c.pairs.tolist())
+    if c.n_draws == 0:
+        return "[]"
+    if c.kind == CONF_POINTS:
+        first, inverse = _distinct_rows(c.indices, c.confidences)
+        texts = [_encode({"index": i, "confidences": row})
+                 for i, row in zip(c.indices[first].tolist(), c.confidences[first].tolist())]
+        return "[" + ", ".join(map(texts.__getitem__, inverse.tolist())) + "]"
+    first, inverse = _distinct_rows(c.confidences)
+    # one encoder call for all distinct values (no number's text holds ", ");
+    # the pair indices are ints, whose str is their JSON text
+    texts = _encode(c.confidences[first].tolist())[1:-1].split(", ")
+    return "[" + ", ".join([f'{{"pair": [{a}, {b}], "confidence": {texts[k]}}}'
+                            for (a, b), k in zip(c.pairs.tolist(), inverse.tolist())]) + "]"
+
+
 def dataset_to_json(ds: WeakDataset) -> str:
-    """One-line JSON without indentation, written by the C encoder; the items
-    are fresh lists, so the encoder's cycle check is skipped."""
-    channels = []
-    for c in ds.channels:
-        if c.kind == POINTS:
-            items = c.indices.tolist()
-        elif c.kind == PAIRS:
-            items = c.pairs.tolist()
-        elif c.kind == CONF_POINTS:
-            items = [{"index": i, "confidences": row}
-                     for i, row in zip(c.indices.tolist(), c.confidences.tolist())]
-        else:
-            items = [{"pair": p, "confidence": r}
-                     for p, r in zip(c.pairs.tolist(), c.confidences.tolist())]
-        channels.append({"label": c.label, "kind": c.kind, "items": items})
-    return json.dumps(
-        {"spec": json.loads(scenario_to_json(ds.spec)), "seed": ds.seed, "channels": channels},
-        check_circular=False,
-    )
+    """One line of JSON, ``{"spec", "seed", "channels": [{"label", "kind",
+    "items"}]}``, with the default separators.  The text is what ``json.dumps``
+    writes for the dataset as nested lists and dicts; it is assembled from
+    per-channel fragments so that each distinct confidence item or value is
+    formatted once (see :func:`_items_json`)."""
+    channels = ", ".join(f'{{"label": {_encode(c.label)}, "kind": {_encode(c.kind)}, '
+                         f'"items": {_items_json(c)}}}' for c in ds.channels)
+    return (f'{{"spec": {_encode(_spec_object(ds.spec))}, "seed": {_encode(ds.seed)}, '
+            f'"channels": [{channels}]}}')
 
 
 def _item_array(items, key: Optional[str], kind: str, shape: tuple) -> np.ndarray:
@@ -264,14 +292,27 @@ def _item_array(items, key: Optional[str], kind: str, shape: tuple) -> np.ndarra
     return arr.astype(np.int64 if kind == "i" else np.float64)
 
 
+class _FloatMemo(dict):
+    """Float literal -> float, parsing each distinct literal once."""
+
+    def __missing__(self, literal: str) -> float:
+        value = self[literal] = float(literal)
+        return value
+
+
 def dataset_from_json(text: str) -> WeakDataset:
+    """The dataset :func:`dataset_to_json` wrote, or a typed error.  Each
+    distinct float literal is parsed once; the spec is built from the parsed
+    object."""
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_float=_FloatMemo().__getitem__)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid dataset JSON: {e}") from e
     if not isinstance(raw, dict) or not {"spec", "seed", "channels"} <= raw.keys():
         raise SchemaMismatch('dataset JSON needs keys "spec", "seed", "channels"')
-    spec = scenario_from_json(json.dumps(raw["spec"]))
+    if not isinstance(raw["channels"], list):
+        raise SchemaMismatch(f'dataset "channels" must be a list, got {raw["channels"]!r}')
+    spec = _scenario_from_object(raw["spec"])
     channels = []
     for c in raw["channels"]:
         if not isinstance(c, dict) or not {"label", "kind", "items"} <= c.keys():

@@ -90,12 +90,17 @@ def _require(spec, kind, field: str, values) -> None:
 
 
 def _float_array(spec, field: str, value) -> np.ndarray:
-    """``value`` as a float64 array; SchemaMismatch when it is not a
-    rectangular array of numbers."""
+    """``value`` as a float64 array; SchemaMismatch unless it is a rectangular
+    array of integers or floats (strings and bools are refused, as for the
+    scalar parameters)."""
     try:
-        return np.asarray(value, dtype=np.float64)
+        arr = np.asarray(value)
     except (TypeError, ValueError) as e:
         raise SchemaMismatch(f"{spec.name} {field} must be a rectangular array of numbers: {e}") from None
+    if arr.dtype.kind not in "iuf":
+        raise SchemaMismatch(f"{spec.name} {field} must be a rectangular array of numbers, "
+                             f"got {arr.dtype} values")
+    return arr.astype(np.float64, copy=False)
 
 
 class _Setting:
@@ -847,7 +852,8 @@ def reduce_spec(parent, child, m: Marginals) -> Reduction:
 _ALIASES = {cls.name.lower().replace("-", "").replace("_", ""): cls.name for cls in SCENARIO_TYPES.values()}
 
 
-def scenario_to_json(spec: ScenarioSpec) -> str:
+def _spec_object(spec: ScenarioSpec) -> dict:
+    """The JSON object of a spec: its name, and its fields as lists and numbers."""
     params = {}
     for f in (fl.name for fl in fields(spec)):
         v = getattr(spec, f)
@@ -856,7 +862,11 @@ def scenario_to_json(spec: ScenarioSpec) -> str:
         elif isinstance(v, tuple):
             v = list(v)
         params[f] = v
-    return json.dumps({"name": spec.name, "params": params}, indent=2)
+    return {"name": spec.name, "params": params}
+
+
+def scenario_to_json(spec: ScenarioSpec) -> str:
+    return json.dumps(_spec_object(spec), indent=2)
 
 
 def scenario_from_json(text: str) -> ScenarioSpec:
@@ -864,6 +874,11 @@ def scenario_from_json(text: str) -> ScenarioSpec:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid scenario JSON: {e}") from e
+    return _scenario_from_object(raw)
+
+
+def _scenario_from_object(raw) -> ScenarioSpec:
+    """The record a parsed scenario JSON value describes."""
     if not isinstance(raw, dict) or "name" not in raw:
         raise SchemaMismatch('scenario JSON needs a "name" key')
     key = str(raw["name"]).lower().replace("-", "").replace("_", "")
@@ -871,6 +886,8 @@ def scenario_from_json(text: str) -> ScenarioSpec:
         raise SchemaMismatch(f"unknown scenario name {raw['name']!r}")
     cls = SCENARIO_TYPES[_ALIASES[key]]
     params = raw.get("params", {}) or {}
+    if not isinstance(params, dict):
+        raise SchemaMismatch(f"scenario params must be a JSON object, got {params!r}")
     expected = {fl.name for fl in fields(cls)}
     unknown = set(params) - expected
     if unknown:

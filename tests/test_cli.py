@@ -209,6 +209,26 @@ class TestMalformedInputs:
         assert self._train(ds_path, joint_file) == 2
         assert "SpecMismatch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flip", [[[["0.9", "0.2"], ["0.1", "0.8"]]] * 5,
+                                      [[[True, False], [False, True]]] * 5])
+    def test_array_params_of_another_type(self, joint_file, capsys, flip):
+        # a flip tensor of the joint's shape, written as strings or bools
+        assert main(["verify", "--joint", str(joint_file), "--scenario", "CCN",
+                     "--params", json.dumps({"flip": flip})]) == 2
+        assert "SchemaMismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("params", ["5", "[[1]]"])
+    def test_params_not_an_object(self, joint_file, capsys, params):
+        assert main(["verify", "--joint", str(joint_file), "--scenario", "UU", "--params", params]) == 2
+        assert "SchemaMismatch" in capsys.readouterr().err
+
+    def test_dataset_spec_params_not_an_object(self, joint_file, tmp_path, capsys):
+        ds_path, raw = self._dataset(joint_file, tmp_path)
+        raw["spec"]["params"] = 5
+        ds_path.write_text(json.dumps(raw))
+        assert self._train(ds_path, joint_file) == 2
+        assert "SchemaMismatch" in capsys.readouterr().err
+
     def test_nan_size_law_exit_2(self, tmp_path, capsys):
         # NaN fails every comparison, so it must be refused explicitly
         jp = tmp_path / "j4.json"

@@ -1,8 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 
 from wslrr.core import marginals, validate_joint
 from wslrr.datagen import (
+    CONF_PAIRS,
+    CONF_POINTS,
+    PAIRS,
+    POINTS,
+    DatasetChannel,
+    WeakDataset,
     _categorical,
     dataset_from_json,
     dataset_to_json,
@@ -12,8 +20,8 @@ from wslrr.datagen import (
     sampling_channels,
 )
 from wslrr.errors import ParseError, SchemaMismatch, ValidationError, ZeroChannelMass
-from wslrr.scenarios import CL, MCL, PU, Pcomp, Soft, observed_distribution
-from wslrr.verify import make_spec, scenario_joint
+from wslrr.scenarios import CL, MCL, PU, Pcomp, Sconf, Soft, observed_distribution, scenario_to_json
+from wslrr.verify import ABSTRACT_SCENARIO_NAMES, ALL_SCENARIO_NAMES, make_spec, scenario_joint
 
 
 class TestRng:
@@ -168,8 +176,139 @@ class TestJson:
         with pytest.raises(SchemaMismatch):
             dataset_from_json('{"spec": {"name": "NOPE", "params": {}}, "seed": 1, "channels": []}')
 
+    @pytest.mark.parametrize("channels", ["5", "null"])
+    def test_channels_not_a_list(self, channels):
+        with pytest.raises(SchemaMismatch):
+            dataset_from_json('{"spec": {"name": "PU", "params": {}}, "seed": 1, "channels": %s}' % channels)
+
     def test_bad_channel_kind(self):
         text = ('{"spec": {"name": "PU", "params": {}}, "seed": 1, '
                 '"channels": [{"label": "P", "kind": "wat", "items": []}]}')
         with pytest.raises(SchemaMismatch):
             dataset_from_json(text)
+
+
+# ---------------------------------------------------------------------------
+# References: the list-of-dicts writer and a plain json.loads reader
+# ---------------------------------------------------------------------------
+
+def _reference_to_json(ds: WeakDataset) -> str:
+    """json.dumps of the whole dataset as nested lists and dicts."""
+    channels = []
+    for c in ds.channels:
+        if c.kind == POINTS:
+            items = c.indices.tolist()
+        elif c.kind == PAIRS:
+            items = c.pairs.tolist()
+        elif c.kind == CONF_POINTS:
+            items = [{"index": i, "confidences": row}
+                     for i, row in zip(c.indices.tolist(), c.confidences.tolist())]
+        else:
+            items = [{"pair": p, "confidence": r}
+                     for p, r in zip(c.pairs.tolist(), c.confidences.tolist())]
+        channels.append({"label": c.label, "kind": c.kind, "items": items})
+    return json.dumps(
+        {"spec": json.loads(scenario_to_json(ds.spec)), "seed": ds.seed, "channels": channels},
+        check_circular=False,
+    )
+
+
+def _reference_arrays(text: str) -> list:
+    """(label, kind, field, array) of every channel field, parsed by json.loads."""
+    out = []
+    for c in json.loads(text)["channels"]:
+        items, kind = c["items"], c["kind"]
+        if kind in (POINTS, PAIRS):
+            fields = {"indices" if kind == POINTS else "pairs": (items, np.int64)}
+        elif kind == CONF_POINTS:
+            fields = {"indices": ([it["index"] for it in items], np.int64),
+                      "confidences": ([it["confidences"] for it in items], np.float64)}
+        else:
+            fields = {"pairs": ([it["pair"] for it in items], np.int64),
+                      "confidences": ([it["confidence"] for it in items], np.float64)}
+        out += [(c["label"], kind, f, np.array(v, dtype=t)) for f, (v, t) in fields.items()]
+    return out
+
+
+def _assert_read_bits(text: str) -> None:
+    """dataset_from_json gives the reference's arrays, bit for bit."""
+    ds = dataset_from_json(text)
+    got = [(c.label, c.kind, f, getattr(c, f)) for c in ds.channels
+           for f in ("indices", "pairs", "confidences") if getattr(c, f) is not None]
+    want = _reference_arrays(text)
+    assert [g[:3] for g in got] == [w[:3] for w in want]
+    for (*_, a), (*_, b) in zip(got, want):
+        if b.size:
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        else:
+            assert a.size == 0
+
+
+def _conf_points(indices, rows):
+    return WeakDataset(Soft(), 7, (DatasetChannel("X", CONF_POINTS, indices=np.asarray(indices),
+                                                confidences=np.asarray(rows, dtype=np.float64)),))
+
+
+def _conf_pairs(pairs, values):
+    return WeakDataset(Sconf(), 7, (DatasetChannel("XX", CONF_PAIRS, pairs=np.asarray(pairs),
+                                                   confidences=np.asarray(values, dtype=np.float64)),))
+
+
+_RNG = np.random.default_rng(5)
+
+HAND_BUILT = {
+    "empty conf-points": _conf_points(np.empty(0, dtype=np.int64), np.empty((0, 4))),
+    "empty conf-points, no width": _conf_points(np.empty(0, dtype=np.int64), np.empty((0, 0))),
+    "empty conf-pairs": _conf_pairs(np.empty((0, 2), dtype=np.int64), np.empty(0)),
+    "all rows distinct": _conf_points(np.arange(50), _RNG.dirichlet(np.ones(3), 50)),
+    "all pair values distinct": _conf_pairs(_RNG.integers(0, 9, (50, 2)), _RNG.uniform(size=50)),
+    "signed zeros": _conf_points([1, 1, 1, 0, 0], [[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0],
+                                                  [-0.0, -0.0], [0.0, 0.0]]),
+    "signed zero pairs": _conf_pairs([[0, 1], [0, 1], [2, 2], [1, 0]], [0.0, -0.0, -0.0, 0.0]),
+    "nan and inf": _conf_points([0, 0, 1, 1, 0], [[np.nan, 1.0], [np.inf, -np.inf], [np.nan, 1.0],
+                                                  [-np.nan, 0.5], [np.nan, 1.0]]),
+    "nan and inf pairs": _conf_pairs([[0, 0], [1, 1], [0, 1], [1, 0], [0, 0]],
+                                     [np.nan, np.inf, -np.inf, np.nan, 5e-324]),
+    "rows not a function of the index": _conf_points([0, 0, 1, 1, 2, 0], [[0.25, 0.75], [0.75, 0.25],
+                                                                          [0.25, 0.75], [0.25, 0.75],
+                                                                          [0.1, 0.9], [0.25, 0.75]]),
+    "int32 conf-points indices": _conf_points(np.array([3, 1, 3, 2], dtype=np.int32),
+                                              [[0.5, 0.5], [0.2, 0.8], [0.5, 0.5], [0.2, 0.8]]),
+    "int32 conf-pairs": _conf_pairs(np.array([[1, 2], [2, 1], [1, 2]], dtype=np.int32), [0.3, 0.3, 0.7]),
+    "int32 points and pairs": WeakDataset(PU(), 7, (
+        DatasetChannel("P", POINTS, indices=np.array([2, 0, 2], dtype=np.int32)),
+        DatasetChannel("U", PAIRS, pairs=np.array([[1, 2], [0, 0]], dtype=np.int32)))),
+}
+
+
+class TestJsonAgainstReference:
+    @pytest.mark.parametrize("n", [0, 600])
+    @pytest.mark.parametrize("name", ALL_SCENARIO_NAMES + ABSTRACT_SCENARIO_NAMES)
+    def test_sampled_text_and_arrays(self, name, n):
+        j = scenario_joint(name, 4, 9, 3, seed=13, trial=2)
+        ds = sample_weak_dataset(make_spec(name, j, 13, 2), j, n, seed=29)
+        text = dataset_to_json(ds)
+        assert text == _reference_to_json(ds)
+        _assert_read_bits(text)
+
+    @pytest.mark.parametrize("case", sorted(HAND_BUILT))
+    def test_hand_built_text_and_arrays(self, case):
+        ds = HAND_BUILT[case]
+        text = dataset_to_json(ds)
+        assert text == _reference_to_json(ds)
+        _assert_read_bits(text)
+
+    def test_read_literals(self):
+        # equal values spelled differently, a negative zero, non-finite and
+        # integer confidences
+        text = ('{"spec": {"name": "Soft", "params": {}}, "seed": 7, "channels": [{"label": "X", '
+                '"kind": "conf-points", "items": [{"index": 0, "confidences": [0.5, 5e-1, -0.0]}, '
+                '{"index": 1, "confidences": [5E-1, 0.0, 0.50]}, {"index": 0, "confidences": '
+                '[-0.0, NaN, Infinity]}, {"index": 2, "confidences": [1, -5e-1, 4.9e-324]}]}]}')
+        _assert_read_bits(text)
+        conf = dataset_from_json(text).channels[0].confidences
+        assert np.signbit(conf[[0, 2], [2, 0]]).all() and not np.signbit(conf[1, 1])
+        text = ('{"spec": {"name": "Sconf", "params": {}}, "seed": 7, "channels": [{"label": "XX", '
+                '"kind": "conf-pairs", "items": [{"pair": [0, 1], "confidence": 0.5}, '
+                '{"pair": [1, 0], "confidence": 5e-1}, {"pair": [1, 1], "confidence": -0.0}]}]}')
+        _assert_read_bits(text)

@@ -200,6 +200,10 @@ class TestSpecValidation:
         lambda: GCCN(cond=[[1], [1, 2]]),
         lambda: PPL(C=[["x"]]),
         lambda: PPL(C={"a": 1}),
+        lambda: CCN(flip=[[["0.9", "0.2"], ["0.1", "0.8"]]]),
+        lambda: GCCN(cond=np.ones((1, 2, 2), dtype=bool)),
+        lambda: PPL(C=[[True, False]]),
+        lambda: PPL(C=[[0.5, None]]),
     ])
     def test_wrongly_typed_params_on_construction(self, make):
         with pytest.raises(SchemaMismatch):
