@@ -15,6 +15,7 @@ from .risk import (
     classification_risk,
     closed_form_corrected_loss,
     empirical_risk,
+    rewrite_table,
     rewritten_risk,
 )
 from .scenarios import (

@@ -17,7 +17,7 @@ from .core import joint_from_json
 from .datagen import dataset_from_json, dataset_to_json, sample_weak_dataset
 from .errors import Diverged, ValidationError, WslrrError
 from .risk import LossSpec, classification_risk
-from .scenarios import SCENARIO_TYPES, _scenario_from_object, scenario_from_json, validate_spec
+from .scenarios import _scenario_from_object, scenario_from_json, validate_spec
 from .train import TrainConfig, model_to_json, train_erm
 from .verify import (
     AggregateReport,
@@ -40,18 +40,11 @@ def _load_scenario(arg: str, params_json: str | None):
     path = Path(arg)
     if path.exists():
         return scenario_from_json(path.read_text())
-    key = arg.lower().replace("-", "").replace("_", "")
-    matches = [name for name in SCENARIO_TYPES if name.lower() == key]
-    if not matches:
-        raise ValidationError(f"unknown scenario {arg!r} (and no such file)")
-    if params_json:
-        try:
-            params = json.loads(params_json)
-        except json.JSONDecodeError as e:
-            raise ValidationError(f"--params is not valid JSON: {e}") from e
-    else:
-        params = {}
-    return _scenario_from_object({"name": matches[0], "params": params})
+    try:
+        params = json.loads(params_json) if params_json else {}
+    except json.JSONDecodeError as e:
+        raise ValidationError(f"--params is not valid JSON: {e}") from e
+    return _scenario_from_object({"name": arg, "params": params})
 
 
 def _parse_sizes(text: str):

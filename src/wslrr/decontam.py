@@ -60,7 +60,6 @@ class DecontaminationResult:
     ``matrices[i]`` is the K x m matrix at x_i; for the sconf-special method
     ``pair_matrices[i, i2]`` holds the per-pair 2x2 diagonal instead.
     """
-    spec: ScenarioSpec
     method: str
     matrices: Optional[np.ndarray] = None       # (n_x, K, m)
     pair_matrices: Optional[np.ndarray] = None  # (n_x, n_x, 2, 2)
@@ -199,18 +198,18 @@ def _decontaminate(spec: ScenarioSpec, j: FiniteJoint, m: Marginals, method: str
     if method == METHOD_SCONF:
         if spec.family != FAMILY_SCONF:
             raise WrongFamily(f"sconf-special only applies to Sconf, not {spec.name}")
-        return DecontaminationResult(spec=spec, method=method, pair_matrices=_sconf_diagonals(m))
+        return DecontaminationResult(method=method, pair_matrices=_sconf_diagonals(m))
 
     if method == METHOD_MARGINAL_CHAIN:
-        return DecontaminationResult(spec=spec, method=method, matrices=_marginal_chain(spec, j, m, idx))
+        return DecontaminationResult(method=method, matrices=_marginal_chain(spec, j, m, idx))
 
     if method == METHOD_DIAGONAL:
-        return DecontaminationResult(spec=spec, method=method, matrices=_conf_diagonal(spec, m, idx))
+        return DecontaminationResult(method=method, matrices=_conf_diagonal(spec, m, idx))
 
     if method == METHOD_MCL_BLOCKWISE:
         inv = mcl_inverse(spec, j.K)
-        return DecontaminationResult(spec=spec, method=method,
-                                     matrices=np.broadcast_to(inv, (j.n_x,) + inv.shape).copy())
+        mats = np.broadcast_to(inv, (j.n_x,) + inv.shape).copy()
+        return DecontaminationResult(method=method, matrices=mats)
 
     if method == METHOD_INVERSION:
         if spec.family == FAMILY_SCONF:
@@ -220,6 +219,6 @@ def _decontaminate(spec: ScenarioSpec, j: FiniteJoint, m: Marginals, method: str
         sel = idx[:1] if fixed else idx
         inv = _invert_stack(_contamination_tensor(spec, m, sel) @ _transform_tensor(spec, m, sel))
         mats = np.broadcast_to(inv, (j.n_x,) + inv.shape[1:]).copy() if fixed else inv
-        return DecontaminationResult(spec=spec, method=method, matrices=mats)
+        return DecontaminationResult(method=method, matrices=mats)
 
     raise WrongFamily(f"unknown decontamination method {method!r}")

@@ -1,17 +1,16 @@
 """Loss families, corrected losses, and exact / rewritten / empirical risks.
 
-The classification risk is the exact double sum of joint mass times loss.
-A rewrite moves that sum onto the observed channels: corrected losses are
-the loss vector times a decontamination matrix, and pairing them with the
-observed channel masses reproduces the risk exactly.  The (K, n_x) loss
-table ``lam`` is built in one vectorised pass over the (n_x, K) scores; the
-corrected losses at x_i are ``lam[:, i] @ D(x_i)``, and the rewritten risk
-is one contraction sum_i lam[:, i] . D(x_i) . observed(x_i).  The exact and
-empirical risks, and their gradients, are one weighted loss
-sum_i W[i] . loss(g(x_i)) that differs only in the (n_x, K) table W; the
-empirical table weighs each draw by a column of the same D(x) the rewrite
-uses.  Closed forms for the corrected losses of each concrete scenario are
-kept alongside the generic matrix product as an independent cross-check.
+Every risk is one weighted loss sum_i W[i] . loss(g(x_i)) over an (n_x, K)
+table W, with its gradient; the risks differ only in the table.  The exact
+risk reads joint.T.  A rewrite moves the risk onto the observed channels,
+and it is exact because decontamination recovers the clean joint:
+:func:`rewrite_table` is D(x_i) . observed(x_i) at every instance (for
+Sconf, the pair law times the pair diagonal, summed over the partner), and
+the rewritten risk is its weighted loss.  The empirical table,
+:func:`weight_table`, weighs each draw by a column of the same D(x).  The
+corrected losses at x_i are ``lam[:, i] @ D(x_i)`` with ``lam`` the (K, n_x)
+:func:`loss_matrix`; closed forms for them are kept for each concrete
+scenario as an independent cross-check of the generic product.
 """
 
 from __future__ import annotations
@@ -169,35 +168,24 @@ def classification_risk(j: FiniteJoint, model, ls: LossSpec) -> float:
     return weighted_loss(j.joint.T, model, ls, j)
 
 
-def rewritten_risk(spec: ScenarioSpec, j: FiniteJoint, model, ls: LossSpec,
-                   method: str = "auto", sconf_form: str = "symmetric") -> float:
-    """Risk recomputed from the observed channels and corrected losses.
-
-    Equals :func:`classification_risk` whenever decontamination succeeded.
-    Sconf uses the pair double sum; ``sconf_form`` selects the symmetrized
-    pair losses (default) or the first-argument form, which integrate to the
-    same value.
-    """
-    lam = loss_matrix(ls, model, j)
-    if spec.family == FAMILY_SCONF:
-        return _sconf_rewritten_risk(spec, j, lam, sconf_form)
+def rewrite_table(spec: ScenarioSpec, j: FiniteJoint, method: str = "auto") -> np.ndarray:
+    """The (n_x, K) table D(x_i) . observed(x_i) of the rewrite, which equals
+    joint.T whenever decontamination by ``method`` succeeded.  Sconf sums
+    the pair law times the pair diagonal over the partner; its only method is
+    sconf-special, and any other raises WrongFamily."""
     cm = observed_distribution(spec, j)
     dr = decontaminate(spec, j, method=method)
-    return float(np.einsum("ki,ikm,im->", lam, dr.matrices, cm.observed))
+    if spec.family == FAMILY_SCONF:
+        return np.einsum("ab,abk->ak", cm.pair.matrix, np.diagonal(dr.pair_matrices, axis1=2, axis2=3))
+    return np.einsum("ikm,im->ik", dr.matrices, cm.observed)
 
 
-def _sconf_rewritten_risk(spec, j, lam, form: str) -> float:
-    cm = observed_distribution(spec, j)
-    d = decontaminate(spec, j, method="sconf-special").pair_matrices
-    wp, wn = d[..., 0, 0], d[..., 1, 1]
-    lp, ln = lam[0], lam[1]
-    if form == "x-only":
-        per_pair = wp * lp[:, None] + wn * ln[:, None]
-    elif form == "symmetric":
-        per_pair = (wp * (lp[:, None] + lp[None, :]) + wn * (ln[:, None] + ln[None, :])) / 2.0
-    else:
-        raise UnsupportedScenario(f"unknown Sconf form {form!r}")
-    return float(np.sum(cm.pair.matrix * per_pair))
+def rewritten_risk(spec: ScenarioSpec, j: FiniteJoint, model, ls: LossSpec,
+                   method: str = "auto") -> float:
+    """Risk recomputed from the observed channels: the weighted loss of
+    :func:`rewrite_table`.  Equals :func:`classification_risk` whenever
+    decontamination succeeded."""
+    return weighted_loss(rewrite_table(spec, j, method), model, ls, j)
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,9 @@ from .errors import (
 
 K_MAX_DEFAULT = 8
 PARAM_TOL = 1e-9
+# The rewrites of the off-center-prior settings divide by the prior gap
+# |pi_p - 1/2|; at 1e-6 their risk is already off by up to 1e-10.
+PRIOR_GAP_TOL = 1e-5
 
 FAMILY_MCD = "MCD-family"
 FAMILY_CCN = "CCN-family"
@@ -527,16 +530,18 @@ def _compound_str(members) -> str:
 def validate_spec(spec: ScenarioSpec, m: Marginals, rewrite_preconditions: bool = True) -> None:
     """Check the scenario's parameter invariants against the marginals.
 
-    ``rewrite_preconditions=False`` skips the off-center-prior requirement;
-    the pair laws themselves stay well defined at a prior of exactly 1/2,
-    only the rewrites divide by the prior gap.
+    The settings with ``offcenter_prior`` need the positive prior more than
+    PRIOR_GAP_TOL from 1/2.  ``rewrite_preconditions=False`` skips that
+    requirement; the pair laws themselves stay well defined at a prior of
+    exactly 1/2, only the rewrites divide by the prior gap.
     Raises NotBinary, DegenerateParams, ShapeMismatch or KTooLarge.
     """
     K = m.K
     if spec.binary_only and K != 2:
         raise NotBinary(f"{spec.name} requires K=2, got K={K}")
-    if rewrite_preconditions and spec.offcenter_prior and abs(m.priors[0] - 0.5) <= PARAM_TOL:
-        raise DegenerateParams(f"{spec.name} requires the positive prior away from 1/2")
+    if rewrite_preconditions and spec.offcenter_prior and abs(m.priors[0] - 0.5) <= PRIOR_GAP_TOL:
+        raise DegenerateParams(f"{spec.name} requires the positive prior more than {PRIOR_GAP_TOL:g} "
+                               "from 1/2")
     spec.check(K, m.n_x)
     if spec.family == FAMILY_CCN:
         compound_label_space(K)  # the label channels and the blockwise inverse index its subsets
@@ -650,8 +655,6 @@ class ContaminationModel:
     pair fields hold the per-pair matrix, the product pair law and the pair
     confidences instead.
     """
-    spec: ScenarioSpec
-    family: str
     channels: tuple
     matrix: Optional[np.ndarray] = None      # (n_x, m, b)
     transform: Optional[np.ndarray] = None   # (n_x, b, K)
@@ -659,10 +662,6 @@ class ContaminationModel:
     pair: Optional[PairDistribution] = None
     pair_matrix: Optional[np.ndarray] = None      # (n_x, n_x, 2, 2)
     pair_confidence: Optional[np.ndarray] = None  # (n_x, n_x)
-
-    @property
-    def n_x(self) -> int:
-        return self.matrix.shape[0] if self.matrix is not None else self.pair_matrix.shape[0]
 
 
 def observed_distribution(spec: ScenarioSpec, j: FiniteJoint) -> ContaminationModel:
@@ -675,14 +674,12 @@ def observed_distribution(spec: ScenarioSpec, j: FiniteJoint) -> ContaminationMo
     if spec.family == FAMILY_SCONF:
         conf, pm = _sconf_pair_tensor(m, idx, idx)
         pair = PairDistribution(tag="XX", matrix=np.outer(m.instance_marginal, m.instance_marginal))
-        return ContaminationModel(spec=spec, family=spec.family, channels=labels,
-                                  pair=pair, pair_matrix=pm, pair_confidence=conf)
+        return ContaminationModel(channels=labels, pair=pair, pair_matrix=pm, pair_confidence=conf)
 
     mats = _contamination_tensor(spec, m, idx)
     trsf = _transform_tensor(spec, m, idx)
     observed = np.einsum("imb,ibk,ki->im", mats, trsf, j.joint)
-    return ContaminationModel(spec=spec, family=spec.family, channels=labels,
-                              matrix=mats, transform=trsf, observed=observed)
+    return ContaminationModel(channels=labels, matrix=mats, transform=trsf, observed=observed)
 
 
 def pair_distribution(spec: ScenarioSpec, j: FiniteJoint, channel: Optional[str] = None) -> PairDistribution:

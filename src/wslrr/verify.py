@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FiniteJoint, marginals as compute_marginals, validate_joint
-from .datagen import datasets_equal, philox_uniforms, sample_weak_dataset
+from .datagen import datasets_equal, philox_uniforms, sample_weak_dataset, sampling_channels
 from .decontam import (
     METHOD_MARGINAL_CHAIN,
     METHOD_SCONF,
@@ -33,6 +33,7 @@ from .risk import (
     empirical_risk,
     loss_matrix,
     per_draw_values,
+    rewrite_table,
     rewritten_risk,
     weight_table,
     weighted_loss,
@@ -66,7 +67,15 @@ from .scenarios import (
     _member_mask,
     _sconf_confidences,
 )
-from .train import TrainConfig, init_model, predictions, train_erm, train_supervised_exact
+from .train import (
+    LinearModel,
+    TrainConfig,
+    empirical_gradient,
+    init_model,
+    predictions,
+    train_erm,
+    train_supervised_exact,
+)
 
 TOL_MATRIX = 1e-12
 TOL_RISK = 1e-10
@@ -295,13 +304,8 @@ def verify_reconstruction(spec: ScenarioSpec, j: FiniteJoint, tol: float = TOL_M
                         lambda: _sconf_block_identity_error(spec, j))
     resolved = spec.method if method == "auto" else method
 
-    def body():
-        cm = observed_distribution(spec, j)
-        dr = decontaminate(spec, j, method=resolved)
-        rec = dr.matrices @ cm.observed[:, :, None]
-        return float(np.max(np.abs(rec[:, :, 0] - j.joint.T)))
-
-    return _guarded(f"reconstruction[{resolved}]", spec.name, {}, tol, seed, body)
+    return _guarded(f"reconstruction[{resolved}]", spec.name, {}, tol, seed,
+                    lambda: float(np.max(np.abs(rewrite_table(spec, j, resolved) - j.joint.T))))
 
 
 def verify_risk_equality(spec: ScenarioSpec, j: FiniteJoint, model, ls: LossSpec,
@@ -309,30 +313,19 @@ def verify_risk_equality(spec: ScenarioSpec, j: FiniteJoint, model, ls: LossSpec
                          flip_sign: bool = False, seed: int = 0) -> CheckReport:
     """|rewritten risk - exact risk| under the scenario's default method.
 
-    ``flip_sign`` is the mutation hook: it negates the first corrected loss
-    entry, which must break the equality (used to prove the harness can
-    fail)."""
+    ``flip_sign`` is the mutation hook: it negates class 1's column of the
+    rewrite table, which must break the equality (used to prove the harness
+    can fail)."""
 
     def body():
         exact = classification_risk(j, model, ls)
         if not flip_sign:
-            rewritten = rewritten_risk(spec, j, model, ls, method=method)
-        else:
-            rewritten = _mutated_rewritten_risk(spec, j, model, ls, method)
-        return abs(rewritten - exact)
+            return abs(rewritten_risk(spec, j, model, ls, method=method) - exact)
+        table = rewrite_table(spec, j, method)
+        table[:, 0] = -table[:, 0]
+        return abs(weighted_loss(table, model, ls, j) - exact)
 
     return _guarded("risk-equality", spec.name, {"loss": ls.name}, tol, seed, body)
-
-
-def _mutated_rewritten_risk(spec, j, model, ls, method) -> float:
-    lam = loss_matrix(ls, model, j)
-    if spec.family == FAMILY_SCONF:
-        return -rewritten_risk(spec, j, model, ls)
-    cm = observed_distribution(spec, j)
-    dr = decontaminate(spec, j, method=method)
-    corr = np.einsum("ki,ikm->im", lam, dr.matrices)
-    corr[:, 0] = -corr[:, 0]
-    return float(np.sum(corr * cm.observed))
 
 
 def verify_closed_form(spec: ScenarioSpec, j: FiniteJoint, model, ls: LossSpec,
@@ -475,8 +468,7 @@ def verify_pcpl_half_identity(j: FiniteJoint, model, ls: LossSpec,
     m = compute_marginals(j)
     cm = observed_distribution(spec, j)
     lam = loss_matrix(ls, model, j)
-    dr = decontaminate(spec, j, method=METHOD_MARGINAL_CHAIN)
-    left = float(np.sum(cm.observed * np.einsum("ki,ikm->im", lam, dr.matrices)))
+    left = rewritten_risk(spec, j, model, ls, method=METHOD_MARGINAL_CHAIN)
     r = m.class_probabilities
     den = (_member_mask(j.K) @ r).T  # super-class probability of each label at each x
     right = float(np.sum(0.5 * cm.observed * ((r * lam).sum(axis=0)[:, None] / den)))
@@ -546,34 +538,25 @@ def verify_gradient_check(spec: ScenarioSpec, j: FiniteJoint, ds, ls: LossSpec,
                           seed: int = 0) -> CheckReport:
     """Analytic gradient of the empirical corrected risk against central
     finite differences; error is relative with a unit floor."""
-    from .train import LinearModel, empirical_gradient
-
     t0 = time.perf_counter()
     model = seeded_model(j, seed, 3)
     dW, db = empirical_gradient(ds, spec, model, ls, j)
     W = weight_table(ds, spec, j)  # the empirical risk is the weighted loss of this table
+    # every parameter in one flat vector: the weights row by row, then the bias
+    theta = np.concatenate([model.weights.ravel(), model.bias])
+    analytic = np.concatenate([dW.ravel(), db])
+    n_w = model.weights.size
+
+    def risk_at(t):
+        return weighted_loss(W, LinearModel(t[:n_w].reshape(model.weights.shape), t[n_w:]), ls, j)
+
     err = 0.0
-
-    def risk_at(w, b):
-        return weighted_loss(W, LinearModel(w, b), ls, j)
-
-    for arr, grad in ((model.weights, dW), (model.bias, db)):
-        it = np.nditer(arr, flags=["multi_index"])
-        while not it.finished:
-            ix = it.multi_index
-            wp, bp = model.weights.copy(), model.bias.copy()
-            target = wp if arr is model.weights else bp
-            target[ix] += eps
-            up = risk_at(wp, bp)
-            wm, bm = model.weights.copy(), model.bias.copy()
-            target = wm if arr is model.weights else bm
-            target[ix] -= eps
-            down = risk_at(wm, bm)
-            numeric = (up - down) / (2.0 * eps)
-            analytic = grad[ix]
-            denom = max(1.0, abs(numeric), abs(analytic))
-            err = max(err, abs(numeric - analytic) / denom)
-            it.iternext()
+    for ix in range(theta.size):
+        step = np.zeros_like(theta)
+        step[ix] = eps
+        numeric = (risk_at(theta + step) - risk_at(theta - step)) / (2.0 * eps)
+        denom = max(1.0, abs(numeric), abs(analytic[ix]))
+        err = max(err, abs(numeric - analytic[ix]) / denom)
     return _report("gradient-check", spec.name, {"loss": ls.name, "eps": eps},
                    err, tol, seed, t0)
 
@@ -724,7 +707,6 @@ def build_registry(cfg: VerifyConfig) -> list:
 
 
 def _small_sizes(spec, j):
-    from .datagen import sampling_channels
     return {name: 40 for name in sampling_channels(spec, j.K)}
 
 

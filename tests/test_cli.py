@@ -1,9 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from wslrr.cli import main
-from wslrr.core import joint_to_json
+from wslrr.core import joint_to_json, validate_joint
 from wslrr.datagen import dataset_from_json
 from wslrr.train import model_from_json
 from wslrr.verify import random_joint, scenario_joint
@@ -31,6 +32,18 @@ class TestVerifyCommand:
         code = main(["verify", "--joint", str(joint_file), "--scenario", "UU",
                      "--params", '{"gamma_1": 0.4, "gamma_2": 0.6}'])
         assert code == 2
+        assert "DegenerateParams" in capsys.readouterr().err
+
+    def test_unknown_scenario_exit_2(self, joint_file, capsys):
+        assert main(["verify", "--joint", str(joint_file), "--scenario", "NoSuch"]) == 2
+        assert "NoSuch" in capsys.readouterr().err
+
+    def test_prior_within_the_gate_exit_2(self, tmp_path, capsys):
+        # the rewrites of SU, DU, SD and Sconf divide by |pi_p - 1/2|, here 1e-6
+        joint = np.array([[0.2, 0.300001], [0.3, 0.199999]])
+        path = tmp_path / "joint.json"
+        path.write_text(joint_to_json(validate_joint(2, [[0.0], [1.0]], joint)))
+        assert main(["verify", "--joint", str(path), "--scenario", "SU"]) == 2
         assert "DegenerateParams" in capsys.readouterr().err
 
     def test_missing_file_exit_2(self, tmp_path):

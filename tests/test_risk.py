@@ -7,14 +7,24 @@ from hypothesis import strategies as st
 
 from wslrr.core import marginals, validate_joint
 from wslrr.datagen import sample_weak_dataset
-from wslrr.decontam import METHOD_INVERSION, METHOD_MARGINAL_CHAIN, decontaminate
+from wslrr.decontam import (
+    METHOD_DIAGONAL,
+    METHOD_INVERSION,
+    METHOD_MARGINAL_CHAIN,
+    METHOD_MCL_BLOCKWISE,
+    METHOD_SCONF,
+    decontaminate,
+)
 from wslrr.errors import (
+    DegenerateParams,
     EmptyChannel,
     NonDifferentiableLoss,
     NonFiniteScore,
+    NonSquare,
     SpecMismatch,
     UnsupportedScenario,
     ValidationError,
+    WrongFamily,
 )
 from wslrr.risk import (
     LossSpec,
@@ -24,17 +34,23 @@ from wslrr.risk import (
     empirical_risk,
     loss_matrix,
     loss_score_slope,
+    rewrite_table,
     rewritten_risk,
     weighted_loss,
 )
 from wslrr.scenarios import (
     CCN,
     CL,
+    DU,
     FAMILY_CCN,
     FAMILY_MCD,
+    PRIOR_GAP_TOL,
     PU,
     SCENARIO_TYPES,
+    SD,
+    SU,
     Pcomp,
+    Sconf,
     Soft,
     UU,
     observed_distribution,
@@ -52,6 +68,8 @@ from wslrr.verify import (
 LOGISTIC = LossSpec("logistic")
 SQUARED = LossSpec("squared")
 ZERO_ONE = LossSpec("zero-one")
+METHODS = ("auto", METHOD_INVERSION, METHOD_MARGINAL_CHAIN, METHOD_MCL_BLOCKWISE, METHOD_DIAGONAL,
+           METHOD_SCONF)
 
 
 def _at_scores(g):
@@ -192,13 +210,60 @@ class TestRewrittenRisk:
         b = rewritten_risk(CL(), multi_joint, model, LOGISTIC, method=METHOD_MARGINAL_CHAIN)
         assert a == pytest.approx(b, abs=1e-10)
 
-    def test_sconf_forms_agree(self, binary_joint):
-        spec = make_spec("Sconf", binary_joint, 3, 0)
-        model = seeded_model(binary_joint, 3, 0)
-        sym = rewritten_risk(spec, binary_joint, model, LOGISTIC, sconf_form="symmetric")
-        xon = rewritten_risk(spec, binary_joint, model, LOGISTIC, sconf_form="x-only")
-        assert sym == pytest.approx(xon, abs=1e-12)
-        assert sym == pytest.approx(classification_risk(binary_joint, model, LOGISTIC), abs=1e-10)
+    @pytest.mark.parametrize("name", ALL_SCENARIO_NAMES + ABSTRACT_SCENARIO_NAMES)
+    def test_rewrite_table_is_the_joint(self, name):
+        """D(x) . observed(x) is joint.T under every method the setting
+        accepts, Sconf's pair fold included, so the zero-one rewritten risk
+        is the exact one too."""
+        for trial in range(4):
+            j = scenario_joint(name, 4, 6, 2, seed=29, trial=trial)
+            spec = make_spec(name, j, 29, trial)
+            model = seeded_model(j, 29, trial)
+            exact = classification_risk(j, model, ZERO_ONE)
+            accepted = set()
+            for method in METHODS:
+                try:
+                    table = rewrite_table(spec, j, method)
+                except (WrongFamily, NonSquare):
+                    continue
+                accepted.add(method)
+                assert np.max(np.abs(table - j.joint.T)) <= 1e-12, method
+                assert abs(rewritten_risk(spec, j, model, ZERO_ONE, method=method) - exact) <= 1e-10, method
+            assert {"auto", spec.method, spec.estimator} <= accepted
+
+    @pytest.mark.parametrize("method", [m for m in METHODS if m not in ("auto", METHOD_SCONF)] + ["no-such"])
+    def test_sconf_refuses_other_methods(self, method):
+        j = scenario_joint("Sconf", 2, 5, 2, seed=3, trial=0)
+        with pytest.raises(WrongFamily):
+            rewritten_risk(Sconf(), j, seeded_model(j, 3, 0), LOGISTIC, method=method)
+
+
+def _joint_with_prior_gap(gap, seed, n_x=5):
+    """A dense binary joint whose positive prior is 1/2 + gap."""
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(0.05, 1.0, (2, n_x))
+    u *= np.array([[0.5 + gap], [0.5 - gap]]) / u.sum(axis=1, keepdims=True)
+    return validate_joint(2, rng.uniform(-1.0, 1.0, (n_x, 2)), u / u.sum())
+
+
+PRIOR_GAP_SPECS = [SU(), DU(), SD(), Sconf()]
+
+
+@pytest.mark.parametrize("spec", PRIOR_GAP_SPECS, ids=lambda s: s.name)
+@pytest.mark.parametrize("gap", [1.5 * PRIOR_GAP_TOL, 1e-4, 1e-3, 1e-2])
+def test_prior_gaps_above_the_gate_meet_the_risk_bar(spec, gap):
+    for seed in range(5):
+        j = _joint_with_prior_gap(gap, seed)
+        model = init_model(2, 2, seed)
+        for ls in (LOGISTIC, SQUARED):
+            assert abs(rewritten_risk(spec, j, model, ls) - classification_risk(j, model, ls)) <= 1e-10
+
+
+@pytest.mark.parametrize("spec", PRIOR_GAP_SPECS, ids=lambda s: s.name)
+def test_prior_gap_below_the_gate_is_refused(spec):
+    j = _joint_with_prior_gap(1e-6, 0)
+    with pytest.raises(DegenerateParams):
+        rewritten_risk(spec, j, init_model(2, 2, 0), LOGISTIC)
 
 
 @st.composite

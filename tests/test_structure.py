@@ -8,7 +8,9 @@ calls and comparisons against ``spec.name``, outside the two deliberate
 per-setting ladders: the independent closed-form oracle and the per-edge
 reduction table.  Another counts the functions that take an instance index:
 every kernel builds the whole (n_x, ...) stack, and callers index it, so only
-the closed-form oracle, which is per instance by design, takes one.
+the closed-form oracle, which is per instance by design, takes one.  A
+third keeps the exact, rewritten and empirical risks on the one weighted-loss
+kernel: none of them builds its own loss table or contraction.
 """
 
 import ast
@@ -19,6 +21,7 @@ LADDERS = {"closed_form_corrected_loss", "reduce_spec"}
 MAX_DISPATCH_SITES = 10
 INSTANCE_PARAMS = {"i", "i2"}
 PER_INSTANCE_ORACLE = "closed_form_corrected_loss"
+RISKS = {"classification_risk", "rewritten_risk", "empirical_risk"}
 
 
 def _is_spec(node) -> bool:
@@ -105,3 +108,37 @@ def test_instance_index_counter_sees_every_kind_of_function():
         "def closed_form_corrected_loss(spec, m, i, L, i2=None): pass\n"
     )
     assert sorted(_instance_index_functions(tree)) == ["<lambda>", "_g", "f", "nested"]
+
+
+def _own_contractions(tree) -> list:
+    """(function, callee) for each call of ``loss_matrix`` or ``np.einsum``
+    inside one of the three risks."""
+    found = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and fn.name in RISKS:
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                f = node.func
+                if isinstance(f, ast.Name) and f.id == "loss_matrix":
+                    found.append((fn.name, "loss_matrix"))
+                if (isinstance(f, ast.Attribute) and f.attr == "einsum"
+                        and isinstance(f.value, ast.Name) and f.value.id == "np"):
+                    found.append((fn.name, "np.einsum"))
+    return found
+
+
+def test_every_risk_is_one_weighted_loss():
+    tree = ast.parse((SRC / "risk.py").read_text(), filename="risk.py")
+    assert _own_contractions(tree) == []
+
+
+def test_contraction_finder_sees_both_calls():
+    tree = ast.parse(
+        "def rewritten_risk(spec, j):\n"
+        "    lam = loss_matrix(ls, model, j)\n"
+        "    return np.einsum('ki,ik->', lam, w)\n"
+        "def rewrite_table(spec, j):\n"
+        "    return np.einsum('ikm,im->ik', d, o)\n"
+    )
+    assert _own_contractions(tree) == [("rewritten_risk", "loss_matrix"), ("rewritten_risk", "np.einsum")]
