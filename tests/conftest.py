@@ -1,7 +1,9 @@
+import time
+
 import pytest
 
 from wslrr.core import validate_joint
-from wslrr.verify import random_joint
+from wslrr.verify import VerifyConfig, random_joint, verify_all
 
 
 @pytest.fixture
@@ -28,3 +30,11 @@ def binary_joint():
 @pytest.fixture
 def multi_joint():
     return random_joint(4, 6, 3, seed=202, stream=0)
+
+
+@pytest.fixture(scope="session")
+def default_report():
+    """``verify_all`` at its default config, run once per session: (report, seconds)."""
+    t0 = time.perf_counter()
+    report = verify_all(VerifyConfig())
+    return report, time.perf_counter() - t0

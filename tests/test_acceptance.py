@@ -37,7 +37,6 @@ from wslrr.verify import (
     _scenario_trial_inputs,
     _small_sizes,
     scenario_joint,
-    verify_all,
     verify_erm_sanity,
     verify_gradient_check,
     verify_mc_consistency,
@@ -196,10 +195,8 @@ def test_criterion_11_erm_sanity():
     _line(11, rep.passed, f"weak/supervised argmax agreement = {rep.params['agreement']:.3f}")
 
 
-def test_criterion_12_verify_all_under_budget():
-    t0 = time.perf_counter()
-    report = verify_all(VerifyConfig())
-    elapsed = time.perf_counter() - t0
+def test_criterion_12_verify_all_under_budget(default_report):
+    report, elapsed = default_report
     n_pass = sum(c.passed for c in report.checks)
     _line(12, report.passed and elapsed < 60.0,
           f"{n_pass}/{len(report.checks)} checks pass in {elapsed:.1f}s")

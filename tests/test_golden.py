@@ -5,10 +5,12 @@ families, so these digests pin both: a refactor of the contamination
 kernels must leave every sampled array and every observed mass
 bit-identical.  The digests cover dtype-normalized array bytes and shapes
 (little-endian int64 and float64), channel labels and kinds.  The dataset
-JSON text is pinned too, for one scenario per channel kind.
+JSON text is pinned too, for one scenario per channel kind, and so is the
+layout of the default ``verify-all`` report.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -72,6 +74,11 @@ JSON_GOLDEN = {
     "SubConf": "932728eedcdfd41d3bca35e4fd6ce54a7a87dacd89d2a99e6a42fe29ea16b027",
 }
 
+# sha256 of the default verify-all report's layout: each check's name,
+# scenario, tolerance and sorted params keys, in report order; the errors
+# are deliberately not pinned
+VERIFY_ALL_LAYOUT = "8e68e44392e9c4949c40d1971b6fb6f8f32c90c4c46c6baf77f2a761eb5d76a1"
+
 
 def _digest(parts) -> str:
     h = hashlib.sha256()
@@ -119,3 +126,9 @@ def test_dataset_json_hash(name):
     spec, j = _case(name)
     text = dataset_to_json(sample_weak_dataset(spec, j, 400, seed=29))
     assert hashlib.sha256(text.encode()).hexdigest() == JSON_GOLDEN[name]
+
+
+def test_verify_all_layout(default_report):
+    report, _ = default_report
+    layout = [[c.name, c.scenario, c.tol, sorted(c.params)] for c in report.checks]
+    assert hashlib.sha256(json.dumps(layout).encode()).hexdigest() == VERIFY_ALL_LAYOUT
