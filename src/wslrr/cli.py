@@ -20,6 +20,8 @@ from .risk import LossSpec, classification_risk
 from .scenarios import _scenario_from_object, scenario_from_json, validate_spec
 from .train import TrainConfig, model_to_json, train_erm
 from .verify import (
+    TOL_MATRIX,
+    TOL_RISK,
     AggregateReport,
     VerifyConfig,
     seeded_model,
@@ -73,9 +75,8 @@ def cmd_verify(args) -> int:
     joint = joint_from_json(Path(args.joint).read_text())
     spec = _load_scenario(args.scenario, args.params)
     validate_spec(spec, compute_marginals(joint))
-    # --tol overrides both defaults (matrix identities 1e-12, risk 1e-10)
-    tol_matrix = args.tol if args.tol is not None else 1e-12
-    tol_risk = args.tol if args.tol is not None else 1e-10
+    tol_matrix = args.tol if args.tol is not None else TOL_MATRIX
+    tol_risk = args.tol if args.tol is not None else TOL_RISK
     model = seeded_model(joint, args.seed, 0)
     checks = [
         verify_formulation(spec, joint, tol=tol_matrix, seed=args.seed),

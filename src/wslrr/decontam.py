@@ -13,11 +13,12 @@ constructions are implemented:
 * ``conf-diagonal``: diag(r_k(x) / r_sel(x)) for the confidence family;
 * ``sconf-special``: the per-pair diagonal built from the pair confidence.
 
-:func:`decontaminate` builds every D(x) in one numpy pass over the instance
-axis, validating the spec once per call; D(x_i) is its ``matrices[i]``, and
-the corrected losses at x_i are ``lam[:, i] @ D(x_i)``.  Square systems are
-inverted with the 2x2 closed form or partial-pivot Gauss-Jordan batched with
-per-instance pivots, never a library call, so results are deterministic.
+:func:`decontaminate`, the one entry point, validates the spec and builds
+every D(x) in one numpy pass; D(x_i) is its ``matrices[i]``.  Both diagonals
+are kernels of the confidences (:func:`_sconf_weights`, :func:`_conf_weights`)
+that ``risk.channel_terms`` also evaluates at a dataset's stored confidences.
+Square systems are inverted by the 2x2 closed form or by Gauss-Jordan with
+per-instance partial pivots, never a library call, so runs are repeatable.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .scenarios import (
     _sconf_confidences,
     _sconf_denominators,
     _superclass_probability,
-    _transform_tensor,
+    _transform_matrix,
 )
 
 SINGULAR_TOL = 1e-12
@@ -107,13 +108,12 @@ def _invert_stack(a: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _marginal_chain(spec: ScenarioSpec, j: FiniteJoint, m: Marginals, idx) -> np.ndarray:
-    """P(Y=k | S=s_j, x_i) for i in ``idx``: (len(idx), K, m), zero where a
+def _marginal_chain(spec: ScenarioSpec, j: FiniteJoint, m: Marginals) -> np.ndarray:
+    """P(Y=k | S=s_j, x_i) at every instance: (n_x, K, m), zero where a
     channel has no mass at x_i."""
     if spec.family != FAMILY_CCN:
         raise WrongFamily(f"marginal chain is defined for the label-channel family, not {spec.name}")
-    mats = _contamination_tensor(spec, m, idx)
-    terms = j.joint[:, idx].T[:, :, None] * mats.transpose(0, 2, 1)  # P(Y=k, S=s_j, x)
+    terms = j.joint.T[:, :, None] * _contamination_tensor(spec, m).transpose(0, 2, 1)  # P(Y=k, S=s_j, x)
     masses = terms.sum(axis=1, keepdims=True)
     out = np.zeros(terms.shape)
     np.divide(terms, masses, out=out, where=masses > 0.0)
@@ -144,39 +144,30 @@ def mcl_block(K: int, d: int) -> np.ndarray:
 
 
 def mcl_inverse(spec: ScenarioSpec, K: int) -> np.ndarray:
-    """Horizontal concatenation of the blockwise inverses, aligned with the
-    canonical channel order; left-inverts the size-scaled MCL matrix for any
-    size law summing to one, and is CL's single size-1 block."""
-    sizes = spec.excluded_sizes(K)
-    if not sizes:
+    """The blockwise inverses of excluded-set sizes 1..K-1 in canonical channel
+    order, cut to the record's channels: it left-inverts the size-scaled MCL
+    matrix for any size law summing to one; CL keeps the size-1 block."""
+    if spec.estimator != METHOD_MCL_BLOCKWISE:
         raise WrongFamily(f"the blockwise inverse is specific to MCL and CL, not {spec.name}")
-    return np.hstack([mcl_block_inverse(K, d) for d in sizes])
+    return np.hstack([mcl_block_inverse(K, d) for d in range(1, K)])[:, :len(spec.labels(K))]
 
 
-def _sconf_diagonals(m: Marginals) -> np.ndarray:
-    """diag((r - pi_n)/(pi_p - pi_n), (pi_p - r)/(pi_p - pi_n)) for the
-    confidence r of every pair (x_i, x_i2): (n_x, n_x, 2, 2).  The spec's
-    validation keeps pi_p away from 1/2."""
-    idx = np.arange(m.n_x)
-    r = _sconf_confidences(m, idx, idx)
-    _sconf_denominators(m, r)
-    pi_p = float(m.priors[0])
-    pi_n = 1.0 - pi_p
-    out = np.zeros(r.shape + (2, 2))
-    out[..., 0, 0] = (r - pi_n) / (pi_p - pi_n)
-    out[..., 1, 1] = (pi_p - r) / (pi_p - pi_n)
-    return out
+def _sconf_weights(priors, r) -> np.ndarray:
+    """((r - pi_n), (pi_p - r)) / (pi_p - pi_n) on a last axis: the Sconf pair
+    diagonal at confidences ``r`` (validation keeps pi_p away from 1/2)."""
+    pi_p, pi_n = float(priors[0]), float(priors[1])
+    return np.stack([r - pi_n, pi_p - r], axis=-1) / (pi_p - pi_n)
 
 
-def _conf_diagonal(spec: ScenarioSpec, m: Marginals, idx) -> np.ndarray:
-    if spec.family != FAMILY_CONF:
-        raise WrongFamily(f"{spec.name} is not a confidence scenario")
-    r = m.class_probabilities[:, idx]
-    denom = _superclass_probability(spec, r)
-    zero = denom <= 0.0
+def _conf_weights(spec: ScenarioSpec, r: np.ndarray, where) -> np.ndarray:
+    """r / r_sel for the (n, K) class-probability rows ``r``: the confidence
+    diagonal, row k at instance ``where[k]``.  Raises ZeroConfidence where the
+    super-class probability r_sel is zero."""
+    den = _superclass_probability(spec, r.T)
+    zero = den <= 0.0
     if np.any(zero):
-        raise ZeroConfidence(f"super-class probability is zero at instance {idx[int(np.argmax(zero))]}")
-    return _diagonal_stack(r / denom)
+        raise ZeroConfidence(f"super-class probability is zero at instance {where[int(np.argmax(zero))]}")
+    return r / den[:, None]
 
 
 def decontaminate(spec: ScenarioSpec, j: FiniteJoint, method: str = "auto") -> DecontaminationResult:
@@ -187,24 +178,26 @@ def decontaminate(spec: ScenarioSpec, j: FiniteJoint, method: str = "auto") -> D
     """
     m = compute_marginals(j)
     validate_spec(spec, m)
-    return _decontaminate(spec, j, m, spec.method if method == "auto" else method)
-
-
-def _decontaminate(spec: ScenarioSpec, j: FiniteJoint, m: Marginals, method: str) -> DecontaminationResult:
-    """:func:`decontaminate` on the marginals ``m`` of ``j``, with the spec
-    already validated and ``method`` resolved."""
-    idx = np.arange(j.n_x)
+    method = spec.method if method == "auto" else method
 
     if method == METHOD_SCONF:
         if spec.family != FAMILY_SCONF:
             raise WrongFamily(f"sconf-special only applies to Sconf, not {spec.name}")
-        return DecontaminationResult(method=method, pair_matrices=_sconf_diagonals(m))
+        idx = np.arange(j.n_x)
+        r = _sconf_confidences(m, idx, idx)
+        _sconf_denominators(m, r)
+        pair = np.zeros(r.shape + (2, 2))
+        pair[..., [0, 1], [0, 1]] = _sconf_weights(m.priors, r)
+        return DecontaminationResult(method=method, pair_matrices=pair)
 
     if method == METHOD_MARGINAL_CHAIN:
-        return DecontaminationResult(method=method, matrices=_marginal_chain(spec, j, m, idx))
+        return DecontaminationResult(method=method, matrices=_marginal_chain(spec, j, m))
 
     if method == METHOD_DIAGONAL:
-        return DecontaminationResult(method=method, matrices=_conf_diagonal(spec, m, idx))
+        if spec.family != FAMILY_CONF:
+            raise WrongFamily(f"{spec.name} is not a confidence scenario")
+        w = _conf_weights(spec, m.class_probabilities.T, np.arange(j.n_x))
+        return DecontaminationResult(method=method, matrices=_diagonal_stack(w.T))
 
     if method == METHOD_MCL_BLOCKWISE:
         inv = mcl_inverse(spec, j.K)
@@ -214,11 +207,12 @@ def _decontaminate(spec: ScenarioSpec, j: FiniteJoint, m: Marginals, method: str
     if method == METHOD_INVERSION:
         if spec.family == FAMILY_SCONF:
             raise WrongFamily("use sconf-special for Sconf")
-        # a system that is the same at every x is inverted once, then copied out
-        fixed = spec.matrix(m) is not None
-        sel = idx[:1] if fixed else idx
-        inv = _invert_stack(_contamination_tensor(spec, m, sel) @ _transform_tensor(spec, m, sel))
-        mats = np.broadcast_to(inv, (j.n_x,) + inv.shape[1:]).copy() if fixed else inv
+        mat, trsf = spec.matrix(m), _transform_matrix(spec, m)
+        if mat is None:
+            mats = _invert_stack(_contamination_tensor(spec, m) @ trsf)
+        else:  # a system that is the same at every x is inverted once, then copied out
+            inv = _invert_stack((mat @ trsf)[None])
+            mats = np.broadcast_to(inv, (j.n_x,) + inv.shape[1:]).copy()
         return DecontaminationResult(method=method, matrices=mats)
 
     raise WrongFamily(f"unknown decontamination method {method!r}")

@@ -7,10 +7,12 @@ and it is exact because decontamination recovers the clean joint:
 :func:`rewrite_table` is D(x_i) . observed(x_i) at every instance (for
 Sconf, the pair law times the pair diagonal, summed over the partner), and
 the rewritten risk is its weighted loss.  The empirical table,
-:func:`weight_table`, weighs each draw by a column of the same D(x).  The
-corrected losses at x_i are ``lam[:, i] @ D(x_i)`` with ``lam`` the (K, n_x)
-:func:`loss_matrix`; closed forms for them are kept for each concrete
-scenario as an independent cross-check of the generic product.
+:func:`weight_table`, weighs each draw by a column of the same D(x); for
+Sconf and the confidence family, by the same diagonal kernel evaluated at
+the confidences the dataset stores.  The corrected losses at x_i are
+``lam[:, i] @ D(x_i)`` with ``lam`` the (K, n_x) :func:`loss_matrix`;
+closed forms for them are kept for each concrete scenario as an
+independent cross-check of the generic product.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .core import FiniteJoint, Marginals, marginals as compute_marginals
 from .datagen import CONF_POINTS, PAIRS, dataset_channels
-from .decontam import _decontaminate, decontaminate
+from .decontam import _conf_weights, _sconf_weights, decontaminate
 from .errors import (
     EmptyChannel,
     IndexOutOfRange,
@@ -50,6 +52,7 @@ from .scenarios import (
     ScenarioSpec,
     compound_label_space,
     observed_distribution,
+    pair_distribution,
     specs_equal,
     validate_spec,
     _sconf_confidences,
@@ -173,11 +176,11 @@ def rewrite_table(spec: ScenarioSpec, j: FiniteJoint, method: str = "auto") -> n
     joint.T whenever decontamination by ``method`` succeeded.  Sconf sums
     the pair law times the pair diagonal over the partner; its only method is
     sconf-special, and any other raises WrongFamily."""
-    cm = observed_distribution(spec, j)
     dr = decontaminate(spec, j, method=method)
     if spec.family == FAMILY_SCONF:
-        return np.einsum("ab,abk->ak", cm.pair.matrix, np.diagonal(dr.pair_matrices, axis1=2, axis2=3))
-    return np.einsum("ikm,im->ik", dr.matrices, cm.observed)
+        pair = pair_distribution(spec, j).matrix
+        return np.einsum("ab,abk->ak", pair, np.diagonal(dr.pair_matrices, axis1=2, axis2=3))
+    return np.einsum("ikm,im->ik", dr.matrices, observed_distribution(spec, j).observed)
 
 
 def rewritten_risk(spec: ScenarioSpec, j: FiniteJoint, model, ls: LossSpec,
@@ -312,10 +315,10 @@ def channel_terms(ds, spec: ScenarioSpec, j: FiniteJoint) -> list:
     A draw from observed channel c at x weighs the losses by column c of the
     decontamination matrix D(x) that the rewrite uses, so the estimate is the
     sample version of the rewritten risk; Sconf and the confidence family
-    weigh by the dataset's own confidences instead.  The weights already fold
-    in channel masses (reciprocal priors for the mixture family, the
-    super-class prior for confidence data), so the risk estimate is simply the
-    sum over channels of per-channel means.
+    evaluate the rewrite's diagonal kernels at the dataset's own confidences.
+    The weights already fold in channel masses (reciprocal priors for the
+    mixture family, the super-class prior for confidence data), so the risk
+    estimate is simply the sum over channels of per-channel means.
     """
     if not specs_equal(ds.spec, spec):
         raise SpecMismatch(f"dataset was generated for {ds.spec.name}, not {spec.name}")
@@ -335,7 +338,7 @@ def channel_terms(ds, spec: ScenarioSpec, j: FiniteJoint) -> list:
                                 f"per draw, not K={j.K}")
 
     if spec.family == FAMILY_MCD:
-        dag = _decontaminate(spec, j, m, spec.estimator).matrices[0]  # the same at every x
+        dag = decontaminate(spec, j, spec.estimator).matrices[0]  # the same at every x
         if spec.streams:
             # one stream of pairs: the first element is a draw from observed
             # channel 0 (Pcomp's Sup), the second from channel 1 (Inf)
@@ -347,16 +350,16 @@ def channel_terms(ds, spec: ScenarioSpec, j: FiniteJoint) -> list:
                 for k, c in enumerate(ds.channels)]
 
     if spec.family == FAMILY_SCONF:
-        ch, (pi_p, pi_n) = ds.channels[0], m.priors
-        r = ch.confidences
-        w = np.stack([r - pi_n, pi_p - r], axis=1) / (pi_p - pi_n) / 2.0
+        # each instance of a pair carries half the pair diagonal at its confidence
+        ch = ds.channels[0]
+        w = _sconf_weights(m.priors, ch.confidences) / 2.0
         return [_pair_terms(ch.label, ch.pairs, w, w)]
 
     if spec.family == FAMILY_CCN:
         # one stream over all label channels, each draw weighed by its channel's
         # column of the record's estimator decontamination (the blockwise
         # inverse for CL and MCL, as in the literature, else the marginal chain)
-        dag = _decontaminate(spec, j, m, spec.estimator).matrices
+        dag = decontaminate(spec, j, spec.estimator).matrices
         idx = np.concatenate([c.indices for c in ds.channels])
         if idx.size == 0:
             raise EmptyChannel("dataset has no draws in any label channel")
@@ -368,12 +371,8 @@ def channel_terms(ds, spec: ScenarioSpec, j: FiniteJoint) -> list:
     idx, conf = ch.indices, ch.confidences
     if idx.size == 0:
         return [ChannelTerms(ch.label, 0, idx, np.zeros((0, m.K)))]
-    coeff = float(_superclass_probability(spec, m.priors[:, None])[0])
-    den = _superclass_probability(spec, conf.T)
-    if np.any(den <= 0.0):
-        raise ZeroConfidence("a sampled instance has zero super-class confidence")
-    w = coeff * conf / den[:, None]
-    return [ChannelTerms(ch.label, len(idx), idx, w)]
+    coeff = float(_superclass_probability(spec, m.priors[:, None])[0])  # the super-class prior
+    return [ChannelTerms(ch.label, len(idx), idx, coeff * _conf_weights(spec, conf, idx))]
 
 
 def per_draw_values(terms: ChannelTerms, lam: np.ndarray) -> np.ndarray:

@@ -9,9 +9,9 @@ M(x) M_trsf(x) P(x).  A record declares its channel ``labels(K)`` (fixed
 ``channels``), the ``pair_channels`` drawn as index pairs, the ``streams``
 a sample-size request names when they are not the labels (Pcomp's single
 ``PC`` stream), the preconditions ``binary_only``, ``offcenter_prior`` and
-``check(K, n_x)``, and its decontamination ``method`` (the default),
-``estimator`` (weighs the empirical risk's draws) and exact ``inverse``.
-Three families share one pipeline and differ in what M reads:
+``check(K, n_x)``, and its decontamination ``method`` (the default) and
+``estimator`` (weighs the empirical risk's draws); the formulas of D live
+in ``decontam``.  Three families share one pipeline and differ in what M reads:
 
 * mixture family (``MCD``): the rows ``mixture(pi_p, pi_n)``, the same at
   every x; B holds the class conditionals, M_trsf the reciprocal priors;
@@ -25,9 +25,9 @@ A matrix that is the same at every x is built once and copied out to the
 (n_x, ...) stack.  Sconf is pair-shaped and kept out of the generic
 pipeline; its structures live in the ``pair_*`` fields of
 :class:`ContaminationModel`, built from outer products.  Every kernel is
-batched over the instance axis with the spec validated once per call, and
-the API works on whole joints: M(x_i) is ``observed_distribution(spec,
-j).matrix[i]`` and M_trsf(x_i) its ``transform[i]``.
+batched over the whole instance axis with the spec validated once per
+call: M(x_i) is ``observed_distribution(spec, j).matrix[i]`` and
+M_trsf(x_i) its ``transform[i]``, and no array aliases a record's own.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ import numpy as np
 
 from .core import FiniteJoint, Marginals, marginals as compute_marginals
 from .errors import (
-    BadSize,
     DegenerateParams,
     KTooLarge,
     NotAnEdge,
@@ -117,7 +116,6 @@ class _Setting:
     offcenter_prior: ClassVar[bool] = False  # the rewrite divides by the prior gap
     method: ClassVar[str]
     estimator: ClassVar[str]
-    inverse: ClassVar[str] = METHOD_INVERSION
     size_law = None  # MCL: the excluded-set size law, sampled before the label
 
     def labels(self, K: int) -> tuple:
@@ -128,12 +126,8 @@ class _Setting:
 
     def matrix(self, m: Marginals) -> Optional[np.ndarray]:
         """M when it is the same at every instance; None when M depends on x,
-        and ``tensor(m, idx)`` stacks M(x_i) for every i in ``idx``."""
+        and ``tensor(m)`` stacks M(x_i) over every instance."""
         return None
-
-    def excluded_sizes(self, K: int) -> tuple:
-        """Excluded-set sizes of the blockwise inverse; empty when there is none."""
-        return ()
 
 
 class _Mixture(_Setting):
@@ -167,12 +161,12 @@ class _Confidence(_Setting):
     def labels(self, K: int) -> tuple:
         return tuple(str(k) for k in range(1, K + 1))
 
-    def tensor(self, m: Marginals, idx) -> np.ndarray:
-        """diag(r_sel(x) / r_k(x)): (len(idx), K, K)."""
-        r = m.class_probabilities[:, idx]
+    def tensor(self, m: Marginals) -> np.ndarray:
+        """diag(r_sel(x) / r_k(x)): (n_x, K, K)."""
+        r = m.class_probabilities
         zero = np.any(r <= 0.0, axis=0)
         if np.any(zero):
-            raise ZeroConfidence(f"instance {idx[int(np.argmax(zero))]} has zero class probabilities")
+            raise ZeroConfidence(f"instance {int(np.argmax(zero))} has zero class probabilities")
         return _diagonal_stack(_superclass_probability(self, r) / r)
 
 
@@ -298,8 +292,8 @@ class CCN(_LabelChannel):
             raise ShapeMismatch(f"CCN flip tensor must be ({n_x}, 2, 2), got {self.flip.shape}")
         _check_column_stochastic(self.flip, "CCN flip")
 
-    def tensor(self, m, idx):
-        return self.flip[idx]
+    def tensor(self, m):
+        return self.flip.copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,8 +311,8 @@ class GCCN(_LabelChannel):
             raise ShapeMismatch(f"GCCN cond tensor must be ({n_x}, {n_s}, {K}), got {self.cond.shape}")
         _check_column_stochastic(self.cond, "GCCN cond")
 
-    def tensor(self, m, idx):
-        return self.cond[idx]
+    def tensor(self, m):
+        return self.cond.copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,8 +336,8 @@ class PPL(_LabelChannel):
         if np.max(np.abs(totals - 1.0)) > PARAM_TOL:
             raise DegenerateParams("PPL weights are not proper: sum over labels containing a class must be 1")
 
-    def tensor(self, m, idx):
-        return self.C[:, idx].T[:, :, None] * _member_mask(m.K)
+    def tensor(self, m):
+        return self.C.T[:, :, None] * _member_mask(m.K)
 
 
 @dataclass(frozen=True)
@@ -360,7 +354,7 @@ class MCL(_LabelChannel):
     """Multi-complementary labels; q[d-1] = P(|excluded set| = d) for d in 1..K-1."""
     q: tuple
     name = "MCL"
-    estimator = inverse = METHOD_MCL_BLOCKWISE
+    estimator = METHOD_MCL_BLOCKWISE
 
     def __post_init__(self):
         _require(self, numbers.Real, "q", self.q)
@@ -384,11 +378,6 @@ class MCL(_LabelChannel):
         row_scale = np.array([self.q[d - 1] / math.comb(K - 1, d) for d in sizes])
         return row_scale[:, None] * (1.0 - mask)
 
-    def excluded_sizes(self, K):
-        if len(self.q) != K - 1:
-            raise BadSize(f"MCL size law has {len(self.q)} entries, expected {K - 1}")
-        return tuple(range(1, K))
-
 
 @dataclass(frozen=True)
 class CL(_LabelChannel):
@@ -401,9 +390,6 @@ class CL(_LabelChannel):
 
     def matrix(self, m):
         return (np.ones((m.K, m.K)) - np.eye(m.K)) / (m.K - 1)
-
-    def excluded_sizes(self, K):
-        return (1,)
 
 
 @dataclass(frozen=True)
@@ -557,7 +543,7 @@ def _check_column_stochastic(tensor: np.ndarray, what: str) -> None:
 
 # ---------------------------------------------------------------------------
 # Matrix kernels, batched over the instance axis: each stacks one matrix per
-# index in ``idx`` on axis 0 and leaves validation to its caller, which runs
+# instance on axis 0 and leaves validation to its caller, which runs
 # validate_spec once per call.
 # ---------------------------------------------------------------------------
 
@@ -578,21 +564,20 @@ def _diagonal_stack(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _contamination_tensor(spec: ScenarioSpec, m: Marginals, idx) -> np.ndarray:
-    """M(x_i) for every i in ``idx``, C-contiguous: (len(idx), m, b).  A
-    matrix that is the same at every x is materialized, never a stride-0
-    view, so every contraction over the stack sums as it would per instance."""
+def _contamination_tensor(spec: ScenarioSpec, m: Marginals) -> np.ndarray:
+    """M(x_i) at every instance, C-contiguous: (n_x, m, b).  A matrix that is
+    the same at every x is materialized, never a stride-0 view, so every
+    contraction over the stack sums as it would per instance."""
     mat = spec.matrix(m)
     if mat is None:
-        return np.ascontiguousarray(spec.tensor(m, idx))
-    return np.broadcast_to(mat, (len(idx),) + mat.shape).copy()
+        return np.ascontiguousarray(spec.tensor(m))
+    return np.broadcast_to(mat, (m.n_x,) + mat.shape).copy()
 
 
-def _transform_tensor(spec: ScenarioSpec, m: Marginals, idx) -> np.ndarray:
-    """M_trsf(x_i) for every i in ``idx``: reciprocal priors for the mixture
+def _transform_matrix(spec: ScenarioSpec, m: Marginals) -> np.ndarray:
+    """M_trsf, the same at every instance: reciprocal priors for the mixture
     family (and Sconf), identity otherwise."""
-    mat = np.diag(1.0 / m.priors) if spec.family in (FAMILY_MCD, FAMILY_SCONF) else np.eye(m.K)
-    return np.ascontiguousarray(np.broadcast_to(mat, (len(idx),) + mat.shape))
+    return np.diag(1.0 / m.priors) if spec.family in (FAMILY_MCD, FAMILY_SCONF) else np.eye(m.K)
 
 
 def _sconf_confidences(m: Marginals, a, b) -> np.ndarray:
@@ -619,13 +604,14 @@ def _sconf_denominators(m: Marginals, r: np.ndarray) -> tuple:
     return dp, dn
 
 
-def _sconf_pair_tensor(m: Marginals, a, b) -> tuple:
-    """(r, M): confidences and 2x2 matrices of the pairs (x_i, x_i2), i in ``a``, i2 in
-    ``b``; both rows of M map the class conditionals at x_i to the mass P(x_i) P(x_i2)."""
+def _sconf_pair_tensor(m: Marginals) -> tuple:
+    """(r, M): confidences and 2x2 matrices of every pair (x_i, x_i2); both rows
+    of M map the class conditionals at x_i to the mass P(x_i) P(x_i2)."""
     pi_p, pi_n = float(m.priors[0]), float(m.priors[1])
-    r = _sconf_confidences(m, a, b)
+    idx = np.arange(m.n_x)
+    r = _sconf_confidences(m, idx, idx)
     dp, dn = _sconf_denominators(m, r)
-    cpp, cnp = m.class_conditionals[0, b], m.class_conditionals[1, b]
+    cpp, cnp = m.class_conditionals[0], m.class_conditionals[1]
     pm = np.empty(r.shape + (2, 2))
     pm[..., 0, 0] = pi_p * (pi_p ** 2 * cpp - pi_n ** 2 * cnp) / dp
     pm[..., 0, 1] = pi_p * (pi_n ** 2 * cnp - pi_n ** 2 * cpp) / dp
@@ -669,15 +655,14 @@ def observed_distribution(spec: ScenarioSpec, j: FiniteJoint) -> ContaminationMo
     m = compute_marginals(j)
     validate_spec(spec, m)
     labels = spec.labels(j.K)
-    idx = np.arange(j.n_x)
 
     if spec.family == FAMILY_SCONF:
-        conf, pm = _sconf_pair_tensor(m, idx, idx)
+        conf, pm = _sconf_pair_tensor(m)
         pair = PairDistribution(tag="XX", matrix=np.outer(m.instance_marginal, m.instance_marginal))
         return ContaminationModel(channels=labels, pair=pair, pair_matrix=pm, pair_confidence=conf)
 
-    mats = _contamination_tensor(spec, m, idx)
-    trsf = _transform_tensor(spec, m, idx)
+    mats = _contamination_tensor(spec, m)
+    trsf = np.tile(_transform_matrix(spec, m), (j.n_x, 1, 1))
     observed = np.einsum("imb,ibk,ki->im", mats, trsf, j.joint)
     return ContaminationModel(channels=labels, matrix=mats, transform=trsf, observed=observed)
 
@@ -723,9 +708,10 @@ class Reduction:
     """One edge of the reduction graph.
 
     ``assignments`` records how the parent's parameters realize the child.
-    ``row_map`` (child row -> parent row) and ``parent_zero_rows`` handle the
-    edges where the child matrix is a relabeled or pruned parent matrix
-    (complement relabeling for PPL -> MCL, dropped zero rows for MCL -> CL).
+    ``row_map`` (child row -> parent row) handles the edges where the child
+    matrix is a relabeled or pruned parent matrix (complement relabeling for
+    PPL -> MCL, MCL -> CL keeping the size-1 rows); every parent row outside
+    it must be zero.
     When the parent is not representable as a spec (SubConf -> Soft realizes
     the super-class probability as the constant 1), ``parent_matrix`` builds
     its (n_x, K, K) stack from the marginals directly.
@@ -736,7 +722,6 @@ class Reduction:
     assignments: dict
     parent: Optional[ScenarioSpec] = None
     row_map: Optional[np.ndarray] = None
-    parent_zero_rows: Optional[np.ndarray] = None
     parent_matrix: Optional[Callable] = None  # m -> (n_x, K, K) stack
 
 
@@ -789,7 +774,7 @@ def reduce_spec(parent, child, m: Marginals) -> Reduction:
             cond = np.array(child.flip, dtype=np.float64)
             return Reduction("GCCN", "CCN", child, {"cond": "label-flip probabilities"},
                              parent=GCCN(cond=cond))
-        cond = child.tensor(m, np.arange(n_x))
+        cond = child.tensor(m)
         return Reduction("GCCN", "PPL", child, {"cond": "C(s, x) on labels containing the class"},
                          parent=GCCN(cond=cond))
 
@@ -813,10 +798,7 @@ def reduce_spec(parent, child, m: Marginals) -> Reduction:
 
     if pname == "MCL":
         q = tuple([1.0] + [0.0] * (K - 2))
-        space = compound_label_space(K)
-        return Reduction("MCL", "CL", CL(), {"q": q}, parent=MCL(q=q),
-                         row_map=np.arange(K),
-                         parent_zero_rows=np.arange(K, len(space)))
+        return Reduction("MCL", "CL", CL(), {"q": q}, parent=MCL(q=q), row_map=np.arange(K))
 
     if pname == "SubConf":
         if cname == "SCConf":

@@ -7,6 +7,7 @@ from wslrr.decontam import (
     METHOD_INVERSION,
     METHOD_MARGINAL_CHAIN,
     METHOD_MCL_BLOCKWISE,
+    METHOD_SCONF,
     _invert_stack,
     decontaminate,
     mcl_block,
@@ -28,7 +29,9 @@ from wslrr.scenarios import (
     compound_label_space,
     observed_distribution,
 )
-from wslrr.verify import make_spec, random_joint
+from wslrr.verify import ABSTRACT_SCENARIO_NAMES, ALL_SCENARIO_NAMES, make_spec, random_joint, scenario_joint
+
+METHODS = {METHOD_INVERSION, METHOD_MARGINAL_CHAIN, METHOD_MCL_BLOCKWISE, METHOD_DIAGONAL, METHOD_SCONF}
 
 
 class TestInvertSquare:
@@ -179,6 +182,18 @@ class TestSconfDecontamination:
         with pytest.raises(DegenerateParams):
             decontaminate(Sconf(), uniform_joint)
 
+    def test_diagonal_reads_the_negative_prior(self):
+        """Bit for bit the diagonal at pi_n = P(Y=2), on a joint where the
+        rounded 1 - pi_p differs from it."""
+        j = scenario_joint("Sconf", 2, 6, 2, seed=17, trial=3)
+        pi_p, pi_n = j.joint[0].sum(), j.joint[1].sum()
+        assert 1.0 - pi_p != pi_n
+        r = observed_distribution(Sconf(), j).pair_confidence
+        d = decontaminate(Sconf(), j).pair_matrices
+        assert np.array_equal(d[..., 0, 0], (r - pi_n) / (pi_p - pi_n))
+        assert np.array_equal(d[..., 1, 1], (pi_p - r) / (pi_p - pi_n))
+        assert not np.any(d[..., [0, 1], [1, 0]])
+
 
 class TestConfDiagonal:
     def test_soft_is_confidence_diagonal(self, toy_joint):
@@ -229,6 +244,18 @@ class TestDecontaminateDispatch:
             assert np.array_equal(dr.matrices[i], mcl_block_inverse(K, 1))
         rec = dr.matrices @ observed_distribution(CL(), j).observed[:, :, None]
         assert np.max(np.abs(rec[:, :, 0] - j.joint.T)) <= 1e-12
+
+    @pytest.mark.parametrize("name", ALL_SCENARIO_NAMES + ABSTRACT_SCENARIO_NAMES)
+    def test_every_declared_method_is_accepted(self, name):
+        """Every record attribute naming a decontamination method names one
+        that decontaminates an admissible joint of the record."""
+        j = scenario_joint(name, 4, 5, 2, seed=19, trial=1)
+        spec = make_spec(name, j, 19, 1)
+        declared = {getattr(spec, a) for a in dir(spec) if isinstance(getattr(spec, a), str)} & METHODS
+        assert {spec.method, spec.estimator} <= declared
+        for method in declared:
+            rec = decontaminate(spec, j, method=method)
+            assert rec.method == method
 
     @pytest.mark.parametrize("name", ["PU", "PPL", "PCPL", "GCCN", "Soft"])
     def test_blockwise_needs_cl_or_mcl(self, name, multi_joint, binary_joint):

@@ -25,6 +25,7 @@ from wslrr.errors import (
     UnsupportedScenario,
     ValidationError,
     WrongFamily,
+    ZeroConfidence,
 )
 from wslrr.risk import (
     LossSpec,
@@ -43,13 +44,16 @@ from wslrr.scenarios import (
     CL,
     DU,
     FAMILY_CCN,
+    FAMILY_CONF,
     FAMILY_MCD,
+    FAMILY_SCONF,
     PRIOR_GAP_TOL,
     PU,
     SCENARIO_TYPES,
     SD,
     SU,
     Pcomp,
+    SCConf,
     Sconf,
     Soft,
     UU,
@@ -385,15 +389,13 @@ class TestEmpiricalRisk:
         assert est == pytest.approx(exact, abs=1e-10)
 
 
-MIXTURE_AND_LABEL_NAMES = [n for n in ALL_SCENARIO_NAMES + ABSTRACT_SCENARIO_NAMES
-                           if SCENARIO_TYPES[n].family in (FAMILY_MCD, FAMILY_CCN)]
-
-
-@pytest.mark.parametrize("name", MIXTURE_AND_LABEL_NAMES)
+@pytest.mark.parametrize("name", ALL_SCENARIO_NAMES + ABSTRACT_SCENARIO_NAMES)
 def test_channel_terms_match_reference_weights(name):
     """Every estimator entry carries the weight of an independent reference:
     the closed-form corrected losses of the unit loss vectors for the mixture
-    family (column c of D), :func:`_weight_for` for the label channels."""
+    family (column c of D), :func:`_weight_for` for the label channels, and
+    the diagonal typed out below for Sconf and the confidence family, at
+    stored confidences moved off the oracle values."""
     j = scenario_joint(name, 4, 5, 2, seed=43, trial=1)
     spec = make_spec(name, j, 43, 1)
     ds = sample_weak_dataset(spec, j, 60, seed=9)
@@ -401,7 +403,21 @@ def test_channel_terms_match_reference_weights(name):
     idx, rows = [], []
     dag = np.array([closed_form_corrected_loss(spec, m, 0, e) for e in np.eye(2)]) \
         if spec.family == FAMILY_MCD else None
-    if spec.name == "Pcomp":  # the first instance of a pair is a Sup draw, the second an Inf draw
+    if spec.family == FAMILY_SCONF:  # each instance of a pair carries half the pair diagonal
+        ch = ds.channels[0]
+        ch.confidences = r = 0.5 * ch.confidences + 0.25
+        pi_p, pi_n = m.priors
+        half = np.column_stack([(r - pi_n) / (pi_p - pi_n) / 2.0, (pi_p - r) / (pi_p - pi_n) / 2.0])
+        idx, rows = [ch.pairs[:, 0], ch.pairs[:, 1]], [half, half]
+    elif spec.family == FAMILY_CONF:  # the super-class prior times r / r_sel
+        ch = ds.channels[0]
+        c = np.sqrt(ch.confidences)
+        ch.confidences = c = c / c.sum(axis=1, keepdims=True)
+        members = _members(spec)
+        coeff = sum(m.priors[k] for k in members) if members else 1.0
+        den = sum(c[:, k] for k in members) if members else 1.0
+        idx, rows = [ch.indices], [coeff * (c / np.reshape(den, (-1, 1)))]
+    elif spec.name == "Pcomp":  # the first instance of a pair is a Sup draw, the second an Inf draw
         pairs = ds.channels[0].pairs
         idx, rows = [pairs[:, 0], pairs[:, 1]], [[dag[:, 0]] * len(pairs), [dag[:, 1]] * len(pairs)]
     else:
@@ -423,6 +439,16 @@ def test_channel_terms_match_reference_weights(name):
     # so the mixture bar scales with |D|^2 (SU here: 6.2e-15 on entries of 4.3)
     scale = max(1.0, float(np.max(np.abs(expected)))) ** 2 if spec.family == FAMILY_MCD else 1.0
     assert np.max(np.abs(weights - expected)) <= 1e-15 * scale
+
+
+def test_zero_stored_superclass_confidence_names_the_draw():
+    j = scenario_joint("SCConf", 3, 5, 2, seed=43, trial=0)
+    spec = SCConf(y_s=1)
+    ds = sample_weak_dataset(spec, j, 30, seed=9)
+    ch = ds.channels[0]
+    ch.confidences[7] = [0.0, 0.5, 0.5]
+    with pytest.raises(ZeroConfidence, match=f"instance {ch.indices[7]}$"):
+        empirical_risk(ds, spec, seeded_model(j, 43, 0), LOGISTIC, j)
 
 
 def _exact_expectation_of_estimator(spec, j, model):
@@ -512,13 +538,16 @@ def _weight_for(spec, j, m, cm, c, i):
     return cm.matrix[i, c, :] * j.joint[:, i] / cm.observed[i, c]
 
 
-def _conf_coeff(spec, m):
+def _members(spec):
+    """The 0-based classes of a confidence record's super-class; None for Soft."""
     from wslrr.scenarios import Pconf as _Pconf, SCConf as _SCConf, SubConf as _SubConf
     if isinstance(spec, _SubConf):
-        idx = [c - 1 for c in spec.Y_s]
-        return float(m.priors[idx].sum()), idx
+        return [c - 1 for c in spec.Y_s]
     if isinstance(spec, _SCConf):
-        return float(m.priors[spec.y_s - 1]), [spec.y_s - 1]
-    if isinstance(spec, _Pconf):
-        return float(m.priors[0]), [0]
-    return 1.0, None
+        return [spec.y_s - 1]
+    return [0] if isinstance(spec, _Pconf) else None
+
+
+def _conf_coeff(spec, m):
+    members = _members(spec)
+    return (float(m.priors[members].sum()), members) if members else (1.0, None)

@@ -248,6 +248,12 @@ class TestObservedDistribution:
         # each complementary channel carries (sum of the other three masses)/3
         assert np.allclose(cm.observed[0], 0.25, atol=1e-15)
 
+    @pytest.mark.parametrize("name,field", [("CCN", "flip"), ("GCCN", "cond"), ("PPL", "C")])
+    def test_matrix_is_not_the_record_array(self, name, field, multi_joint):
+        j = random_joint(2, multi_joint.n_x, 3, seed=5, stream=0) if name == "CCN" else multi_joint
+        spec = make_spec(name, j, 3, 1)
+        assert not np.shares_memory(observed_distribution(spec, j).matrix, getattr(spec, field))
+
     def test_identity_product(self, multi_joint):
         spec = make_spec("GCCN", multi_joint, 3, 1)
         cm = observed_distribution(spec, multi_joint)
