@@ -2,14 +2,16 @@
 
 The whole package works over a ground truth P(Y=k, x_i) on a finite instance
 set, so every expectation is an exact finite sum and every identity can be
-checked to float64 accuracy.  Values are immutable after construction; all
-operations are pure.
+checked to float64 accuracy.  Values are immutable after construction: a
+joint owns read-only copies of its arrays, and its marginals are computed
+once, on first use, and kept on the joint.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,9 +29,9 @@ NORMALIZATION_TOL = 1e-12
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.asarray(a, dtype=np.float64)
-    out.setflags(write=False)
-    return out
+    """``a`` made read-only in place; callers pass arrays they own."""
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,7 +40,8 @@ class FiniteJoint:
 
     ``joint[k, i] = P(Y=k+1, x_i)``; ``features[i]`` is the real vector of
     instance i.  Construct through :func:`validate_joint`, which enforces the
-    invariants (nonnegative entries, total mass one, positive instance mass).
+    invariants (nonnegative entries, total mass one, positive instance mass)
+    and gives the joint its own read-only arrays.
     """
 
     K: int
@@ -52,6 +55,11 @@ class FiniteJoint:
     @property
     def d_feat(self) -> int:
         return self.features.shape[1]
+
+    @cached_property
+    def _marginals(self) -> "Marginals":
+        # kept only when the computation succeeds, so EmptyClass is raised on every read
+        return _compute_marginals(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,9 +96,9 @@ def validate_joint(K: int, features, joint) -> FiniteJoint:
     """
     if not isinstance(K, (int, np.integer)) or K < 2:
         raise ShapeMismatch(f"K must be an integer >= 2, got {K!r}")
-    try:
-        f = np.asarray(features, dtype=np.float64)
-        j = np.asarray(joint, dtype=np.float64)
+    try:  # copies: a caller who keeps the inputs cannot write into the joint
+        f = np.array(features, dtype=np.float64)
+        j = np.array(joint, dtype=np.float64)
     except (TypeError, ValueError) as e:  # non-numeric entries, ragged nesting
         raise ShapeMismatch(f"features and joint must be numeric arrays: {e}") from e
     if f.ndim != 2 or f.shape[0] < 1 or f.shape[1] < 1:
@@ -111,10 +119,15 @@ def validate_joint(K: int, features, joint) -> FiniteJoint:
 
 
 def marginals(j: FiniteJoint) -> Marginals:
-    """Compute priors, instance marginal, class-conditionals and confidences.
+    """Priors, instance marginal, class-conditionals and confidences of ``j``,
+    computed on the first call and shared (read-only) by every later one.
 
     Raises EmptyClass when some prior is zero.
     """
+    return j._marginals
+
+
+def _compute_marginals(j: FiniteJoint) -> Marginals:
     priors = j.joint.sum(axis=1)
     if np.any(priors <= 0.0):
         empty = np.nonzero(priors <= 0.0)[0] + 1

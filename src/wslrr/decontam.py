@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import FiniteJoint, Marginals, marginals as compute_marginals
+from .core import FiniteJoint
 from .errors import BadSize, NonSquare, Singular, WrongFamily, ZeroConfidence
 from .scenarios import (
     FAMILY_CCN,
@@ -41,8 +41,7 @@ from .scenarios import (
     METHOD_MCL_BLOCKWISE,
     METHOD_SCONF,
     ScenarioSpec,
-    validate_spec,
-    _contamination_tensor,
+    _System,
     _diagonal_stack,
     _member_mask,
     _sconf_confidences,
@@ -108,12 +107,12 @@ def _invert_stack(a: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _marginal_chain(spec: ScenarioSpec, j: FiniteJoint, m: Marginals) -> np.ndarray:
+def _marginal_chain(s: _System) -> np.ndarray:
     """P(Y=k | S=s_j, x_i) at every instance: (n_x, K, m), zero where a
     channel has no mass at x_i."""
-    if spec.family != FAMILY_CCN:
-        raise WrongFamily(f"marginal chain is defined for the label-channel family, not {spec.name}")
-    terms = j.joint.T[:, :, None] * _contamination_tensor(spec, m).transpose(0, 2, 1)  # P(Y=k, S=s_j, x)
+    if s.spec.family != FAMILY_CCN:
+        raise WrongFamily(f"marginal chain is defined for the label-channel family, not {s.spec.name}")
+    terms = s.j.joint.T[:, :, None] * s.tensor.transpose(0, 2, 1)  # P(Y=k, S=s_j, x)
     masses = terms.sum(axis=1, keepdims=True)
     out = np.zeros(terms.shape)
     np.divide(terms, masses, out=out, where=masses > 0.0)
@@ -176,8 +175,12 @@ def decontaminate(spec: ScenarioSpec, j: FiniteJoint, method: str = "auto") -> D
     ``method`` is "inversion", "marginal-chain", "mcl-blockwise",
     "conf-diagonal", "sconf-special" or "auto" (the record's default method).
     """
-    m = compute_marginals(j)
-    validate_spec(spec, m)
+    return _decontaminate(_System(spec, j), method)
+
+
+def _decontaminate(s: _System, method: str) -> DecontaminationResult:
+    """:func:`decontaminate` on a validated system, reading its tensor."""
+    spec, j, m = s.spec, s.j, s.m
     method = spec.method if method == "auto" else method
 
     if method == METHOD_SCONF:
@@ -191,7 +194,7 @@ def decontaminate(spec: ScenarioSpec, j: FiniteJoint, method: str = "auto") -> D
         return DecontaminationResult(method=method, pair_matrices=pair)
 
     if method == METHOD_MARGINAL_CHAIN:
-        return DecontaminationResult(method=method, matrices=_marginal_chain(spec, j, m))
+        return DecontaminationResult(method=method, matrices=_marginal_chain(s))
 
     if method == METHOD_DIAGONAL:
         if spec.family != FAMILY_CONF:
@@ -209,7 +212,7 @@ def decontaminate(spec: ScenarioSpec, j: FiniteJoint, method: str = "auto") -> D
             raise WrongFamily("use sconf-special for Sconf")
         mat, trsf = spec.matrix(m), _transform_matrix(spec, m)
         if mat is None:
-            mats = _invert_stack(_contamination_tensor(spec, m) @ trsf)
+            mats = _invert_stack(s.tensor @ trsf)
         else:  # a system that is the same at every x is inverted once, then copied out
             inv = _invert_stack((mat @ trsf)[None])
             mats = np.broadcast_to(inv, (j.n_x,) + inv.shape[1:]).copy()

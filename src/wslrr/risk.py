@@ -22,9 +22,9 @@ from typing import ClassVar, Optional
 
 import numpy as np
 
-from .core import FiniteJoint, Marginals, marginals as compute_marginals
+from .core import FiniteJoint, Marginals
 from .datagen import CONF_POINTS, PAIRS, dataset_channels
-from .decontam import _conf_weights, _sconf_weights, decontaminate
+from .decontam import _conf_weights, _decontaminate, _sconf_weights
 from .errors import (
     EmptyChannel,
     IndexOutOfRange,
@@ -51,10 +51,10 @@ from .scenarios import (
     UU,
     ScenarioSpec,
     compound_label_space,
-    observed_distribution,
-    pair_distribution,
     specs_equal,
-    validate_spec,
+    _System,
+    _contamination_model,
+    _pair_law,
     _sconf_confidences,
     _superclass_probability,
 )
@@ -175,12 +175,14 @@ def rewrite_table(spec: ScenarioSpec, j: FiniteJoint, method: str = "auto") -> n
     """The (n_x, K) table D(x_i) . observed(x_i) of the rewrite, which equals
     joint.T whenever decontamination by ``method`` succeeded.  Sconf sums
     the pair law times the pair diagonal over the partner; its only method is
-    sconf-special, and any other raises WrongFamily."""
-    dr = decontaminate(spec, j, method=method)
+    sconf-special, and any other raises WrongFamily.  The spec is validated
+    and M(x) built once, for both the decontamination and the observed masses."""
+    system = _System(spec, j)
+    dr = _decontaminate(system, method)
     if spec.family == FAMILY_SCONF:
-        pair = pair_distribution(spec, j).matrix
+        pair = _pair_law(system.m, "XX")
         return np.einsum("ab,abk->ak", pair, np.diagonal(dr.pair_matrices, axis1=2, axis2=3))
-    return np.einsum("ikm,im->ik", dr.matrices, observed_distribution(spec, j).observed)
+    return np.einsum("ikm,im->ik", dr.matrices, _contamination_model(system).observed)
 
 
 def rewritten_risk(spec: ScenarioSpec, j: FiniteJoint, model, ls: LossSpec,
@@ -322,8 +324,8 @@ def channel_terms(ds, spec: ScenarioSpec, j: FiniteJoint) -> list:
     """
     if not specs_equal(ds.spec, spec):
         raise SpecMismatch(f"dataset was generated for {ds.spec.name}, not {spec.name}")
-    m = compute_marginals(j)
-    validate_spec(spec, m)
+    system = _System(spec, j)
+    m = system.m
     found, expected = tuple((c.label, c.kind) for c in ds.channels), dataset_channels(spec, j.K)
     if found != expected:
         raise SpecMismatch(f"dataset channels {found} do not match {spec.name} on a K={j.K} joint, "
@@ -338,7 +340,7 @@ def channel_terms(ds, spec: ScenarioSpec, j: FiniteJoint) -> list:
                                 f"per draw, not K={j.K}")
 
     if spec.family == FAMILY_MCD:
-        dag = decontaminate(spec, j, spec.estimator).matrices[0]  # the same at every x
+        dag = _decontaminate(system, spec.estimator).matrices[0]  # the same at every x
         if spec.streams:
             # one stream of pairs: the first element is a draw from observed
             # channel 0 (Pcomp's Sup), the second from channel 1 (Inf)
@@ -359,7 +361,7 @@ def channel_terms(ds, spec: ScenarioSpec, j: FiniteJoint) -> list:
         # one stream over all label channels, each draw weighed by its channel's
         # column of the record's estimator decontamination (the blockwise
         # inverse for CL and MCL, as in the literature, else the marginal chain)
-        dag = decontaminate(spec, j, spec.estimator).matrices
+        dag = _decontaminate(system, spec.estimator).matrices
         idx = np.concatenate([c.indices for c in ds.channels])
         if idx.size == 0:
             raise EmptyChannel("dataset has no draws in any label channel")

@@ -37,6 +37,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Callable, ClassVar, Optional, Union
 
 import numpy as np
@@ -650,21 +651,54 @@ class ContaminationModel:
     pair_confidence: Optional[np.ndarray] = None  # (n_x, n_x)
 
 
-def observed_distribution(spec: ScenarioSpec, j: FiniteJoint) -> ContaminationModel:
-    """Instantiate the full contamination model of ``spec`` on ``j``."""
-    m = compute_marginals(j)
-    validate_spec(spec, m)
-    labels = spec.labels(j.K)
+class _System:
+    """``spec`` validated once on ``j``: the marginals ``m`` and, built on its
+    first read, the contamination ``tensor`` M(x_i) at every instance.  One
+    call's shared inputs: :func:`observed_distribution`,
+    ``decontam.decontaminate`` and ``risk.rewrite_table`` each build one and
+    keep it no longer than the call."""
 
+    def __init__(self, spec: ScenarioSpec, j: FiniteJoint):
+        self.spec, self.j = spec, j
+        self.m = compute_marginals(j)
+        validate_spec(spec, self.m)
+
+    @cached_property
+    def tensor(self) -> np.ndarray:
+        return _contamination_tensor(self.spec, self.m)
+
+
+def _contamination_model(s: _System) -> ContaminationModel:
+    spec, j, m = s.spec, s.j, s.m
+    labels = spec.labels(j.K)
     if spec.family == FAMILY_SCONF:
         conf, pm = _sconf_pair_tensor(m)
         pair = PairDistribution(tag="XX", matrix=np.outer(m.instance_marginal, m.instance_marginal))
         return ContaminationModel(channels=labels, pair=pair, pair_matrix=pm, pair_confidence=conf)
 
-    mats = _contamination_tensor(spec, m)
+    mats = s.tensor
     trsf = np.tile(_transform_matrix(spec, m), (j.n_x, 1, 1))
     observed = np.einsum("imb,ibk,ki->im", mats, trsf, j.joint)
     return ContaminationModel(channels=labels, matrix=mats, transform=trsf, observed=observed)
+
+
+def observed_distribution(spec: ScenarioSpec, j: FiniteJoint) -> ContaminationModel:
+    """Instantiate the full contamination model of ``spec`` on ``j``."""
+    return _contamination_model(_System(spec, j))
+
+
+def _pair_law(m: Marginals, channel: str) -> np.ndarray:
+    """The n_x x n_x law of pair channel ``channel`` (see :func:`pair_distribution`)."""
+    pi_p, pi_n = float(m.priors[0]), float(m.priors[1])
+    cp, cn = m.class_conditionals[0], m.class_conditionals[1]
+    if channel == "S":
+        return (pi_p ** 2 * np.outer(cp, cp) + pi_n ** 2 * np.outer(cn, cn)) / (pi_p * pi_p + pi_n * pi_n)
+    if channel == "D":
+        return (np.outer(cp, cn) + np.outer(cn, cp)) / 2.0
+    if channel == "PC":
+        return (pi_p ** 2 * np.outer(cp, cp) + pi_p * pi_n * np.outer(cp, cn)
+                + pi_n ** 2 * np.outer(cn, cn)) / (pi_p ** 2 + pi_p * pi_n + pi_n ** 2)
+    return np.outer(m.instance_marginal, m.instance_marginal)
 
 
 def pair_distribution(spec: ScenarioSpec, j: FiniteJoint, channel: Optional[str] = None) -> PairDistribution:
@@ -685,18 +719,7 @@ def pair_distribution(spec: ScenarioSpec, j: FiniteJoint, channel: Optional[str]
         channel = spec.pair_channels[0]
     if channel not in spec.pair_channels:
         raise ValidationError(f"unknown pair channel {channel!r} for {spec.name}")
-    pi_p, pi_n = float(m.priors[0]), float(m.priors[1])
-    cp, cn = m.class_conditionals[0], m.class_conditionals[1]
-    if channel == "S":
-        q = (pi_p ** 2 * np.outer(cp, cp) + pi_n ** 2 * np.outer(cn, cn)) / (pi_p * pi_p + pi_n * pi_n)
-    elif channel == "D":
-        q = (np.outer(cp, cn) + np.outer(cn, cp)) / 2.0
-    elif channel == "PC":
-        q = (pi_p ** 2 * np.outer(cp, cp) + pi_p * pi_n * np.outer(cp, cn)
-             + pi_n ** 2 * np.outer(cn, cn)) / (pi_p ** 2 + pi_p * pi_n + pi_n ** 2)
-    else:
-        q = np.outer(m.instance_marginal, m.instance_marginal)
-    return PairDistribution(tag=channel, matrix=q)
+    return PairDistribution(tag=channel, matrix=_pair_law(m, channel))
 
 
 # ---------------------------------------------------------------------------

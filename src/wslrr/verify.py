@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -499,6 +500,18 @@ def verify_method_agreement(spec: ScenarioSpec, j: FiniteJoint, model, ls: LossS
                    tol, seed, t0)
 
 
+def _estimator_spread(ds, spec: ScenarioSpec, j: FiniteJoint, lam: np.ndarray) -> tuple:
+    """(standard error of the empirical risk, sum over channels of the mean
+    |term|) from the per-draw values of each channel."""
+    var = abs_terms = 0.0
+    for terms in channel_terms(ds, spec, j):
+        vals = per_draw_values(terms, lam)
+        if len(vals) > 1:
+            var += float(np.var(vals, ddof=1)) / len(vals)
+        abs_terms += float(np.einsum("ek,ke->", np.abs(terms.weights), lam[:, terms.idx])) / len(vals)
+    return math.sqrt(var), abs_terms
+
+
 def verify_mc_consistency(name: str, cfg: VerifyConfig, n: int = 0) -> CheckReport:
     """Monte-Carlo estimate within MC_SIGMAS standard errors of the exact
     risk (or within the MC_ROUNDING floor), and bit-identical on a same-seed
@@ -513,14 +526,8 @@ def verify_mc_consistency(name: str, cfg: VerifyConfig, n: int = 0) -> CheckRepo
     ds = sample_weak_dataset(spec, j, n, seed=cfg.seed + 1000)
     est = empirical_risk(ds, spec, model, ls, j)
 
-    lam = loss_matrix(ls, model, j)
-    var = abs_terms = 0.0
-    for terms in channel_terms(ds, spec, j):
-        vals = per_draw_values(terms, lam)
-        if len(vals) > 1:
-            var += float(np.var(vals, ddof=1)) / len(vals)
-        abs_terms += float(np.einsum("ek,ke->", np.abs(terms.weights), lam[:, terms.idx])) / len(vals)
-    se = math.sqrt(var)
+    # in its own frame, so the per-draw terms are freed before the rerun draws as many again
+    se, abs_terms = _estimator_spread(ds, spec, j, loss_matrix(ls, model, j))
     tol = max(MC_SIGMAS * se, MC_ROUNDING * np.finfo(np.float64).eps * abs_terms)
 
     ds2 = sample_weak_dataset(spec, j, n, seed=cfg.seed + 1000)
@@ -621,13 +628,25 @@ def build_registry(cfg: VerifyConfig) -> list:
     A library error inside a task becomes one failed report named after the
     task, so a single failing check never aborts the run.  An empty scenario
     list or a zero trial count yields an empty registry.
+
+    The tasks share one table of :func:`_scenario_trial_inputs`, keyed by
+    (scenario, trial): an entry is drawn when a task first reads it and
+    dropped once the last task registered to read it has run.
     """
     ls = LossSpec("logistic")
     tasks = []
     if not cfg.scenarios or cfg.trials <= 0:
         return tasks
+    table, readers = {}, Counter()
 
-    def add(name, fn):
+    def inputs(name, trial):
+        if (name, trial) not in table:
+            table[name, trial] = _scenario_trial_inputs(name, cfg, trial)
+        return table[name, trial]
+
+    def add(name, fn, reads=()):
+        readers.update(reads)
+
         def guarded():
             t0 = time.perf_counter()
             try:
@@ -635,27 +654,33 @@ def build_registry(cfg: VerifyConfig) -> list:
             except WslrrError as e:
                 scenario = name.split(":")[1] if ":" in name else ""
                 return _failure(name, scenario, {}, 0.0, cfg.seed, t0, e)
+            finally:
+                for key in reads:
+                    readers[key] -= 1
+                    if readers[key] <= 0:
+                        table.pop(key, None)
         tasks.append((name, guarded))
 
-    def worst_over_trials(name, trials, check):
-        """The worst report of ``check(spec, j, model)`` over the trials."""
-        return lambda: _worst([check(*_scenario_trial_inputs(name, cfg, t)) for t in range(trials)])
+    def over_trials(task, name, trials, check):
+        """Register the worst report of ``check(spec, j, model)`` over the trials."""
+        add(task, lambda: _worst([check(*inputs(name, t)) for t in range(trials)]),
+            [(name, t) for t in range(trials)])
 
     few = min(cfg.trials, 5)
     for name in cfg.scenarios:
-        add(f"formulation:{name}", worst_over_trials(
-            name, few, lambda spec, j, _: verify_formulation(spec, j, seed=cfg.seed)))
+        over_trials(f"formulation:{name}", name, few,
+                    lambda spec, j, _: verify_formulation(spec, j, seed=cfg.seed))
     for name in cfg.scenarios:
         for method in _reconstruction_methods(name):
-            add(f"reconstruction:{name}:{method}", worst_over_trials(
-                name, few, lambda spec, j, _, method=method:
-                verify_reconstruction(spec, j, method=method, seed=cfg.seed)))
+            over_trials(f"reconstruction:{name}:{method}", name, few,
+                        lambda spec, j, _, method=method:
+                        verify_reconstruction(spec, j, method=method, seed=cfg.seed))
     for name in cfg.scenarios:
-        add(f"risk-equality:{name}", worst_over_trials(
-            name, cfg.trials, lambda spec, j, model: verify_risk_equality(spec, j, model, ls, seed=cfg.seed)))
+        over_trials(f"risk-equality:{name}", name, cfg.trials,
+                    lambda spec, j, model: verify_risk_equality(spec, j, model, ls, seed=cfg.seed))
     for name in CLOSED_FORM_NAMES:
-        add(f"closed-form:{name}", worst_over_trials(
-            name, few, lambda spec, j, model: verify_closed_form(spec, j, model, ls, seed=cfg.seed)))
+        over_trials(f"closed-form:{name}", name, few,
+                    lambda spec, j, model: verify_closed_form(spec, j, model, ls, seed=cfg.seed))
 
     def reduction():
         j = random_joint(cfg.K, cfg.nx, cfg.d_feat, cfg.seed, 21)
@@ -672,9 +697,9 @@ def build_registry(cfg: VerifyConfig) -> list:
 
     if "PCPL" in cfg.scenarios:
         def half_identity():
-            spec, j, model = _scenario_trial_inputs("PCPL", cfg, 2)
+            spec, j, model = inputs("PCPL", 2)
             return verify_pcpl_half_identity(j, model, ls, seed=cfg.seed)
-        add("pcpl-half-identity", half_identity)
+        add("pcpl-half-identity", half_identity, [("PCPL", 2)])
 
     if "MCL" in cfg.scenarios:
         add("mcl-block-inverse", lambda: verify_mcl_blocks(seed=cfg.seed))
@@ -683,9 +708,9 @@ def build_registry(cfg: VerifyConfig) -> list:
         if name not in cfg.scenarios:
             continue
         def agreement(name=name):
-            spec, j, model = _scenario_trial_inputs(name, cfg, 4)
+            spec, j, model = inputs(name, 4)
             return verify_method_agreement(spec, j, model, ls, seed=cfg.seed)
-        add(f"method-agreement:{name}", agreement)
+        add(f"method-agreement:{name}", agreement, [(name, 4)])
 
     for name in ("PU", "CL", "Soft"):
         if name in cfg.scenarios:
@@ -695,11 +720,11 @@ def build_registry(cfg: VerifyConfig) -> list:
         if name not in cfg.scenarios:
             continue
         def grad(name=name):
-            spec, j, _ = _scenario_trial_inputs(name, cfg, 3)
+            spec, j, _ = inputs(name, 3)
             sizes = _small_sizes(spec, j)
             ds = sample_weak_dataset(spec, j, sizes, seed=cfg.seed + 5)
             return verify_gradient_check(spec, j, ds, ls, seed=cfg.seed)
-        add(f"gradient-check:{name}", grad)
+        add(f"gradient-check:{name}", grad, [(name, 3)])
 
     if "PU" in cfg.scenarios:
         add("erm-sanity", lambda: verify_erm_sanity(seed=cfg.seed))

@@ -49,6 +49,19 @@ class TestValidateJoint:
         with pytest.raises(ValueError):
             j.joint[0, 0] = 1.0
 
+    def test_caller_arrays_are_copied(self):
+        feats = np.array(FEATS2)
+        a = np.array([[0.3, 0.1], [0.2, 0.4]])
+        j = validate_joint(2, feats, a)
+        assert j.joint is not a and j.features is not feats
+        assert a.flags.writeable and feats.flags.writeable
+        priors = marginals(j).priors.copy()
+        a[0, 0] = 0.5
+        feats[0, 0] = 9.0
+        assert j.joint[0, 0] == 0.3 and j.features[0, 0] == 0.0
+        assert np.array_equal(marginals(j).priors, priors)
+        assert np.array_equal(marginals(j).priors, j.joint.sum(axis=1))
+
 
 class TestMarginals:
     def test_uniform(self, uniform_joint):
@@ -75,6 +88,24 @@ class TestMarginals:
     def test_deterministic(self, toy_joint):
         a, b = marginals(toy_joint), marginals(toy_joint)
         assert np.array_equal(a.class_probabilities, b.class_probabilities)
+
+    def test_computed_once_per_joint(self, toy_joint):
+        assert marginals(toy_joint) is marginals(toy_joint)
+        same = validate_joint(2, toy_joint.features, toy_joint.joint)
+        assert marginals(same) is not marginals(toy_joint)
+
+    def test_shared_arrays_are_read_only(self, toy_joint):
+        m = marginals(toy_joint)
+        for arr in (m.priors, m.instance_marginal, m.class_conditionals, m.class_probabilities):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        assert m.priors[0] == pytest.approx(0.4, abs=1e-15)
+
+    def test_empty_class_raised_on_every_call(self):
+        j = validate_joint(2, FEATS2, [[0.5, 0.5], [0.0, 0.0]])
+        for _ in range(2):
+            with pytest.raises(EmptyClass):
+                marginals(j)
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -49,6 +51,64 @@ class TestRng:
         assert cum[-1] < 1.0
         u = np.array([cum[-1], np.nextafter(1.0, 0.0)])
         assert np.array_equal(_categorical(probs, u, "tail"), [9, 9])
+
+
+M64 = 2 ** 64 - 1
+
+
+def _philox_reference(seed, stream, n):
+    """A fresh generator per call, mapped to [0, 1) by the top 53 bits.  The
+    key is built as uint64 explicitly: a list holding 2**64 - 1 is cast
+    through float64 and keys another generator."""
+    key = np.array([seed & M64, stream & M64], dtype=np.uint64)
+    raw = np.random.Philox(key=key).random_raw(n)
+    return (raw >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestPhiloxReference:
+    """The re-keyed per-thread generator draws what a fresh one draws."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 63, M64, -1])
+    @pytest.mark.parametrize("stream", [0, 1, 17, 5000, M64])
+    def test_bit_exact(self, seed, stream):
+        for n in (0, 1, 3, 5, 1000):
+            assert _same_bits(philox_uniforms(seed, stream, n), _philox_reference(seed, stream, n))
+
+    def test_interleaved_keys(self):
+        # a short draw leaves words in the generator's buffer; the next key must not see them
+        calls = [(3, 0, 3), (3, 1, 5), (M64, 2, 1), (3, 0, 3), (0, 0, 1000), (3, 1, 5), (-1, M64, 1)]
+        for seed, stream, n in calls * 2:
+            assert _same_bits(philox_uniforms(seed, stream, n), _philox_reference(seed, stream, n))
+
+    def test_two_threads_at_once(self):
+        calls = [(seed, stream, n) for seed in (5, 2 ** 63) for stream in range(20) for n in (1, 5, 300)]
+        want = [_philox_reference(*c) for c in calls]
+        start = threading.Barrier(2)
+        results = [None, None]
+
+        def draw(slot, order):
+            start.wait()
+            results[slot] = [(i, philox_uniforms(*calls[i])) for i in order for _ in range(3)]
+
+        threads = [threading.Thread(target=draw, args=(0, range(len(calls)))),
+                   threading.Thread(target=draw, args=(1, range(len(calls) - 1, -1, -1)))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads between nearly every bytecode
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got in results:
+            assert len(got) == 3 * len(calls)
+            assert all(_same_bits(u, want[i]) for i, u in got)
 
 
 class TestSampling:

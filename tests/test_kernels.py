@@ -310,8 +310,8 @@ def test_validation_runs_a_constant_number_of_times(name, monkeypatch):
         calls.append(1)
         return real(*args, **kwargs)
 
+    # decontam and risk validate through scenarios._System, which reads this name
     monkeypatch.setattr(wslrr.scenarios, "validate_spec", counting)
-    monkeypatch.setattr(wslrr.decontam, "validate_spec", counting)
     counts = []
     for nx in (4, 12):
         spec, j = _case(name, nx)
@@ -325,4 +325,4 @@ def test_validation_runs_a_constant_number_of_times(name, monkeypatch):
         per_call.append(len(calls))
         counts.append(per_call)
     assert counts[0] == counts[1]
-    assert max(counts[0]) <= 2
+    assert max(counts[0]) == 1

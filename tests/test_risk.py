@@ -1,10 +1,13 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import wslrr.core
+import wslrr.scenarios
 from wslrr.core import marginals, validate_joint
 from wslrr.datagen import sample_weak_dataset
 from wslrr.decontam import (
@@ -551,3 +554,46 @@ def _members(spec):
 def _conf_coeff(spec, m):
     members = _members(spec)
     return (float(m.priors[members].sum()), members) if members else (1.0, None)
+
+
+# ---------------------------------------------------------------------------
+# Each call builds its inputs once
+# ---------------------------------------------------------------------------
+
+def _count_calls(monkeypatch, module, name) -> list:
+    """Count the calls of ``module.name`` through every wslrr module that binds it."""
+    real, calls = getattr(module, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for mod in [m for n, m in sys.modules.items() if n.startswith("wslrr")]:
+        for attr, value in list(vars(mod).items()):
+            if value is real:
+                monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ALL_SCENARIO_NAMES + ABSTRACT_SCENARIO_NAMES)
+def test_marginals_computed_once_per_joint(name, monkeypatch):
+    j0 = scenario_joint(name, 4, 6, 3, seed=47, trial=1)
+    spec = make_spec(name, j0, 47, 1)
+    calls = _count_calls(monkeypatch, wslrr.core, "_compute_marginals")
+    j = validate_joint(j0.K, j0.features, j0.joint)  # the same joint, nothing computed yet
+    ds = sample_weak_dataset(spec, j, 30, seed=3)
+    decontaminate(spec, j)
+    observed_distribution(spec, j)
+    rewrite_table(spec, j)
+    channel_terms(ds, spec, j)
+    assert [args[0] for args in calls] == [j]
+
+
+def test_rewritten_risk_validates_and_builds_once(monkeypatch):
+    j = random_joint(4, 400, 3, seed=5, stream=0)
+    model = seeded_model(j, 5, 0)
+    validated = _count_calls(monkeypatch, wslrr.scenarios, "validate_spec")
+    built = _count_calls(monkeypatch, wslrr.scenarios, "_contamination_tensor")
+    assert rewritten_risk(CL(), j, model, LOGISTIC) == pytest.approx(classification_risk(j, model, LOGISTIC),
+                                                                     abs=1e-10)
+    assert len(validated) == 1 and len(built) == 1

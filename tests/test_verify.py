@@ -1,8 +1,12 @@
+import gc
 import json
+import weakref
 
+import wslrr.verify
 from wslrr.risk import LossSpec
 from wslrr.scenarios import UU
 from wslrr.verify import (
+    ALL_SCENARIO_NAMES,
     VerifyConfig,
     build_registry,
     make_spec,
@@ -111,3 +115,59 @@ class TestAggregate:
 
         at6 = formulation_errors(6)
         assert len(at6) == 18 and at6 == formulation_errors(40)
+
+
+def test_each_trial_input_is_drawn_once_and_dropped_after_its_last_reader(monkeypatch):
+    """A default run draws each of its 18 x 20 (scenario, trial) inputs once.
+    When the first Monte-Carlo task starts, the only joints still alive are
+    the trial-3 ones that the gradient checks read later; none outlives the
+    run."""
+    real_inputs, real_mc = wslrr.verify._scenario_trial_inputs, wslrr.verify.verify_mc_consistency
+    drawn, joints, alive_at_mc = [], {}, []
+
+    def inputs(name, cfg, trial):
+        out = real_inputs(name, cfg, trial)
+        drawn.append((name, trial))
+        joints[name, trial] = weakref.ref(out[1])
+        return out
+
+    def mc_consistency(name, cfg, n=0):
+        if not alive_at_mc:
+            gc.collect()
+            alive_at_mc.append({key for key, ref in joints.items() if ref() is not None})
+        return real_mc(name, cfg, n)
+
+    monkeypatch.setattr(wslrr.verify, "_scenario_trial_inputs", inputs)
+    monkeypatch.setattr(wslrr.verify, "verify_mc_consistency", mc_consistency)
+    cfg = VerifyConfig()
+    assert verify_all(cfg).passed
+    assert len(drawn) == len(set(drawn)) == len(cfg.scenarios) * cfg.trials == 360
+    assert alive_at_mc == [{(name, 3) for name in ALL_SCENARIO_NAMES}]
+    gc.collect()
+    assert all(ref() is None for ref in joints.values())
+
+
+def test_mc_consistency_frees_its_estimator_terms_before_the_rerun(monkeypatch):
+    """The rerun draws a second dataset of the same size; the first one's
+    per-draw terms must be gone by then, or the task's memory peak grows by
+    a weight table."""
+    real_terms, real_sample = wslrr.verify.channel_terms, wslrr.verify.sample_weak_dataset
+    terms, alive_at_rerun = [], []
+
+    def channel_terms(*args):
+        out = real_terms(*args)
+        terms.extend(weakref.ref(t) for t in out)
+        return out
+
+    def sample(*args, **kwargs):
+        if terms:  # the rerun
+            gc.collect()
+            alive_at_rerun.append(sum(ref() is not None for ref in terms))
+        return real_sample(*args, **kwargs)
+
+    monkeypatch.setattr(wslrr.verify, "channel_terms", channel_terms)
+    monkeypatch.setattr(wslrr.verify, "sample_weak_dataset", sample)
+    for name in ("PU", "CL", "Soft"):
+        terms.clear()
+        assert wslrr.verify.verify_mc_consistency(name, VerifyConfig(mc_samples=2000)).passed
+    assert alive_at_rerun == [0, 0, 0]
