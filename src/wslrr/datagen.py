@@ -16,7 +16,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import FiniteJoint, marginals as compute_marginals
+from .core import FiniteJoint
 from .errors import (
     EmptyChannel,
     ParseError,
@@ -29,9 +29,8 @@ from .scenarios import (
     FAMILY_MCD,
     ScenarioSpec,
     compound_label_space,
-    observed_distribution,
-    pair_distribution,
-    validate_spec,
+    _System,
+    _pair_law,
     _scenario_from_object,
     _sconf_confidences,
     _spec_object,
@@ -163,28 +162,27 @@ def sample_weak_dataset(spec: ScenarioSpec, j: FiniteJoint, n: Union[int, dict],
     instances from their exact densities, pair channels sample index pairs
     from the exact pair law, label channels sample (compound label, x)
     jointly, and confidence channels attach the oracle class probabilities.
+    The spec is validated once, and every channel reads the one system.
     """
-    m = compute_marginals(j)
-    validate_spec(spec, m)
+    system = _System(spec, j)
+    m = system.m
     sizes = _resolve_sizes(spec, j.K, n)
     n_x = j.n_x
     if spec.family == FAMILY_CCN:
-        return _sample_label_stream(spec, j, sizes["SX"], seed)
+        return _sample_label_stream(system, sizes["SX"], seed)
 
     # every other channel is drawn by its kind, one Philox stream per channel
-    observed = observed_distribution(spec, j).observed if spec.family == FAMILY_MCD else None
     channels = []
     for stream, (label, kind) in enumerate(dataset_channels(spec, j.K)):
         u = philox_uniforms(seed, stream, sizes[label])
         if kind in (PAIRS, CONF_PAIRS):
-            q = pair_distribution(spec, j, channel=label).matrix
-            pos = _categorical(q, u, f"pair channel {label}")
+            pos = _categorical(_pair_law(m, label), u, f"pair channel {label}")
             pairs = np.stack([pos // n_x, pos % n_x], axis=1)
             conf = (_sconf_confidences(m, np.arange(n_x), np.arange(n_x))[pairs[:, 0], pairs[:, 1]]
                     if kind == CONF_PAIRS else None)
             channels.append(DatasetChannel(label, kind, pairs=pairs, confidences=conf))
         elif kind == POINTS:  # a mixture channel: its exact density
-            pos = _categorical(observed[:, stream], u, f"channel {label}")
+            pos = _categorical(system.observed[:, stream], u, f"channel {label}")
             channels.append(DatasetChannel(label, kind, indices=pos))
         else:  # confidence data: the super-class law, oracle class probabilities attached
             dist = m.instance_marginal if spec.members is None else _superclass_probability(spec, j.joint)
@@ -194,17 +192,17 @@ def sample_weak_dataset(spec: ScenarioSpec, j: FiniteJoint, n: Union[int, dict],
     return WeakDataset(spec=spec, seed=int(seed), channels=tuple(channels))
 
 
-def _sample_label_stream(spec: ScenarioSpec, j: FiniteJoint, count: int, seed: int) -> WeakDataset:
+def _sample_label_stream(system: _System, count: int, seed: int) -> WeakDataset:
     """(compound label, instance) draws, grouped into per-label channels.
 
     A record with a ``size_law`` (MCL) is sampled in its stated two stages:
     the excluded-set size first (independent of x), then the (label, x) pair
     from that size's conditional law.
     """
+    spec, j = system.spec, system.j
     n_x = j.n_x
     labels = spec.labels(j.K)
-    cm = observed_distribution(spec, j)
-    flat = cm.observed.T  # (m_channels, n_x), channel-major
+    flat = system.observed.T  # (m_channels, n_x), channel-major
 
     if spec.size_law is not None:
         space = compound_label_space(j.K)

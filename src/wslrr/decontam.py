@@ -47,7 +47,7 @@ from .scenarios import (
     _sconf_confidences,
     _sconf_denominators,
     _superclass_probability,
-    _transform_matrix,
+    _transform_diagonal,
 )
 
 SINGULAR_TOL = 1e-12
@@ -88,10 +88,14 @@ def _invert_stack(a: np.ndarray) -> np.ndarray:
     det_scaled = np.ones(n)
     rows = np.arange(n)
     for col in range(k):
+        # a swap with every pivot already on the diagonal, or an elimination
+        # in a column that is already zero off it, changes nothing: skip it
         pivot = col + np.argmax(np.abs(work[:, col:, col]), axis=1)
-        for arr in (work, inv):
-            arr[rows, col], arr[rows, pivot] = arr[rows, pivot], arr[rows, col]
-        det_scaled = np.where(pivot != col, -det_scaled, det_scaled)
+        swap = pivot != col
+        if np.any(swap):
+            for arr in (work, inv):
+                arr[rows, col], arr[rows, pivot] = arr[rows, pivot], arr[rows, col]
+            det_scaled = np.where(swap, -det_scaled, det_scaled)
         p = work[rows, col, col]
         det_scaled *= p
         if np.any(np.abs(p) <= SINGULAR_TOL):
@@ -100,8 +104,9 @@ def _invert_stack(a: np.ndarray) -> np.ndarray:
         inv[:, col] /= p[:, None]
         f = work[:, :, col].copy()
         f[:, col] = 0.0
-        work -= f[:, :, None] * work[:, None, col]
-        inv -= f[:, :, None] * inv[:, None, col]
+        if np.any(f):
+            work -= f[:, :, None] * work[:, None, col]
+            inv -= f[:, :, None] * inv[:, None, col]
     if np.any(np.abs(det_scaled) <= SINGULAR_TOL):
         raise Singular(f"scaled determinant {np.min(np.abs(det_scaled)):.3e} below threshold")
     return inv
@@ -113,10 +118,10 @@ def _marginal_chain(s: _System) -> np.ndarray:
     if s.spec.family != FAMILY_CCN:
         raise WrongFamily(f"marginal chain is defined for the label-channel family, not {s.spec.name}")
     terms = s.j.joint.T[:, :, None] * s.tensor.transpose(0, 2, 1)  # P(Y=k, S=s_j, x)
-    masses = terms.sum(axis=1, keepdims=True)
-    out = np.zeros(terms.shape)
-    np.divide(terms, masses, out=out, where=masses > 0.0)
-    return out
+    masses = s.observed[:, None, :]  # P(S=s_j, x), the sum of the terms over k
+    # the terms are nonnegative, so a channel without mass at x has only zero
+    # terms; C order, since a transposed D(x_i) changes how products with it sum
+    return np.divide(terms, np.where(masses > 0.0, masses, 1.0), order="C")
 
 
 def _size_d_sets(K: int, d: int) -> np.ndarray:
@@ -210,11 +215,11 @@ def _decontaminate(s: _System, method: str) -> DecontaminationResult:
     if method == METHOD_INVERSION:
         if spec.family == FAMILY_SCONF:
             raise WrongFamily("use sconf-special for Sconf")
-        mat, trsf = spec.matrix(m), _transform_matrix(spec, m)
+        mat, t = spec.matrix(m), _transform_diagonal(spec, m)  # M M_trsf scales the columns of M
         if mat is None:
-            mats = _invert_stack(s.tensor @ trsf)
+            mats = _invert_stack(s.tensor * t)
         else:  # a system that is the same at every x is inverted once, then copied out
-            inv = _invert_stack((mat @ trsf)[None])
+            inv = _invert_stack((mat * t)[None])
             mats = np.broadcast_to(inv, (j.n_x,) + inv.shape[1:]).copy()
         return DecontaminationResult(method=method, matrices=mats)
 

@@ -4,10 +4,12 @@ Every risk is one weighted loss sum_i W[i] . loss(g(x_i)) over an (n_x, K)
 table W, with its gradient; the risks differ only in the table.  The exact
 risk reads joint.T.  A rewrite moves the risk onto the observed channels,
 and it is exact because decontamination recovers the clean joint:
-:func:`rewrite_table` is D(x_i) . observed(x_i) at every instance (for
-Sconf, the pair law times the pair diagonal, summed over the partner), and
-the rewritten risk is its weighted loss.  The empirical table,
-:func:`weight_table`, weighs each draw by a column of the same D(x); for
+:func:`rewrite_table` is D(x_i) . observed(x_i) at every instance, and the
+rewritten risk is its weighted loss.  For Sconf the pair law is the product
+p(x) p(x') and the pair diagonal is affine in the confidence, so the sum
+over the partner factors: row x is p(x) times the diagonal at the
+partner-averaged confidence, and the table is linear in n_x.  The empirical
+table, :func:`weight_table`, weighs each draw by a column of the same D(x); for
 Sconf and the confidence family, by the same diagonal kernel evaluated at
 the confidences the dataset stores.  The corrected losses at x_i are
 ``lam[:, i] @ D(x_i)`` with ``lam`` the (K, n_x) :func:`loss_matrix`;
@@ -33,12 +35,14 @@ from .errors import (
     ShapeMismatch,
     SpecMismatch,
     UnsupportedScenario,
+    WrongFamily,
     ZeroConfidence,
 )
 from .scenarios import (
     FAMILY_CCN,
     FAMILY_MCD,
     FAMILY_SCONF,
+    METHOD_SCONF,
     CL,
     MCD,
     MCL,
@@ -53,8 +57,6 @@ from .scenarios import (
     compound_label_space,
     specs_equal,
     _System,
-    _contamination_model,
-    _pair_law,
     _sconf_confidences,
     _superclass_probability,
 )
@@ -173,16 +175,22 @@ def classification_risk(j: FiniteJoint, model, ls: LossSpec) -> float:
 
 def rewrite_table(spec: ScenarioSpec, j: FiniteJoint, method: str = "auto") -> np.ndarray:
     """The (n_x, K) table D(x_i) . observed(x_i) of the rewrite, which equals
-    joint.T whenever decontamination by ``method`` succeeded.  Sconf sums
-    the pair law times the pair diagonal over the partner; its only method is
-    sconf-special, and any other raises WrongFamily.  The spec is validated
-    and M(x) built once, for both the decontamination and the observed masses."""
+    joint.T whenever decontamination by ``method`` succeeded.  The spec is
+    validated and M(x) built once, for both the decontamination and the
+    observed masses.
+
+    Sconf's only method is sconf-special; any other raises WrongFamily.  Its
+    pair law p(x) p(x') is a product and the pair diagonal is affine in the
+    confidence, so the sum over the partner is p(x) times the diagonal at the
+    partner-averaged confidence r(x) = pi_p P(+|x) + pi_n P(-|x): one row per
+    instance, never a pair object."""
     system = _System(spec, j)
-    dr = _decontaminate(system, method)
     if spec.family == FAMILY_SCONF:
-        pair = _pair_law(system.m, "XX")
-        return np.einsum("ab,abk->ak", pair, np.diagonal(dr.pair_matrices, axis1=2, axis2=3))
-    return np.einsum("ikm,im->ik", dr.matrices, _contamination_model(system).observed)
+        if method not in ("auto", METHOD_SCONF):
+            raise WrongFamily(f"Sconf is decontaminated by {METHOD_SCONF} only, not {method!r}")
+        m = system.m
+        return m.instance_marginal[:, None] * _sconf_weights(m.priors, m.priors @ m.class_probabilities)
+    return np.einsum("ikm,im->ik", _decontaminate(system, method).matrices, system.observed)
 
 
 def rewritten_risk(spec: ScenarioSpec, j: FiniteJoint, model, ls: LossSpec,

@@ -3,31 +3,36 @@
 Each setting is a frozen record that owns its per-setting data, as class
 attributes or one small method each; the kernels here read that data and
 never branch on the setting.  They build, per instance, the contamination
-matrix M(x), the transform M_trsf(x) that maps the risk-defining vector
-P(x) to the base distributions B(x), and the observed channel masses
-M(x) M_trsf(x) P(x).  A record declares its channel ``labels(K)`` (fixed
-``channels``), the ``pair_channels`` drawn as index pairs, the ``streams``
-a sample-size request names when they are not the labels (Pcomp's single
-``PC`` stream), the preconditions ``binary_only``, ``offcenter_prior`` and
-``check(K, n_x)``, and its decontamination ``method`` (the default) and
-``estimator`` (weighs the empirical risk's draws); the formulas of D live
-in ``decontam``.  Three families share one pipeline and differ in what M reads:
+matrix M(x), the transform M_trsf that maps the risk-defining vector P(x)
+to the base distributions B(x), and the observed channel masses
+M(x) M_trsf P(x).  M_trsf is the same at every x and only reweights: it is
+diagonal, so the observed masses are the K-term sum over b of
+M[:, :, b] t_b P(Y=b, x) with t its diagonal.  A record declares its
+channel ``labels(K)`` (fixed ``channels``), the ``pair_channels`` drawn as
+index pairs, the ``streams`` a sample-size request names when they are not
+the labels (Pcomp's single ``PC`` stream), the preconditions
+``binary_only``, ``offcenter_prior`` and ``check(K, n_x)``, and its
+decontamination ``method`` (the default) and ``estimator`` (weighs the
+empirical risk's draws); the formulas of D live in ``decontam``.  Three
+families share one pipeline and differ in what M reads:
 
 * mixture family (``MCD``): the rows ``mixture(pi_p, pi_n)``, the same at
-  every x; B holds the class conditionals, M_trsf the reciprocal priors;
+  every x; B holds the class conditionals, M_trsf the reciprocal priors
+  (the identity for the other families);
 * label-channel family (``CCN``): P(S=s_j | Y=k, x), one ``matrix`` for
   every x (CL, PCPL, MCL) or a per-instance ``tensor`` (CCN, GCCN, PPL);
 * confidence family (``Conf``): the diagonal r_sel(x) / r_k(x), r_sel
   summing the class probabilities of the super-class ``members`` (None
   for Soft, whose super-class probability is exactly 1).
 
-A matrix that is the same at every x is built once and copied out to the
-(n_x, ...) stack.  Sconf is pair-shaped and kept out of the generic
+A matrix M that is the same at every x is built once and copied out to
+the (n_x, ...) stack.  Sconf is pair-shaped and kept out of the generic
 pipeline; its structures live in the ``pair_*`` fields of
 :class:`ContaminationModel`, built from outer products.  Every kernel is
 batched over the whole instance axis with the spec validated once per
-call: M(x_i) is ``observed_distribution(spec, j).matrix[i]`` and
-M_trsf(x_i) its ``transform[i]``, and no array aliases a record's own.
+call: M(x_i) is ``observed_distribution(spec, j).matrix[i]``, M_trsf is
+its ``transform``, one (b, K) matrix for every instance, and no array
+aliases a record's own.
 """
 
 from __future__ import annotations
@@ -575,10 +580,11 @@ def _contamination_tensor(spec: ScenarioSpec, m: Marginals) -> np.ndarray:
     return np.broadcast_to(mat, (m.n_x,) + mat.shape).copy()
 
 
-def _transform_matrix(spec: ScenarioSpec, m: Marginals) -> np.ndarray:
-    """M_trsf, the same at every instance: reciprocal priors for the mixture
-    family (and Sconf), identity otherwise."""
-    return np.diag(1.0 / m.priors) if spec.family in (FAMILY_MCD, FAMILY_SCONF) else np.eye(m.K)
+def _transform_diagonal(spec: ScenarioSpec, m: Marginals) -> np.ndarray:
+    """The diagonal t of M_trsf, which is the same at every instance and only
+    reweights: reciprocal priors for the mixture family (and Sconf), ones
+    otherwise."""
+    return 1.0 / m.priors if spec.family in (FAMILY_MCD, FAMILY_SCONF) else np.ones(m.K)
 
 
 def _sconf_confidences(m: Marginals, a, b) -> np.ndarray:
@@ -644,7 +650,7 @@ class ContaminationModel:
     """
     channels: tuple
     matrix: Optional[np.ndarray] = None      # (n_x, m, b)
-    transform: Optional[np.ndarray] = None   # (n_x, b, K)
+    transform: Optional[np.ndarray] = None   # (b, K), the same at every instance
     observed: Optional[np.ndarray] = None    # (n_x, m)
     pair: Optional[PairDistribution] = None
     pair_matrix: Optional[np.ndarray] = None      # (n_x, n_x, 2, 2)
@@ -652,11 +658,12 @@ class ContaminationModel:
 
 
 class _System:
-    """``spec`` validated once on ``j``: the marginals ``m`` and, built on its
-    first read, the contamination ``tensor`` M(x_i) at every instance.  One
-    call's shared inputs: :func:`observed_distribution`,
-    ``decontam.decontaminate`` and ``risk.rewrite_table`` each build one and
-    keep it no longer than the call."""
+    """``spec`` validated once on ``j``: the marginals ``m`` and, each built on
+    its first read, the contamination ``tensor`` M(x_i) at every instance and
+    the ``observed`` channel masses.  One call's shared inputs:
+    :func:`observed_distribution`, ``decontam.decontaminate``,
+    ``risk.rewrite_table`` and ``datagen.sample_weak_dataset`` each build one
+    and keep it no longer than the call."""
 
     def __init__(self, spec: ScenarioSpec, j: FiniteJoint):
         self.spec, self.j = spec, j
@@ -667,6 +674,16 @@ class _System:
     def tensor(self) -> np.ndarray:
         return _contamination_tensor(self.spec, self.m)
 
+    @cached_property
+    def observed(self) -> np.ndarray:
+        """M(x) M_trsf P(x) at every instance, (n_x, m): M_trsf is diagonal, so
+        this is the K-term sum over b of M[:, :, b] t_b P(Y=b, x), in b order."""
+        mats, t, joint = self.tensor, _transform_diagonal(self.spec, self.m), self.j.joint
+        out = mats[:, :, 0] * t[0] * joint[0][:, None]
+        for b in range(1, self.m.K):
+            out += mats[:, :, b] * t[b] * joint[b][:, None]
+        return out
+
 
 def _contamination_model(s: _System) -> ContaminationModel:
     spec, j, m = s.spec, s.j, s.m
@@ -675,11 +692,8 @@ def _contamination_model(s: _System) -> ContaminationModel:
         conf, pm = _sconf_pair_tensor(m)
         pair = PairDistribution(tag="XX", matrix=np.outer(m.instance_marginal, m.instance_marginal))
         return ContaminationModel(channels=labels, pair=pair, pair_matrix=pm, pair_confidence=conf)
-
-    mats = s.tensor
-    trsf = np.tile(_transform_matrix(spec, m), (j.n_x, 1, 1))
-    observed = np.einsum("imb,ibk,ki->im", mats, trsf, j.joint)
-    return ContaminationModel(channels=labels, matrix=mats, transform=trsf, observed=observed)
+    return ContaminationModel(channels=labels, matrix=s.tensor,
+                              transform=np.diag(_transform_diagonal(spec, m)), observed=s.observed)
 
 
 def observed_distribution(spec: ScenarioSpec, j: FiniteJoint) -> ContaminationModel:

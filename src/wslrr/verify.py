@@ -274,7 +274,7 @@ def verify_formulation(spec: ScenarioSpec, j: FiniteJoint, tol: float = TOL_MATR
             rows = cm.pair_matrix @ m.class_conditionals.T[:, None, :, None]  # (n_x, n_x, 2, 1)
             target = np.outer(m.instance_marginal, m.instance_marginal)[:, :, None, None]
             return max(float(np.max(np.abs(rows - target))), abs(float(cm.pair.matrix.sum()) - 1.0))
-        lhs = cm.matrix @ cm.transform @ j.joint.T[:, :, None]
+        lhs = cm.matrix @ cm.transform @ j.joint.T[:, :, None]  # one M_trsf for the whole stack
         err = float(np.max(np.abs(lhs[:, :, 0] - cm.observed)))
         if spec.family == FAMILY_MCD:
             rows = cm.matrix.sum(axis=2)
@@ -679,6 +679,8 @@ def build_registry(cfg: VerifyConfig) -> list:
         over_trials(f"risk-equality:{name}", name, cfg.trials,
                     lambda spec, j, model: verify_risk_equality(spec, j, model, ls, seed=cfg.seed))
     for name in CLOSED_FORM_NAMES:
+        if name not in cfg.scenarios:
+            continue
         over_trials(f"closed-form:{name}", name, few,
                     lambda spec, j, model: verify_closed_form(spec, j, model, ls, seed=cfg.seed))
 

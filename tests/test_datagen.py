@@ -5,6 +5,8 @@ import threading
 import numpy as np
 import pytest
 
+import wslrr.datagen
+import wslrr.scenarios
 from wslrr.core import marginals, validate_joint
 from wslrr.datagen import (
     CONF_PAIRS,
@@ -175,6 +177,25 @@ class TestSampling:
             pairs = ds.channel("PC").pairs
             counts = np.bincount(pairs[:, 0] * j.n_x + pairs[:, 1], minlength=q.size)
             _check_freqs(counts, q, n)
+
+    @pytest.mark.parametrize("name", ["PU", "Sconf", "CL", "Pcomp", "SD"])
+    def test_one_validation_per_sample(self, name, monkeypatch):
+        """Every channel reads one validated system: mixture densities, pair
+        laws and the label stream alike."""
+        calls = []
+        real = wslrr.scenarios.validate_spec
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(wslrr.scenarios, "validate_spec", counting)
+        # a name datagen imports itself would bypass the patch above
+        monkeypatch.setattr(wslrr.datagen, "validate_spec", counting, raising=False)
+        j = scenario_joint(name, 4, 6, 2, seed=5, trial=0)
+        spec = make_spec(name, j, 5, 0)
+        sample_weak_dataset(spec, j, 20, seed=1)
+        assert len(calls) == 1
 
     def test_unknown_channel_name(self, binary_joint):
         with pytest.raises(ValidationError):

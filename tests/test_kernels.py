@@ -6,7 +6,10 @@ below and evaluated one instance at a time with plain numpy (a per-instance
 Gauss-Jordan loop and a 2x2 adjugate for the inversions), check that every
 decontamination still reconstructs the joint, that the typed errors are
 unchanged, and that validation runs a constant number of times per call
-whatever the instance count.
+whatever the instance count.  The kernels that use the structure of their
+matrices (the diagonal M_trsf, Sconf's product pair law, steps of
+Gauss-Jordan with nothing to do) are also compared with the dense formulas
+they replace, typed in below: bit for bit where the arithmetic is the same.
 """
 
 import itertools
@@ -17,11 +20,11 @@ import pytest
 
 import wslrr.decontam
 import wslrr.scenarios
-from wslrr.core import validate_joint
+from wslrr.core import marginals, validate_joint
 from wslrr.decontam import _invert_stack, decontaminate
-from wslrr.errors import DegenerateParams, Singular, ZeroConfidence, ZeroPairMass
-from wslrr.risk import LOSS_NAMES, LossSpec, classification_risk, loss_matrix, rewritten_risk
-from wslrr.scenarios import CCN, SCConf, Sconf, Soft, observed_distribution
+from wslrr.errors import DegenerateParams, NonSquare, Singular, ZeroConfidence, ZeroPairMass
+from wslrr.risk import LOSS_NAMES, LossSpec, classification_risk, loss_matrix, rewrite_table, rewritten_risk
+from wslrr.scenarios import CCN, MCL, SCConf, Sconf, Soft, observed_distribution
 from wslrr.verify import (
     ABSTRACT_SCENARIO_NAMES,
     ALL_SCENARIO_NAMES,
@@ -194,10 +197,10 @@ def test_batched_contamination_matches_per_instance(name, nx):
                 assert _close(cm.pair_matrix[i, i2], _reference_pair_matrix(j, i, i2), TOL_MATRIX)
         return
     trsf = _reference_transform(name, j)
+    assert cm.transform.shape == (j.K, j.K) and _close(cm.transform, trsf, TOL_SAME)
     for i in range(nx):
         mat = _reference_matrix(spec, j, i)
         assert _close(cm.matrix[i], mat, TOL_SAME)
-        assert _close(cm.transform[i], trsf, TOL_SAME)
         assert np.max(np.abs(mat @ trsf @ j.joint[:, i] - cm.observed[i])) <= TOL_MATRIX
 
 
@@ -290,6 +293,8 @@ def test_sconf_prior_coincidence_is_degenerate():
                  lambda: decontaminate(Sconf(), j)):
         with pytest.raises(DegenerateParams):
             call()
+    # a singularity of the pair matrix, not of D: the rewrite never builds it
+    assert np.max(np.abs(rewrite_table(Sconf(), j) - j.joint.T)) <= TOL_MATRIX
 
 
 def test_sconf_zero_pair_mass():
@@ -299,6 +304,7 @@ def test_sconf_zero_pair_mass():
                  lambda: decontaminate(Sconf(), j)):
         with pytest.raises(ZeroPairMass, match=r"pair \(1, 1\)"):
             call()
+    assert np.max(np.abs(rewrite_table(Sconf(), j) - j.joint.T)) <= TOL_MATRIX
 
 
 @pytest.mark.parametrize("name", ["GCCN", "CCN", "PPL", "Soft", "PU", "Sconf"])
@@ -326,3 +332,152 @@ def test_validation_runs_a_constant_number_of_times(name, monkeypatch):
         counts.append(per_call)
     assert counts[0] == counts[1]
     assert max(counts[0]) == 1
+
+
+# ---------------------------------------------------------------------------
+# Structure-aware kernels against the dense formulas they replace
+# ---------------------------------------------------------------------------
+
+def _einsum_observed(cm, j):
+    """observed(x) = M(x) M_trsf P(x) as one three-operand einsum over the
+    transform tiled to every instance, K^2 products per channel."""
+    trsf = np.tile(cm.transform, (j.n_x, 1, 1))
+    return np.einsum("imb,ibk,ki->im", cm.matrix, trsf, j.joint)
+
+
+def _pair_sum_sconf_table(j):
+    """Sconf's rewrite table as the pair law times the pair diagonal, summed
+    over the partner: (n_x, n_x) objects for an (n_x, K) table."""
+    pair = observed_distribution(Sconf(), j).pair.matrix
+    diag = np.diagonal(decontaminate(Sconf(), j).pair_matrices, axis1=2, axis2=3)
+    return np.einsum("ab,abk->ak", pair, diag)
+
+
+def _unskipped_gauss_jordan(a):
+    """Batched Gauss-Jordan that swaps and eliminates at every column, even
+    where there is nothing to swap or eliminate."""
+    n, k = a.shape[0], a.shape[1]
+    if a.shape[2] != k:
+        raise NonSquare("not square")
+    scale = np.max(np.abs(a), axis=2)
+    if np.any(scale == 0.0):
+        raise Singular("all-zero row")
+    work = a / scale[:, :, None]
+    inv = np.eye(k) / scale[:, :, None]
+    det_scaled = np.ones(n)
+    rows = np.arange(n)
+    for col in range(k):
+        pivot = col + np.argmax(np.abs(work[:, col:, col]), axis=1)
+        for arr in (work, inv):
+            arr[rows, col], arr[rows, pivot] = arr[rows, pivot], arr[rows, col]
+        det_scaled = np.where(pivot != col, -det_scaled, det_scaled)
+        p = work[rows, col, col]
+        det_scaled *= p
+        if np.any(np.abs(p) <= 1e-12):
+            raise Singular("pivot")
+        work[:, col] /= p[:, None]
+        inv[:, col] /= p[:, None]
+        f = work[:, :, col].copy()
+        f[:, col] = 0.0
+        work -= f[:, :, None] * work[:, None, col]
+        inv -= f[:, :, None] * inv[:, None, col]
+    if np.any(np.abs(det_scaled) <= 1e-12):
+        raise Singular("determinant")
+    return inv
+
+
+def _summed_marginal_chain(mats, j):
+    """P(Y=k | S=s_j, x) with the channel masses summed from the terms in
+    the (n_x, K, m) layout."""
+    terms = j.joint.T[:, :, None] * mats.transpose(0, 2, 1)
+    masses = terms.sum(axis=1, keepdims=True)
+    out = np.zeros(terms.shape)
+    np.divide(terms, masses, out=out, where=masses > 0.0)
+    return out
+
+
+def _skewed_joint(K, nx, seed):
+    """A dense joint whose positive prior is well away from 1/2."""
+    rng = np.random.default_rng(seed)
+    joint = rng.random((K, nx)) + 0.05
+    joint[0] *= 1.6
+    return validate_joint(K, rng.normal(size=(nx, 2)), joint / joint.sum())
+
+
+def _with_class_counts(names):
+    """(name, K) for K = 2, 3 and 5, or K = 2 alone for a binary setting."""
+    return [(name, K) for name in names
+            for K in ((2,) if wslrr.scenarios.SCENARIO_TYPES[name].binary_only else (2, 3, 5))]
+
+
+@pytest.mark.parametrize("name, K", _with_class_counts(n for n in NAMES if n != "Sconf"))
+@pytest.mark.parametrize("nx", [3, 40, 400])
+def test_observed_masses_match_the_einsum(name, K, nx):
+    j = _skewed_joint(K, nx, seed=1000 * K + nx)
+    spec = make_spec(name, j, K, nx)
+    cm = observed_distribution(spec, j)
+    t = 1.0 / marginals(j).priors if name in MIXTURE else np.ones(K)
+    assert cm.transform.shape == (K, K) and np.array_equal(cm.transform, np.diag(t))
+    assert np.array_equal(cm.observed, _einsum_observed(cm, j))
+
+
+@pytest.mark.parametrize("nx", [2, 5, 23, 60])
+@pytest.mark.parametrize("seed", range(3))
+def test_sconf_table_matches_the_pair_sum(nx, seed):
+    j = _skewed_joint(2, nx, seed)
+    table = rewrite_table(Sconf(), j)
+    assert table.shape == (nx, 2)
+    assert np.max(np.abs(table - _pair_sum_sconf_table(j))) <= TOL_SAME
+    assert np.max(np.abs(table - j.joint.T)) <= TOL_MATRIX
+    assert np.array_equal(rewrite_table(Sconf(), j, "sconf-special"), table)
+
+
+def _stacks(k, n=30):
+    """Dense, diagonal and (scaled) permutation stacks, and one mixing all three."""
+    rng = np.random.default_rng(k)
+    dense = rng.normal(size=(n, k, k))
+    diagonal = np.zeros((n, k, k))
+    diagonal[:, np.arange(k), np.arange(k)] = rng.random((n, k)) + 0.1
+    perms = np.array([np.eye(k)[rng.permutation(k)] for _ in range(n)])
+    permutation = perms * (rng.random((n, 1, k)) + 0.1)
+    mixed = np.concatenate([dense[:5], diagonal[:5], permutation[:5]])
+    return {"dense": dense, "diagonal": diagonal, "permutation": permutation, "mixed": mixed}
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_inverse_stack_matches_the_unskipped_loop(k):
+    for kind, a in _stacks(k).items():
+        assert np.array_equal(_invert_stack(a), _unskipped_gauss_jordan(a)), kind
+        assert np.array_equal(_invert_stack(a[:1]), _unskipped_gauss_jordan(a[:1])), kind
+
+
+def test_skipped_steps_keep_the_errors():
+    singular = np.tile(np.eye(3), (4, 1, 1))  # diagonal instances: nothing to swap or eliminate ...
+    singular[2] = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]]  # ... but one singular instance
+    zero_row = np.tile(np.eye(3), (4, 1, 1))
+    zero_row[1, 0] = 0.0
+    for a, error in ((singular, Singular), (zero_row, Singular), (np.ones((4, 3, 4)), NonSquare)):
+        for invert in (_invert_stack, _unskipped_gauss_jordan):
+            with pytest.raises(error):
+                invert(a)
+
+
+@pytest.mark.parametrize("name, K", _with_class_counts(("CCN", "GCCN", "PPL", "PCPL", "MCL", "CL")))
+@pytest.mark.parametrize("nx", [1, 7, 120])
+def test_marginal_chain_matches_the_summed_masses(name, K, nx):
+    j = _skewed_joint(K, nx, seed=7 * K + nx)
+    spec = make_spec(name, j, K, nx)
+    mats = observed_distribution(spec, j).matrix
+    got = decontaminate(spec, j, "marginal-chain").matrices
+    assert got.flags.c_contiguous and np.array_equal(got, _summed_marginal_chain(mats, j))
+
+
+def test_marginal_chain_zero_mass_channels_match():
+    """Channels without mass (excluded-set sizes of probability zero) are
+    zero in both."""
+    j = _skewed_joint(4, 9, seed=3)
+    for spec in (MCL(q=(0.7, 0.3, 0.0)), MCL(q=(0.0, 0.0, 1.0))):
+        mats = observed_distribution(spec, j).matrix
+        got = decontaminate(spec, j, "marginal-chain").matrices
+        assert np.array_equal(got, _summed_marginal_chain(mats, j))
+        assert np.any(np.all(got == 0.0, axis=1))

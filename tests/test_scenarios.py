@@ -70,12 +70,12 @@ class TestCompoundLabelSpace:
 
 
 class TestBaseAndTransform:
-    """The base distributions B(x_i) = M_trsf(x_i) P(x_i), read from the
-    model's ``transform`` stack."""
+    """The base distributions B(x_i) = M_trsf P(x_i), read from the model's
+    ``transform``, the one (b, K) matrix shared by every instance."""
 
     @staticmethod
     def _base(spec, j, i):
-        return observed_distribution(spec, j).transform[i] @ j.joint[:, i]
+        return observed_distribution(spec, j).transform @ j.joint[:, i]
 
     def test_pu_base_is_class_conditionals(self, toy_joint):
         # spec's derivation oracle: 0.3/0.4 and 0.2/0.6
@@ -93,7 +93,7 @@ class TestBaseAndTransform:
 
     def test_ppl_transform_identity(self, multi_joint):
         t = observed_distribution(make_spec("PPL", multi_joint, 1, 0), multi_joint).transform
-        assert np.array_equal(t, np.broadcast_to(np.eye(4), t.shape))
+        assert t.shape == (4, 4) and np.array_equal(t, np.eye(4))
 
     def test_mcd_transform_uniform(self, uniform_joint):
         t = observed_distribution(UU(gamma_1=0.1, gamma_2=0.2), uniform_joint).transform
@@ -258,7 +258,7 @@ class TestObservedDistribution:
         spec = make_spec("GCCN", multi_joint, 3, 1)
         cm = observed_distribution(spec, multi_joint)
         for i in range(multi_joint.n_x):
-            lhs = cm.matrix[i] @ cm.transform[i] @ multi_joint.joint[:, i]
+            lhs = cm.matrix[i] @ cm.transform @ multi_joint.joint[:, i]
             assert np.max(np.abs(lhs - cm.observed[i])) <= 1e-12
 
 
@@ -399,5 +399,5 @@ def test_observed_equals_matrix_product_everywhere(seed):
     spec = make_spec("PCPL", j, seed, 0)
     cm = observed_distribution(spec, j)
     for i in range(j.n_x):
-        lhs = cm.matrix[i] @ cm.transform[i] @ j.joint[:, i]
+        lhs = cm.matrix[i] @ cm.transform @ j.joint[:, i]
         assert np.max(np.abs(lhs - cm.observed[i])) <= 1e-12

@@ -10,7 +10,12 @@ reduction table.  Another counts the functions that take an instance index:
 every kernel builds the whole (n_x, ...) stack, and callers index it, so only
 the closed-form oracle, which is per instance by design, takes one.  A
 third keeps the exact, rewritten and empirical risks on the one weighted-loss
-kernel: none of them builds its own loss table or contraction.
+kernel: none of them builds its own loss table or contraction.  The last
+keep the exact kernels on the structure of their matrices: the modules that
+build them tile no matrix out to every instance and contract no three
+operands at once (M_trsf is diagonal, so the observed masses are a K-term
+sum), and the rewrite reads the system's observed masses without building
+a whole contamination model.
 """
 
 import ast
@@ -22,6 +27,8 @@ MAX_DISPATCH_SITES = 10
 INSTANCE_PARAMS = {"i", "i2"}
 PER_INSTANCE_ORACLE = "closed_form_corrected_loss"
 RISKS = {"classification_risk", "rewritten_risk", "empirical_risk"}
+STRUCTURED = ("scenarios.py", "decontam.py", "risk.py")
+WHOLE_MODEL_BUILDERS = {"_contamination_model", "observed_distribution"}
 
 
 def _is_spec(node) -> bool:
@@ -142,3 +149,95 @@ def test_contraction_finder_sees_both_calls():
         "    return np.einsum('ikm,im->ik', d, o)\n"
     )
     assert _own_contractions(tree) == [("rewritten_risk", "loss_matrix"), ("rewritten_risk", "np.einsum")]
+
+
+def _dense_calls(tree) -> list:
+    """(line, call) for each ``np.tile`` and each ``np.einsum`` of three or
+    more operands."""
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"):
+            continue
+        if node.func.attr == "tile":
+            found.append((node.lineno, "np.tile"))
+        if node.func.attr == "einsum" and len(node.args) >= 4:  # the subscripts, then the operands
+            found.append((node.lineno, "np.einsum"))
+    return found
+
+
+def test_exact_kernels_tile_nothing_and_contract_two_operands():
+    found = {}
+    for name in STRUCTURED:
+        calls = _dense_calls(ast.parse((SRC / name).read_text(), filename=name))
+        if calls:
+            found[name] = calls
+    assert found == {}, f"dense tiles or three-operand contractions: {found}"
+
+
+def test_dense_call_finder_sees_both_calls():
+    tree = ast.parse(
+        "t = np.tile(a, (n, 1, 1))\n"
+        "o = np.einsum('imb,ibk,ki->im', m, t, p)\n"
+        "r = np.einsum('ikm,im->ik', d, o)\n"
+        "b = np.broadcast_to(a, (n, 2, 2))\n"
+    )
+    assert _dense_calls(tree) == [(1, "np.tile"), (2, "np.einsum")]
+
+
+def _call_graph(trees) -> dict:
+    """Name -> names it calls, for every module-level function, method and
+    class (a class calls what its methods call; a function what its nested
+    functions call).  Calls are matched by name, so the graph may hold edges
+    that never run but misses none within the package."""
+    graph = {}
+
+    def callees(node) -> set:
+        return {c.func.id if isinstance(c.func, ast.Name) else c.func.attr
+                for c in ast.walk(node) if isinstance(c, ast.Call)
+                and isinstance(c.func, (ast.Name, ast.Attribute))}
+
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                graph.setdefault(node.name, set()).update(callees(node))
+            elif isinstance(node, ast.ClassDef):
+                graph.setdefault(node.name, set()).update(callees(node))
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        graph.setdefault(item.name, set()).update(callees(item))
+    return graph
+
+
+def _reached(graph, start) -> set:
+    seen, todo = set(), [start]
+    while todo:
+        name = todo.pop()
+        for callee in graph.get(name, ()):
+            if callee not in seen:
+                seen.add(callee)
+                todo.append(callee)
+    return seen
+
+
+def test_rewrite_builds_no_whole_contamination_model():
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))]
+    assert _reached(_call_graph(trees), "rewrite_table") & WHOLE_MODEL_BUILDERS == set()
+
+
+def test_call_graph_follows_helpers_and_classes():
+    tree = ast.parse(
+        "def rewrite_table(spec, j):\n"
+        "    s = _System(spec, j)\n"
+        "    return helper(s)\n"
+        "def helper(s):\n"
+        "    return s.observed\n"
+        "class _System:\n"
+        "    def __init__(self, spec, j):\n"
+        "        self.cm = observed_distribution(spec, j)\n"
+        "def unrelated():\n"
+        "    return _contamination_model(None)\n"
+    )
+    reached = _reached(_call_graph([tree]), "rewrite_table")
+    assert {"_System", "helper", "observed_distribution"} <= reached
+    assert "_contamination_model" not in reached

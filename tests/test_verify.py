@@ -93,6 +93,10 @@ class TestAggregate:
         names2 = [n for n, _ in build_registry(cfg)]
         assert names1 == names2
 
+    def test_closed_form_tasks_follow_the_scenarios(self):
+        names = [n for n, _ in build_registry(VerifyConfig(scenarios=("PU",), trials=1))]
+        assert [n for n in names if n.startswith("closed-form:")] == ["closed-form:PU"]
+
     def test_failing_task_becomes_failed_report(self):
         # no admissible SU joint exists at 400 instances: the pair checks fail
         # as a report instead of ending the run
