@@ -9,7 +9,9 @@ two-column "epoch,risk" CSV loss trace).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -67,11 +69,19 @@ def _parse_sizes(text: str):
 
 
 def _write(path: str | None, text: str) -> None:
+    """Write ``text`` to ``path``, ending in a newline.  The newline is written
+    on its own: appending it would copy a dataset's text, megabytes at the
+    peak of ``simulate``."""
     if path:
-        Path(path).write_text(text + ("\n" if not text.endswith("\n") else ""))
+        with Path(path).open("w") as f:
+            f.write(text)
+            if not text.endswith("\n"):
+                f.write("\n")
 
 
 def cmd_verify(args) -> int:
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise ValidationError(f"--tol must be a finite number >= 0, got {args.tol!r}")
     joint = joint_from_json(Path(args.joint).read_text())
     spec = _load_scenario(args.scenario, args.params)
     validate_spec(spec, compute_marginals(joint))
@@ -140,7 +150,10 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``wslrr`` parser, built once per process and shared by every
+    :func:`main` call; parsing reads it and never changes it."""
     p = argparse.ArgumentParser(prog="wslrr",
                                 description="Contamination matrices, risk rewrites and "
                                             "corrected-loss training for weak supervision.")

@@ -5,10 +5,15 @@ generator keyed by (seed, stream index) produces raw 64-bit words, each
 mapped to a uniform in [0, 1) and inverted against the channel's cumulative
 probabilities in a fixed order.  The same (spec, joint, n, seed) therefore
 always yields the same dataset.
+
+Datasets are written to and read from one line of JSON.  Both codecs pause
+the cyclic garbage collector: the trees of lists, dicts and scalars they
+build hold no cycles, so a collection over them could free nothing.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import threading
 from dataclasses import dataclass
@@ -237,6 +242,38 @@ def _sample_label_stream(system: _System, count: int, seed: int) -> WeakDataset:
 # JSON: {"spec": {...}, "seed": u64, "channels": [{"label", "kind", "items"}]}
 # ---------------------------------------------------------------------------
 
+class _CollectorPause:
+    """Pauses the cyclic garbage collector while the dataset codecs run.
+
+    A 30k-draw confidence channel builds about 60k lists and dicts, enough
+    to set off full collections over the whole heap, and those can free
+    nothing here: the codecs build trees of fresh lists, dicts and scalars
+    (``json`` decoding, ``tolist()``), which hold no cycles and are freed by
+    reference counting.  Nested and concurrent codec calls share one pause;
+    the last to leave restores the state the first one found, so a collector
+    the caller had disabled stays disabled."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._resume = False
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                self._resume = gc.isenabled()
+                gc.disable()
+            self._depth += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0 and self._resume:
+                gc.enable()
+
+
+_COLLECTOR_PAUSE = _CollectorPause()
+
 _encode = json.JSONEncoder(check_circular=False).encode  # values are fresh lists and scalars
 
 
@@ -280,11 +317,13 @@ def dataset_to_json(ds: WeakDataset) -> str:
     "items"}]}``, with the default separators.  The text is what ``json.dumps``
     writes for the dataset as nested lists and dicts; it is assembled from
     per-channel fragments so that each distinct confidence item or value is
-    formatted once (see :func:`_items_json`)."""
-    channels = ", ".join(f'{{"label": {_encode(c.label)}, "kind": {_encode(c.kind)}, '
-                         f'"items": {_items_json(c)}}}' for c in ds.channels)
-    return (f'{{"spec": {_encode(_spec_object(ds.spec))}, "seed": {_encode(ds.seed)}, '
-            f'"channels": [{channels}]}}')
+    formatted once (see :func:`_items_json`).  The cyclic collector is paused
+    meanwhile (see :class:`_CollectorPause`)."""
+    with _COLLECTOR_PAUSE:
+        channels = ", ".join(f'{{"label": {_encode(c.label)}, "kind": {_encode(c.kind)}, '
+                             f'"items": {_items_json(c)}}}' for c in ds.channels)
+        return (f'{{"spec": {_encode(_spec_object(ds.spec))}, "seed": {_encode(ds.seed)}, '
+                f'"channels": [{channels}]}}')
 
 
 def _item_array(items, key: Optional[str], kind: str, shape: tuple) -> np.ndarray:
@@ -305,6 +344,34 @@ def _item_array(items, key: Optional[str], kind: str, shape: tuple) -> np.ndarra
     return arr.astype(np.int64 if kind == "i" else np.float64)
 
 
+# kind -> (field, item key, integers "i" or numbers "f", shape) of each array
+_CHANNEL_FIELDS = {
+    POINTS: (("indices", None, "i", (None,)),),
+    PAIRS: (("pairs", None, "i", (None, 2)),),
+    CONF_POINTS: (("indices", "index", "i", (None,)),
+                  ("confidences", "confidences", "f", (None, None))),
+    CONF_PAIRS: (("pairs", "pair", "i", (None, 2)),
+                 ("confidences", "confidence", "f", (None,))),
+}
+
+
+def _channel(label, kind, items, codes: Optional[np.ndarray] = None) -> DatasetChannel:
+    """A channel from its parsed items; with ``codes``, ``items`` are the
+    distinct items and ``codes`` the position of every draw's item in them."""
+    if not isinstance(kind, str) or kind not in _CHANNEL_FIELDS:
+        raise SchemaMismatch(f"unknown channel kind {kind!r}")
+    fields = {f: _item_array(items, key, t, shape) for f, key, t, shape in _CHANNEL_FIELDS[kind]}
+    if codes is not None:
+        fields = {f: arr[codes] for f, arr in fields.items()}
+    return DatasetChannel(label, kind, **fields)
+
+
+def _dataset(spec: ScenarioSpec, seed, channels: list) -> WeakDataset:
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise SchemaMismatch(f"dataset seed must be an integer, got {seed!r}")
+    return WeakDataset(spec=spec, seed=seed, channels=tuple(channels))
+
+
 class _FloatMemo(dict):
     """Float literal -> float, parsing each distinct literal once."""
 
@@ -313,10 +380,9 @@ class _FloatMemo(dict):
         return value
 
 
-def dataset_from_json(text: str) -> WeakDataset:
-    """The dataset :func:`dataset_to_json` wrote, or a typed error.  Each
-    distinct float literal is parsed once; the spec is built from the parsed
-    object."""
+def _read_generic(text: str) -> WeakDataset:
+    """Any dataset JSON, through one ``json.loads``; every reading error is
+    raised here."""
     try:
         raw = json.loads(text, parse_float=_FloatMemo().__getitem__)
     except json.JSONDecodeError as e:
@@ -330,21 +396,87 @@ def dataset_from_json(text: str) -> WeakDataset:
     for c in raw["channels"]:
         if not isinstance(c, dict) or not {"label", "kind", "items"} <= c.keys():
             raise SchemaMismatch('each channel needs keys "label", "kind", "items"')
-        kind, items = c["kind"], c["items"]
-        if kind == POINTS:
-            fields = {"indices": _item_array(items, None, "i", (None,))}
-        elif kind == PAIRS:
-            fields = {"pairs": _item_array(items, None, "i", (None, 2))}
-        elif kind == CONF_POINTS:
-            fields = {"indices": _item_array(items, "index", "i", (None,)),
-                      "confidences": _item_array(items, "confidences", "f", (None, None))}
-        elif kind == CONF_PAIRS:
-            fields = {"pairs": _item_array(items, "pair", "i", (None, 2)),
-                      "confidences": _item_array(items, "confidence", "f", (None,))}
-        else:
-            raise SchemaMismatch(f"unknown channel kind {kind!r}")
-        channels.append(DatasetChannel(c["label"], kind, **fields))
-    seed = raw["seed"]
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise SchemaMismatch(f"dataset seed must be an integer, got {seed!r}")
-    return WeakDataset(spec=spec, seed=seed, channels=tuple(channels))
+        channels.append(_channel(c["label"], c["kind"], c["items"]))
+    return _dataset(spec, raw["seed"], channels)
+
+
+def _expect(text: str, pos: int, literal: str) -> int:
+    """The position after ``literal``, which must stand at ``pos``."""
+    if not text.startswith(literal, pos):
+        raise ValueError(f"expected {literal!r} at {pos}")
+    return pos + len(literal)
+
+
+def _distinct_items(decode, text: str, start: int, stop: int) -> tuple:
+    """(distinct items, the code of every item) of the conf-points item
+    texts ``text[start:stop]`` holds between its outer ``[{`` and ``}]``.
+    Each distinct item text is decoded once, and must be decoded whole."""
+    pieces = text[start:stop].split("}, {")
+    distinct = dict.fromkeys(pieces)
+    items = []
+    for k, piece in enumerate(distinct):
+        item = "{" + piece + "}"
+        value, used = decode(item)
+        if used != len(item):
+            raise ValueError(f"{item!r} is not one JSON value")
+        items.append(value)
+        distinct[piece] = k
+    return items, np.fromiter(map(distinct.__getitem__, pieces), dtype=np.intp, count=len(pieces))
+
+
+def _read_carved(text: str) -> Optional[WeakDataset]:
+    """The dataset in ``text`` when it has the writer's layout, else None.
+
+    The text is cut into the writer's fixed literals and the holes between
+    them.  The spec, the seed, each label and kind, and the item list of a
+    points, pairs or conf-pairs channel are each one hole, read by one
+    decoder call.  A conf-points list is split on the ``}, {`` between its
+    items, and each distinct item text is decoded and converted once, then
+    gathered by its code.  Every character then lies in a literal or in a
+    hole the decoder accepted whole, and every hole is followed by ``,``,
+    ``]`` or ``}``, so as JSON is unambiguous the values are those
+    ``json.loads`` gives, and the arrays those :func:`_read_generic` builds
+    (the distinct items hold the same set of values, so dtype and shape
+    agree).  Any departure, and any hole or conversion that fails, gives
+    None and leaves every error to :func:`_read_generic`."""
+    if not isinstance(text, str):
+        return None
+    decode = json.JSONDecoder(parse_float=_FloatMemo().__getitem__).raw_decode
+    try:
+        spec_object, pos = decode(text, _expect(text, 0, '{"spec": '))
+        seed, pos = decode(text, _expect(text, pos, ', "seed": '))
+        pos = _expect(text, pos, ', "channels": [')
+        channels = []
+        while not text.startswith("]}", pos):
+            label, pos = decode(text, _expect(text, pos, ', {"label": ' if channels else '{"label": '))
+            kind, pos = decode(text, _expect(text, pos, ', "kind": '))
+            pos = _expect(text, pos, ', "items": ')
+            if kind == CONF_POINTS and text.startswith("[{", pos):
+                stop = text.find("}]}", pos)  # the list's end, if the layout holds
+                if stop < 0:
+                    return None
+                channels.append(_channel(label, kind, *_distinct_items(decode, text, pos + 2, stop)))
+                pos = stop + 2
+            else:
+                items, pos = decode(text, pos)
+                channels.append(_channel(label, kind, items))
+            pos = _expect(text, pos, "}")
+        if text[pos + 2:].strip(" \t\n\r"):  # json.loads allows trailing whitespace
+            return None
+        return _dataset(_scenario_from_object(spec_object), seed, channels)
+    except (ValueError, RecursionError):  # JSONDecodeError and ValidationError are ValueErrors
+        return None
+
+
+def dataset_from_json(text: str) -> WeakDataset:
+    """The dataset :func:`dataset_to_json` wrote, or a typed error.
+
+    Text with the writer's layout is read piecewise, each distinct
+    ``conf-points`` item once (:func:`_read_carved`); any other text goes
+    through one ``json.loads`` (:func:`_read_generic`), which alone raises
+    errors.  Each distinct float literal is parsed once.  The cyclic
+    collector is paused meanwhile: the parsed trees hold no cycles (see
+    :class:`_CollectorPause`)."""
+    with _COLLECTOR_PAUSE:
+        ds = _read_carved(text)
+        return ds if ds is not None else _read_generic(text)

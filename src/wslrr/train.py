@@ -11,6 +11,7 @@ treat as a reported outcome rather than a crash.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,14 +49,14 @@ class TrainConfig:
     l2: float = 0.0
 
     def __post_init__(self):
-        if self.learning_rate <= 0.0:
-            # eta = 0 is allowed for the "model unchanged" degenerate case
-            if self.learning_rate < 0.0:
-                raise ShapeMismatch("learning rate must be >= 0")
+        # eta = 0 is allowed for the "model unchanged" degenerate case; NaN
+        # fails every comparison, so finiteness is tested on its own
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
+            raise ShapeMismatch(f"learning rate must be finite and >= 0, got {self.learning_rate!r}")
         if self.epochs < 1:
             raise ShapeMismatch("epochs must be >= 1")
-        if self.l2 < 0.0:
-            raise ShapeMismatch("l2 coefficient must be >= 0")
+        if not (math.isfinite(self.l2) and self.l2 >= 0.0):
+            raise ShapeMismatch(f"l2 coefficient must be finite and >= 0, got {self.l2!r}")
 
 
 def init_model(K: int, d_feat: int, seed: int) -> LinearModel:

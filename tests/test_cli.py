@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from wslrr.cli import main
+from wslrr.cli import build_parser, main
 from wslrr.core import joint_to_json, validate_joint
 from wslrr.datagen import dataset_from_json
 from wslrr.train import model_from_json
@@ -54,6 +54,22 @@ class TestVerifyCommand:
         spec_path = tmp_path / "spec.json"
         spec_path.write_text('{"name": "UU", "params": {"gamma_1": 0.2, "gamma_2": 0.3}}')
         assert main(["verify", "--joint", str(joint_file), "--scenario", str(spec_path)]) == 0
+
+
+class TestParser:
+    TRAIN = ["train", "--data", "d.json", "--joint", "j.json", "--lr", "0.1", "--epochs", "1"]
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_usage_error_then_a_valid_run(self, joint_file, tmp_path):
+        assert main([]) == 2
+        assert main(["simulate", "--joint", str(joint_file), "--scenario", "PU",
+                     "--n", "10", "--seed", "1", "--out", str(tmp_path / "ds.json")]) == 0
+
+    def test_defaults_do_not_leak_between_calls(self):
+        assert build_parser().parse_args(self.TRAIN + ["--l2", "0.5"]).l2 == 0.5
+        assert build_parser().parse_args(self.TRAIN).l2 == 0.0
 
 
 class TestVerifyAllCommand:
@@ -249,6 +265,20 @@ class TestMalformedInputs:
         assert main(["simulate", "--joint", str(jp), "--scenario", "MCL",
                      "--params", '{"q": [NaN, 0.5, 0.5]}', "--n", "50", "--seed", "1"]) == 2
         assert "DegenerateParams" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--lr", "nan"), ("--lr", "inf"), ("--lr", "-inf"),
+                                             ("--l2", "nan"), ("--l2", "inf"), ("--l2", "-1")])
+    def test_non_finite_or_negative_rates_exit_2(self, joint_file, tmp_path, capsys, flag, value):
+        ds_path, _ = self._dataset(joint_file, tmp_path)
+        args = {"--lr": "0.1", "--l2": "0.0", flag: value}
+        assert main(["train", "--data", str(ds_path), "--joint", str(joint_file), "--epochs", "2",
+                     *(f"{k}={v}" for k, v in args.items())]) == 2
+        assert "ShapeMismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
+    def test_non_finite_or_negative_tol_exit_2(self, joint_file, capsys, tol):
+        assert main(["verify", "--joint", str(joint_file), "--scenario", "PU", f"--tol={tol}"]) == 2
+        assert "--tol" in capsys.readouterr().err
 
     def test_verify_all_single_class(self, capsys):
         assert main(["verify-all", "--K", "1", "--trials", "1"]) == 2

@@ -1,3 +1,4 @@
+import gc
 import json
 import sys
 import threading
@@ -16,6 +17,8 @@ from wslrr.datagen import (
     DatasetChannel,
     WeakDataset,
     _categorical,
+    _read_carved,
+    _read_generic,
     dataset_from_json,
     dataset_to_json,
     datasets_equal,
@@ -24,7 +27,8 @@ from wslrr.datagen import (
     sampling_channels,
 )
 from wslrr.errors import ParseError, SchemaMismatch, ValidationError, ZeroChannelMass
-from wslrr.scenarios import CL, MCL, PU, Pcomp, Sconf, Soft, observed_distribution, scenario_to_json
+from wslrr.scenarios import (CL, MCL, PU, Pcomp, Sconf, Soft, observed_distribution, scenario_to_json,
+                             specs_equal)
 from wslrr.verify import ABSTRACT_SCENARIO_NAMES, ALL_SCENARIO_NAMES, make_spec, scenario_joint
 
 
@@ -325,6 +329,25 @@ def _assert_read_bits(text: str) -> None:
             assert a.size == 0
 
 
+def _assert_same_dataset(a: WeakDataset, b: WeakDataset) -> None:
+    """Equal specs and seeds, and channels equal bit for bit."""
+    assert specs_equal(a.spec, b.spec) and type(a.seed) is type(b.seed) and a.seed == b.seed
+    assert [(c.label, c.kind) for c in a.channels] == [(c.label, c.kind) for c in b.channels]
+    for ca, cb in zip(a.channels, b.channels):
+        for f in ("indices", "pairs", "confidences"):
+            va, vb = getattr(ca, f), getattr(cb, f)
+            assert (va is None) == (vb is None)
+            if va is not None:
+                assert va.dtype == vb.dtype and va.shape == vb.shape and va.tobytes() == vb.tobytes()
+
+
+def _assert_carved(text: str) -> None:
+    """The writer's layout is read piecewise, to the generic reader's bits."""
+    ds = _read_carved(text)
+    assert ds is not None
+    _assert_same_dataset(ds, _read_generic(text))
+
+
 def _conf_points(indices, rows):
     return WeakDataset(Soft(), 7, (DatasetChannel("X", CONF_POINTS, indices=np.asarray(indices),
                                                 confidences=np.asarray(rows, dtype=np.float64)),))
@@ -371,6 +394,7 @@ class TestJsonAgainstReference:
         text = dataset_to_json(ds)
         assert text == _reference_to_json(ds)
         _assert_read_bits(text)
+        _assert_carved(text)
 
     @pytest.mark.parametrize("case", sorted(HAND_BUILT))
     def test_hand_built_text_and_arrays(self, case):
@@ -378,6 +402,7 @@ class TestJsonAgainstReference:
         text = dataset_to_json(ds)
         assert text == _reference_to_json(ds)
         _assert_read_bits(text)
+        _assert_carved(text)
 
     def test_read_literals(self):
         # equal values spelled differently, a negative zero, non-finite and
@@ -393,3 +418,203 @@ class TestJsonAgainstReference:
                 '"kind": "conf-pairs", "items": [{"pair": [0, 1], "confidence": 0.5}, '
                 '{"pair": [1, 0], "confidence": 5e-1}, {"pair": [1, 1], "confidence": -0.0}]}]}')
         _assert_read_bits(text)
+
+
+# ---------------------------------------------------------------------------
+# The piecewise reader against the generic one
+# ---------------------------------------------------------------------------
+
+_SOFT_TEXT = dataset_to_json(_conf_points([2, 0, 2, 1, 2], [[0.25, 0.75], [0.5, 0.5], [0.25, 0.75],
+                                                            [0.125, 0.875], [0.25, 0.75]]))
+
+
+def _edited(edit) -> str:
+    """The Soft text parsed, changed in place by ``edit`` and written by json.dumps."""
+    raw = json.loads(_SOFT_TEXT)
+    edit(raw)
+    return json.dumps(raw)
+
+
+def _set_item(key, value, at=1):
+    return lambda raw: raw["channels"][0]["items"][at].__setitem__(key, value)
+
+
+# texts that depart from the writer's layout, or hold values the piecewise
+# reader must not misread: dataset_from_json decides each as _read_generic does
+DEPARTURES = {
+    "indent=2": json.dumps(json.loads(_SOFT_TEXT), indent=2),
+    "compact separators": json.dumps(json.loads(_SOFT_TEXT), separators=(",", ":")),
+    "reordered top-level keys": json.dumps({k: json.loads(_SOFT_TEXT)[k] for k in ("seed", "channels", "spec")}),
+    "extra key in a conf-points item": _edited(_set_item("extra", 1)),
+    "extra key first in a conf-points item": _edited(
+        lambda raw: raw["channels"][0]["items"].__setitem__(0, {"x": 0, **raw["channels"][0]["items"][0]})),
+    "label holding the channel separator": _edited(
+        lambda raw: raw["channels"][0].__setitem__("label", ']}, {"label": ')),
+    "string holding the item separator": _edited(_set_item("note", "}, {")),
+    "string holding the list end": _edited(_set_item("note", "}]}", at=-1)),
+    "leading and trailing whitespace": " \n" + _SOFT_TEXT + " \t\n",
+    "trailing whitespace": _SOFT_TEXT + "\n\r\t ",
+    "trailing garbage": _SOFT_TEXT + " x",
+    "duplicated seed": _SOFT_TEXT.replace('"seed": 7, ', '"seed": 7, "seed": 8, '),
+    "no channels": _SOFT_TEXT[:_SOFT_TEXT.index('"channels": ')] + '"channels": []}',
+    "index of 2**63": _edited(_set_item("index", 2 ** 63)),
+    "index of 2**64": _edited(_set_item("index", 2 ** 64)),
+    "index of -2**63 - 1": _edited(_set_item("index", -2 ** 63 - 1)),
+    "true as an index": _edited(_set_item("index", True)),
+    "true as the only index": _edited(lambda raw: raw["channels"][0].__setitem__(
+        "items", [{"index": True, "confidences": [0.5, 0.5]}] * 3)),
+    "float index": _edited(_set_item("index", 1.0)),
+    "ragged confidences": _edited(_set_item("confidences", [0.5])),
+    "missing confidences": _edited(lambda raw: raw["channels"][0]["items"][1].pop("confidences")),
+    "duplicated index key": _SOFT_TEXT.replace('{"index": 0, ', '{"index": 0, "index": 1, '),
+    "item not an object": _SOFT_TEXT.replace('{"index": 0, "confidences": [0.5, 0.5]}', "[0, 1]"),
+    "truncated inside the items": _SOFT_TEXT[:-30],
+    "unknown kind": _SOFT_TEXT.replace('"conf-points"', '"wat"'),
+    "kind not a string": _SOFT_TEXT.replace('"conf-points"', '["conf-points"]'),
+    "seed of another type": _SOFT_TEXT.replace('"seed": 7', '"seed": 7.0'),
+    "unknown spec": _SOFT_TEXT.replace('"Soft"', '"NOPE"'),
+    "points channel with an index of 2**63": dataset_to_json(HAND_BUILT["int32 points and pairs"]).replace(
+        "[2, 0, 2]", f"[2, {2 ** 63}, 2]"),
+}
+
+
+def _outcome(read, text):
+    """The dataset read, or the (type, message) of the error raised."""
+    try:
+        return read(text)
+    except Exception as e:  # noqa: BLE001 - the error itself is the outcome compared
+        return type(e), str(e)
+
+
+class TestCarvedReader:
+    @pytest.mark.parametrize("case", sorted(DEPARTURES))
+    def test_decided_as_the_generic_path_decides(self, case):
+        text = DEPARTURES[case]
+        got, want = _outcome(dataset_from_json, text), _outcome(_read_generic, text)
+        if isinstance(want, WeakDataset):
+            assert isinstance(got, WeakDataset)
+            _assert_same_dataset(got, want)
+        else:
+            assert got == want and _read_carved(text) is None
+
+    @pytest.mark.parametrize("case", ["signed zeros", "nan and inf pairs", "int32 points and pairs"])
+    def test_every_one_character_edit(self, case):
+        """Deleting, replacing or inserting one structural character anywhere
+        in a text of each kind: read as the generic path reads it."""
+        base = dataset_to_json(HAND_BUILT[case])
+        for i in range(len(base) + 1):
+            for c in ("", ",", "}", "]", " ", '"', "1"):
+                for text in {base[:i] + c + base[i + 1:], base[:i] + c + base[i:]}:
+                    got, want = _outcome(dataset_from_json, text), _outcome(_read_generic, text)
+                    if isinstance(want, WeakDataset):
+                        _assert_same_dataset(got, want)
+                    else:
+                        assert got == want, text
+
+    def test_the_layout_is_read_piecewise(self):
+        # the base text and its trailing newline, as `simulate --out` writes it
+        for text in (_SOFT_TEXT, _SOFT_TEXT + "\n"):
+            _assert_carved(text)
+
+    def test_each_distinct_item_is_decoded_once(self, monkeypatch):
+        decoded = []
+        real = json.JSONDecoder.raw_decode
+
+        def raw_decode(self, s, idx=0):
+            decoded.append(s[idx:idx + 12])
+            return real(self, s, idx)
+
+        monkeypatch.setattr(json.JSONDecoder, "raw_decode", raw_decode)
+        assert _read_carved(_SOFT_TEXT) is not None
+        # spec, seed, label, kind, then the three distinct of five items
+        assert sum(d.startswith('{"index": ') for d in decoded) == 3 and len(decoded) == 7
+
+
+# ---------------------------------------------------------------------------
+# The cyclic collector around the codecs
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def collector():
+    """Restores the collector's state after the test."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+def _soft_30k() -> WeakDataset:
+    j = scenario_joint("Soft", 4, 100, 3, seed=13, trial=2)
+    return sample_weak_dataset(make_spec("Soft", j, 13, 2), j, 30_000, seed=29)
+
+
+class TestCollectorPause:
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("call", [
+        lambda: dataset_to_json(HAND_BUILT["signed zeros"]),
+        lambda: dataset_from_json(_SOFT_TEXT),
+        lambda: dataset_from_json(DEPARTURES["indent=2"]),
+    ])
+    def test_state_restored_on_success(self, collector, enabled, call):
+        (gc.enable if enabled else gc.disable)()
+        call()
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("text, error", [
+        ('{"spec": {"name": "PU"', ParseError),
+        (DEPARTURES["unknown kind"], SchemaMismatch),
+        (DEPARTURES["index of 2**63"], SchemaMismatch),
+    ])
+    def test_state_restored_on_error(self, collector, enabled, text, error):
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(error):
+            dataset_from_json(text)
+        assert gc.isenabled() is enabled
+
+    def test_no_collection_inside_either_codec(self, collector):
+        ds = _soft_30k()
+        started = []
+
+        def count(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        gc.enable()
+        gc.callbacks.append(count)
+        try:
+            text = dataset_to_json(ds)
+            in_writer = len(started)
+            back = dataset_from_json(text)
+            in_reader = len(started) - in_writer
+        finally:
+            gc.callbacks.remove(count)
+        assert (in_writer, in_reader) == (0, 0)
+        assert datasets_equal(back, ds)
+
+    def test_concurrent_calls_restore_the_state(self, collector):
+        """Threads that overlap in the codecs share one pause, and the last to
+        leave turns the collector back on."""
+        ds, text = HAND_BUILT["all rows distinct"], _SOFT_TEXT
+        errors = []
+
+        def work():
+            try:
+                for _ in range(200):
+                    dataset_from_json(dataset_to_json(ds))
+                    dataset_from_json(text)
+            except Exception as e:  # noqa: BLE001 - reported by the main thread
+                errors.append(e)
+
+        gc.enable()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        assert gc.isenabled()

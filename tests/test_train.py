@@ -3,7 +3,7 @@ import pytest
 
 import wslrr.risk
 from wslrr.datagen import sample_weak_dataset
-from wslrr.errors import Diverged, NonDifferentiableLoss
+from wslrr.errors import Diverged, NonDifferentiableLoss, ShapeMismatch
 from wslrr.risk import (
     LossSpec,
     channel_terms,
@@ -132,6 +132,17 @@ class TestWeightTable:
         monkeypatch.setattr(wslrr.risk, "channel_terms", counted)
         _, trace = train_erm(ds, spec, LOGISTIC, TrainConfig(learning_rate=0.1, epochs=epochs), j)
         assert len(trace) == epochs + 1 and len(calls) == 1
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", float("nan")), ("learning_rate", float("inf")), ("learning_rate", -0.1),
+        ("l2", float("nan")), ("l2", float("inf")), ("l2", -1.0),
+    ])
+    def test_bad_rates_rejected(self, field, value):
+        # NaN fails every comparison, so it is refused explicitly
+        with pytest.raises(ShapeMismatch):
+            TrainConfig(**{"learning_rate": 0.1, "epochs": 1, field: value})
 
 
 class TestTrainErm:
