@@ -105,15 +105,15 @@ def validate_joint(K: int, features, joint) -> FiniteJoint:
         raise ShapeMismatch(f"features must be (n_x, d_feat) with n_x, d_feat >= 1, got {f.shape}")
     if j.shape != (K, f.shape[0]):
         raise ShapeMismatch(f"joint must be ({K}, {f.shape[0]}), got {j.shape}")
-    if not np.all(np.isfinite(j)) or not np.all(np.isfinite(f)):
+    if not (np.isfinite(j).all() and np.isfinite(f).all()):
         raise ShapeMismatch("features and joint must be finite")
-    if np.any(j < 0.0):
+    if j.min() < 0.0:  # finite, so the minimum is a number
         raise NegativeEntry(f"joint has negative entries, min = {j.min()}")
     total = float(j.sum())
     if abs(total - 1.0) > NORMALIZATION_TOL:
         raise NonNormalized(f"joint sums to {total}, expected 1 within {NORMALIZATION_TOL}")
     col = j.sum(axis=0)
-    if np.any(col <= 0.0):
+    if col.min() <= 0.0:
         raise ZeroInstanceMass(f"instances {np.nonzero(col <= 0.0)[0].tolist()} have zero mass")
     return FiniteJoint(K=int(K), features=_frozen(f), joint=_frozen(j))
 
@@ -129,7 +129,7 @@ def marginals(j: FiniteJoint) -> Marginals:
 
 def _compute_marginals(j: FiniteJoint) -> Marginals:
     priors = j.joint.sum(axis=1)
-    if np.any(priors <= 0.0):
+    if priors.min() <= 0.0:
         empty = np.nonzero(priors <= 0.0)[0] + 1
         raise EmptyClass(f"classes {empty.tolist()} have zero prior")
     inst = j.joint.sum(axis=0)

@@ -1,10 +1,17 @@
 """Weak dataset sampling from the exact channel distributions.
 
 Sampling is integer-only and platform-stable: a counter-based Philox
-generator keyed by (seed, stream index) produces raw 64-bit words, each
-mapped to a uniform in [0, 1) and inverted against the channel's cumulative
-probabilities in a fixed order.  The same (spec, joint, n, seed) therefore
-always yields the same dataset.
+generator keyed by (seed, stream index), both in [0, 2**64), produces raw
+64-bit words, each mapped to a uniform in [0, 1) and inverted against the
+channel's cumulative probabilities in a fixed order.  The same (spec,
+joint, n, seed) therefore always yields the same dataset.
+
+The inversion is exact and O(1) per draw for large draws.  Every uniform
+is a multiple of 2**-53 in [0, 1), so ``floor(u * 2**B)`` is computed
+exactly and names the bucket [b/2**B, (b+1)/2**B) that holds u.  The number
+of cumulative values <= u is the number <= the bucket's lower edge, unless
+some cumulative value lies strictly inside the bucket; only draws in such
+buckets are searched.  The result is ``searchsorted(cum, u, "right")``.
 
 Datasets are written to and read from one line of JSON.  Both codecs pause
 the cyclic garbage collector: the trees of lists, dicts and scalars they
@@ -53,12 +60,17 @@ _thread = threading.local()  # one Philox generator per thread, re-keyed on ever
 
 def philox_uniforms(seed: int, stream: int, n: int) -> np.ndarray:
     """n uniforms in [0, 1) from the Philox counter generator keyed by
-    (seed, stream); draw index is the counter position.
+    (seed, stream); draw index is the counter position.  A seed or stream
+    that is not an integer in [0, 2**64) is a ValidationError: reduced
+    modulo 2**64 it would silently draw another key's words.
 
     The words are those of ``np.random.Philox(key=key).random_raw(n)``: the
     thread's generator is set to that fresh state (counter 0, empty buffer)
     rather than built anew, which costs several times more."""
-    key = np.array([seed & (2 ** 64 - 1), stream & (2 ** 64 - 1)], dtype=np.uint64)
+    for what, value in (("seed", seed), ("stream", stream)):
+        if not (isinstance(value, (int, np.integer)) and 0 <= int(value) < 2 ** 64):
+            raise ValidationError(f"Philox {what} must be an integer in [0, 2**64), got {value!r}")
+    key = np.array([int(seed), int(stream)], dtype=np.uint64)
     if not hasattr(_thread, "philox"):
         _thread.philox = np.random.Philox(0)
     bg = _thread.philox
@@ -70,16 +82,42 @@ def philox_uniforms(seed: int, stream: int, n: int) -> np.ndarray:
     return (raw >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
 
 
+MAX_BUCKET_BITS = 16  # at most 2**16 buckets: a 512 kB table
+
+
 def _categorical(probs: np.ndarray, u: np.ndarray, what: str) -> np.ndarray:
-    """Invert uniforms against the cumulative of a flat probability vector."""
+    """Invert uniforms against the cumulative of a flat probability vector:
+    ``np.searchsorted(cum, u, side="right")``, bit for bit, clamped to the
+    last item that has mass.
+
+    With at least 4 draws per item the search is bucketed.  The uniforms
+    are multiples of 2**-53 in [0, 1), so ``u * 2**B`` is exact and its
+    truncation is the floor b, with u in [b/2**B, (b+1)/2**B).  The count
+    of cum <= u is then the count of cum <= b/2**B, unless a cum value
+    lies strictly inside the bucket; a value on its upper edge exceeds
+    every u in it.  ``table[b]`` holds that count, or -1 for a bucket that
+    holds a value inside, and only the draws in those buckets are
+    searched."""
     flat = probs.ravel()
     total = float(flat.sum())
     if total <= 0.0:
         raise ZeroChannelMass(f"{what} has zero total probability")
     cum = np.cumsum(flat / total)
-    pos = np.searchsorted(cum, u, side="right")
+    if u.size < 4 * cum.size:
+        pos = np.searchsorted(cum, u, side="right")
+    else:
+        bits = min((4 * cum.size - 1).bit_length(), MAX_BUCKET_BITS)
+        edges = np.arange(2 ** bits + 1) * 2.0 ** -bits  # exact: integers times a power of two
+        below = np.searchsorted(cum, edges[:-1], side="right")  # cum <= the lower edge
+        inside = np.searchsorted(cum, edges[1:], side="left") > below  # lower < cum < upper
+        b = np.empty(u.shape, dtype=np.intp)
+        np.multiply(u, 2.0 ** bits, out=b, casting="unsafe")  # exact, then truncated: the floor
+        pos = np.where(inside, -1, below).take(b)
+        del b  # as many large arrays at once as a binary search and its clamp
+        hard = np.flatnonzero(pos < 0)
+        pos[hard] = np.searchsorted(cum, u[hard], side="right")
     # u >= cum[-1] < 1 by rounding: take the last item that has mass
-    return np.minimum(pos, np.flatnonzero(flat > 0)[-1])
+    return np.minimum(pos, np.flatnonzero(flat > 0)[-1], out=pos)
 
 
 @dataclass(eq=False)
@@ -219,7 +257,7 @@ def _sample_label_stream(system: _System, count: int, seed: int) -> WeakDataset:
         inst = np.empty(count, dtype=int)
         for d in range(1, j.K):
             mask = d_draw == d
-            if not np.any(mask):
+            if not mask.any():
                 continue
             rows = np.nonzero(sizes_of == d)[0]
             block = flat[rows, :]
@@ -369,6 +407,8 @@ def _channel(label, kind, items, codes: Optional[np.ndarray] = None) -> DatasetC
 def _dataset(spec: ScenarioSpec, seed, channels: list) -> WeakDataset:
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise SchemaMismatch(f"dataset seed must be an integer, got {seed!r}")
+    if not 0 <= seed < 2 ** 64:
+        raise SchemaMismatch(f"dataset seed must lie in [0, 2**64), got {seed}")
     return WeakDataset(spec=spec, seed=seed, channels=tuple(channels))
 
 

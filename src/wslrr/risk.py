@@ -90,50 +90,52 @@ def _check_scores(scores) -> np.ndarray:
     g = np.asarray(scores, dtype=np.float64)
     if g.ndim != 2:
         raise ShapeMismatch(f"scores must be an (n, K) table, got {g.shape}")
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise NonFiniteScore("scores contain NaN or infinity")
     return g
 
 
-def _softplus(x: np.ndarray) -> np.ndarray:
-    # Overflow deliberately propagates to +inf; training reports it as Diverged.
-    with np.errstate(over="ignore"):
-        return np.log1p(np.exp(x))
+def _loss_parts(ls: LossSpec, g: np.ndarray, slope: bool = False) -> tuple:
+    """(table, base, scale) at the (..., K) scores ``g``.  Entry (..., k) of
+    the table is the loss when the true class is k+1; with ``slope``, the
+    gradient of that entry in the scores is base - scale * e_k (base is None
+    without it).
 
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    The logistic loss takes exp(g) and exp(-g) once, for the softplus table
+    log1p(exp(+-g)) and for the sigmoid, 1 / (1 + exp(-g)) where g >= 0 and
+    exp(g) / (1 + exp(g)) elsewhere, so neither exponential overflows where
+    it is read.  Overflow deliberately propagates to +inf in the table;
+    training reports it as Diverged."""
+    if slope and not ls.is_differentiable:
+        raise NonDifferentiableLoss("zero-one loss has no gradient")
+    if ls.name == "zero-one":
+        table = np.ones(g.shape)
+        rows = table.reshape(-1, g.shape[-1])  # a view of the fresh table
+        rows[np.arange(rows.shape[0]), np.argmax(g, axis=-1).ravel()] = 0.0
+        return table, None, 0.0
+    if ls.name == "logistic":
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, inf / inf on overflow
+            ep, em = np.exp(g), np.exp(-g)
+            sp, sm = np.log1p(ep), np.log1p(em)
+            table = sp.sum(axis=-1, keepdims=True) - sp + sm
+            base = np.where(g >= 0, 1.0 / (1.0 + em), ep / (1.0 + ep)) if slope else None
+        return table, base, 1.0
+    table = np.einsum("...k,...k->...", g, g)[..., None] - 2.0 * g + 1.0
+    return table, 2.0 * g if slope else None, 2.0
 
 
 def _loss_table(ls: LossSpec, g: np.ndarray) -> np.ndarray:
-    """(n, K) losses at the (n, K) scores ``g``: entry (i, k) is the loss at
-    x_i when the true class is k+1."""
-    if ls.name == "zero-one":
-        out = np.ones(g.shape)
-        out[np.arange(g.shape[0]), np.argmax(g, axis=1)] = 0.0
-        return out
-    if ls.name == "logistic":
-        with np.errstate(invalid="ignore"):  # inf - inf on overflowed scores
-            sp, sm = _softplus(g), _softplus(-g)
-            return sp.sum(axis=1, keepdims=True) - sp + sm
-    return np.einsum("ik,ik->i", g, g)[:, None] - 2.0 * g + 1.0
+    """(..., K) losses at the (..., K) scores ``g``: entry (..., i, k) is the
+    loss at x_i when the true class is k+1."""
+    return _loss_parts(ls, g)[0]
 
 
 def loss_score_slope(ls: LossSpec, scores) -> tuple:
     """Common structure of the loss gradients at the (n, K) scores: the
     gradient of entry k at instance i is base[i] - scale * e_k.  Returns
     (base, scale)."""
-    g = _check_scores(scores)
-    if not ls.is_differentiable:
-        raise NonDifferentiableLoss("zero-one loss has no gradient")
-    if ls.name == "logistic":
-        return _sigmoid(g), 1.0
-    return 2.0 * g, 2.0
+    _, base, scale = _loss_parts(ls, _check_scores(scores), slope=True)
+    return base, scale
 
 
 def score_matrix(model, j: FiniteJoint) -> np.ndarray:
@@ -154,12 +156,11 @@ def weighted_loss(W: np.ndarray, model, ls: LossSpec, j: FiniteJoint, grad: bool
     empirical one.  With ``grad`` this returns (value, dW, db), where
     (dW, db) is the gradient in the linear model's parameters.
     """
-    scores = _check_scores(score_matrix(model, j))
-    value = float(np.sum(W * _loss_table(ls, scores)))
+    table, bases, scale = _loss_parts(ls, _check_scores(score_matrix(model, j)), slope=grad)
+    value = float((W * table).sum())
     if not grad:
         return value
     # the gradient of loss entry k in the scores is base(g) - scale * e_k
-    bases, scale = loss_score_slope(ls, scores)
     dscores = W.sum(axis=1)[:, None] * bases - scale * W  # (n_x, K)
     return value, dscores.T @ j.features, dscores.sum(axis=0)
 
@@ -369,12 +370,15 @@ def channel_terms(ds, spec: ScenarioSpec, j: FiniteJoint) -> list:
         # one stream over all label channels, each draw weighed by its channel's
         # column of the record's estimator decontamination (the blockwise
         # inverse for CL and MCL, as in the literature, else the marginal chain)
-        dag = _decontaminate(system, spec.estimator).matrices
+        dag = _decontaminate(system, spec.estimator).matrices  # (n_x, K, m)
         idx = np.concatenate([c.indices for c in ds.channels])
         if idx.size == 0:
             raise EmptyChannel("dataset has no draws in any label channel")
-        chan = np.repeat(np.arange(len(ds.channels)), [c.n_draws for c in ds.channels])
-        return [ChannelTerms("SX", idx.size, idx, dag[idx, :, chan])]
+        # row i*m + c of the (n_x*m, K) table of columns is D(x_i)[:, c]
+        m_chan = len(ds.channels)
+        columns = dag.transpose(0, 2, 1).reshape(-1, j.K)
+        rows = np.concatenate([c.indices * m_chan + k for k, c in enumerate(ds.channels)])
+        return [ChannelTerms("SX", idx.size, idx, np.take(columns, rows, axis=0))]
 
     # confidence family: one channel of instances with attached confidences
     ch = ds.channels[0]
@@ -385,9 +389,18 @@ def channel_terms(ds, spec: ScenarioSpec, j: FiniteJoint) -> list:
     return [ChannelTerms(ch.label, len(idx), idx, coeff * _conf_weights(spec, conf, idx))]
 
 
-def per_draw_values(terms: ChannelTerms, lam: np.ndarray) -> np.ndarray:
-    """Draw totals of a channel given the (K, n_x) loss table."""
-    contrib = np.einsum("ek,ke->e", terms.weights, lam[:, terms.idx])
+def _term_losses(terms: ChannelTerms, lam: np.ndarray) -> np.ndarray:
+    """The (K, n_entries) losses of a channel's entries, ``lam[:, terms.idx]``
+    of the (K, n_x) loss table, gathered by ``np.take`` over ``lam.T``.  The
+    result has fancy indexing's F-ordered layout, which matters: the
+    summation order of ``einsum`` over it follows the layout."""
+    return np.take(lam.T, terms.idx, axis=0).T
+
+
+def per_draw_values(terms: ChannelTerms, lam: np.ndarray, losses: Optional[np.ndarray] = None) -> np.ndarray:
+    """Draw totals of a channel given the (K, n_x) loss table, or the
+    channel's already gathered :func:`_term_losses`."""
+    contrib = np.einsum("ek,ke->e", terms.weights, _term_losses(terms, lam) if losses is None else losses)
     per_draw = len(terms.idx) // max(terms.n_draws, 1)  # entries per draw
     return contrib.reshape(per_draw, terms.n_draws).sum(axis=0)
 

@@ -27,7 +27,7 @@ from .decontam import (
     mcl_block,
     mcl_block_inverse,
 )
-from .errors import ShapeMismatch, WslrrError
+from .errors import ShapeMismatch, ValidationError, WslrrError
 from .risk import (
     LossSpec,
     channel_terms,
@@ -40,6 +40,8 @@ from .risk import (
     rewritten_risk,
     weight_table,
     weighted_loss,
+    _loss_table,
+    _term_losses,
 )
 from .scenarios import (
     CCN,
@@ -71,7 +73,6 @@ from .scenarios import (
     _sconf_confidences,
 )
 from .train import (
-    LinearModel,
     TrainConfig,
     empirical_gradient,
     init_model,
@@ -89,6 +90,7 @@ MC_SIGMAS = 5.0
 # Floor of the Monte-Carlo tolerance in units of eps * sum|terms|, for when 5 se
 # falls below rounding (one instance); pairwise sums of 1e5 draws lose ~log2(1e5)
 MC_ROUNDING = 16.0
+MC_TRIAL = 17  # the trial whose inputs the Monte-Carlo checks draw
 
 ALL_SCENARIO_NAMES = CONCRETE_SCENARIOS
 ABSTRACT_SCENARIO_NAMES = ("MCD", "CCN", "GCCN")
@@ -134,6 +136,14 @@ class VerifyConfig:
     def __post_init__(self):
         if self.K < 2 or self.nx < 1:
             raise ShapeMismatch(f"the harness needs K >= 2 and nx >= 1, got K={self.K}, nx={self.nx}")
+        if self.trials < 0 or self.mc_samples < 2:  # one draw per channel has no spread to bound
+            raise ShapeMismatch(f"the harness needs trials >= 0 and mc_samples >= 2, "
+                                f"got trials={self.trials}, mc_samples={self.mc_samples}")
+        # the largest Philox key derived from the seed, seed + 1000 or seed + 31 * trial + 1, is a u64
+        top = 2 ** 64 - 1 - max(1000, 31 * max(self.trials - 1, MC_TRIAL) + 1)
+        if not 0 <= self.seed <= top:
+            raise ValidationError(f"at {self.trials} trials the harness needs a seed in [0, {top}], "
+                                  f"got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -188,14 +198,14 @@ def random_joint(K: int, nx: int, d_feat: int, seed: int, stream: int) -> Finite
 
 def _joint_ok(name: str, j: FiniteJoint) -> bool:
     m = compute_marginals(j)
-    if np.min(m.class_probabilities) < 1e-3:
+    if m.class_probabilities.min() < 1e-3:
         return False
     if SCENARIO_TYPES[name].offcenter_prior and abs(m.priors[0] - 0.5) < 0.05:
         return False
     if name == "Sconf":
         pi_p, pi_n = m.priors[0], m.priors[1]
         r = _sconf_confidences(m, np.arange(j.n_x), np.arange(j.n_x))
-        if np.min(np.abs(r - pi_n)) < 1e-3 or np.min(np.abs(pi_p - r)) < 1e-3:
+        if np.abs(r - pi_n).min() < 1e-3 or np.abs(pi_p - r).min() < 1e-3:
             return False
     return True
 
@@ -505,10 +515,11 @@ def _estimator_spread(ds, spec: ScenarioSpec, j: FiniteJoint, lam: np.ndarray) -
     |term|) from the per-draw values of each channel."""
     var = abs_terms = 0.0
     for terms in channel_terms(ds, spec, j):
-        vals = per_draw_values(terms, lam)
+        losses = _term_losses(terms, lam)  # gathered once, for both sums
+        vals = per_draw_values(terms, lam, losses)
         if len(vals) > 1:
             var += float(np.var(vals, ddof=1)) / len(vals)
-        abs_terms += float(np.einsum("ek,ke->", np.abs(terms.weights), lam[:, terms.idx])) / len(vals)
+        abs_terms += float(np.einsum("ek,ke->", np.abs(terms.weights), losses)) / len(vals)
     return math.sqrt(var), abs_terms
 
 
@@ -518,9 +529,9 @@ def verify_mc_consistency(name: str, cfg: VerifyConfig, n: int = 0) -> CheckRepo
     rerun."""
     t0 = time.perf_counter()
     n = n or cfg.mc_samples
-    j = scenario_joint(name, cfg.K, cfg.nx, cfg.d_feat, cfg.seed, 17)
-    spec = make_spec(name, j, cfg.seed, 17)
-    model = seeded_model(j, cfg.seed, 17)
+    j = scenario_joint(name, cfg.K, cfg.nx, cfg.d_feat, cfg.seed, MC_TRIAL)
+    spec = make_spec(name, j, cfg.seed, MC_TRIAL)
+    model = seeded_model(j, cfg.seed, MC_TRIAL)
     ls = LossSpec("logistic")
     exact = classification_risk(j, model, ls)
     ds = sample_weak_dataset(spec, j, n, seed=cfg.seed + 1000)
@@ -544,7 +555,9 @@ def verify_gradient_check(spec: ScenarioSpec, j: FiniteJoint, ds, ls: LossSpec,
                           tol: float = TOL_GRADIENT, eps: float = 1e-6,
                           seed: int = 0) -> CheckReport:
     """Analytic gradient of the empirical corrected risk against central
-    finite differences; error is relative with a unit floor."""
+    finite differences; error is relative with a unit floor.  The risk at
+    all 2P perturbed parameter vectors is one weighted loss over a
+    (2P, n_x, K) stack of scores."""
     t0 = time.perf_counter()
     model = seeded_model(j, seed, 3)
     dW, db = empirical_gradient(ds, spec, model, ls, j)
@@ -552,20 +565,15 @@ def verify_gradient_check(spec: ScenarioSpec, j: FiniteJoint, ds, ls: LossSpec,
     # every parameter in one flat vector: the weights row by row, then the bias
     theta = np.concatenate([model.weights.ravel(), model.bias])
     analytic = np.concatenate([dW.ravel(), db])
-    n_w = model.weights.size
-
-    def risk_at(t):
-        return weighted_loss(W, LinearModel(t[:n_w].reshape(model.weights.shape), t[n_w:]), ls, j)
-
-    err = 0.0
-    for ix in range(theta.size):
-        step = np.zeros_like(theta)
-        step[ix] = eps
-        numeric = (risk_at(theta + step) - risk_at(theta - step)) / (2.0 * eps)
-        denom = max(1.0, abs(numeric), abs(analytic[ix]))
-        err = max(err, abs(numeric - analytic[ix]) / denom)
+    P, n_w = theta.size, model.weights.size
+    thetas = theta + eps * np.concatenate([np.eye(P), -np.eye(P)])  # each parameter up, then down
+    weights = thetas[:, :n_w].reshape(2 * P, *model.weights.shape)
+    scores = j.features @ weights.transpose(0, 2, 1) + thetas[:, None, n_w:]  # (2P, n_x, K)
+    risks = (W * _loss_table(ls, scores)).sum(axis=(1, 2))
+    numeric = (risks[:P] - risks[P:]) / (2.0 * eps)
+    err = np.abs(numeric - analytic) / np.maximum(1.0, np.maximum(np.abs(numeric), np.abs(analytic)))
     return _report("gradient-check", spec.name, {"loss": ls.name, "eps": eps},
-                   err, tol, seed, t0)
+                   err.max(), tol, seed, t0)
 
 
 def separable_binary_joint(n_half: int = 20, seed: int = 7) -> FiniteJoint:
@@ -609,8 +617,7 @@ def _reconstruction_methods(name: str) -> tuple:
 
 
 def _worst(reports: list) -> CheckReport:
-    worst = max(reports, key=lambda r: (r.max_abs_err / r.tol) if r.tol else r.max_abs_err)
-    return worst
+    return max(reports, key=lambda r: (r.max_abs_err / r.tol) if r.tol else r.max_abs_err)
 
 
 def _scenario_trial_inputs(name: str, cfg: VerifyConfig, trial: int):

@@ -89,6 +89,16 @@ class TestVerifyAllCommand:
     def test_bad_flag_exit_2(self):
         assert main(["verify-all", "--bogus", "1"]) == 2
 
+    def test_seed_outside_u64_exit_2(self, capsys):
+        assert main(["verify-all", "--seed", "-1"]) == 2
+        assert "ValidationError" in capsys.readouterr().err
+
+    def test_negative_trials_exit_2(self, capsys):
+        # not an empty run that passes: 0/0 checks would read as success
+        assert main(["verify-all", "--trials", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "ShapeMismatch" in captured.err and "0/0" not in captured.out
+
 
 class TestSimulateCommand:
     def test_writes_dataset(self, joint_file, tmp_path):
@@ -112,6 +122,14 @@ class TestSimulateCommand:
     def test_unknown_channel_exit_2(self, joint_file):
         assert main(["simulate", "--joint", str(joint_file), "--scenario", "PU",
                      "--n", "Q=5", "--seed", "1"]) == 2
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551623"])
+    def test_seed_outside_u64_exit_2(self, joint_file, tmp_path, capsys, seed):
+        # modulo 2**64 these would write the draws of seeds 2**64 - 1 and 7
+        out = tmp_path / "ds.json"
+        assert main(["simulate", "--joint", str(joint_file), "--scenario", "PU",
+                     "--n", "10", "--seed", seed, "--out", str(out)]) == 2
+        assert "ValidationError" in capsys.readouterr().err and not out.exists()
 
 
 class TestTrainCommand:
@@ -145,6 +163,15 @@ class TestTrainCommand:
         rows = (tmp_path / "m.trace.csv").read_text().strip().splitlines()[1:]
         risks = [float(r.split(",")[1]) for r in rows]
         assert all(b <= a + 1e-12 for a, b in zip(risks, risks[1:]))
+
+    def test_seed_outside_u64_exit_2(self, joint_file, tmp_path, capsys):
+        ds_path = tmp_path / "ds.json"
+        assert main(["simulate", "--joint", str(joint_file), "--scenario", "PU",
+                     "--n", "50", "--seed", "5", "--out", str(ds_path)]) == 0
+        assert main(["train", "--data", str(ds_path), "--joint", str(joint_file),
+                     "--lr", "0.1", "--epochs", "2", "--seed", "18446744073709551616",
+                     "--out", str(tmp_path / "m.json")]) == 2
+        assert "ValidationError" in capsys.readouterr().err
 
     def test_divergence_exit_1(self, joint_file, tmp_path):
         ds_path = tmp_path / "ds.json"
@@ -185,6 +212,15 @@ class TestMalformedInputs:
     def test_non_integer_seed(self, joint_file, tmp_path, capsys):
         ds_path, raw = self._dataset(joint_file, tmp_path)
         raw["seed"] = "abc"
+        ds_path.write_text(json.dumps(raw))
+        assert self._train(ds_path, joint_file) == 2
+        assert "SchemaMismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_outside_u64(self, joint_file, tmp_path, capsys, seed):
+        # the dataset format's seed is a u64
+        ds_path, raw = self._dataset(joint_file, tmp_path)
+        raw["seed"] = seed
         ds_path.write_text(json.dumps(raw))
         assert self._train(ds_path, joint_file) == 2
         assert "SchemaMismatch" in capsys.readouterr().err

@@ -59,6 +59,99 @@ class TestRng:
         assert np.array_equal(_categorical(probs, u, "tail"), [9, 9])
 
 
+def _searched(probs, u):
+    """The unbucketed inversion: a binary search for every draw, clamped to
+    the last item with mass."""
+    cum = np.cumsum(probs / probs.sum())
+    return np.minimum(np.searchsorted(cum, u, side="right"), np.flatnonzero(probs > 0)[-1])
+
+
+def _on_grid(values, bits):
+    """``values`` rounded down to multiples of 2**-bits."""
+    return np.floor(np.asarray(values) * 2.0 ** bits) * 2.0 ** -bits
+
+
+class TestBucketedInversion:
+    """_categorical buckets the search when there are at least 4 draws per
+    item; it must return what the binary search returns, bit for bit."""
+
+    @staticmethod
+    def _assert_same(probs, u):
+        got, want = _categorical(probs, u, "law"), _searched(probs, u)
+        assert got.dtype == want.dtype and _same_bits(got, want)
+
+    @pytest.mark.parametrize("n_cat", [1, 2, 48, 10_000])
+    def test_random_laws(self, n_cat):
+        u = philox_uniforms(11, n_cat, 8 * n_cat + 1000)
+        probs = philox_uniforms(12, n_cat, n_cat)
+        self._assert_same(probs, u)
+
+    @pytest.mark.parametrize("n_cat", [2, 48, 10_000])
+    def test_zero_mass_categories(self, n_cat):
+        probs = philox_uniforms(13, n_cat, n_cat)
+        probs[1::3] = 0.0
+        probs[-1] = 0.0  # a zero-mass tail, so the clamp matters
+        u = philox_uniforms(14, n_cat, 8 * n_cat + 1000)
+        self._assert_same(probs, u)
+
+    @pytest.mark.parametrize("n_cat", [2, 48, 10_000])
+    def test_cumulative_values_on_bucket_edges(self, n_cat):
+        # dyadic masses on a grid twice as fine as the buckets: every cumulative
+        # value is exact, and about half of them lie on bucket edges
+        bits = min((4 * n_cat - 1).bit_length(), wslrr.datagen.MAX_BUCKET_BITS)
+        cuts = _on_grid(philox_uniforms(15, n_cat, n_cat - 1), bits + 1)
+        cuts = np.concatenate([[0.0], np.sort(cuts), [1.0]])
+        probs = np.diff(cuts)  # zero masses where two cuts coincide
+        cum = np.cumsum(probs / probs.sum())
+        on_edge = cum * 2.0 ** bits == np.floor(cum * 2.0 ** bits)
+        assert probs.size == n_cat and on_edge.any() and (n_cat < 3 or not on_edge.all())
+        # the uniforms hit the cuts, their neighbours on the 2**-53 grid, and random points
+        hits = np.concatenate([cum, cum - 2.0 ** -53, cum + 2.0 ** -53,
+                               philox_uniforms(16, n_cat, 4 * n_cat)])
+        self._assert_same(probs, np.clip(hits, 0.0, 1.0 - 2.0 ** -53))
+
+    @pytest.mark.parametrize("n_cat", [1, 2, 48, 10_000])
+    def test_extreme_uniforms(self, n_cat):
+        probs = philox_uniforms(17, n_cat, n_cat) + 0.01
+        u = np.resize([0.0, 1.0 - 2.0 ** -53, 0.5, 2.0 ** -53], 4 * n_cat)
+        self._assert_same(probs, u)
+
+    def test_last_cumulative_value_below_one(self):
+        # ten masses of 0.1 sum to 1 - eps/2: the top uniforms lie above cum[-1]
+        probs = np.array([0.1] * 10 + [0.0, 0.0])
+        cum = np.cumsum(probs / probs.sum())
+        assert cum[-1] < 1.0
+        u = np.resize([cum[-1], 1.0 - 2.0 ** -53, 0.3, 0.0], 4 * probs.size)
+        self._assert_same(probs, u)
+        assert np.array_equal(_categorical(probs, u, "tail")[:2], [9, 9])
+
+    @pytest.mark.parametrize("n_cat", [1, 2, 48, 10_000])
+    def test_both_sides_of_the_draw_count_threshold(self, n_cat):
+        # below 4 draws per item every draw is searched, from 4 on they are bucketed
+        probs = philox_uniforms(18, n_cat, n_cat)
+        for n in (4 * n_cat - 1, 4 * n_cat):
+            self._assert_same(probs, philox_uniforms(19, n, n))
+
+    def test_searches_only_draws_in_buckets_that_hold_a_value(self, monkeypatch):
+        # 4 equal masses: every cumulative value lies on a bucket edge, so no
+        # bucket holds one inside and no draw is searched
+        probs = np.full(4, 0.25)
+        u = philox_uniforms(20, 0, 1000)
+        searched = []
+        real = np.searchsorted
+
+        def counting(a, v, side="left", sorter=None):
+            searched.append(np.size(v))
+            return real(a, v, side=side, sorter=sorter)
+
+        monkeypatch.setattr(wslrr.datagen.np, "searchsorted", counting)
+        got = _categorical(probs, u, "law")
+        monkeypatch.undo()
+        # two searches build the table over the 16 bucket edges; the third searches no draw
+        assert searched == [16, 16, 0]
+        assert _same_bits(got, _searched(probs, u))
+
+
 M64 = 2 ** 64 - 1
 
 
@@ -78,15 +171,35 @@ def _same_bits(a, b):
 class TestPhiloxReference:
     """The re-keyed per-thread generator draws what a fresh one draws."""
 
-    @pytest.mark.parametrize("seed", [0, 1, 2 ** 63, M64, -1])
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 63, M64])
     @pytest.mark.parametrize("stream", [0, 1, 17, 5000, M64])
     def test_bit_exact(self, seed, stream):
         for n in (0, 1, 3, 5, 1000):
             assert _same_bits(philox_uniforms(seed, stream, n), _philox_reference(seed, stream, n))
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 7])
+    @pytest.mark.parametrize("stream", [0, 1, 17, 5000, M64])
+    def test_key_outside_u64_rejected(self, seed, stream):
+        # reduced modulo 2**64, -1 would draw the words of 2**64 - 1 and 2**64 + 7 those of 7
+        with pytest.raises(ValidationError, match="seed"):
+            philox_uniforms(seed, stream, 3)
+        with pytest.raises(ValidationError, match="stream"):
+            philox_uniforms(stream, seed, 3)
+
+    @pytest.mark.parametrize("key", [1.0, 7.5, "3", None, np.float64(2.0)])
+    def test_key_of_another_type_rejected(self, key):
+        with pytest.raises(ValidationError):
+            philox_uniforms(key, 0, 3)
+        with pytest.raises(ValidationError):
+            philox_uniforms(0, key, 3)
+
+    def test_numpy_integer_keys(self):
+        want = _philox_reference(M64, 5, 10)
+        assert _same_bits(philox_uniforms(np.uint64(M64), np.int64(5), 10), want)
+
     def test_interleaved_keys(self):
         # a short draw leaves words in the generator's buffer; the next key must not see them
-        calls = [(3, 0, 3), (3, 1, 5), (M64, 2, 1), (3, 0, 3), (0, 0, 1000), (3, 1, 5), (-1, M64, 1)]
+        calls = [(3, 0, 3), (3, 1, 5), (M64, 2, 1), (3, 0, 3), (0, 0, 1000), (3, 1, 5), (M64, M64, 1)]
         for seed, stream, n in calls * 2:
             assert _same_bits(philox_uniforms(seed, stream, n), _philox_reference(seed, stream, n))
 

@@ -7,9 +7,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import wslrr.core
+import wslrr.risk
 import wslrr.scenarios
 from wslrr.core import marginals, validate_joint
-from wslrr.datagen import sample_weak_dataset
+from wslrr.datagen import philox_uniforms, sample_weak_dataset
 from wslrr.decontam import (
     METHOD_DIAGONAL,
     METHOD_INVERSION,
@@ -40,7 +41,9 @@ from wslrr.risk import (
     loss_score_slope,
     rewrite_table,
     rewritten_risk,
+    score_matrix,
     weighted_loss,
+    _loss_table,
 )
 from wslrr.scenarios import (
     CCN,
@@ -141,6 +144,86 @@ class TestLosses:
                 down[jdx] -= eps
                 numeric = (_losses(ls, up)[k] - _losses(ls, down)[k]) / (2 * eps)
                 assert grads[k, jdx] == pytest.approx(numeric, abs=1e-8)
+
+
+def _softplus_reference(x):
+    with np.errstate(over="ignore"):
+        return np.log1p(np.exp(x))
+
+
+def _logistic_table_reference(g):
+    """The logistic table as two softplus passes: log1p(exp(g)) and log1p(exp(-g))."""
+    with np.errstate(invalid="ignore"):
+        sp, sm = _softplus_reference(g), _softplus_reference(-g)
+        return sp.sum(axis=1, keepdims=True) - sp + sm
+
+
+def _sigmoid_reference(x):
+    """The sigmoid on boolean-masked halves, each exponential taken where it
+    cannot overflow."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestLogisticFromOneExponentialPair:
+    """The logistic table and slope share exp(g) and exp(-g); they must be the
+    bits of the two-softplus table and the masked sigmoid."""
+
+    SCALES = (1e-3, 1.0, 30.0, 720.0)  # the last overflows exp in both signs
+
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("shape", [(1, 2), (6, 4), (40, 5), (1000, 3)])
+    def test_table_and_slope_bits(self, shape, scale):
+        u = philox_uniforms(3, shape[0] * 10 + shape[1], math.prod(shape)).reshape(shape)
+        g = scale * (2.0 * u - 1.0)
+        g[0, 0] = 0.0  # the sigmoid's branch point
+        assert _same_bits(_loss_table(LOGISTIC, g), _logistic_table_reference(g))
+        base, scale_out = loss_score_slope(LOGISTIC, g)
+        assert _same_bits(base, _sigmoid_reference(g)) and scale_out == 1.0
+
+    def test_overflowed_scores_give_a_non_finite_table_and_a_finite_slope(self):
+        # the overflow reaches the table (inf, or inf - inf), where training sees it
+        g = np.array([[800.0, -800.0, 0.0]])
+        table = _loss_table(LOGISTIC, g)
+        assert _same_bits(table, _logistic_table_reference(g)) and not np.isfinite(table).any()
+        assert _same_bits(loss_score_slope(LOGISTIC, g)[0], np.array([[1.0, 0.0, 0.5]]))
+
+    @pytest.mark.parametrize("ls", (ZERO_ONE, LOGISTIC, SQUARED))
+    def test_a_stack_of_score_tables_is_each_table(self, ls):
+        g = 4.0 * philox_uniforms(4, 0, 7 * 6 * 4).reshape(7, 6, 4) - 2.0
+        g[2, 3] = [0.5, 0.5, -1.0, 0.5]  # a zero-one tie
+        stack = _loss_table(ls, g)
+        assert all(_same_bits(stack[b], _loss_table(ls, g[b])) for b in range(7))
+
+    def test_squared_table_bits(self):
+        g = 4.0 * philox_uniforms(5, 0, 40 * 5).reshape(40, 5) - 2.0
+        want = np.einsum("ik,ik->i", g, g)[:, None] - 2.0 * g + 1.0
+        assert _same_bits(_loss_table(SQUARED, g), want)
+
+    def test_weighted_loss_gradient_bits(self):
+        j = scenario_joint("CL", 4, 7, 3, seed=5, trial=0)
+        model = LinearModel(weights=40.0 * init_model(4, 3, 9).weights, bias=init_model(4, 3, 9).bias)
+        W = j.joint.T.copy()
+        value, dW, db = weighted_loss(W, model, LOGISTIC, j, grad=True)
+        g = score_matrix(model, j)
+        dscores = W.sum(axis=1)[:, None] * _sigmoid_reference(g) - W
+        assert value == float(np.sum(W * _logistic_table_reference(g)))
+        assert _same_bits(dW, dscores.T @ j.features) and _same_bits(db, dscores.sum(axis=0))
+
+    @pytest.mark.parametrize("ls", (LOGISTIC, SQUARED))
+    def test_scores_checked_once_per_call(self, ls, monkeypatch):
+        calls = _count_calls(monkeypatch, wslrr.risk, "_check_scores")
+        j = scenario_joint("PU", 2, 5, 3, seed=5, trial=0)
+        weighted_loss(j.joint.T, init_model(2, 3, 1), ls, j, grad=True)
+        assert len(calls) == 1
 
 
 class TestCorrectedLosses:
@@ -442,6 +525,23 @@ def test_channel_terms_match_reference_weights(name):
     # so the mixture bar scales with |D|^2 (SU here: 6.2e-15 on entries of 4.3)
     scale = max(1.0, float(np.max(np.abs(expected)))) ** 2 if spec.family == FAMILY_MCD else 1.0
     assert np.max(np.abs(weights - expected)) <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("name", ["CL", "MCL", "CCN", "GCCN", "PPL", "PCPL"])
+def test_label_stream_weights_are_columns_of_the_estimator_decontamination(name):
+    """Draw e of label channel c at x carries D(x)[:, c], gathered from the
+    (n_x * m, K) table of columns: the values and the C layout of
+    ``D[idx, :, chan]``."""
+    j = scenario_joint(name, 4, 6, 2, seed=43, trial=2)
+    spec = make_spec(name, j, 43, 2)
+    ds = sample_weak_dataset(spec, j, 500, seed=9)
+    dag = decontaminate(spec, j, spec.estimator).matrices
+    idx = np.concatenate([c.indices for c in ds.channels])
+    chan = np.repeat(np.arange(len(ds.channels)), [c.n_draws for c in ds.channels])
+    (terms,) = channel_terms(ds, spec, j)
+    want = dag[idx, :, chan]
+    assert np.array_equal(terms.idx, idx)
+    assert _same_bits(terms.weights, want) and terms.weights.strides == want.strides
 
 
 def test_zero_stored_superclass_confidence_names_the_draw():

@@ -6,7 +6,9 @@ kernels and their callers read those attributes.  One test counts the sites
 that still choose behaviour by the concrete setting, ``isinstance(spec, ...)``
 calls and comparisons against ``spec.name``, outside the two deliberate
 per-setting ladders: the independent closed-form oracle and the per-edge
-reduction table.  Another counts the functions that take an instance index:
+reduction table.  The harness's own ladders compare a bare ``name`` with
+setting names, which that counter does not see; a second counter caps
+them at their present number.  Another counts the functions that take an instance index:
 every kernel builds the whole (n_x, ...) stack, and callers index it, so only
 the closed-form oracle, which is per instance by design, takes one.  A
 third keeps the exact, rewritten and empirical risks on the one weighted-loss
@@ -21,9 +23,12 @@ a whole contamination model.
 import ast
 from pathlib import Path
 
+from wslrr.scenarios import SCENARIO_TYPES
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "wslrr"
 LADDERS = {"closed_form_corrected_loss", "reduce_spec"}
 MAX_DISPATCH_SITES = 10
+MAX_NAME_RUNGS = 9
 INSTANCE_PARAMS = {"i", "i2"}
 PER_INSTANCE_ORACLE = "closed_form_corrected_loss"
 RISKS = {"classification_risk", "rewritten_risk", "empirical_risk"}
@@ -79,6 +84,45 @@ def test_counter_sees_both_kinds_of_site():
         "    return isinstance(spec, A)\n"
     )
     assert _dispatch_sites(tree) == [2, 3]
+
+
+def _is_setting_name(node) -> bool:
+    """A string literal naming a setting, or a tuple, list or set of them."""
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return bool(node.elts) and all(_is_setting_name(e) for e in node.elts)
+    return isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in SCENARIO_TYPES
+
+
+def _name_ladder_rungs(tree) -> list:
+    """Line numbers of the comparisons of a bare ``name`` against setting
+    names, such as ``name == "UU"`` or ``name in ("CL", "MCL")``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if (any(isinstance(o, ast.Name) and o.id == "name" for o in operands)
+                    and any(_is_setting_name(o) for o in operands)):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_setting_name_ladders_in_the_harness_do_not_grow():
+    # make_spec's seeded parameter draw (8) and _joint_ok's Sconf precondition (1)
+    rungs = _name_ladder_rungs(ast.parse((SRC / "verify.py").read_text(), filename="verify.py"))
+    assert len(rungs) <= MAX_NAME_RUNGS, f"{len(rungs)} setting-name comparisons in verify.py, lines {rungs}"
+
+
+def test_name_ladder_counter_sees_every_kind_of_rung():
+    tree = ast.parse(
+        "def f(name, spec, other):\n"
+        "    if name == 'UU':\n"
+        "        pass\n"
+        "    a = 'Sconf' != name\n"
+        "    b = name in ('CL', 'MCL')\n"
+        "    c = other == 'UU' or name == 'NotASetting' or name in NAMES\n"
+        "    d = spec.name == 'PU' or name in ('CL', 'x')\n"
+    )
+    assert _name_ladder_rungs(tree) == [2, 4, 5]
 
 
 def _instance_index_functions(tree) -> list:

@@ -1,10 +1,17 @@
 import gc
 import json
+import math
 import weakref
 
+import numpy as np
+import pytest
+
 import wslrr.verify
-from wslrr.risk import LossSpec
+from wslrr.datagen import sample_weak_dataset
+from wslrr.errors import ShapeMismatch, ValidationError
+from wslrr.risk import LossSpec, channel_terms, loss_matrix
 from wslrr.scenarios import UU
+from wslrr.train import LinearModel
 from wslrr.verify import (
     ALL_SCENARIO_NAMES,
     VerifyConfig,
@@ -14,6 +21,7 @@ from wslrr.verify import (
     seeded_model,
     verify_all,
     verify_formulation,
+    verify_gradient_check,
     verify_worked_example,
     verify_reconstruction,
     verify_reduction_graph,
@@ -175,3 +183,98 @@ def test_mc_consistency_frees_its_estimator_terms_before_the_rerun(monkeypatch):
         terms.clear()
         assert wslrr.verify.verify_mc_consistency(name, VerifyConfig(mc_samples=2000)).passed
     assert alive_at_rerun == [0, 0, 0]
+
+
+class TestConfigBounds:
+    def test_negative_trials_rejected(self):
+        with pytest.raises(ShapeMismatch):
+            VerifyConfig(trials=-1)
+
+    @pytest.mark.parametrize("n", [-1, 0, 1])
+    def test_fewer_than_two_mc_samples_rejected(self, n):
+        # one draw per channel has no spread: se is 0 and the 5 se bar collapses
+        with pytest.raises(ShapeMismatch):
+            VerifyConfig(mc_samples=n)
+
+    def test_smallest_accepted_values(self):
+        assert verify_all(VerifyConfig(trials=0, mc_samples=2)).checks == ()
+
+    def test_seed_bounds_cover_every_derived_key(self):
+        # mc-consistency samples at seed + 1000, the trial models use seed + 31 * trial + 1
+        VerifyConfig(seed=0)
+        VerifyConfig(seed=2 ** 64 - 1001)
+        for cfg in ({"seed": -1}, {"seed": 2 ** 64 - 1000}, {"seed": 2 ** 64 - 1001, "trials": 40}):
+            with pytest.raises(ValidationError):
+                VerifyConfig(**cfg)
+        VerifyConfig(seed=2 ** 64 - 31 * 39 - 2, trials=40)
+
+
+def _spread_reference(ds, spec, j, lam):
+    """The estimator spread with a fancy-index gather of lam[:, idx] for each
+    sum: per-draw totals, their sample variance over the draw count, and the
+    mean |term| per channel."""
+    var = abs_terms = 0.0
+    for terms in channel_terms(ds, spec, j):
+        contrib = np.einsum("ek,ke->e", terms.weights, lam[:, terms.idx])
+        vals = contrib.reshape(len(terms.idx) // terms.n_draws, terms.n_draws).sum(axis=0)
+        var += float(np.var(vals, ddof=1)) / len(vals)
+        abs_terms += float(np.einsum("ek,ke->", np.abs(terms.weights), lam[:, terms.idx])) / len(vals)
+    return math.sqrt(var), abs_terms
+
+
+@pytest.mark.parametrize("name", ["PU", "CL", "Soft"])
+def test_estimator_spread_bits(name):
+    """On the default Monte-Carlo inputs, se and the |terms| sum are the bits
+    of the reference that gathers the losses twice."""
+    cfg = VerifyConfig()
+    t = wslrr.verify.MC_TRIAL
+    j = scenario_joint(name, cfg.K, cfg.nx, cfg.d_feat, cfg.seed, t)
+    spec = make_spec(name, j, cfg.seed, t)
+    model = seeded_model(j, cfg.seed, t)
+    ds = sample_weak_dataset(spec, j, cfg.mc_samples, seed=cfg.seed + 1000)
+    lam = loss_matrix(LOGISTIC, model, j)
+    assert wslrr.verify._estimator_spread(ds, spec, j, lam) == _spread_reference(ds, spec, j, lam)
+
+
+def _gradient_inputs(name):
+    j = scenario_joint(name, 3, 6, 3, seed=7, trial=3)
+    spec = make_spec(name, j, 7, 3)
+    return spec, j, sample_weak_dataset(spec, j, 40, seed=12)
+
+
+@pytest.mark.parametrize("name", ["PU", "SD", "Sconf", "MCL", "SubConf"])
+def test_gradient_check_matches_one_parameter_at_a_time(name):
+    """The batched central differences agree with differences taken one
+    parameter at a time through ``weighted_loss``."""
+    spec, j, ds = _gradient_inputs(name)
+    rep = verify_gradient_check(spec, j, ds, LOGISTIC, seed=7)
+    model = seeded_model(j, 7, 3)
+    dW, db = wslrr.verify.empirical_gradient(ds, spec, model, LOGISTIC, j)
+    W = wslrr.verify.weight_table(ds, spec, j)
+    theta = np.concatenate([model.weights.ravel(), model.bias])
+    analytic, n_w, eps, err = np.concatenate([dW.ravel(), db]), model.weights.size, 1e-6, 0.0
+    for ix in range(theta.size):
+        risks = []
+        for sign in (1.0, -1.0):
+            t = theta.copy()
+            t[ix] += sign * eps
+            risks.append(wslrr.verify.weighted_loss(
+                W, LinearModel(t[:n_w].reshape(model.weights.shape), t[n_w:]), LOGISTIC, j))
+        numeric = (risks[0] - risks[1]) / (2.0 * eps)
+        err = max(err, abs(numeric - analytic[ix]) / max(1.0, abs(numeric), abs(analytic[ix])))
+    assert rep.passed and abs(rep.max_abs_err - err) <= 1e-9
+
+
+@pytest.mark.parametrize("part", ["weights", "bias"])
+@pytest.mark.parametrize("name", ["PU", "CL", "Soft"])
+def test_gradient_check_fails_on_a_perturbed_gradient(name, part, monkeypatch):
+    spec, j, ds = _gradient_inputs(name)
+    real = wslrr.verify.empirical_gradient
+
+    def perturbed(*args, **kwargs):
+        dW, db = real(*args, **kwargs)
+        return (dW + 1e-3, db) if part == "weights" else (dW, db + 1e-3)
+
+    monkeypatch.setattr(wslrr.verify, "empirical_gradient", perturbed)
+    rep = verify_gradient_check(spec, j, ds, LOGISTIC, seed=7)
+    assert not rep.passed and rep.max_abs_err >= 1e-4
