@@ -13,9 +13,12 @@ of cumulative values <= u is the number <= the bucket's lower edge, unless
 some cumulative value lies strictly inside the bucket; only draws in such
 buckets are searched.  The result is ``searchsorted(cum, u, "right")``.
 
-Datasets are written to and read from one line of JSON.  Both codecs pause
-the cyclic garbage collector: the trees of lists, dicts and scalars they
-build hold no cycles, so a collection over them could free nothing.
+Datasets are written to and read from one line of JSON.  The writer builds
+each item list from per-field text tables joined once; the reader parses a
+list of numbers as whole arrays, accepted when the writer gives back its
+exact text.  Both codecs pause the cyclic garbage collector: the trees of
+lists, dicts and scalars they build hold no cycles, so a collection over
+them could free nothing.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import gc
 import json
 import threading
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -58,18 +62,24 @@ CONF_PAIRS = "conf-pairs"
 _thread = threading.local()  # one Philox generator per thread, re-keyed on every call
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def philox_uniforms(seed: int, stream: int, n: int) -> np.ndarray:
     """n uniforms in [0, 1) from the Philox counter generator keyed by
     (seed, stream); draw index is the counter position.  A seed or stream
     that is not an integer in [0, 2**64) is a ValidationError: reduced
-    modulo 2**64 it would silently draw another key's words.
+    modulo 2**64 it would silently draw another key's words.  So is a count
+    ``n`` that is not an integer in [0, 2**63), which numpy cannot allocate;
+    booleans are not integers here.
 
     The words are those of ``np.random.Philox(key=key).random_raw(n)``: the
     thread's generator is set to that fresh state (counter 0, empty buffer)
     rather than built anew, which costs several times more."""
-    for what, value in (("seed", seed), ("stream", stream)):
-        if not (isinstance(value, (int, np.integer)) and 0 <= int(value) < 2 ** 64):
-            raise ValidationError(f"Philox {what} must be an integer in [0, 2**64), got {value!r}")
+    for what, value, bits in (("seed", seed, 64), ("stream", stream, 64), ("draw count", n, 63)):
+        if not (_is_integer(value) and 0 <= int(value) < 2 ** bits):
+            raise ValidationError(f"Philox {what} must be an integer in [0, 2**{bits}), got {value!r}")
     key = np.array([int(seed), int(stream)], dtype=np.uint64)
     if not hasattr(_thread, "philox"):
         _thread.philox = np.random.Philox(0)
@@ -183,18 +193,22 @@ def dataset_channels(spec: ScenarioSpec, K: int) -> tuple:
 
 
 def _resolve_sizes(spec: ScenarioSpec, K: int, n: Union[int, dict]) -> dict:
+    """Every sampling channel's size: ``n`` for each, or ``n``'s entry (0 if
+    absent).  A size that is not a nonnegative integer is a ValidationError,
+    not rounded or converted."""
     names = sampling_channels(spec, K)
-    if isinstance(n, (int, np.integer)):
-        if n < 0:
-            raise ValidationError("sample size must be nonnegative")
-        return {name: int(n) for name in names}
-    unknown = set(n) - set(names)
-    if unknown:
-        raise ValidationError(f"unknown channel names {sorted(unknown)}; this scenario has {list(names)}")
-    out = {name: int(n.get(name, 0)) for name in names}
-    if any(v < 0 for v in out.values()):
-        raise ValidationError("sample sizes must be nonnegative")
-    return out
+    if isinstance(n, Mapping):
+        unknown = set(n) - set(names)
+        if unknown:
+            raise ValidationError(f"unknown channel names {sorted(unknown)}; this scenario has {list(names)}")
+        sizes = {name: n.get(name, 0) for name in names}
+    else:
+        sizes = dict.fromkeys(names, n)
+    for name, size in sizes.items():
+        if not (_is_integer(size) and size >= 0):
+            raise ValidationError(f"sample size of channel {name} must be a nonnegative integer, "
+                                  f"got {size!r}")
+    return {name: int(size) for name, size in sizes.items()}
 
 
 def sample_weak_dataset(spec: ScenarioSpec, j: FiniteJoint, n: Union[int, dict], seed: int) -> WeakDataset:
@@ -318,36 +332,78 @@ _encode = json.JSONEncoder(check_circular=False).encode  # values are fresh list
 def _distinct_rows(*arrays) -> tuple:
     """(first, inverse) over the rows of equal-length arrays, compared bit for
     bit: the first row of each distinct bit pattern, and the pattern of every
-    row.  Float equality would merge 0.0 with -0.0, which are written apart."""
+    row.  Float equality would merge 0.0 with -0.0, which are written apart.
+
+    The rows are compared as unsigned-integer words, sorted by one stable
+    ``np.lexsort``: equal rows end up adjacent, each run in its rows' order,
+    so a run's first row is its pattern's first.  Narrower words are widened
+    with zeros, which keeps distinct rows distinct."""
     n = len(arrays[0])
-    raw = np.concatenate([np.ascontiguousarray(a).reshape(n, -1).view(np.uint8) for a in arrays], axis=1)
-    keys = raw.view(np.dtype((np.void, raw.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return first, inverse.ravel()
+    words = []
+    for a in arrays:
+        a = np.ascontiguousarray(a).reshape(n, -1)
+        words.append(a.view(f"u{a.itemsize}" if a.itemsize in (1, 2, 4, 8) else np.uint8))
+    words = np.concatenate(words, axis=1)
+    order = np.lexsort(words.T)
+    rows = words[order]
+    starts = np.ones(n, dtype=bool)
+    np.any(rows[1:] != rows[:-1], axis=1, out=starts[1:])
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return order[starts], inverse
+
+
+def _int_texts(values: np.ndarray) -> tuple:
+    """(codes, texts): the JSON text of every integer in ``values`` is
+    ``texts[code]``, the codes in ``values``' order, flattened.  Values in
+    [0, 2 n + 64) for n values index a table over that range; wider or
+    negative ones a table over their distinct values."""
+    flat = values.ravel()
+    if flat.size and 0 <= flat.min() and flat.max() < 2 * flat.size + 64:
+        return flat, list(map(str, range(int(flat.max()) + 1)))
+    distinct, codes = np.unique(flat, return_inverse=True)
+    return codes.ravel(), list(map(str, distinct.tolist()))  # the inverse's shape varies with numpy
+
+
+def _item_list(head: str, fields: tuple) -> str:
+    """The JSON list of one or more items, item i being ``head`` followed
+    by, for each field ``(codes, texts, literal)``, ``texts[codes[i]] +
+    literal``.  Each table text is joined to its literal once, and the
+    whole list in one ``"".join``: the last field's literal carries the
+    ``", "`` and the next item's ``head``, cut again after the last item."""
+    parts = np.empty((len(fields[0][0]), len(fields)), dtype=object)
+    for j, (codes, texts, literal) in enumerate(fields):
+        if j == len(fields) - 1:
+            literal += ", " + head
+        parts[:, j] = np.array([t + literal for t in texts], dtype=object)[codes]
+    return "[" + head + "".join(parts.ravel().tolist())[:-len(", " + head)] + "]"
 
 
 def _items_json(c: DatasetChannel) -> str:
-    """The channel's item list as JSON text.  Points and pairs go through the
-    C encoder; a confidence item repeats its instance's values once per draw,
-    so each distinct (index, row) item or pair confidence is formatted once
-    and its text reused."""
-    if c.kind == POINTS:
-        return _encode(c.indices.tolist())
-    if c.kind == PAIRS:
-        return _encode(c.pairs.tolist())
+    """The channel's item list as JSON text, built from per-field text
+    tables (see :func:`_item_list`).  Integers are written by ``str`` from a
+    table over their range or distinct values (:func:`_int_texts`).  A
+    confidence item repeats its instance's values once per draw, so each
+    distinct (index, row) item and each distinct pair confidence, compared
+    bit for bit, is formatted once by the C encoder."""
     if c.n_draws == 0:
         return "[]"
+    if c.kind == POINTS:
+        return _item_list("", (_int_texts(c.indices) + ("",),))
     if c.kind == CONF_POINTS:
         first, inverse = _distinct_rows(c.indices, c.confidences)
-        texts = [_encode({"index": i, "confidences": row})
+        items = [_encode({"index": i, "confidences": row})
                  for i, row in zip(c.indices[first].tolist(), c.confidences[first].tolist())]
-        return "[" + ", ".join(map(texts.__getitem__, inverse.tolist())) + "]"
+        return _item_list("", ((inverse, items, ""),))
+    codes, texts = _int_texts(c.pairs)
+    a, b = codes.reshape(-1, 2).T
+    if c.kind == PAIRS:
+        return _item_list("[", ((a, texts, ", "), (b, texts, "]")))
     first, inverse = _distinct_rows(c.confidences)
-    # one encoder call for all distinct values (no number's text holds ", ");
-    # the pair indices are ints, whose str is their JSON text
-    texts = _encode(c.confidences[first].tolist())[1:-1].split(", ")
-    return "[" + ", ".join([f'{{"pair": [{a}, {b}], "confidence": {texts[k]}}}'
-                            for (a, b), k in zip(c.pairs.tolist(), inverse.tolist())]) + "]"
+    # one encoder call for all distinct values (no number's text holds ", ")
+    values = _encode(c.confidences[first].tolist())[1:-1].split(", ")
+    return _item_list('{"pair": [', ((a, texts, ", "), (b, texts, '], "confidence": '),
+                                     (inverse, values, "}")))
 
 
 def dataset_to_json(ds: WeakDataset) -> str:
@@ -464,24 +520,75 @@ def _distinct_items(decode, text: str, start: int, stop: int) -> tuple:
     return items, np.fromiter(map(distinct.__getitem__, pieces), dtype=np.intp, count=len(pieces))
 
 
+# kind -> (the opening and closing literals of a non-empty item list, and
+# the literals between its numbers, each replaced by ", " to leave them alone)
+_NUMERIC_LISTS = {
+    POINTS: ("[", "]", ()),
+    PAIRS: ("[[", "]]", ("], [",)),
+    CONF_PAIRS: ('[{"pair": [', "}]", ('], "confidence": ', '}, {"pair": [')),
+}
+
+
+def _numeric_items(text: str, pos: int, label, kind: str, floats: _FloatMemo) -> Optional[tuple]:
+    """(channel, the position after its item list) for the points, pairs or
+    conf-pairs item list at ``pos``, read as whole arrays: the integers by
+    one ``np.fromstring``, each distinct float literal once through
+    ``floats``.  The arrays are accepted only when :func:`_items_json`
+    writes them back as exactly the list's text; anything else gives None.
+    A parse that stops early raises under numpy 2, and under numpy 1 warns
+    and returns what it read: a warning raised as an error rejects, and a
+    short read cannot be written back as the whole text."""
+    head, close, between = _NUMERIC_LISTS[kind]
+    numbers, conf, stop = "", [], pos + 2  # an empty list: "[]"
+    if not text.startswith("[]", pos):
+        stop = text.find(close, pos) + len(close)
+        if not text.startswith(head, pos) or stop < len(close):
+            return None
+        numbers = text[pos + len(head):stop - len(close)]
+        for literal in between:
+            numbers = numbers.replace(literal, ", ")
+        if kind == CONF_PAIRS:  # a, b, confidence, a, b, ...: the confidences apart
+            tokens = numbers.split(", ")
+            conf = tokens[2::3]
+            del tokens[2::3]
+            numbers = ", ".join(tokens)
+    try:
+        ints = np.fromstring(numbers, dtype=np.int64, sep=",")
+        if kind == POINTS:
+            c = DatasetChannel(label, kind, indices=ints)
+        else:
+            c = DatasetChannel(label, kind, pairs=ints.reshape(-1, 2), confidences=(
+                np.fromiter(map(floats.__getitem__, conf), dtype=np.float64, count=len(conf))
+                if kind == CONF_PAIRS else None))
+        written = _items_json(c)
+    except (ValueError, DeprecationWarning):
+        return None
+    return (c, stop) if len(written) == stop - pos and text.startswith(written, pos) else None
+
+
 def _read_carved(text: str) -> Optional[WeakDataset]:
     """The dataset in ``text`` when it has the writer's layout, else None.
 
     The text is cut into the writer's fixed literals and the holes between
-    them.  The spec, the seed, each label and kind, and the item list of a
-    points, pairs or conf-pairs channel are each one hole, read by one
-    decoder call.  A conf-points list is split on the ``}, {`` between its
-    items, and each distinct item text is decoded and converted once, then
-    gathered by its code.  Every character then lies in a literal or in a
-    hole the decoder accepted whole, and every hole is followed by ``,``,
+    them.  The spec, the seed, each label and kind are each one hole, read
+    by one decoder call.  The item list of a points, pairs or conf-pairs
+    channel is read as whole arrays, accepted when the writer writes them
+    back as exactly its text (:func:`_numeric_items`): the writer maps
+    arrays to one text each, so that text decodes to these arrays.  A
+    conf-points list is split on the ``}, {`` between its items, and each
+    distinct item text is decoded and converted once, then gathered by its
+    code.  Every character then lies in a literal or in a hole the decoder
+    or the writer accepted whole, and every hole is followed by ``,``,
     ``]`` or ``}``, so as JSON is unambiguous the values are those
     ``json.loads`` gives, and the arrays those :func:`_read_generic` builds
     (the distinct items hold the same set of values, so dtype and shape
-    agree).  Any departure, and any hole or conversion that fails, gives
-    None and leaves every error to :func:`_read_generic`."""
+    agree).  A list the array path rejects is decoded whole, as any other
+    hole.  Any departure, and any hole or conversion that fails, gives None
+    and leaves every error to :func:`_read_generic`."""
     if not isinstance(text, str):
         return None
-    decode = json.JSONDecoder(parse_float=_FloatMemo().__getitem__).raw_decode
+    floats = _FloatMemo()
+    decode = json.JSONDecoder(parse_float=floats.__getitem__).raw_decode
     try:
         spec_object, pos = decode(text, _expect(text, 0, '{"spec": '))
         seed, pos = decode(text, _expect(text, pos, ', "seed": '))
@@ -497,6 +604,10 @@ def _read_carved(text: str) -> Optional[WeakDataset]:
                     return None
                 channels.append(_channel(label, kind, *_distinct_items(decode, text, pos + 2, stop)))
                 pos = stop + 2
+            elif (kind in (POINTS, PAIRS, CONF_PAIRS)
+                  and (read := _numeric_items(text, pos, label, kind, floats)) is not None):
+                channel, pos = read
+                channels.append(channel)
             else:
                 items, pos = decode(text, pos)
                 channels.append(_channel(label, kind, items))
@@ -511,11 +622,12 @@ def _read_carved(text: str) -> Optional[WeakDataset]:
 def dataset_from_json(text: str) -> WeakDataset:
     """The dataset :func:`dataset_to_json` wrote, or a typed error.
 
-    Text with the writer's layout is read piecewise, each distinct
-    ``conf-points`` item once (:func:`_read_carved`); any other text goes
-    through one ``json.loads`` (:func:`_read_generic`), which alone raises
-    errors.  Each distinct float literal is parsed once.  The cyclic
-    collector is paused meanwhile: the parsed trees hold no cycles (see
+    Text with the writer's layout is read piecewise: points, pairs and
+    conf-pairs item lists as whole arrays, each distinct ``conf-points``
+    item once (:func:`_read_carved`); any other text goes through one
+    ``json.loads`` (:func:`_read_generic`), which alone raises errors.  Each
+    distinct float literal is parsed once.  The cyclic collector is paused
+    meanwhile: the parsed trees hold no cycles (see
     :class:`_CollectorPause`)."""
     with _COLLECTOR_PAUSE:
         ds = _read_carved(text)

@@ -131,6 +131,15 @@ class TestSimulateCommand:
                      "--n", "10", "--seed", seed, "--out", str(out)]) == 2
         assert "ValidationError" in capsys.readouterr().err and not out.exists()
 
+    @pytest.mark.parametrize("n", ["99999999999999999999", "9223372036854775808", "P=9223372036854775808",
+                                   "-1", "U=-3"])
+    def test_size_outside_the_draw_range_exit_2(self, joint_file, tmp_path, capsys, n):
+        # rejected before anything is allocated, not a traceback from numpy
+        out = tmp_path / "ds.json"
+        assert main(["simulate", "--joint", str(joint_file), "--scenario", "PU",
+                     "--n", n, "--seed", "1", "--out", str(out)]) == 2
+        assert "ValidationError" in capsys.readouterr().err and not out.exists()
+
 
 class TestTrainCommand:
     def test_end_to_end(self, joint_file, tmp_path, capsys):

@@ -5,6 +5,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wslrr.datagen
 import wslrr.scenarios
@@ -27,7 +29,7 @@ from wslrr.datagen import (
     sampling_channels,
 )
 from wslrr.errors import ParseError, SchemaMismatch, ValidationError, ZeroChannelMass
-from wslrr.scenarios import (CL, MCL, PU, Pcomp, Sconf, Soft, observed_distribution, scenario_to_json,
+from wslrr.scenarios import (CL, MCL, PU, SD, Pcomp, Sconf, Soft, observed_distribution, scenario_to_json,
                              specs_equal)
 from wslrr.verify import ABSTRACT_SCENARIO_NAMES, ALL_SCENARIO_NAMES, make_spec, scenario_joint
 
@@ -193,6 +195,18 @@ class TestPhiloxReference:
         with pytest.raises(ValidationError):
             philox_uniforms(0, key, 3)
 
+    @pytest.mark.parametrize("n", [-5, -1, 2 ** 63, 2 ** 64, 99999999999999999999, 2.0, 3.5, True, "3", None])
+    def test_draw_count_outside_the_range_rejected(self, n):
+        # checked before numpy allocates anything
+        with pytest.raises(ValidationError, match="draw count"):
+            philox_uniforms(1, 0, n)
+
+    def test_boolean_keys_rejected(self):
+        with pytest.raises(ValidationError, match="seed"):
+            philox_uniforms(True, 0, 3)
+        with pytest.raises(ValidationError, match="stream"):
+            philox_uniforms(0, False, 3)
+
     def test_numpy_integer_keys(self):
         want = _philox_reference(M64, 5, 10)
         assert _same_bits(philox_uniforms(np.uint64(M64), np.int64(5), 10), want)
@@ -317,6 +331,21 @@ class TestSampling:
     def test_unknown_channel_name(self, binary_joint):
         with pytest.raises(ValidationError):
             sample_weak_dataset(PU(), binary_joint, {"Q": 10}, seed=0)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, "3", None, -1, np.float64(4.0),
+                                   {"P": 2.5}, {"P": True}, {"U": -1}, {"P": "10"}])
+    def test_size_not_a_nonnegative_integer(self, binary_joint, n):
+        with pytest.raises(ValidationError, match="sample size"):
+            sample_weak_dataset(PU(), binary_joint, n, seed=0)
+
+    @pytest.mark.parametrize("n", [2 ** 63, {"P": 2 ** 63}, 99999999999999999999])
+    def test_size_beyond_the_draw_range(self, binary_joint, n):
+        with pytest.raises(ValidationError, match="draw count"):
+            sample_weak_dataset(PU(), binary_joint, n, seed=0)
+
+    def test_numpy_integer_sizes(self, binary_joint):
+        ds = sample_weak_dataset(PU(), binary_joint, {"P": np.int64(7), "U": np.uint8(3)}, seed=0)
+        assert [c.n_draws for c in ds.channels] == [7, 3]
 
     def test_sampling_channel_names(self, binary_joint, multi_joint):
         assert sampling_channels(PU(), 2) == ("P", "U")
@@ -495,6 +524,18 @@ HAND_BUILT = {
     "int32 points and pairs": WeakDataset(PU(), 7, (
         DatasetChannel("P", POINTS, indices=np.array([2, 0, 2], dtype=np.int32)),
         DatasetChannel("U", PAIRS, pairs=np.array([[1, 2], [0, 0]], dtype=np.int32)))),
+    "multi-channel points": WeakDataset(PU(), 7, (
+        DatasetChannel("P", POINTS, indices=np.array([2, 0, 2, 1])),
+        DatasetChannel("U", POINTS, indices=np.array([0, 1, 1])))),
+    "SD pairs": WeakDataset(SD(), 7, (
+        DatasetChannel("S", PAIRS, pairs=np.array([[0, 1], [2, 2], [1, 0]])),
+        DatasetChannel("D", PAIRS, pairs=np.array([[1, 2], [0, 0]])))),
+    "wide and negative indices": WeakDataset(PU(), 7, (
+        DatasetChannel("P", POINTS, indices=np.array([-3, 2 ** 63 - 1, -2 ** 63, 0, -3])),
+        DatasetChannel("U", PAIRS, pairs=np.array([[-1, 10 ** 12], [5, -1]])))),
+    "empty points and pairs": WeakDataset(PU(), 7, (
+        DatasetChannel("P", POINTS, indices=np.empty(0, dtype=np.int64)),
+        DatasetChannel("U", PAIRS, pairs=np.empty((0, 2), dtype=np.int64)))),
 }
 
 
@@ -590,6 +631,38 @@ DEPARTURES = {
         "[2, 0, 2]", f"[2, {2 ** 63}, 2]"),
 }
 
+_POINTS_TEXT = dataset_to_json(HAND_BUILT["multi-channel points"])
+_PAIRS_TEXT = dataset_to_json(HAND_BUILT["SD pairs"])
+_CONF_PAIRS_TEXT = dataset_to_json(_conf_pairs([[0, 1], [1, 0], [2, 2]], [0.5, 0.25, 0.75]))
+# spellings of an index that are not the writer's, and values that are not int64s
+for _index in ("-0", "1.0", "1e0", str(2 ** 63), str(-2 ** 63 - 1), "NaN", "true", "+1", "01"):
+    DEPARTURES[f"points index {_index}"] = _POINTS_TEXT.replace("[2, 0, 2, 1]", f"[2, {_index}, 2, 1]")
+    DEPARTURES[f"pairs index {_index}"] = _PAIRS_TEXT.replace("[2, 2]", f"[2, {_index}]")
+for _conf in ("1", "-0", "5e-1", "0.50", "1E400", "-0.0", "NaN", "-Infinity", "true", "2.5e-01"):
+    DEPARTURES[f"conf-pairs confidence {_conf}"] = _CONF_PAIRS_TEXT.replace(
+        '"confidence": 0.25', f'"confidence": {_conf}')
+DEPARTURES.update({
+    "compact pair": _PAIRS_TEXT.replace("[2, 2]", "[2,2]"),
+    "compact first pair": _PAIRS_TEXT.replace("[[0, 1]", "[[0,1]"),
+    "3-element pair": _PAIRS_TEXT.replace("[2, 2]", "[2, 2, 2]"),
+    "1-element pair": _PAIRS_TEXT.replace("[2, 2]", "[2]"),
+    "3-element pair in conf-pairs": _CONF_PAIRS_TEXT.replace("[1, 0]", "[1, 0, 1]"),
+    "points list holding a pair": _POINTS_TEXT.replace("[2, 0, 2, 1]", "[2, [0, 1], 1]"),
+    "points list with a trailing comma": _POINTS_TEXT.replace("[2, 0, 2, 1]", "[2, 0, 2, 1, ]"),
+    "points list with an empty slot": _POINTS_TEXT.replace("[2, 0, 2, 1]", "[2, , 2, 1]"),
+    "points separated by a space": _POINTS_TEXT.replace("[2, 0, 2, 1]", "[2, 0 2, 1]"),
+    "pair values as a nested list": _PAIRS_TEXT.replace("[2, 2]", "[[2], 2]"),
+    "conf-pairs item with an extra key": _CONF_PAIRS_TEXT.replace(
+        '"confidence": 0.25}', '"confidence": 0.25, "x": 1}'),
+    "conf-pairs keys reordered": _CONF_PAIRS_TEXT.replace(
+        '{"pair": [1, 0], "confidence": 0.25}', '{"confidence": 0.25, "pair": [1, 0]}'),
+    "pairs list as points": _PAIRS_TEXT.replace('"kind": "pairs"', '"kind": "points"', 1),
+    "points list as pairs": _POINTS_TEXT.replace('"kind": "points"', '"kind": "pairs"', 1),
+    "points list as conf-pairs": _POINTS_TEXT.replace('"kind": "points"', '"kind": "conf-pairs"', 1),
+    "empty pair list as points": _PAIRS_TEXT.replace("[[0, 1], [2, 2], [1, 0]]", "[]"),
+    "points list inside a list": _POINTS_TEXT.replace("[2, 0, 2, 1]", "[[2, 0, 2, 1]]"),
+})
+
 
 def _outcome(read, text):
     """The dataset read, or the (type, message) of the error raised."""
@@ -610,7 +683,8 @@ class TestCarvedReader:
         else:
             assert got == want and _read_carved(text) is None
 
-    @pytest.mark.parametrize("case", ["signed zeros", "nan and inf pairs", "int32 points and pairs"])
+    @pytest.mark.parametrize("case", ["signed zeros", "nan and inf pairs", "int32 points and pairs",
+                                      "multi-channel points", "SD pairs"])
     def test_every_one_character_edit(self, case):
         """Deleting, replacing or inserting one structural character anywhere
         in a text of each kind: read as the generic path reads it."""
@@ -629,7 +703,9 @@ class TestCarvedReader:
         for text in (_SOFT_TEXT, _SOFT_TEXT + "\n"):
             _assert_carved(text)
 
-    def test_each_distinct_item_is_decoded_once(self, monkeypatch):
+    @staticmethod
+    def _decoded(monkeypatch, text: str) -> list:
+        """The first characters of every text the piecewise reader decodes."""
         decoded = []
         real = json.JSONDecoder.raw_decode
 
@@ -638,9 +714,86 @@ class TestCarvedReader:
             return real(self, s, idx)
 
         monkeypatch.setattr(json.JSONDecoder, "raw_decode", raw_decode)
-        assert _read_carved(_SOFT_TEXT) is not None
+        assert _read_carved(text) is not None
+        monkeypatch.undo()
+        return decoded
+
+    def test_each_distinct_item_is_decoded_once(self, monkeypatch):
+        decoded = self._decoded(monkeypatch, _SOFT_TEXT)
         # spec, seed, label, kind, then the three distinct of five items
         assert sum(d.startswith('{"index": ') for d in decoded) == 3 and len(decoded) == 7
+
+    @pytest.mark.parametrize("name", ALL_SCENARIO_NAMES + ABSTRACT_SCENARIO_NAMES)
+    def test_number_lists_are_read_as_arrays(self, name, monkeypatch):
+        """No points, pairs or conf-pairs item list of the writer's reaches the
+        decoder: a numpy whose parse the array path rejected would slow reads
+        down without changing a result."""
+        j = scenario_joint(name, 4, 9, 3, seed=13, trial=2)
+        ds = sample_weak_dataset(make_spec(name, j, 13, 2), j, 600, seed=29)
+        decoded = self._decoded(monkeypatch, dataset_to_json(ds))
+        # spec, seed and every label and kind; conf-points items are decoded one distinct item at a time
+        assert not [d for d in decoded if d.startswith("[")]
+        if all(c.kind != CONF_POINTS for c in ds.channels):
+            assert len(decoded) == 2 + 2 * len(ds.channels)
+
+    @pytest.mark.parametrize("case", sorted(k for k, ds in HAND_BUILT.items()
+                                            if all(c.kind != CONF_POINTS for c in ds.channels)))
+    def test_hand_built_number_lists_are_read_as_arrays(self, case, monkeypatch):
+        ds = HAND_BUILT[case]
+        decoded = self._decoded(monkeypatch, dataset_to_json(ds))
+        assert not [d for d in decoded if d.startswith("[")] and len(decoded) == 2 + 2 * len(ds.channels)
+
+
+# ---------------------------------------------------------------------------
+# The codec on random channels of every kind
+# ---------------------------------------------------------------------------
+
+_INT64 = st.integers(-2 ** 63, 2 ** 63 - 1)
+_INT32 = st.integers(-2 ** 31, 2 ** 31 - 1)
+_BITS = st.integers(0, 2 ** 64 - 1)  # float64 bit patterns: signed zeros, NaNs, infinities, subnormals
+
+
+def _floats(bits) -> np.ndarray:
+    return np.array(bits, dtype=np.uint64).view(np.float64)
+
+
+@st.composite
+def _random_channel(draw, label: str) -> DatasetChannel:
+    kind = draw(st.sampled_from([POINTS, PAIRS, CONF_POINTS, CONF_PAIRS]))
+    n = draw(st.sampled_from([0, 1, 2, 5, 40]))
+    dtype = draw(st.sampled_from([np.int64, np.int32]))
+    values = _INT64 if dtype is np.int64 else _INT32
+    if draw(st.booleans()):  # few distinct values, as sampled channels have
+        values = st.sampled_from(draw(st.lists(values, min_size=1, max_size=4)))
+    ints = lambda count: np.array(draw(st.lists(values, min_size=count, max_size=count)), dtype=dtype)
+    bits = _BITS if draw(st.booleans()) else st.sampled_from(draw(st.lists(_BITS, min_size=1, max_size=3)))
+    floats = lambda count: _floats(draw(st.lists(bits, min_size=count, max_size=count)))
+    if kind == POINTS:
+        return DatasetChannel(label, kind, indices=ints(n))
+    if kind == PAIRS:
+        return DatasetChannel(label, kind, pairs=ints(2 * n).reshape(n, 2))
+    if kind == CONF_PAIRS:
+        return DatasetChannel(label, kind, pairs=ints(2 * n).reshape(n, 2), confidences=floats(n))
+    width = draw(st.integers(1, 3))
+    return DatasetChannel(label, kind, indices=ints(n), confidences=floats(n * width).reshape(n, width))
+
+
+@st.composite
+def _random_dataset(draw) -> WeakDataset:
+    count = draw(st.integers(0, 3))
+    channels = tuple(draw(_random_channel(f"c{i}")) for i in range(count))
+    return WeakDataset(PU(), draw(st.integers(0, 2 ** 64 - 1)), channels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_random_dataset())
+def test_codec_on_random_channels(ds):
+    """The writer's text is json.dumps's and the reader's arrays json.loads's,
+    bit for bit, and the writer's layout is read piecewise."""
+    text = dataset_to_json(ds)
+    assert text == _reference_to_json(ds)
+    _assert_read_bits(text)
+    _assert_carved(text)
 
 
 # ---------------------------------------------------------------------------
@@ -658,6 +811,12 @@ def collector():
 def _soft_30k() -> WeakDataset:
     j = scenario_joint("Soft", 4, 100, 3, seed=13, trial=2)
     return sample_weak_dataset(make_spec("Soft", j, 13, 2), j, 30_000, seed=29)
+
+
+def _distinct_30k() -> WeakDataset:
+    """30k conf-points draws whose items all differ, so that each codec
+    builds a list or dict per draw."""
+    return _conf_points(np.arange(30_000) % 100, philox_uniforms(3, 0, 60_000).reshape(30_000, 2))
 
 
 class TestCollectorPause:
@@ -685,24 +844,31 @@ class TestCollectorPause:
         assert gc.isenabled() is enabled
 
     def test_no_collection_inside_either_codec(self, collector):
-        ds = _soft_30k()
         started = []
 
         def count(phase, info):
             if phase == "start":
                 started.append(info["generation"])
 
-        gc.enable()
-        gc.callbacks.append(count)
-        try:
-            text = dataset_to_json(ds)
-            in_writer = len(started)
-            back = dataset_from_json(text)
-            in_reader = len(started) - in_writer
-        finally:
-            gc.callbacks.remove(count)
-        assert (in_writer, in_reader) == (0, 0)
-        assert datasets_equal(back, ds)
+        def collections_in(call):
+            # objects made while the collector is paused still count towards
+            # its threshold, so a collection can be due when a codec starts;
+            # it would run at the codec's first allocation, before the pause
+            gc.collect()
+            del started[:]
+            result = call()
+            return len(started), result
+
+        for ds in (_soft_30k(), _distinct_30k()):
+            gc.enable()
+            gc.callbacks.append(count)
+            try:
+                in_writer, text = collections_in(lambda: dataset_to_json(ds))
+                in_reader, back = collections_in(lambda: dataset_from_json(text))
+            finally:
+                gc.callbacks.remove(count)
+            assert (in_writer, in_reader) == (0, 0)
+            assert datasets_equal(back, ds)
 
     def test_concurrent_calls_restore_the_state(self, collector):
         """Threads that overlap in the codecs share one pause, and the last to
