@@ -15,7 +15,7 @@ buckets are searched.  The result is ``searchsorted(cum, u, "right")``.
 
 Datasets are written to and read from one line of JSON.  The writer builds
 each item list from per-field text tables joined once; the reader parses a
-list of numbers as whole arrays, accepted when the writer gives back its
+list of integers as one array, accepted when the writer gives back its
 exact text.  Both codecs pause the cyclic garbage collector: the trees of
 lists, dicts and scalars they build hold no cycles, so a collection over
 them could free nothing.
@@ -71,15 +71,18 @@ def philox_uniforms(seed: int, stream: int, n: int) -> np.ndarray:
     (seed, stream); draw index is the counter position.  A seed or stream
     that is not an integer in [0, 2**64) is a ValidationError: reduced
     modulo 2**64 it would silently draw another key's words.  So is a count
-    ``n`` that is not an integer in [0, 2**63), which numpy cannot allocate;
-    booleans are not integers here.
+    ``n`` that is not an integer in [0, 2**60): numpy sizes an array in
+    signed 64-bit bytes, so it cannot shape 2**60 eight-byte words.
+    Booleans are not integers here.
 
     The words are those of ``np.random.Philox(key=key).random_raw(n)``: the
     thread's generator is set to that fresh state (counter 0, empty buffer)
     rather than built anew, which costs several times more."""
-    for what, value, bits in (("seed", seed, 64), ("stream", stream, 64), ("draw count", n, 63)):
-        if not (_is_integer(value) and 0 <= int(value) < 2 ** bits):
-            raise ValidationError(f"Philox {what} must be an integer in [0, 2**{bits}), got {value!r}")
+    for what, value, bound in (("seed", seed, 2 ** 64), ("stream", stream, 2 ** 64),
+                               ("draw count", n, 2 ** 60)):
+        if not (_is_integer(value) and 0 <= int(value) < bound):
+            raise ValidationError(f"Philox {what} must be an integer in "
+                                  f"[0, 2**{bound.bit_length() - 1}), got {value!r}")
     key = np.array([int(seed), int(stream)], dtype=np.uint64)
     if not hasattr(_thread, "philox"):
         _thread.philox = np.random.Philox(0)
@@ -521,25 +524,23 @@ def _distinct_items(decode, text: str, start: int, stop: int) -> tuple:
 
 
 # kind -> (the opening and closing literals of a non-empty item list, and
-# the literals between its numbers, each replaced by ", " to leave them alone)
+# the literals between its integers, each replaced by ", " to leave them alone)
 _NUMERIC_LISTS = {
     POINTS: ("[", "]", ()),
     PAIRS: ("[[", "]]", ("], [",)),
-    CONF_PAIRS: ('[{"pair": [', "}]", ('], "confidence": ', '}, {"pair": [')),
 }
 
 
-def _numeric_items(text: str, pos: int, label, kind: str, floats: _FloatMemo) -> Optional[tuple]:
-    """(channel, the position after its item list) for the points, pairs or
-    conf-pairs item list at ``pos``, read as whole arrays: the integers by
-    one ``np.fromstring``, each distinct float literal once through
-    ``floats``.  The arrays are accepted only when :func:`_items_json`
-    writes them back as exactly the list's text; anything else gives None.
-    A parse that stops early raises under numpy 2, and under numpy 1 warns
-    and returns what it read: a warning raised as an error rejects, and a
-    short read cannot be written back as the whole text."""
+def _numeric_items(text: str, pos: int, label, kind: str) -> Optional[tuple]:
+    """(channel, the position after its item list) for the points or pairs
+    item list at ``pos``, read as one array by one ``np.fromstring``.  The
+    array is accepted only when :func:`_items_json` writes it back as
+    exactly the list's text; anything else gives None.  A parse that stops
+    early raises under numpy 2, and under numpy 1 warns and returns what it
+    read: a warning raised as an error rejects, and a short read cannot be
+    written back as the whole text."""
     head, close, between = _NUMERIC_LISTS[kind]
-    numbers, conf, stop = "", [], pos + 2  # an empty list: "[]"
+    numbers, stop = "", pos + 2  # an empty list: "[]"
     if not text.startswith("[]", pos):
         stop = text.find(close, pos) + len(close)
         if not text.startswith(head, pos) or stop < len(close):
@@ -547,19 +548,10 @@ def _numeric_items(text: str, pos: int, label, kind: str, floats: _FloatMemo) ->
         numbers = text[pos + len(head):stop - len(close)]
         for literal in between:
             numbers = numbers.replace(literal, ", ")
-        if kind == CONF_PAIRS:  # a, b, confidence, a, b, ...: the confidences apart
-            tokens = numbers.split(", ")
-            conf = tokens[2::3]
-            del tokens[2::3]
-            numbers = ", ".join(tokens)
     try:
         ints = np.fromstring(numbers, dtype=np.int64, sep=",")
-        if kind == POINTS:
-            c = DatasetChannel(label, kind, indices=ints)
-        else:
-            c = DatasetChannel(label, kind, pairs=ints.reshape(-1, 2), confidences=(
-                np.fromiter(map(floats.__getitem__, conf), dtype=np.float64, count=len(conf))
-                if kind == CONF_PAIRS else None))
+        c = (DatasetChannel(label, kind, indices=ints) if kind == POINTS
+             else DatasetChannel(label, kind, pairs=ints.reshape(-1, 2)))
         written = _items_json(c)
     except (ValueError, DeprecationWarning):
         return None
@@ -570,25 +562,25 @@ def _read_carved(text: str) -> Optional[WeakDataset]:
     """The dataset in ``text`` when it has the writer's layout, else None.
 
     The text is cut into the writer's fixed literals and the holes between
-    them.  The spec, the seed, each label and kind are each one hole, read
-    by one decoder call.  The item list of a points, pairs or conf-pairs
-    channel is read as whole arrays, accepted when the writer writes them
-    back as exactly its text (:func:`_numeric_items`): the writer maps
-    arrays to one text each, so that text decodes to these arrays.  A
-    conf-points list is split on the ``}, {`` between its items, and each
-    distinct item text is decoded and converted once, then gathered by its
-    code.  Every character then lies in a literal or in a hole the decoder
-    or the writer accepted whole, and every hole is followed by ``,``,
-    ``]`` or ``}``, so as JSON is unambiguous the values are those
-    ``json.loads`` gives, and the arrays those :func:`_read_generic` builds
-    (the distinct items hold the same set of values, so dtype and shape
-    agree).  A list the array path rejects is decoded whole, as any other
-    hole.  Any departure, and any hole or conversion that fails, gives None
-    and leaves every error to :func:`_read_generic`."""
+    them.  The spec, the seed, each label and kind, and the item list of a
+    conf-pairs channel are each one hole, read by one decoder call.  The
+    item list of a points or pairs channel is read as one array, accepted
+    when the writer writes it back as exactly its text
+    (:func:`_numeric_items`): the writer maps arrays to one text each, so
+    that text decodes to this array.  A conf-points list is split on the
+    ``}, {`` between its items, and each distinct item text is decoded and
+    converted once, then gathered by its code.  Every character then lies
+    in a literal or in a hole the decoder or the writer accepted whole, and
+    every hole is followed by ``,``, ``]`` or ``}``, so as JSON is
+    unambiguous the values are those ``json.loads`` gives, and the arrays
+    those :func:`_read_generic` builds (the distinct items hold the same set
+    of values, so dtype and shape agree).  A list the array path rejects is
+    decoded whole, as any other hole.  Any departure, and any hole or
+    conversion that fails, gives None and leaves every error to
+    :func:`_read_generic`."""
     if not isinstance(text, str):
         return None
-    floats = _FloatMemo()
-    decode = json.JSONDecoder(parse_float=floats.__getitem__).raw_decode
+    decode = json.JSONDecoder(parse_float=_FloatMemo().__getitem__).raw_decode
     try:
         spec_object, pos = decode(text, _expect(text, 0, '{"spec": '))
         seed, pos = decode(text, _expect(text, pos, ', "seed": '))
@@ -604,8 +596,7 @@ def _read_carved(text: str) -> Optional[WeakDataset]:
                     return None
                 channels.append(_channel(label, kind, *_distinct_items(decode, text, pos + 2, stop)))
                 pos = stop + 2
-            elif (kind in (POINTS, PAIRS, CONF_PAIRS)
-                  and (read := _numeric_items(text, pos, label, kind, floats)) is not None):
+            elif kind in (POINTS, PAIRS) and (read := _numeric_items(text, pos, label, kind)) is not None:
                 channel, pos = read
                 channels.append(channel)
             else:
@@ -622,13 +613,12 @@ def _read_carved(text: str) -> Optional[WeakDataset]:
 def dataset_from_json(text: str) -> WeakDataset:
     """The dataset :func:`dataset_to_json` wrote, or a typed error.
 
-    Text with the writer's layout is read piecewise: points, pairs and
-    conf-pairs item lists as whole arrays, each distinct ``conf-points``
-    item once (:func:`_read_carved`); any other text goes through one
-    ``json.loads`` (:func:`_read_generic`), which alone raises errors.  Each
-    distinct float literal is parsed once.  The cyclic collector is paused
-    meanwhile: the parsed trees hold no cycles (see
-    :class:`_CollectorPause`)."""
+    Text with the writer's layout is read piecewise: points and pairs item
+    lists as whole arrays, each distinct ``conf-points`` item once
+    (:func:`_read_carved`); any other text goes through one ``json.loads``
+    (:func:`_read_generic`), which alone raises errors.  Each distinct float
+    literal is parsed once.  The cyclic collector is paused meanwhile: the
+    parsed trees hold no cycles (see :class:`_CollectorPause`)."""
     with _COLLECTOR_PAUSE:
         ds = _read_carved(text)
         return ds if ds is not None else _read_generic(text)

@@ -132,6 +132,7 @@ class TestSimulateCommand:
         assert "ValidationError" in capsys.readouterr().err and not out.exists()
 
     @pytest.mark.parametrize("n", ["99999999999999999999", "9223372036854775808", "P=9223372036854775808",
+                                   "1152921504606846976", "4611686018427387904", "U=1152921504606846976",
                                    "-1", "U=-3"])
     def test_size_outside_the_draw_range_exit_2(self, joint_file, tmp_path, capsys, n):
         # rejected before anything is allocated, not a traceback from numpy

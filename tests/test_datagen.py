@@ -195,7 +195,8 @@ class TestPhiloxReference:
         with pytest.raises(ValidationError):
             philox_uniforms(0, key, 3)
 
-    @pytest.mark.parametrize("n", [-5, -1, 2 ** 63, 2 ** 64, 99999999999999999999, 2.0, 3.5, True, "3", None])
+    @pytest.mark.parametrize("n", [-5, -1, 2 ** 60, 2 ** 62, 2 ** 63, 2 ** 64, 99999999999999999999,
+                                   2.0, 3.5, True, "3", None])
     def test_draw_count_outside_the_range_rejected(self, n):
         # checked before numpy allocates anything
         with pytest.raises(ValidationError, match="draw count"):
@@ -338,7 +339,7 @@ class TestSampling:
         with pytest.raises(ValidationError, match="sample size"):
             sample_weak_dataset(PU(), binary_joint, n, seed=0)
 
-    @pytest.mark.parametrize("n", [2 ** 63, {"P": 2 ** 63}, 99999999999999999999])
+    @pytest.mark.parametrize("n", [2 ** 60, 2 ** 63, {"P": 2 ** 60}, {"U": 2 ** 62}, 99999999999999999999])
     def test_size_beyond_the_draw_range(self, binary_joint, n):
         with pytest.raises(ValidationError, match="draw count"):
             sample_weak_dataset(PU(), binary_joint, n, seed=0)
@@ -725,23 +726,27 @@ class TestCarvedReader:
 
     @pytest.mark.parametrize("name", ALL_SCENARIO_NAMES + ABSTRACT_SCENARIO_NAMES)
     def test_number_lists_are_read_as_arrays(self, name, monkeypatch):
-        """No points, pairs or conf-pairs item list of the writer's reaches the
-        decoder: a numpy whose parse the array path rejected would slow reads
-        down without changing a result."""
+        """No points or pairs item list of the writer's reaches the decoder: a
+        numpy whose parse the array path rejected would slow reads down
+        without changing a result."""
         j = scenario_joint(name, 4, 9, 3, seed=13, trial=2)
         ds = sample_weak_dataset(make_spec(name, j, 13, 2), j, 600, seed=29)
         decoded = self._decoded(monkeypatch, dataset_to_json(ds))
-        # spec, seed and every label and kind; conf-points items are decoded one distinct item at a time
-        assert not [d for d in decoded if d.startswith("[")]
+        # spec, seed, every label and kind, and each conf-pairs list whole;
+        # conf-points items are decoded one distinct item at a time
+        lists = sum(d.startswith("[") for d in decoded)
+        assert lists == sum(c.kind == CONF_PAIRS for c in ds.channels)
         if all(c.kind != CONF_POINTS for c in ds.channels):
-            assert len(decoded) == 2 + 2 * len(ds.channels)
+            assert len(decoded) == 2 + 2 * len(ds.channels) + lists
 
     @pytest.mark.parametrize("case", sorted(k for k, ds in HAND_BUILT.items()
                                             if all(c.kind != CONF_POINTS for c in ds.channels)))
     def test_hand_built_number_lists_are_read_as_arrays(self, case, monkeypatch):
         ds = HAND_BUILT[case]
         decoded = self._decoded(monkeypatch, dataset_to_json(ds))
-        assert not [d for d in decoded if d.startswith("[")] and len(decoded) == 2 + 2 * len(ds.channels)
+        lists = sum(d.startswith("[") for d in decoded)
+        assert lists == sum(c.kind == CONF_PAIRS for c in ds.channels)
+        assert len(decoded) == 2 + 2 * len(ds.channels) + lists
 
 
 # ---------------------------------------------------------------------------
