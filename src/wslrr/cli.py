@@ -1,9 +1,9 @@
 """Command line front end: verify, verify-all, simulate, train.
 
 Exit codes: 0 success / all checks pass, 1 failed checks or divergence,
-2 usage or validation problems.  Stdout carries a human summary; files are
-the machine-readable artifacts (JSON reports, datasets, models, and a
-two-column "epoch,risk" CSV loss trace).
+2 usage or validation problems, or a request too large for memory.  Stdout
+carries a human summary; files are the machine-readable artifacts (JSON
+reports, datasets, models, and a two-column "epoch,risk" CSV loss trace).
 """
 
 from __future__ import annotations
@@ -217,6 +217,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except FileNotFoundError as e:
         print(f"missing file: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as e:  # a request beyond the machine, such as simulate --n 2**40
+        print(f"MemoryError: {str(e) or 'not enough memory'}", file=sys.stderr)
         return EXIT_USAGE
     except WslrrError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)

@@ -109,6 +109,8 @@ def validate_joint(K: int, features, joint) -> FiniteJoint:
         raise ShapeMismatch("features and joint must be finite")
     if j.min() < 0.0:  # finite, so the minimum is a number
         raise NegativeEntry(f"joint has negative entries, min = {j.min()}")
+    if j.max() > 1.0 + NORMALIZATION_TOL:  # refused before a sum of such entries can overflow
+        raise NonNormalized(f"joint has an entry {j.max()} above 1, so it cannot sum to 1")
     total = float(j.sum())
     if abs(total - 1.0) > NORMALIZATION_TOL:
         raise NonNormalized(f"joint sums to {total}, expected 1 within {NORMALIZATION_TOL}")

@@ -130,14 +130,6 @@ def _loss_table(ls: LossSpec, g: np.ndarray) -> np.ndarray:
     return _loss_parts(ls, g)[0]
 
 
-def loss_score_slope(ls: LossSpec, scores) -> tuple:
-    """Common structure of the loss gradients at the (n, K) scores: the
-    gradient of entry k at instance i is base[i] - scale * e_k.  Returns
-    (base, scale)."""
-    _, base, scale = _loss_parts(ls, _check_scores(scores), slope=True)
-    return base, scale
-
-
 def score_matrix(model, j: FiniteJoint) -> np.ndarray:
     """(n_x, K) scores of a linear model on every instance."""
     return j.features @ np.asarray(model.weights).T + np.asarray(model.bias)

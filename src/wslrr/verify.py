@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FiniteJoint, marginals as compute_marginals, validate_joint
-from .datagen import datasets_equal, philox_uniforms, sample_weak_dataset, sampling_channels
+from .datagen import datasets_equal, philox_uniforms, sample_weak_dataset
 from .decontam import (
     METHOD_INVERSION,
     METHOD_MARGINAL_CHAIN,
@@ -27,7 +27,7 @@ from .decontam import (
     mcl_block,
     mcl_block_inverse,
 )
-from .errors import ShapeMismatch, ValidationError, WslrrError
+from .errors import KTooLarge, ShapeMismatch, ValidationError, WslrrError
 from .risk import (
     LossSpec,
     channel_terms,
@@ -51,6 +51,7 @@ from .scenarios import (
     FAMILY_MCD,
     FAMILY_SCONF,
     GCCN,
+    K_MAX_DEFAULT,
     MCD,
     MCL,
     PCPL,
@@ -96,7 +97,6 @@ ALL_SCENARIO_NAMES = CONCRETE_SCENARIOS
 ABSTRACT_SCENARIO_NAMES = ("MCD", "CCN", "GCCN")
 # exact inverses checked against the default marginal chain, which their closed forms need not match
 EXACT_INVERSE = {"MCL": METHOD_MCL_BLOCKWISE, "CL": METHOD_INVERSION}
-CLOSED_FORM_NAMES = tuple(n for n in ALL_SCENARIO_NAMES if n not in EXACT_INVERSE)
 
 
 @dataclass(frozen=True)
@@ -131,11 +131,13 @@ class VerifyConfig:
     seed: int = 7
     d_feat: int = 3
     mc_samples: int = 100_000
-    scenarios: tuple = ALL_SCENARIO_NAMES + ABSTRACT_SCENARIO_NAMES
 
     def __post_init__(self):
         if self.K < 2 or self.nx < 1:
             raise ShapeMismatch(f"the harness needs K >= 2 and nx >= 1, got K={self.K}, nx={self.nx}")
+        # the reduction graph and the CL Monte-Carlo check build every compound label
+        if self.K > K_MAX_DEFAULT:
+            raise KTooLarge(f"the harness needs K <= {K_MAX_DEFAULT}, got K={self.K}")
         if self.trials < 0 or self.mc_samples < 2:  # one draw per channel has no spread to bound
             raise ShapeMismatch(f"the harness needs trials >= 0 and mc_samples >= 2, "
                                 f"got trials={self.trials}, mc_samples={self.mc_samples}")
@@ -202,7 +204,7 @@ def _joint_ok(name: str, j: FiniteJoint) -> bool:
         return False
     if SCENARIO_TYPES[name].offcenter_prior and abs(m.priors[0] - 0.5) < 0.05:
         return False
-    if name == "Sconf":
+    if SCENARIO_TYPES[name].family == FAMILY_SCONF:
         pi_p, pi_n = m.priors[0], m.priors[1]
         r = _sconf_confidences(m, np.arange(j.n_x), np.arange(j.n_x))
         if np.abs(r - pi_n).min() < 1e-3 or np.abs(pi_p - r).min() < 1e-3:
@@ -223,44 +225,54 @@ def scenario_joint(name: str, K: int, nx: int, d_feat: int, seed: int, trial: in
     raise WslrrError(f"could not draw an admissible joint for {name}")
 
 
+def _ccn_flips(j: FiniteJoint, seed: int, trial: int) -> CCN:
+    u = 0.4 * philox_uniforms(seed, 5000 + trial, 60)
+    a, b = u[2 * np.arange(j.n_x) % 60], u[(2 * np.arange(j.n_x) + 1) % 60]
+    return CCN(flip=np.ascontiguousarray(np.array([[1.0 - a, b], [a, 1.0 - b]]).transpose(2, 0, 1)))
+
+
+def _gccn_conditionals(j: FiniteJoint, seed: int, trial: int) -> GCCN:
+    n_s = len(compound_label_space(j.K))
+    raw = philox_uniforms(seed, 6000 + trial, j.n_x * n_s * j.K).reshape(j.n_x, n_s, j.K) + 0.05
+    raw /= raw.sum(axis=1, keepdims=True)
+    return GCCN(cond=raw)
+
+
+def _ppl_weights(j: FiniteJoint, seed: int, trial: int) -> PPL:
+    """Instance-dependent proper weights: each instance mixes label sizes
+    with its own law, uniform within a size (see the MCL construction)."""
+    K = j.K
+    sizes = [len(s) for s in compound_label_space(K)]
+    alpha = philox_uniforms(seed, 7000 + trial, j.n_x * (K - 1)).reshape(j.n_x, K - 1) + 0.1
+    alpha /= alpha.sum(axis=1, keepdims=True)
+    binom = np.array([math.comb(K - 1, d - 1) for d in sizes], dtype=np.float64)
+    return PPL(C=alpha[:, np.array(sizes) - 1].T / binom[:, None])
+
+
+def _mcl_size_law(j: FiniteJoint, seed: int, trial: int) -> MCL:
+    q = philox_uniforms(seed, 8000 + trial, j.K - 1) + 0.1
+    return MCL(q=tuple(q / q.sum()))
+
+
+# The seeded parameter draw of each setting that has parameters, as
+# f(joint, seed, trial); the others are built without arguments.
+_PARAMETER_DRAWS = {
+    "UU": lambda j, seed, trial: UU(*(0.45 * philox_uniforms(seed, 5000 + trial, 2))),
+    "MCD": lambda j, seed, trial: MCD(*(0.45 * philox_uniforms(seed, 5000 + trial, 2))),
+    "CCN": _ccn_flips,
+    "GCCN": _gccn_conditionals,
+    "PPL": _ppl_weights,
+    "MCL": _mcl_size_law,
+    "SubConf": lambda j, seed, trial: SubConf(
+        Y_s=tuple(sorted((trial + i) % j.K + 1 for i in range(1 + trial % (j.K - 1))))),
+    "SCConf": lambda j, seed, trial: SCConf(y_s=trial % j.K + 1),
+}
+
+
 def make_spec(name: str, j: FiniteJoint, seed: int, trial: int) -> ScenarioSpec:
     """Seeded scenario parameters valid for the given joint."""
-    K, nx = j.K, j.n_x
-    u = philox_uniforms(seed, 5000 + trial, 64)
-    if name == "UU":
-        return UU(gamma_1=0.45 * u[0], gamma_2=0.45 * u[1])
-    if name == "MCD":
-        return MCD(gamma_p=0.45 * u[0], gamma_n=0.45 * u[1])
-    if name == "CCN":
-        flip = np.empty((nx, 2, 2))
-        for i in range(nx):
-            a = 0.4 * u[2 * i % 60]
-            b = 0.4 * u[(2 * i + 1) % 60]
-            flip[i] = [[1.0 - a, b], [a, 1.0 - b]]
-        return CCN(flip=flip)
-    if name == "GCCN":
-        n_s = len(compound_label_space(K))
-        raw = philox_uniforms(seed, 6000 + trial, nx * n_s * K).reshape(nx, n_s, K) + 0.05
-        raw /= raw.sum(axis=1, keepdims=True)
-        return GCCN(cond=raw)
-    if name == "PPL":
-        # instance-dependent proper weights: each instance mixes label sizes
-        # with its own law, uniform within a size (see the MCL construction)
-        sizes = [len(s) for s in compound_label_space(K)]
-        alpha = philox_uniforms(seed, 7000 + trial, nx * (K - 1)).reshape(nx, K - 1) + 0.1
-        alpha /= alpha.sum(axis=1, keepdims=True)
-        binom = np.array([math.comb(K - 1, d - 1) for d in sizes], dtype=np.float64)
-        return PPL(C=alpha[:, np.array(sizes) - 1].T / binom[:, None])
-    if name == "MCL":
-        q = philox_uniforms(seed, 8000 + trial, K - 1) + 0.1
-        return MCL(q=tuple(q / q.sum()))
-    if name == "SubConf":
-        size = 1 + trial % (K - 1)
-        members = tuple(sorted(((trial + i) % K) + 1 for i in range(size)))
-        return SubConf(Y_s=members)
-    if name == "SCConf":
-        return SCConf(y_s=(trial % K) + 1)
-    return SCENARIO_TYPES[name]()
+    draw = _PARAMETER_DRAWS.get(name)
+    return draw(j, seed, trial) if draw else SCENARIO_TYPES[name]()
 
 
 def seeded_model(j: FiniteJoint, seed: int, trial: int):
@@ -609,13 +621,6 @@ def verify_erm_sanity(seed: int = 7, agreement: float = 0.95) -> CheckReport:
 # The registry and the aggregate run
 # ---------------------------------------------------------------------------
 
-def _reconstruction_methods(name: str) -> tuple:
-    """The record's default method, and for CL and MCL, whose method agreement
-    is checked too, also their exact inverse."""
-    method = SCENARIO_TYPES[name].method
-    return (method, EXACT_INVERSE[name]) if name in EXACT_INVERSE else (method,)
-
-
 def _worst(reports: list) -> CheckReport:
     return max(reports, key=lambda r: (r.max_abs_err / r.tol) if r.tol else r.max_abs_err)
 
@@ -629,119 +634,95 @@ def _scenario_trial_inputs(name: str, cfg: VerifyConfig, trial: int):
     return spec, j, model
 
 
+_SETTINGS = ALL_SCENARIO_NAMES + ABSTRACT_SCENARIO_NAMES
+_LOGISTIC = LossSpec("logistic")
+_EVERY_TRIAL, _FIRST_FIVE = slice(None), slice(5)  # of range(cfg.trials); other rows read fixed trials
+_ONCE = ("",)  # the settings of a task that names none
+
+# The registry, one row per kind of task in report order: (task-name
+# template, settings, the trials it reads, check).  A row gives one task per
+# setting, named by the template formatted with the setting's entry, a name
+# or a (name, method) pair.  A check that reads trials is called as
+# check(cfg, spec, j, model, *rest) on each trial's shared input, where rest
+# is the entry after the name, and its task reports the worst of them; a
+# check that reads none is called once as check(cfg, name).
+_REGISTRY = (
+    ("formulation:{}", _SETTINGS, _FIRST_FIVE,
+     lambda cfg, spec, j, model: verify_formulation(spec, j, seed=cfg.seed)),
+    # each record's default method, and for CL and MCL also the exact inverse
+    ("reconstruction:{}:{}",
+     tuple((name, method) for name in _SETTINGS
+           for method in (SCENARIO_TYPES[name].method, EXACT_INVERSE.get(name)) if method),
+     _FIRST_FIVE,
+     lambda cfg, spec, j, model, method: verify_reconstruction(spec, j, method=method, seed=cfg.seed)),
+    ("risk-equality:{}", _SETTINGS, _EVERY_TRIAL,
+     lambda cfg, spec, j, model: verify_risk_equality(spec, j, model, _LOGISTIC, seed=cfg.seed)),
+    ("closed-form:{}", tuple(n for n in ALL_SCENARIO_NAMES if n not in EXACT_INVERSE), _FIRST_FIVE,
+     lambda cfg, spec, j, model: verify_closed_form(spec, j, model, _LOGISTIC, seed=cfg.seed)),
+    ("reduction-graph", _ONCE, (), lambda cfg, _: verify_reduction_graph(
+        random_joint(cfg.K, cfg.nx, cfg.d_feat, cfg.seed, 21), seed=cfg.seed)),
+    ("worked-example", _ONCE, (), lambda cfg, _: verify_worked_example(seed=cfg.seed)),
+    ("pair-checks", _ONCE, (), lambda cfg, _: verify_pair_symmetry(
+        scenario_joint("SU", 2, cfg.nx, cfg.d_feat, cfg.seed, 5), seed=cfg.seed)),
+    ("pcpl-half-identity", ("PCPL",), (2,),
+     lambda cfg, spec, j, model: verify_pcpl_half_identity(j, model, _LOGISTIC, seed=cfg.seed)),
+    ("mcl-block-inverse", _ONCE, (), lambda cfg, _: verify_mcl_blocks(seed=cfg.seed)),
+    ("method-agreement:{}", tuple(EXACT_INVERSE), (4,),
+     lambda cfg, spec, j, model: verify_method_agreement(spec, j, model, _LOGISTIC, seed=cfg.seed)),
+    ("mc-consistency:{}", ("PU", "CL", "Soft"), (), lambda cfg, name: verify_mc_consistency(name, cfg)),
+    # 40 draws per sampling channel
+    ("gradient-check:{}", ALL_SCENARIO_NAMES, (3,), lambda cfg, spec, j, model: verify_gradient_check(
+        spec, j, sample_weak_dataset(spec, j, 40, seed=cfg.seed + 5), _LOGISTIC, seed=cfg.seed)),
+    ("erm-sanity", _ONCE, (), lambda cfg, _: verify_erm_sanity(seed=cfg.seed)),
+)
+
+
 def build_registry(cfg: VerifyConfig) -> list:
-    """Named thunks in report order; each returns one or more CheckReports.
+    """Named thunks in report order, one per task of :data:`_REGISTRY`; each
+    returns one or more CheckReports.
 
     A library error inside a task becomes one failed report named after the
-    task, so a single failing check never aborts the run.  An empty scenario
-    list or a zero trial count yields an empty registry.
+    task, so a single failing check never aborts the run.  A zero trial
+    count yields an empty registry.
 
     The tasks share one table of :func:`_scenario_trial_inputs`, keyed by
     (scenario, trial): an entry is drawn when a task first reads it and
-    dropped once the last task registered to read it has run.
+    dropped once the last task that reads it has run.
     """
-    ls = LossSpec("logistic")
-    tasks = []
-    if not cfg.scenarios or cfg.trials <= 0:
-        return tasks
-    table, readers = {}, Counter()
+    if cfg.trials <= 0:
+        return []
+    tasks, table, readers = [], {}, Counter()
 
-    def inputs(name, trial):
-        if (name, trial) not in table:
-            table[name, trial] = _scenario_trial_inputs(name, cfg, trial)
-        return table[name, trial]
+    def inputs(key):
+        if key not in table:
+            table[key] = _scenario_trial_inputs(key[0], cfg, key[1])
+        return table[key]
 
-    def add(name, fn, reads=()):
-        readers.update(reads)
-
-        def guarded():
+    def task(label, name, keys, rest, check):
+        def run():
             t0 = time.perf_counter()
             try:
-                return fn()
+                if not keys:
+                    return check(cfg, name)
+                return _worst([check(cfg, *inputs(key), *rest) for key in keys])
             except WslrrError as e:
-                scenario = name.split(":")[1] if ":" in name else ""
-                return _failure(name, scenario, {}, 0.0, cfg.seed, t0, e)
+                return _failure(label, name, {}, 0.0, cfg.seed, t0, e)
             finally:
-                for key in reads:
+                for key in keys:
                     readers[key] -= 1
                     if readers[key] <= 0:
                         table.pop(key, None)
-        tasks.append((name, guarded))
+        return run
 
-    def over_trials(task, name, trials, check):
-        """Register the worst report of ``check(spec, j, model)`` over the trials."""
-        add(task, lambda: _worst([check(*inputs(name, t)) for t in range(trials)]),
-            [(name, t) for t in range(trials)])
-
-    few = min(cfg.trials, 5)
-    for name in cfg.scenarios:
-        over_trials(f"formulation:{name}", name, few,
-                    lambda spec, j, _: verify_formulation(spec, j, seed=cfg.seed))
-    for name in cfg.scenarios:
-        for method in _reconstruction_methods(name):
-            over_trials(f"reconstruction:{name}:{method}", name, few,
-                        lambda spec, j, _, method=method:
-                        verify_reconstruction(spec, j, method=method, seed=cfg.seed))
-    for name in cfg.scenarios:
-        over_trials(f"risk-equality:{name}", name, cfg.trials,
-                    lambda spec, j, model: verify_risk_equality(spec, j, model, ls, seed=cfg.seed))
-    for name in CLOSED_FORM_NAMES:
-        if name not in cfg.scenarios:
-            continue
-        over_trials(f"closed-form:{name}", name, few,
-                    lambda spec, j, model: verify_closed_form(spec, j, model, ls, seed=cfg.seed))
-
-    def reduction():
-        j = random_joint(cfg.K, cfg.nx, cfg.d_feat, cfg.seed, 21)
-        return verify_reduction_graph(j, seed=cfg.seed)
-    add("reduction-graph", reduction)
-
-    add("worked-example", lambda: verify_worked_example(seed=cfg.seed))
-
-    if {"SU", "DU", "Pcomp"} & set(cfg.scenarios):
-        def pair_checks():
-            j = scenario_joint("SU", 2, cfg.nx, cfg.d_feat, cfg.seed, 5)
-            return verify_pair_symmetry(j, seed=cfg.seed)
-        add("pair-checks", pair_checks)
-
-    if "PCPL" in cfg.scenarios:
-        def half_identity():
-            spec, j, model = inputs("PCPL", 2)
-            return verify_pcpl_half_identity(j, model, ls, seed=cfg.seed)
-        add("pcpl-half-identity", half_identity, [("PCPL", 2)])
-
-    if "MCL" in cfg.scenarios:
-        add("mcl-block-inverse", lambda: verify_mcl_blocks(seed=cfg.seed))
-
-    for name in EXACT_INVERSE:
-        if name not in cfg.scenarios:
-            continue
-        def agreement(name=name):
-            spec, j, model = inputs(name, 4)
-            return verify_method_agreement(spec, j, model, ls, seed=cfg.seed)
-        add(f"method-agreement:{name}", agreement, [(name, 4)])
-
-    for name in ("PU", "CL", "Soft"):
-        if name in cfg.scenarios:
-            add(f"mc-consistency:{name}", lambda name=name: verify_mc_consistency(name, cfg))
-
-    for name in ALL_SCENARIO_NAMES:
-        if name not in cfg.scenarios:
-            continue
-        def grad(name=name):
-            spec, j, _ = inputs(name, 3)
-            sizes = _small_sizes(spec, j)
-            ds = sample_weak_dataset(spec, j, sizes, seed=cfg.seed + 5)
-            return verify_gradient_check(spec, j, ds, ls, seed=cfg.seed)
-        add(f"gradient-check:{name}", grad, [(name, 3)])
-
-    if "PU" in cfg.scenarios:
-        add("erm-sanity", lambda: verify_erm_sanity(seed=cfg.seed))
+    for template, settings, reads, check in _REGISTRY:
+        trials = range(cfg.trials)[reads] if isinstance(reads, slice) else reads
+        for entry in settings:
+            name, *rest = entry if isinstance(entry, tuple) else (entry,)
+            keys = [(name, t) for t in trials]
+            readers.update(keys)
+            label = template.format(name, *rest)
+            tasks.append((label, task(label, name, keys, rest, check)))
     return tasks
-
-
-def _small_sizes(spec, j):
-    return {name: 40 for name in sampling_channels(spec, j.K)}
 
 
 def verify_all(cfg: VerifyConfig = VerifyConfig()) -> AggregateReport:

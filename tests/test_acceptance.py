@@ -31,11 +31,9 @@ from wslrr.scenarios import (
 )
 from wslrr.verify import (
     ALL_SCENARIO_NAMES,
-    CLOSED_FORM_NAMES,
     VerifyConfig,
-    _reconstruction_methods,
     _scenario_trial_inputs,
-    _small_sizes,
+    build_registry,
     scenario_joint,
     verify_erm_sanity,
     verify_gradient_check,
@@ -48,6 +46,10 @@ from wslrr.verify import (
 )
 
 CFG = VerifyConfig(K=5, nx=8, trials=20, seed=7)
+# the (setting, method) reconstructions and the closed-form settings, as the harness lists them
+TASKS = [task.split(":") for task, _ in build_registry(CFG)]
+RECONSTRUCTIONS = [(t[1], t[2]) for t in TASKS if t[0] == "reconstruction" and t[1] in ALL_SCENARIO_NAMES]
+CLOSED_FORM_NAMES = [t[1] for t in TASKS if t[0] == "closed-form"]
 LOGISTIC = LossSpec("logistic")
 SQUARED = LossSpec("squared")
 
@@ -73,13 +75,12 @@ def test_criterion_01_risk_rewrite_equality():
 
 def test_criterion_02_reconstruction_every_method():
     worst = 0.0
-    for name in ALL_SCENARIO_NAMES:
-        for method in _reconstruction_methods(name):
-            for trial in range(5):
-                spec, j, _ = _scenario_trial_inputs(name, CFG, trial)
-                rep = verify_reconstruction(spec, j, tol=1e-12, method=method, seed=CFG.seed)
-                assert rep.passed, (name, method, rep.params)
-                worst = max(worst, rep.max_abs_err)
+    for name, method in RECONSTRUCTIONS:
+        for trial in range(5):
+            spec, j, _ = _scenario_trial_inputs(name, CFG, trial)
+            rep = verify_reconstruction(spec, j, tol=1e-12, method=method, seed=CFG.seed)
+            assert rep.passed, (name, method, rep.params)
+            worst = max(worst, rep.max_abs_err)
     _line(2, worst <= 1e-12, f"all scenario/method reconstructions, max err = {worst:.2e}")
 
 
@@ -182,7 +183,7 @@ def test_criterion_10_gradient_checks():
     for name in ALL_SCENARIO_NAMES:
         for ls in (LOGISTIC, SQUARED):
             spec, j, _ = _scenario_trial_inputs(name, CFG, 3)
-            ds = sample_weak_dataset(spec, j, _small_sizes(spec, j), seed=CFG.seed + 5)
+            ds = sample_weak_dataset(spec, j, 40, seed=CFG.seed + 5)
             rep = verify_gradient_check(spec, j, ds, ls, tol=1e-5, seed=CFG.seed)
             assert rep.passed, (name, ls.name, rep.max_abs_err)
             worst = max(worst, rep.max_abs_err)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import wslrr.cli
 from wslrr.cli import build_parser, main
 from wslrr.core import joint_to_json, validate_joint
 from wslrr.datagen import dataset_from_json
@@ -93,6 +94,17 @@ class TestVerifyAllCommand:
         assert main(["verify-all", "--seed", "-1"]) == 2
         assert "ValidationError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("K", ["9", "12"])
+    def test_k_above_the_compound_label_cap_exit_2(self, tmp_path, capsys, K):
+        out = tmp_path / "all.json"
+        assert main(["verify-all", "--K", K, "--trials", "1", "--out", str(out)]) == 2
+        assert "KTooLarge" in capsys.readouterr().err and not out.exists()
+
+    def test_largest_k_exit_0(self, tmp_path):
+        out = tmp_path / "all.json"
+        assert main(["verify-all", "--K", "8", "--nx", "4", "--trials", "1", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["pass"]
+
     def test_negative_trials_exit_2(self, capsys):
         # not an empty run that passes: 0/0 checks would read as success
         assert main(["verify-all", "--trials", "-1"]) == 2
@@ -101,6 +113,16 @@ class TestVerifyAllCommand:
 
 
 class TestSimulateCommand:
+    def test_out_of_memory_exit_2(self, joint_file, monkeypatch, capsys):
+        # the sampler is replaced, so nothing of the requested size is allocated
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 TiB for an array with shape (1099511627776,)")
+
+        monkeypatch.setattr(wslrr.cli, "sample_weak_dataset", no_memory)
+        assert main(["simulate", "--joint", str(joint_file), "--scenario", "PU",
+                     "--n", "1099511627776", "--seed", "1"]) == 2
+        assert "MemoryError: Unable to allocate" in capsys.readouterr().err
+
     def test_writes_dataset(self, joint_file, tmp_path):
         out = tmp_path / "ds.json"
         code = main(["simulate", "--joint", str(joint_file), "--scenario", "PU",

@@ -31,6 +31,11 @@ class TestValidateJoint:
         with pytest.raises(NonNormalized):
             validate_joint(2, FEATS2, [[0.6, 0.6], [0.0, 0.0]])
 
+    def test_huge_entries_refused_without_an_overflow_warning(self):
+        # pyproject turns warnings into errors, so an overflow in the sum fails this test
+        with pytest.raises(NonNormalized):
+            validate_joint(2, FEATS2, [[1e308, 1e308], [1e308, 1e308]])
+
     def test_zero_instance_mass(self):
         feats = [[0.0], [1.0], [2.0]]
         with pytest.raises(ZeroInstanceMass):

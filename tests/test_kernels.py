@@ -28,7 +28,8 @@ from wslrr.scenarios import CCN, MCL, SCConf, Sconf, Soft, observed_distribution
 from wslrr.verify import (
     ABSTRACT_SCENARIO_NAMES,
     ALL_SCENARIO_NAMES,
-    _reconstruction_methods,
+    VerifyConfig,
+    build_registry,
     make_spec,
     random_joint,
     scenario_joint,
@@ -48,9 +49,13 @@ def _case(name, nx):
 
 
 def _methods(name):
+    """The methods whose reconstruction the harness checks on ``name``, plus
+    the inversion for the settings listed here."""
     extra = {"CCN": ("inversion",), "Pconf": ("inversion",), "SCConf": ("inversion",),
              "SubConf": ("inversion",), "Soft": ("inversion",)}
-    return _reconstruction_methods(name) + extra.get(name, ())
+    harness = tuple(task.split(":")[2] for task, _ in build_registry(VerifyConfig(trials=1))
+                    if task.startswith(f"reconstruction:{name}:"))
+    return harness + extra.get(name, ())
 
 
 def _close(got, ref, rel):

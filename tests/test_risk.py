@@ -38,11 +38,11 @@ from wslrr.risk import (
     closed_form_corrected_loss,
     empirical_risk,
     loss_matrix,
-    loss_score_slope,
     rewrite_table,
     rewritten_risk,
     score_matrix,
     weighted_loss,
+    _loss_parts,
     _loss_table,
 )
 from wslrr.scenarios import (
@@ -128,7 +128,7 @@ class TestLosses:
 
     def test_zero_one_has_no_gradient(self):
         with pytest.raises(NonDifferentiableLoss):
-            loss_score_slope(ZERO_ONE, [[0.1, 0.2]])
+            _loss_parts(ZERO_ONE, np.array([[0.1, 0.2]]), slope=True)
         with pytest.raises(NonDifferentiableLoss):
             _loss_gradients(ZERO_ONE, [0.1, 0.2])
 
@@ -186,7 +186,7 @@ class TestLogisticFromOneExponentialPair:
         g = scale * (2.0 * u - 1.0)
         g[0, 0] = 0.0  # the sigmoid's branch point
         assert _same_bits(_loss_table(LOGISTIC, g), _logistic_table_reference(g))
-        base, scale_out = loss_score_slope(LOGISTIC, g)
+        _, base, scale_out = _loss_parts(LOGISTIC, g, slope=True)
         assert _same_bits(base, _sigmoid_reference(g)) and scale_out == 1.0
 
     def test_overflowed_scores_give_a_non_finite_table_and_a_finite_slope(self):
@@ -194,7 +194,7 @@ class TestLogisticFromOneExponentialPair:
         g = np.array([[800.0, -800.0, 0.0]])
         table = _loss_table(LOGISTIC, g)
         assert _same_bits(table, _logistic_table_reference(g)) and not np.isfinite(table).any()
-        assert _same_bits(loss_score_slope(LOGISTIC, g)[0], np.array([[1.0, 0.0, 0.5]]))
+        assert _same_bits(_loss_parts(LOGISTIC, g, slope=True)[1], np.array([[1.0, 0.0, 0.5]]))
 
     @pytest.mark.parametrize("ls", (ZERO_ONE, LOGISTIC, SQUARED))
     def test_a_stack_of_score_tables_is_each_table(self, ls):

@@ -1,23 +1,25 @@
 """Per-setting dispatch stays in the scenario records, and the library works
 on whole joints.
 
-Each setting declares its data on its record in ``scenarios.py``; the family
-kernels and their callers read those attributes.  One test counts the sites
-that still choose behaviour by the concrete setting, ``isinstance(spec, ...)``
-calls and comparisons against ``spec.name``, outside the two deliberate
-per-setting ladders: the independent closed-form oracle and the per-edge
-reduction table.  The harness's own ladders compare a bare ``name`` with
-setting names, which that counter does not see; a second counter caps
-them at their present number.  Another counts the functions that take an instance index:
-every kernel builds the whole (n_x, ...) stack, and callers index it, so only
-the closed-form oracle, which is per instance by design, takes one.  A
-third keeps the exact, rewritten and empirical risks on the one weighted-loss
+Each setting declares its data on its record in ``scenarios.py``; the
+family kernels and their callers read those attributes.  One test counts
+the sites that still choose behaviour by the concrete setting,
+``isinstance(spec, ...)`` calls and comparisons against ``spec.name``,
+outside the two deliberate per-setting ladders: the independent closed-form
+oracle and the per-edge reduction table.  That counter does not see a bare
+``name`` compared with setting names, the form a ladder in the harness
+takes; a second counter keeps such comparisons out of ``verify.py``, which
+keys its parameter draws by name in one table and reads the rest from the
+records.  Another counts the functions that take an instance index: every
+kernel builds the whole (n_x, ...) stack, and callers index it, so only the
+closed-form oracle, which is per instance by design, takes one.  A third
+keeps the exact, rewritten and empirical risks on the one weighted-loss
 kernel: none of them builds its own loss table or contraction.  The last
 keep the exact kernels on the structure of their matrices: the modules that
 build them tile no matrix out to every instance and contract no three
 operands at once (M_trsf is diagonal, so the observed masses are a K-term
-sum), and the rewrite reads the system's observed masses without building
-a whole contamination model.
+sum), and the rewrite reads the system's observed masses without building a
+whole contamination model.
 """
 
 import ast
@@ -28,7 +30,7 @@ from wslrr.scenarios import SCENARIO_TYPES
 SRC = Path(__file__).resolve().parents[1] / "src" / "wslrr"
 LADDERS = {"closed_form_corrected_loss", "reduce_spec"}
 MAX_DISPATCH_SITES = 10
-MAX_NAME_RUNGS = 9
+MAX_NAME_RUNGS = 0
 INSTANCE_PARAMS = {"i", "i2"}
 PER_INSTANCE_ORACLE = "closed_form_corrected_loss"
 RISKS = {"classification_risk", "rewritten_risk", "empirical_risk"}
@@ -107,7 +109,6 @@ def _name_ladder_rungs(tree) -> list:
 
 
 def test_setting_name_ladders_in_the_harness_do_not_grow():
-    # make_spec's seeded parameter draw (8) and _joint_ok's Sconf precondition (1)
     rungs = _name_ladder_rungs(ast.parse((SRC / "verify.py").read_text(), filename="verify.py"))
     assert len(rungs) <= MAX_NAME_RUNGS, f"{len(rungs)} setting-name comparisons in verify.py, lines {rungs}"
 

@@ -9,9 +9,9 @@ from wslrr.risk import (
     channel_terms,
     empirical_risk,
     loss_matrix,
-    loss_score_slope,
     per_draw_values,
     score_matrix,
+    _loss_parts,
 )
 from wslrr.scenarios import PU, UU
 from wslrr.train import (
@@ -95,7 +95,7 @@ def _per_draw_risk_and_gradient(ds, spec, model, ls, j):
     """The estimator term by term: the sum of per-channel draw means, and
     the gradient accumulated one channel's terms at a time."""
     lam = loss_matrix(ls, model, j)
-    bases, scale = loss_score_slope(ls, score_matrix(model, j))
+    _, bases, scale = _loss_parts(ls, score_matrix(model, j), slope=True)
     risk, dW, db = 0.0, np.zeros_like(model.weights), np.zeros_like(model.bias)
     for terms in channel_terms(ds, spec, j):
         risk += float(per_draw_values(terms, lam).mean())
@@ -194,9 +194,9 @@ class TestModelJson:
 
     def test_gradient_check_per_scenario_sample(self):
         # a broader pass lives in verify; spot check a multiclass scenario here
-        from wslrr.verify import verify_gradient_check, _small_sizes
+        from wslrr.verify import verify_gradient_check
         j = scenario_joint("MCL", 4, 5, 3, seed=19, trial=0)
         spec = make_spec("MCL", j, 19, 0)
-        ds = sample_weak_dataset(spec, j, _small_sizes(spec, j), seed=20)
+        ds = sample_weak_dataset(spec, j, 40, seed=20)
         rep = verify_gradient_check(spec, j, ds, LOGISTIC, seed=19)
         assert rep.passed

@@ -8,12 +8,14 @@ import pytest
 
 import wslrr.verify
 from wslrr.datagen import sample_weak_dataset
-from wslrr.errors import ShapeMismatch, ValidationError
+from wslrr.errors import KTooLarge, ShapeMismatch, ValidationError
 from wslrr.risk import LossSpec, channel_terms, loss_matrix
 from wslrr.scenarios import UU
 from wslrr.train import LinearModel
 from wslrr.verify import (
+    ABSTRACT_SCENARIO_NAMES,
     ALL_SCENARIO_NAMES,
+    AggregateReport,
     VerifyConfig,
     build_registry,
     make_spec,
@@ -29,6 +31,41 @@ from wslrr.verify import (
 )
 
 LOGISTIC = LossSpec("logistic")
+# the default registry's tasks, in report order
+DEFAULT_TASKS = (
+    "formulation:PU", "formulation:Pconf", "formulation:UU", "formulation:SU", "formulation:DU",
+    "formulation:SD", "formulation:Pcomp", "formulation:Sconf", "formulation:CL",
+    "formulation:MCL", "formulation:PCPL", "formulation:PPL", "formulation:SCConf",
+    "formulation:SubConf", "formulation:Soft", "formulation:MCD", "formulation:CCN",
+    "formulation:GCCN",
+    "reconstruction:PU:inversion", "reconstruction:Pconf:conf-diagonal",
+    "reconstruction:UU:inversion", "reconstruction:SU:inversion", "reconstruction:DU:inversion",
+    "reconstruction:SD:inversion", "reconstruction:Pcomp:inversion",
+    "reconstruction:Sconf:sconf-special", "reconstruction:CL:marginal-chain",
+    "reconstruction:CL:inversion", "reconstruction:MCL:marginal-chain",
+    "reconstruction:MCL:mcl-blockwise", "reconstruction:PCPL:marginal-chain",
+    "reconstruction:PPL:marginal-chain", "reconstruction:SCConf:conf-diagonal",
+    "reconstruction:SubConf:conf-diagonal", "reconstruction:Soft:conf-diagonal",
+    "reconstruction:MCD:inversion", "reconstruction:CCN:marginal-chain",
+    "reconstruction:GCCN:marginal-chain",
+    "risk-equality:PU", "risk-equality:Pconf", "risk-equality:UU", "risk-equality:SU",
+    "risk-equality:DU", "risk-equality:SD", "risk-equality:Pcomp", "risk-equality:Sconf",
+    "risk-equality:CL", "risk-equality:MCL", "risk-equality:PCPL", "risk-equality:PPL",
+    "risk-equality:SCConf", "risk-equality:SubConf", "risk-equality:Soft", "risk-equality:MCD",
+    "risk-equality:CCN", "risk-equality:GCCN",
+    "closed-form:PU", "closed-form:Pconf", "closed-form:UU", "closed-form:SU", "closed-form:DU",
+    "closed-form:SD", "closed-form:Pcomp", "closed-form:Sconf", "closed-form:PCPL",
+    "closed-form:PPL", "closed-form:SCConf", "closed-form:SubConf", "closed-form:Soft",
+    "reduction-graph", "worked-example", "pair-checks", "pcpl-half-identity",
+    "mcl-block-inverse",
+    "method-agreement:MCL", "method-agreement:CL",
+    "mc-consistency:PU", "mc-consistency:CL", "mc-consistency:Soft",
+    "gradient-check:PU", "gradient-check:Pconf", "gradient-check:UU", "gradient-check:SU",
+    "gradient-check:DU", "gradient-check:SD", "gradient-check:Pcomp", "gradient-check:Sconf",
+    "gradient-check:CL", "gradient-check:MCL", "gradient-check:PCPL", "gradient-check:PPL",
+    "gradient-check:SCConf", "gradient-check:SubConf", "gradient-check:Soft",
+    "erm-sanity",
+)
 
 
 class TestChecks:
@@ -70,53 +107,50 @@ class TestChecks:
 
 
 class TestAggregate:
-    def test_empty_scenarios_empty_report(self):
-        rep = verify_all(VerifyConfig(scenarios=(), trials=5))
-        assert rep.checks == () and rep.passed
-
     def test_zero_trials_empty_report(self):
         rep = verify_all(VerifyConfig(trials=0))
         assert rep.checks == () and rep.passed
 
+    def test_default_tasks_in_report_order(self):
+        assert tuple(name for name, _ in build_registry(VerifyConfig())) == DEFAULT_TASKS
+
     def test_subset_run(self):
-        cfg = VerifyConfig(scenarios=("PU",), trials=2, mc_samples=2000)
-        rep = verify_all(cfg)
-        assert rep.passed
-        names = {c.name for c in rep.checks}
-        assert any(n.startswith("risk-equality") for n in names)
-        assert any(n.startswith("mc-consistency") for n in names)
+        tasks = dict(build_registry(VerifyConfig(trials=2, mc_samples=2000)))
+        reports = [tasks[name]() for name in ("formulation:PU", "risk-equality:PU", "mc-consistency:PU")]
+        assert all(r.passed and r.scenario == "PU" for r in reports)
+        assert [r.name for r in reports] == ["formulation", "risk-equality", "mc-consistency[n=2000]"]
 
     def test_report_serializes_losslessly(self):
-        cfg = VerifyConfig(scenarios=("Soft",), trials=2)
-        rep = verify_all(cfg)
+        tasks = build_registry(VerifyConfig(trials=2, mc_samples=2000))
+        checks = tuple(fn() for name, fn in tasks if name.split(":")[1:2] == ["Soft"])
+        rep = AggregateReport(seed=7, checks=checks, passed=all(c.passed for c in checks))
         raw = json.loads(rep.to_json())
         assert raw["seed"] == rep.seed and raw["pass"] == rep.passed
-        assert len(raw["checks"]) == len(rep.checks)
+        assert len(raw["checks"]) == len(rep.checks) == 6
         for c, d in zip(rep.checks, raw["checks"]):
             assert d["name"] == c.name and d["max_abs_err"] == c.max_abs_err
 
     def test_registry_order_is_stable(self):
-        cfg = VerifyConfig(scenarios=("PU", "Soft"), trials=1, mc_samples=1000)
+        cfg = VerifyConfig(trials=1, mc_samples=1000)
         names1 = [n for n, _ in build_registry(cfg)]
         names2 = [n for n, _ in build_registry(cfg)]
         assert names1 == names2
 
-    def test_closed_form_tasks_follow_the_scenarios(self):
-        names = [n for n, _ in build_registry(VerifyConfig(scenarios=("PU",), trials=1))]
-        assert [n for n in names if n.startswith("closed-form:")] == ["closed-form:PU"]
+    def test_closed_form_tasks_leave_out_the_exact_inverses(self):
+        names = [n for n, _ in build_registry(VerifyConfig(trials=1))]
+        closed = [n.split(":")[1] for n in names if n.startswith("closed-form:")]
+        assert closed == [n for n in ALL_SCENARIO_NAMES if n not in ("CL", "MCL")]
 
     def test_failing_task_becomes_failed_report(self):
         # no admissible SU joint exists at 400 instances: the pair checks fail
         # as a report instead of ending the run
-        cfg = VerifyConfig(scenarios=("SU",), trials=1, nx=400)
-        rep = verify_all(cfg)
-        pair = [c for c in rep.checks if c.name == "pair-checks"]
-        assert len(pair) == 1 and not pair[0].passed
-        assert "could not draw an admissible joint" in pair[0].params["error"]
-        assert not rep.passed
-        assert json.loads(rep.to_json())["checks"]
-        others = [c for c in rep.checks if c.name != "pair-checks"]
-        assert others and all(c.passed for c in others)
+        tasks = dict(build_registry(VerifyConfig(trials=1, nx=400)))
+        pair = tasks["pair-checks"]()
+        assert pair.name == "pair-checks" and not pair.passed
+        assert "could not draw an admissible joint" in pair.params["error"]
+        assert json.loads(AggregateReport(seed=7, checks=(pair,), passed=False).to_json())["checks"]
+        others = [tasks[name]() for name in ("formulation:SU", "risk-equality:SU", "worked-example")]
+        assert all(c.passed for c in others)
 
     def test_nx_does_not_reach_the_per_trial_checks(self):
         # the formulation tasks draw joints of 3 + trial % 6 instances, so --nx
@@ -153,7 +187,7 @@ def test_each_trial_input_is_drawn_once_and_dropped_after_its_last_reader(monkey
     monkeypatch.setattr(wslrr.verify, "verify_mc_consistency", mc_consistency)
     cfg = VerifyConfig()
     assert verify_all(cfg).passed
-    assert len(drawn) == len(set(drawn)) == len(cfg.scenarios) * cfg.trials == 360
+    assert len(drawn) == len(set(drawn)) == len(ALL_SCENARIO_NAMES + ABSTRACT_SCENARIO_NAMES) * 20 == 360
     assert alive_at_mc == [{(name, 3) for name in ALL_SCENARIO_NAMES}]
     gc.collect()
     assert all(ref() is None for ref in joints.values())
@@ -195,6 +229,11 @@ class TestConfigBounds:
         # one draw per channel has no spread: se is 0 and the 5 se bar collapses
         with pytest.raises(ShapeMismatch):
             VerifyConfig(mc_samples=n)
+
+    def test_k_above_the_compound_label_cap_rejected(self):
+        # the reduction graph and the CL Monte-Carlo check build every compound label
+        with pytest.raises(KTooLarge):
+            VerifyConfig(K=9)
 
     def test_smallest_accepted_values(self):
         assert verify_all(VerifyConfig(trials=0, mc_samples=2)).checks == ()
