@@ -1,21 +1,21 @@
 """Command line front end: verify, verify-all, simulate, train.
 
 Exit codes: 0 success / all checks pass, 1 failed checks or divergence,
-2 usage or validation problems, or a request too large for memory.  Stdout
-carries a human summary; files are the machine-readable artifacts (JSON
-reports, datasets, models, and a two-column "epoch,risk" CSV loss trace).
+2 usage or validation problems, a file that cannot be read or written, or
+a request too large for memory.  Stdout carries a human summary; files are
+the machine-readable artifacts (JSON reports, datasets, models, and a
+two-column "epoch,risk" CSV loss trace).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from pathlib import Path
 
-from .core import joint_from_json
+from .core import joint_from_json, parse_json
 from .datagen import dataset_from_json, dataset_to_json, sample_weak_dataset
 from .errors import Diverged, ValidationError, WslrrError
 from .risk import LossSpec, classification_risk
@@ -44,10 +44,7 @@ def _load_scenario(arg: str, params_json: str | None):
     path = Path(arg)
     if path.exists():
         return scenario_from_json(path.read_text())
-    try:
-        params = json.loads(params_json) if params_json else {}
-    except json.JSONDecodeError as e:
-        raise ValidationError(f"--params is not valid JSON: {e}") from e
+    params = parse_json(params_json, "--params JSON") if params_json else {}
     return _scenario_from_object({"name": arg, "params": params})
 
 
@@ -215,11 +212,10 @@ def main(argv=None) -> int:
     except ValidationError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as e:
-        print(f"missing file: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except MemoryError as e:  # a request beyond the machine, such as simulate --n 2**40
-        print(f"MemoryError: {str(e) or 'not enough memory'}", file=sys.stderr)
+    except (OSError, UnicodeError, MemoryError) as e:
+        # a missing, unreadable or non-UTF-8 file, or a request beyond the
+        # machine, such as simulate --n 2**40
+        print(f"{type(e).__name__}: {str(e) or 'not enough memory'}", file=sys.stderr)
         return EXIT_USAGE
     except WslrrError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)

@@ -154,11 +154,17 @@ def joint_to_json(j: FiniteJoint) -> str:
     )
 
 
-def joint_from_json(text: str) -> FiniteJoint:
+def parse_json(text: str, what: str):
+    """``json.loads(text)``, or a ParseError naming ``what`` for text that is
+    not JSON or nests deeper than the decoder's recursion limit."""
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid joint JSON: {e}") from e
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as e:
+        raise ParseError(f"invalid {what}: {e}") from e
+
+
+def joint_from_json(text: str) -> FiniteJoint:
+    raw = parse_json(text, "joint JSON")
     if not isinstance(raw, dict) or not {"K", "features", "joint"} <= raw.keys():
         raise SchemaMismatch('joint JSON needs keys "K", "features", "joint"')
     return validate_joint(raw["K"], raw["features"], raw["joint"])

@@ -14,16 +14,13 @@ some cumulative value lies strictly inside the bucket; only draws in such
 buckets are searched.  The result is ``searchsorted(cum, u, "right")``.
 
 Datasets are written to and read from one line of JSON.  The writer builds
-each item list from per-field text tables joined once; the reader parses a
+each item list from per-field text tables joined once.  The reader parses a
 list of integers as one array, accepted when the writer gives back its
-exact text.  Both codecs pause the cyclic garbage collector: the trees of
-lists, dicts and scalars they build hold no cycles, so a collection over
-them could free nothing.
+exact text, and decodes each distinct confidence item once.
 """
 
 from __future__ import annotations
 
-import gc
 import json
 import threading
 from collections.abc import Mapping
@@ -32,10 +29,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import FiniteJoint
+from .core import FiniteJoint, parse_json
 from .errors import (
     EmptyChannel,
-    ParseError,
     SchemaMismatch,
     ValidationError,
     ZeroChannelMass,
@@ -297,38 +293,6 @@ def _sample_label_stream(system: _System, count: int, seed: int) -> WeakDataset:
 # JSON: {"spec": {...}, "seed": u64, "channels": [{"label", "kind", "items"}]}
 # ---------------------------------------------------------------------------
 
-class _CollectorPause:
-    """Pauses the cyclic garbage collector while the dataset codecs run.
-
-    A 30k-draw confidence channel builds about 60k lists and dicts, enough
-    to set off full collections over the whole heap, and those can free
-    nothing here: the codecs build trees of fresh lists, dicts and scalars
-    (``json`` decoding, ``tolist()``), which hold no cycles and are freed by
-    reference counting.  Nested and concurrent codec calls share one pause;
-    the last to leave restores the state the first one found, so a collector
-    the caller had disabled stays disabled."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._depth = 0
-        self._resume = False
-
-    def __enter__(self):
-        with self._lock:
-            if self._depth == 0:
-                self._resume = gc.isenabled()
-                gc.disable()
-            self._depth += 1
-
-    def __exit__(self, *exc):
-        with self._lock:
-            self._depth -= 1
-            if self._depth == 0 and self._resume:
-                gc.enable()
-
-
-_COLLECTOR_PAUSE = _CollectorPause()
-
 _encode = json.JSONEncoder(check_circular=False).encode  # values are fresh lists and scalars
 
 
@@ -414,13 +378,11 @@ def dataset_to_json(ds: WeakDataset) -> str:
     "items"}]}``, with the default separators.  The text is what ``json.dumps``
     writes for the dataset as nested lists and dicts; it is assembled from
     per-channel fragments so that each distinct confidence item or value is
-    formatted once (see :func:`_items_json`).  The cyclic collector is paused
-    meanwhile (see :class:`_CollectorPause`)."""
-    with _COLLECTOR_PAUSE:
-        channels = ", ".join(f'{{"label": {_encode(c.label)}, "kind": {_encode(c.kind)}, '
-                             f'"items": {_items_json(c)}}}' for c in ds.channels)
-        return (f'{{"spec": {_encode(_spec_object(ds.spec))}, "seed": {_encode(ds.seed)}, '
-                f'"channels": [{channels}]}}')
+    formatted once (see :func:`_items_json`)."""
+    channels = ", ".join(f'{{"label": {_encode(c.label)}, "kind": {_encode(c.kind)}, '
+                         f'"items": {_items_json(c)}}}' for c in ds.channels)
+    return (f'{{"spec": {_encode(_spec_object(ds.spec))}, "seed": {_encode(ds.seed)}, '
+            f'"channels": [{channels}]}}')
 
 
 def _item_array(items, key: Optional[str], kind: str, shape: tuple) -> np.ndarray:
@@ -471,21 +433,10 @@ def _dataset(spec: ScenarioSpec, seed, channels: list) -> WeakDataset:
     return WeakDataset(spec=spec, seed=seed, channels=tuple(channels))
 
 
-class _FloatMemo(dict):
-    """Float literal -> float, parsing each distinct literal once."""
-
-    def __missing__(self, literal: str) -> float:
-        value = self[literal] = float(literal)
-        return value
-
-
 def _read_generic(text: str) -> WeakDataset:
     """Any dataset JSON, through one ``json.loads``; every reading error is
     raised here."""
-    try:
-        raw = json.loads(text, parse_float=_FloatMemo().__getitem__)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid dataset JSON: {e}") from e
+    raw = parse_json(text, "dataset JSON")
     if not isinstance(raw, dict) or not {"spec", "seed", "channels"} <= raw.keys():
         raise SchemaMismatch('dataset JSON needs keys "spec", "seed", "channels"')
     if not isinstance(raw["channels"], list):
@@ -507,9 +458,10 @@ def _expect(text: str, pos: int, literal: str) -> int:
 
 
 def _distinct_items(decode, text: str, start: int, stop: int) -> tuple:
-    """(distinct items, the code of every item) of the conf-points item
-    texts ``text[start:stop]`` holds between its outer ``[{`` and ``}]``.
-    Each distinct item text is decoded once, and must be decoded whole."""
+    """(distinct items, the code of every item) of the conf-points or
+    conf-pairs item texts ``text[start:stop]`` holds between its outer ``[{``
+    and ``}]``.  Each distinct item text is decoded once, and must be decoded
+    whole."""
     pieces = text[start:stop].split("}, {")
     distinct = dict.fromkeys(pieces)
     items = []
@@ -531,56 +483,51 @@ _NUMERIC_LISTS = {
 }
 
 
-def _numeric_items(text: str, pos: int, label, kind: str) -> Optional[tuple]:
-    """(channel, the position after its item list) for the points or pairs
-    item list at ``pos``, read as one array by one ``np.fromstring``.  The
-    array is accepted only when :func:`_items_json` writes it back as
-    exactly the list's text; anything else gives None.  A parse that stops
-    early raises under numpy 2, and under numpy 1 warns and returns what it
-    read: a warning raised as an error rejects, and a short read cannot be
-    written back as the whole text."""
+def _numeric_items(text: str, pos: int, label, kind: str) -> tuple:
+    """(channel, the position after its item list) for the non-empty points
+    or pairs item list at ``pos``, read as one array by one
+    ``np.fromstring``.  The array is accepted only when :func:`_items_json`
+    writes it back as exactly the list's text; anything else raises
+    ValueError.  A parse that stops early raises under numpy 2, and under
+    numpy 1 warns and returns what it read: a short read cannot be written
+    back as the whole text, and a warning raised as an error
+    (DeprecationWarning) rejects too."""
     head, close, between = _NUMERIC_LISTS[kind]
-    numbers, stop = "", pos + 2  # an empty list: "[]"
-    if not text.startswith("[]", pos):
-        stop = text.find(close, pos) + len(close)
-        if not text.startswith(head, pos) or stop < len(close):
-            return None
-        numbers = text[pos + len(head):stop - len(close)]
-        for literal in between:
-            numbers = numbers.replace(literal, ", ")
-    try:
-        ints = np.fromstring(numbers, dtype=np.int64, sep=",")
-        c = (DatasetChannel(label, kind, indices=ints) if kind == POINTS
-             else DatasetChannel(label, kind, pairs=ints.reshape(-1, 2)))
-        written = _items_json(c)
-    except (ValueError, DeprecationWarning):
-        return None
-    return (c, stop) if len(written) == stop - pos and text.startswith(written, pos) else None
+    numbers = text[_expect(text, pos, head):text.index(close, pos)]
+    for literal in between:
+        numbers = numbers.replace(literal, ", ")
+    ints = np.fromstring(numbers, dtype=np.int64, sep=",")
+    c = (DatasetChannel(label, kind, indices=ints) if kind == POINTS
+         else DatasetChannel(label, kind, pairs=ints.reshape(-1, 2)))
+    written = _items_json(c)  # holds ``close`` only at its end
+    if not text.startswith(written, pos):
+        raise ValueError(f"the {kind} list at {pos} is not the writer's text")
+    return c, pos + len(written)
 
 
 def _read_carved(text: str) -> Optional[WeakDataset]:
     """The dataset in ``text`` when it has the writer's layout, else None.
 
     The text is cut into the writer's fixed literals and the holes between
-    them.  The spec, the seed, each label and kind, and the item list of a
-    conf-pairs channel are each one hole, read by one decoder call.  The
-    item list of a points or pairs channel is read as one array, accepted
-    when the writer writes it back as exactly its text
-    (:func:`_numeric_items`): the writer maps arrays to one text each, so
-    that text decodes to this array.  A conf-points list is split on the
+    them.  The spec, the seed and each label and kind are each one hole,
+    read by one decoder call.  Each item list takes the one path of its
+    kind.  An empty ``[]`` list is an empty channel.  A non-empty points or
+    pairs list is read as one array, accepted when the writer writes it
+    back as exactly its text (:func:`_numeric_items`): the writer maps
+    arrays to one text each, so that text decodes to this array.  A
+    conf-points or conf-pairs list that opens with ``[{`` is split on the
     ``}, {`` between its items, and each distinct item text is decoded and
-    converted once, then gathered by its code.  Every character then lies
-    in a literal or in a hole the decoder or the writer accepted whole, and
-    every hole is followed by ``,``, ``]`` or ``}``, so as JSON is
-    unambiguous the values are those ``json.loads`` gives, and the arrays
-    those :func:`_read_generic` builds (the distinct items hold the same set
-    of values, so dtype and shape agree).  A list the array path rejects is
-    decoded whole, as any other hole.  Any departure, and any hole or
-    conversion that fails, gives None and leaves every error to
-    :func:`_read_generic`."""
+    converted once, then gathered by its code (:func:`_distinct_items`).
+    Every character then lies in a literal or in a hole the decoder or the
+    writer accepted whole, and every hole is followed by ``,``, ``]`` or
+    ``}``, so as JSON is unambiguous the values are those ``json.loads``
+    gives, and the arrays those :func:`_read_generic` builds (the distinct
+    items hold the same set of values, so dtype and shape agree).  Any
+    other list, any departure, and any hole or conversion that fails give
+    None and leave the text and every error to :func:`_read_generic`."""
     if not isinstance(text, str):
         return None
-    decode = json.JSONDecoder(parse_float=_FloatMemo().__getitem__).raw_decode
+    decode = json.JSONDecoder().raw_decode
     try:
         spec_object, pos = decode(text, _expect(text, 0, '{"spec": '))
         seed, pos = decode(text, _expect(text, pos, ', "seed": '))
@@ -590,35 +537,32 @@ def _read_carved(text: str) -> Optional[WeakDataset]:
             label, pos = decode(text, _expect(text, pos, ', {"label": ' if channels else '{"label": '))
             kind, pos = decode(text, _expect(text, pos, ', "kind": '))
             pos = _expect(text, pos, ', "items": ')
-            if kind == CONF_POINTS and text.startswith("[{", pos):
-                stop = text.find("}]}", pos)  # the list's end, if the layout holds
-                if stop < 0:
-                    return None
-                channels.append(_channel(label, kind, *_distinct_items(decode, text, pos + 2, stop)))
-                pos = stop + 2
-            elif kind in (POINTS, PAIRS) and (read := _numeric_items(text, pos, label, kind)) is not None:
-                channel, pos = read
-                channels.append(channel)
+            if text.startswith("[]", pos):
+                channel, pos = _channel(label, kind, []), pos + 2
+            elif kind in (POINTS, PAIRS):
+                channel, pos = _numeric_items(text, pos, label, kind)
+            elif kind in (CONF_POINTS, CONF_PAIRS) and text.startswith("[{", pos):
+                stop = text.index("}]}", pos)  # the list's end, if the layout holds
+                channel, pos = _channel(label, kind, *_distinct_items(decode, text, pos + 2, stop)), stop + 2
             else:
-                items, pos = decode(text, pos)
-                channels.append(_channel(label, kind, items))
+                return None
+            channels.append(channel)
             pos = _expect(text, pos, "}")
         if text[pos + 2:].strip(" \t\n\r"):  # json.loads allows trailing whitespace
             return None
         return _dataset(_scenario_from_object(spec_object), seed, channels)
-    except (ValueError, RecursionError):  # JSONDecodeError and ValidationError are ValueErrors
+    # JSONDecodeError and ValidationError are ValueErrors; numpy 1 warns of a short parse
+    except (ValueError, RecursionError, DeprecationWarning):
         return None
 
 
 def dataset_from_json(text: str) -> WeakDataset:
     """The dataset :func:`dataset_to_json` wrote, or a typed error.
 
-    Text with the writer's layout is read piecewise: points and pairs item
-    lists as whole arrays, each distinct ``conf-points`` item once
-    (:func:`_read_carved`); any other text goes through one ``json.loads``
-    (:func:`_read_generic`), which alone raises errors.  Each distinct float
-    literal is parsed once.  The cyclic collector is paused meanwhile: the
-    parsed trees hold no cycles (see :class:`_CollectorPause`)."""
-    with _COLLECTOR_PAUSE:
-        ds = _read_carved(text)
-        return ds if ds is not None else _read_generic(text)
+    Text with the writer's layout is read piecewise (:func:`_read_carved`):
+    points and pairs item lists as whole arrays, and conf-points and
+    conf-pairs lists one distinct item at a time.  Any other text goes
+    through one ``json.loads`` (:func:`_read_generic`), which alone raises
+    errors."""
+    ds = _read_carved(text)
+    return ds if ds is not None else _read_generic(text)

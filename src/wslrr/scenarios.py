@@ -47,13 +47,12 @@ from typing import Callable, ClassVar, Optional, Union
 
 import numpy as np
 
-from .core import FiniteJoint, Marginals, marginals as compute_marginals
+from .core import FiniteJoint, Marginals, marginals as compute_marginals, parse_json
 from .errors import (
     DegenerateParams,
     KTooLarge,
     NotAnEdge,
     NotBinary,
-    ParseError,
     SchemaMismatch,
     ShapeMismatch,
     UnsupportedScenario,
@@ -886,11 +885,7 @@ def scenario_to_json(spec: ScenarioSpec) -> str:
 
 
 def scenario_from_json(text: str) -> ScenarioSpec:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid scenario JSON: {e}") from e
-    return _scenario_from_object(raw)
+    return _scenario_from_object(parse_json(text, "scenario JSON"))
 
 
 def _scenario_from_object(raw) -> ScenarioSpec:

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FiniteJoint
+from .core import FiniteJoint, parse_json
 from .datagen import WeakDataset, philox_uniforms
-from .errors import Diverged, ParseError, SchemaMismatch, ShapeMismatch
+from .errors import Diverged, SchemaMismatch, ShapeMismatch
 from .risk import LossSpec, score_matrix, weight_table, weighted_loss
 from .scenarios import ScenarioSpec
 
@@ -133,10 +133,7 @@ def model_to_json(model: LinearModel) -> str:
 
 
 def model_from_json(text: str) -> LinearModel:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid model JSON: {e}") from e
+    raw = parse_json(text, "model JSON")
     if not isinstance(raw, dict) or not {"K", "d", "weights", "bias"} <= raw.keys():
         raise SchemaMismatch('model JSON needs keys "K", "d", "weights", "bias"')
     w = np.asarray(raw["weights"], dtype=np.float64)

@@ -348,6 +348,52 @@ class TestMalformedInputs:
         assert main(["verify", "--joint", str(joint_file), "--scenario", "PU", f"--tol={tol}"]) == 2
         assert "--tol" in capsys.readouterr().err
 
+    # argv with {joint}, {data} (valid files), {latin1} (not UTF-8), {dir} (a
+    # directory) and {deep} (a list nested 200 000 deep); the error it names
+    UNREADABLE = {
+        "verify non-UTF-8 joint": ("verify --joint {latin1} --scenario PU", "UnicodeDecodeError"),
+        "verify non-UTF-8 scenario file": ("verify --joint {joint} --scenario {latin1}", "UnicodeDecodeError"),
+        "simulate non-UTF-8 joint": ("simulate --joint {latin1} --scenario PU --n 5 --seed 1",
+                                     "UnicodeDecodeError"),
+        "train non-UTF-8 data": ("train --data {latin1} --joint {joint} --lr 0.1 --epochs 1",
+                                 "UnicodeDecodeError"),
+        "train non-UTF-8 joint": ("train --data {data} --joint {latin1} --lr 0.1 --epochs 1",
+                                  "UnicodeDecodeError"),
+        "train data a directory": ("train --data {dir} --joint {joint} --lr 0.1 --epochs 1",
+                                   "IsADirectoryError"),
+        "train missing data": ("train --data {dir}/nope.json --joint {joint} --lr 0.1 --epochs 1",
+                               "FileNotFoundError"),
+        "verify out a directory": ("verify --joint {joint} --scenario PU --out {dir}", "IsADirectoryError"),
+        "verify-all out a directory": ("verify-all --trials 0 --out {dir}", "IsADirectoryError"),
+        "simulate out a directory": ("simulate --joint {joint} --scenario PU --n 5 --seed 1 --out {dir}",
+                                     "IsADirectoryError"),
+        "train out a directory": ("train --data {data} --joint {joint} --lr 0.1 --epochs 1 --out {dir}",
+                                  "IsADirectoryError"),
+        "verify deep joint": ("verify --joint {deep} --scenario PU", "ParseError"),
+        "verify deep scenario file": ("verify --joint {joint} --scenario {deep}", "ParseError"),
+        "simulate deep joint": ("simulate --joint {deep} --scenario PU --n 5 --seed 1", "ParseError"),
+        "train deep data": ("train --data {deep} --joint {joint} --lr 0.1 --epochs 1", "ParseError"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(UNREADABLE))
+    def test_unreadable_or_deeply_nested_file_exit_2(self, joint_file, tmp_path, capsys, case):
+        argv, error = self.UNREADABLE[case]
+        (tmp_path / "latin1.json").write_bytes(b'\xff{"K": 2}')
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "deep.json").write_text("[" * 200_000 + "]" * 200_000)
+        ds_path, _ = self._dataset(joint_file, tmp_path)
+        paths = {name: str(tmp_path / f"{name}.json") for name in ("latin1", "deep")}
+        argv = argv.format(joint=joint_file, data=ds_path, dir=tmp_path / "dir", **paths).split()
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{error}: ") and "Traceback" not in err
+
+    def test_deeply_nested_params_exit_2(self, joint_file, capsys):
+        params = "[" * 50_000 + "]" * 50_000
+        assert main(["verify", "--joint", str(joint_file), "--scenario", "UU", "--params", params]) == 2
+        assert capsys.readouterr().err.startswith("ParseError: invalid --params JSON")
+
     def test_verify_all_single_class(self, capsys):
         assert main(["verify-all", "--K", "1", "--trials", "1"]) == 2
         assert "ShapeMismatch" in capsys.readouterr().err

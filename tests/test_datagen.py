@@ -1,4 +1,3 @@
-import gc
 import json
 import sys
 import threading
@@ -719,34 +718,40 @@ class TestCarvedReader:
         monkeypatch.undo()
         return decoded
 
+    @classmethod
+    def _assert_item_lists_not_decoded(cls, monkeypatch, text: str) -> None:
+        """The decoder reads the spec, the seed, every label and kind, and each
+        distinct confidence item text once; no item list reaches it whole."""
+        decoded = cls._decoded(monkeypatch, text)
+        channels = json.loads(text)["channels"]
+        distinct = sum(len({json.dumps(it) for it in c["items"]}) for c in channels
+                       if c["kind"] in (CONF_POINTS, CONF_PAIRS))
+        assert not any(d.startswith("[") for d in decoded)
+        assert sum(d.startswith(('{"index": ', '{"pair": ')) for d in decoded) == distinct
+        assert len(decoded) == 2 + 2 * len(channels) + distinct
+
     def test_each_distinct_item_is_decoded_once(self, monkeypatch):
         decoded = self._decoded(monkeypatch, _SOFT_TEXT)
         # spec, seed, label, kind, then the three distinct of five items
         assert sum(d.startswith('{"index": ') for d in decoded) == 3 and len(decoded) == 7
+        text = dataset_to_json(_conf_pairs([[0, 1], [2, 2], [0, 1], [1, 0], [0, 1]],
+                                           [0.5, 0.25, 0.5, 0.75, 0.5]))
+        decoded = self._decoded(monkeypatch, text)
+        assert sum(d.startswith('{"pair": ') for d in decoded) == 3 and len(decoded) == 7
 
     @pytest.mark.parametrize("name", ALL_SCENARIO_NAMES + ABSTRACT_SCENARIO_NAMES)
     def test_number_lists_are_read_as_arrays(self, name, monkeypatch):
-        """No points or pairs item list of the writer's reaches the decoder: a
-        numpy whose parse the array path rejected would slow reads down
-        without changing a result."""
+        """No item list of the writer's reaches the decoder: points and pairs
+        lists are read as arrays (a numpy whose parse the array path rejected
+        would slow reads down without changing a result), and confidence
+        lists one distinct item at a time."""
         j = scenario_joint(name, 4, 9, 3, seed=13, trial=2)
         ds = sample_weak_dataset(make_spec(name, j, 13, 2), j, 600, seed=29)
-        decoded = self._decoded(monkeypatch, dataset_to_json(ds))
-        # spec, seed, every label and kind, and each conf-pairs list whole;
-        # conf-points items are decoded one distinct item at a time
-        lists = sum(d.startswith("[") for d in decoded)
-        assert lists == sum(c.kind == CONF_PAIRS for c in ds.channels)
-        if all(c.kind != CONF_POINTS for c in ds.channels):
-            assert len(decoded) == 2 + 2 * len(ds.channels) + lists
+        self._assert_item_lists_not_decoded(monkeypatch, dataset_to_json(ds))
 
-    @pytest.mark.parametrize("case", sorted(k for k, ds in HAND_BUILT.items()
-                                            if all(c.kind != CONF_POINTS for c in ds.channels)))
+    @pytest.mark.parametrize("case", sorted(HAND_BUILT))
     def test_hand_built_number_lists_are_read_as_arrays(self, case, monkeypatch):
-        ds = HAND_BUILT[case]
-        decoded = self._decoded(monkeypatch, dataset_to_json(ds))
-        lists = sum(d.startswith("[") for d in decoded)
-        assert lists == sum(c.kind == CONF_PAIRS for c in ds.channels)
-        assert len(decoded) == 2 + 2 * len(ds.channels) + lists
+        self._assert_item_lists_not_decoded(monkeypatch, dataset_to_json(HAND_BUILT[case]))
 
 
 # ---------------------------------------------------------------------------
@@ -799,106 +804,3 @@ def test_codec_on_random_channels(ds):
     assert text == _reference_to_json(ds)
     _assert_read_bits(text)
     _assert_carved(text)
-
-
-# ---------------------------------------------------------------------------
-# The cyclic collector around the codecs
-# ---------------------------------------------------------------------------
-
-@pytest.fixture
-def collector():
-    """Restores the collector's state after the test."""
-    enabled = gc.isenabled()
-    yield
-    (gc.enable if enabled else gc.disable)()
-
-
-def _soft_30k() -> WeakDataset:
-    j = scenario_joint("Soft", 4, 100, 3, seed=13, trial=2)
-    return sample_weak_dataset(make_spec("Soft", j, 13, 2), j, 30_000, seed=29)
-
-
-def _distinct_30k() -> WeakDataset:
-    """30k conf-points draws whose items all differ, so that each codec
-    builds a list or dict per draw."""
-    return _conf_points(np.arange(30_000) % 100, philox_uniforms(3, 0, 60_000).reshape(30_000, 2))
-
-
-class TestCollectorPause:
-    @pytest.mark.parametrize("enabled", [True, False])
-    @pytest.mark.parametrize("call", [
-        lambda: dataset_to_json(HAND_BUILT["signed zeros"]),
-        lambda: dataset_from_json(_SOFT_TEXT),
-        lambda: dataset_from_json(DEPARTURES["indent=2"]),
-    ])
-    def test_state_restored_on_success(self, collector, enabled, call):
-        (gc.enable if enabled else gc.disable)()
-        call()
-        assert gc.isenabled() is enabled
-
-    @pytest.mark.parametrize("enabled", [True, False])
-    @pytest.mark.parametrize("text, error", [
-        ('{"spec": {"name": "PU"', ParseError),
-        (DEPARTURES["unknown kind"], SchemaMismatch),
-        (DEPARTURES["index of 2**63"], SchemaMismatch),
-    ])
-    def test_state_restored_on_error(self, collector, enabled, text, error):
-        (gc.enable if enabled else gc.disable)()
-        with pytest.raises(error):
-            dataset_from_json(text)
-        assert gc.isenabled() is enabled
-
-    def test_no_collection_inside_either_codec(self, collector):
-        started = []
-
-        def count(phase, info):
-            if phase == "start":
-                started.append(info["generation"])
-
-        def collections_in(call):
-            # objects made while the collector is paused still count towards
-            # its threshold, so a collection can be due when a codec starts;
-            # it would run at the codec's first allocation, before the pause
-            gc.collect()
-            del started[:]
-            result = call()
-            return len(started), result
-
-        for ds in (_soft_30k(), _distinct_30k()):
-            gc.enable()
-            gc.callbacks.append(count)
-            try:
-                in_writer, text = collections_in(lambda: dataset_to_json(ds))
-                in_reader, back = collections_in(lambda: dataset_from_json(text))
-            finally:
-                gc.callbacks.remove(count)
-            assert (in_writer, in_reader) == (0, 0)
-            assert datasets_equal(back, ds)
-
-    def test_concurrent_calls_restore_the_state(self, collector):
-        """Threads that overlap in the codecs share one pause, and the last to
-        leave turns the collector back on."""
-        ds, text = HAND_BUILT["all rows distinct"], _SOFT_TEXT
-        errors = []
-
-        def work():
-            try:
-                for _ in range(200):
-                    dataset_from_json(dataset_to_json(ds))
-                    dataset_from_json(text)
-            except Exception as e:  # noqa: BLE001 - reported by the main thread
-                errors.append(e)
-
-        gc.enable()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work) for _ in range(6)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads) and errors == []
-        assert gc.isenabled()

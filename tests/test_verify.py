@@ -8,7 +8,7 @@ import pytest
 
 import wslrr.verify
 from wslrr.datagen import sample_weak_dataset
-from wslrr.errors import KTooLarge, ShapeMismatch, ValidationError
+from wslrr.errors import KTooLarge, ShapeMismatch, ValidationError, ZeroPairMass
 from wslrr.risk import LossSpec, channel_terms, loss_matrix
 from wslrr.scenarios import UU
 from wslrr.train import LinearModel
@@ -19,6 +19,7 @@ from wslrr.verify import (
     VerifyConfig,
     build_registry,
     make_spec,
+    random_joint,
     scenario_joint,
     seeded_model,
     verify_all,
@@ -78,6 +79,24 @@ class TestChecks:
         assert len(reports) == 14
         assert all(r.passed for r in reports)
         assert all(r.max_abs_err <= 1e-15 for r in reports)
+
+    def test_reduction_graph_draws_its_binary_joint_once(self, multi_joint, binary_joint, monkeypatch):
+        # the binary edges of a K > 2 graph share one binary joint; a binary
+        # graph reads its own joint throughout
+        draws = []
+
+        def counted(*args):
+            draws.append(args)
+            return random_joint(*args)
+
+        monkeypatch.setattr(wslrr.verify, "random_joint", counted)
+        want = [r.max_abs_err for r in verify_reduction_graph(multi_joint, seed=3)]
+        assert draws == [(2, 6, 3, 3, 4242)]
+        monkeypatch.undo()
+        assert [r.max_abs_err for r in verify_reduction_graph(multi_joint, seed=3)] == want
+        monkeypatch.setattr(wslrr.verify, "random_joint", counted)
+        verify_reduction_graph(binary_joint, seed=3)
+        assert len(draws) == 1
 
     def test_degenerate_params_surface_as_failed_check(self, binary_joint):
         spec = UU(gamma_1=0.5, gamma_2=0.5)
@@ -141,16 +160,27 @@ class TestAggregate:
         closed = [n.split(":")[1] for n in names if n.startswith("closed-form:")]
         assert closed == [n for n in ALL_SCENARIO_NAMES if n not in ("CL", "MCL")]
 
-    def test_failing_task_becomes_failed_report(self):
-        # no admissible SU joint exists at 400 instances: the pair checks fail
-        # as a report instead of ending the run
-        tasks = dict(build_registry(VerifyConfig(trials=1, nx=400)))
+    def test_failing_task_becomes_failed_report(self, monkeypatch):
+        # a library error inside the pair checks fails them as a report
+        # instead of ending the run
+        def zero_pair_mass(j, seed):
+            raise ZeroPairMass("a pair (x, x') has zero product mass")
+
+        monkeypatch.setattr(wslrr.verify, "verify_pair_symmetry", zero_pair_mass)
+        tasks = dict(build_registry(VerifyConfig(trials=1)))
         pair = tasks["pair-checks"]()
         assert pair.name == "pair-checks" and not pair.passed
-        assert "could not draw an admissible joint" in pair.params["error"]
+        assert "zero product mass" in pair.params["error"]
         assert json.loads(AggregateReport(seed=7, checks=(pair,), passed=False).to_json())["checks"]
         others = [tasks[name]() for name in ("formulation:SU", "risk-equality:SU", "worked-example")]
         assert all(c.passed for c in others)
+
+    @pytest.mark.parametrize("nx", [150, 400])
+    def test_pair_checks_pass_at_many_instances(self, nx):
+        # the binary joints' priors concentrate at 1/2 as n_x grows, and the
+        # pair laws need no prior gap: the checks run on the first draw
+        reports = dict(build_registry(VerifyConfig(trials=1, nx=nx)))["pair-checks"]()
+        assert len(reports) == 3 and all(r.passed for r in reports)
 
     def test_nx_does_not_reach_the_per_trial_checks(self):
         # the formulation tasks draw joints of 3 + trial % 6 instances, so --nx
