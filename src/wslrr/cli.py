@@ -59,8 +59,12 @@ def _parse_sizes(text: str):
             label, _, count = part.partition("=")
             if not count:
                 raise ValidationError(f"bad size spec {part!r}; use label=count")
+            if label.strip() in out:
+                raise ValidationError(f"channel {label.strip()!r} is given twice")
             out[label.strip()] = int(count)
         return out
+    except ValidationError:  # a ValueError, but already says what is wrong
+        raise
     except ValueError as e:
         raise ValidationError(f"bad --n value {text!r}: {e}") from e
 
@@ -77,6 +81,8 @@ def _write(path: str | None, text: str) -> None:
 
 
 def cmd_verify(args) -> int:
+    if not 0 <= args.seed <= 2 ** 64 - 2:  # the model's Philox key, seed + 1, is a u64
+        raise ValidationError(f"--seed must be an integer in [0, 2**64 - 2], got {args.seed}")
     if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise ValidationError(f"--tol must be a finite number >= 0, got {args.tol!r}")
     joint = joint_from_json(Path(args.joint).read_text())

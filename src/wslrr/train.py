@@ -83,19 +83,20 @@ def _descend(W: np.ndarray, ls: LossSpec, cfg: TrainConfig, j: FiniteJoint, what
     table W, plus the ridge term.  Returns (model, trace); trace[e] is the
     loss after epoch e."""
     model = init_model(j.K, j.d_feat, cfg.seed)
-    value, dW, db = weighted_loss(W, model, ls, j, grad=True)
-    if not math.isfinite(value):
-        raise Diverged(f"initial {what} is {value}")
-    trace = [value]
-    for epoch in range(1, cfg.epochs + 1):
-        model.weights = model.weights - cfg.learning_rate * (dW + 2.0 * cfg.l2 * model.weights)
-        model.bias = model.bias - cfg.learning_rate * db
-        if not (np.isfinite(model.weights).all() and np.isfinite(model.bias).all()):
-            raise Diverged(f"parameters became non-finite at epoch {epoch}")
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow and inf times 0 are reported as Diverged
         value, dW, db = weighted_loss(W, model, ls, j, grad=True)
         if not math.isfinite(value):
-            raise Diverged(f"{what} became non-finite at epoch {epoch}")
-        trace.append(value)
+            raise Diverged(f"initial {what} is {value}")
+        trace = [value]
+        for epoch in range(1, cfg.epochs + 1):
+            model.weights = model.weights - cfg.learning_rate * (dW + 2.0 * cfg.l2 * model.weights)
+            model.bias = model.bias - cfg.learning_rate * db
+            if not (np.isfinite(model.weights).all() and np.isfinite(model.bias).all()):
+                raise Diverged(f"parameters became non-finite at epoch {epoch}")
+            value, dW, db = weighted_loss(W, model, ls, j, grad=True)
+            if not math.isfinite(value):
+                raise Diverged(f"{what} became non-finite at epoch {epoch}")
+            trace.append(value)
     return model, trace
 
 

@@ -31,15 +31,15 @@ from .errors import KTooLarge, ShapeMismatch, ValidationError, WslrrError
 from .risk import (
     LossSpec,
     channel_terms,
-    classification_risk,
     closed_form_corrected_loss,
     empirical_risk,
     loss_matrix,
     per_draw_values,
     rewrite_table,
     rewritten_risk,
+    score_matrix,
     weight_table,
-    weighted_loss,
+    _check_scores,
     _loss_table,
     _term_losses,
 )
@@ -92,6 +92,7 @@ MC_SIGMAS = 5.0
 # falls below rounding (one instance); pairwise sums of 1e5 draws lose ~log2(1e5)
 MC_ROUNDING = 16.0
 MC_TRIAL = 17  # the trial whose inputs the Monte-Carlo checks draw
+_LOGISTIC = LossSpec("logistic")
 
 ALL_SCENARIO_NAMES = CONCRETE_SCENARIOS
 ABSTRACT_SCENARIO_NAMES = ("MCD", "CCN", "GCCN")
@@ -212,17 +213,21 @@ def _joint_ok(name: str, j: FiniteJoint) -> bool:
     return True
 
 
-def scenario_joint(name: str, K: int, nx: int, d_feat: int, seed: int, trial: int) -> FiniteJoint:
-    """Seeded joint rejected until the scenario's preconditions hold (the
-    preconditions are modeling assumptions, not failures)."""
-    if SCENARIO_TYPES[name].binary_only:
-        K = 2
+def _first_admissible(name: str, K: int, trial: int, candidate) -> FiniteJoint:
+    """The first of a trial's candidate joints, ``candidate(K, stream)``,
+    that meets the scenario's preconditions; binary settings draw K = 2."""
+    K = 2 if SCENARIO_TYPES[name].binary_only else K
     for attempt in range(200):
-        stream = 1000 * trial + 2 * attempt + 11
-        j = random_joint(K, nx, d_feat, seed, stream)
+        j = candidate(K, 1000 * trial + 2 * attempt + 11)
         if _joint_ok(name, j):
             return j
     raise WslrrError(f"could not draw an admissible joint for {name}")
+
+
+def scenario_joint(name: str, K: int, nx: int, d_feat: int, seed: int, trial: int) -> FiniteJoint:
+    """Seeded joint rejected until the scenario's preconditions hold (the
+    preconditions are modeling assumptions, not failures)."""
+    return _first_admissible(name, K, trial, lambda K, stream: random_joint(K, nx, d_feat, seed, stream))
 
 
 def _ccn_flips(j: FiniteJoint, seed: int, trial: int) -> CCN:
@@ -276,7 +281,17 @@ def make_spec(name: str, j: FiniteJoint, seed: int, trial: int) -> ScenarioSpec:
 
 
 def seeded_model(j: FiniteJoint, seed: int, trial: int):
-    return init_model(j.K, j.d_feat, seed + 31 * trial + 1)
+    model = init_model(j.K, j.d_feat, seed + 31 * trial + 1)
+    for a in (model.weights, model.bias):  # read-only as joints are, so checks sharing it cannot change it
+        a.setflags(write=False)
+    return model
+
+
+def _exact_risk(ls: LossSpec, model, j: FiniteJoint) -> tuple:
+    """(the (n_x, K) loss table, the exact risk) of a model on a joint,
+    summed as ``weighted_loss`` sums it."""
+    losses = _loss_table(ls, _check_scores(score_matrix(model, j)))
+    return losses, float((j.joint.T * losses).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -343,16 +358,20 @@ def verify_risk_equality(spec: ScenarioSpec, j: FiniteJoint, model, ls: LossSpec
     ``flip_sign`` is the mutation hook: it negates class 1's column of the
     rewrite table, which must break the equality (used to prove the harness
     can fail)."""
+    return _risk_equality(spec, j, lambda: _exact_risk(ls, model, j), ls.name, tol, method, flip_sign, seed)
+
+
+def _risk_equality(spec, j, risk, loss: str, tol=TOL_RISK, method="auto", flip_sign=False, seed=0):
+    """:func:`verify_risk_equality` given ``risk()``, the pair of :func:`_exact_risk`."""
 
     def body():
-        exact = classification_risk(j, model, ls)
-        if not flip_sign:
-            return abs(rewritten_risk(spec, j, model, ls, method=method) - exact)
+        losses, exact = risk()
         table = rewrite_table(spec, j, method)
-        table[:, 0] = -table[:, 0]
-        return abs(weighted_loss(table, model, ls, j) - exact)
+        if flip_sign:
+            table[:, 0] = -table[:, 0]
+        return abs(float((table * losses).sum()) - exact)
 
-    return _guarded("risk-equality", spec.name, {"loss": ls.name}, tol, seed, body)
+    return _guarded("risk-equality", spec.name, {"loss": loss}, tol, seed, body)
 
 
 def verify_closed_form(spec: ScenarioSpec, j: FiniteJoint, model, ls: LossSpec,
@@ -540,31 +559,32 @@ def verify_mc_consistency(name: str, cfg: VerifyConfig, n: int = 0) -> CheckRepo
     """Monte-Carlo estimate within MC_SIGMAS standard errors of the exact
     risk (or within the MC_ROUNDING floor), and bit-identical on a same-seed
     rerun."""
+    return _mc_consistency(cfg, *_scenario_trial_inputs(cfg, {}, name, MC_TRIAL, cfg.K, cfg.nx), n)
+
+
+def _mc_consistency(cfg: VerifyConfig, spec: ScenarioSpec, j: FiniteJoint, model, risk, n: int = 0):
+    """:func:`verify_mc_consistency` on inputs already drawn (see :func:`_scenario_trial_inputs`)."""
     t0 = time.perf_counter()
     n = n or cfg.mc_samples
-    j = scenario_joint(name, cfg.K, cfg.nx, cfg.d_feat, cfg.seed, MC_TRIAL)
-    spec = make_spec(name, j, cfg.seed, MC_TRIAL)
-    model = seeded_model(j, cfg.seed, MC_TRIAL)
-    ls = LossSpec("logistic")
-    exact = classification_risk(j, model, ls)
+    losses, exact = risk()
     ds = sample_weak_dataset(spec, j, n, seed=cfg.seed + 1000)
-    est = empirical_risk(ds, spec, model, ls, j)
+    est = empirical_risk(ds, spec, model, _LOGISTIC, j)
 
     # in its own frame, so the per-draw terms are freed before the rerun draws as many again
-    se, abs_terms = _estimator_spread(ds, spec, j, loss_matrix(ls, model, j))
+    se, abs_terms = _estimator_spread(ds, spec, j, np.ascontiguousarray(losses.T))
     tol = max(MC_SIGMAS * se, MC_ROUNDING * np.finfo(np.float64).eps * abs_terms)
 
     ds2 = sample_weak_dataset(spec, j, n, seed=cfg.seed + 1000)
-    est2 = empirical_risk(ds2, spec, model, ls, j)
+    est2 = empirical_risk(ds2, spec, model, _LOGISTIC, j)
     identical = datasets_equal(ds, ds2) and est == est2
 
     err = abs(est - exact) if identical else float("inf")
-    return _report(f"mc-consistency[n={n}]", name,
+    return _report(f"mc-consistency[n={n}]", spec.name,
                    {"exact": exact, "estimate": est, "se": se, "rerun_identical": identical},
                    err, tol, cfg.seed, t0)
 
 
-def verify_gradient_check(spec: ScenarioSpec, j: FiniteJoint, ds, ls: LossSpec,
+def verify_gradient_check(spec: ScenarioSpec, j: FiniteJoint, model, ds, ls: LossSpec,
                           tol: float = TOL_GRADIENT, eps: float = 1e-6,
                           seed: int = 0) -> CheckReport:
     """Analytic gradient of the empirical corrected risk against central
@@ -572,7 +592,6 @@ def verify_gradient_check(spec: ScenarioSpec, j: FiniteJoint, ds, ls: LossSpec,
     all 2P perturbed parameter vectors is one weighted loss over a
     (2P, n_x, K) stack of scores."""
     t0 = time.perf_counter()
-    model = seeded_model(j, seed, 3)
     dW, db = empirical_gradient(ds, spec, model, ls, j)
     W = weight_table(ds, spec, j)  # the empirical risk is the weighted loss of this table
     # every parameter in one flat vector: the weights row by row, then the bias
@@ -626,40 +645,55 @@ def _worst(reports: list) -> CheckReport:
     return max(reports, key=lambda r: (r.max_abs_err / r.tol) if r.tol else r.max_abs_err)
 
 
-def _scenario_trial_inputs(name: str, cfg: VerifyConfig, trial: int):
-    K = 2 if SCENARIO_TYPES[name].binary_only else 2 + (trial % min(4, cfg.K - 1))
-    nx = 3 + (trial % 6)
-    j = scenario_joint(name, K, nx, cfg.d_feat, cfg.seed, trial)
-    spec = make_spec(name, j, cfg.seed, trial)
-    model = seeded_model(j, cfg.seed, trial)
-    return spec, j, model
+def _memo(table: dict, key, make):
+    if key not in table:
+        table[key] = make()
+    return table[key]
+
+
+def _draw_keys(trial: int, K: int, nx: int) -> tuple:
+    """The table keys of the draws that every setting reading a trial at K
+    and n_x shares: the candidate joints of that shape, and the trial's models."""
+    return ("joints", trial, K, nx), ("models", trial)
+
+
+def _scenario_trial_inputs(cfg: VerifyConfig, table: dict, name: str, trial: int, K: int, nx: int) -> tuple:
+    """(spec, joint, model, risk) of a setting at a trial, built from the
+    shared draws in ``table``: candidate joints by (K, stream) and models by K.
+    ``risk()`` is the joint's logistic :func:`_exact_risk`, kept with it."""
+    joints, models = (table.setdefault(key, {}) for key in _draw_keys(trial, K, nx))
+    j = _first_admissible(name, K, trial, lambda K, stream: _memo(
+        joints, (K, stream), lambda: random_joint(K, nx, cfg.d_feat, cfg.seed, stream)))
+    model = _memo(models, j.K, lambda: seeded_model(j, cfg.seed, trial))
+    return (make_spec(name, j, cfg.seed, trial), j, model,
+            lambda: _memo(joints, j, lambda: _exact_risk(_LOGISTIC, model, j)))
 
 
 _SETTINGS = ALL_SCENARIO_NAMES + ABSTRACT_SCENARIO_NAMES
-_LOGISTIC = LossSpec("logistic")
 _EVERY_TRIAL, _FIRST_FIVE = slice(None), slice(5)  # of range(cfg.trials); other rows read fixed trials
+_MC_INPUT = "mc"  # the Monte-Carlo trial at the configured K and n_x
 _ONCE = ("",)  # the settings of a task that names none
 
 # The registry, one row per kind of task in report order: (task-name
 # template, settings, the trials it reads, check).  A row gives one task per
 # setting, named by the template formatted with the setting's entry, a name
-# or a (name, method) pair.  A check that reads trials is called as
-# check(cfg, spec, j, model, *rest) on each trial's shared input, where rest
-# is the entry after the name, and its task reports the worst of them; a
-# check that reads none is called once as check(cfg, name).
+# or a (name, method) pair.  Trial t's input has K = 2 + t % min(4, cfg.K - 1)
+# and n_x = 3 + t % 6.  A check that reads inputs is called as check(cfg,
+# spec, j, model, risk, *rest) on each one, where rest is the entry after the
+# name, and its task reports the worst; one that reads none, as check(cfg, name).
 _REGISTRY = (
     ("formulation:{}", _SETTINGS, _FIRST_FIVE,
-     lambda cfg, spec, j, model: verify_formulation(spec, j, seed=cfg.seed)),
+     lambda cfg, spec, j, model, risk: verify_formulation(spec, j, seed=cfg.seed)),
     # each record's default method, and for CL and MCL also the exact inverse
     ("reconstruction:{}:{}",
      tuple((name, method) for name in _SETTINGS
            for method in (SCENARIO_TYPES[name].method, EXACT_INVERSE.get(name)) if method),
      _FIRST_FIVE,
-     lambda cfg, spec, j, model, method: verify_reconstruction(spec, j, method=method, seed=cfg.seed)),
+     lambda cfg, spec, j, model, risk, method: verify_reconstruction(spec, j, method=method, seed=cfg.seed)),
     ("risk-equality:{}", _SETTINGS, _EVERY_TRIAL,
-     lambda cfg, spec, j, model: verify_risk_equality(spec, j, model, _LOGISTIC, seed=cfg.seed)),
+     lambda cfg, spec, j, model, risk: _risk_equality(spec, j, risk, _LOGISTIC.name, seed=cfg.seed)),
     ("closed-form:{}", tuple(n for n in ALL_SCENARIO_NAMES if n not in EXACT_INVERSE), _FIRST_FIVE,
-     lambda cfg, spec, j, model: verify_closed_form(spec, j, model, _LOGISTIC, seed=cfg.seed)),
+     lambda cfg, spec, j, model, risk: verify_closed_form(spec, j, model, _LOGISTIC, seed=cfg.seed)),
     ("reduction-graph", _ONCE, (), lambda cfg, _: verify_reduction_graph(
         random_joint(cfg.K, cfg.nx, cfg.d_feat, cfg.seed, 21), seed=cfg.seed)),
     ("worked-example", _ONCE, (), lambda cfg, _: verify_worked_example(seed=cfg.seed)),
@@ -668,14 +702,14 @@ _REGISTRY = (
     ("pair-checks", _ONCE, (), lambda cfg, _: verify_pair_symmetry(
         random_joint(2, cfg.nx, cfg.d_feat, cfg.seed, 5011), seed=cfg.seed)),
     ("pcpl-half-identity", ("PCPL",), (2,),
-     lambda cfg, spec, j, model: verify_pcpl_half_identity(j, model, _LOGISTIC, seed=cfg.seed)),
+     lambda cfg, spec, j, model, risk: verify_pcpl_half_identity(j, model, _LOGISTIC, seed=cfg.seed)),
     ("mcl-block-inverse", _ONCE, (), lambda cfg, _: verify_mcl_blocks(seed=cfg.seed)),
     ("method-agreement:{}", tuple(EXACT_INVERSE), (4,),
-     lambda cfg, spec, j, model: verify_method_agreement(spec, j, model, _LOGISTIC, seed=cfg.seed)),
-    ("mc-consistency:{}", ("PU", "CL", "Soft"), (), lambda cfg, name: verify_mc_consistency(name, cfg)),
+     lambda cfg, spec, j, model, risk: verify_method_agreement(spec, j, model, _LOGISTIC, seed=cfg.seed)),
+    ("mc-consistency:{}", ("PU", "CL", "Soft"), _MC_INPUT, _mc_consistency),
     # 40 draws per sampling channel
-    ("gradient-check:{}", ALL_SCENARIO_NAMES, (3,), lambda cfg, spec, j, model: verify_gradient_check(
-        spec, j, sample_weak_dataset(spec, j, 40, seed=cfg.seed + 5), _LOGISTIC, seed=cfg.seed)),
+    ("gradient-check:{}", ALL_SCENARIO_NAMES, (3,), lambda cfg, spec, j, model, risk: verify_gradient_check(
+        spec, j, model, sample_weak_dataset(spec, j, 40, seed=cfg.seed + 5), _LOGISTIC, seed=cfg.seed)),
     ("erm-sanity", _ONCE, (), lambda cfg, _: verify_erm_sanity(seed=cfg.seed)),
 )
 
@@ -688,41 +722,40 @@ def build_registry(cfg: VerifyConfig) -> list:
     task, so a single failing check never aborts the run.  A zero trial
     count yields an empty registry.
 
-    The tasks share one table of :func:`_scenario_trial_inputs`, keyed by
-    (scenario, trial): an entry is drawn when a task first reads it and
-    dropped once the last task that reads it has run.
+    The tasks share one table of the (scenario, trial) inputs of
+    :func:`_scenario_trial_inputs` and of the draws they are built from: an
+    entry is made on first read and dropped after the last task reading it.
     """
     if cfg.trials <= 0:
         return []
     tasks, table, readers = [], {}, Counter()
 
-    def inputs(key):
-        if key not in table:
-            table[key] = _scenario_trial_inputs(key[0], cfg, key[1])
-        return table[key]
-
     def task(label, name, keys, rest, check):
+        held = [*keys, *{draw for key in keys for draw in _draw_keys(*key[1:])}]  # the inputs and their draws
+        readers.update(held)
         def run():
             t0 = time.perf_counter()
             try:
                 if not keys:
                     return check(cfg, name)
-                return _worst([check(cfg, *inputs(key), *rest) for key in keys])
+                return _worst([check(cfg, *_memo(table, key, lambda: _scenario_trial_inputs(cfg, table, *key)),
+                                     *rest) for key in keys])
             except WslrrError as e:
                 return _failure(label, name, {}, 0.0, cfg.seed, t0, e)
             finally:
-                for key in keys:
+                for key in held:
                     readers[key] -= 1
                     if readers[key] <= 0:
                         table.pop(key, None)
         return run
 
     for template, settings, reads, check in _REGISTRY:
-        trials = range(cfg.trials)[reads] if isinstance(reads, slice) else reads
+        shapes = [(MC_TRIAL, cfg.K, cfg.nx)] if reads == _MC_INPUT else [
+            (t, 2 + t % min(4, cfg.K - 1), 3 + t % 6)
+            for t in (range(cfg.trials)[reads] if isinstance(reads, slice) else reads)]
         for entry in settings:
             name, *rest = entry if isinstance(entry, tuple) else (entry,)
-            keys = [(name, t) for t in trials]
-            readers.update(keys)
+            keys = [(name, *shape) for shape in shapes]
             label = template.format(name, *rest)
             tasks.append((label, task(label, name, keys, rest, check)))
     return tasks

@@ -32,9 +32,10 @@ from wslrr.scenarios import (
 from wslrr.verify import (
     ALL_SCENARIO_NAMES,
     VerifyConfig,
-    _scenario_trial_inputs,
     build_registry,
+    make_spec,
     scenario_joint,
+    seeded_model,
     verify_erm_sanity,
     verify_gradient_check,
     verify_mc_consistency,
@@ -54,6 +55,14 @@ LOGISTIC = LossSpec("logistic")
 SQUARED = LossSpec("squared")
 
 
+def _trial_inputs(name, trial):
+    """The harness's (spec, joint, model) of a setting at a trial, drawn
+    afresh: trial t reads a joint of 2 + t % min(4, K - 1) classes and
+    3 + t % 6 instances."""
+    j = scenario_joint(name, 2 + trial % min(4, CFG.K - 1), 3 + trial % 6, CFG.d_feat, CFG.seed, trial)
+    return make_spec(name, j, CFG.seed, trial), j, seeded_model(j, CFG.seed, trial)
+
+
 def _line(num, ok, detail):
     print(f"criterion {num:2d}: {'PASS' if ok else 'FAIL'}  {detail}")
     assert ok, detail
@@ -64,7 +73,7 @@ def test_criterion_01_risk_rewrite_equality():
     worst = 0.0
     for name in ALL_SCENARIO_NAMES:
         for trial in range(CFG.trials):
-            spec, j, model = _scenario_trial_inputs(name, CFG, trial)
+            spec, j, model = _trial_inputs(name, trial)
             exact = classification_risk(j, model, LOGISTIC)
             rewritten = rewritten_risk(spec, j, model, LOGISTIC)
             worst = max(worst, abs(rewritten - exact))
@@ -77,7 +86,7 @@ def test_criterion_02_reconstruction_every_method():
     worst = 0.0
     for name, method in RECONSTRUCTIONS:
         for trial in range(5):
-            spec, j, _ = _scenario_trial_inputs(name, CFG, trial)
+            spec, j, _ = _trial_inputs(name, trial)
             rep = verify_reconstruction(spec, j, tol=1e-12, method=method, seed=CFG.seed)
             assert rep.passed, (name, method, rep.params)
             worst = max(worst, rep.max_abs_err)
@@ -101,7 +110,7 @@ def test_criterion_04_mcl_combinatorics():
         for d in range(1, K):
             prod = mcl_block_inverse(K, d) @ mcl_block(K, d)
             worst = max(worst, float(np.max(np.abs(prod - np.eye(K)))))
-    spec, j, model = _scenario_trial_inputs("MCL", CFG, 6)
+    spec, j, model = _trial_inputs("MCL", 6)
     a = rewritten_risk(spec, j, model, LOGISTIC, method=METHOD_MCL_BLOCKWISE)
     b = rewritten_risk(spec, j, model, LOGISTIC, method=METHOD_MARGINAL_CHAIN)
     _line(4, worst <= 1e-12 and abs(a - b) <= 1e-10,
@@ -109,10 +118,10 @@ def test_criterion_04_mcl_combinatorics():
 
 
 def test_criterion_05_pcpl_half_identity_and_ppl_closed_form():
-    spec, j, model = _scenario_trial_inputs("PCPL", CFG, 3)
+    spec, j, model = _trial_inputs("PCPL", 3)
     rep = verify_pcpl_half_identity(j, model, LOGISTIC, tol=1e-12, seed=CFG.seed)
 
-    pspec, pj, _ = _scenario_trial_inputs("PPL", CFG, 4)
+    pspec, pj, _ = _trial_inputs("PPL", 4)
     m = marginals(pj)
     dr = decontaminate(pspec, pj, method=METHOD_MARGINAL_CHAIN)
     space = compound_label_space(pj.K)
@@ -149,7 +158,7 @@ def test_criterion_07_pair_symmetry_and_marginals():
 def test_criterion_08_closed_forms_match_generic():
     worst = 0.0
     for name in CLOSED_FORM_NAMES:
-        spec, j, model = _scenario_trial_inputs(name, CFG, 1)
+        spec, j, model = _trial_inputs(name, 1)
         m = marginals(j)
         lam = loss_matrix(LOGISTIC, model, j)
         if name == "Sconf":
@@ -182,9 +191,9 @@ def test_criterion_10_gradient_checks():
     worst = 0.0
     for name in ALL_SCENARIO_NAMES:
         for ls in (LOGISTIC, SQUARED):
-            spec, j, _ = _scenario_trial_inputs(name, CFG, 3)
+            spec, j, model = _trial_inputs(name, 3)
             ds = sample_weak_dataset(spec, j, 40, seed=CFG.seed + 5)
-            rep = verify_gradient_check(spec, j, ds, ls, tol=1e-5, seed=CFG.seed)
+            rep = verify_gradient_check(spec, j, model, ds, ls, tol=1e-5, seed=CFG.seed)
             assert rep.passed, (name, ls.name, rep.max_abs_err)
             worst = max(worst, rep.max_abs_err)
     _line(10, worst <= 1e-5,

@@ -1,12 +1,19 @@
+import builtins
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wslrr.cli
+import wslrr.errors
 from wslrr.cli import build_parser, main
 from wslrr.core import joint_to_json, validate_joint
-from wslrr.datagen import dataset_from_json
+from wslrr.datagen import dataset_from_json, dataset_to_json, sample_weak_dataset
+from wslrr.scenarios import CL, PU, SCENARIO_TYPES
 from wslrr.train import model_from_json
 from wslrr.verify import random_joint, scenario_joint
 
@@ -141,6 +148,22 @@ class TestSimulateCommand:
         ds = dataset_from_json(out.read_text())
         assert sum(c.n_draws for c in ds.channels) == 100
 
+    @pytest.mark.parametrize("n", ["P=10,P=5,U=3", "P=1,U=2, U=3"])
+    def test_repeated_channel_exit_2(self, joint_file, tmp_path, capsys, n):
+        # not the last count silently winning
+        out = tmp_path / "ds.json"
+        assert main(["simulate", "--joint", str(joint_file), "--scenario", "PU",
+                     "--n", n, "--seed", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err  # named once, not wrapped again as a bad --n value
+        assert err.startswith("ValidationError: channel ") and "given twice" in err and not out.exists()
+
+    @pytest.mark.parametrize("n, error", [("P=", "bad size spec 'P='; use label=count"),
+                                          ("P=x", "bad --n value 'P=x': invalid literal")])
+    def test_size_error_is_reported_once(self, joint_file, capsys, n, error):
+        assert main(["simulate", "--joint", str(joint_file), "--scenario", "PU",
+                     "--n", n, "--seed", "1"]) == 2
+        assert capsys.readouterr().err.startswith(f"ValidationError: {error}")
+
     def test_unknown_channel_exit_2(self, joint_file):
         assert main(["simulate", "--joint", str(joint_file), "--scenario", "PU",
                      "--n", "Q=5", "--seed", "1"]) == 2
@@ -204,6 +227,17 @@ class TestTrainCommand:
                      "--lr", "0.1", "--epochs", "2", "--seed", "18446744073709551616",
                      "--out", str(tmp_path / "m.json")]) == 2
         assert "ValidationError" in capsys.readouterr().err
+
+    def test_divergence_prints_no_numpy_warning(self, joint_file, tmp_path, capsys):
+        # one of these 12 draws' instances has zero weight for a class, and
+        # zero times an overflowed loss is nan (a RuntimeWarning is an error here)
+        ds_path = tmp_path / "ds.json"
+        assert main(["simulate", "--joint", str(joint_file), "--scenario", "PU",
+                     "--n", "12", "--seed", "5", "--out", str(ds_path)]) == 0
+        capsys.readouterr()
+        assert main(["train", "--data", str(ds_path), "--joint", str(joint_file), "--lr", "1e6",
+                     "--epochs", "1", "--out", str(tmp_path / "m.json")]) == 1
+        assert capsys.readouterr().err.startswith("diverged: ")
 
     def test_divergence_exit_1(self, joint_file, tmp_path):
         ds_path = tmp_path / "ds.json"
@@ -349,30 +383,34 @@ class TestMalformedInputs:
         assert "--tol" in capsys.readouterr().err
 
     # argv with {joint}, {data} (valid files), {latin1} (not UTF-8), {dir} (a
-    # directory) and {deep} (a list nested 200 000 deep); the error it names
+    # directory) and {deep} (a list nested 200 000 deep); how its error line starts
     UNREADABLE = {
-        "verify non-UTF-8 joint": ("verify --joint {latin1} --scenario PU", "UnicodeDecodeError"),
-        "verify non-UTF-8 scenario file": ("verify --joint {joint} --scenario {latin1}", "UnicodeDecodeError"),
+        "verify non-UTF-8 joint": ("verify --joint {latin1} --scenario PU", "UnicodeDecodeError: "),
+        "verify non-UTF-8 scenario file": ("verify --joint {joint} --scenario {latin1}", "UnicodeDecodeError: "),
         "simulate non-UTF-8 joint": ("simulate --joint {latin1} --scenario PU --n 5 --seed 1",
-                                     "UnicodeDecodeError"),
+                                     "UnicodeDecodeError: "),
         "train non-UTF-8 data": ("train --data {latin1} --joint {joint} --lr 0.1 --epochs 1",
-                                 "UnicodeDecodeError"),
+                                 "UnicodeDecodeError: "),
         "train non-UTF-8 joint": ("train --data {data} --joint {latin1} --lr 0.1 --epochs 1",
-                                  "UnicodeDecodeError"),
+                                  "UnicodeDecodeError: "),
         "train data a directory": ("train --data {dir} --joint {joint} --lr 0.1 --epochs 1",
-                                   "IsADirectoryError"),
+                                   "IsADirectoryError: "),
         "train missing data": ("train --data {dir}/nope.json --joint {joint} --lr 0.1 --epochs 1",
-                               "FileNotFoundError"),
-        "verify out a directory": ("verify --joint {joint} --scenario PU --out {dir}", "IsADirectoryError"),
-        "verify-all out a directory": ("verify-all --trials 0 --out {dir}", "IsADirectoryError"),
+                               "FileNotFoundError: "),
+        "verify out a directory": ("verify --joint {joint} --scenario PU --out {dir}", "IsADirectoryError: "),
+        "verify-all out a directory": ("verify-all --trials 0 --out {dir}", "IsADirectoryError: "),
         "simulate out a directory": ("simulate --joint {joint} --scenario PU --n 5 --seed 1 --out {dir}",
-                                     "IsADirectoryError"),
+                                     "IsADirectoryError: "),
         "train out a directory": ("train --data {data} --joint {joint} --lr 0.1 --epochs 1 --out {dir}",
-                                  "IsADirectoryError"),
-        "verify deep joint": ("verify --joint {deep} --scenario PU", "ParseError"),
-        "verify deep scenario file": ("verify --joint {joint} --scenario {deep}", "ParseError"),
-        "simulate deep joint": ("simulate --joint {deep} --scenario PU --n 5 --seed 1", "ParseError"),
-        "train deep data": ("train --data {deep} --joint {joint} --lr 0.1 --epochs 1", "ParseError"),
+                                  "IsADirectoryError: "),
+        "verify deep joint": ("verify --joint {deep} --scenario PU", "ParseError: "),
+        "verify deep scenario file": ("verify --joint {joint} --scenario {deep}", "ParseError: "),
+        "simulate deep joint": ("simulate --joint {deep} --scenario PU --n 5 --seed 1", "ParseError: "),
+        "train deep data": ("train --data {deep} --joint {joint} --lr 0.1 --epochs 1", "ParseError: "),
+        # the model's Philox key is seed + 1, so the largest seed is 2**64 - 2
+        "verify seed -1": ("verify --joint {joint} --scenario PU --seed -1", "ValidationError: --seed"),
+        "verify seed 2**64 - 1": ("verify --joint {joint} --scenario PU --seed 18446744073709551615",
+                                  "ValidationError: --seed"),
     }
 
     @pytest.mark.parametrize("case", sorted(UNREADABLE))
@@ -387,7 +425,7 @@ class TestMalformedInputs:
         capsys.readouterr()
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"{error}: ") and "Traceback" not in err
+        assert err.startswith(error) and "Traceback" not in err
 
     def test_deeply_nested_params_exit_2(self, joint_file, capsys):
         params = "[" * 50_000 + "]" * 50_000
@@ -397,3 +435,158 @@ class TestMalformedInputs:
     def test_verify_all_single_class(self, capsys):
         assert main(["verify-all", "--K", "1", "--trials", "1"]) == 2
         assert "ShapeMismatch" in capsys.readouterr().err
+
+
+# ---- never a traceback: a property over malformed arguments and files ------
+
+# every exception type the CLI reports by name: the package's own, and the
+# OSError, UnicodeError and MemoryError families that cli.main maps to exit 2
+TYPED = ({name for name, c in vars(wslrr.errors).items() if isinstance(c, type) and issubclass(c, Exception)}
+         | {name for name, c in vars(builtins).items()
+            if isinstance(c, type) and issubclass(c, (OSError, UnicodeError, MemoryError))})
+# replacements spliced into a valid file's text
+SPLICES = ["", "x", "-1", "0", "99", "1.5", "-0", "1e308", "NaN", "Infinity", "true", "null",
+           "[", "]", "{", "}", '"', ",", "[[]]", "{}", '"P"', '"pairs"', "[0, 1]"]
+SIZES = [str(2 ** 60), "99999999999999999999", "-1", "1.5", "x", ""]  # each refused before drawing
+
+
+def _often(n: int, m: int):
+    """True n times in m.  Hypothesis leans towards the first entries."""
+    return st.sampled_from([True] * n + [False] * (m - n))
+
+
+def _mostly(valid, malformed):
+    """A valid value seven times in ten, else a malformed one."""
+    return _often(7, 10).flatmap(lambda ok: valid if ok else malformed)
+
+
+def _numbers(lo, hi, *extra):
+    """Integers in [lo, hi] as text, or malformed or extreme text."""
+    return _mostly(st.integers(lo, hi).map(str), st.sampled_from(["x", "1.5", "", *extra]))
+
+
+SEEDS = _numbers(0, 40, "-1", str(2 ** 64 - 2), str(2 ** 64 - 1), str(2 ** 64), str(2 ** 64 - 1001))
+FILES = st.sampled_from(["{joint}", "{joint4}", "{data}", "{data_cl}", "{scenario}", "{drawn}",
+                         "{dir}", "{dir}/missing.json"])
+JOINTS = _mostly(st.sampled_from(["{joint}", "{joint4}", "{drawn}"]), FILES)
+SCENARIOS = _mostly(st.sampled_from(sorted(SCENARIO_TYPES)),
+                    st.one_of(FILES, st.sampled_from(["NoSuch", "", "pu"])))
+PARAMS = _mostly(st.sampled_from(['{"gamma_1": 0.2, "gamma_2": 0.3}', '{"q": [0.5, 0.5]}', '{"y_s": 1}',
+                                  '{"q": [0.2, 0.3, 0.5]}', '{"Y_s": [1]}', '{"gamma_1": 0.5, "gamma_2": 0.5}']),
+                 st.one_of(st.sampled_from(["{}", "[]", "5", '{"y_s": 9}']), st.text(max_size=12)))
+OUTS = _mostly(st.just("{out}"), st.sampled_from(["{dir}", "{dir}/missing.json/out.json"]))
+
+
+@st.composite
+def _sizes(draw) -> str:
+    """A --n value: bounded counts, or sizes refused before anything is drawn."""
+    count = _mostly(st.integers(0, 30).map(str), st.sampled_from(SIZES))
+    if draw(st.booleans()):
+        return draw(count)
+    labels = _mostly(st.sampled_from(["P", "U", "S", "D", "U1", "U2", "PC", "XX", "SX", "X"]),
+                     st.sampled_from(["Q", "", "P=1,P"]))
+    return ",".join(f"{draw(labels)}={draw(count)}" for _ in range(draw(st.integers(1, 3))))
+
+
+# each subcommand's options: (flag, values, whether it is given nearly always,
+# as the required ones are and --trials is, which keeps verify-all short); train
+# always gets --out, since without one it writes its trace into the working directory
+OPTIONS = {
+    "verify": [("--joint", JOINTS, True), ("--scenario", SCENARIOS, True), ("--params", PARAMS, False),
+               ("--tol", _mostly(st.sampled_from(["0", "1e-9"]), st.sampled_from(["-1", "nan", "x"])), False),
+               ("--seed", SEEDS, False), ("--out", OUTS, False)],
+    "verify-all": [("--K", _numbers(2, 8, "1", "9", "-1"), False), ("--nx", _numbers(1, 8, "0", "-1"), False),
+                   ("--trials", _numbers(0, 1, "-1"), True), ("--seed", SEEDS, False), ("--out", OUTS, False)],
+    "simulate": [("--joint", JOINTS, True), ("--scenario", SCENARIOS, True), ("--params", PARAMS, False),
+                 ("--n", _sizes(), True), ("--seed", SEEDS, True), ("--out", OUTS, False)],
+    "train": [("--data", _mostly(st.sampled_from(["{data}", "{data_cl}", "{drawn}"]), FILES), True),
+              ("--joint", JOINTS, True),
+              ("--loss", _mostly(st.sampled_from(["logistic", "squared"]), st.sampled_from(["zero-one", "x"])),
+               False),
+              ("--lr", _mostly(st.sampled_from(["0.1", "0", "1e6", "1e308"]),
+                               st.sampled_from(["-1", "nan", "inf", "x"])), True),
+              ("--epochs", _numbers(1, 5, "0", "-1"), True),
+              ("--l2", _mostly(st.sampled_from(["0", "0.5"]), st.sampled_from(["-1", "nan", "inf"])), False),
+              ("--seed", SEEDS, False), ("--out", st.just("{out}"), None)],
+}
+
+
+@st.composite
+def _argv(draw) -> list:
+    """An argv for one of the four subcommands: each option valid, malformed
+    or left out (a usual one 1 time in 20), and every size small or refused
+    before drawing."""
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    argv = [command]
+    for flag, values, usual in OPTIONS[command]:
+        if usual is None or draw(_often(19, 20) if usual else _often(1, 2)):
+            argv += [flag, draw(values)]
+    if not draw(_often(19, 20)):
+        argv.append(draw(st.sampled_from(["--bogus", "-h", "extra"])))
+    return argv
+
+
+def _cli_texts() -> dict:
+    j2 = scenario_joint("PU", 2, 5, 3, seed=11, trial=0)
+    j4 = random_joint(4, 5, 3, seed=3, stream=0)
+    return {"joint": joint_to_json(j2), "joint4": joint_to_json(j4),
+            "data": dataset_to_json(sample_weak_dataset(PU(), j2, 12, seed=5)),
+            "data_cl": dataset_to_json(sample_weak_dataset(CL(), j4, 12, seed=5)),
+            "scenario": '{"name": "MCL", "params": {"q": [0.5, 0.3, 0.2]}}'}
+
+
+CLI_TEXTS = _cli_texts()
+
+
+@st.composite
+def _drawn_file(draw) -> str:
+    """Text for the {drawn} file: a valid joint, dataset or scenario with one
+    short span replaced, random JSON, or a byte that is not UTF-8."""
+    kind = draw(st.integers(0, 9))
+    if kind == 0:
+        leaves = st.one_of(st.none(), st.booleans(), st.integers(-3, 9), st.floats(), st.text(max_size=3))
+        keys = st.sampled_from(["K", "features", "joint", "spec", "seed", "channels", "name", "params",
+                                "label", "kind", "items", "gamma_1", "gamma_2", "Y_s", "y_s", "q"])
+        value = draw(st.recursive(leaves, lambda inner: st.lists(inner, max_size=4)
+                                  | st.dictionaries(keys, inner, max_size=4), max_leaves=12))
+        return json.dumps(value)
+    if kind == 1:
+        return "\udcff"  # written with surrogateescape: the byte 0xff
+    text = draw(st.sampled_from(sorted(CLI_TEXTS.values())))
+    start = draw(st.integers(0, len(text)))
+    end = draw(st.integers(start, min(len(text), start + 8)))
+    return text[:start] + draw(st.sampled_from(SPLICES)) + text[end:]
+
+
+@pytest.fixture(scope="module")
+def cli_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli")
+    for name, text in CLI_TEXTS.items():
+        (root / f"{name}.json").write_text(text)
+    (root / "dir").mkdir()
+    return root
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(argv=_argv(), drawn=_drawn_file())
+def test_no_traceback_on_malformed_arguments_or_files(cli_dir, argv, drawn):
+    """Every run ends in exit 0, exit 2 with a usage or typed error line, or a
+    reported outcome with exit 1: divergence, or checks reported as FAIL.
+    cli.main never raises.  The example sequence is fixed, so a run does not
+    depend on an example database."""
+    (cli_dir / "drawn.json").write_text(drawn, errors="surrogateescape")
+    places = {f"{{{name}}}": str(cli_dir / f"{name}.json") for name in (*CLI_TEXTS, "drawn", "out")}
+    places.update({"{dir}": str(cli_dir / "dir"), "{dir}/missing.json": str(cli_dir / "dir" / "missing.json"),
+                   "{dir}/missing.json/out.json": str(cli_dir / "dir" / "missing.json" / "out.json")})
+    argv = [places.get(arg, arg) for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert "Traceback" not in err
+    if code == 1:
+        assert err.startswith("diverged: ") or "\nFAIL " in "\n" + out, (argv, out, err)
+    elif code == 2:
+        assert err.startswith("usage: ") or err.split(":", 1)[0] in TYPED, (argv, err)
+    else:
+        assert code == 0, (argv, code)

@@ -198,5 +198,5 @@ class TestModelJson:
         j = scenario_joint("MCL", 4, 5, 3, seed=19, trial=0)
         spec = make_spec("MCL", j, 19, 0)
         ds = sample_weak_dataset(spec, j, 40, seed=20)
-        rep = verify_gradient_check(spec, j, ds, LOGISTIC, seed=19)
+        rep = verify_gradient_check(spec, j, seeded_model(j, 19, 3), ds, LOGISTIC, seed=19)
         assert rep.passed

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 import wslrr.verify
+from wslrr.core import FiniteJoint
 from wslrr.datagen import sample_weak_dataset
 from wslrr.errors import KTooLarge, ShapeMismatch, ValidationError, ZeroPairMass
-from wslrr.risk import LossSpec, channel_terms, loss_matrix
-from wslrr.scenarios import UU
+from wslrr.risk import LossSpec, channel_terms, loss_matrix, weighted_loss
+from wslrr.scenarios import UU, specs_equal
 from wslrr.train import LinearModel
 from wslrr.verify import (
     ABSTRACT_SCENARIO_NAMES,
@@ -194,33 +195,138 @@ class TestAggregate:
 
 
 def test_each_trial_input_is_drawn_once_and_dropped_after_its_last_reader(monkeypatch):
-    """A default run draws each of its 18 x 20 (scenario, trial) inputs once.
-    When the first Monte-Carlo task starts, the only joints still alive are
-    the trial-3 ones that the gradient checks read later; none outlives the
+    """A default run builds each of its 18 x 20 (scenario, trial) inputs, and
+    the three Monte-Carlo inputs, once, from the draws that every setting of
+    a trial shares.  When the first Monte-Carlo task starts, the only inputs,
+    joints and loss tables still alive are the trial-3 ones that the gradient
+    checks read later.  The only models alive are trial 3's and the two of
+    trial 17 that the Monte-Carlo tasks read: they take trial 17's models,
+    which the per-setting readers of trial 17 drew.  Nothing outlives the
     run."""
-    real_inputs, real_mc = wslrr.verify._scenario_trial_inputs, wslrr.verify.verify_mc_consistency
-    drawn, joints, alive_at_mc = [], {}, []
+    real_inputs, real_risk = wslrr.verify._scenario_trial_inputs, wslrr.verify._exact_risk
+    inputs, draws, alive_at_mc, reports = {}, {}, [], []
 
-    def inputs(name, cfg, trial):
-        out = real_inputs(name, cfg, trial)
-        drawn.append((name, trial))
-        joints[name, trial] = weakref.ref(out[1])
+    def track(kind, trial, K, draw):
+        if id(draw) not in draws or draws[id(draw)][1]() is not draw:
+            draws[id(draw)] = (kind, trial, K), weakref.ref(draw)
+
+    def tracked_inputs(cfg, table, name, trial, K, nx):
+        out = real_inputs(cfg, table, name, trial, K, nx)
+        assert (name, trial, K, nx) not in inputs
+        inputs[name, trial, K, nx] = weakref.ref(out[0])  # each input has its own spec
+        for draw in table["joints", trial, K, nx].values():  # the candidates, and the loss tables made so far
+            if isinstance(draw, FiniteJoint):
+                track("joint", trial, draw.K, draw)
+        for model in table["models", trial].values():
+            track("model", trial, model.weights.shape[0], model)
         return out
 
-    def mc_consistency(name, cfg, n=0):
-        if not alive_at_mc:
+    def exact_risk(ls, model, j):
+        out = real_risk(ls, model, j)
+        track("loss table", draws[id(j)][0][1], j.K, out[0])
+        return out
+
+    def alive(refs):
+        return {key for key, ref in refs if ref() is not None}
+
+    monkeypatch.setattr(wslrr.verify, "_scenario_trial_inputs", tracked_inputs)
+    monkeypatch.setattr(wslrr.verify, "_exact_risk", exact_risk)
+    for label, run in build_registry(VerifyConfig()):
+        if label.startswith("mc-consistency:") and not alive_at_mc:
             gc.collect()
-            alive_at_mc.append({key for key, ref in joints.items() if ref() is not None})
-        return real_mc(name, cfg, n)
+            alive_at_mc.append((alive(inputs.items()), alive(draws.values())))
+        out = run()
+        reports += out if isinstance(out, list) else [out]
+    del run
+    assert all(r.passed for r in reports)
+    mc_inputs = {(name, wslrr.verify.MC_TRIAL, 4, 6) for name in ("PU", "CL", "Soft")}
+    assert len(inputs.keys() - mc_inputs) == len(ALL_SCENARIO_NAMES + ABSTRACT_SCENARIO_NAMES) * 20 == 360
+    assert mc_inputs <= inputs.keys()
+    (inputs_at_mc, draws_at_mc), = alive_at_mc
+    assert {key[:2] for key in inputs_at_mc} == {(name, 3) for name in ALL_SCENARIO_NAMES}
+    assert len(inputs_at_mc) == len(ALL_SCENARIO_NAMES)
+    # trial 3 reads K = 2 + 3 % 3 = 2 for every setting; trial 17, K = 2 + 17 % 3 = 4, or 2 if binary
+    assert {(kind, trial) for kind, trial, _ in draws_at_mc if kind != "model"} == {("joint", 3), ("loss table", 3)}
+    assert {(trial, K) for kind, trial, K in draws_at_mc if kind == "model"} == {(3, 2), (17, 2), (17, 4)}
+    gc.collect()
+    assert alive(inputs.items()) == set() and alive(draws.values()) == set()
+
+
+def test_default_run_draws_each_joint_and_model_once(monkeypatch):
+    # the candidate streams and the model seeds depend on the trial, not on
+    # the setting, so the 18 settings of a trial share them: 54 joints (51
+    # trial candidates, the reduction graph's two and the pair checks' one)
+    # and 33 models, where drawing per setting took 412 and 378 calls
+    joints, models = [], []
+    real_joint, real_model = wslrr.verify.random_joint, wslrr.verify.init_model
+    monkeypatch.setattr(wslrr.verify, "random_joint", lambda *args: joints.append(args) or real_joint(*args))
+    monkeypatch.setattr(wslrr.verify, "init_model", lambda *args: models.append(args) or real_model(*args))
+    assert verify_all(VerifyConfig()).passed
+    assert len(joints) == len(set(joints)) == 54
+    assert len(models) == len(set(models)) == 33
+
+
+def test_shared_models_are_read_only(monkeypatch):
+    real_inputs, models = wslrr.verify._scenario_trial_inputs, []
+
+    def inputs(*args):
+        out = real_inputs(*args)
+        models.append(out[2])
+        return out
 
     monkeypatch.setattr(wslrr.verify, "_scenario_trial_inputs", inputs)
-    monkeypatch.setattr(wslrr.verify, "verify_mc_consistency", mc_consistency)
-    cfg = VerifyConfig()
+    assert verify_all(VerifyConfig(trials=2, mc_samples=2000)).passed
+    # two trials of every setting, PCPL at trial 2, CL and MCL at 4, the
+    # gradient checks at 3 and the Monte-Carlo inputs
+    assert len(models) == 18 * 2 + 1 + 2 + 15 + 3
+    for model in models:
+        assert not model.weights.flags.writeable and not model.bias.flags.writeable
+        with pytest.raises(ValueError):
+            model.bias[0] = 0.0
+
+
+def _bits(a) -> tuple:
+    a = np.asarray(a)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def test_shared_draws_equal_fresh_draws(monkeypatch):
+    """Every registry input equals the one scenario_joint, make_spec and
+    seeded_model draw afresh, array for array, and every risk-equality report
+    equals verify_risk_equality's on the fresh inputs, bit for bit."""
+    cfg = VerifyConfig(trials=7, nx=5)
+    real_inputs, real_equality = wslrr.verify._scenario_trial_inputs, wslrr.verify._risk_equality
+    built, equality = {}, []
+
+    def inputs(cfg_, table, *key):
+        built[key] = real_inputs(cfg_, table, *key)
+        return built[key]
+
+    def risk_equality(spec, *args, **kwargs):
+        equality.append((spec, real_equality(spec, *args, **kwargs)))
+        return equality[-1][1]
+
+    monkeypatch.setattr(wslrr.verify, "_scenario_trial_inputs", inputs)
+    monkeypatch.setattr(wslrr.verify, "_risk_equality", risk_equality)
     assert verify_all(cfg).passed
-    assert len(drawn) == len(set(drawn)) == len(ALL_SCENARIO_NAMES + ABSTRACT_SCENARIO_NAMES) * 20 == 360
-    assert alive_at_mc == [{(name, 3) for name in ALL_SCENARIO_NAMES}]
-    gc.collect()
-    assert all(ref() is None for ref in joints.values())
+    monkeypatch.undo()
+    assert len(built) == 18 * 7 + 3 and len(equality) == 18 * 7
+    fresh = {}
+    for key, (spec, j, model, _) in built.items():
+        name, trial, K, nx = key
+        mc = name in ("PU", "CL", "Soft") and trial == wslrr.verify.MC_TRIAL
+        assert (K, nx) == ((cfg.K, cfg.nx) if mc else (2 + trial % min(4, cfg.K - 1), 3 + trial % 6))
+        fj = scenario_joint(name, K, nx, cfg.d_feat, cfg.seed, trial)
+        fspec, fmodel = make_spec(name, fj, cfg.seed, trial), seeded_model(fj, cfg.seed, trial)
+        fresh[id(spec)] = fspec, fj, fmodel
+        assert j.K == fj.K and _bits(j.joint) == _bits(fj.joint) and _bits(j.features) == _bits(fj.features)
+        assert specs_equal(spec, fspec)
+        assert _bits(model.weights) == _bits(fmodel.weights) and _bits(model.bias) == _bits(fmodel.bias)
+    for spec, report in equality:
+        want = verify_risk_equality(*fresh[id(spec)], LOGISTIC, seed=cfg.seed).to_dict()
+        got = report.to_dict()
+        assert got.pop("elapsed") >= 0.0 and want.pop("elapsed") >= 0.0
+        assert got == want and _bits(got["max_abs_err"]) == _bits(want["max_abs_err"])
 
 
 def test_mc_consistency_frees_its_estimator_terms_before_the_rerun(monkeypatch):
@@ -316,8 +422,8 @@ def test_gradient_check_matches_one_parameter_at_a_time(name):
     """The batched central differences agree with differences taken one
     parameter at a time through ``weighted_loss``."""
     spec, j, ds = _gradient_inputs(name)
-    rep = verify_gradient_check(spec, j, ds, LOGISTIC, seed=7)
     model = seeded_model(j, 7, 3)
+    rep = verify_gradient_check(spec, j, model, ds, LOGISTIC, seed=7)
     dW, db = wslrr.verify.empirical_gradient(ds, spec, model, LOGISTIC, j)
     W = wslrr.verify.weight_table(ds, spec, j)
     theta = np.concatenate([model.weights.ravel(), model.bias])
@@ -327,7 +433,7 @@ def test_gradient_check_matches_one_parameter_at_a_time(name):
         for sign in (1.0, -1.0):
             t = theta.copy()
             t[ix] += sign * eps
-            risks.append(wslrr.verify.weighted_loss(
+            risks.append(weighted_loss(
                 W, LinearModel(t[:n_w].reshape(model.weights.shape), t[n_w:]), LOGISTIC, j))
         numeric = (risks[0] - risks[1]) / (2.0 * eps)
         err = max(err, abs(numeric - analytic[ix]) / max(1.0, abs(numeric), abs(analytic[ix])))
@@ -345,5 +451,5 @@ def test_gradient_check_fails_on_a_perturbed_gradient(name, part, monkeypatch):
         return (dW + 1e-3, db) if part == "weights" else (dW, db + 1e-3)
 
     monkeypatch.setattr(wslrr.verify, "empirical_gradient", perturbed)
-    rep = verify_gradient_check(spec, j, ds, LOGISTIC, seed=7)
+    rep = verify_gradient_check(spec, j, seeded_model(j, 7, 3), ds, LOGISTIC, seed=7)
     assert not rep.passed and rep.max_abs_err >= 1e-4
