@@ -25,6 +25,7 @@ from .verify import (
     TOL_MATRIX,
     TOL_RISK,
     AggregateReport,
+    CheckInput,
     VerifyConfig,
     seeded_model,
     verify_all,
@@ -94,8 +95,7 @@ def cmd_verify(args) -> int:
     checks = [
         verify_formulation(spec, joint, tol=tol_matrix, seed=args.seed),
         verify_reconstruction(spec, joint, tol=tol_matrix, seed=args.seed),
-        verify_risk_equality(spec, joint, model, LossSpec("logistic"),
-                             tol=tol_risk, seed=args.seed),
+        verify_risk_equality(CheckInput(spec, joint, model), tol=tol_risk, seed=args.seed),
     ]
     report = AggregateReport(seed=args.seed, checks=tuple(checks),
                              passed=all(c.passed for c in checks))

@@ -488,17 +488,17 @@ def specs_equal(a: ScenarioSpec, b: ScenarioSpec) -> bool:
 # Compound labels
 # ---------------------------------------------------------------------------
 
-def compound_label_space(K: int, k_max: int = K_MAX_DEFAULT) -> tuple:
+def compound_label_space(K: int) -> tuple:
     """All nonempty strict subsets of {1..K}, ordered by (size, lexicographic).
 
     The order is the canonical row index for every compound-label matrix in
-    this package.  Raises KTooLarge when K exceeds ``k_max`` (the channel
-    count grows as 2^K - 2).
+    this package.  Raises KTooLarge when K exceeds :data:`K_MAX_DEFAULT`
+    (the channel count grows as 2^K - 2).
     """
     if K < 2:
         raise ShapeMismatch(f"K must be >= 2, got {K}")
-    if K > k_max:
-        raise KTooLarge(f"K={K} exceeds the compound-label cap k_max={k_max}")
+    if K > K_MAX_DEFAULT:
+        raise KTooLarge(f"K={K} exceeds the compound-label cap {K_MAX_DEFAULT}")
     out = []
     for d in range(1, K):
         out.extend(itertools.combinations(range(1, K + 1), d))
@@ -741,7 +741,7 @@ def pair_distribution(spec: ScenarioSpec, j: FiniteJoint, channel: Optional[str]
 
 @dataclass(frozen=True, eq=False)
 class Reduction:
-    """One edge of the reduction graph.
+    """One edge of the reduction graph, for the child spec it was made from.
 
     ``assignments`` records how the parent's parameters realize the child.
     ``row_map`` (child row -> parent row) handles the edges where the child
@@ -752,96 +752,73 @@ class Reduction:
     the super-class probability as the constant 1), ``parent_matrix`` builds
     its (n_x, K, K) stack from the marginals directly.
     """
-    parent_name: str
-    child_name: str
-    child: ScenarioSpec
     assignments: dict
     parent: Optional[ScenarioSpec] = None
     row_map: Optional[np.ndarray] = None
     parent_matrix: Optional[Callable] = None  # m -> (n_x, K, K) stack
 
 
+# Each child has exactly one parent, so an edge is named by its child.
 REDUCTION_EDGES = (
-    ("UU", "PU"), ("UU", "SU"), ("UU", "DU"), ("UU", "SD"), ("UU", "Pcomp"), ("UU", "MCD"),
+    ("UU", "MCD"), ("UU", "PU"), ("UU", "SU"), ("UU", "DU"), ("UU", "SD"), ("UU", "Pcomp"),
     ("GCCN", "CCN"), ("GCCN", "PPL"), ("PPL", "PCPL"), ("PPL", "MCL"), ("MCL", "CL"),
     ("SubConf", "SCConf"), ("SCConf", "Pconf"), ("SubConf", "Soft"),
 )
+_PARENT = {child: parent for parent, child in REDUCTION_EDGES}
 
 
-def _spec_name(spec_or_name) -> str:
-    if isinstance(spec_or_name, str):
-        return spec_or_name
-    return spec_or_name.name
+def reduce_spec(child: ScenarioSpec, m: Marginals) -> Reduction:
+    """Parameter assignments realizing ``child`` as a special case of its
+    parent on the reduction graph, the one :data:`REDUCTION_EDGES` names.
 
-
-def reduce_spec(parent, child, m: Marginals) -> Reduction:
-    """Parameter assignments realizing ``child`` as a special case of ``parent``.
-
-    ``parent``/``child`` may be specs or names; specs are required where the
-    edge depends on their parameters (UU -> MCD needs the UU rates, GCCN ->
-    PPL needs the child's weight table, PPL -> MCL the child's size law).
-    Raises NotAnEdge for pairs outside the graph.
+    The child's parameters carry over where the edge depends on them (an
+    MCD's rates are the UU rates, a PPL's weight table fixes GCCN's channel
+    law, an MCL's size law fixes PPL's weights).  Raises NotAnEdge for a
+    root of the graph or a setting outside it.
     """
-    pname, cname = _spec_name(parent), _spec_name(child)
-    if (pname, cname) not in REDUCTION_EDGES:
-        raise NotAnEdge(f"{pname} -> {cname} is not on the reduction graph")
+    cname = child.name
+    if cname not in _PARENT:
+        raise NotAnEdge(f"{cname} is not the child of an edge of the reduction graph")
+    pname = _PARENT[cname]
     K, n_x = m.K, m.n_x
 
     if pname == "UU":
         if K != 2:
             raise NotBinary("the UU family is binary")
         if cname == "MCD":
-            if isinstance(parent, str):
-                raise ValidationError("UU -> MCD needs the parent UU spec (its rates carry over)")
-            child_spec = MCD(gamma_p=parent.gamma_1, gamma_n=parent.gamma_2)
-            return Reduction("UU", "MCD", child_spec,
-                             {"gamma_p": parent.gamma_1, "gamma_n": parent.gamma_2},
-                             parent=parent)
-        child_spec = child if not isinstance(child, str) else SCENARIO_TYPES[cname]()
+            return Reduction({"gamma_p": child.gamma_p, "gamma_n": child.gamma_n},
+                             parent=UU(gamma_1=child.gamma_p, gamma_2=child.gamma_n))
         # the UU rates are the child's off-diagonal mixture entries
-        g1, g2 = child_spec.matrix(m)[[0, 1], [1, 0]].tolist()
-        return Reduction("UU", cname, child_spec, {"gamma_1": g1, "gamma_2": g2},
-                         parent=UU(gamma_1=g1, gamma_2=g2))
+        g1, g2 = child.matrix(m)[[0, 1], [1, 0]].tolist()
+        return Reduction({"gamma_1": g1, "gamma_2": g2}, parent=UU(gamma_1=g1, gamma_2=g2))
 
     if pname == "GCCN":
-        if isinstance(child, str):
-            raise ValidationError(f"GCCN -> {cname} needs the child spec (its channel law carries over)")
         if cname == "CCN":
-            cond = np.array(child.flip, dtype=np.float64)
-            return Reduction("GCCN", "CCN", child, {"cond": "label-flip probabilities"},
-                             parent=GCCN(cond=cond))
-        cond = child.tensor(m)
-        return Reduction("GCCN", "PPL", child, {"cond": "C(s, x) on labels containing the class"},
-                         parent=GCCN(cond=cond))
+            return Reduction({"cond": "label-flip probabilities"},
+                             parent=GCCN(cond=np.array(child.flip, dtype=np.float64)))
+        return Reduction({"cond": "C(s, x) on labels containing the class"}, parent=GCCN(cond=child.tensor(m)))
 
     if pname == "PPL":
         n_s = len(compound_label_space(K))
         if cname == "PCPL":
             w = 1.0 / (2 ** (K - 1) - 1)
-            return Reduction("PPL", "PCPL", PCPL(), {"C": w},
-                             parent=PPL(C=np.full((n_s, n_x), w)))
-        if isinstance(child, str):
-            raise ValidationError("PPL -> MCL needs the child MCL spec (its size law fixes C)")
+            return Reduction({"C": w}, parent=PPL(C=np.full((n_s, n_x), w)))
         space = compound_label_space(K)
         # child row for an excluded set equals the parent row of its complement, so the
         # complement's weight is the scale of the child's row (its largest entry)
         row_map = np.array([space.index(tuple(sorted(set(range(1, K + 1)) - set(s)))) for s in space])
         c_table = np.empty((n_s, n_x))
         c_table[row_map] = child.matrix(m).max(axis=1)[:, None]
-        return Reduction("PPL", "MCL", child,
-                         {"C": "q over complement sizes divided by binomial(K-1, |s|-1)"},
+        return Reduction({"C": "q over complement sizes divided by binomial(K-1, |s|-1)"},
                          parent=PPL(C=c_table), row_map=row_map)
 
     if pname == "MCL":
         q = tuple([1.0] + [0.0] * (K - 2))
-        return Reduction("MCL", "CL", CL(), {"q": q}, parent=MCL(q=q), row_map=np.arange(K))
+        return Reduction({"q": q}, parent=MCL(q=q), row_map=np.arange(K))
 
-    if pname == "SubConf":
-        if cname == "SCConf":
-            child_spec = child if not isinstance(child, str) else SCConf(y_s=1)
-            return Reduction("SubConf", "SCConf", child_spec, {"Y_s": (child_spec.y_s,)},
-                             parent=SubConf(Y_s=(child_spec.y_s,)))
-        # Soft: the super-class covers every class, so its probability is 1
+    if cname == "SCConf":
+        return Reduction({"Y_s": (child.y_s,)}, parent=SubConf(Y_s=(child.y_s,)))
+    if cname == "Soft":  # the super-class covers every class, so its probability is 1
         def full_set_matrix(mm: Marginals) -> np.ndarray:
             r = mm.class_probabilities
             zero = np.any(r <= 0.0, axis=0)
@@ -849,15 +826,12 @@ def reduce_spec(parent, child, m: Marginals) -> Reduction:
                 raise ZeroConfidence(f"instance {int(np.argmax(zero))} has zero class probabilities")
             return _diagonal_stack(1.0 / r)
 
-        return Reduction("SubConf", "Soft", Soft(), {"Y_s": "all classes (super-class probability 1)"},
-                         parent_matrix=full_set_matrix)
-
-    if pname == "SCConf":
+        return Reduction({"Y_s": "all classes (super-class probability 1)"}, parent_matrix=full_set_matrix)
+    if cname == "Pconf":
         if K != 2:
             raise NotBinary("SCConf -> Pconf requires K=2")
-        return Reduction("SCConf", "Pconf", Pconf(), {"y_s": 1}, parent=SCConf(y_s=1))
-
-    raise NotAnEdge(f"{pname} -> {cname} is not on the reduction graph")
+        return Reduction({"y_s": 1}, parent=SCConf(y_s=1))
+    raise NotAnEdge(f"{pname} -> {cname} has no reduction")
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,12 +134,27 @@ def model_to_json(model: LinearModel) -> str:
     )
 
 
+def _finite_numbers(value, shape: tuple) -> bool:
+    """Whether a parsed JSON value is nested lists of ``shape`` holding finite
+    numbers; booleans, and integers beyond the float range, are not."""
+    if not shape:
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max  # exact for ints
+    return isinstance(value, list) and len(value) == shape[0] and all(
+        _finite_numbers(v, shape[1:]) for v in value)
+
+
 def model_from_json(text: str) -> LinearModel:
+    """The model a JSON text describes.  Raises SchemaMismatch unless K >= 2
+    and d >= 1 are integers and the weights and bias are finite numbers of
+    shapes (K, d) and (K,), as :func:`init_model` builds them."""
     raw = parse_json(text, "model JSON")
     if not isinstance(raw, dict) or not {"K", "d", "weights", "bias"} <= raw.keys():
         raise SchemaMismatch('model JSON needs keys "K", "d", "weights", "bias"')
-    w = np.asarray(raw["weights"], dtype=np.float64)
-    b = np.asarray(raw["bias"], dtype=np.float64)
-    if w.shape != (raw["K"], raw["d"]) or b.shape != (raw["K"],):
-        raise SchemaMismatch(f"model arrays do not match K={raw['K']}, d={raw['d']}")
+    K, d = raw["K"], raw["d"]
+    if type(K) is not int or type(d) is not int or K < 2 or d < 1:
+        raise SchemaMismatch(f"model K and d must be integers >= 2 and >= 1, got K={K!r}, d={d!r}")
+    if not (_finite_numbers(raw["weights"], (K, d)) and _finite_numbers(raw["bias"], (K,))):
+        raise SchemaMismatch(f"model weights and bias must be finite numbers of shapes ({K}, {d}) and ({K},)")
+    w = np.array(raw["weights"], dtype=np.float64)
+    b = np.array(raw["bias"], dtype=np.float64)
     return LinearModel(weights=w, bias=b)

@@ -12,7 +12,7 @@ import json
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,10 +58,10 @@ from .scenarios import (
     PPL,
     PU,
     Pcomp,
+    REDUCTION_EDGES,
     SCENARIO_TYPES,
     SCConf,
     SU,
-    Sconf,
     SubConf,
     DU,
     UU,
@@ -74,6 +74,7 @@ from .scenarios import (
     _sconf_confidences,
 )
 from .train import (
+    LinearModel,
     TrainConfig,
     empirical_gradient,
     init_model,
@@ -92,6 +93,10 @@ MC_SIGMAS = 5.0
 # falls below rounding (one instance); pairwise sums of 1e5 draws lose ~log2(1e5)
 MC_ROUNDING = 16.0
 MC_TRIAL = 17  # the trial whose inputs the Monte-Carlo checks draw
+PAIR_FUNCTIONS = 10  # the seeded test functions h whose means the pair laws must agree on
+MCL_MAX_K = 6  # the blockwise inverse is checked at every class count up to this
+GRADIENT_EPS = 1e-6  # the central-difference step
+ERM_AGREEMENT = 0.95  # the least share of instances on which PU training matches supervised
 _LOGISTIC = LossSpec("logistic")
 
 ALL_SCENARIO_NAMES = CONCRETE_SCENARIOS
@@ -287,11 +292,28 @@ def seeded_model(j: FiniteJoint, seed: int, trial: int):
     return model
 
 
-def _exact_risk(ls: LossSpec, model, j: FiniteJoint) -> tuple:
-    """(the (n_x, K) loss table, the exact risk) of a model on a joint,
-    summed as ``weighted_loss`` sums it."""
-    losses = _loss_table(ls, _check_scores(score_matrix(model, j)))
+def _exact_risk(model, j: FiniteJoint) -> tuple:
+    """(the (n_x, K) logistic loss table, the exact risk) of a model on a
+    joint, summed as ``weighted_loss`` sums it."""
+    losses = _loss_table(_LOGISTIC, _check_scores(score_matrix(model, j)))
     return losses, float((j.joint.T * losses).sum())
+
+
+@dataclass(frozen=True, eq=False)
+class CheckInput:
+    """A setting's input to the checks: its spec, joint and model.  The
+    model's logistic loss table on the joint and the exact risk it sums to,
+    ``exact``, are made on first read, so a scoring error fails only the
+    check reading them, and kept by joint in ``shared``: the harness passes
+    one table per input shape, so the settings of one joint share them."""
+    spec: ScenarioSpec
+    j: FiniteJoint
+    model: LinearModel
+    shared: dict = field(default_factory=dict)
+
+    @property
+    def exact(self) -> tuple:
+        return _memo(self.shared, self.j, lambda: _exact_risk(self.model, self.j))
 
 
 # ---------------------------------------------------------------------------
@@ -326,56 +348,48 @@ def verify_formulation(spec: ScenarioSpec, j: FiniteJoint, tol: float = TOL_MATR
     return _guarded("formulation", spec.name, {}, tol, seed, body)
 
 
-def _sconf_block_identity_error(spec: Sconf, j: FiniteJoint) -> float:
-    """Finite analog of the pair decontamination identity: summing the
-    diagonal decontamination against the prior-unscaled pair matrices over
-    the second argument gives the identity at every x."""
-    m = compute_marginals(j)
-    cm = observed_distribution(spec, j)
-    dr = decontaminate(spec, j, method=METHOD_SCONF)
-    acc = (dr.pair_matrices @ np.diag(1.0 / m.priors) @ cm.pair_matrix).sum(axis=1)
-    return float(np.max(np.abs(acc - np.eye(2))))
-
-
 def verify_reconstruction(spec: ScenarioSpec, j: FiniteJoint, tol: float = TOL_MATRIX,
                           method: str = "auto", seed: int = 0) -> CheckReport:
     """Decontamination times observed masses returns the joint column at
-    every instance (for Sconf, the pair identity)."""
-    if spec.family == FAMILY_SCONF:
-        return _guarded(f"reconstruction[{METHOD_SCONF}]", spec.name, {}, tol, seed,
-                        lambda: _sconf_block_identity_error(spec, j))
-    resolved = spec.method if method == "auto" else method
+    every instance.  For Sconf, its finite analog of the pair identity:
+    summing the diagonal decontamination against the prior-unscaled pair
+    matrices over the second argument gives the identity at every x."""
+    sconf = spec.family == FAMILY_SCONF
+    resolved = spec.method if method == "auto" or sconf else method  # Sconf has one method
 
-    return _guarded(f"reconstruction[{resolved}]", spec.name, {}, tol, seed,
-                    lambda: float(np.max(np.abs(rewrite_table(spec, j, resolved) - j.joint.T))))
+    def body():
+        if not sconf:
+            return float(np.max(np.abs(rewrite_table(spec, j, resolved) - j.joint.T)))
+        m = compute_marginals(j)
+        cm = observed_distribution(spec, j)
+        dr = decontaminate(spec, j, method=METHOD_SCONF)
+        acc = (dr.pair_matrices @ np.diag(1.0 / m.priors) @ cm.pair_matrix).sum(axis=1)
+        return float(np.max(np.abs(acc - np.eye(2))))
+
+    return _guarded(f"reconstruction[{resolved}]", spec.name, {}, tol, seed, body)
 
 
-def verify_risk_equality(spec: ScenarioSpec, j: FiniteJoint, model, ls: LossSpec,
-                         tol: float = TOL_RISK, method: str = "auto",
-                         flip_sign: bool = False, seed: int = 0) -> CheckReport:
-    """|rewritten risk - exact risk| under the scenario's default method.
+def verify_risk_equality(inp: CheckInput, tol: float = TOL_RISK, flip_sign: bool = False,
+                         seed: int = 0) -> CheckReport:
+    """|rewritten risk - exact risk| of the input's model under the logistic
+    loss, by the scenario's default method.
 
     ``flip_sign`` is the mutation hook: it negates class 1's column of the
     rewrite table, which must break the equality (used to prove the harness
     can fail)."""
-    return _risk_equality(spec, j, lambda: _exact_risk(ls, model, j), ls.name, tol, method, flip_sign, seed)
-
-
-def _risk_equality(spec, j, risk, loss: str, tol=TOL_RISK, method="auto", flip_sign=False, seed=0):
-    """:func:`verify_risk_equality` given ``risk()``, the pair of :func:`_exact_risk`."""
 
     def body():
-        losses, exact = risk()
-        table = rewrite_table(spec, j, method)
+        losses, exact = inp.exact
+        table = rewrite_table(inp.spec, inp.j)
         if flip_sign:
             table[:, 0] = -table[:, 0]
         return abs(float((table * losses).sum()) - exact)
 
-    return _guarded("risk-equality", spec.name, {"loss": loss}, tol, seed, body)
+    return _guarded("risk-equality", inp.spec.name, {"loss": _LOGISTIC.name}, tol, seed, body)
 
 
 def verify_closed_form(spec: ScenarioSpec, j: FiniteJoint, model, ls: LossSpec,
-                       tol: float = TOL_MATRIX, seed: int = 0) -> CheckReport:
+                       seed: int = 0) -> CheckReport:
     """Hand-coded corrected losses match the generic matrix product."""
     t0 = time.perf_counter()
     m = compute_marginals(j)
@@ -394,24 +408,26 @@ def verify_closed_form(spec: ScenarioSpec, j: FiniteJoint, model, ls: LossSpec,
             closed = closed_form_corrected_loss(spec, m, i, lam[:, i])
             generic = lam[:, i] @ dr.matrices[i]
             err = max(err, float(np.max(np.abs(closed - generic))))
-    return _report("closed-form", spec.name, {"loss": ls.name}, err, tol, seed, t0)
+    return _report("closed-form", spec.name, {"loss": ls.name}, err, TOL_MATRIX, seed, t0)
 
 
-def verify_reduction_graph(j: FiniteJoint, tol: float = TOL_REDUCTION,
-                           seed: int = 0) -> list:
-    """Every edge of the reduction graph: the child matrix equals the parent
-    matrix under the recorded assignments (modulo the documented row
-    relabelings)."""
-    K, nx = j.K, j.n_x
+def verify_reduction_graph(j: FiniteJoint, seed: int = 0) -> list:
+    """Every edge of the reduction graph, in :data:`REDUCTION_EDGES` order:
+    the child matrix equals the parent matrix under the recorded
+    assignments (modulo the documented row relabelings).  A binary-only
+    child is checked on a binary joint."""
+    binary_j = random_joint(2, j.n_x, j.d_feat, seed, 4242) if j.K != 2 else j
+    # the children that carry parameters (CCN's flips read only n_x); the others take none
+    children = {"MCD": MCD(gamma_p=0.2, gamma_n=0.3), "SCConf": SCConf(y_s=min(2, j.K)),
+                **{name: make_spec(name, j, seed, 0) for name in ("CCN", "PPL", "MCL")}}
     reports = []
-    binary_j = random_joint(2, nx, j.d_feat, seed, 4242) if K != 2 else j
-
-    def check(parent, child, binary: bool):
+    for parent, name in REDUCTION_EDGES:
         t0 = time.perf_counter()
-        jj = binary_j if binary else j
+        child = children[name] if name in children else SCENARIO_TYPES[name]()
+        jj = binary_j if child.binary_only else j
         mm = compute_marginals(jj)
-        red = reduce_spec(parent, child, mm)
-        child_mats = observed_distribution(red.child, jj).matrix
+        red = reduce_spec(child, mm)
+        child_mats = observed_distribution(child, jj).matrix
         parent_mats = (red.parent_matrix(mm) if red.parent_matrix is not None
                        else observed_distribution(red.parent, jj).matrix)
         rows = red.row_map if red.row_map is not None else np.arange(child_mats.shape[1])
@@ -420,20 +436,7 @@ def verify_reduction_graph(j: FiniteJoint, tol: float = TOL_REDUCTION,
         err = max(err, float(np.max(np.abs(np.delete(parent_mats, rows, axis=1)), initial=0.0)))
         assignments = {k: (v if isinstance(v, (int, float, str)) else str(v))
                        for k, v in red.assignments.items()}
-        reports.append(_report(f"reduction[{red.parent_name}->{red.child_name}]",
-                               red.child_name, assignments, err, tol, seed, t0))
-
-    check(UU(gamma_1=0.2, gamma_2=0.3), "MCD", binary=True)
-    for child in ("PU", "SU", "DU", "SD", "Pcomp"):
-        check("UU", child, binary=True)
-    check("GCCN", make_spec("CCN", j, seed, 0), binary=True)  # the flips read only n_x
-    check("GCCN", make_spec("PPL", j, seed, 0), binary=False)
-    check("PPL", "PCPL", binary=False)
-    check("PPL", make_spec("MCL", j, seed, 0), binary=False)
-    check("MCL", "CL", binary=False)
-    check("SubConf", SCConf(y_s=min(2, K)), binary=False)
-    check("SCConf", "Pconf", binary=True)
-    check("SubConf", "Soft", binary=False)
+        reports.append(_report(f"reduction[{parent}->{name}]", name, assignments, err, TOL_REDUCTION, seed, t0))
     return reports
 
 
@@ -450,7 +453,8 @@ def verify_worked_example(seed: int = 0) -> CheckReport:
     p /= p.sum()
     j = validate_joint(K, [[0.0]], (p / p.sum()).reshape(K, 1))
 
-    mat = observed_distribution(spec, j).matrix[0]
+    cm = observed_distribution(spec, j)
+    mat = cm.matrix[0]
     expect = (np.ones((K, K)) - np.eye(K)) / 3.0
     err = max(err, float(np.max(np.abs(mat - expect))))
 
@@ -460,7 +464,6 @@ def verify_worked_example(seed: int = 0) -> CheckReport:
     err = max(err, float(np.max(np.abs(inv @ mat @ j.joint[:, 0] - j.joint[:, 0]))))
 
     dr = decontaminate(spec, j, method=METHOD_MARGINAL_CHAIN)
-    cm = observed_distribution(spec, j)
     err = max(err, float(np.max(np.abs(dr.matrices[0] @ cm.observed[0] - j.joint[:, 0]))))
 
     uniform = validate_joint(K, [[0.0]], np.full((K, 1), 0.25))
@@ -471,8 +474,7 @@ def verify_worked_example(seed: int = 0) -> CheckReport:
     return _report("worked-example[CL-K4]", "CL", {}, err, TOL_WORKED, seed, t0)
 
 
-def verify_pair_symmetry(j: FiniteJoint, tol: float = TOL_MATRIX, seed: int = 0,
-                         n_funcs: int = 10) -> list:
+def verify_pair_symmetry(j: FiniteJoint, seed: int = 0) -> list:
     """E[h(X)] equals E[h(X')] under the similar and dissimilar pair laws,
     and the pair marginals match the pointwise channel rows."""
     reports = []
@@ -481,7 +483,7 @@ def verify_pair_symmetry(j: FiniteJoint, tol: float = TOL_MATRIX, seed: int = 0,
         t0 = time.perf_counter()
         q = pair_distribution(spec, j, channel=name).matrix
         err = 0.0
-        for t in range(n_funcs):
+        for t in range(PAIR_FUNCTIONS):
             h = philox_uniforms(seed, 300 + t, j.n_x) * 2.0 - 1.0
             left = float(np.sum(q * h[:, None]))
             right = float(np.sum(q * h[None, :]))
@@ -489,7 +491,7 @@ def verify_pair_symmetry(j: FiniteJoint, tol: float = TOL_MATRIX, seed: int = 0,
         row = observed_distribution(spec, j).matrix[0, 0]  # the pair channel's pointwise row
         tilde = row @ m.class_conditionals
         err = max(err, float(np.max(np.abs(q.sum(axis=1) - tilde))))
-        reports.append(_report(f"pair-symmetry[{name}]", spec.name, {}, err, tol, seed, t0))
+        reports.append(_report(f"pair-symmetry[{name}]", spec.name, {}, err, TOL_MATRIX, seed, t0))
 
     t0 = time.perf_counter()
     q = pair_distribution(Pcomp(), j, channel="PC").matrix
@@ -498,12 +500,11 @@ def verify_pair_symmetry(j: FiniteJoint, tol: float = TOL_MATRIX, seed: int = 0,
     inf = mat[1] @ m.class_conditionals
     err = float(np.max(np.abs(q.sum(axis=1) - sup)))
     err = max(err, float(np.max(np.abs(q.sum(axis=0) - inf))))
-    reports.append(_report("pair-marginals[Pcomp]", "Pcomp", {}, err, tol, seed, t0))
+    reports.append(_report("pair-marginals[Pcomp]", "Pcomp", {}, err, TOL_MATRIX, seed, t0))
     return reports
 
 
-def verify_pcpl_half_identity(j: FiniteJoint, model, ls: LossSpec,
-                              tol: float = TOL_MATRIX, seed: int = 0) -> CheckReport:
+def verify_pcpl_half_identity(j: FiniteJoint, model, ls: LossSpec, seed: int = 0) -> CheckReport:
     """The partial-label expectation equals half the expectation of the full
     confidence-weighted loss sum."""
     t0 = time.perf_counter()
@@ -516,30 +517,30 @@ def verify_pcpl_half_identity(j: FiniteJoint, model, ls: LossSpec,
     den = (_member_mask(j.K) @ r).T  # super-class probability of each label at each x
     right = float(np.sum(0.5 * cm.observed * ((r * lam).sum(axis=0)[:, None] / den)))
     return _report("pcpl-half-identity", "PCPL", {"loss": ls.name}, abs(left - right),
-                   tol, seed, t0)
+                   TOL_MATRIX, seed, t0)
 
 
-def verify_mcl_blocks(max_K: int = 6, tol: float = TOL_MATRIX, seed: int = 0) -> CheckReport:
+def verify_mcl_blocks(seed: int = 0) -> CheckReport:
     """Blockwise inverse times forward block is the identity for every class
-    count up to ``max_K`` and every excluded-set size."""
+    count up to :data:`MCL_MAX_K` and every excluded-set size."""
     t0 = time.perf_counter()
     err = 0.0
-    for K in range(2, max_K + 1):
+    for K in range(2, MCL_MAX_K + 1):
         for d in range(1, K):
             prod = mcl_block_inverse(K, d) @ mcl_block(K, d)
             err = max(err, float(np.max(np.abs(prod - np.eye(K)))))
-    return _report("mcl-block-inverse", "MCL", {"max_K": max_K}, err, tol, seed, t0)
+    return _report("mcl-block-inverse", "MCL", {"max_K": MCL_MAX_K}, err, TOL_MATRIX, seed, t0)
 
 
 def verify_method_agreement(spec: ScenarioSpec, j: FiniteJoint, model, ls: LossSpec,
-                            tol: float = TOL_RISK, seed: int = 0) -> CheckReport:
+                            seed: int = 0) -> CheckReport:
     """The exact inverse of CL or MCL (:data:`EXACT_INVERSE`) and the marginal
     chain give the same rewritten risk."""
     t0 = time.perf_counter()
     a = rewritten_risk(spec, j, model, ls, method=EXACT_INVERSE[spec.name])
     b = rewritten_risk(spec, j, model, ls, method=METHOD_MARGINAL_CHAIN)
     return _report("method-agreement", spec.name, {"loss": ls.name}, abs(a - b),
-                   tol, seed, t0)
+                   TOL_RISK, seed, t0)
 
 
 def _estimator_spread(ds, spec: ScenarioSpec, j: FiniteJoint, lam: np.ndarray) -> tuple:
@@ -555,27 +556,28 @@ def _estimator_spread(ds, spec: ScenarioSpec, j: FiniteJoint, lam: np.ndarray) -
     return math.sqrt(var), abs_terms
 
 
-def verify_mc_consistency(name: str, cfg: VerifyConfig, n: int = 0) -> CheckReport:
-    """Monte-Carlo estimate within MC_SIGMAS standard errors of the exact
-    risk (or within the MC_ROUNDING floor), and bit-identical on a same-seed
-    rerun."""
-    return _mc_consistency(cfg, *_scenario_trial_inputs(cfg, {}, name, MC_TRIAL, cfg.K, cfg.nx), n)
+def verify_mc_consistency(name: str, cfg: VerifyConfig) -> CheckReport:
+    """Monte-Carlo estimate of ``cfg.mc_samples`` draws within MC_SIGMAS
+    standard errors of the exact risk (or within the MC_ROUNDING floor), and
+    bit-identical on a same-seed rerun, on the setting's input at MC_TRIAL:
+    the registry's mc-consistency task, run on its own."""
+    return _mc_consistency(cfg, _scenario_trial_inputs(cfg, {}, name, MC_TRIAL, cfg.K, cfg.nx))
 
 
-def _mc_consistency(cfg: VerifyConfig, spec: ScenarioSpec, j: FiniteJoint, model, risk, n: int = 0):
-    """:func:`verify_mc_consistency` on inputs already drawn (see :func:`_scenario_trial_inputs`)."""
+def _mc_consistency(cfg: VerifyConfig, inp: CheckInput) -> CheckReport:
+    """:func:`verify_mc_consistency` on an input already built."""
     t0 = time.perf_counter()
-    n = n or cfg.mc_samples
-    losses, exact = risk()
+    spec, j, n = inp.spec, inp.j, cfg.mc_samples
+    losses, exact = inp.exact
     ds = sample_weak_dataset(spec, j, n, seed=cfg.seed + 1000)
-    est = empirical_risk(ds, spec, model, _LOGISTIC, j)
+    est = empirical_risk(ds, spec, inp.model, _LOGISTIC, j)
 
     # in its own frame, so the per-draw terms are freed before the rerun draws as many again
     se, abs_terms = _estimator_spread(ds, spec, j, np.ascontiguousarray(losses.T))
     tol = max(MC_SIGMAS * se, MC_ROUNDING * np.finfo(np.float64).eps * abs_terms)
 
     ds2 = sample_weak_dataset(spec, j, n, seed=cfg.seed + 1000)
-    est2 = empirical_risk(ds2, spec, model, _LOGISTIC, j)
+    est2 = empirical_risk(ds2, spec, inp.model, _LOGISTIC, j)
     identical = datasets_equal(ds, ds2) and est == est2
 
     err = abs(est - exact) if identical else float("inf")
@@ -585,7 +587,6 @@ def _mc_consistency(cfg: VerifyConfig, spec: ScenarioSpec, j: FiniteJoint, model
 
 
 def verify_gradient_check(spec: ScenarioSpec, j: FiniteJoint, model, ds, ls: LossSpec,
-                          tol: float = TOL_GRADIENT, eps: float = 1e-6,
                           seed: int = 0) -> CheckReport:
     """Analytic gradient of the empirical corrected risk against central
     finite differences; error is relative with a unit floor.  The risk at
@@ -598,14 +599,14 @@ def verify_gradient_check(spec: ScenarioSpec, j: FiniteJoint, model, ds, ls: Los
     theta = np.concatenate([model.weights.ravel(), model.bias])
     analytic = np.concatenate([dW.ravel(), db])
     P, n_w = theta.size, model.weights.size
-    thetas = theta + eps * np.concatenate([np.eye(P), -np.eye(P)])  # each parameter up, then down
+    thetas = theta + GRADIENT_EPS * np.concatenate([np.eye(P), -np.eye(P)])  # each parameter up, then down
     weights = thetas[:, :n_w].reshape(2 * P, *model.weights.shape)
     scores = j.features @ weights.transpose(0, 2, 1) + thetas[:, None, n_w:]  # (2P, n_x, K)
     risks = (W * _loss_table(ls, scores)).sum(axis=(1, 2))
-    numeric = (risks[:P] - risks[P:]) / (2.0 * eps)
+    numeric = (risks[:P] - risks[P:]) / (2.0 * GRADIENT_EPS)
     err = np.abs(numeric - analytic) / np.maximum(1.0, np.maximum(np.abs(numeric), np.abs(analytic)))
-    return _report("gradient-check", spec.name, {"loss": ls.name, "eps": eps},
-                   err.max(), tol, seed, t0)
+    return _report("gradient-check", spec.name, {"loss": ls.name, "eps": GRADIENT_EPS},
+                   err.max(), TOL_GRADIENT, seed, t0)
 
 
 def separable_binary_joint(n_half: int = 20, seed: int = 7) -> FiniteJoint:
@@ -620,20 +621,19 @@ def separable_binary_joint(n_half: int = 20, seed: int = 7) -> FiniteJoint:
     return validate_joint(2, feats, joint)
 
 
-def verify_erm_sanity(seed: int = 7, agreement: float = 0.95) -> CheckReport:
+def verify_erm_sanity(seed: int = 7) -> CheckReport:
     """A model trained on positive-unlabeled data matches the fully
-    supervised one on at least ``agreement`` of the instances."""
+    supervised one on at least :data:`ERM_AGREEMENT` of the instances."""
     t0 = time.perf_counter()
     j = separable_binary_joint(seed=seed)
     spec = PU()
     ds = sample_weak_dataset(spec, j, {"P": 2000, "U": 2000}, seed=seed + 3)
     cfg = TrainConfig(learning_rate=0.2, epochs=300, seed=seed)
-    ls = LossSpec("logistic")
-    weak_model, _ = train_erm(ds, spec, ls, cfg, j)
-    full_model, _ = train_supervised_exact(j, ls, cfg)
+    weak_model, _ = train_erm(ds, spec, _LOGISTIC, cfg, j)
+    full_model, _ = train_supervised_exact(j, _LOGISTIC, cfg)
     agree = float(np.mean(predictions(weak_model, j) == predictions(full_model, j)))
     # reported error is the agreement shortfall
-    err = max(0.0, agreement - agree)
+    err = max(0.0, ERM_AGREEMENT - agree)
     return _report("erm-sanity[PU]", "PU", {"agreement": agree}, err, 0.0, seed, t0)
 
 
@@ -657,60 +657,68 @@ def _draw_keys(trial: int, K: int, nx: int) -> tuple:
     return ("joints", trial, K, nx), ("models", trial)
 
 
-def _scenario_trial_inputs(cfg: VerifyConfig, table: dict, name: str, trial: int, K: int, nx: int) -> tuple:
-    """(spec, joint, model, risk) of a setting at a trial, built from the
-    shared draws in ``table``: candidate joints by (K, stream) and models by K.
-    ``risk()`` is the joint's logistic :func:`_exact_risk`, kept with it."""
+def _scenario_trial_inputs(cfg: VerifyConfig, table: dict, name: str, trial: int, K: int,
+                           nx: int) -> CheckInput:
+    """The input of a setting at a trial, built from the shared draws in
+    ``table``: candidate joints by (K, stream), each kept with its logistic
+    loss table and exact risk once read, and models by K."""
     joints, models = (table.setdefault(key, {}) for key in _draw_keys(trial, K, nx))
     j = _first_admissible(name, K, trial, lambda K, stream: _memo(
         joints, (K, stream), lambda: random_joint(K, nx, cfg.d_feat, cfg.seed, stream)))
     model = _memo(models, j.K, lambda: seeded_model(j, cfg.seed, trial))
-    return (make_spec(name, j, cfg.seed, trial), j, model,
-            lambda: _memo(joints, j, lambda: _exact_risk(_LOGISTIC, model, j)))
+    return CheckInput(make_spec(name, j, cfg.seed, trial), j, model, joints)
+
+
+def _trial_shapes(cfg: VerifyConfig, trials) -> list:
+    """The (trial, K, n_x) of each trial's input."""
+    return [(t, 2 + t % min(4, cfg.K - 1), 3 + t % 6) for t in trials]
 
 
 _SETTINGS = ALL_SCENARIO_NAMES + ABSTRACT_SCENARIO_NAMES
-_EVERY_TRIAL, _FIRST_FIVE = slice(None), slice(5)  # of range(cfg.trials); other rows read fixed trials
-_MC_INPUT = "mc"  # the Monte-Carlo trial at the configured K and n_x
 _ONCE = ("",)  # the settings of a task that names none
+_NO_INPUT = lambda cfg: ()
+_EVERY_TRIAL = lambda cfg: _trial_shapes(cfg, range(cfg.trials))
+_FIRST_FIVE = lambda cfg: _trial_shapes(cfg, range(min(5, cfg.trials)))
 
 # The registry, one row per kind of task in report order: (task-name
-# template, settings, the trials it reads, check).  A row gives one task per
-# setting, named by the template formatted with the setting's entry, a name
-# or a (name, method) pair.  Trial t's input has K = 2 + t % min(4, cfg.K - 1)
-# and n_x = 3 + t % 6.  A check that reads inputs is called as check(cfg,
-# spec, j, model, risk, *rest) on each one, where rest is the entry after the
-# name, and its task reports the worst; one that reads none, as check(cfg, name).
+# template, settings, reads, check).  A row gives one task per setting,
+# named by the template formatted with the setting's entry, a name or a
+# (name, method) pair.  ``reads(cfg)`` lists the (trial, K, n_x) shapes of
+# the inputs each task reads.  A check that reads inputs is called as
+# check(cfg, inp, *rest) on each :class:`CheckInput`, where rest is the
+# entry after the name, and its task reports the worst; one that reads
+# none, as check(cfg).
 _REGISTRY = (
     ("formulation:{}", _SETTINGS, _FIRST_FIVE,
-     lambda cfg, spec, j, model, risk: verify_formulation(spec, j, seed=cfg.seed)),
+     lambda cfg, inp: verify_formulation(inp.spec, inp.j, seed=cfg.seed)),
     # each record's default method, and for CL and MCL also the exact inverse
     ("reconstruction:{}:{}",
      tuple((name, method) for name in _SETTINGS
            for method in (SCENARIO_TYPES[name].method, EXACT_INVERSE.get(name)) if method),
      _FIRST_FIVE,
-     lambda cfg, spec, j, model, risk, method: verify_reconstruction(spec, j, method=method, seed=cfg.seed)),
-    ("risk-equality:{}", _SETTINGS, _EVERY_TRIAL,
-     lambda cfg, spec, j, model, risk: _risk_equality(spec, j, risk, _LOGISTIC.name, seed=cfg.seed)),
+     lambda cfg, inp, method: verify_reconstruction(inp.spec, inp.j, method=method, seed=cfg.seed)),
+    ("risk-equality:{}", _SETTINGS, _EVERY_TRIAL, lambda cfg, inp: verify_risk_equality(inp, seed=cfg.seed)),
     ("closed-form:{}", tuple(n for n in ALL_SCENARIO_NAMES if n not in EXACT_INVERSE), _FIRST_FIVE,
-     lambda cfg, spec, j, model, risk: verify_closed_form(spec, j, model, _LOGISTIC, seed=cfg.seed)),
-    ("reduction-graph", _ONCE, (), lambda cfg, _: verify_reduction_graph(
+     lambda cfg, inp: verify_closed_form(inp.spec, inp.j, inp.model, _LOGISTIC, seed=cfg.seed)),
+    ("reduction-graph", _ONCE, _NO_INPUT, lambda cfg: verify_reduction_graph(
         random_joint(cfg.K, cfg.nx, cfg.d_feat, cfg.seed, 21), seed=cfg.seed)),
-    ("worked-example", _ONCE, (), lambda cfg, _: verify_worked_example(seed=cfg.seed)),
+    ("worked-example", _ONCE, _NO_INPUT, lambda cfg: verify_worked_example(seed=cfg.seed)),
     # scenario_joint's first draw for trial 5 (stream 5011), not held to SU's
     # prior-gap rule: the pair laws need no gap, and at large n_x few draws have one
-    ("pair-checks", _ONCE, (), lambda cfg, _: verify_pair_symmetry(
+    ("pair-checks", _ONCE, _NO_INPUT, lambda cfg: verify_pair_symmetry(
         random_joint(2, cfg.nx, cfg.d_feat, cfg.seed, 5011), seed=cfg.seed)),
-    ("pcpl-half-identity", ("PCPL",), (2,),
-     lambda cfg, spec, j, model, risk: verify_pcpl_half_identity(j, model, _LOGISTIC, seed=cfg.seed)),
-    ("mcl-block-inverse", _ONCE, (), lambda cfg, _: verify_mcl_blocks(seed=cfg.seed)),
-    ("method-agreement:{}", tuple(EXACT_INVERSE), (4,),
-     lambda cfg, spec, j, model, risk: verify_method_agreement(spec, j, model, _LOGISTIC, seed=cfg.seed)),
-    ("mc-consistency:{}", ("PU", "CL", "Soft"), _MC_INPUT, _mc_consistency),
+    ("pcpl-half-identity", ("PCPL",), lambda cfg: _trial_shapes(cfg, (2,)),
+     lambda cfg, inp: verify_pcpl_half_identity(inp.j, inp.model, _LOGISTIC, seed=cfg.seed)),
+    ("mcl-block-inverse", _ONCE, _NO_INPUT, lambda cfg: verify_mcl_blocks(seed=cfg.seed)),
+    ("method-agreement:{}", tuple(EXACT_INVERSE), lambda cfg: _trial_shapes(cfg, (4,)),
+     lambda cfg, inp: verify_method_agreement(inp.spec, inp.j, inp.model, _LOGISTIC, seed=cfg.seed)),
+    ("mc-consistency:{}", ("PU", "CL", "Soft"), lambda cfg: [(MC_TRIAL, cfg.K, cfg.nx)], _mc_consistency),
     # 40 draws per sampling channel
-    ("gradient-check:{}", ALL_SCENARIO_NAMES, (3,), lambda cfg, spec, j, model, risk: verify_gradient_check(
-        spec, j, model, sample_weak_dataset(spec, j, 40, seed=cfg.seed + 5), _LOGISTIC, seed=cfg.seed)),
-    ("erm-sanity", _ONCE, (), lambda cfg, _: verify_erm_sanity(seed=cfg.seed)),
+    ("gradient-check:{}", ALL_SCENARIO_NAMES, lambda cfg: _trial_shapes(cfg, (3,)),
+     lambda cfg, inp: verify_gradient_check(inp.spec, inp.j, inp.model,
+                                            sample_weak_dataset(inp.spec, inp.j, 40, seed=cfg.seed + 5),
+                                            _LOGISTIC, seed=cfg.seed)),
+    ("erm-sanity", _ONCE, _NO_INPUT, lambda cfg: verify_erm_sanity(seed=cfg.seed)),
 )
 
 
@@ -737,8 +745,8 @@ def build_registry(cfg: VerifyConfig) -> list:
             t0 = time.perf_counter()
             try:
                 if not keys:
-                    return check(cfg, name)
-                return _worst([check(cfg, *_memo(table, key, lambda: _scenario_trial_inputs(cfg, table, *key)),
+                    return check(cfg)
+                return _worst([check(cfg, _memo(table, key, lambda: _scenario_trial_inputs(cfg, table, *key)),
                                      *rest) for key in keys])
             except WslrrError as e:
                 return _failure(label, name, {}, 0.0, cfg.seed, t0, e)
@@ -750,9 +758,7 @@ def build_registry(cfg: VerifyConfig) -> list:
         return run
 
     for template, settings, reads, check in _REGISTRY:
-        shapes = [(MC_TRIAL, cfg.K, cfg.nx)] if reads == _MC_INPUT else [
-            (t, 2 + t % min(4, cfg.K - 1), 3 + t % 6)
-            for t in (range(cfg.trials)[reads] if isinstance(reads, slice) else reads)]
+        shapes = reads(cfg)
         for entry in settings:
             name, *rest = entry if isinstance(entry, tuple) else (entry,)
             keys = [(name, *shape) for shape in shapes]

@@ -119,7 +119,7 @@ def test_criterion_04_mcl_combinatorics():
 
 def test_criterion_05_pcpl_half_identity_and_ppl_closed_form():
     spec, j, model = _trial_inputs("PCPL", 3)
-    rep = verify_pcpl_half_identity(j, model, LOGISTIC, tol=1e-12, seed=CFG.seed)
+    rep = verify_pcpl_half_identity(j, model, LOGISTIC, seed=CFG.seed)
 
     pspec, pj, _ = _trial_inputs("PPL", 4)
     m = marginals(pj)
@@ -133,7 +133,7 @@ def test_criterion_05_pcpl_half_identity_and_ppl_closed_form():
             members = [c - 1 for c in s]
             closed[members, jdx] = r[members] / r[members].sum()
         worst = max(worst, float(np.max(np.abs(closed - dr.matrices[i]))))
-    _line(5, rep.passed and worst <= 1e-14,
+    _line(5, rep.passed and rep.tol == 1e-12 and worst <= 1e-14,
           f"half-identity err = {rep.max_abs_err:.2e}, closed-form matrix err = {worst:.2e}")
 
 
@@ -141,17 +141,17 @@ def test_criterion_06_reduction_graph():
     from wslrr.verify import random_joint
 
     j = random_joint(CFG.K, CFG.nx, CFG.d_feat, CFG.seed, 21)
-    reports = verify_reduction_graph(j, tol=1e-15, seed=CFG.seed)
+    reports = verify_reduction_graph(j, seed=CFG.seed)
     worst = max(r.max_abs_err for r in reports)
-    _line(6, all(r.passed for r in reports),
+    _line(6, all(r.passed and r.tol == 1e-15 for r in reports),
           f"{len(reports)} edges verified, max err = {worst:.2e}")
 
 
 def test_criterion_07_pair_symmetry_and_marginals():
     j = scenario_joint("SU", 2, CFG.nx, CFG.d_feat, CFG.seed, 5)
-    reports = verify_pair_symmetry(j, tol=1e-12, seed=CFG.seed, n_funcs=10)
+    reports = verify_pair_symmetry(j, seed=CFG.seed)  # over ten seeded functions
     worst = max(r.max_abs_err for r in reports)
-    _line(7, all(r.passed for r in reports),
+    _line(7, all(r.passed and r.tol == 1e-12 for r in reports),
           f"S/D symmetry + Pcomp marginals, max err = {worst:.2e}")
 
 
@@ -181,8 +181,8 @@ def test_criterion_09_monte_carlo_consistency():
     details = []
     ok = True
     for name in ("PU", "CL", "Soft"):
-        rep = verify_mc_consistency(name, CFG, n=100_000)
-        ok = ok and rep.passed and rep.params["rerun_identical"]
+        rep = verify_mc_consistency(name, CFG)
+        ok = ok and rep.passed and rep.name == "mc-consistency[n=100000]" and rep.params["rerun_identical"]
         details.append(f"{name}: |err|={rep.max_abs_err:.1e} <= 5se={rep.tol:.1e}")
     _line(9, ok, "; ".join(details))
 
@@ -193,8 +193,8 @@ def test_criterion_10_gradient_checks():
         for ls in (LOGISTIC, SQUARED):
             spec, j, model = _trial_inputs(name, 3)
             ds = sample_weak_dataset(spec, j, 40, seed=CFG.seed + 5)
-            rep = verify_gradient_check(spec, j, model, ds, ls, tol=1e-5, seed=CFG.seed)
-            assert rep.passed, (name, ls.name, rep.max_abs_err)
+            rep = verify_gradient_check(spec, j, model, ds, ls, seed=CFG.seed)
+            assert rep.passed and rep.tol == 1e-5, (name, ls.name, rep.max_abs_err)
             worst = max(worst, rep.max_abs_err)
     _line(10, worst <= 1e-5,
           f"analytic vs central differences over all scenarios, max rel err = {worst:.2e}")

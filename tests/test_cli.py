@@ -14,8 +14,8 @@ from wslrr.cli import build_parser, main
 from wslrr.core import joint_to_json, validate_joint
 from wslrr.datagen import dataset_from_json, dataset_to_json, sample_weak_dataset
 from wslrr.scenarios import CL, PU, SCENARIO_TYPES
-from wslrr.train import model_from_json
-from wslrr.verify import random_joint, scenario_joint
+from wslrr.train import init_model, model_from_json
+from wslrr.verify import TOL_MATRIX, TOL_RISK, random_joint, scenario_joint
 
 
 @pytest.fixture
@@ -57,6 +57,27 @@ class TestVerifyCommand:
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["verify", "--joint", str(tmp_path / "nope.json"),
                      "--scenario", "PU"]) == 2
+
+    @pytest.mark.parametrize("flag, want", [([], [TOL_MATRIX, TOL_MATRIX, TOL_RISK]),
+                                            (["--tol", "1e-3"], [1e-3, 1e-3, 1e-3])])
+    def test_tol_sets_every_report(self, joint_file, tmp_path, flag, want):
+        out = tmp_path / "report.json"
+        assert main(["verify", "--joint", str(joint_file), "--scenario", "PU", "--out", str(out), *flag]) == 0
+        checks = json.loads(out.read_text())["checks"]
+        assert [c["name"] for c in checks] == ["formulation", "reconstruction[inversion]", "risk-equality"]
+        assert [c["tol"] for c in checks] == want
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+    def test_scores_that_overflow_fail_only_risk_equality(self, tmp_path):
+        # every feature at 1e308 with the sign of the model's class-1 weight, so
+        # that class's score overflows; the model is the one `verify --seed 7` scores
+        w = init_model(2, 40, 7 + 1).weights[0]
+        path, out = tmp_path / "joint.json", tmp_path / "report.json"
+        path.write_text(joint_to_json(validate_joint(2, [1e308 * np.sign(w)] * 2, [[0.3, 0.1], [0.2, 0.4]])))
+        assert main(["verify", "--joint", str(path), "--scenario", "PU", "--seed", "7", "--out", str(out)]) == 1
+        checks = json.loads(out.read_text())["checks"]
+        assert [c["pass"] for c in checks] == [True, True, False]
+        assert checks[2]["params"] == {"loss": "logistic", "error": "NonFiniteScore: scores contain NaN or infinity"}
 
     def test_scenario_from_file(self, joint_file, tmp_path):
         spec_path = tmp_path / "spec.json"

@@ -53,9 +53,10 @@ class TestCompoundLabelSpace:
         assert compound_label_space(3) == ((1,), (2,), (3,), (1, 2), (1, 3), (2, 3))
 
     def test_too_large(self):
+        # K = 8 is the cap: its 254 labels are built, and K = 9's are refused
+        assert len(compound_label_space(8)) == 2 ** 8 - 2 == 254
         with pytest.raises(KTooLarge):
             compound_label_space(9)
-        assert len(compound_label_space(9, k_max=9)) == 2 ** 9 - 2
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(2, 7))
@@ -340,21 +341,28 @@ class TestSconfConfidence:
 class TestReduce:
     def test_uu_to_pu_assignments(self):
         j = validate_joint(2, [[0.0], [1.0]][:2], [[0.3, 0.1], [0.2, 0.4]])
-        red = reduce_spec("UU", "PU", marginals(j))
+        red = reduce_spec(PU(), marginals(j))
         assert red.assignments == {"gamma_1": 0.0, "gamma_2": pytest.approx(0.4, abs=1e-15)}
 
     def test_mcl_to_cl_size_law(self, multi_joint):
-        red = reduce_spec("MCL", "CL", marginals(multi_joint))
+        red = reduce_spec(CL(), marginals(multi_joint))
         assert red.assignments["q"] == (1.0, 0.0, 0.0)
 
     def test_not_an_edge(self, toy_joint):
-        with pytest.raises(NotAnEdge):
-            reduce_spec("UU", "CL", marginals(toy_joint))
+        # a root of the graph has no parent, and Sconf is not on the graph
+        for spec in (UU(gamma_1=0.2, gamma_2=0.3), Sconf()):
+            with pytest.raises(NotAnEdge):
+                reduce_spec(spec, marginals(toy_joint))
+
+    def test_uu_to_mcd_carries_the_rates_over(self, toy_joint):
+        red = reduce_spec(MCD(gamma_p=0.2, gamma_n=0.3), marginals(toy_joint))
+        assert red.assignments == {"gamma_p": 0.2, "gamma_n": 0.3}
+        assert specs_equal(red.parent, UU(gamma_1=0.2, gamma_2=0.3))
 
     def test_ppl_to_mcl_row_map_is_complement(self, multi_joint):
         m = marginals(multi_joint)
         child = make_spec("MCL", multi_joint, 5, 0)
-        red = reduce_spec("PPL", child, m)
+        red = reduce_spec(child, m)
         space = compound_label_space(4)
         for jdx, sbar in enumerate(space):
             partner = space[red.row_map[jdx]]

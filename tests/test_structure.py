@@ -10,9 +10,11 @@ oracle and the per-edge reduction table.  That counter does not see a bare
 ``name`` compared with setting names, the form a ladder in the harness
 takes; a second counter keeps such comparisons out of ``verify.py``, which
 keys its parameter draws by name in one table and reads the rest from the
-records.  Another counts the functions that take an instance index: every
-kernel builds the whole (n_x, ...) stack, and callers index it, so only the
-closed-form oracle, which is per instance by design, takes one.  A third
+records.  Another keeps the harness's bars fixed: only the three checks
+that ``wslrr verify --tol`` sets offer a tolerance argument.  Another counts
+the functions that take an instance index: every kernel builds the whole
+(n_x, ...) stack, and callers index it, so only the closed-form oracle,
+which is per instance by design, takes one.  Another
 keeps the exact, rewritten and empirical risks on the one weighted-loss
 kernel: none of them builds its own loss table or contraction.  The last
 keep the exact kernels on the structure of their matrices: the modules that
@@ -31,6 +33,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "wslrr"
 LADDERS = {"closed_form_corrected_loss", "reduce_spec"}
 MAX_DISPATCH_SITES = 10
 MAX_NAME_RUNGS = 0
+MAX_TOL_PARAMETERS = 3  # verify_formulation, verify_reconstruction and verify_risk_equality
 INSTANCE_PARAMS = {"i", "i2"}
 PER_INSTANCE_ORACLE = "closed_form_corrected_loss"
 RISKS = {"classification_risk", "rewritten_risk", "empirical_risk"}
@@ -124,6 +127,44 @@ def test_name_ladder_counter_sees_every_kind_of_rung():
         "    d = spec.name == 'PU' or name in ('CL', 'x')\n"
     )
     assert _name_ladder_rungs(tree) == [2, 4, 5]
+
+
+def _tol_functions(tree) -> list:
+    """Names of the functions, public, private or nested, that offer ``tol``
+    as a setting: a parameter named ``tol`` on a public function or lambda,
+    or one with a default.  The private report builders, which require the
+    tolerance they record, are left out."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            positional = a.posonlyargs + a.args
+            defaulted = positional[len(positional) - len(a.defaults):] + [
+                p for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            name = getattr(node, "name", "<lambda>")
+            if any(p.arg == "tol" and (not name.startswith("_") or p in defaulted)
+                   for p in positional + a.kwonlyargs):
+                found.append(name)
+    return found
+
+
+def test_only_the_cli_set_bars_take_a_tolerance():
+    found = _tol_functions(ast.parse((SRC / "verify.py").read_text(), filename="verify.py"))
+    assert len(found) <= MAX_TOL_PARAMETERS, f"{len(found)} functions in verify.py take tol: {found}"
+
+
+def test_tol_counter_sees_every_kind_of_function():
+    tree = ast.parse(
+        "def f(j, tol): pass\n"
+        "def _g(j, *, tol=1e-12): pass\n"
+        "def _report(name, err, tol, seed): pass\n"
+        "def h(j, seed=0):\n"
+        "    def nested(tol, /): pass\n"
+        "    def _inner(x, tol=0.1, y=0): pass\n"
+        "    return lambda tol: tol\n"
+        "def k(j, tolerance=0.1, **tol): pass\n"
+    )
+    assert sorted(_tol_functions(tree)) == ["<lambda>", "_g", "_inner", "f", "nested"]
 
 
 def _instance_index_functions(tree) -> list:

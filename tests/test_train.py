@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 import wslrr.risk
 from wslrr.datagen import sample_weak_dataset
-from wslrr.errors import Diverged, NonDifferentiableLoss, ShapeMismatch
+from wslrr.errors import Diverged, NonDifferentiableLoss, SchemaMismatch, ShapeMismatch
 from wslrr.risk import (
     LossSpec,
     channel_terms,
@@ -191,6 +193,27 @@ class TestModelJson:
         back = model_from_json(model_to_json(model))
         assert np.array_equal(back.weights, model.weights)
         assert np.array_equal(back.bias, model.bias)
+
+    # a valid K = 2, d = 1 model with one field replaced
+    MALFORMED = {
+        "string weights": {"weights": "ab"},
+        "ragged weights": {"weights": [[0.1], [0.2, 0.3]]},
+        "NaN weight": {"weights": [[float("nan")], [0.1]]},
+        "infinite bias": {"bias": [float("inf"), 0.0]},
+        "integer beyond the float range": {"weights": [[10 ** 400], [0.1]]},
+        "boolean weight": {"weights": [[True], [0.1]]},
+        "null bias": {"bias": [None, 0.1]},
+        "K true": {"K": True},
+        "K one": {"K": 1, "weights": [[0.1]], "bias": [0.1]},
+        "K a float": {"K": 2.0},
+        "d zero": {"d": 0, "weights": [[], []]},
+    }
+
+    @pytest.mark.parametrize("field", MALFORMED.values(), ids=MALFORMED)
+    def test_malformed_model_is_a_schema_mismatch(self, field):
+        raw = dict({"K": 2, "d": 1, "weights": [[0.1], [2]], "bias": [0, -1.5]}, **field)
+        with pytest.raises(SchemaMismatch):
+            model_from_json(json.dumps(raw))
 
     def test_gradient_check_per_scenario_sample(self):
         # a broader pass lives in verify; spot check a multiclass scenario here

@@ -11,12 +11,14 @@ from wslrr.core import FiniteJoint
 from wslrr.datagen import sample_weak_dataset
 from wslrr.errors import KTooLarge, ShapeMismatch, ValidationError, ZeroPairMass
 from wslrr.risk import LossSpec, channel_terms, loss_matrix, weighted_loss
-from wslrr.scenarios import UU, specs_equal
+import wslrr.scenarios
+from wslrr.scenarios import UU, Soft, specs_equal
 from wslrr.train import LinearModel
 from wslrr.verify import (
     ABSTRACT_SCENARIO_NAMES,
     ALL_SCENARIO_NAMES,
     AggregateReport,
+    CheckInput,
     VerifyConfig,
     build_registry,
     make_spec,
@@ -81,6 +83,20 @@ class TestChecks:
         assert all(r.passed for r in reports)
         assert all(r.max_abs_err <= 1e-15 for r in reports)
 
+    @pytest.mark.parametrize("mutate", ["soft-tensor", "superclass-probability"])
+    def test_subconf_to_soft_edge_checks_soft_against_its_own_reference(self, multi_joint, monkeypatch, mutate):
+        # the edge's parent matrix is the 1/r diagonal built apart from Soft's
+        # kernel, so breaking the kernel fails that edge and no other
+        if mutate == "soft-tensor":
+            real = Soft.tensor
+            monkeypatch.setattr(Soft, "tensor", lambda self, m: 1.5 * real(self, m))
+        else:
+            real = wslrr.scenarios._superclass_probability
+            monkeypatch.setattr(wslrr.scenarios, "_superclass_probability",
+                                lambda spec, r: 0.5 * real(spec, r) if spec.members is None else real(spec, r))
+        failed = [r.name for r in verify_reduction_graph(multi_joint, seed=3) if not r.passed]
+        assert failed == ["reduction[SubConf->Soft]"]
+
     def test_reduction_graph_draws_its_binary_joint_once(self, multi_joint, binary_joint, monkeypatch):
         # the binary edges of a K > 2 graph share one binary joint; a binary
         # graph reads its own joint throughout
@@ -106,18 +122,16 @@ class TestChecks:
         assert "DegenerateParams" in rep.params["error"]
 
     def test_mutation_flips_the_verdict(self, binary_joint):
-        spec = make_spec("UU", binary_joint, 1, 0)
-        model = seeded_model(binary_joint, 1, 0)
-        ok = verify_risk_equality(spec, binary_joint, model, LOGISTIC, seed=1)
-        bad = verify_risk_equality(spec, binary_joint, model, LOGISTIC, flip_sign=True, seed=1)
+        inp = CheckInput(make_spec("UU", binary_joint, 1, 0), binary_joint, seeded_model(binary_joint, 1, 0))
+        ok = verify_risk_equality(inp, seed=1)
+        bad = verify_risk_equality(inp, flip_sign=True, seed=1)
         assert ok.passed and not bad.passed
 
     def test_mutation_caught_for_every_family(self):
         for name in ("PU", "CL", "Soft", "Sconf"):
             j = scenario_joint(name, 4, 5, 3, seed=2, trial=0)
-            spec = make_spec(name, j, 2, 0)
-            model = seeded_model(j, 2, 0)
-            assert not verify_risk_equality(spec, j, model, LOGISTIC, flip_sign=True).passed
+            inp = CheckInput(make_spec(name, j, 2, 0), j, seeded_model(j, 2, 0))
+            assert not verify_risk_equality(inp, flip_sign=True).passed
 
     def test_checks_are_deterministic(self, binary_joint):
         spec = make_spec("SU", binary_joint, 4, 0)
@@ -213,7 +227,7 @@ def test_each_trial_input_is_drawn_once_and_dropped_after_its_last_reader(monkey
     def tracked_inputs(cfg, table, name, trial, K, nx):
         out = real_inputs(cfg, table, name, trial, K, nx)
         assert (name, trial, K, nx) not in inputs
-        inputs[name, trial, K, nx] = weakref.ref(out[0])  # each input has its own spec
+        inputs[name, trial, K, nx] = weakref.ref(out.spec)  # each input has its own spec
         for draw in table["joints", trial, K, nx].values():  # the candidates, and the loss tables made so far
             if isinstance(draw, FiniteJoint):
                 track("joint", trial, draw.K, draw)
@@ -221,8 +235,8 @@ def test_each_trial_input_is_drawn_once_and_dropped_after_its_last_reader(monkey
             track("model", trial, model.weights.shape[0], model)
         return out
 
-    def exact_risk(ls, model, j):
-        out = real_risk(ls, model, j)
+    def exact_risk(model, j):
+        out = real_risk(model, j)
         track("loss table", draws[id(j)][0][1], j.K, out[0])
         return out
 
@@ -271,7 +285,7 @@ def test_shared_models_are_read_only(monkeypatch):
 
     def inputs(*args):
         out = real_inputs(*args)
-        models.append(out[2])
+        models.append(out.model)
         return out
 
     monkeypatch.setattr(wslrr.verify, "_scenario_trial_inputs", inputs)
@@ -291,39 +305,43 @@ def _bits(a) -> tuple:
 
 
 def test_shared_draws_equal_fresh_draws(monkeypatch):
-    """Every registry input equals the one scenario_joint, make_spec and
-    seeded_model draw afresh, array for array, and every risk-equality report
-    equals verify_risk_equality's on the fresh inputs, bit for bit."""
+    """Every registry input equals the one scenario_joint, make_spec,
+    seeded_model and CheckInput build afresh, array for array, and every
+    risk-equality report equals verify_risk_equality's on the fresh inputs,
+    bit for bit."""
     cfg = VerifyConfig(trials=7, nx=5)
-    real_inputs, real_equality = wslrr.verify._scenario_trial_inputs, wslrr.verify._risk_equality
+    real_inputs, real_equality = wslrr.verify._scenario_trial_inputs, wslrr.verify.verify_risk_equality
     built, equality = {}, []
 
     def inputs(cfg_, table, *key):
         built[key] = real_inputs(cfg_, table, *key)
         return built[key]
 
-    def risk_equality(spec, *args, **kwargs):
-        equality.append((spec, real_equality(spec, *args, **kwargs)))
+    def risk_equality(inp, *args, **kwargs):
+        equality.append((inp.spec, real_equality(inp, *args, **kwargs)))
         return equality[-1][1]
 
     monkeypatch.setattr(wslrr.verify, "_scenario_trial_inputs", inputs)
-    monkeypatch.setattr(wslrr.verify, "_risk_equality", risk_equality)
+    monkeypatch.setattr(wslrr.verify, "verify_risk_equality", risk_equality)
     assert verify_all(cfg).passed
     monkeypatch.undo()
     assert len(built) == 18 * 7 + 3 and len(equality) == 18 * 7
     fresh = {}
-    for key, (spec, j, model, _) in built.items():
+    for key, inp in built.items():
+        spec, j, model = inp.spec, inp.j, inp.model
         name, trial, K, nx = key
         mc = name in ("PU", "CL", "Soft") and trial == wslrr.verify.MC_TRIAL
         assert (K, nx) == ((cfg.K, cfg.nx) if mc else (2 + trial % min(4, cfg.K - 1), 3 + trial % 6))
         fj = scenario_joint(name, K, nx, cfg.d_feat, cfg.seed, trial)
-        fspec, fmodel = make_spec(name, fj, cfg.seed, trial), seeded_model(fj, cfg.seed, trial)
-        fresh[id(spec)] = fspec, fj, fmodel
+        finp = CheckInput(make_spec(name, fj, cfg.seed, trial), fj, seeded_model(fj, cfg.seed, trial))
+        fresh[id(spec)], fmodel = finp, finp.model
         assert j.K == fj.K and _bits(j.joint) == _bits(fj.joint) and _bits(j.features) == _bits(fj.features)
-        assert specs_equal(spec, fspec)
+        assert specs_equal(spec, finp.spec)
         assert _bits(model.weights) == _bits(fmodel.weights) and _bits(model.bias) == _bits(fmodel.bias)
+        (losses, risk), (flosses, frisk) = inp.exact, finp.exact
+        assert _bits(losses) == _bits(flosses) and _bits(risk) == _bits(frisk)
     for spec, report in equality:
-        want = verify_risk_equality(*fresh[id(spec)], LOGISTIC, seed=cfg.seed).to_dict()
+        want = verify_risk_equality(fresh[id(spec)], seed=cfg.seed).to_dict()
         got = report.to_dict()
         assert got.pop("elapsed") >= 0.0 and want.pop("elapsed") >= 0.0
         assert got == want and _bits(got["max_abs_err"]) == _bits(want["max_abs_err"])
