@@ -91,11 +91,11 @@ def cmd_verify(args) -> int:
     validate_spec(spec, compute_marginals(joint))
     tol_matrix = args.tol if args.tol is not None else TOL_MATRIX
     tol_risk = args.tol if args.tol is not None else TOL_RISK
-    model = seeded_model(joint, args.seed, 0)
+    inp = CheckInput(spec, joint, seeded_model(joint, args.seed, 0))
     checks = [
-        verify_formulation(spec, joint, tol=tol_matrix, seed=args.seed),
-        verify_reconstruction(spec, joint, tol=tol_matrix, seed=args.seed),
-        verify_risk_equality(CheckInput(spec, joint, model), tol=tol_risk, seed=args.seed),
+        verify_formulation(inp, tol=tol_matrix, seed=args.seed),
+        verify_reconstruction(inp, tol=tol_matrix, seed=args.seed),
+        verify_risk_equality(inp, tol=tol_risk, seed=args.seed),
     ]
     report = AggregateReport(seed=args.seed, checks=tuple(checks),
                              passed=all(c.passed for c in checks))

@@ -220,8 +220,12 @@ def sample_weak_dataset(spec: ScenarioSpec, j: FiniteJoint, n: Union[int, dict],
     jointly, and confidence channels attach the oracle class probabilities.
     The spec is validated once, and every channel reads the one system.
     """
-    system = _System(spec, j)
-    m = system.m
+    return _sample(_System(spec, j), n, seed)
+
+
+def _sample(system: _System, n: Union[int, dict], seed: int) -> WeakDataset:
+    """:func:`sample_weak_dataset` from a validated system."""
+    spec, j, m = system.spec, system.j, system.m
     sizes = _resolve_sizes(spec, j.K, n)
     n_x = j.n_x
     if spec.family == FAMILY_CCN:
@@ -249,7 +253,8 @@ def sample_weak_dataset(spec: ScenarioSpec, j: FiniteJoint, n: Union[int, dict],
 
 
 def _sample_label_stream(system: _System, count: int, seed: int) -> WeakDataset:
-    """(compound label, instance) draws, grouped into per-label channels.
+    """(compound label, instance) draws, grouped into per-label channels by
+    one stable sort of the label codes, each in stream order.
 
     A record with a ``size_law`` (MCL) is sampled in its stated two stages:
     the excluded-set size first (independent of x), then the (label, x) pair
@@ -261,31 +266,23 @@ def _sample_label_stream(system: _System, count: int, seed: int) -> WeakDataset:
     flat = system.observed.T  # (m_channels, n_x), channel-major
 
     if spec.size_law is not None:
-        space = compound_label_space(j.K)
-        sizes_of = np.array([len(s) for s in space])
-        q = np.asarray(spec.size_law)
-        d_draw = _categorical(q, philox_uniforms(seed, 0, count), "size law") + 1
+        # the labels of size d are the rows start[d - 1]:start[d] of flat, in canonical order
+        start = np.searchsorted([len(s) for s in compound_label_space(j.K)], np.arange(1, j.K + 1))
+        d_draw = _categorical(np.asarray(spec.size_law), philox_uniforms(seed, 0, count), "size law") + 1
         u2 = philox_uniforms(seed, 1, count)
-        chan = np.empty(count, dtype=int)
-        inst = np.empty(count, dtype=int)
+        code = np.empty(count, dtype=int)
         for d in range(1, j.K):
             mask = d_draw == d
-            if not mask.any():
-                continue
-            rows = np.nonzero(sizes_of == d)[0]
-            block = flat[rows, :]
-            pos = _categorical(block, u2[mask], f"size-{d} conditional")
-            chan[mask] = rows[pos // n_x]
-            inst[mask] = pos % n_x
+            if mask.any():
+                pos = _categorical(flat[start[d - 1]:start[d]], u2[mask], f"size-{d} conditional")
+                code[mask] = start[d - 1] * n_x + pos
     else:
-        pos = _categorical(flat, philox_uniforms(seed, 0, count), "label stream")
-        chan = pos // n_x
-        inst = pos % n_x
+        code = _categorical(flat, philox_uniforms(seed, 0, count), "label stream")
+    chan, inst = np.divmod(code, n_x)
 
-    channels = tuple(
-        DatasetChannel(label, POINTS, indices=inst[chan == c])
-        for c, label in enumerate(labels)
-    )
+    order = np.argsort(chan.astype(np.min_scalar_type(len(labels) - 1)), kind="stable")  # a radix sort
+    split = np.split(inst[order], np.cumsum(np.bincount(chan, minlength=len(labels)))[:-1])
+    channels = tuple(DatasetChannel(label, POINTS, indices=idx) for label, idx in zip(labels, split))
     return WeakDataset(spec=spec, seed=int(seed), channels=channels)
 
 

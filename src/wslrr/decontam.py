@@ -43,6 +43,7 @@ from .scenarios import (
     ScenarioSpec,
     _System,
     _diagonal_stack,
+    _frozen,
     _member_mask,
     _sconf_confidences,
     _sconf_denominators,
@@ -184,9 +185,18 @@ def decontaminate(spec: ScenarioSpec, j: FiniteJoint, method: str = "auto") -> D
 
 
 def _decontaminate(s: _System, method: str) -> DecontaminationResult:
-    """:func:`decontaminate` on a validated system, reading its tensor."""
+    """:func:`decontaminate` on a validated system, built once per method and
+    kept, read-only, in ``s.decontaminated``; a failure is not kept."""
+    method = s.spec.method if method == "auto" else method
+    if method not in s.decontaminated:
+        dr = s.decontaminated[method] = _decontamination(s, method)
+        _frozen(dr.matrices)
+        _frozen(dr.pair_matrices)
+    return s.decontaminated[method]
+
+
+def _decontamination(s: _System, method: str) -> DecontaminationResult:
     spec, j, m = s.spec, s.j, s.m
-    method = spec.method if method == "auto" else method
 
     if method == METHOD_SCONF:
         if spec.family != FAMILY_SCONF:

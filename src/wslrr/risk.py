@@ -20,6 +20,7 @@ independent cross-check of the generic product.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
+from functools import cached_property
 from typing import ClassVar, Optional
 
 import numpy as np
@@ -177,13 +178,17 @@ def rewrite_table(spec: ScenarioSpec, j: FiniteJoint, method: str = "auto") -> n
     confidence, so the sum over the partner is p(x) times the diagonal at the
     partner-averaged confidence r(x) = pi_p P(+|x) + pi_n P(-|x): one row per
     instance, never a pair object."""
-    system = _System(spec, j)
-    if spec.family == FAMILY_SCONF:
+    return _rewrite_table(_System(spec, j), method)
+
+
+def _rewrite_table(s: _System, method: str = "auto") -> np.ndarray:
+    """:func:`rewrite_table` on a validated system."""
+    if s.spec.family == FAMILY_SCONF:
         if method not in ("auto", METHOD_SCONF):
             raise WrongFamily(f"Sconf is decontaminated by {METHOD_SCONF} only, not {method!r}")
-        m = system.m
+        m = s.m
         return m.instance_marginal[:, None] * _sconf_weights(m.priors, m.priors @ m.class_probabilities)
-    return np.einsum("ikm,im->ik", _decontaminate(system, method).matrices, system.observed)
+    return np.einsum("ikm,im->ik", _decontaminate(s, method).matrices, s.observed)
 
 
 def rewritten_risk(spec: ScenarioSpec, j: FiniteJoint, model, ls: LossSpec,
@@ -290,12 +295,18 @@ class ChannelTerms:
     Each entry e contributes weights[e] . loss(g(x_idx[e])) to draw
     e mod n_draws (pair terms list every first instance, then every second);
     the channel's estimate is the mean over its n_draws draw totals, and the
-    full estimator is the sum of the channel estimates.
+    full estimator is the sum of the channel estimates.  ``weights`` is
+    ``table``, or with ``rows`` (the label stream) its rows gathered on first read.
     """
     label: str
     n_draws: int
     idx: np.ndarray       # (n_entries,)
-    weights: np.ndarray   # (n_entries, K), a broadcast view when all share one row
+    table: np.ndarray     # (n_entries, K), a broadcast view when all share one row
+    rows: Optional[np.ndarray] = None  # (n_entries,) rows of an (n_x * m, K) table, instance-major
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        return self.table if self.rows is None else np.take(self.table, self.rows, axis=0)
 
 
 def _shared_row_terms(label, n, idx, row) -> ChannelTerms:
@@ -325,8 +336,12 @@ def channel_terms(ds, spec: ScenarioSpec, j: FiniteJoint) -> list:
     """
     if not specs_equal(ds.spec, spec):
         raise SpecMismatch(f"dataset was generated for {ds.spec.name}, not {spec.name}")
-    system = _System(spec, j)
-    m = system.m
+    return _channel_terms(ds, _System(spec, j))
+
+
+def _channel_terms(ds, s: _System) -> list:
+    """:func:`channel_terms` on a validated system, for a dataset of its spec."""
+    spec, j, m = s.spec, s.j, s.m
     found, expected = tuple((c.label, c.kind) for c in ds.channels), dataset_channels(spec, j.K)
     if found != expected:
         raise SpecMismatch(f"dataset channels {found} do not match {spec.name} on a K={j.K} joint, "
@@ -341,7 +356,7 @@ def channel_terms(ds, spec: ScenarioSpec, j: FiniteJoint) -> list:
                                 f"per draw, not K={j.K}")
 
     if spec.family == FAMILY_MCD:
-        dag = _decontaminate(system, spec.estimator).matrices[0]  # the same at every x
+        dag = _decontaminate(s, spec.estimator).matrices[0]  # the same at every x
         if spec.streams:
             # one stream of pairs: the first element is a draw from observed
             # channel 0 (Pcomp's Sup), the second from channel 1 (Inf)
@@ -362,7 +377,7 @@ def channel_terms(ds, spec: ScenarioSpec, j: FiniteJoint) -> list:
         # one stream over all label channels, each draw weighed by its channel's
         # column of the record's estimator decontamination (the blockwise
         # inverse for CL and MCL, as in the literature, else the marginal chain)
-        dag = _decontaminate(system, spec.estimator).matrices  # (n_x, K, m)
+        dag = _decontaminate(s, spec.estimator).matrices  # (n_x, K, m)
         idx = np.concatenate([c.indices for c in ds.channels])
         if idx.size == 0:
             raise EmptyChannel("dataset has no draws in any label channel")
@@ -370,7 +385,7 @@ def channel_terms(ds, spec: ScenarioSpec, j: FiniteJoint) -> list:
         m_chan = len(ds.channels)
         columns = dag.transpose(0, 2, 1).reshape(-1, j.K)
         rows = np.concatenate([c.indices * m_chan + k for k, c in enumerate(ds.channels)])
-        return [ChannelTerms("SX", idx.size, idx, np.take(columns, rows, axis=0))]
+        return [ChannelTerms("SX", idx.size, idx, columns, rows)]
 
     # confidence family: one channel of instances with attached confidences
     ch = ds.channels[0]
@@ -400,22 +415,34 @@ def per_draw_values(terms: ChannelTerms, lam: np.ndarray, losses: Optional[np.nd
 def weight_table(ds, spec: ScenarioSpec, j: FiniteJoint) -> np.ndarray:
     """The (n_x, K) table W with empirical risk sum_i W[i] . loss(g(x_i)):
     every channel's estimator terms over its draw count, summed per instance.
-    Raises EmptyChannel when a channel that enters as a mean has no draws,
-    SpecMismatch when the dataset belongs to another scenario.
+    A label-channel stream is folded by count: ``np.bincount`` of its
+    (instance, label) rows times the D(x) columns, in O(n + n_x m K), never
+    gathering the (n, K) per-draw weights.  Raises EmptyChannel when a
+    channel that enters as a mean has no draws, SpecMismatch when the
+    dataset belongs to another scenario.
     """
+    return _fold(channel_terms(ds, spec, j), j)
+
+
+def _fold(terms_list: list, j: FiniteJoint) -> np.ndarray:
+    """:func:`weight_table` from the channels' terms."""
     W = np.zeros((j.n_x, j.K))
-    for terms in channel_terms(ds, spec, j):
+    for terms in terms_list:
         if terms.n_draws == 0:
             raise EmptyChannel(f"channel {terms.label!r} has no samples")
+        if terms.rows is not None:
+            counts = np.bincount(terms.rows, minlength=len(terms.table)).reshape(j.n_x, -1)
+            W += np.einsum("im,imk->ik", counts, terms.table.reshape(j.n_x, -1, j.K)) / terms.n_draws
+            continue
         counts = np.bincount(terms.idx, minlength=j.n_x)
-        if terms.weights.strides[0] == 0:  # one shared row: count its entries
-            W += counts[:, None] * terms.weights[0] / terms.n_draws
+        if terms.table.strides[0] == 0:  # one shared row: count its entries
+            W += counts[:, None] * terms.table[0] / terms.n_draws
             continue
         # pairwise sums of each instance's run in a stable (radix, for 16-bit keys)
         # sort: np.add.at would add the n draws one by one and lose about n * eps
         order = np.argsort(terms.idx.astype(np.min_scalar_type(j.n_x - 1)), kind="stable")
         inst = np.flatnonzero(counts)
-        runs = np.add.reduceat(np.take(terms.weights, order, axis=0),
+        runs = np.add.reduceat(np.take(terms.table, order, axis=0),
                                np.cumsum(counts[inst]) - counts[inst], axis=0)
         W[inst] += runs / terms.n_draws
     return W

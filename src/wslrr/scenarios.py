@@ -42,7 +42,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, ClassVar, Optional, Union
 
 import numpy as np
@@ -488,6 +488,7 @@ def specs_equal(a: ScenarioSpec, b: ScenarioSpec) -> bool:
 # Compound labels
 # ---------------------------------------------------------------------------
 
+@cache
 def compound_label_space(K: int) -> tuple:
     """All nonempty strict subsets of {1..K}, ordered by (size, lexicographic).
 
@@ -505,9 +506,17 @@ def compound_label_space(K: int) -> tuple:
     return tuple(out)
 
 
+@cache
 def _member_mask(K: int) -> np.ndarray:
-    """(|S|, K) indicator matrix: mask[j, k-1] = 1 iff class k is in s_j."""
-    return np.array([[float(c in s) for c in range(1, K + 1)] for s in compound_label_space(K)])
+    """(|S|, K) indicator matrix, read-only: mask[j, k-1] = 1 iff class k is in s_j."""
+    return _frozen(np.array([[float(c in s) for c in range(1, K + 1)] for s in compound_label_space(K)]))
+
+
+def _frozen(a: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """``a``, made read-only, so its readers can share it (None stays None)."""
+    if a is not None:
+        a.setflags(write=False)
+    return a
 
 
 def _compound_str(members) -> str:
@@ -658,20 +667,20 @@ class ContaminationModel:
 
 class _System:
     """``spec`` validated once on ``j``: the marginals ``m`` and, each built on
-    its first read, the contamination ``tensor`` M(x_i) at every instance and
-    the ``observed`` channel masses.  One call's shared inputs:
-    :func:`observed_distribution`, ``decontam.decontaminate``,
-    ``risk.rewrite_table`` and ``datagen.sample_weak_dataset`` each build one
-    and keep it no longer than the call."""
+    its first read and read-only, the contamination ``tensor`` M(x_i) at every
+    instance, the ``observed`` channel masses and, by ``decontam._decontaminate``,
+    one ``decontaminated`` result per method.  The harness shares one system
+    per input among all its checks; each public kernel builds one per call."""
 
     def __init__(self, spec: ScenarioSpec, j: FiniteJoint):
         self.spec, self.j = spec, j
         self.m = compute_marginals(j)
         validate_spec(spec, self.m)
+        self.decontaminated = {}
 
     @cached_property
     def tensor(self) -> np.ndarray:
-        return _contamination_tensor(self.spec, self.m)
+        return _frozen(_contamination_tensor(self.spec, self.m))
 
     @cached_property
     def observed(self) -> np.ndarray:
@@ -681,7 +690,7 @@ class _System:
         out = mats[:, :, 0] * t[0] * joint[0][:, None]
         for b in range(1, self.m.K):
             out += mats[:, :, b] * t[b] * joint[b][:, None]
-        return out
+        return _frozen(out)
 
 
 def _contamination_model(s: _System) -> ContaminationModel:
@@ -799,11 +808,11 @@ def reduce_spec(child: ScenarioSpec, m: Marginals) -> Reduction:
         return Reduction({"cond": "C(s, x) on labels containing the class"}, parent=GCCN(cond=child.tensor(m)))
 
     if pname == "PPL":
-        n_s = len(compound_label_space(K))
+        space = compound_label_space(K)
+        n_s = len(space)
         if cname == "PCPL":
             w = 1.0 / (2 ** (K - 1) - 1)
             return Reduction({"C": w}, parent=PPL(C=np.full((n_s, n_x), w)))
-        space = compound_label_space(K)
         # child row for an excluded set equals the parent row of its complement, so the
         # complement's weight is the scale of the child's row (its largest entry)
         row_map = np.array([space.index(tuple(sorted(set(range(1, K + 1)) - set(s)))) for s in space])

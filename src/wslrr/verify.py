@@ -13,11 +13,12 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .core import FiniteJoint, marginals as compute_marginals, validate_joint
-from .datagen import datasets_equal, philox_uniforms, sample_weak_dataset
+from .datagen import datasets_equal, philox_uniforms, sample_weak_dataset, _sample
 from .decontam import (
     METHOD_INVERSION,
     METHOD_MARGINAL_CHAIN,
@@ -26,21 +27,21 @@ from .decontam import (
     decontaminate,
     mcl_block,
     mcl_block_inverse,
+    _decontaminate,
 )
 from .errors import KTooLarge, ShapeMismatch, ValidationError, WslrrError
 from .risk import (
     LossSpec,
-    channel_terms,
     closed_form_corrected_loss,
-    empirical_risk,
     loss_matrix,
     per_draw_values,
-    rewrite_table,
-    rewritten_risk,
     score_matrix,
-    weight_table,
+    weighted_loss,
+    _channel_terms,
     _check_scores,
+    _fold,
     _loss_table,
+    _rewrite_table,
     _term_losses,
 )
 from .scenarios import (
@@ -70,13 +71,14 @@ from .scenarios import (
     observed_distribution,
     pair_distribution,
     reduce_spec,
+    _System,
+    _contamination_model,
     _member_mask,
     _sconf_confidences,
 )
 from .train import (
     LinearModel,
     TrainConfig,
-    empirical_gradient,
     init_model,
     predictions,
     train_erm,
@@ -97,6 +99,7 @@ PAIR_FUNCTIONS = 10  # the seeded test functions h whose means the pair laws mus
 MCL_MAX_K = 6  # the blockwise inverse is checked at every class count up to this
 GRADIENT_EPS = 1e-6  # the central-difference step
 ERM_AGREEMENT = 0.95  # the least share of instances on which PU training matches supervised
+ERM_HALF = 20  # the instances per class of the erm-sanity joint
 _LOGISTIC = LossSpec("logistic")
 
 ALL_SCENARIO_NAMES = CONCRETE_SCENARIOS
@@ -301,15 +304,20 @@ def _exact_risk(model, j: FiniteJoint) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class CheckInput:
-    """A setting's input to the checks: its spec, joint and model.  The
-    model's logistic loss table on the joint and the exact risk it sums to,
-    ``exact``, are made on first read, so a scoring error fails only the
-    check reading them, and kept by joint in ``shared``: the harness passes
-    one table per input shape, so the settings of one joint share them."""
+    """A setting's input to the checks: its spec, joint and model.  ``system``,
+    the spec's validated system on the joint, and ``exact``, the model's
+    logistic loss table and exact risk on the joint, are made on first read
+    inside the reading check, so an error fails each check reading them and
+    is not kept.  ``exact`` is kept by joint in ``shared``, which the harness
+    passes to every input of one shape."""
     spec: ScenarioSpec
     j: FiniteJoint
     model: LinearModel
     shared: dict = field(default_factory=dict)
+
+    @cached_property
+    def system(self) -> _System:
+        return _System(self.spec, self.j)
 
     @property
     def exact(self) -> tuple:
@@ -320,15 +328,14 @@ class CheckInput:
 # Individual checks
 # ---------------------------------------------------------------------------
 
-def verify_formulation(spec: ScenarioSpec, j: FiniteJoint, tol: float = TOL_MATRIX,
-                       seed: int = 0) -> CheckReport:
+def verify_formulation(inp: CheckInput, tol: float = TOL_MATRIX, seed: int = 0) -> CheckReport:
     """observed = M M_trsf P at every instance, plus the family's structural
     facts (convex rows, stochastic columns, or both Sconf rows hitting the
     pair mass)."""
 
     def body():
-        m = compute_marginals(j)
-        cm = observed_distribution(spec, j)
+        s = inp.system
+        spec, j, m, cm = inp.spec, inp.j, s.m, _contamination_model(s)
         if spec.family == FAMILY_SCONF:
             rows = cm.pair_matrix @ m.class_conditionals.T[:, None, :, None]  # (n_x, n_x, 2, 1)
             target = np.outer(m.instance_marginal, m.instance_marginal)[:, :, None, None]
@@ -345,28 +352,27 @@ def verify_formulation(spec: ScenarioSpec, j: FiniteJoint, tol: float = TOL_MATR
             err = max(err, float(np.max(np.abs(cm.observed.sum(axis=1) - m.instance_marginal))))
         return err
 
-    return _guarded("formulation", spec.name, {}, tol, seed, body)
+    return _guarded("formulation", inp.spec.name, {}, tol, seed, body)
 
 
-def verify_reconstruction(spec: ScenarioSpec, j: FiniteJoint, tol: float = TOL_MATRIX,
-                          method: str = "auto", seed: int = 0) -> CheckReport:
+def verify_reconstruction(inp: CheckInput, tol: float = TOL_MATRIX, method: str = "auto",
+                          seed: int = 0) -> CheckReport:
     """Decontamination times observed masses returns the joint column at
     every instance.  For Sconf, its finite analog of the pair identity:
     summing the diagonal decontamination against the prior-unscaled pair
     matrices over the second argument gives the identity at every x."""
-    sconf = spec.family == FAMILY_SCONF
-    resolved = spec.method if method == "auto" or sconf else method  # Sconf has one method
+    sconf = inp.spec.family == FAMILY_SCONF
+    resolved = inp.spec.method if method == "auto" or sconf else method  # Sconf has one method
 
     def body():
+        s = inp.system
         if not sconf:
-            return float(np.max(np.abs(rewrite_table(spec, j, resolved) - j.joint.T)))
-        m = compute_marginals(j)
-        cm = observed_distribution(spec, j)
-        dr = decontaminate(spec, j, method=METHOD_SCONF)
-        acc = (dr.pair_matrices @ np.diag(1.0 / m.priors) @ cm.pair_matrix).sum(axis=1)
+            return float(np.max(np.abs(_rewrite_table(s, resolved) - inp.j.joint.T)))
+        pairs = _decontaminate(s, METHOD_SCONF).pair_matrices
+        acc = (pairs @ np.diag(1.0 / s.m.priors) @ _contamination_model(s).pair_matrix).sum(axis=1)
         return float(np.max(np.abs(acc - np.eye(2))))
 
-    return _guarded(f"reconstruction[{resolved}]", spec.name, {}, tol, seed, body)
+    return _guarded(f"reconstruction[{resolved}]", inp.spec.name, {}, tol, seed, body)
 
 
 def verify_risk_equality(inp: CheckInput, tol: float = TOL_RISK, flip_sign: bool = False,
@@ -380,7 +386,7 @@ def verify_risk_equality(inp: CheckInput, tol: float = TOL_RISK, flip_sign: bool
 
     def body():
         losses, exact = inp.exact
-        table = rewrite_table(inp.spec, inp.j)
+        table = _rewrite_table(inp.system)
         if flip_sign:
             table[:, 0] = -table[:, 0]
         return abs(float((table * losses).sum()) - exact)
@@ -388,24 +394,21 @@ def verify_risk_equality(inp: CheckInput, tol: float = TOL_RISK, flip_sign: bool
     return _guarded("risk-equality", inp.spec.name, {"loss": _LOGISTIC.name}, tol, seed, body)
 
 
-def verify_closed_form(spec: ScenarioSpec, j: FiniteJoint, model, ls: LossSpec,
-                       seed: int = 0) -> CheckReport:
+def verify_closed_form(inp: CheckInput, ls: LossSpec, seed: int = 0) -> CheckReport:
     """Hand-coded corrected losses match the generic matrix product."""
     t0 = time.perf_counter()
-    m = compute_marginals(j)
-    lam = loss_matrix(ls, model, j)
-    err = 0.0
+    spec, j, s = inp.spec, inp.j, inp.system
+    lam = loss_matrix(ls, inp.model, j)
+    dr, err = _decontaminate(s, "auto"), 0.0  # Sconf's one method is sconf-special
     if spec.family == FAMILY_SCONF:
-        dr = decontaminate(spec, j, method=METHOD_SCONF)
         for i in range(j.n_x):
             for i2 in range(j.n_x):
-                closed = closed_form_corrected_loss(spec, m, i, lam[:, i], i2=i2)
+                closed = closed_form_corrected_loss(spec, s.m, i, lam[:, i], i2=i2)
                 generic = lam[:, i] @ dr.pair_matrices[i, i2]
                 err = max(err, float(np.max(np.abs(closed - generic))))
     else:
-        dr = decontaminate(spec, j, method="auto")
         for i in range(j.n_x):
-            closed = closed_form_corrected_loss(spec, m, i, lam[:, i])
+            closed = closed_form_corrected_loss(spec, s.m, i, lam[:, i])
             generic = lam[:, i] @ dr.matrices[i]
             err = max(err, float(np.max(np.abs(closed - generic))))
     return _report("closed-form", spec.name, {"loss": ls.name}, err, TOL_MATRIX, seed, t0)
@@ -504,18 +507,16 @@ def verify_pair_symmetry(j: FiniteJoint, seed: int = 0) -> list:
     return reports
 
 
-def verify_pcpl_half_identity(j: FiniteJoint, model, ls: LossSpec, seed: int = 0) -> CheckReport:
+def verify_pcpl_half_identity(inp: CheckInput, ls: LossSpec, seed: int = 0) -> CheckReport:
     """The partial-label expectation equals half the expectation of the full
-    confidence-weighted loss sum."""
+    confidence-weighted loss sum, on a PCPL input."""
     t0 = time.perf_counter()
-    spec = PCPL()
-    m = compute_marginals(j)
-    cm = observed_distribution(spec, j)
-    lam = loss_matrix(ls, model, j)
-    left = rewritten_risk(spec, j, model, ls, method=METHOD_MARGINAL_CHAIN)
-    r = m.class_probabilities
+    j, s = inp.j, inp.system
+    lam = loss_matrix(ls, inp.model, j)
+    left = weighted_loss(_rewrite_table(s, METHOD_MARGINAL_CHAIN), inp.model, ls, j)
+    r = s.m.class_probabilities
     den = (_member_mask(j.K) @ r).T  # super-class probability of each label at each x
-    right = float(np.sum(0.5 * cm.observed * ((r * lam).sum(axis=0)[:, None] / den)))
+    right = float(np.sum(0.5 * s.observed * ((r * lam).sum(axis=0)[:, None] / den)))
     return _report("pcpl-half-identity", "PCPL", {"loss": ls.name}, abs(left - right),
                    TOL_MATRIX, seed, t0)
 
@@ -532,28 +533,31 @@ def verify_mcl_blocks(seed: int = 0) -> CheckReport:
     return _report("mcl-block-inverse", "MCL", {"max_K": MCL_MAX_K}, err, TOL_MATRIX, seed, t0)
 
 
-def verify_method_agreement(spec: ScenarioSpec, j: FiniteJoint, model, ls: LossSpec,
-                            seed: int = 0) -> CheckReport:
+def verify_method_agreement(inp: CheckInput, ls: LossSpec, seed: int = 0) -> CheckReport:
     """The exact inverse of CL or MCL (:data:`EXACT_INVERSE`) and the marginal
     chain give the same rewritten risk."""
     t0 = time.perf_counter()
-    a = rewritten_risk(spec, j, model, ls, method=EXACT_INVERSE[spec.name])
-    b = rewritten_risk(spec, j, model, ls, method=METHOD_MARGINAL_CHAIN)
-    return _report("method-agreement", spec.name, {"loss": ls.name}, abs(a - b),
+    a, b = (weighted_loss(_rewrite_table(inp.system, method), inp.model, ls, inp.j)
+            for method in (EXACT_INVERSE[inp.spec.name], METHOD_MARGINAL_CHAIN))
+    return _report("method-agreement", inp.spec.name, {"loss": ls.name}, abs(a - b),
                    TOL_RISK, seed, t0)
 
 
-def _estimator_spread(ds, spec: ScenarioSpec, j: FiniteJoint, lam: np.ndarray) -> tuple:
-    """(standard error of the empirical risk, sum over channels of the mean
-    |term|) from the per-draw values of each channel."""
+def _estimator_spread(ds, s: _System, losses: np.ndarray) -> tuple:
+    """(empirical risk, its standard error, sum over channels of the mean
+    |term|) of a dataset of ``s`` under the (n_x, K) loss table ``losses``,
+    from one build of its channel terms."""
+    terms_list = _channel_terms(ds, s)
+    est = float((_fold(terms_list, s.j) * losses).sum())
+    lam = np.ascontiguousarray(losses.T)
     var = abs_terms = 0.0
-    for terms in channel_terms(ds, spec, j):
-        losses = _term_losses(terms, lam)  # gathered once, for both sums
-        vals = per_draw_values(terms, lam, losses)
+    for terms in terms_list:
+        term_losses = _term_losses(terms, lam)  # gathered once, for both sums
+        vals = per_draw_values(terms, lam, term_losses)
         if len(vals) > 1:
             var += float(np.var(vals, ddof=1)) / len(vals)
-        abs_terms += float(np.einsum("ek,ke->", np.abs(terms.weights), losses)) / len(vals)
-    return math.sqrt(var), abs_terms
+        abs_terms += float(np.einsum("ek,ke->", np.abs(terms.weights), term_losses)) / len(vals)
+    return est, math.sqrt(var), abs_terms
 
 
 def verify_mc_consistency(name: str, cfg: VerifyConfig) -> CheckReport:
@@ -567,34 +571,32 @@ def verify_mc_consistency(name: str, cfg: VerifyConfig) -> CheckReport:
 def _mc_consistency(cfg: VerifyConfig, inp: CheckInput) -> CheckReport:
     """:func:`verify_mc_consistency` on an input already built."""
     t0 = time.perf_counter()
-    spec, j, n = inp.spec, inp.j, cfg.mc_samples
+    s, n = inp.system, cfg.mc_samples
     losses, exact = inp.exact
-    ds = sample_weak_dataset(spec, j, n, seed=cfg.seed + 1000)
-    est = empirical_risk(ds, spec, inp.model, _LOGISTIC, j)
-
+    ds = _sample(s, n, cfg.seed + 1000)
     # in its own frame, so the per-draw terms are freed before the rerun draws as many again
-    se, abs_terms = _estimator_spread(ds, spec, j, np.ascontiguousarray(losses.T))
+    est, se, abs_terms = _estimator_spread(ds, s, losses)
     tol = max(MC_SIGMAS * se, MC_ROUNDING * np.finfo(np.float64).eps * abs_terms)
 
-    ds2 = sample_weak_dataset(spec, j, n, seed=cfg.seed + 1000)
-    est2 = empirical_risk(ds2, spec, inp.model, _LOGISTIC, j)
+    ds2 = _sample(s, n, cfg.seed + 1000)
+    est2 = float((_fold(_channel_terms(ds2, s), inp.j) * losses).sum())
     identical = datasets_equal(ds, ds2) and est == est2
 
     err = abs(est - exact) if identical else float("inf")
-    return _report(f"mc-consistency[n={n}]", spec.name,
+    return _report(f"mc-consistency[n={n}]", inp.spec.name,
                    {"exact": exact, "estimate": est, "se": se, "rerun_identical": identical},
                    err, tol, cfg.seed, t0)
 
 
-def verify_gradient_check(spec: ScenarioSpec, j: FiniteJoint, model, ds, ls: LossSpec,
-                          seed: int = 0) -> CheckReport:
+def verify_gradient_check(inp: CheckInput, ds, ls: LossSpec, seed: int = 0) -> CheckReport:
     """Analytic gradient of the empirical corrected risk against central
     finite differences; error is relative with a unit floor.  The risk at
     all 2P perturbed parameter vectors is one weighted loss over a
     (2P, n_x, K) stack of scores."""
     t0 = time.perf_counter()
-    dW, db = empirical_gradient(ds, spec, model, ls, j)
-    W = weight_table(ds, spec, j)  # the empirical risk is the weighted loss of this table
+    j, model = inp.j, inp.model
+    W = _fold(_channel_terms(ds, inp.system), j)  # the empirical risk is the weighted loss of this table
+    _, dW, db = weighted_loss(W, model, ls, j, grad=True)
     # every parameter in one flat vector: the weights row by row, then the bias
     theta = np.concatenate([model.weights.ravel(), model.bias])
     analytic = np.concatenate([dW.ravel(), db])
@@ -605,20 +607,16 @@ def verify_gradient_check(spec: ScenarioSpec, j: FiniteJoint, model, ds, ls: Los
     risks = (W * _loss_table(ls, scores)).sum(axis=(1, 2))
     numeric = (risks[:P] - risks[P:]) / (2.0 * GRADIENT_EPS)
     err = np.abs(numeric - analytic) / np.maximum(1.0, np.maximum(np.abs(numeric), np.abs(analytic)))
-    return _report("gradient-check", spec.name, {"loss": ls.name, "eps": GRADIENT_EPS},
+    return _report("gradient-check", inp.spec.name, {"loss": ls.name, "eps": GRADIENT_EPS},
                    err.max(), TOL_GRADIENT, seed, t0)
 
 
-def separable_binary_joint(n_half: int = 20, seed: int = 7) -> FiniteJoint:
-    """Two well separated clusters, one per class, equal mass per instance."""
-    u = philox_uniforms(seed, 777, 4 * n_half).reshape(2 * n_half, 2)
-    jitter = 0.3 * (u - 0.5)
-    feats = np.vstack([np.tile([1.0, 1.0], (n_half, 1)) + jitter[:n_half],
-                       np.tile([-1.0, -1.0], (n_half, 1)) + jitter[n_half:]])
-    joint = np.zeros((2, 2 * n_half))
-    joint[0, :n_half] = 1.0 / (2 * n_half)
-    joint[1, n_half:] = 1.0 / (2 * n_half)
-    return validate_joint(2, feats, joint)
+def separable_binary_joint(seed: int = 7) -> FiniteJoint:
+    """Two well separated clusters of :data:`ERM_HALF` instances, one per
+    class, equal mass per instance."""
+    jitter = 0.3 * (philox_uniforms(seed, 777, 4 * ERM_HALF).reshape(2 * ERM_HALF, 2) - 0.5)
+    feats = np.repeat([[1.0, 1.0], [-1.0, -1.0]], ERM_HALF, axis=0) + jitter
+    return validate_joint(2, feats, np.repeat(np.eye(2), ERM_HALF, axis=1) / (2 * ERM_HALF))
 
 
 def verify_erm_sanity(seed: int = 7) -> CheckReport:
@@ -689,17 +687,16 @@ _FIRST_FIVE = lambda cfg: _trial_shapes(cfg, range(min(5, cfg.trials)))
 # entry after the name, and its task reports the worst; one that reads
 # none, as check(cfg).
 _REGISTRY = (
-    ("formulation:{}", _SETTINGS, _FIRST_FIVE,
-     lambda cfg, inp: verify_formulation(inp.spec, inp.j, seed=cfg.seed)),
+    ("formulation:{}", _SETTINGS, _FIRST_FIVE, lambda cfg, inp: verify_formulation(inp, seed=cfg.seed)),
     # each record's default method, and for CL and MCL also the exact inverse
     ("reconstruction:{}:{}",
      tuple((name, method) for name in _SETTINGS
            for method in (SCENARIO_TYPES[name].method, EXACT_INVERSE.get(name)) if method),
      _FIRST_FIVE,
-     lambda cfg, inp, method: verify_reconstruction(inp.spec, inp.j, method=method, seed=cfg.seed)),
+     lambda cfg, inp, method: verify_reconstruction(inp, method=method, seed=cfg.seed)),
     ("risk-equality:{}", _SETTINGS, _EVERY_TRIAL, lambda cfg, inp: verify_risk_equality(inp, seed=cfg.seed)),
     ("closed-form:{}", tuple(n for n in ALL_SCENARIO_NAMES if n not in EXACT_INVERSE), _FIRST_FIVE,
-     lambda cfg, inp: verify_closed_form(inp.spec, inp.j, inp.model, _LOGISTIC, seed=cfg.seed)),
+     lambda cfg, inp: verify_closed_form(inp, _LOGISTIC, seed=cfg.seed)),
     ("reduction-graph", _ONCE, _NO_INPUT, lambda cfg: verify_reduction_graph(
         random_joint(cfg.K, cfg.nx, cfg.d_feat, cfg.seed, 21), seed=cfg.seed)),
     ("worked-example", _ONCE, _NO_INPUT, lambda cfg: verify_worked_example(seed=cfg.seed)),
@@ -708,16 +705,15 @@ _REGISTRY = (
     ("pair-checks", _ONCE, _NO_INPUT, lambda cfg: verify_pair_symmetry(
         random_joint(2, cfg.nx, cfg.d_feat, cfg.seed, 5011), seed=cfg.seed)),
     ("pcpl-half-identity", ("PCPL",), lambda cfg: _trial_shapes(cfg, (2,)),
-     lambda cfg, inp: verify_pcpl_half_identity(inp.j, inp.model, _LOGISTIC, seed=cfg.seed)),
+     lambda cfg, inp: verify_pcpl_half_identity(inp, _LOGISTIC, seed=cfg.seed)),
     ("mcl-block-inverse", _ONCE, _NO_INPUT, lambda cfg: verify_mcl_blocks(seed=cfg.seed)),
     ("method-agreement:{}", tuple(EXACT_INVERSE), lambda cfg: _trial_shapes(cfg, (4,)),
-     lambda cfg, inp: verify_method_agreement(inp.spec, inp.j, inp.model, _LOGISTIC, seed=cfg.seed)),
+     lambda cfg, inp: verify_method_agreement(inp, _LOGISTIC, seed=cfg.seed)),
     ("mc-consistency:{}", ("PU", "CL", "Soft"), lambda cfg: [(MC_TRIAL, cfg.K, cfg.nx)], _mc_consistency),
     # 40 draws per sampling channel
     ("gradient-check:{}", ALL_SCENARIO_NAMES, lambda cfg: _trial_shapes(cfg, (3,)),
-     lambda cfg, inp: verify_gradient_check(inp.spec, inp.j, inp.model,
-                                            sample_weak_dataset(inp.spec, inp.j, 40, seed=cfg.seed + 5),
-                                            _LOGISTIC, seed=cfg.seed)),
+     lambda cfg, inp: verify_gradient_check(inp, _sample(inp.system, 40, cfg.seed + 5), _LOGISTIC,
+                                            seed=cfg.seed)),
     ("erm-sanity", _ONCE, _NO_INPUT, lambda cfg: verify_erm_sanity(seed=cfg.seed)),
 )
 

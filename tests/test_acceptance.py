@@ -31,6 +31,7 @@ from wslrr.scenarios import (
 )
 from wslrr.verify import (
     ALL_SCENARIO_NAMES,
+    CheckInput,
     VerifyConfig,
     build_registry,
     make_spec,
@@ -86,8 +87,8 @@ def test_criterion_02_reconstruction_every_method():
     worst = 0.0
     for name, method in RECONSTRUCTIONS:
         for trial in range(5):
-            spec, j, _ = _trial_inputs(name, trial)
-            rep = verify_reconstruction(spec, j, tol=1e-12, method=method, seed=CFG.seed)
+            spec, j, model = _trial_inputs(name, trial)
+            rep = verify_reconstruction(CheckInput(spec, j, model), tol=1e-12, method=method, seed=CFG.seed)
             assert rep.passed, (name, method, rep.params)
             worst = max(worst, rep.max_abs_err)
     _line(2, worst <= 1e-12, f"all scenario/method reconstructions, max err = {worst:.2e}")
@@ -119,7 +120,7 @@ def test_criterion_04_mcl_combinatorics():
 
 def test_criterion_05_pcpl_half_identity_and_ppl_closed_form():
     spec, j, model = _trial_inputs("PCPL", 3)
-    rep = verify_pcpl_half_identity(j, model, LOGISTIC, seed=CFG.seed)
+    rep = verify_pcpl_half_identity(CheckInput(spec, j, model), LOGISTIC, seed=CFG.seed)
 
     pspec, pj, _ = _trial_inputs("PPL", 4)
     m = marginals(pj)
@@ -193,7 +194,7 @@ def test_criterion_10_gradient_checks():
         for ls in (LOGISTIC, SQUARED):
             spec, j, model = _trial_inputs(name, 3)
             ds = sample_weak_dataset(spec, j, 40, seed=CFG.seed + 5)
-            rep = verify_gradient_check(spec, j, model, ds, ls, seed=CFG.seed)
+            rep = verify_gradient_check(CheckInput(spec, j, model), ds, ls, seed=CFG.seed)
             assert rep.passed and rep.tol == 1e-5, (name, ls.name, rep.max_abs_err)
             worst = max(worst, rep.max_abs_err)
     _line(10, worst <= 1e-5,

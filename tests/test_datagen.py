@@ -28,8 +28,8 @@ from wslrr.datagen import (
     sampling_channels,
 )
 from wslrr.errors import ParseError, SchemaMismatch, ValidationError, ZeroChannelMass
-from wslrr.scenarios import (CL, MCL, PU, SD, Pcomp, Sconf, Soft, observed_distribution, scenario_to_json,
-                             specs_equal)
+from wslrr.scenarios import (CL, MCL, PU, SD, Pcomp, Sconf, Soft, compound_label_space, observed_distribution,
+                             scenario_to_json, specs_equal)
 from wslrr.verify import ABSTRACT_SCENARIO_NAMES, ALL_SCENARIO_NAMES, make_spec, scenario_joint
 
 
@@ -364,6 +364,23 @@ class TestSampling:
         assert sizes[2] == 0
         _check_freqs(sizes, np.array([0.7, 0.3, 0.0]), 20_000)
 
+    @pytest.mark.parametrize("case", ["GCCN", "MCL", "MCL, no size-3 draws", "CL, no draws"])
+    def test_label_split_is_the_mask_of_each_label(self, case):
+        """Every label channel holds ``inst[chan == c]`` of the stream, bit for
+        bit: GCCN at K = 4 (14 labels), MCL's two-stage draw, labels with no
+        draws, and a count of 0."""
+        name = case.split(",")[0]
+        j = scenario_joint(name, 4, 7, 2, seed=61, trial=2)
+        spec = MCL(q=(0.7, 0.3, 0.0)) if "size-3" in case else make_spec(name, j, 61, 2)
+        count = 0 if "no draws" in case else 20_000
+        ds = sample_weak_dataset(spec, j, count, seed=13)
+        chan, inst = _label_stream_reference(spec, j, count, seed=13)
+        assert len(ds.channels) == len(spec.labels(4)) == (14 if name != "CL" else 4)
+        for c, ch in enumerate(ds.channels):
+            assert _same_bits(ch.indices, inst[chan == c])
+        empty = [ch.n_draws == 0 for ch in ds.channels]
+        assert sum(empty) == {"GCCN": 0, "MCL": 0, "MCL, no size-3 draws": 4, "CL, no draws": 4}[case]
+
     @pytest.mark.parametrize("name", ["CCN", "GCCN", "MCD", "UU"])
     def test_abstractions_sample_and_estimate(self, name):
         """The noise-model abstractions run end to end: sample, estimate,
@@ -378,6 +395,26 @@ class TestSampling:
         ls = LossSpec("logistic")
         exact = classification_risk(j, model, ls)
         assert empirical_risk(ds, spec, model, ls, j) == pytest.approx(exact, abs=0.05)
+
+
+def _label_stream_reference(spec, j, count, seed):
+    """(label, instance) of every draw of a label stream, in stream order;
+    MCL's excluded-set sizes first, then each size's draws by its own mask."""
+    flat = observed_distribution(spec, j).observed.T
+    if spec.size_law is None:
+        pos = _categorical(flat, philox_uniforms(seed, 0, count), "stream")
+        return pos // j.n_x, pos % j.n_x
+    sizes = np.array([len(s) for s in compound_label_space(j.K)])
+    d_draw = _categorical(np.asarray(spec.size_law), philox_uniforms(seed, 0, count), "sizes") + 1
+    u2 = philox_uniforms(seed, 1, count)
+    chan, inst = np.empty(count, dtype=int), np.empty(count, dtype=int)
+    for d in range(1, j.K):
+        mask = d_draw == d
+        if mask.any():
+            rows = np.nonzero(sizes == d)[0]
+            pos = _categorical(flat[rows], u2[mask], f"size {d}")
+            chan[mask], inst[mask] = rows[pos // j.n_x], pos % j.n_x
+    return chan, inst
 
 
 def _check_freqs(counts, probs, n):

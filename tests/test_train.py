@@ -15,7 +15,7 @@ from wslrr.risk import (
     score_matrix,
     _loss_parts,
 )
-from wslrr.scenarios import PU, UU
+from wslrr.scenarios import MCL, PU, UU
 from wslrr.train import (
     LinearModel,
     TrainConfig,
@@ -120,6 +120,21 @@ class TestWeightTable:
         gW, gb = empirical_gradient(ds, spec, model, LOGISTIC, j)
         assert np.max(np.abs(gW - dW)) <= 1e-12 and np.max(np.abs(gb - db)) <= 1e-12
 
+    @pytest.mark.parametrize("name", ["CL", "MCL", "PCPL", "PPL", "CCN", "GCCN", "MCL, no size-3 draws"])
+    def test_count_fold_matches_per_draw_path_at_many_draws(self, name):
+        """The label stream's count fold stays within 1e-12 of the per-draw
+        sums at 100k draws, also with label channels that hold no draw."""
+        setting = name.split(",")[0]
+        j = scenario_joint(setting, 4, 7, 3, seed=43, trial=1)
+        spec = MCL(q=(0.7, 0.3, 0.0)) if "size-3" in name else make_spec(setting, j, 43, 1)
+        model = seeded_model(j, 43, 1)
+        ds = sample_weak_dataset(spec, j, 100_000, seed=5)
+        assert any(c.n_draws == 0 for c in ds.channels) == ("size-3" in name)
+        risk, dW, db = _per_draw_risk_and_gradient(ds, spec, model, LOGISTIC, j)
+        assert abs(empirical_risk(ds, spec, model, LOGISTIC, j) - risk) <= 1e-12
+        gW, gb = empirical_gradient(ds, spec, model, LOGISTIC, j)
+        assert np.max(np.abs(gW - dW)) <= 1e-12 and np.max(np.abs(gb - db)) <= 1e-12
+
     @pytest.mark.parametrize("epochs", [1, 9])
     def test_train_compiles_the_dataset_once(self, monkeypatch, epochs):
         j = scenario_joint("GCCN", 3, 6, 3, seed=17, trial=0)
@@ -217,9 +232,9 @@ class TestModelJson:
 
     def test_gradient_check_per_scenario_sample(self):
         # a broader pass lives in verify; spot check a multiclass scenario here
-        from wslrr.verify import verify_gradient_check
+        from wslrr.verify import CheckInput, verify_gradient_check
         j = scenario_joint("MCL", 4, 5, 3, seed=19, trial=0)
         spec = make_spec("MCL", j, 19, 0)
         ds = sample_weak_dataset(spec, j, 40, seed=20)
-        rep = verify_gradient_check(spec, j, seeded_model(j, 19, 3), ds, LOGISTIC, seed=19)
+        rep = verify_gradient_check(CheckInput(spec, j, seeded_model(j, 19, 3)), ds, LOGISTIC, seed=19)
         assert rep.passed

@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,11 +10,13 @@ import pytest
 import wslrr.verify
 from wslrr.core import FiniteJoint
 from wslrr.datagen import sample_weak_dataset
-from wslrr.errors import KTooLarge, ShapeMismatch, ValidationError, ZeroPairMass
-from wslrr.risk import LossSpec, channel_terms, loss_matrix, weighted_loss
+import wslrr.decontam
+from wslrr.decontam import _decontaminate
+from wslrr.errors import DegenerateParams, KTooLarge, ShapeMismatch, ValidationError, ZeroPairMass
+from wslrr.risk import LossSpec, channel_terms, empirical_risk, loss_matrix, weight_table, weighted_loss
 import wslrr.scenarios
-from wslrr.scenarios import UU, Soft, specs_equal
-from wslrr.train import LinearModel
+from wslrr.scenarios import CCN, FAMILY_SCONF, UU, Soft, _member_mask, specs_equal
+from wslrr.train import LinearModel, empirical_gradient
 from wslrr.verify import (
     ABSTRACT_SCENARIO_NAMES,
     ALL_SCENARIO_NAMES,
@@ -117,7 +120,7 @@ class TestChecks:
 
     def test_degenerate_params_surface_as_failed_check(self, binary_joint):
         spec = UU(gamma_1=0.5, gamma_2=0.5)
-        rep = verify_reconstruction(spec, binary_joint, seed=1)
+        rep = verify_reconstruction(CheckInput(spec, binary_joint, seeded_model(binary_joint, 1, 0)), seed=1)
         assert not rep.passed
         assert "DegenerateParams" in rep.params["error"]
 
@@ -135,8 +138,9 @@ class TestChecks:
 
     def test_checks_are_deterministic(self, binary_joint):
         spec = make_spec("SU", binary_joint, 4, 0)
-        a = verify_formulation(spec, binary_joint, seed=4)
-        b = verify_formulation(spec, binary_joint, seed=4)
+        model = seeded_model(binary_joint, 4, 0)
+        a = verify_formulation(CheckInput(spec, binary_joint, model), seed=4)
+        b = verify_formulation(CheckInput(spec, binary_joint, model), seed=4)
         assert a.max_abs_err == b.max_abs_err
 
 
@@ -213,12 +217,15 @@ def test_each_trial_input_is_drawn_once_and_dropped_after_its_last_reader(monkey
     the three Monte-Carlo inputs, once, from the draws that every setting of
     a trial shares.  When the first Monte-Carlo task starts, the only inputs,
     joints and loss tables still alive are the trial-3 ones that the gradient
-    checks read later.  The only models alive are trial 3's and the two of
+    checks read later, and so are the only systems: each input builds one,
+    which dies with it.  The only models alive are trial 3's and the two of
     trial 17 that the Monte-Carlo tasks read: they take trial 17's models,
     which the per-setting readers of trial 17 drew.  Nothing outlives the
     run."""
     real_inputs, real_risk = wslrr.verify._scenario_trial_inputs, wslrr.verify._exact_risk
-    inputs, draws, alive_at_mc, reports = {}, {}, [], []
+    real_system = wslrr.verify._System
+    inputs, draws, systems, alive_at_mc, reports = {}, {}, {}, [], []
+    input_of = {}  # id of a live input's spec -> the input's key
 
     def track(kind, trial, K, draw):
         if id(draw) not in draws or draws[id(draw)][1]() is not draw:
@@ -228,6 +235,7 @@ def test_each_trial_input_is_drawn_once_and_dropped_after_its_last_reader(monkey
         out = real_inputs(cfg, table, name, trial, K, nx)
         assert (name, trial, K, nx) not in inputs
         inputs[name, trial, K, nx] = weakref.ref(out.spec)  # each input has its own spec
+        input_of[id(out.spec)] = (name, trial, K, nx)
         for draw in table["joints", trial, K, nx].values():  # the candidates, and the loss tables made so far
             if isinstance(draw, FiniteJoint):
                 track("joint", trial, draw.K, draw)
@@ -240,15 +248,22 @@ def test_each_trial_input_is_drawn_once_and_dropped_after_its_last_reader(monkey
         track("loss table", draws[id(j)][0][1], j.K, out[0])
         return out
 
+    def system(spec, j):
+        out = real_system(spec, j)
+        assert input_of[id(spec)] not in systems
+        systems[input_of[id(spec)]] = weakref.ref(out)
+        return out
+
     def alive(refs):
         return {key for key, ref in refs if ref() is not None}
 
     monkeypatch.setattr(wslrr.verify, "_scenario_trial_inputs", tracked_inputs)
+    monkeypatch.setattr(wslrr.verify, "_System", system)
     monkeypatch.setattr(wslrr.verify, "_exact_risk", exact_risk)
     for label, run in build_registry(VerifyConfig()):
         if label.startswith("mc-consistency:") and not alive_at_mc:
             gc.collect()
-            alive_at_mc.append((alive(inputs.items()), alive(draws.values())))
+            alive_at_mc.append((alive(inputs.items()), alive(draws.values()), alive(systems.items())))
         out = run()
         reports += out if isinstance(out, list) else [out]
     del run
@@ -256,14 +271,111 @@ def test_each_trial_input_is_drawn_once_and_dropped_after_its_last_reader(monkey
     mc_inputs = {(name, wslrr.verify.MC_TRIAL, 4, 6) for name in ("PU", "CL", "Soft")}
     assert len(inputs.keys() - mc_inputs) == len(ALL_SCENARIO_NAMES + ABSTRACT_SCENARIO_NAMES) * 20 == 360
     assert mc_inputs <= inputs.keys()
-    (inputs_at_mc, draws_at_mc), = alive_at_mc
+    assert systems.keys() == inputs.keys()
+    (inputs_at_mc, draws_at_mc, systems_at_mc), = alive_at_mc
     assert {key[:2] for key in inputs_at_mc} == {(name, 3) for name in ALL_SCENARIO_NAMES}
-    assert len(inputs_at_mc) == len(ALL_SCENARIO_NAMES)
+    assert len(inputs_at_mc) == len(ALL_SCENARIO_NAMES) and systems_at_mc == inputs_at_mc
     # trial 3 reads K = 2 + 3 % 3 = 2 for every setting; trial 17, K = 2 + 17 % 3 = 4, or 2 if binary
     assert {(kind, trial) for kind, trial, _ in draws_at_mc if kind != "model"} == {("joint", 3), ("loss table", 3)}
     assert {(trial, K) for kind, trial, K in draws_at_mc if kind == "model"} == {(3, 2), (17, 2), (17, 4)}
     gc.collect()
-    assert alive(inputs.items()) == set() and alive(draws.values()) == set()
+    assert alive(inputs.items()) == set() and alive(draws.values()) == set() and alive(systems.items()) == set()
+
+
+def test_default_run_builds_each_input_system_and_decontamination_once(monkeypatch):
+    """A default run builds one system per input, on the first read of the
+    363 inputs' checks, and each (system, method) decontamination once.  Only
+    the four tasks that read no input build systems of their own."""
+    real_inputs, real_init = wslrr.verify._scenario_trial_inputs, wslrr.scenarios._System.__init__
+    real_decontamination = wslrr.decontam._decontamination
+    held, input_specs, built, decontaminated, task = [], set(), Counter(), Counter(), [None]
+
+    def inputs(*args):
+        out = real_inputs(*args)
+        held.append(out.spec)  # held to the end, so no id is reused
+        input_specs.add(id(out.spec))
+        return out
+
+    def init(self, spec, j):
+        held.append(self)
+        built[id(spec) if id(spec) in input_specs else task[0]] += 1
+        real_init(self, spec, j)
+
+    def decontamination(s, method):
+        decontaminated[id(s), method] += 1
+        return real_decontamination(s, method)
+
+    monkeypatch.setattr(wslrr.verify, "_scenario_trial_inputs", inputs)
+    monkeypatch.setattr(wslrr.scenarios._System, "__init__", init)
+    monkeypatch.setattr(wslrr.decontam, "_decontamination", decontamination)
+    for task[0], run in build_registry(VerifyConfig()):
+        out = run()
+        assert all(r.passed for r in (out if isinstance(out, list) else [out]))
+    per_input = [n for key, n in built.items() if isinstance(key, int)]
+    assert len(per_input) == len(input_specs) == 363 and set(per_input) == {1}
+    assert {key for key in built if isinstance(key, str)} == {
+        "reduction-graph", "worked-example", "pair-checks", "erm-sanity"}
+    assert decontaminated and set(decontaminated.values()) == {1}
+
+
+def test_a_failing_system_fails_each_reading_check_with_its_message_and_is_not_kept(monkeypatch):
+    """UU's trial-0 spec, made degenerate, fails the four checks that read
+    that input, each with the error a fresh build raises, and each builds
+    the system anew; every other check passes."""
+    real_spec, real_system = wslrr.verify.make_spec, wslrr.verify._System
+    bad, attempts = UU(gamma_1=0.4, gamma_2=0.6), []
+
+    def make_spec_(name, j, seed, trial):
+        return bad if (name, trial) == ("UU", 0) else real_spec(name, j, seed, trial)
+
+    def system(spec, j):
+        attempts.append(spec is bad)
+        return real_system(spec, j)
+
+    monkeypatch.setattr(wslrr.verify, "make_spec", make_spec_)
+    monkeypatch.setattr(wslrr.verify, "_System", system)
+    reports = {label: run() for label, run in build_registry(VerifyConfig(trials=1, mc_samples=2000))}
+    j = scenario_joint("UU", 4, 3, 3, seed=7, trial=0)
+    with pytest.raises(DegenerateParams) as e:
+        real_system(bad, j)
+    # the guarded checks name their report, and the registry names a check that raises by its task
+    readers = {"formulation:UU": "formulation", "reconstruction:UU:inversion": "reconstruction[inversion]",
+               "risk-equality:UU": "risk-equality", "closed-form:UU": "closed-form:UU"}
+    for label, name in readers.items():
+        rep = reports[label]
+        assert (rep.name, rep.passed, rep.params["error"]) == (name, False, f"DegenerateParams: {e.value}")
+    assert all(r.passed for label, out in reports.items() if label not in readers
+               for r in (out if isinstance(out, list) else [out]))
+    assert attempts.count(True) == len(readers)
+
+
+def test_a_failing_decontamination_fails_every_reader_and_is_not_kept():
+    """A singular flip matrix validates but has no inverse: each reading
+    check fails with the same message, and no inversion is kept."""
+    j = random_joint(2, 3, 2, seed=9, stream=0)
+    inp = CheckInput(CCN(flip=np.full((3, 2, 2), 0.5)), j, seeded_model(j, 9, 0))
+    first, second = (verify_reconstruction(inp, method="inversion") for _ in range(2))
+    assert not first.passed and first.params == second.params
+    assert first.params["error"].startswith("Singular: ")
+    assert "inversion" not in inp.system.decontaminated
+
+
+def test_shared_system_arrays_are_read_only():
+    """What an input's system hands out to every reader, its tensor, its
+    observed masses and each decontamination, is read-only, as the member
+    masks shared across K are."""
+    cfg = VerifyConfig()
+    for name in ALL_SCENARIO_NAMES + ABSTRACT_SCENARIO_NAMES:
+        s = wslrr.verify._scenario_trial_inputs(cfg, {}, name, 1, 3, 4).system
+        methods = {s.spec.method, s.spec.estimator, wslrr.verify.EXACT_INVERSE.get(name)} - {None}
+        arrays = [a for method in methods for a in vars(_decontaminate(s, method)).values()
+                  if isinstance(a, np.ndarray)]
+        if s.spec.family != FAMILY_SCONF:
+            arrays += [s.tensor, s.observed]
+        assert arrays and not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError):
+            arrays[0].flat[0] = 0.0
+    assert not _member_mask(4).flags.writeable
 
 
 def test_default_run_draws_each_joint_and_model_once(monkeypatch):
@@ -351,7 +463,7 @@ def test_mc_consistency_frees_its_estimator_terms_before_the_rerun(monkeypatch):
     """The rerun draws a second dataset of the same size; the first one's
     per-draw terms must be gone by then, or the task's memory peak grows by
     a weight table."""
-    real_terms, real_sample = wslrr.verify.channel_terms, wslrr.verify.sample_weak_dataset
+    real_terms, real_sample = wslrr.verify._channel_terms, wslrr.verify._sample
     terms, alive_at_rerun = [], []
 
     def channel_terms(*args):
@@ -365,8 +477,8 @@ def test_mc_consistency_frees_its_estimator_terms_before_the_rerun(monkeypatch):
             alive_at_rerun.append(sum(ref() is not None for ref in terms))
         return real_sample(*args, **kwargs)
 
-    monkeypatch.setattr(wslrr.verify, "channel_terms", channel_terms)
-    monkeypatch.setattr(wslrr.verify, "sample_weak_dataset", sample)
+    monkeypatch.setattr(wslrr.verify, "_channel_terms", channel_terms)
+    monkeypatch.setattr(wslrr.verify, "_sample", sample)
     for name in ("PU", "CL", "Soft"):
         terms.clear()
         assert wslrr.verify.verify_mc_consistency(name, VerifyConfig(mc_samples=2000)).passed
@@ -418,15 +530,17 @@ def _spread_reference(ds, spec, j, lam):
 @pytest.mark.parametrize("name", ["PU", "CL", "Soft"])
 def test_estimator_spread_bits(name):
     """On the default Monte-Carlo inputs, se and the |terms| sum are the bits
-    of the reference that gathers the losses twice."""
+    of the reference that gathers the losses twice, and the estimate, made
+    from the same terms, is empirical_risk's."""
     cfg = VerifyConfig()
     t = wslrr.verify.MC_TRIAL
     j = scenario_joint(name, cfg.K, cfg.nx, cfg.d_feat, cfg.seed, t)
-    spec = make_spec(name, j, cfg.seed, t)
-    model = seeded_model(j, cfg.seed, t)
-    ds = sample_weak_dataset(spec, j, cfg.mc_samples, seed=cfg.seed + 1000)
-    lam = loss_matrix(LOGISTIC, model, j)
-    assert wslrr.verify._estimator_spread(ds, spec, j, lam) == _spread_reference(ds, spec, j, lam)
+    inp = CheckInput(make_spec(name, j, cfg.seed, t), j, seeded_model(j, cfg.seed, t))
+    ds = sample_weak_dataset(inp.spec, j, cfg.mc_samples, seed=cfg.seed + 1000)
+    lam = loss_matrix(LOGISTIC, inp.model, j)
+    est, *spread = wslrr.verify._estimator_spread(ds, inp.system, inp.exact[0])
+    assert tuple(spread) == _spread_reference(ds, inp.spec, j, lam)
+    assert _bits(est) == _bits(empirical_risk(ds, inp.spec, inp.model, LOGISTIC, j))
 
 
 def _gradient_inputs(name):
@@ -441,9 +555,9 @@ def test_gradient_check_matches_one_parameter_at_a_time(name):
     parameter at a time through ``weighted_loss``."""
     spec, j, ds = _gradient_inputs(name)
     model = seeded_model(j, 7, 3)
-    rep = verify_gradient_check(spec, j, model, ds, LOGISTIC, seed=7)
-    dW, db = wslrr.verify.empirical_gradient(ds, spec, model, LOGISTIC, j)
-    W = wslrr.verify.weight_table(ds, spec, j)
+    rep = verify_gradient_check(CheckInput(spec, j, model), ds, LOGISTIC, seed=7)
+    dW, db = empirical_gradient(ds, spec, model, LOGISTIC, j)
+    W = weight_table(ds, spec, j)
     theta = np.concatenate([model.weights.ravel(), model.bias])
     analytic, n_w, eps, err = np.concatenate([dW.ravel(), db]), model.weights.size, 1e-6, 0.0
     for ix in range(theta.size):
@@ -462,12 +576,12 @@ def test_gradient_check_matches_one_parameter_at_a_time(name):
 @pytest.mark.parametrize("name", ["PU", "CL", "Soft"])
 def test_gradient_check_fails_on_a_perturbed_gradient(name, part, monkeypatch):
     spec, j, ds = _gradient_inputs(name)
-    real = wslrr.verify.empirical_gradient
+    real = wslrr.verify.weighted_loss
 
-    def perturbed(*args, **kwargs):
-        dW, db = real(*args, **kwargs)
-        return (dW + 1e-3, db) if part == "weights" else (dW, db + 1e-3)
+    def perturbed(*args, **kwargs):  # the check's analytic gradient
+        value, dW, db = real(*args, **kwargs)
+        return (value, dW + 1e-3, db) if part == "weights" else (value, dW, db + 1e-3)
 
-    monkeypatch.setattr(wslrr.verify, "empirical_gradient", perturbed)
-    rep = verify_gradient_check(spec, j, seeded_model(j, 7, 3), ds, LOGISTIC, seed=7)
+    monkeypatch.setattr(wslrr.verify, "weighted_loss", perturbed)
+    rep = verify_gradient_check(CheckInput(spec, j, seeded_model(j, 7, 3)), ds, LOGISTIC, seed=7)
     assert not rep.passed and rep.max_abs_err >= 1e-4
