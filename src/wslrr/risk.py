@@ -20,7 +20,6 @@ independent cross-check of the generic product.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
-from functools import cached_property
 from typing import ClassVar, Optional
 
 import numpy as np
@@ -87,10 +86,10 @@ class LossSpec:
 
 
 def _check_scores(scores) -> np.ndarray:
-    """Finite float64 scores: an (n, K) table."""
+    """Finite float64 scores: an (n, K) table, or a (B, n, K) stack of them."""
     g = np.asarray(scores, dtype=np.float64)
-    if g.ndim != 2:
-        raise ShapeMismatch(f"scores must be an (n, K) table, got {g.shape}")
+    if g.ndim not in (2, 3):
+        raise ShapeMismatch(f"scores must be an (n, K) table or a stack of them, got {g.shape}")
     if not np.isfinite(g).all():
         raise NonFiniteScore("scores contain NaN or infinity")
     return g
@@ -132,8 +131,9 @@ def _loss_table(ls: LossSpec, g: np.ndarray) -> np.ndarray:
 
 
 def score_matrix(model, j: FiniteJoint) -> np.ndarray:
-    """(n_x, K) scores of a linear model on every instance."""
-    return j.features @ np.asarray(model.weights).T + np.asarray(model.bias)
+    """(n_x, K) scores of a linear model on every instance; (B, n_x, K) for
+    a stack of B models, with (B, K, d) weights and (B, K) bias."""
+    return j.features @ np.asarray(model.weights).swapaxes(-1, -2) + np.asarray(model.bias)[..., None, :]
 
 
 def loss_matrix(ls: LossSpec, model, j: FiniteJoint) -> np.ndarray:
@@ -147,15 +147,19 @@ def weighted_loss(W: np.ndarray, model, ls: LossSpec, j: FiniteJoint, grad: bool
 
     W is joint.T for the exact risk and :func:`weight_table` for the
     empirical one.  With ``grad`` this returns (value, dW, db), where
-    (dW, db) is the gradient in the linear model's parameters.
+    (dW, db) is the gradient in the linear model's parameters.  A
+    (B, n_x, K) stack of tables and a stack of B models (see
+    :func:`score_matrix`) give B values and gradients; with a C-ordered
+    stack, each has the bits of its own call.
     """
     table, bases, scale = _loss_parts(ls, _check_scores(score_matrix(model, j)), slope=grad)
-    value = float((W * table).sum())
+    value = (W * table).sum(axis=(-2, -1))
+    value = float(value) if value.ndim == 0 else value
     if not grad:
         return value
     # the gradient of loss entry k in the scores is base(g) - scale * e_k
-    dscores = W.sum(axis=1)[:, None] * bases - scale * W  # (n_x, K)
-    return value, dscores.T @ j.features, dscores.sum(axis=0)
+    dscores = W.sum(axis=-1)[..., None] * bases - scale * W  # (..., n_x, K)
+    return value, dscores.swapaxes(-1, -2) @ j.features, dscores.sum(axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -292,21 +296,19 @@ def closed_form_corrected_loss(spec: ScenarioSpec, m: Marginals, i: int, L,
 class ChannelTerms:
     """Flattened per-channel estimator terms.
 
-    Each entry e contributes weights[e] . loss(g(x_idx[e])) to draw
+    Each entry e contributes table[e] . loss(g(x_idx[e])) to draw
     e mod n_draws (pair terms list every first instance, then every second);
-    the channel's estimate is the mean over its n_draws draw totals, and the
-    full estimator is the sum of the channel estimates.  ``weights`` is
-    ``table``, or with ``rows`` (the label stream) its rows gathered on first read.
+    with ``rows`` (the label stream) the weight is instead row rows[e] of
+    ``table``, keyed by (instance, label).  The channel's estimate is the
+    mean over its n_draws draw totals, and the full estimator is the sum of
+    the channel estimates.  The label stream's (n, K) per-draw weights are
+    never gathered: the fold and the Monte-Carlo spread count its keys.
     """
     label: str
     n_draws: int
     idx: np.ndarray       # (n_entries,)
     table: np.ndarray     # (n_entries, K), a broadcast view when all share one row
     rows: Optional[np.ndarray] = None  # (n_entries,) rows of an (n_x * m, K) table, instance-major
-
-    @cached_property
-    def weights(self) -> np.ndarray:
-        return self.table if self.rows is None else np.take(self.table, self.rows, axis=0)
 
 
 def _shared_row_terms(label, n, idx, row) -> ChannelTerms:
@@ -394,22 +396,6 @@ def _channel_terms(ds, s: _System) -> list:
         return [ChannelTerms(ch.label, 0, idx, np.zeros((0, m.K)))]
     coeff = float(_superclass_probability(spec, m.priors[:, None])[0])  # the super-class prior
     return [ChannelTerms(ch.label, len(idx), idx, coeff * _conf_weights(spec, conf, idx))]
-
-
-def _term_losses(terms: ChannelTerms, lam: np.ndarray) -> np.ndarray:
-    """The (K, n_entries) losses of a channel's entries, ``lam[:, terms.idx]``
-    of the (K, n_x) loss table, gathered by ``np.take`` over ``lam.T``.  The
-    result has fancy indexing's F-ordered layout, which matters: the
-    summation order of ``einsum`` over it follows the layout."""
-    return np.take(lam.T, terms.idx, axis=0).T
-
-
-def per_draw_values(terms: ChannelTerms, lam: np.ndarray, losses: Optional[np.ndarray] = None) -> np.ndarray:
-    """Draw totals of a channel given the (K, n_x) loss table, or the
-    channel's already gathered :func:`_term_losses`."""
-    contrib = np.einsum("ek,ke->e", terms.weights, _term_losses(terms, lam) if losses is None else losses)
-    per_draw = len(terms.idx) // max(terms.n_draws, 1)  # entries per draw
-    return contrib.reshape(per_draw, terms.n_draws).sum(axis=0)
 
 
 def weight_table(ds, spec: ScenarioSpec, j: FiniteJoint) -> np.ndarray:

@@ -2,7 +2,10 @@
 
 Corrected risks are linear in the per-class losses, so a dataset folds
 once into an (n_x, K) weight table and every epoch, value and analytic
-gradient alike, is one weighted loss over the instances.  Corrected losses
+gradient alike, is one weighted loss over the instances.  The descent
+takes a stack of tables and descends one model per table together:
+``train`` passes a stack of one, and the harness's ERM sanity check the
+weak and the supervised tables.  Corrected losses
 can be negative, making the objective nonconvex or unbounded below; a
 non-finite risk or parameter surfaces as the Diverged error, which callers
 treat as a reported outcome rather than a crash.
@@ -12,31 +15,31 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FiniteJoint, parse_json
+from .core import FiniteJoint
 from .datagen import WeakDataset, philox_uniforms
-from .errors import Diverged, SchemaMismatch, ShapeMismatch
+from .errors import Diverged, ShapeMismatch
 from .risk import LossSpec, score_matrix, weight_table, weighted_loss
 from .scenarios import ScenarioSpec
 
 
 @dataclass(eq=False)
 class LinearModel:
-    """Per-class affine scores g(x) = W x + b."""
+    """Per-class affine scores g(x) = W x + b; the descent holds a stack of
+    B models as one, with (B, K, d_feat) weights and (B, K) bias."""
     weights: np.ndarray  # (K, d_feat)
     bias: np.ndarray     # (K,)
 
     @property
     def K(self) -> int:
-        return self.weights.shape[0]
+        return self.weights.shape[-2]
 
     @property
     def d_feat(self) -> int:
-        return self.weights.shape[1]
+        return self.weights.shape[-1]
 
     def copy(self) -> "LinearModel":
         return LinearModel(self.weights.copy(), self.bias.copy())
@@ -79,26 +82,36 @@ def empirical_gradient(ds: WeakDataset, spec: ScenarioSpec, model: LinearModel,
     return dW + 2.0 * l2 * model.weights, db
 
 
-def _descend(W: np.ndarray, ls: LossSpec, cfg: TrainConfig, j: FiniteJoint, what: str) -> tuple:
-    """Full-batch gradient descent on the weighted loss of the (n_x, K)
-    table W, plus the ridge term.  Returns (model, trace); trace[e] is the
-    loss after epoch e."""
-    model = init_model(j.K, j.d_feat, cfg.seed)
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow and inf times 0 are reported as Diverged
-        value, dW, db = weighted_loss(W, model, ls, j, grad=True)
-        if not math.isfinite(value):
-            raise Diverged(f"initial {what} is {value}")
-        trace = [value]
-        for epoch in range(1, cfg.epochs + 1):
-            model.weights = model.weights - cfg.learning_rate * (dW + 2.0 * cfg.l2 * model.weights)
-            model.bias = model.bias - cfg.learning_rate * db
-            if not (np.isfinite(model.weights).all() and np.isfinite(model.bias).all()):
-                raise Diverged(f"parameters became non-finite at epoch {epoch}")
-            value, dW, db = weighted_loss(W, model, ls, j, grad=True)
+def _descend(W: np.ndarray, ls: LossSpec, cfg: TrainConfig, j: FiniteJoint, what: tuple) -> list:
+    """Full-batch gradient descent on the weighted losses of a (B, n_x, K)
+    stack of tables W, plus the ridge term: B models from the same
+    ``init_model(cfg.seed)``, descended together so that an epoch is one
+    stacked weighted loss.  Returns one (model, trace) per table; trace[e]
+    is the loss after epoch e.  A stack of one, or a C-ordered stack, gives
+    each model the bits of its table's descent alone.  what[b] names table
+    b's loss in the Diverged messages."""
+    start = init_model(j.K, j.d_feat, cfg.seed)
+    stack = LinearModel(*(np.repeat(a[None], len(W), axis=0) for a in (start.weights, start.bias)))
+    traces = []
+
+    def losses(epoch: int) -> tuple:
+        values, dW, db = weighted_loss(W, stack, ls, j, grad=True)
+        traces.append(values.tolist())
+        for name, value in zip(what, traces[-1]):
             if not math.isfinite(value):
-                raise Diverged(f"{what} became non-finite at epoch {epoch}")
-            trace.append(value)
-    return model, trace
+                raise Diverged(f"{name} became non-finite at epoch {epoch}" if epoch
+                               else f"initial {name} is {value}")
+        return dW, db
+
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow and inf times 0 are reported as Diverged
+        dW, db = losses(0)
+        for epoch in range(1, cfg.epochs + 1):
+            stack.weights = stack.weights - cfg.learning_rate * (dW + 2.0 * cfg.l2 * stack.weights)
+            stack.bias = stack.bias - cfg.learning_rate * db
+            if not (np.isfinite(stack.weights).all() and np.isfinite(stack.bias).all()):
+                raise Diverged(f"parameters became non-finite at epoch {epoch}")
+            dW, db = losses(epoch)
+    return [(LinearModel(stack.weights[b], stack.bias[b]), [t[b] for t in traces]) for b in range(len(W))]
 
 
 def train_erm(ds: WeakDataset, spec: ScenarioSpec, ls: LossSpec, cfg: TrainConfig,
@@ -110,13 +123,13 @@ def train_erm(ds: WeakDataset, spec: ScenarioSpec, ls: LossSpec, cfg: TrainConfi
     is the initial risk and trace[e] the risk after epoch e.  Raises
     Diverged when the risk or the parameters stop being finite.
     """
-    return _descend(weight_table(ds, spec, j), ls, cfg, j, "empirical risk")
+    return _descend(weight_table(ds, spec, j)[None], ls, cfg, j, ("empirical risk",))[0]
 
 
 def train_supervised_exact(j: FiniteJoint, ls: LossSpec, cfg: TrainConfig) -> tuple:
     """Baseline: descend the exact classification risk itself (the
     infinite-sample supervised objective).  Returns (model, trace)."""
-    return _descend(j.joint.T, ls, cfg, j, "risk")
+    return _descend(j.joint.T[None], ls, cfg, j, ("risk",))[0]
 
 
 def predictions(model: LinearModel, j: FiniteJoint) -> np.ndarray:
@@ -132,29 +145,3 @@ def model_to_json(model: LinearModel) -> str:
          "weights": model.weights.tolist(), "bias": model.bias.tolist()},
         indent=2,
     )
-
-
-def _finite_numbers(value, shape: tuple) -> bool:
-    """Whether a parsed JSON value is nested lists of ``shape`` holding finite
-    numbers; booleans, and integers beyond the float range, are not."""
-    if not shape:
-        return type(value) in (int, float) and abs(value) <= sys.float_info.max  # exact for ints
-    return isinstance(value, list) and len(value) == shape[0] and all(
-        _finite_numbers(v, shape[1:]) for v in value)
-
-
-def model_from_json(text: str) -> LinearModel:
-    """The model a JSON text describes.  Raises SchemaMismatch unless K >= 2
-    and d >= 1 are integers and the weights and bias are finite numbers of
-    shapes (K, d) and (K,), as :func:`init_model` builds them."""
-    raw = parse_json(text, "model JSON")
-    if not isinstance(raw, dict) or not {"K", "d", "weights", "bias"} <= raw.keys():
-        raise SchemaMismatch('model JSON needs keys "K", "d", "weights", "bias"')
-    K, d = raw["K"], raw["d"]
-    if type(K) is not int or type(d) is not int or K < 2 or d < 1:
-        raise SchemaMismatch(f"model K and d must be integers >= 2 and >= 1, got K={K!r}, d={d!r}")
-    if not (_finite_numbers(raw["weights"], (K, d)) and _finite_numbers(raw["bias"], (K,))):
-        raise SchemaMismatch(f"model weights and bias must be finite numbers of shapes ({K}, {d}) and ({K},)")
-    w = np.array(raw["weights"], dtype=np.float64)
-    b = np.array(raw["bias"], dtype=np.float64)
-    return LinearModel(weights=w, bias=b)

@@ -34,15 +34,14 @@ from .risk import (
     LossSpec,
     closed_form_corrected_loss,
     loss_matrix,
-    per_draw_values,
     score_matrix,
+    weight_table,
     weighted_loss,
     _channel_terms,
     _check_scores,
     _fold,
     _loss_table,
     _rewrite_table,
-    _term_losses,
 )
 from .scenarios import (
     CCN,
@@ -81,8 +80,7 @@ from .train import (
     TrainConfig,
     init_model,
     predictions,
-    train_erm,
-    train_supervised_exact,
+    _descend,
 )
 
 TOL_MATRIX = 1e-12
@@ -545,18 +543,39 @@ def verify_method_agreement(inp: CheckInput, ls: LossSpec, seed: int = 0) -> Che
 
 def _estimator_spread(ds, s: _System, losses: np.ndarray) -> tuple:
     """(empirical risk, its standard error, sum over channels of the mean
-    |term|) of a dataset of ``s`` under the (n_x, K) loss table ``losses``,
-    from one build of its channel terms."""
+    |term|) of a dataset of ``s`` under the nonnegative (n_x, K) loss table
+    ``losses``, from one build of its channel terms.
+
+    A draw's value D(x)[:, s] . loss(x) depends only on its row, so a channel
+    whose draws are one entry each, weighted by a key, sums over its distinct
+    keys with their ``np.bincount`` counts c, as the fold does: the instance
+    of a shared row, or the (instance, label) ``rows`` of the label stream.
+    That is O(n + n_x m K), not O(n K).  Pairs, whose draw is two entries, and
+    confidence rows take one key per draw, with count 1.  Both form the mean
+    sum c v / n, the two-pass variance sum c (v - mean)^2 / (n - 1) of a
+    draw, and sum c |w| . loss; the estimate is the folded table's."""
     terms_list = _channel_terms(ds, s)
     est = float((_fold(terms_list, s.j) * losses).sum())
-    lam = np.ascontiguousarray(losses.T)
     var = abs_terms = 0.0
-    for terms in terms_list:
-        term_losses = _term_losses(terms, lam)  # gathered once, for both sums
-        vals = per_draw_values(terms, lam, term_losses)
-        if len(vals) > 1:
-            var += float(np.var(vals, ddof=1)) / len(vals)
-        abs_terms += float(np.einsum("ek,ke->", np.abs(terms.weights), term_losses)) / len(vals)
+    ones = np.ones(s.j.K)
+    for t in terms_list:
+        n = t.n_draws
+        # the K terms w_k loss_k of each key, or of each entry
+        if t.rows is not None:  # row i * m + c of the table is D(x_i)[:, c]
+            counts = np.bincount(t.rows, minlength=len(t.table))
+            terms = t.table * np.repeat(losses, len(t.table) // s.j.n_x, axis=0)
+        elif t.table.strides[0] == 0 and len(t.idx) == n:  # one shared row, keyed by instance
+            counts, terms = np.bincount(t.idx, minlength=s.j.n_x), t.table[0] * losses
+        else:
+            counts, terms = None, np.take(losses, t.idx, axis=0)
+            terms *= t.table
+        vals, abs_vals = terms @ ones, np.abs(terms, out=terms) @ ones  # |w_k| loss_k = |w_k loss_k|
+        if counts is None:  # one key per draw, whose entries (both of a pair's) are summed
+            counts, vals = 1, vals.reshape(-1, n).sum(axis=0)
+        mean = float(np.sum(counts * vals)) / n
+        if n > 1:
+            var += float(np.sum(counts * (vals - mean) ** 2)) / (n - 1) / n
+        abs_terms += float(np.sum(counts * abs_vals)) / n
     return est, math.sqrt(var), abs_terms
 
 
@@ -579,8 +598,9 @@ def _mc_consistency(cfg: VerifyConfig, inp: CheckInput) -> CheckReport:
     tol = max(MC_SIGMAS * se, MC_ROUNDING * np.finfo(np.float64).eps * abs_terms)
 
     ds2 = _sample(s, n, cfg.seed + 1000)
-    est2 = float((_fold(_channel_terms(ds2, s), inp.j) * losses).sum())
-    identical = datasets_equal(ds, ds2) and est == est2
+    same_draws = datasets_equal(ds, ds2)
+    del ds  # before the rerun's terms and fold, so only one dataset is alive at the task's peak
+    identical = same_draws and est == float((_fold(_channel_terms(ds2, s), inp.j) * losses).sum())
 
     err = abs(est - exact) if identical else float("inf")
     return _report(f"mc-consistency[n={n}]", inp.spec.name,
@@ -627,8 +647,8 @@ def verify_erm_sanity(seed: int = 7) -> CheckReport:
     spec = PU()
     ds = sample_weak_dataset(spec, j, {"P": 2000, "U": 2000}, seed=seed + 3)
     cfg = TrainConfig(learning_rate=0.2, epochs=300, seed=seed)
-    weak_model, _ = train_erm(ds, spec, _LOGISTIC, cfg, j)
-    full_model, _ = train_supervised_exact(j, _LOGISTIC, cfg)
+    tables = np.stack([weight_table(ds, spec, j), j.joint.T])  # both models descend together
+    (weak_model, _), (full_model, _) = _descend(tables, _LOGISTIC, cfg, j, ("empirical risk", "risk"))
     agree = float(np.mean(predictions(weak_model, j) == predictions(full_model, j)))
     # reported error is the agreement shortfall
     err = max(0.0, ERM_AGREEMENT - agree)

@@ -14,7 +14,7 @@ from wslrr.cli import build_parser, main
 from wslrr.core import joint_to_json, validate_joint
 from wslrr.datagen import dataset_from_json, dataset_to_json, sample_weak_dataset
 from wslrr.scenarios import CL, PU, SCENARIO_TYPES
-from wslrr.train import init_model, model_from_json
+from wslrr.train import init_model
 from wslrr.verify import TOL_MATRIX, TOL_RISK, random_joint, scenario_joint
 
 
@@ -218,8 +218,8 @@ class TestTrainCommand:
                      "--loss", "logistic", "--lr", "0.1", "--epochs", "40",
                      "--out", str(model_path)])
         assert code == 0
-        model = model_from_json(model_path.read_text())
-        assert model.K == 2
+        model = json.loads(model_path.read_text())
+        assert model["K"] == 2
         trace = (tmp_path / "model.trace.csv").read_text().strip().splitlines()
         assert trace[0] == "epoch,risk" and len(trace) == 42
         assert "exact risk" in capsys.readouterr().out

@@ -1,9 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 import wslrr.risk
+import wslrr.verify
 from wslrr.datagen import sample_weak_dataset
 from wslrr.errors import Diverged, NonDifferentiableLoss, SchemaMismatch, ShapeMismatch
 from wslrr.risk import (
@@ -11,21 +13,22 @@ from wslrr.risk import (
     channel_terms,
     empirical_risk,
     loss_matrix,
-    per_draw_values,
     score_matrix,
+    weight_table,
+    _check_scores,
     _loss_parts,
 )
-from wslrr.scenarios import MCL, PU, UU
+from wslrr.scenarios import MCL, PU, SCENARIO_TYPES, UU
 from wslrr.train import (
     LinearModel,
     TrainConfig,
     empirical_gradient,
     init_model,
-    model_from_json,
     model_to_json,
     predictions,
     train_erm,
     train_supervised_exact,
+    _descend,
 )
 from wslrr.verify import (
     ABSTRACT_SCENARIO_NAMES,
@@ -34,9 +37,11 @@ from wslrr.verify import (
     scenario_joint,
     seeded_model,
     separable_binary_joint,
+    verify_erm_sanity,
 )
 
 LOGISTIC = LossSpec("logistic")
+SQUARED = LossSpec("squared")
 
 
 class TestInitModel:
@@ -100,9 +105,11 @@ def _per_draw_risk_and_gradient(ds, spec, model, ls, j):
     _, bases, scale = _loss_parts(ls, score_matrix(model, j), slope=True)
     risk, dW, db = 0.0, np.zeros_like(model.weights), np.zeros_like(model.bias)
     for terms in channel_terms(ds, spec, j):
-        risk += float(per_draw_values(terms, lam).mean())
-        wsum = terms.weights.sum(axis=1)
-        dscores = (wsum[:, None] * bases[terms.idx] - scale * terms.weights) / terms.n_draws
+        weights = terms.table if terms.rows is None else np.take(terms.table, terms.rows, axis=0)
+        contrib = np.einsum("ek,ke->e", weights, lam[:, terms.idx])
+        risk += float(contrib.reshape(-1, terms.n_draws).sum(axis=0).mean())
+        wsum = weights.sum(axis=1)
+        dscores = (wsum[:, None] * bases[terms.idx] - scale * weights) / terms.n_draws
         dW += dscores.T @ j.features[terms.idx]
         db += dscores.sum(axis=0)
     return risk, dW, db
@@ -149,6 +156,126 @@ class TestWeightTable:
         monkeypatch.setattr(wslrr.risk, "channel_terms", counted)
         _, trace = train_erm(ds, spec, LOGISTIC, TrainConfig(learning_rate=0.1, epochs=epochs), j)
         assert len(trace) == epochs + 1 and len(calls) == 1
+
+
+def _single_loss(W, model, ls, j):
+    """One model's weighted loss and gradient on an (n_x, K) table, as the
+    single descent computed them."""
+    g = _check_scores(j.features @ np.asarray(model.weights).T + np.asarray(model.bias))
+    table, bases, scale = _loss_parts(ls, g, slope=True)
+    dscores = W.sum(axis=1)[:, None] * bases - scale * W
+    return float((W * table).sum()), dscores.T @ j.features, dscores.sum(axis=0)
+
+
+def _single_descent(W, ls, cfg, j, what):
+    """The reference: one model descended alone on one (n_x, K) table."""
+    model = init_model(j.K, j.d_feat, cfg.seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, dW, db = _single_loss(W, model, ls, j)
+        if not math.isfinite(value):
+            raise Diverged(f"initial {what} is {value}")
+        trace = [value]
+        for epoch in range(1, cfg.epochs + 1):
+            model.weights = model.weights - cfg.learning_rate * (dW + 2.0 * cfg.l2 * model.weights)
+            model.bias = model.bias - cfg.learning_rate * db
+            if not (np.isfinite(model.weights).all() and np.isfinite(model.bias).all()):
+                raise Diverged(f"parameters became non-finite at epoch {epoch}")
+            value, dW, db = _single_loss(W, model, ls, j)
+            if not math.isfinite(value):
+                raise Diverged(f"{what} became non-finite at epoch {epoch}")
+            trace.append(value)
+    return model, trace
+
+
+def _same_descent(got, want) -> bool:
+    (gm, gt), (wm, wt) = got, want
+    return all(a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+               for a, b in ((np.asarray(gm.weights), wm.weights), (np.asarray(gm.bias), wm.bias))) and gt == wt
+
+
+# the settings and (K, n_x) shapes the stacked descent is checked on; binary settings run at K = 2
+DESCENT_CASES = sorted({(name, 2 if SCENARIO_TYPES[name].binary_only else K, nx)
+                        for name in ("PU", "CL", "Soft", "MCL", "Pcomp")
+                        for K, nx in ((2, 40), (4, 100), (3, 200))})
+
+
+class TestStackedDescent:
+    """The stacked descent gives each table the bits of its own descent."""
+
+    @pytest.mark.parametrize("ls, l2", [(LOGISTIC, 0.0), (LOGISTIC, 0.01), (SQUARED, 0.01)],
+                             ids=["logistic", "logistic-l2", "squared-l2"])
+    @pytest.mark.parametrize("name, K, nx", DESCENT_CASES)
+    def test_stacks_of_one_and_two_match_single_descents(self, name, K, nx, ls, l2):
+        j = scenario_joint(name, K, nx, 3, seed=5, trial=1)
+        spec = make_spec(name, j, 5, 1)
+        ds = sample_weak_dataset(spec, j, 3000, seed=9)
+        cfg = TrainConfig(learning_rate=0.05, epochs=40, seed=3, l2=l2)
+        W = weight_table(ds, spec, j)
+        weak = _single_descent(W, ls, cfg, j, "empirical risk")
+        full = _single_descent(j.joint.T, ls, cfg, j, "risk")
+        assert _same_descent(train_erm(ds, spec, ls, cfg, j), weak)
+        assert _same_descent(train_supervised_exact(j, ls, cfg), full)
+        both = _descend(np.stack([W, j.joint.T]), ls, cfg, j, ("empirical risk", "risk"))
+        assert _same_descent(both[0], weak) and _same_descent(both[1], full)
+
+    # the loss, the learning rate and the messages the empirical and the supervised descent diverge with
+    DIVERGING = [(LOGISTIC, 1e3, "empirical risk became non-finite at epoch 3", "risk became non-finite at epoch 15"),
+                 (LOGISTIC, 1e6, "empirical risk became non-finite at epoch 1", "risk became non-finite at epoch 1"),
+                 (SQUARED, 1e150, "empirical risk became non-finite at epoch 2", "risk became non-finite at epoch 2"),
+                 (SQUARED, 1.7e308, "parameters became non-finite at epoch 1",
+                  "parameters became non-finite at epoch 1")]
+
+    @pytest.mark.parametrize("ls, lr, weak_message, full_message", DIVERGING)
+    def test_divergence_message_and_epoch(self, binary_joint, ls, lr, weak_message, full_message):
+        """A diverging stack of one raises what the single descent raised."""
+        ds = sample_weak_dataset(PU(), binary_joint, 50, seed=5)
+        cfg = TrainConfig(learning_rate=lr, epochs=50, seed=6)
+        for run, W, what, message in (
+                (lambda: train_erm(ds, PU(), ls, cfg, binary_joint), weight_table(ds, PU(), binary_joint),
+                 "empirical risk", weak_message),
+                (lambda: train_supervised_exact(binary_joint, ls, cfg), binary_joint.joint.T, "risk", full_message)):
+            with pytest.raises(Diverged) as want:
+                _single_descent(W, ls, cfg, binary_joint, what)
+            with pytest.raises(Diverged) as got:
+                run()
+            assert str(got.value) == str(want.value) == message
+
+    def test_non_finite_initial_risk(self, binary_joint):
+        W = binary_joint.joint.T.copy()
+        W[1, 0] = np.inf
+        cfg = TrainConfig(learning_rate=0.1, epochs=3, seed=6)
+        with pytest.raises(Diverged, match="^initial risk is inf$"):
+            _single_descent(W, LOGISTIC, cfg, binary_joint, "risk")
+        with pytest.raises(Diverged, match="^initial risk is inf$"):
+            _descend(W[None], LOGISTIC, cfg, binary_joint, ("risk",))
+
+    @pytest.mark.parametrize("seed", [0, 7, 11, 123])
+    def test_erm_sanity_agreement_is_the_single_descents(self, seed):
+        """verify_erm_sanity's one stacked descent gives the agreement of the
+        two single descents, and the check passes."""
+        j = separable_binary_joint(seed=seed)
+        ds = sample_weak_dataset(PU(), j, {"P": 2000, "U": 2000}, seed=seed + 3)
+        cfg = TrainConfig(learning_rate=0.2, epochs=300, seed=seed)
+        weak, _ = _single_descent(weight_table(ds, PU(), j), LOGISTIC, cfg, j, "empirical risk")
+        full, _ = _single_descent(j.joint.T, LOGISTIC, cfg, j, "risk")
+        rep = verify_erm_sanity(seed=seed)
+        assert rep.params["agreement"] == float(np.mean(predictions(weak, j) == predictions(full, j)))
+        assert rep.passed
+
+    def test_erm_sanity_fails_on_a_channel_swapped_dataset(self, monkeypatch):
+        """Positive draws read as unlabeled and unlabeled as positive train a
+        model that disagrees with the supervised one."""
+        real = wslrr.verify.sample_weak_dataset
+
+        def swapped(*args, **kwargs):
+            ds = real(*args, **kwargs)
+            p, u = ds.channels
+            p.indices, u.indices = u.indices, p.indices
+            return ds
+
+        monkeypatch.setattr(wslrr.verify, "sample_weak_dataset", swapped)
+        rep = verify_erm_sanity(seed=7)
+        assert not rep.passed and rep.params["agreement"] < 0.5
 
 
 class TestTrainConfig:
@@ -204,31 +331,13 @@ class TestTrainErm:
 
 class TestModelJson:
     def test_round_trip(self):
+        """The written model reads back bit for bit with ``json.loads``, as
+        the benchmark reads it: no subcommand reads a model."""
         model = init_model(3, 2, seed=11)
-        back = model_from_json(model_to_json(model))
-        assert np.array_equal(back.weights, model.weights)
-        assert np.array_equal(back.bias, model.bias)
-
-    # a valid K = 2, d = 1 model with one field replaced
-    MALFORMED = {
-        "string weights": {"weights": "ab"},
-        "ragged weights": {"weights": [[0.1], [0.2, 0.3]]},
-        "NaN weight": {"weights": [[float("nan")], [0.1]]},
-        "infinite bias": {"bias": [float("inf"), 0.0]},
-        "integer beyond the float range": {"weights": [[10 ** 400], [0.1]]},
-        "boolean weight": {"weights": [[True], [0.1]]},
-        "null bias": {"bias": [None, 0.1]},
-        "K true": {"K": True},
-        "K one": {"K": 1, "weights": [[0.1]], "bias": [0.1]},
-        "K a float": {"K": 2.0},
-        "d zero": {"d": 0, "weights": [[], []]},
-    }
-
-    @pytest.mark.parametrize("field", MALFORMED.values(), ids=MALFORMED)
-    def test_malformed_model_is_a_schema_mismatch(self, field):
-        raw = dict({"K": 2, "d": 1, "weights": [[0.1], [2]], "bias": [0, -1.5]}, **field)
-        with pytest.raises(SchemaMismatch):
-            model_from_json(json.dumps(raw))
+        raw = json.loads(model_to_json(model))
+        assert (raw["K"], raw["d"]) == (3, 2)
+        assert np.array_equal(np.array(raw["weights"]), model.weights)
+        assert np.array_equal(np.array(raw["bias"]), model.bias)
 
     def test_gradient_check_per_scenario_sample(self):
         # a broader pass lives in verify; spot check a multiclass scenario here

@@ -462,11 +462,15 @@ def test_shared_draws_equal_fresh_draws(monkeypatch):
 def test_mc_consistency_frees_its_estimator_terms_before_the_rerun(monkeypatch):
     """The rerun draws a second dataset of the same size; the first one's
     per-draw terms must be gone by then, or the task's memory peak grows by
-    a weight table."""
+    a weight table, and the first dataset must be gone before the rerun's
+    terms are built, or the peak holds two datasets."""
     real_terms, real_sample = wslrr.verify._channel_terms, wslrr.verify._sample
-    terms, alive_at_rerun = [], []
+    terms, datasets, alive_at_rerun, first_alive_at_rerun_terms = [], [], [], []
 
     def channel_terms(*args):
+        if len(datasets) == 2:  # the rerun's terms
+            gc.collect()
+            first_alive_at_rerun_terms.append(datasets[0]() is not None)
         out = real_terms(*args)
         terms.extend(weakref.ref(t) for t in out)
         return out
@@ -475,14 +479,17 @@ def test_mc_consistency_frees_its_estimator_terms_before_the_rerun(monkeypatch):
         if terms:  # the rerun
             gc.collect()
             alive_at_rerun.append(sum(ref() is not None for ref in terms))
-        return real_sample(*args, **kwargs)
+        ds = real_sample(*args, **kwargs)
+        datasets.append(weakref.ref(ds))
+        return ds
 
     monkeypatch.setattr(wslrr.verify, "_channel_terms", channel_terms)
     monkeypatch.setattr(wslrr.verify, "_sample", sample)
     for name in ("PU", "CL", "Soft"):
         terms.clear()
+        datasets.clear()
         assert wslrr.verify.verify_mc_consistency(name, VerifyConfig(mc_samples=2000)).passed
-    assert alive_at_rerun == [0, 0, 0]
+    assert alive_at_rerun == [0, 0, 0] and first_alive_at_rerun_terms == [False] * 3
 
 
 class TestConfigBounds:
@@ -514,33 +521,79 @@ class TestConfigBounds:
         VerifyConfig(seed=2 ** 64 - 31 * 39 - 2, trials=40)
 
 
+def _channel_spread(terms, lam):
+    """One channel's (variance of its mean, mean |term|), from a fancy-index
+    gather of lam[:, idx] and of every draw's weights: per-draw totals and
+    their sample variance over the draw count."""
+    weights = terms.table if terms.rows is None else np.take(terms.table, terms.rows, axis=0)
+    contrib = np.einsum("ek,ke->e", weights, lam[:, terms.idx])
+    vals = contrib.reshape(len(terms.idx) // terms.n_draws, terms.n_draws).sum(axis=0)
+    var = float(np.var(vals, ddof=1)) / len(vals) if len(vals) > 1 else 0.0
+    return var, float(np.einsum("ek,ke->", np.abs(weights), lam[:, terms.idx])) / len(vals)
+
+
 def _spread_reference(ds, spec, j, lam):
-    """The estimator spread with a fancy-index gather of lam[:, idx] for each
-    sum: per-draw totals, their sample variance over the draw count, and the
-    mean |term| per channel."""
-    var = abs_terms = 0.0
-    for terms in channel_terms(ds, spec, j):
-        contrib = np.einsum("ek,ke->e", terms.weights, lam[:, terms.idx])
-        vals = contrib.reshape(len(terms.idx) // terms.n_draws, terms.n_draws).sum(axis=0)
-        var += float(np.var(vals, ddof=1)) / len(vals)
-        abs_terms += float(np.einsum("ek,ke->", np.abs(terms.weights), lam[:, terms.idx])) / len(vals)
+    """The estimator spread draw by draw: the square root of the summed
+    channel variances, and the summed mean |term|."""
+    var, abs_terms = np.sum([_channel_spread(terms, lam) for terms in channel_terms(ds, spec, j)], axis=0)
     return math.sqrt(var), abs_terms
+
+
+def _mc_spread_case(name, nx=None, n=None):
+    """A setting's Monte-Carlo input at MC_TRIAL, its sample, and (the spread,
+    the reference, the estimate, empirical_risk)."""
+    cfg = VerifyConfig() if nx is None else VerifyConfig(nx=nx)
+    t = wslrr.verify.MC_TRIAL
+    j = scenario_joint(name, cfg.K, cfg.nx, cfg.d_feat, cfg.seed, t)
+    inp = CheckInput(make_spec(name, j, cfg.seed, t), j, seeded_model(j, cfg.seed, t))
+    ds = sample_weak_dataset(inp.spec, j, cfg.mc_samples if n is None else n, seed=cfg.seed + 1000)
+    est, *spread = wslrr.verify._estimator_spread(ds, inp.system, inp.exact[0])
+    want = _spread_reference(ds, inp.spec, j, loss_matrix(LOGISTIC, inp.model, j))
+    return inp, ds, tuple(spread), want, est, empirical_risk(ds, inp.spec, inp.model, LOGISTIC, j)
+
+
+def _relative_close(got, want, rel=1e-12) -> bool:
+    return all(abs(g - w) <= rel * abs(w) for g, w in zip(got, want))
 
 
 @pytest.mark.parametrize("name", ["PU", "CL", "Soft"])
 def test_estimator_spread_bits(name):
-    """On the default Monte-Carlo inputs, se and the |terms| sum are the bits
-    of the reference that gathers the losses twice, and the estimate, made
-    from the same terms, is empirical_risk's."""
-    cfg = VerifyConfig()
-    t = wslrr.verify.MC_TRIAL
-    j = scenario_joint(name, cfg.K, cfg.nx, cfg.d_feat, cfg.seed, t)
-    inp = CheckInput(make_spec(name, j, cfg.seed, t), j, seeded_model(j, cfg.seed, t))
-    ds = sample_weak_dataset(inp.spec, j, cfg.mc_samples, seed=cfg.seed + 1000)
+    """On the default Monte-Carlo inputs, se and the |terms| sum are within
+    1e-12 relative of the reference that gathers the losses per draw (the
+    count sums add in another order), and the estimate, made from the same
+    terms, has empirical_risk's bits."""
+    _, _, spread, want, est, risk = _mc_spread_case(name)
+    assert _relative_close(spread, want)
+    assert _bits(est) == _bits(risk)
+
+
+# the prior-gap rule admits no binary joint of 150 instances for these settings
+NO_JOINT_AT_150 = ("SU", "DU", "SD", "Sconf")
+
+
+@pytest.mark.parametrize("name, nx", [(name, None) for name in wslrr.verify._SETTINGS]
+                         + [(name, 150) for name in wslrr.verify._SETTINGS if name not in NO_JOINT_AT_150])
+def test_estimator_spread_matches_the_per_draw_reference(name, nx):
+    """Every setting's spread, by distinct key or per draw, is the per-draw
+    reference's within 1e-12 relative; pair channels must stay per draw (keyed
+    by instance, SU's se is 2.5% off)."""
+    _, _, spread, want, est, risk = _mc_spread_case(name, nx)
+    assert _relative_close(spread, want) and spread[0] > 0.0
+    assert _bits(est) == _bits(risk)
+
+
+def test_a_channel_of_one_draw_adds_no_variance():
+    """PU with a single positive draw: the se is the unlabeled channel's alone,
+    and the reference agrees."""
+    j = scenario_joint("PU", 2, 12, 3, seed=0, trial=wslrr.verify.MC_TRIAL)
+    inp = CheckInput(make_spec("PU", j, 0, 1), j, seeded_model(j, 0, 1))
+    ds = sample_weak_dataset(inp.spec, j, {"P": 1, "U": 5000}, seed=4)
     lam = loss_matrix(LOGISTIC, inp.model, j)
-    est, *spread = wslrr.verify._estimator_spread(ds, inp.system, inp.exact[0])
-    assert tuple(spread) == _spread_reference(ds, inp.spec, j, lam)
-    assert _bits(est) == _bits(empirical_risk(ds, inp.spec, inp.model, LOGISTIC, j))
+    _, se, abs_terms = wslrr.verify._estimator_spread(ds, inp.system, inp.exact[0])
+    p_terms, u_terms = channel_terms(ds, inp.spec, j)
+    assert p_terms.n_draws == 1 and _channel_spread(p_terms, lam)[0] == 0.0
+    assert _relative_close((se ** 2,), (_channel_spread(u_terms, lam)[0],))
+    assert _relative_close((se, abs_terms), _spread_reference(ds, inp.spec, j, lam))
 
 
 def _gradient_inputs(name):
