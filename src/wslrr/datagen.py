@@ -2,16 +2,15 @@
 
 Sampling is integer-only and platform-stable: a counter-based Philox
 generator keyed by (seed, stream index), both in [0, 2**64), produces raw
-64-bit words, each mapped to a uniform in [0, 1) and inverted against the
-channel's cumulative probabilities in a fixed order.  The same (spec,
-joint, n, seed) therefore always yields the same dataset.
+64-bit words, inverted against the channel's cumulative probabilities in a
+fixed order.  The same (spec, joint, n, seed) always yields the same dataset.
 
-The inversion is exact and O(1) per draw for large draws.  Every uniform
-is a multiple of 2**-53 in [0, 1), so ``floor(u * 2**B)`` is computed
-exactly and names the bucket [b/2**B, (b+1)/2**B) that holds u.  The number
-of cumulative values <= u is the number <= the bucket's lower edge, unless
-some cumulative value lies strictly inside the bucket; only draws in such
-buckets are searched.  The result is ``searchsorted(cum, u, "right")``.
+The inversion is exact, and O(1) per draw for large draws.  A word w
+stands for the uniform u = (w >> 11) * 2**-53; for B <= 53 its bucket
+[b/2**B, (b+1)/2**B) is b = w >> (64 - B).  A table holds, per bucket, the
+number of cumulative values <= its lower edge, the count for every u in it,
+or -1 when one lies strictly inside; only those draws are converted to u
+and searched.  The result is ``searchsorted(cum, u, "right")``.
 
 Datasets are written to and read from one line of JSON.  The writer builds
 each item list from per-field text tables joined once.  The reader parses a
@@ -62,8 +61,8 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def philox_uniforms(seed: int, stream: int, n: int) -> np.ndarray:
-    """n uniforms in [0, 1) from the Philox counter generator keyed by
+def philox_words(seed: int, stream: int, n: int) -> np.ndarray:
+    """n raw uint64 words of the Philox counter generator keyed by
     (seed, stream); draw index is the counter position.  A seed or stream
     that is not an integer in [0, 2**64) is a ValidationError: reduced
     modulo 2**64 it would silently draw another key's words.  So is a count
@@ -87,44 +86,43 @@ def philox_uniforms(seed: int, stream: int, n: int) -> np.ndarray:
                 "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
                 "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
                 "has_uint32": 0, "uinteger": 0}
-    raw = bg.random_raw(n)
-    return (raw >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+    return bg.random_raw(n)
+
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """The uniform in [0, 1) of each word: its top 53 bits times 2**-53."""
+    return (words >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+
+
+def philox_uniforms(seed: int, stream: int, n: int) -> np.ndarray:
+    """The uniforms of :func:`philox_words` (seed, stream, n)."""
+    return _uniforms(philox_words(seed, stream, n))
 
 
 MAX_BUCKET_BITS = 16  # at most 2**16 buckets: a 512 kB table
 
 
-def _categorical(probs: np.ndarray, u: np.ndarray, what: str) -> np.ndarray:
-    """Invert uniforms against the cumulative of a flat probability vector:
-    ``np.searchsorted(cum, u, side="right")``, bit for bit, clamped to the
-    last item that has mass.
-
-    With at least 4 draws per item the search is bucketed.  The uniforms
-    are multiples of 2**-53 in [0, 1), so ``u * 2**B`` is exact and its
-    truncation is the floor b, with u in [b/2**B, (b+1)/2**B).  The count
-    of cum <= u is then the count of cum <= b/2**B, unless a cum value
-    lies strictly inside the bucket; a value on its upper edge exceeds
-    every u in it.  ``table[b]`` holds that count, or -1 for a bucket that
-    holds a value inside, and only the draws in those buckets are
-    searched."""
+def _categorical(probs: np.ndarray, words: np.ndarray, what: str) -> np.ndarray:
+    """Invert Philox words against the cumulative of a flat probability
+    vector: ``np.searchsorted(cum, u, side="right")`` at their uniforms u,
+    bit for bit, clamped to the last item that has mass.  With at least 4
+    draws per item the search is bucketed as the module docstring says, into
+    n/32 buckets, at least 4 per item and at most 2**16."""
     flat = probs.ravel()
     total = float(flat.sum())
     if total <= 0.0:
         raise ZeroChannelMass(f"{what} has zero total probability")
     cum = np.cumsum(flat / total)
-    if u.size < 4 * cum.size:
-        pos = np.searchsorted(cum, u, side="right")
+    if words.size < 4 * cum.size:
+        pos = np.searchsorted(cum, _uniforms(words), side="right")
     else:
-        bits = min((4 * cum.size - 1).bit_length(), MAX_BUCKET_BITS)
+        bits = min((max(4 * cum.size, words.size // 32) - 1).bit_length(), MAX_BUCKET_BITS)
         edges = np.arange(2 ** bits + 1) * 2.0 ** -bits  # exact: integers times a power of two
         below = np.searchsorted(cum, edges[:-1], side="right")  # cum <= the lower edge
         inside = np.searchsorted(cum, edges[1:], side="left") > below  # lower < cum < upper
-        b = np.empty(u.shape, dtype=np.intp)
-        np.multiply(u, 2.0 ** bits, out=b, casting="unsafe")  # exact, then truncated: the floor
-        pos = np.where(inside, -1, below).take(b)
-        del b  # as many large arrays at once as a binary search and its clamp
+        pos = np.where(inside, -1, below).take((words >> np.uint64(64 - bits)).view(np.int64))
         hard = np.flatnonzero(pos < 0)
-        pos[hard] = np.searchsorted(cum, u[hard], side="right")
+        pos[hard] = np.searchsorted(cum, _uniforms(words[hard]), side="right")
     # u >= cum[-1] < 1 by rounding: take the last item that has mass
     return np.minimum(pos, np.flatnonzero(flat > 0)[-1], out=pos)
 
@@ -234,21 +232,21 @@ def _sample(system: _System, n: Union[int, dict], seed: int) -> WeakDataset:
     # every other channel is drawn by its kind, one Philox stream per channel
     channels = []
     for stream, (label, kind) in enumerate(dataset_channels(spec, j.K)):
-        u = philox_uniforms(seed, stream, sizes[label])
+        w = philox_words(seed, stream, sizes[label])
         if kind in (PAIRS, CONF_PAIRS):
-            pos = _categorical(_pair_law(m, label), u, f"pair channel {label}")
+            pos = _categorical(_pair_law(m, label), w, f"pair channel {label}")
             pairs = np.stack([pos // n_x, pos % n_x], axis=1)
-            conf = (_sconf_confidences(m, np.arange(n_x), np.arange(n_x))[pairs[:, 0], pairs[:, 1]]
-                    if kind == CONF_PAIRS else None)
+            conf = (np.take(_sconf_confidences(m, np.arange(n_x), np.arange(n_x)), pos)
+                    if kind == CONF_PAIRS else None)  # by the flat pair code, from the raveled table
             channels.append(DatasetChannel(label, kind, pairs=pairs, confidences=conf))
         elif kind == POINTS:  # a mixture channel: its exact density
-            pos = _categorical(system.observed[:, stream], u, f"channel {label}")
+            pos = _categorical(system.observed[:, stream], w, f"channel {label}")
             channels.append(DatasetChannel(label, kind, indices=pos))
         else:  # confidence data: the super-class law, oracle class probabilities attached
             dist = m.instance_marginal if spec.members is None else _superclass_probability(spec, j.joint)
-            idx = _categorical(dist, u, f"channel {label}")
-            channels.append(DatasetChannel(label, kind, indices=idx,
-                                           confidences=m.class_probabilities[:, idx].T.copy()))
+            idx = _categorical(dist, w, f"channel {label}")
+            rows = np.take(m.class_probabilities.T, idx, axis=0)  # by instance, from the (n_x, K) table
+            channels.append(DatasetChannel(label, kind, indices=idx, confidences=rows))
     return WeakDataset(spec=spec, seed=int(seed), channels=tuple(channels))
 
 
@@ -268,16 +266,16 @@ def _sample_label_stream(system: _System, count: int, seed: int) -> WeakDataset:
     if spec.size_law is not None:
         # the labels of size d are the rows start[d - 1]:start[d] of flat, in canonical order
         start = np.searchsorted([len(s) for s in compound_label_space(j.K)], np.arange(1, j.K + 1))
-        d_draw = _categorical(np.asarray(spec.size_law), philox_uniforms(seed, 0, count), "size law") + 1
-        u2 = philox_uniforms(seed, 1, count)
+        d_draw = _categorical(np.asarray(spec.size_law), philox_words(seed, 0, count), "size law") + 1
+        w2 = philox_words(seed, 1, count)
         code = np.empty(count, dtype=int)
         for d in range(1, j.K):
             mask = d_draw == d
             if mask.any():
-                pos = _categorical(flat[start[d - 1]:start[d]], u2[mask], f"size-{d} conditional")
+                pos = _categorical(flat[start[d - 1]:start[d]], w2[mask], f"size-{d} conditional")
                 code[mask] = start[d - 1] * n_x + pos
     else:
-        code = _categorical(flat, philox_uniforms(seed, 0, count), "label stream")
+        code = _categorical(flat, philox_words(seed, 0, count), "label stream")
     chan, inst = np.divmod(code, n_x)
 
     order = np.argsort(chan.astype(np.min_scalar_type(len(labels) - 1)), kind="stable")  # a radix sort
@@ -293,21 +291,29 @@ def _sample_label_stream(system: _System, count: int, seed: int) -> WeakDataset:
 _encode = json.JSONEncoder(check_circular=False).encode  # values are fresh lists and scalars
 
 
-def _distinct_rows(*arrays) -> tuple:
-    """(first, inverse) over the rows of equal-length arrays, compared bit for
-    bit: the first row of each distinct bit pattern, and the pattern of every
-    row.  Float equality would merge 0.0 with -0.0, which are written apart.
+KEY_BLOCK = 8192  # rows checked against their key's at a time: a 256 kB copy at K = 4
 
-    The rows are compared as unsigned-integer words, sorted by one stable
-    ``np.lexsort``: equal rows end up adjacent, each run in its rows' order,
-    so a run's first row is its pattern's first.  Narrower words are widened
-    with zeros, which keeps distinct rows distinct."""
-    n = len(arrays[0])
-    words = []
-    for a in arrays:
-        a = np.ascontiguousarray(a).reshape(n, -1)
-        words.append(a.view(f"u{a.itemsize}" if a.itemsize in (1, 2, 4, 8) else np.uint8))
-    words = np.concatenate(words, axis=1)
+
+def _distinct_rows(key: np.ndarray, rows: np.ndarray) -> tuple:
+    """(first, inverse) over the (integer key, row) pairs, compared bit for
+    bit (float equality would merge 0.0 with -0.0, which are written apart):
+    a pair of each distinct value, in key order, and every pair's rank.  In
+    O(n + n_keys) when the rows are a function of a key below max(2 n, 2**16),
+    as a sampled channel's are of its instance or pair code: each row is
+    checked, KEY_BLOCK rows at a time, against a row of its key.  Otherwise
+    the pairs' unsigned-integer words, the narrower ones widened with zeros,
+    are sorted by one stable ``np.lexsort``, so equal pairs end up adjacent."""
+    n = len(key)
+    words = [np.ascontiguousarray(a).reshape(n, -1) for a in (key, rows)]
+    key_words, words = [a.view(f"u{a.itemsize}" if a.itemsize in (1, 2, 4, 8) else np.uint8) for a in words]
+    if 0 <= key.min() and key.max() < max(2 * n, 2 ** 16):
+        one = np.full(int(key.max()) + 1, -1, dtype=np.intp)
+        one[key] = np.arange(n)  # a row of each present key
+        b = KEY_BLOCK
+        if all(np.array_equal(words[one[key[i:i + b]]], words[i:i + b]) for i in range(0, n, b)):
+            present = one >= 0
+            return one[present], (np.cumsum(present) - 1)[key]
+    words = np.concatenate([words, key_words], axis=1)  # the key is the last, primary, sort key
     order = np.lexsort(words.T)
     rows = words[order]
     starts = np.ones(n, dtype=bool)
@@ -347,9 +353,9 @@ def _items_json(c: DatasetChannel) -> str:
     """The channel's item list as JSON text, built from per-field text
     tables (see :func:`_item_list`).  Integers are written by ``str`` from a
     table over their range or distinct values (:func:`_int_texts`).  A
-    confidence item repeats its instance's values once per draw, so each
-    distinct (index, row) item and each distinct pair confidence, compared
-    bit for bit, is formatted once by the C encoder."""
+    confidence item repeats its instance's row or its pair's value once per
+    draw, so each distinct item, keyed by index or pair code (or compared
+    bit for bit), is formatted once by the C encoder."""
     if c.n_draws == 0:
         return "[]"
     if c.kind == POINTS:
@@ -363,7 +369,7 @@ def _items_json(c: DatasetChannel) -> str:
     a, b = codes.reshape(-1, 2).T
     if c.kind == PAIRS:
         return _item_list("[", ((a, texts, ", "), (b, texts, "]")))
-    first, inverse = _distinct_rows(c.confidences)
+    first, inverse = _distinct_rows(a * len(texts) + b, c.confidences)  # keyed by the flat pair code
     # one encoder call for all distinct values (no number's text holds ", ")
     values = _encode(c.confidences[first].tolist())[1:-1].split(", ")
     return _item_list('{"pair": [', ((a, texts, ", "), (b, texts, '], "confidence": '),

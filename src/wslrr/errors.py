@@ -90,6 +90,10 @@ class NonFiniteScore(ValidationError):
     """Score vector contains NaN or infinity."""
 
 
+class NonFiniteConfidence(ValidationError):
+    """A dataset's stored confidence is NaN or infinite."""
+
+
 class UnsupportedScenario(ValidationError):
     """No closed form (or handler) registered for this scenario."""
 

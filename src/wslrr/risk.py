@@ -25,12 +25,13 @@ from typing import ClassVar, Optional
 import numpy as np
 
 from .core import FiniteJoint, Marginals
-from .datagen import CONF_POINTS, PAIRS, dataset_channels
+from .datagen import CONF_POINTS, PAIRS, dataset_channels, _distinct_rows
 from .decontam import _conf_weights, _decontaminate, _sconf_weights
 from .errors import (
     EmptyChannel,
     IndexOutOfRange,
     NonDifferentiableLoss,
+    NonFiniteConfidence,
     NonFiniteScore,
     ShapeMismatch,
     SpecMismatch,
@@ -298,12 +299,12 @@ class ChannelTerms:
 
     Each entry e contributes table[e] . loss(g(x_idx[e])) to draw
     e mod n_draws (pair terms list every first instance, then every second);
-    with ``rows`` (the label stream) the weight is instead row rows[e] of
-    ``table``, keyed by (instance, label).  The channel's estimate is the
-    mean over its n_draws draw totals, and the full estimator is the sum of
-    the channel estimates.  The label stream's (n, K) per-draw weights are
-    never gathered: the fold and the Monte-Carlo spread count its keys.
-    """
+    with ``rows`` the weight is instead row rows[e] of ``table``, keyed by
+    (instance, label) in the label stream and by instance in a confidence
+    channel whose instances each carry one row.  The channel's estimate is
+    the mean over its n_draws draw totals, and the full estimator is the sum
+    of the channel estimates.  Keyed (n, K) weights are never gathered: the
+    fold and the Monte-Carlo spread count the keys."""
     label: str
     n_draws: int
     idx: np.ndarray       # (n_entries,)
@@ -356,6 +357,8 @@ def _channel_terms(ds, s: _System) -> list:
         if c.kind == CONF_POINTS and c.n_draws and c.confidences.shape[1] != j.K:
             raise ShapeMismatch(f"channel {c.label!r} has {c.confidences.shape[1]} confidences "
                                 f"per draw, not K={j.K}")
+        if c.confidences is not None and not np.isfinite(c.confidences).all():
+            raise NonFiniteConfidence(f"channel {c.label!r} holds a NaN or infinite confidence")
 
     if spec.family == FAMILY_MCD:
         dag = _decontaminate(s, spec.estimator).matrices[0]  # the same at every x
@@ -395,23 +398,29 @@ def _channel_terms(ds, s: _System) -> list:
     if idx.size == 0:
         return [ChannelTerms(ch.label, 0, idx, np.zeros((0, m.K)))]
     coeff = float(_superclass_probability(spec, m.priors[:, None])[0])  # the super-class prior
-    return [ChannelTerms(ch.label, len(idx), idx, coeff * _conf_weights(spec, conf, idx))]
+    first, inverse = _distinct_rows(idx, conf)
+    if len(np.unique(idx[first])) < len(first):  # an instance with two rows: weigh every draw
+        return [ChannelTerms(ch.label, len(idx), idx, coeff * _conf_weights(spec, conf, idx))]
+    table = np.zeros((j.n_x, j.K))  # one row per instance: weigh each once, keyed by instance
+    table[idx[first]] = coeff * _conf_weights(spec, conf[first], idx, inverse)
+    return [ChannelTerms(ch.label, len(idx), idx, table, idx)]
 
 
 def weight_table(ds, spec: ScenarioSpec, j: FiniteJoint) -> np.ndarray:
     """The (n_x, K) table W with empirical risk sum_i W[i] . loss(g(x_i)):
-    every channel's estimator terms over its draw count, summed per instance.
-    A label-channel stream is folded by count: ``np.bincount`` of its
-    (instance, label) rows times the D(x) columns, in O(n + n_x m K), never
-    gathering the (n, K) per-draw weights.  Raises EmptyChannel when a
-    channel that enters as a mean has no draws, SpecMismatch when the
-    dataset belongs to another scenario.
-    """
+    every channel's estimator terms over its draw count, summed per instance
+    (see :func:`_fold`).  Raises EmptyChannel when a channel that enters as
+    a mean has no draws, SpecMismatch when the dataset belongs to another
+    scenario."""
     return _fold(channel_terms(ds, spec, j), j)
 
 
 def _fold(terms_list: list, j: FiniteJoint) -> np.ndarray:
-    """:func:`weight_table` from the channels' terms."""
+    """:func:`weight_table` from the channels' terms.  A keyed channel is
+    folded by count: ``np.bincount`` of its rows (the label stream's
+    (instance, label), or the instance of a confidence channel with one row
+    per instance) times its table, in O(n + n_x m K), never gathering the
+    (n, K) per-draw weights; a shared row is counted by instance."""
     W = np.zeros((j.n_x, j.K))
     for terms in terms_list:
         if terms.n_draws == 0:

@@ -549,11 +549,12 @@ def _estimator_spread(ds, s: _System, losses: np.ndarray) -> tuple:
     A draw's value D(x)[:, s] . loss(x) depends only on its row, so a channel
     whose draws are one entry each, weighted by a key, sums over its distinct
     keys with their ``np.bincount`` counts c, as the fold does: the instance
-    of a shared row, or the (instance, label) ``rows`` of the label stream.
-    That is O(n + n_x m K), not O(n K).  Pairs, whose draw is two entries, and
-    confidence rows take one key per draw, with count 1.  Both form the mean
-    sum c v / n, the two-pass variance sum c (v - mean)^2 / (n - 1) of a
-    draw, and sum c |w| . loss; the estimate is the folded table's."""
+    of a shared row or of a sampled confidence channel's row, or the label
+    stream's (instance, label).  That is O(n + n_x m K), not O(n K).  Pairs,
+    whose draw is two entries, and a confidence channel with two rows at an
+    instance take one key per draw, with count 1.  Both form the mean sum
+    c v / n, the two-pass variance sum c (v - mean)^2 / (n - 1) of a draw,
+    and sum c |w| . loss; the estimate is the folded table's."""
     terms_list = _channel_terms(ds, s)
     est = float((_fold(terms_list, s.j) * losses).sum())
     var = abs_terms = 0.0

@@ -352,6 +352,21 @@ class TestMalformedInputs:
         assert self._train(ds_path, joint_file) == 2
         assert "SchemaMismatch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    @pytest.mark.parametrize("scenario", ["Pconf", "Sconf"])
+    def test_non_finite_confidence_exit_2(self, joint_file, tmp_path, capsys, scenario, value):
+        # json writes Infinity, -Infinity and NaN, and reads them back as floats
+        ds_path, raw = self._dataset(joint_file, tmp_path, scenario)
+        item = raw["channels"][0]["items"][3]
+        if scenario == "Pconf":
+            item["confidences"][0] = value
+        else:
+            item["confidence"] = value
+        ds_path.write_text(json.dumps(raw))
+        assert self._train(ds_path, joint_file) == 2
+        err = capsys.readouterr().err
+        assert "NonFiniteConfidence" in err and "Warning" not in err and "diverged" not in err
+
     def test_channels_of_another_class_count(self, joint_file, tmp_path, capsys):
         # a CL dataset drawn on a K=4 joint has four label channels, the
         # K=2 joint two

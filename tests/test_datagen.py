@@ -18,12 +18,15 @@ from wslrr.datagen import (
     DatasetChannel,
     WeakDataset,
     _categorical,
+    _distinct_rows,
     _read_carved,
     _read_generic,
+    _uniforms,
     dataset_from_json,
     dataset_to_json,
     datasets_equal,
     philox_uniforms,
+    philox_words,
     sample_weak_dataset,
     sampling_channels,
 )
@@ -33,22 +36,32 @@ from wslrr.scenarios import (CL, MCL, PU, SD, Pcomp, Sconf, Soft, compound_label
 from wslrr.verify import ABSTRACT_SCENARIO_NAMES, ALL_SCENARIO_NAMES, make_spec, scenario_joint
 
 
+def _words(u):
+    """The Philox words whose uniforms are ``u``: (u * 2**53) << 11, exact
+    for the multiples of 2**-53 in [0, 1) every case here uses."""
+    w = (np.asarray(u, dtype=np.float64) * 2.0 ** 53).astype(np.uint64) << np.uint64(11)
+    assert _same_bits(_uniforms(w), np.asarray(u, dtype=np.float64))
+    return w
+
+
 class TestRng:
     def test_reproducible(self):
-        a = philox_uniforms(42, 3, 100)
-        b = philox_uniforms(42, 3, 100)
-        assert np.array_equal(a, b)
+        a = philox_words(42, 3, 100)
+        b = philox_words(42, 3, 100)
+        assert a.dtype == np.uint64 and np.array_equal(a, b)
+        assert _same_bits(philox_uniforms(42, 3, 100), _uniforms(a))
 
     def test_streams_differ(self):
-        assert not np.array_equal(philox_uniforms(42, 0, 10), philox_uniforms(42, 1, 10))
+        assert not np.array_equal(philox_words(42, 0, 10), philox_words(42, 1, 10))
 
     def test_range(self):
-        u = philox_uniforms(7, 0, 10_000)
+        u = _uniforms(philox_words(7, 0, 10_000))
         assert np.all((0.0 <= u) & (u < 1.0))
+        assert _uniforms(np.array([0, 2 ** 64 - 1], dtype=np.uint64)).tolist() == [0.0, 1.0 - 2.0 ** -53]
 
     def test_zero_mass_guard(self):
         with pytest.raises(ZeroChannelMass):
-            _categorical(np.zeros(4), philox_uniforms(0, 0, 3), "empty channel")
+            _categorical(np.zeros(4), philox_words(0, 0, 3), "empty channel")
 
     def test_clamp_skips_zero_mass_tail(self):
         # ten masses of 0.1 sum to 1 - eps/2, so a uniform at or above the last
@@ -57,7 +70,7 @@ class TestRng:
         cum = np.cumsum(probs / probs.sum())
         assert cum[-1] < 1.0
         u = np.array([cum[-1], np.nextafter(1.0, 0.0)])
-        assert np.array_equal(_categorical(probs, u, "tail"), [9, 9])
+        assert np.array_equal(_categorical(probs, _words(u), "tail"), [9, 9])
 
 
 def _searched(probs, u):
@@ -74,11 +87,12 @@ def _on_grid(values, bits):
 
 class TestBucketedInversion:
     """_categorical buckets the search when there are at least 4 draws per
-    item; it must return what the binary search returns, bit for bit."""
+    item; on the words of the uniforms it must return what the binary search
+    returns at the uniforms, bit for bit."""
 
     @staticmethod
     def _assert_same(probs, u):
-        got, want = _categorical(probs, u, "law"), _searched(probs, u)
+        got, want = _categorical(probs, _words(u), "law"), _searched(probs, u)
         assert got.dtype == want.dtype and _same_bits(got, want)
 
     @pytest.mark.parametrize("n_cat", [1, 2, 48, 10_000])
@@ -86,6 +100,9 @@ class TestBucketedInversion:
         u = philox_uniforms(11, n_cat, 8 * n_cat + 1000)
         probs = philox_uniforms(12, n_cat, n_cat)
         self._assert_same(probs, u)
+        # the raw words, whose low 11 bits the uniforms drop, give the same draws
+        w = philox_words(11, n_cat, 8 * n_cat + 1000)
+        assert _same_bits(_categorical(probs, w, "law"), _searched(probs, u))
 
     @pytest.mark.parametrize("n_cat", [2, 48, 10_000])
     def test_zero_mass_categories(self, n_cat):
@@ -95,14 +112,18 @@ class TestBucketedInversion:
         u = philox_uniforms(14, n_cat, 8 * n_cat + 1000)
         self._assert_same(probs, u)
 
+    @staticmethod
+    def _edge_law(n_cat, seed):
+        """(bits, probs): dyadic masses on a grid twice as fine as the 2**bits
+        buckets, so every cumulative value is exact and about half of them lie
+        on bucket edges."""
+        bits = min((4 * n_cat - 1).bit_length(), wslrr.datagen.MAX_BUCKET_BITS)
+        cuts = _on_grid(philox_uniforms(seed, n_cat, n_cat - 1), bits + 1)
+        return bits, np.diff(np.concatenate([[0.0], np.sort(cuts), [1.0]]))  # zero masses where cuts coincide
+
     @pytest.mark.parametrize("n_cat", [2, 48, 10_000])
     def test_cumulative_values_on_bucket_edges(self, n_cat):
-        # dyadic masses on a grid twice as fine as the buckets: every cumulative
-        # value is exact, and about half of them lie on bucket edges
-        bits = min((4 * n_cat - 1).bit_length(), wslrr.datagen.MAX_BUCKET_BITS)
-        cuts = _on_grid(philox_uniforms(15, n_cat, n_cat - 1), bits + 1)
-        cuts = np.concatenate([[0.0], np.sort(cuts), [1.0]])
-        probs = np.diff(cuts)  # zero masses where two cuts coincide
+        bits, probs = self._edge_law(n_cat, 15)
         cum = np.cumsum(probs / probs.sum())
         on_edge = cum * 2.0 ** bits == np.floor(cum * 2.0 ** bits)
         assert probs.size == n_cat and on_edge.any() and (n_cat < 3 or not on_edge.all())
@@ -110,6 +131,19 @@ class TestBucketedInversion:
         hits = np.concatenate([cum, cum - 2.0 ** -53, cum + 2.0 ** -53,
                                philox_uniforms(16, n_cat, 4 * n_cat)])
         self._assert_same(probs, np.clip(hits, 0.0, 1.0 - 2.0 ** -53))
+
+    @pytest.mark.parametrize("n_cat", [1, 2, 48, 10_000])
+    def test_word_edges(self, n_cat):
+        # the words 0 and 2**64 - 1, every bucket's lower edge b << (64 - bits),
+        # and the word one below each edge, the last word of the bucket before
+        bits, probs = self._edge_law(n_cat, 21)
+        edges = np.arange(2 ** bits, dtype=np.uint64) << np.uint64(64 - bits)
+        w = np.concatenate([np.array([0, 2 ** 64 - 1], dtype=np.uint64), edges, edges[1:] - np.uint64(1)])
+        u = _uniforms(w)
+        assert np.array_equal(w >> np.uint64(64 - bits), np.floor(u * 2.0 ** bits))  # the bucket is the floor
+        assert w.size >= 4 * n_cat  # bucketed
+        got, want = _categorical(probs, w, "law"), _searched(probs, u)
+        assert got.dtype == want.dtype and _same_bits(got, want)
 
     @pytest.mark.parametrize("n_cat", [1, 2, 48, 10_000])
     def test_extreme_uniforms(self, n_cat):
@@ -122,9 +156,10 @@ class TestBucketedInversion:
         probs = np.array([0.1] * 10 + [0.0, 0.0])
         cum = np.cumsum(probs / probs.sum())
         assert cum[-1] < 1.0
-        u = np.resize([cum[-1], 1.0 - 2.0 ** -53, 0.3, 0.0], 4 * probs.size)
+        # 0.3 is not on the 2**-53 grid of a word's uniform, so the grid value below it
+        u = np.resize([cum[-1], 1.0 - 2.0 ** -53, _on_grid(0.3, 53), 0.0], 4 * probs.size)
         self._assert_same(probs, u)
-        assert np.array_equal(_categorical(probs, u, "tail")[:2], [9, 9])
+        assert np.array_equal(_categorical(probs, _words(u), "tail")[:2], [9, 9])
 
     @pytest.mark.parametrize("n_cat", [1, 2, 48, 10_000])
     def test_both_sides_of_the_draw_count_threshold(self, n_cat):
@@ -134,10 +169,21 @@ class TestBucketedInversion:
             self._assert_same(probs, philox_uniforms(19, n, n))
 
     def test_searches_only_draws_in_buckets_that_hold_a_value(self, monkeypatch):
+        # 1000 draws: 1000 // 32 rounds up to 32 buckets
+        self._assert_no_draw_searched(monkeypatch, 1000, 32)
+
+    # at least 4 buckets per item (16 here), about n / 32 in all, a power of two
+    @pytest.mark.parametrize("n, buckets", [(16, 16), (100, 16), (100_000, 4096)])
+    def test_bucket_count_follows_the_draw_count(self, monkeypatch, n, buckets):
+        self._assert_no_draw_searched(monkeypatch, n, buckets)
+
+    @staticmethod
+    def _assert_no_draw_searched(monkeypatch, n, buckets):
         # 4 equal masses: every cumulative value lies on a bucket edge, so no
         # bucket holds one inside and no draw is searched
         probs = np.full(4, 0.25)
-        u = philox_uniforms(20, 0, 1000)
+        u = philox_uniforms(20, 0, n)
+        w = _words(u)
         searched = []
         real = np.searchsorted
 
@@ -146,10 +192,10 @@ class TestBucketedInversion:
             return real(a, v, side=side, sorter=sorter)
 
         monkeypatch.setattr(wslrr.datagen.np, "searchsorted", counting)
-        got = _categorical(probs, u, "law")
+        got = _categorical(probs, w, "law")
         monkeypatch.undo()
-        # two searches build the table over the 16 bucket edges; the third searches no draw
-        assert searched == [16, 16, 0]
+        # two searches build the table over the bucket edges; the third searches no draw
+        assert searched == [buckets, buckets, 0]
         assert _same_bits(got, _searched(probs, u))
 
 
@@ -402,11 +448,11 @@ def _label_stream_reference(spec, j, count, seed):
     MCL's excluded-set sizes first, then each size's draws by its own mask."""
     flat = observed_distribution(spec, j).observed.T
     if spec.size_law is None:
-        pos = _categorical(flat, philox_uniforms(seed, 0, count), "stream")
+        pos = _categorical(flat, philox_words(seed, 0, count), "stream")
         return pos // j.n_x, pos % j.n_x
     sizes = np.array([len(s) for s in compound_label_space(j.K)])
-    d_draw = _categorical(np.asarray(spec.size_law), philox_uniforms(seed, 0, count), "sizes") + 1
-    u2 = philox_uniforms(seed, 1, count)
+    d_draw = _categorical(np.asarray(spec.size_law), philox_words(seed, 0, count), "sizes") + 1
+    u2 = philox_words(seed, 1, count)
     chan, inst = np.empty(count, dtype=int), np.empty(count, dtype=int)
     for d in range(1, j.K):
         mask = d_draw == d
@@ -555,6 +601,11 @@ HAND_BUILT = {
     "rows not a function of the index": _conf_points([0, 0, 1, 1, 2, 0], [[0.25, 0.75], [0.75, 0.25],
                                                                           [0.25, 0.75], [0.25, 0.75],
                                                                           [0.1, 0.9], [0.25, 0.75]]),
+    "rows a function of the index": _conf_points([5, 0, 5, 2, 0], [[0.5, 0.5], [0.2, 0.8], [0.5, 0.5],
+                                                                   [0.1, 0.9], [0.2, 0.8]]),
+    "pair values a function of the pair": _conf_pairs([[1, 2], [2, 1], [1, 2], [0, 0]], [0.3, 0.3, 0.3, 0.9]),
+    "an index beyond the key range": _conf_points([0, 200, 0], [[0.5, 0.5], [0.2, 0.8], [0.5, 0.5]]),
+    "a negative index": _conf_points([-1, 2, -1], [[0.5, 0.5], [0.2, 0.8], [0.5, 0.5]]),
     "int32 conf-points indices": _conf_points(np.array([3, 1, 3, 2], dtype=np.int32),
                                               [[0.5, 0.5], [0.2, 0.8], [0.5, 0.5], [0.2, 0.8]]),
     "int32 conf-pairs": _conf_pairs(np.array([[1, 2], [2, 1], [1, 2]], dtype=np.int32), [0.3, 0.3, 0.7]),
@@ -609,6 +660,58 @@ class TestJsonAgainstReference:
                 '"kind": "conf-pairs", "items": [{"pair": [0, 1], "confidence": 0.5}, '
                 '{"pair": [1, 0], "confidence": 5e-1}, {"pair": [1, 1], "confidence": -0.0}]}]}')
         _assert_read_bits(text)
+
+
+class TestDistinctRows:
+    """_distinct_rows keys rows by an integer in O(n + n_keys) when they are
+    a function of it, bit for bit, and finds the distinct (key, row) pairs
+    by one ``np.lexsort`` otherwise; either way in key order."""
+
+    KEY = np.array([5, 0, 5, 2, 0])
+    ROWS = np.array([[0.5, 0.5], [0.2, 0.8], [0.5, 0.5], [0.1, 0.9], [0.2, 0.8]])
+
+    @staticmethod
+    def _assert_distinct(key, rows, first, inverse):
+        """Each pair is its first's bit for bit, the firsts are distinct and in key order."""
+        pairs = [(k, r.tobytes()) for k, r in zip(key.tolist(), rows)]
+        assert [pairs[f] for f in first[inverse]] == pairs
+        assert len(set(pairs[f] for f in first)) == len(first)
+        assert np.all(np.diff(key[first]) >= 0)
+
+    def test_rows_that_are_a_function_of_the_key(self, monkeypatch):
+        monkeypatch.setattr(wslrr.datagen.np, "lexsort", None)  # the keyed path alone
+        first, inverse = _distinct_rows(self.KEY, self.ROWS)
+        assert self.KEY[first].tolist() == [0, 2, 5] and inverse.tolist() == [2, 0, 2, 1, 0]
+        self._assert_distinct(self.KEY, self.ROWS, first, inverse)
+        # a pair value per flat pair code, over several blocks
+        n = 2 * wslrr.datagen.KEY_BLOCK + 3
+        key, values = np.resize([7, 0], n), np.resize([0.3, 0.9], n)
+        assert len(_distinct_rows(key, values)[0]) == 2
+
+    @pytest.mark.parametrize("case", ["two rows", "signed zero", "two rows, last block", "beyond the range",
+                                      "negative"])
+    def test_anything_else_is_sorted(self, case, monkeypatch):
+        n = 2 * wslrr.datagen.KEY_BLOCK + 5  # three blocks
+        key, rows = np.resize(self.KEY, n), np.resize(self.ROWS, (n, 2))
+        if case == "two rows":
+            rows[2, 1] = 0.25
+        elif case == "signed zero":
+            rows[[1, 4]] = [[1.0, 0.0], [1.0, -0.0]]
+        elif case == "two rows, last block":
+            rows[-1, 0] = 0.25
+        elif case == "beyond the range":
+            key[3] = 2 ** 16 + 2 * n
+        else:
+            key[3] = -1
+        calls = []
+        real = np.lexsort
+        monkeypatch.setattr(wslrr.datagen.np, "lexsort", lambda *a, **k: calls.append(1) or real(*a, **k))
+        first, inverse = _distinct_rows(key, rows)
+        monkeypatch.undo()
+        assert calls == [1]
+        self._assert_distinct(key if case != "negative" else key.view(np.uint64), rows, first, inverse)
+        # three keys of one row each, plus a second row of one key (two for the signed zeros) or a new key
+        assert len(first) == (5 if case == "signed zero" else 4)
 
 
 # ---------------------------------------------------------------------------
@@ -812,6 +915,8 @@ def _random_channel(draw, label: str) -> DatasetChannel:
     values = _INT64 if dtype is np.int64 else _INT32
     if draw(st.booleans()):  # few distinct values, as sampled channels have
         values = st.sampled_from(draw(st.lists(values, min_size=1, max_size=4)))
+    elif draw(st.booleans()):  # small indices, which the writer keys confidences by
+        values = st.integers(0, 3)
     ints = lambda count: np.array(draw(st.lists(values, min_size=count, max_size=count)), dtype=dtype)
     bits = _BITS if draw(st.booleans()) else st.sampled_from(draw(st.lists(_BITS, min_size=1, max_size=3)))
     floats = lambda count: _floats(draw(st.lists(bits, min_size=count, max_size=count)))

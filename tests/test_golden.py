@@ -132,3 +132,42 @@ def test_verify_all_layout(default_report):
     report, _ = default_report
     layout = [[c.name, c.scenario, c.tol, sorted(c.params)] for c in report.checks]
     assert hashlib.sha256(json.dumps(layout).encode()).hexdigest() == VERIFY_ALL_LAYOUT
+
+
+# scenario -> sampled dataset digest at 20 draws per channel, below the 4
+# draws per item from which the inversion buckets its search: every draw is
+# converted to a uniform and searched (MCL's 4-item size law is bucketed)
+SMALL_GOLDEN = {
+    "PU": "a40e6e3833da006f6db96c2f9c5177069978f1036e6faca3d2b4705ed2fc61fb",
+    "Pconf": "4f48e29a04c3ffea0595f060def2354cd5cf3b8c3579f540722ecc72828f2799",
+    "UU": "b39d5220708939eb049321aa56d6eb682509934bca6dd0aa0f8389909e4d7dd6",
+    "SU": "1093315e2662b909c60f33748cad8901b531d323040493649b70cb0b2d8e7236",
+    "DU": "dd6207531edbc6f353641554785b4366aa4037439a50e899108a69f59e2fe7af",
+    "SD": "fec90a14e5578daed887847ab7e3676df8ed32ba1108ba435b8dddc0294290fd",
+    "Pcomp": "a5366dde0da039bc139547bf93cfa181bc4b07aa2bfa2926e843027143cf2bd2",
+    "Sconf": "ec88ee1a83ec870c61f2fc4fad3115b52b865fa669af3aaa3e26b8377a788edc",
+    "CL": "ba6c145306a1b261871c31dcfe235d290a7e9e5a7d8569ee25e537a90ce9a9ef",
+    "MCL": "b9184c3c7c5d0272cb8ea4f7266fa5e24675682d3e9cf9be2a19f8e2fe09798b",
+    "PCPL": "36e76af9333d252bd1b61e18e3c6fa4cc69a349ac2ec9c8de7bbd81d38b3e9cd",
+    "PPL": "27999a4697c8295260d889769c9a73e3633330304fe66750fc9e266b91e88213",
+    "SCConf": "8475ee5fe6050cd1a6d60e56678030257d2ebff3e55d1ba67484079a90678156",
+    "SubConf": "d1ebae89851355344b9c40bee1ffb08258574f07db1ee3b228d43ad70c8ee400",
+    "Soft": "075952f0287bda4df584aff4eb57b793c0f8eb6a8a9f7138ef9a0046a6b0fa22",
+    "MCD": "d1b079c5284f029fb58b6dc394acda89769f127ee51f7e28595ef085ac715721",
+    "CCN": "f75f1ab401c21ac67a926346535d2bb2fda7fad74cc1ffed72dc5da3d2ee8f5d",
+    "GCCN": "4dde5fe2b74a076da4f2185b555aa9b583e7c56769b72db11faae65f2664bce6",
+}
+SMALL_COUNT = 20
+
+
+@pytest.mark.parametrize("name", ALL_SCENARIO_NAMES + ABSTRACT_SCENARIO_NAMES)
+def test_sampled_dataset_hash_below_the_bucketing_switch(name):
+    assert set(SMALL_GOLDEN) == set(GOLDEN)
+    spec, j = _case(name)
+    assert SMALL_COUNT < 4 * j.n_x  # fewer draws than 4 per instance
+    ds = sample_weak_dataset(spec, j, SMALL_COUNT, seed=29)
+    parts = []
+    for c in ds.channels:
+        parts += [c.label, c.kind]
+        parts += [getattr(c, f) for f in ("indices", "pairs", "confidences") if getattr(c, f) is not None]
+    assert _digest(parts) == SMALL_GOLDEN[name]

@@ -23,6 +23,7 @@ from wslrr.errors import (
     DegenerateParams,
     EmptyChannel,
     NonDifferentiableLoss,
+    NonFiniteConfidence,
     NonFiniteScore,
     NonSquare,
     SpecMismatch,
@@ -543,6 +544,17 @@ def test_label_stream_weights_are_columns_of_the_estimator_decontamination(name)
     assert np.array_equal(terms.idx, idx)
     weights = np.take(terms.table, terms.rows, axis=0)
     assert _same_bits(weights, want) and weights.strides == want.strides
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("name", ["Soft", "SubConf", "Sconf"])
+def test_non_finite_stored_confidence_is_refused(name, value):
+    j = scenario_joint(name, 3, 5, 2, seed=43, trial=0)
+    spec = make_spec(name, j, 43, 0)
+    ds = sample_weak_dataset(spec, j, 30, seed=9)
+    ds.channels[0].confidences[7] = value
+    with pytest.raises(NonFiniteConfidence, match="NaN or infinite"):
+        channel_terms(ds, spec, j)
 
 
 def test_zero_stored_superclass_confidence_names_the_draw():

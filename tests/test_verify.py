@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import tracemalloc
 import weakref
 from collections import Counter
 
@@ -9,13 +10,14 @@ import pytest
 
 import wslrr.verify
 from wslrr.core import FiniteJoint
-from wslrr.datagen import sample_weak_dataset
+from wslrr.datagen import _distinct_rows, dataset_to_json, sample_weak_dataset
 import wslrr.decontam
 from wslrr.decontam import _decontaminate
-from wslrr.errors import DegenerateParams, KTooLarge, ShapeMismatch, ValidationError, ZeroPairMass
-from wslrr.risk import LossSpec, channel_terms, empirical_risk, loss_matrix, weight_table, weighted_loss
+from wslrr.errors import (DegenerateParams, KTooLarge, ShapeMismatch, ValidationError, ZeroConfidence,
+                          ZeroPairMass)
+from wslrr.risk import LossSpec, _channel_terms, _fold, channel_terms, empirical_risk, loss_matrix, weight_table, weighted_loss
 import wslrr.scenarios
-from wslrr.scenarios import CCN, FAMILY_SCONF, UU, Soft, _member_mask, specs_equal
+from wslrr.scenarios import CCN, FAMILY_SCONF, UU, Soft, _member_mask, _spec_object, specs_equal
 from wslrr.train import LinearModel, empirical_gradient
 from wslrr.verify import (
     ABSTRACT_SCENARIO_NAMES,
@@ -595,6 +597,102 @@ def test_a_channel_of_one_draw_adds_no_variance():
     assert _relative_close((se ** 2,), (_channel_spread(u_terms, lam)[0],))
     assert _relative_close((se, abs_terms), _spread_reference(ds, inp.spec, j, lam))
 
+
+
+def _conf_case(name, edit, n=3000):
+    """A confidence setting's default Monte-Carlo input and an ``n``-draw
+    sample of it, its confidences edited: "keyed" leaves them as sampled;
+    "two rows" gives the first draw's instance a second row in its second
+    draw; "signed zero" gives every draw of that instance the row
+    (1, 0, ..., 0), with -0.0 as the last entry of its second draw."""
+    cfg, t = VerifyConfig(), wslrr.verify.MC_TRIAL
+    j = scenario_joint(name, cfg.K, cfg.nx, cfg.d_feat, cfg.seed, t)
+    inp = CheckInput(make_spec(name, j, cfg.seed, t), j, seeded_model(j, cfg.seed, t))
+    ds = sample_weak_dataset(inp.spec, j, n, seed=cfg.seed + 1000)
+    ch = ds.channels[0]
+    mine = np.flatnonzero(ch.indices == ch.indices[0])
+    if edit == "two rows":
+        ch.confidences[mine[1]] = ch.confidences[0][::-1]
+    elif edit == "signed zero":
+        ch.confidences[mine] = np.eye(j.K)[0]
+        ch.confidences[mine[1], -1] = -0.0
+    return inp, ds
+
+
+def _per_draw_conf_reference(inp, ds):
+    """(weight table, estimate, se, mean |term|) of a confidence channel
+    draw by draw: each draw weighs the losses by the super-class prior times
+    r / r_sel at its stored confidences r."""
+    ch, j, losses = ds.channels[0], inp.j, inp.exact[0]
+    r, idx, n = ch.confidences, ch.indices, ch.n_draws
+    members = list(range(j.K)) if inp.spec.members is None else list(inp.spec.members)
+    coeff = float(inp.system.m.priors[members].sum())
+    w = coeff * r / r[:, members].sum(axis=1, keepdims=True)
+    W = np.zeros((j.n_x, j.K))
+    np.add.at(W, idx, w / n)
+    terms = w * losses[idx]
+    vals = terms.sum(axis=1)
+    return W, float(vals.mean()), math.sqrt(float(np.var(vals, ddof=1)) / n), float(np.abs(terms).sum()) / n
+
+
+class TestKeyedConfidenceChannels:
+    """A confidence channel whose instances each carry one row (compared bit
+    for bit) is folded and spread by instance counts; any other keeps the
+    per-draw path.  Both give the per-draw reference."""
+
+    @pytest.mark.parametrize("edit, keyed", [("keyed", True), ("two rows", False), ("signed zero", False)])
+    @pytest.mark.parametrize("name", ["Soft", "Pconf"])
+    def test_fold_and_spread_match_the_per_draw_reference(self, name, edit, keyed):
+        inp, ds = _conf_case(name, edit)
+        (terms,) = _channel_terms(ds, inp.system)
+        assert (terms.rows is not None) == keyed
+        if keyed:
+            assert terms.table.shape == (inp.j.n_x, inp.j.K) and terms.rows is ds.channels[0].indices
+        W_ref, est_ref, se_ref, abs_ref = _per_draw_conf_reference(inp, ds)
+        W = _fold([terms], inp.j)
+        assert np.all(np.abs(W - W_ref) <= 1e-12 * np.abs(W_ref))
+        est, se, abs_terms = wslrr.verify._estimator_spread(ds, inp.system, inp.exact[0])
+        assert _relative_close((est, se, abs_terms), (est_ref, se_ref, abs_ref))
+
+    @pytest.mark.parametrize("edit", ["keyed", "two rows", "signed zero"])
+    @pytest.mark.parametrize("name", ["Soft", "Pconf"])
+    def test_writer_is_json_dumps(self, name, edit):
+        _, ds = _conf_case(name, edit, n=500)
+        ch = ds.channels[0]
+        items = [{"index": i, "confidences": row} for i, row in zip(ch.indices.tolist(), ch.confidences.tolist())]
+        want = json.dumps({"spec": _spec_object(ds.spec), "seed": ds.seed,
+                           "channels": [{"label": ch.label, "kind": ch.kind, "items": items}]})
+        assert dataset_to_json(ds) == want
+        assert ("-0.0" in want) == (edit == "signed zero")
+
+    def test_zero_confidence_names_the_first_draw_not_the_lowest_instance(self):
+        # two instances lose their super-class confidence in every draw; the one
+        # drawn first has the higher index, and the error names it, as the
+        # per-draw path does
+        inp, ds = _conf_case("Pconf", "keyed")
+        ch = ds.channels[0]
+        seen = list(dict.fromkeys(ch.indices.tolist()))  # instances by first draw
+        first, later = next((a, b) for k, a in enumerate(seen) for b in seen[k + 1:] if b < a)
+        ch.confidences[np.isin(ch.indices, [first, later])] = np.eye(inp.j.K)[1]
+        first, _ = _distinct_rows(ch.indices, ch.confidences)
+        assert len(np.unique(ch.indices[first])) == len(first)  # one row per instance
+        with pytest.raises(ZeroConfidence, match=f"instance {first}$"):
+            _channel_terms(ds, inp.system)
+
+    def test_spread_and_fold_hold_no_per_draw_table(self):
+        # on the default Soft input, the spread and the rerun's fold together
+        # allocate less than one (n, K) float table of per-draw weights
+        cfg = VerifyConfig()
+        inp, ds = _conf_case("Soft", "keyed", n=cfg.mc_samples)
+        n, K = ds.channels[0].n_draws, inp.j.K
+        tracemalloc.start()
+        try:
+            wslrr.verify._estimator_spread(ds, inp.system, inp.exact[0])
+            _fold(_channel_terms(ds, inp.system), inp.j)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * K * 8
 
 def _gradient_inputs(name):
     j = scenario_joint(name, 3, 6, 3, seed=7, trial=3)
