@@ -5,12 +5,16 @@ set, so every expectation is an exact finite sum and every identity can be
 checked to float64 accuracy.  Values are immutable after construction: a
 joint owns read-only copies of its arrays, and its marginals are computed
 once, on first use, and kept on the joint.
+
+Every record of the package, here and in the other modules, is a
+:func:`record` class rather than a stdlib dataclass: at import, which every
+CLI process pays for, each compiles its ``__init__`` and nothing else.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -34,7 +38,75 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True, eq=False)
+class default_factory:
+    """A field default made afresh by ``make()`` for each record built without it."""
+
+    def __init__(self, make):
+        self.make = make
+
+
+def _values(r) -> tuple:
+    return tuple(getattr(r, f) for f in r._fields)
+
+
+def _repr(self) -> str:
+    return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+
+def _eq(self, other):
+    return _values(self) == _values(other) if other.__class__ is self.__class__ else NotImplemented
+
+
+def _hash(self) -> int:
+    return hash(_values(self))
+
+
+def _refuse(self, name, *value):
+    raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+def record(frozen: bool = True, eq: bool = True):
+    """Class decorator for a record whose fields are the class's own
+    non-ClassVar annotations, in order; a field's class attribute is its
+    default.  ``_fields`` names the fields.  The one ``__init__`` compiled
+    per class takes them positionally or by keyword and stores them (a
+    frozen record with several fields writes its ``__dict__``, which costs
+    less than an ``object.__setattr__`` call per field and more than one
+    call), then runs ``__post_init__`` if the class has one.  ``__repr__``,
+    and ``__eq__`` and ``__hash__`` over the field values when ``eq``, are
+    shared functions.  A frozen record refuses assignment and deletion
+    (``__post_init__`` normalises through ``object.__setattr__``); without
+    ``eq`` records compare by identity."""
+    def wrap(cls):
+        names = tuple(f for f, t in inspect.get_annotations(cls).items()
+                      if not str(t).startswith(("ClassVar", "typing.ClassVar")))
+        defaults = {f: cls.__dict__[f] for f in names if f in cls.__dict__}
+        wide = frozen and len(names) > 1
+        lines = ["d = self.__dict__"] if wide else []
+        for f in names:
+            v = f
+            if isinstance(defaults.get(f), default_factory):
+                v = f"_d_{f}.make() if {f} is _d_{f} else {f}"
+                delattr(cls, f)
+            lines.append(f"d[{f!r}] = {v}" if wide else f"_set(self, {f!r}, {v})" if frozen else f"self.{f} = {v}")
+        if hasattr(cls, "__post_init__"):
+            lines.append("self.__post_init__()")
+        if lines:  # else object.__init__, which refuses every argument
+            args = "".join(f", {f}=_d_{f}" if f in defaults else f", {f}" for f in names)
+            ns = {"_set": object.__setattr__, **{f"_d_{f}": v for f, v in defaults.items()}}
+            exec(f"def __init__(self{args}):\n " + "\n ".join(lines), ns)
+            ns["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+            cls.__init__ = ns["__init__"]
+        cls.__repr__, cls._fields = _repr, names
+        if eq:
+            cls.__eq__, cls.__hash__ = _eq, _hash if frozen else None
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = _refuse
+        return cls
+    return wrap
+
+
+@record(eq=False)
 class FiniteJoint:
     """Ground-truth joint distribution over K classes and n_x instances.
 
@@ -62,7 +134,7 @@ class FiniteJoint:
         return _compute_marginals(self)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class Marginals:
     """Derived quantities of a FiniteJoint.
 

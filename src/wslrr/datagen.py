@@ -23,12 +23,11 @@ from __future__ import annotations
 import json
 import threading
 from collections.abc import Mapping
-from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from .core import FiniteJoint, parse_json
+from .core import FiniteJoint, parse_json, record
 from .errors import (
     EmptyChannel,
     SchemaMismatch,
@@ -127,7 +126,7 @@ def _categorical(probs: np.ndarray, words: np.ndarray, what: str) -> np.ndarray:
     return np.minimum(pos, np.flatnonzero(flat > 0)[-1], out=pos)
 
 
-@dataclass(eq=False)
+@record(frozen=False, eq=False)
 class DatasetChannel:
     label: str
     kind: str
@@ -142,7 +141,7 @@ class DatasetChannel:
         return int(self.pairs.shape[0])
 
 
-@dataclass(eq=False)
+@record(frozen=False, eq=False)
 class WeakDataset:
     spec: ScenarioSpec
     seed: int

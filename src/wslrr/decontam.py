@@ -24,12 +24,11 @@ per-instance partial pivots, never a library call, so runs are repeatable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .core import FiniteJoint
+from .core import FiniteJoint, record
 from .errors import BadSize, NonSquare, Singular, WrongFamily, ZeroConfidence
 from .scenarios import (
     FAMILY_CCN,
@@ -54,7 +53,7 @@ from .scenarios import (
 SINGULAR_TOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class DecontaminationResult:
     """Per-instance decontamination matrices.
 

@@ -19,12 +19,11 @@ independent cross-check of the generic product.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
 from typing import ClassVar, Optional
 
 import numpy as np
 
-from .core import FiniteJoint, Marginals
+from .core import FiniteJoint, Marginals, record
 from .datagen import CONF_POINTS, PAIRS, dataset_channels, _distinct_rows
 from .decontam import _conf_weights, _decontaminate, _sconf_weights
 from .errors import (
@@ -65,7 +64,7 @@ from .scenarios import (
 LOSS_NAMES = ("zero-one", "logistic", "squared")
 
 
-@dataclass(frozen=True)
+@record()
 class LossSpec:
     """A per-class loss family over score vectors g(x) in R^K.
 
@@ -224,7 +223,7 @@ def closed_form_corrected_loss(spec: ScenarioSpec, m: Marginals, i: int, L,
         lp, ln = float(L[0]), float(L[1])
         s2 = pi_p * pi_p + pi_n * pi_n
         if isinstance(spec, (UU, MCD)):
-            g1, g2 = astuple(spec)  # the rates of the first and the second channel
+            g1, g2 = (getattr(spec, f) for f in spec._fields)  # the rates of the first and the second channel
             den = 1.0 - g1 - g2
             return np.array([((1.0 - g2) * pi_p * lp - g2 * pi_n * ln) / den,
                              (-g1 * pi_p * lp + (1.0 - g1) * pi_n * ln) / den])
@@ -293,7 +292,7 @@ def closed_form_corrected_loss(spec: ScenarioSpec, m: Marginals, i: int, L,
 # Empirical estimators
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class ChannelTerms:
     """Flattened per-channel estimator terms.
 

@@ -41,13 +41,12 @@ import itertools
 import json
 import math
 import numbers
-from dataclasses import dataclass, fields
 from functools import cache, cached_property
 from typing import Callable, ClassVar, Optional, Union
 
 import numpy as np
 
-from .core import FiniteJoint, Marginals, marginals as compute_marginals, parse_json
+from .core import FiniteJoint, Marginals, marginals as compute_marginals, parse_json, record
 from .errors import (
     DegenerateParams,
     KTooLarge,
@@ -175,7 +174,7 @@ class _Confidence(_Setting):
         return _diagonal_stack(_superclass_probability(self, r) / r)
 
 
-@dataclass(frozen=True)
+@record()
 class MCD(_Mixture):
     """Two noisy labeled channels mixing the class conditionals."""
     gamma_p: float
@@ -196,7 +195,7 @@ class MCD(_Mixture):
         return [[1.0 - self.gamma_p, self.gamma_p], [self.gamma_n, 1.0 - self.gamma_n]]
 
 
-@dataclass(frozen=True)
+@record()
 class UU(_Mixture):
     """Two unlabeled channels with mixture rates (1-gamma_1) and gamma_2."""
     gamma_1: float
@@ -217,7 +216,7 @@ class UU(_Mixture):
         return [[1.0 - self.gamma_1, self.gamma_1], [self.gamma_2, 1.0 - self.gamma_2]]
 
 
-@dataclass(frozen=True)
+@record()
 class PU(_Mixture):
     name = "PU"
     channels = ("P", "U")
@@ -226,7 +225,7 @@ class PU(_Mixture):
         return [[1.0, 0.0], [pi_p, pi_n]]
 
 
-@dataclass(frozen=True)
+@record()
 class SU(_Mixture):
     name = "SU"
     channels = ("S", "U")
@@ -238,7 +237,7 @@ class SU(_Mixture):
         return [[pi_p * pi_p / s2, pi_n * pi_n / s2], [pi_p, pi_n]]
 
 
-@dataclass(frozen=True)
+@record()
 class DU(_Mixture):
     name = "DU"
     channels = ("D", "U")
@@ -249,7 +248,7 @@ class DU(_Mixture):
         return [[0.5, 0.5], [pi_p, pi_n]]
 
 
-@dataclass(frozen=True)
+@record()
 class SD(_Mixture):
     name = "SD"
     channels = pair_channels = ("S", "D")
@@ -260,7 +259,7 @@ class SD(_Mixture):
         return [[pi_p * pi_p / s2, pi_n * pi_n / s2], [0.5, 0.5]]
 
 
-@dataclass(frozen=True)
+@record()
 class Pcomp(_Mixture):
     """Comparison pairs: the first point is drawn from Sup, the second from Inf."""
     name = "Pcomp"
@@ -272,7 +271,7 @@ class Pcomp(_Mixture):
                 [pi_p * pi_p / (pi_p * pi_p + pi_n), pi_n / (pi_p * pi_p + pi_n)]]
 
 
-@dataclass(frozen=True)
+@record()
 class Sconf(_Setting):
     name = "Sconf"
     family = FAMILY_SCONF
@@ -282,7 +281,7 @@ class Sconf(_Setting):
     method = estimator = METHOD_SCONF
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class CCN(_LabelChannel):
     """Binary label noise: flip[i, noisy, clean] = P(noisy label | clean label, x_i)."""
     flip: np.ndarray
@@ -301,7 +300,7 @@ class CCN(_LabelChannel):
         return self.flip.copy()
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class GCCN(_LabelChannel):
     """Compound-label channel: cond[i, j, k] = P(S = s_j | Y=k+1, x_i)."""
     cond: np.ndarray
@@ -320,7 +319,7 @@ class GCCN(_LabelChannel):
         return self.cond.copy()
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class PPL(_LabelChannel):
     """Proper partial labels: C[j, i] is the weight of compound label s_j at x_i."""
     C: np.ndarray
@@ -345,7 +344,7 @@ class PPL(_LabelChannel):
         return self.C.T[:, :, None] * _member_mask(m.K)
 
 
-@dataclass(frozen=True)
+@record()
 class PCPL(_LabelChannel):
     """Partial labels drawn uniformly among the compound labels holding the class."""
     name = "PCPL"
@@ -354,7 +353,7 @@ class PCPL(_LabelChannel):
         return _member_mask(m.K) / (2 ** (m.K - 1) - 1)
 
 
-@dataclass(frozen=True)
+@record()
 class MCL(_LabelChannel):
     """Multi-complementary labels; q[d-1] = P(|excluded set| = d) for d in 1..K-1."""
     q: tuple
@@ -384,7 +383,7 @@ class MCL(_LabelChannel):
         return row_scale[:, None] * (1.0 - mask)
 
 
-@dataclass(frozen=True)
+@record()
 class CL(_LabelChannel):
     """Complementary labels: one class the instance does not belong to."""
     name = "CL"
@@ -397,7 +396,7 @@ class CL(_LabelChannel):
         return (np.ones((m.K, m.K)) - np.eye(m.K)) / (m.K - 1)
 
 
-@dataclass(frozen=True)
+@record()
 class SubConf(_Confidence):
     """Samples from a super-class: Y_s is a nonempty strict subset of 1..K."""
     Y_s: tuple
@@ -420,7 +419,7 @@ class SubConf(_Confidence):
             raise DegenerateParams("SubConf class subset must be a strict subset of 1..K")
 
 
-@dataclass(frozen=True)
+@record()
 class SCConf(_Confidence):
     """Samples from a single class y_s in 1..K."""
     y_s: int
@@ -439,14 +438,14 @@ class SCConf(_Confidence):
             raise ShapeMismatch(f"SCConf class y_s={self.y_s} outside 1..{K}")
 
 
-@dataclass(frozen=True)
+@record()
 class Pconf(_Confidence):
     name = "Pconf"
     binary_only = True
     members = (0,)
 
 
-@dataclass(frozen=True)
+@record()
 class Soft(_Confidence):
     name = "Soft"
     members = None
@@ -474,7 +473,7 @@ CONCRETE_SCENARIOS = (
 def specs_equal(a: ScenarioSpec, b: ScenarioSpec) -> bool:
     if type(a) is not type(b):
         return False
-    for f in (fl.name for fl in fields(a)):
+    for f in a._fields:
         va, vb = getattr(a, f), getattr(b, f)
         if isinstance(va, np.ndarray):
             if not (isinstance(vb, np.ndarray) and va.shape == vb.shape and np.array_equal(va, vb)):
@@ -639,14 +638,14 @@ def _sconf_pair_tensor(m: Marginals) -> tuple:
 # Observed distributions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class PairDistribution:
     """n_x x n_x matrix of pair probabilities; ``tag`` names which pair law."""
     tag: str
     matrix: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class ContaminationModel:
     """Per-instance contamination structures and observed channel masses.
 
@@ -748,7 +747,7 @@ def pair_distribution(spec: ScenarioSpec, j: FiniteJoint, channel: Optional[str]
 # Reduction graph
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class Reduction:
     """One edge of the reduction graph, for the child spec it was made from.
 
@@ -853,7 +852,7 @@ _ALIASES = {cls.name.lower().replace("-", "").replace("_", ""): cls.name for cls
 def _spec_object(spec: ScenarioSpec) -> dict:
     """The JSON object of a spec: its name, and its fields as lists and numbers."""
     params = {}
-    for f in (fl.name for fl in fields(spec)):
+    for f in spec._fields:
         v = getattr(spec, f)
         if isinstance(v, np.ndarray):
             v = v.tolist()
@@ -882,7 +881,7 @@ def _scenario_from_object(raw) -> ScenarioSpec:
     params = raw.get("params", {}) or {}
     if not isinstance(params, dict):
         raise SchemaMismatch(f"scenario params must be a JSON object, got {params!r}")
-    expected = {fl.name for fl in fields(cls)}
+    expected = set(cls._fields)
     unknown = set(params) - expected
     if unknown:
         raise SchemaMismatch(f"unknown params {sorted(unknown)} for scenario {cls.name}")

@@ -15,18 +15,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FiniteJoint
+from .core import FiniteJoint, record
 from .datagen import WeakDataset, philox_uniforms
 from .errors import Diverged, ShapeMismatch
 from .risk import LossSpec, score_matrix, weight_table, weighted_loss
 from .scenarios import ScenarioSpec
 
 
-@dataclass(eq=False)
+@record(frozen=False, eq=False)
 class LinearModel:
     """Per-class affine scores g(x) = W x + b; the descent holds a stack of
     B models as one, with (B, K, d_feat) weights and (B, K) bias."""
@@ -45,7 +44,7 @@ class LinearModel:
         return LinearModel(self.weights.copy(), self.bias.copy())
 
 
-@dataclass(frozen=True)
+@record()
 class TrainConfig:
     learning_rate: float
     epochs: int

@@ -12,12 +12,11 @@ import json
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .core import FiniteJoint, marginals as compute_marginals, validate_joint
+from .core import FiniteJoint, default_factory, marginals as compute_marginals, record, validate_joint
 from .datagen import datasets_equal, philox_uniforms, sample_weak_dataset, _sample
 from .decontam import (
     METHOD_INVERSION,
@@ -106,7 +105,7 @@ ABSTRACT_SCENARIO_NAMES = ("MCD", "CCN", "GCCN")
 EXACT_INVERSE = {"MCL": METHOD_MCL_BLOCKWISE, "CL": METHOD_INVERSION}
 
 
-@dataclass(frozen=True)
+@record()
 class CheckReport:
     name: str
     scenario: str
@@ -130,7 +129,7 @@ class CheckReport:
         }
 
 
-@dataclass(frozen=True)
+@record()
 class VerifyConfig:
     K: int = 4
     nx: int = 6
@@ -155,7 +154,7 @@ class VerifyConfig:
                                   f"got {self.seed}")
 
 
-@dataclass(frozen=True)
+@record()
 class AggregateReport:
     seed: int
     checks: tuple
@@ -300,7 +299,7 @@ def _exact_risk(model, j: FiniteJoint) -> tuple:
     return losses, float((j.joint.T * losses).sum())
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class CheckInput:
     """A setting's input to the checks: its spec, joint and model.  ``system``,
     the spec's validated system on the joint, and ``exact``, the model's
@@ -311,7 +310,7 @@ class CheckInput:
     spec: ScenarioSpec
     j: FiniteJoint
     model: LinearModel
-    shared: dict = field(default_factory=dict)
+    shared: dict = default_factory(dict)
 
     @cached_property
     def system(self) -> _System:

@@ -21,10 +21,18 @@ keep the exact kernels on the structure of their matrices: the modules that
 build them tile no matrix out to every instance and contract no three
 operands at once (M_trsf is diagonal, so the observed masses are a K-term
 sum), and the rewrite reads the system's observed masses without building a
-whole contamination model.
+whole contamination model.  The last two keep the package's cold start
+small: every CLI command is a fresh process that imports the package, so
+the records are ``wslrr.core.record`` classes, which compile one
+``__init__`` each at import (none for a fieldless record), where stdlib
+dataclasses compile about five methods each; no module imports
+``dataclasses``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from wslrr.scenarios import SCENARIO_TYPES
@@ -39,6 +47,7 @@ PER_INSTANCE_ORACLE = "closed_form_corrected_loss"
 RISKS = {"classification_risk", "rewritten_risk", "empirical_risk"}
 STRUCTURED = ("scenarios.py", "decontam.py", "risk.py")
 WHOLE_MODEL_BUILDERS = {"_contamination_model", "observed_distribution"}
+RECORDS = 34  # the 18 spec records and 16 result, config and model records
 
 
 def _is_spec(node) -> bool:
@@ -327,3 +336,43 @@ def test_call_graph_follows_helpers_and_classes():
     reached = _reached(_call_graph([tree]), "rewrite_table")
     assert {"_System", "helper", "observed_distribution"} <= reached
     assert "_contamination_model" not in reached
+
+
+# ``import wslrr.cli`` in a fresh interpreter, after the modules it shares with
+# numpy and the standard library's argument parser, printing the source
+# compiles it makes and the record classes it defines
+_COMPILE_COUNT = """
+import inspect, json, sys, argparse, numpy
+compiles = []
+sys.addaudithook(lambda ev, args: ev == "compile" and args[1] == "<string>" and compiles.append(1))
+import wslrr.cli
+records = {c for m in list(sys.modules.values()) if m.__name__.startswith("wslrr")
+           for c in vars(m).values() if isinstance(c, type) and "_fields" in vars(c)}
+print(len(compiles), len(records))
+"""
+
+
+def test_import_compiles_at_most_one_method_per_record():
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", _COMPILE_COUNT], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    compiles, records = map(int, out.split())
+    assert compiles <= RECORDS  # stdlib dataclasses made 170
+    assert records == RECORDS
+
+
+def _dataclass_imports(tree) -> list:
+    return [node.lineno for node in ast.walk(tree)
+            if (isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names))
+            or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")]
+
+
+def test_no_module_imports_dataclasses():
+    for path in sorted(SRC.glob("*.py")):
+        assert _dataclass_imports(ast.parse(path.read_text(), filename=str(path))) == [], path.name
+
+
+def test_import_finder_sees_both_forms():
+    tree = ast.parse("import dataclasses\nfrom dataclasses import field\nimport json\n"
+                     "from .core import record\n")
+    assert _dataclass_imports(tree) == [1, 2]
