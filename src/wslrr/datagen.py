@@ -12,6 +12,8 @@ number of cumulative values <= its lower edge, the count for every u in it,
 or -1 when one lies strictly inside; only those draws are converted to u
 and searched.  The result is ``searchsorted(cum, u, "right")``.
 
+A confidence channel is keyed: it holds a table of confidence rows or pair
+values and one code per draw, never a per-draw copy until one is read.
 Datasets are written to and read from one line of JSON.  The writer builds
 each item list from per-field text tables joined once.  The reader parses a
 list of integers as one array, accepted when the writer gives back its
@@ -31,6 +33,7 @@ from .core import FiniteJoint, parse_json, record
 from .errors import (
     EmptyChannel,
     SchemaMismatch,
+    ShapeMismatch,
     ValidationError,
     ZeroChannelMass,
 )
@@ -119,7 +122,10 @@ def _categorical(probs: np.ndarray, words: np.ndarray, what: str) -> np.ndarray:
         edges = np.arange(2 ** bits + 1) * 2.0 ** -bits  # exact: integers times a power of two
         below = np.searchsorted(cum, edges[:-1], side="right")  # cum <= the lower edge
         inside = np.searchsorted(cum, edges[1:], side="left") > below  # lower < cum < upper
-        pos = np.where(inside, -1, below).take((words >> np.uint64(64 - bits)).view(np.int64))
+        # each word's bucket, replaced in place by its table entry: an entry reads only its own
+        # bucket, and "clip" (a no-op on these buckets), unlike "raise", writes ``out`` directly
+        pos = (words >> np.uint64(64 - bits)).view(np.int64)
+        np.take(np.where(inside, -1, below), pos, out=pos, mode="clip")
         hard = np.flatnonzero(pos < 0)
         pos[hard] = np.searchsorted(cum, _uniforms(words[hard]), side="right")
     # u >= cum[-1] < 1 by rounding: take the last item that has mass
@@ -128,17 +134,97 @@ def _categorical(probs: np.ndarray, words: np.ndarray, what: str) -> np.ndarray:
 
 @record(frozen=False, eq=False)
 class DatasetChannel:
+    """One channel's draws: the (n,) ``indices`` of points and conf-points,
+    or the (n, 2) index ``pairs`` of pairs and conf-pairs.  A confidence
+    channel is keyed: ``table`` holds confidence rows (T, K) or pair values
+    (T,), and ``codes`` the entry of every draw; per-draw ``confidences=``
+    are keyed once by :func:`_distinct_rows`.  Reading ``confidences`` makes
+    the per-draw array and drops the table and codes, so that edits to it in
+    place reach every later reader.  Arrays that do not fit the kind raise
+    ShapeMismatch."""
     label: str
     kind: str
     indices: Optional[np.ndarray] = None      # (n,) instance indices
     pairs: Optional[np.ndarray] = None        # (n, 2) index pairs
-    confidences: Optional[np.ndarray] = None  # (n, K) vectors or (n,) pair values
+    confidences: Optional[np.ndarray] = None  # (n, K) rows or (n,) pair values, per draw
+    table: Optional[np.ndarray] = None        # (T, K) rows or (T,) pair values
+    codes: Optional[np.ndarray] = None        # (n,) the table entry of every draw
+
+    def __post_init__(self):
+        if not isinstance(self.kind, str) or self.kind not in _CHANNEL_FIELDS:
+            raise SchemaMismatch(f"unknown channel kind {self.kind!r}")
+        (where, _, _, shape), *keyed = _CHANNEL_FIELDS[self.kind]
+        stray = ("pairs" if where == "indices" else "indices",) + (
+            () if keyed else ("confidences", "table", "codes"))
+        if any(getattr(self, f) is not None for f in stray):
+            raise ShapeMismatch(f"a {self.kind} channel holds no {' or '.join(stray)}")
+        at = getattr(self, where)
+        at = np.empty((0,) + shape[1:], dtype=np.int64) if at is None else np.asarray(at)
+        setattr(self, where, _checked(at, where, "i", shape))
+        if keyed and self.table is None and self.codes is None:  # per-draw confidences, or none for no draws
+            if self.confidences is None:
+                self.confidences = np.empty((0,) * len(keyed[0][3]))
+            self.table, self.codes = self.keyed()
+        elif keyed and self.confidences is not None:
+            raise ShapeMismatch("a channel takes per-draw confidences or a table and codes, not both")
+        elif keyed:
+            self.table = _checked(np.asarray(self.table), "table", "f", (None,) + keyed[0][3][1:])
+            self.codes = _checked(np.asarray(self.codes), "codes", "i", (self.n_draws,))
+            if self.n_draws and not 0 <= self.codes.min() <= self.codes.max() < len(self.table):
+                raise ShapeMismatch(f"channel {self.label!r} has codes outside its table")
+        del self.confidences  # read through __getattr__ from now on
+
+    def __getattr__(self, name):  # ``confidences``, until its first read
+        if name != "confidences":
+            raise AttributeError(name)
+        conf = None if self.table is None else self.table[self.codes]
+        self.confidences, self.table, self.codes = conf, None, None
+        return conf
+
+    def keyed(self) -> tuple:
+        """(table, codes) as kept or, while ``confidences`` is set, its
+        distinct (index or flat pair code, confidences) by :func:`_distinct_rows`."""
+        conf = self.__dict__.get("confidences")
+        if conf is None:
+            return self.table, self.codes
+        at = self.indices if self.kind == CONF_POINTS else self.pairs
+        conf = _checked(np.asarray(conf), "confidences", "f", (len(at),) + _CHANNEL_FIELDS[self.kind][1][3][1:])
+        if len(at) == 0:
+            return conf, np.empty(0, dtype=np.intp)
+        if at.ndim == 2:  # the flat pair code over the pairs' integer table
+            ints, texts = _int_texts(at)
+            at = ints[::2] * len(texts) + ints[1::2]
+        first, codes = _distinct_rows(at, conf)
+        return conf[first], codes
 
     @property
     def n_draws(self) -> int:
-        if self.kind in (POINTS, CONF_POINTS):
-            return int(self.indices.shape[0])
-        return int(self.pairs.shape[0])
+        return len(self.indices if self.kind in (POINTS, CONF_POINTS) else self.pairs)
+
+
+del DatasetChannel.confidences  # the default is __init__'s; until set, a read reaches __getattr__
+
+
+def _checked(arr: np.ndarray, what: str, kind: str, shape: tuple, error=ShapeMismatch) -> np.ndarray:
+    """``arr`` as integers (``kind`` "i") or float64 numbers ("f") of shape
+    ``shape``, None matching any length; anything else raises ``error``."""
+    if (arr.dtype.kind not in ("i" if kind == "i" else "if") or arr.ndim != len(shape)
+            or any(n not in (None, m) for n, m in zip(shape, arr.shape))):
+        raise error(f"channel {what} must be {'integers' if kind == 'i' else 'numbers'} "
+                    f"of shape {shape}, got {arr.dtype} values of shape {arr.shape}")
+    return arr if kind == "i" else arr.astype(np.float64, copy=False)
+
+
+def _keyed(key: np.ndarray, size: int) -> tuple:
+    """(the rank of every draw's integer key in [0, size), a draw of each
+    rank).  Below max(2 n, 2**16) a key is its own rank, and a rank no draw
+    has reads draw 0; from there on the keys are ranked by a sort."""
+    if size >= max(2 * len(key), 2 ** 16):
+        distinct, key = np.unique(key, return_inverse=True)
+        key, size = key.ravel(), len(distinct)  # the inverse's shape varies with numpy
+    one = np.zeros(size, dtype=np.intp)
+    one[key] = np.arange(len(key))
+    return key, one
 
 
 @record(frozen=False, eq=False)
@@ -155,17 +241,23 @@ class WeakDataset:
 
 
 def datasets_equal(a: WeakDataset, b: WeakDataset) -> bool:
+    """Same spec, seed and draws, with confidences equal bit for bit (0.0
+    and -0.0 differ, a NaN equals itself): once per distinct pair of codes."""
     from .scenarios import specs_equal
     if not specs_equal(a.spec, b.spec) or a.seed != b.seed or len(a.channels) != len(b.channels):
         return False
     for ca, cb in zip(a.channels, b.channels):
-        if ca.label != cb.label or ca.kind != cb.kind:
+        if (ca.label, ca.kind) != (cb.label, cb.kind) or not np.array_equal(
+                *(c.indices if c.kind in (POINTS, CONF_POINTS) else c.pairs for c in (ca, cb))):
             return False
-        for f in ("indices", "pairs", "confidences"):
-            va, vb = getattr(ca, f), getattr(cb, f)
-            if (va is None) != (vb is None):
+        if ca.kind in (CONF_POINTS, CONF_PAIRS):
+            (ta, ka), (tb, kb) = ca.keyed(), cb.keyed()
+            if ta.shape[1:] != tb.shape[1:]:
                 return False
-            if va is not None and not np.array_equal(va, vb):
+            if np.array_equal(ka, kb) and ta.tobytes() == tb.tobytes():  # as two samples of a system are
+                continue
+            _, one = _keyed(ka * len(tb) + kb, len(ta) * len(tb))
+            if len(ka) and ta[ka[one]].tobytes() != tb[kb[one]].tobytes():
                 return False
     return True
 
@@ -214,7 +306,8 @@ def sample_weak_dataset(spec: ScenarioSpec, j: FiniteJoint, n: Union[int, dict],
     names follow :func:`sampling_channels`.  Mixture channels sample
     instances from their exact densities, pair channels sample index pairs
     from the exact pair law, label channels sample (compound label, x)
-    jointly, and confidence channels attach the oracle class probabilities.
+    jointly, and confidence channels code each draw into the oracle class
+    probabilities (by instance) or pair confidences (by flat pair code).
     The spec is validated once, and every channel reads the one system.
     """
     return _sample(_System(spec, j), n, seed)
@@ -235,17 +328,16 @@ def _sample(system: _System, n: Union[int, dict], seed: int) -> WeakDataset:
         if kind in (PAIRS, CONF_PAIRS):
             pos = _categorical(_pair_law(m, label), w, f"pair channel {label}")
             pairs = np.stack([pos // n_x, pos % n_x], axis=1)
-            conf = (np.take(_sconf_confidences(m, np.arange(n_x), np.arange(n_x)), pos)
-                    if kind == CONF_PAIRS else None)  # by the flat pair code, from the raveled table
-            channels.append(DatasetChannel(label, kind, pairs=pairs, confidences=conf))
+            keyed = ({"table": _sconf_confidences(m, np.arange(n_x), np.arange(n_x)).ravel(), "codes": pos}
+                     if kind == CONF_PAIRS else {})  # flat pair codes into the raveled table
+            channels.append(DatasetChannel(label, kind, pairs=pairs, **keyed))
         elif kind == POINTS:  # a mixture channel: its exact density
             pos = _categorical(system.observed[:, stream], w, f"channel {label}")
             channels.append(DatasetChannel(label, kind, indices=pos))
-        else:  # confidence data: the super-class law, oracle class probabilities attached
+        else:  # confidence data: the super-class law, coded into the oracle class probabilities
             dist = m.instance_marginal if spec.members is None else _superclass_probability(spec, j.joint)
-            idx = _categorical(dist, w, f"channel {label}")
-            rows = np.take(m.class_probabilities.T, idx, axis=0)  # by instance, from the (n_x, K) table
-            channels.append(DatasetChannel(label, kind, indices=idx, confidences=rows))
+            idx = _categorical(dist, w, f"channel {label}")  # the instances are the codes: one array
+            channels.append(DatasetChannel(label, kind, indices=idx, table=m.class_probabilities.T, codes=idx))
     return WeakDataset(spec=spec, seed=int(seed), channels=tuple(channels))
 
 
@@ -275,10 +367,11 @@ def _sample_label_stream(system: _System, count: int, seed: int) -> WeakDataset:
                 code[mask] = start[d - 1] * n_x + pos
     else:
         code = _categorical(flat, philox_words(seed, 0, count), "label stream")
-    chan, inst = np.divmod(code, n_x)
-
-    order = np.argsort(chan.astype(np.min_scalar_type(len(labels) - 1)), kind="stable")  # a radix sort
-    split = np.split(inst[order], np.cumsum(np.bincount(chan, minlength=len(labels)))[:-1])
+    # the label of every draw, in the narrowest type, and its instance in stream order within a label
+    chan = np.floor_divide(code, n_x, out=np.empty(count, np.min_scalar_type(len(labels) - 1)), casting="unsafe")
+    order = np.argsort(chan, kind="stable")  # a radix sort
+    inst = code.take(order)
+    split = np.split(np.remainder(inst, n_x, out=inst), np.searchsorted(chan[order], np.arange(1, len(labels))))
     channels = tuple(DatasetChannel(label, POINTS, indices=idx) for label, idx in zip(labels, split))
     return WeakDataset(spec=spec, seed=int(seed), channels=channels)
 
@@ -298,7 +391,7 @@ def _distinct_rows(key: np.ndarray, rows: np.ndarray) -> tuple:
     bit (float equality would merge 0.0 with -0.0, which are written apart):
     a pair of each distinct value, in key order, and every pair's rank.  In
     O(n + n_keys) when the rows are a function of a key below max(2 n, 2**16),
-    as a sampled channel's are of its instance or pair code: each row is
+    as sampled confidences are of their instance or pair code: each row is
     checked, KEY_BLOCK rows at a time, against a row of its key.  Otherwise
     the pairs' unsigned-integer words, the narrower ones widened with zeros,
     are sorted by one stable ``np.lexsort``, so equal pairs end up adjacent."""
@@ -348,39 +441,46 @@ def _item_list(head: str, fields: tuple) -> str:
     return "[" + head + "".join(parts.ravel().tolist())[:-len(", " + head)] + "]"
 
 
+def _entry_texts(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """The JSON text of every table row or value that a code reads, "" for
+    the others, from one encoder call (no number's text holds ", " or "], [")."""
+    present = np.bincount(codes, minlength=len(table)) > 0
+    texts = np.full(len(table), "", dtype=object)
+    listed = _encode(table[present].tolist())
+    texts[present] = (listed[1:-1].split(", ") if table.ndim == 1
+                      else ["[" + t + "]" for t in listed[2:-2].split("], [")])
+    return texts
+
+
 def _items_json(c: DatasetChannel) -> str:
     """The channel's item list as JSON text, built from per-field text
     tables (see :func:`_item_list`).  Integers are written by ``str`` from a
-    table over their range or distinct values (:func:`_int_texts`).  A
-    confidence item repeats its instance's row or its pair's value once per
-    draw, so each distinct item, keyed by index or pair code (or compared
-    bit for bit), is formatted once by the C encoder."""
+    table over their range or distinct values (:func:`_int_texts`), and a
+    confidence channel's rows or values from its table, each entry that a
+    draw reads formatted once by the C encoder."""
     if c.n_draws == 0:
         return "[]"
     if c.kind == POINTS:
         return _item_list("", (_int_texts(c.indices) + ("",),))
     if c.kind == CONF_POINTS:
-        first, inverse = _distinct_rows(c.indices, c.confidences)
-        items = [_encode({"index": i, "confidences": row})
-                 for i, row in zip(c.indices[first].tolist(), c.confidences[first].tolist())]
-        return _item_list("", ((inverse, items, ""),))
-    codes, texts = _int_texts(c.pairs)
-    a, b = codes.reshape(-1, 2).T
+        table, codes = c.keyed()
+        return _item_list('{"index": ', (_int_texts(c.indices) + (', "confidences": ',),
+                                         (codes, _entry_texts(table, codes), "}")))
+    ints, texts = _int_texts(c.pairs)
+    a, b = ints.reshape(-1, 2).T
     if c.kind == PAIRS:
         return _item_list("[", ((a, texts, ", "), (b, texts, "]")))
-    first, inverse = _distinct_rows(a * len(texts) + b, c.confidences)  # keyed by the flat pair code
-    # one encoder call for all distinct values (no number's text holds ", ")
-    values = _encode(c.confidences[first].tolist())[1:-1].split(", ")
+    table, codes = c.keyed()
     return _item_list('{"pair": [', ((a, texts, ", "), (b, texts, '], "confidence": '),
-                                     (inverse, values, "}")))
+                                     (codes, _entry_texts(table, codes), "}")))
 
 
 def dataset_to_json(ds: WeakDataset) -> str:
     """One line of JSON, ``{"spec", "seed", "channels": [{"label", "kind",
     "items"}]}``, with the default separators.  The text is what ``json.dumps``
     writes for the dataset as nested lists and dicts; it is assembled from
-    per-channel fragments so that each distinct confidence item or value is
-    formatted once (see :func:`_items_json`)."""
+    per-channel fragments so that each confidence row or value that a draw
+    reads is formatted once (see :func:`_items_json`)."""
     channels = ", ".join(f'{{"label": {_encode(c.label)}, "kind": {_encode(c.kind)}, '
                          f'"items": {_items_json(c)}}}' for c in ds.channels)
     return (f'{{"spec": {_encode(_spec_object(ds.spec))}, "seed": {_encode(ds.seed)}, '
@@ -398,10 +498,8 @@ def _item_array(items, key: Optional[str], kind: str, shape: tuple) -> np.ndarra
         raise SchemaMismatch(f"bad channel {what}: {e!r}") from e
     if arr.shape[:1] == (0,):
         arr = np.empty([n or 0 for n in shape])
-    elif (arr.dtype.kind not in ("i" if kind == "i" else "if") or arr.ndim != len(shape)
-            or any(n not in (None, m) for n, m in zip(shape, arr.shape))):
-        raise SchemaMismatch(f"channel {what} must be {'integers' if kind == 'i' else 'numbers'} "
-                             f"of shape {shape}, got {arr.dtype} values of shape {arr.shape}")
+    else:
+        _checked(arr, what, kind, shape, SchemaMismatch)
     return arr.astype(np.int64 if kind == "i" else np.float64)
 
 
@@ -418,12 +516,15 @@ _CHANNEL_FIELDS = {
 
 def _channel(label, kind, items, codes: Optional[np.ndarray] = None) -> DatasetChannel:
     """A channel from its parsed items; with ``codes``, ``items`` are the
-    distinct items and ``codes`` the position of every draw's item in them."""
+    distinct items of a confidence channel and ``codes`` the position of
+    every draw's item in them: the instances or pairs are gathered, and the
+    confidences kept as the table the codes read."""
     if not isinstance(kind, str) or kind not in _CHANNEL_FIELDS:
         raise SchemaMismatch(f"unknown channel kind {kind!r}")
     fields = {f: _item_array(items, key, t, shape) for f, key, t, shape in _CHANNEL_FIELDS[kind]}
     if codes is not None:
-        fields = {f: arr[codes] for f, arr in fields.items()}
+        where = _CHANNEL_FIELDS[kind][0][0]
+        fields = {where: fields[where][codes], "table": fields["confidences"], "codes": codes}
     return DatasetChannel(label, kind, **fields)
 
 
@@ -519,7 +620,8 @@ def _read_carved(text: str) -> Optional[WeakDataset]:
     arrays to one text each, so that text decodes to this array.  A
     conf-points or conf-pairs list that opens with ``[{`` is split on the
     ``}, {`` between its items, and each distinct item text is decoded and
-    converted once, then gathered by its code (:func:`_distinct_items`).
+    converted once: the channel keeps the distinct confidences as its table
+    and every item's code (:func:`_distinct_items`).
     Every character then lies in a literal or in a hole the decoder or the
     writer accepted whole, and every hole is followed by ``,``, ``]`` or
     ``}``, so as JSON is unambiguous the values are those ``json.loads``

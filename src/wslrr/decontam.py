@@ -164,12 +164,12 @@ def _sconf_weights(priors, r) -> np.ndarray:
 
 
 def _conf_weights(spec: ScenarioSpec, r: np.ndarray, where, rows=None) -> np.ndarray:
-    """r / r_sel for the (n, K) class-probability rows ``r``: the confidence
-    diagonal.  Draw e at instance ``where[e]`` reads row ``rows[e]`` (or e);
-    raises ZeroConfidence at the first draw whose r_sel is zero."""
+    """r / r_sel for the (n, K) class-probability rows ``r``, each read by a
+    draw: the confidence diagonal.  Draw e at instance ``where[e]`` reads row
+    ``rows[e]`` (or e); raises ZeroConfidence at the first whose r_sel is 0."""
     den = _superclass_probability(spec, r.T)
-    zero = den <= 0.0 if rows is None else (den <= 0.0)[rows]
-    if np.any(zero):
+    if np.any(den <= 0.0):
+        zero = den <= 0.0 if rows is None else (den <= 0.0)[rows]
         raise ZeroConfidence(f"super-class probability is zero at instance {where[int(np.argmax(zero))]}")
     return r / den[:, None]
 

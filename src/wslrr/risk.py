@@ -11,20 +11,22 @@ over the partner factors: row x is p(x) times the diagonal at the
 partner-averaged confidence, and the table is linear in n_x.  The empirical
 table, :func:`weight_table`, weighs each draw by a column of the same D(x); for
 Sconf and the confidence family, by the same diagonal kernel evaluated at
-the confidences the dataset stores.  The corrected losses at x_i are
-``lam[:, i] @ D(x_i)`` with ``lam`` the (K, n_x) :func:`loss_matrix`;
-closed forms for them are kept for each concrete scenario as an
-independent cross-check of the generic product.
+the confidences the dataset stores; each weight once per key, times the
+key's draw count.  The corrected losses at x_i are ``lam[:, i] @ D(x_i)``
+with ``lam`` the (K, n_x) :func:`loss_matrix`; closed forms for them are
+kept for each concrete scenario as an independent cross-check of the
+generic product.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import ClassVar, Optional
 
 import numpy as np
 
 from .core import FiniteJoint, Marginals, record
-from .datagen import CONF_POINTS, PAIRS, dataset_channels, _distinct_rows
+from .datagen import CONF_POINTS, PAIRS, dataset_channels, _keyed
 from .decontam import _conf_weights, _decontaminate, _sconf_weights
 from .errors import (
     EmptyChannel,
@@ -294,35 +296,28 @@ def closed_form_corrected_loss(spec: ScenarioSpec, m: Marginals, i: int, L,
 
 @record(eq=False)
 class ChannelTerms:
-    """Flattened per-channel estimator terms.
-
-    Each entry e contributes table[e] . loss(g(x_idx[e])) to draw
-    e mod n_draws (pair terms list every first instance, then every second);
-    with ``rows`` the weight is instead row rows[e] of ``table``, keyed by
-    (instance, label) in the label stream and by instance in a confidence
-    channel whose instances each carry one row.  The channel's estimate is
-    the mean over its n_draws draw totals, and the full estimator is the sum
-    of the channel estimates.  Keyed (n, K) weights are never gathered: the
-    fold and the Monte-Carlo spread count the keys."""
+    """A channel's estimator terms, keyed.  A draw is one entry, or two for
+    a pair (every first entry, then every second); entry e has the key
+    ``rows[e]``, which weighs the losses at instance ``inst[rows[e]]`` by
+    ``table[rows[e]]``.  The channel's estimate is the mean over its
+    n_draws draws of their entries' table[key] . loss(g(x_inst[key])), and
+    the full estimator is the sum of the channel estimates.  The fold and the
+    Monte-Carlo spread count the keys, so no (n, K) per-draw weights are made."""
     label: str
     n_draws: int
-    idx: np.ndarray       # (n_entries,)
-    table: np.ndarray     # (n_entries, K), a broadcast view when all share one row
-    rows: Optional[np.ndarray] = None  # (n_entries,) rows of an (n_x * m, K) table, instance-major
+    rows: np.ndarray   # (n_entries,) the key of every entry
+    table: np.ndarray  # (n_keys, K) the weights of each key, a broadcast view when all share one row
+    inst: np.ndarray   # (n_keys,) the instance of each key
 
+    @property
+    def idx(self) -> np.ndarray:
+        """(n_entries,) the instance of every entry."""
+        return self.inst[self.rows]
 
-def _shared_row_terms(label, n, idx, row) -> ChannelTerms:
-    """Entries that all carry the weight ``row``, as one broadcast view."""
-    return ChannelTerms(label, n, idx, np.broadcast_to(row, (len(idx), row.size)))
-
-
-def _pair_terms(label, pairs, first, second) -> ChannelTerms:
-    """One draw per pair, weighted by ``first`` at its first instance and by
-    ``second`` at its second (K-vectors, or one row per pair)."""
-    n = pairs.shape[0]
-    w = np.empty((2 * n, np.shape(first)[-1]))
-    w[:n], w[n:] = first, second
-    return ChannelTerms(label, n, pairs.T.ravel(), w)
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """(n_keys,) the number of entries with each key."""
+        return np.bincount(self.rows, minlength=len(self.table))
 
 
 def channel_terms(ds, spec: ScenarioSpec, j: FiniteJoint) -> list:
@@ -353,56 +348,64 @@ def _channel_terms(ds, s: _System) -> list:
             if arr is not None and arr.size and (arr.min() < 0 or arr.max() >= j.n_x):
                 bad = arr[(arr < 0) | (arr >= j.n_x)][0]
                 raise IndexOutOfRange(f"channel {c.label!r} names instance {bad}, outside 0..{j.n_x - 1}")
-        if c.kind == CONF_POINTS and c.n_draws and c.confidences.shape[1] != j.K:
-            raise ShapeMismatch(f"channel {c.label!r} has {c.confidences.shape[1]} confidences "
-                                f"per draw, not K={j.K}")
-        if c.confidences is not None and not np.isfinite(c.confidences).all():
-            raise NonFiniteConfidence(f"channel {c.label!r} holds a NaN or infinite confidence")
+    inst = np.arange(j.n_x)
 
     if spec.family == FAMILY_MCD:
         dag = _decontaminate(s, spec.estimator).matrices[0]  # the same at every x
         if spec.streams:
-            # one stream of pairs: the first element is a draw from observed
-            # channel 0 (Pcomp's Sup), the second from channel 1 (Inf)
-            return [_pair_terms(spec.streams[0], ds.channels[0].pairs, dag[:, 0], dag[:, 1])]
+            # one stream of pairs: the first element is a draw from observed channel 0
+            # (Pcomp's Sup), the second from channel 1 (Inf); key p * n_x + i is element p at x_i
+            pairs = ds.channels[0].pairs
+            return [ChannelTerms(spec.streams[0], len(pairs), (pairs + [0, j.n_x]).T.ravel(),
+                                 np.repeat(dag.T, j.n_x, axis=0), np.concatenate([inst, inst]))]
         # dataset channel k is observed channel k: points, or pairs whose two
-        # instances carry half the weight each
-        return [_shared_row_terms(c.label, c.n_draws, c.pairs.T.ravel(), dag[:, k] / 2.0) if c.kind == PAIRS
-                else _shared_row_terms(c.label, c.n_draws, c.indices, dag[:, k])
-                for k, c in enumerate(ds.channels)]
-
-    if spec.family == FAMILY_SCONF:
-        # each instance of a pair carries half the pair diagonal at its confidence
-        ch = ds.channels[0]
-        w = _sconf_weights(m.priors, ch.confidences) / 2.0
-        return [_pair_terms(ch.label, ch.pairs, w, w)]
+        # instances carry half the weight each; keyed by instance
+        terms = []
+        for k, c in enumerate(ds.channels):
+            rows, w = (c.pairs.T.ravel(), dag[:, k] / 2.0) if c.kind == PAIRS else (c.indices, dag[:, k])
+            terms.append(ChannelTerms(c.label, c.n_draws, rows, np.broadcast_to(w, (j.n_x, j.K)), inst))
+        return terms
 
     if spec.family == FAMILY_CCN:
         # one stream over all label channels, each draw weighed by its channel's
         # column of the record's estimator decontamination (the blockwise
         # inverse for CL and MCL, as in the literature, else the marginal chain)
         dag = _decontaminate(s, spec.estimator).matrices  # (n_x, K, m)
-        idx = np.concatenate([c.indices for c in ds.channels])
-        if idx.size == 0:
+        if not any(c.n_draws for c in ds.channels):
             raise EmptyChannel("dataset has no draws in any label channel")
-        # row i*m + c of the (n_x*m, K) table of columns is D(x_i)[:, c]
+        # key i*m + c, (instance, label), reads D(x_i)[:, c] in the (n_x*m, K) table of columns
         m_chan = len(ds.channels)
-        columns = dag.transpose(0, 2, 1).reshape(-1, j.K)
-        rows = np.concatenate([c.indices * m_chan + k for k, c in enumerate(ds.channels)])
-        return [ChannelTerms("SX", idx.size, idx, columns, rows)]
+        rows = np.concatenate([c.indices for c in ds.channels])
+        rows *= m_chan
+        rows += np.repeat(np.arange(m_chan, dtype=np.min_scalar_type(m_chan)), [c.n_draws for c in ds.channels])
+        return [ChannelTerms("SX", len(rows), rows, dag.transpose(0, 2, 1).reshape(-1, j.K),
+                             np.repeat(inst, m_chan))]
 
-    # confidence family: one channel of instances with attached confidences
+    # Sconf and the confidence family: one channel whose draws read a table of
+    # confidences by code, each code keyed once at its instance or pair
     ch = ds.channels[0]
-    idx, conf = ch.indices, ch.confidences
-    if idx.size == 0:
-        return [ChannelTerms(ch.label, 0, idx, np.zeros((0, m.K)))]
+    conf, codes = ch.keyed()
+    if ch.kind == CONF_POINTS and ch.n_draws and conf.shape[1] != j.K:
+        raise ShapeMismatch(f"channel {ch.label!r} has {conf.shape[1]} confidences per draw, not K={j.K}")
+    if not np.isfinite(conf).all():
+        raise NonFiniteConfidence(f"channel {ch.label!r} holds a NaN or infinite confidence")
+    at = ch.indices if ch.kind == CONF_POINTS else ch.pairs[:, 0] * j.n_x + ch.pairs[:, 1]
+    if ch.n_draws == 0:  # which the fold refuses
+        return [ChannelTerms(ch.label, 0, codes, np.zeros((0, j.K)), codes)]
+    key, one = _keyed(codes, len(conf))
+    if codes is not at and not np.array_equal(at[one[key]], at):  # a code at two places: key by both
+        key, one = _keyed(at * len(one) + key, (j.n_x if ch.kind == CONF_POINTS else j.n_x ** 2) * len(one))
+    rows = conf[codes[one]]  # the entry of each key (draw 0's for a key no draw has)
+
+    if spec.family == FAMILY_SCONF:
+        # each instance of a pair carries half the pair diagonal at its confidence:
+        # key 2k + p is the pair's element p
+        w = _sconf_weights(m.priors, rows) / 2.0
+        return [ChannelTerms(ch.label, len(key), np.concatenate([2 * key, 2 * key + 1]),
+                             np.repeat(w, 2, axis=0), ch.pairs[one].ravel())]
     coeff = float(_superclass_probability(spec, m.priors[:, None])[0])  # the super-class prior
-    first, inverse = _distinct_rows(idx, conf)
-    if len(np.unique(idx[first])) < len(first):  # an instance with two rows: weigh every draw
-        return [ChannelTerms(ch.label, len(idx), idx, coeff * _conf_weights(spec, conf, idx))]
-    table = np.zeros((j.n_x, j.K))  # one row per instance: weigh each once, keyed by instance
-    table[idx[first]] = coeff * _conf_weights(spec, conf[first], idx, inverse)
-    return [ChannelTerms(ch.label, len(idx), idx, table, idx)]
+    return [ChannelTerms(ch.label, len(key), key, coeff * _conf_weights(spec, rows, ch.indices, key),
+                         ch.indices[one])]
 
 
 def weight_table(ds, spec: ScenarioSpec, j: FiniteJoint) -> np.ndarray:
@@ -415,30 +418,16 @@ def weight_table(ds, spec: ScenarioSpec, j: FiniteJoint) -> np.ndarray:
 
 
 def _fold(terms_list: list, j: FiniteJoint) -> np.ndarray:
-    """:func:`weight_table` from the channels' terms.  A keyed channel is
-    folded by count: ``np.bincount`` of its rows (the label stream's
-    (instance, label), or the instance of a confidence channel with one row
-    per instance) times its table, in O(n + n_x m K), never gathering the
-    (n, K) per-draw weights; a shared row is counted by instance."""
+    """:func:`weight_table` from the channels' terms: ``np.bincount`` of each
+    channel's keys times its table, summed into the keys' instances in key
+    order, over its draw count; O(n + n_keys K) and never the (n, K)
+    per-draw weights."""
     W = np.zeros((j.n_x, j.K))
-    for terms in terms_list:
-        if terms.n_draws == 0:
-            raise EmptyChannel(f"channel {terms.label!r} has no samples")
-        if terms.rows is not None:
-            counts = np.bincount(terms.rows, minlength=len(terms.table)).reshape(j.n_x, -1)
-            W += np.einsum("im,imk->ik", counts, terms.table.reshape(j.n_x, -1, j.K)) / terms.n_draws
-            continue
-        counts = np.bincount(terms.idx, minlength=j.n_x)
-        if terms.table.strides[0] == 0:  # one shared row: count its entries
-            W += counts[:, None] * terms.table[0] / terms.n_draws
-            continue
-        # pairwise sums of each instance's run in a stable (radix, for 16-bit keys)
-        # sort: np.add.at would add the n draws one by one and lose about n * eps
-        order = np.argsort(terms.idx.astype(np.min_scalar_type(j.n_x - 1)), kind="stable")
-        inst = np.flatnonzero(counts)
-        runs = np.add.reduceat(np.take(terms.table, order, axis=0),
-                               np.cumsum(counts[inst]) - counts[inst], axis=0)
-        W[inst] += runs / terms.n_draws
+    for t in terms_list:
+        if t.n_draws == 0:
+            raise EmptyChannel(f"channel {t.label!r} has no samples")
+        part = t.counts[:, None] * t.table
+        W += np.stack([np.bincount(t.inst, w, j.n_x) for w in part.T], axis=1) / t.n_draws
     return W
 
 

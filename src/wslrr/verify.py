@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import FiniteJoint, default_factory, marginals as compute_marginals, record, validate_joint
-from .datagen import datasets_equal, philox_uniforms, sample_weak_dataset, _sample
+from .datagen import datasets_equal, philox_uniforms, sample_weak_dataset, _keyed, _sample
 from .decontam import (
     METHOD_INVERSION,
     METHOD_MARGINAL_CHAIN,
@@ -545,37 +545,29 @@ def _estimator_spread(ds, s: _System, losses: np.ndarray) -> tuple:
     |term|) of a dataset of ``s`` under the nonnegative (n_x, K) loss table
     ``losses``, from one build of its channel terms.
 
-    A draw's value D(x)[:, s] . loss(x) depends only on its row, so a channel
-    whose draws are one entry each, weighted by a key, sums over its distinct
-    keys with their ``np.bincount`` counts c, as the fold does: the instance
-    of a shared row or of a sampled confidence channel's row, or the label
-    stream's (instance, label).  That is O(n + n_x m K), not O(n K).  Pairs,
-    whose draw is two entries, and a confidence channel with two rows at an
-    instance take one key per draw, with count 1.  Both form the mean sum
-    c v / n, the two-pass variance sum c (v - mean)^2 / (n - 1) of a draw,
-    and sum c |w| . loss; the estimate is the folded table's."""
+    An entry's value table[key] . loss(x_inst[key]) depends only on its key,
+    so each channel sums over its keys with their ``np.bincount`` counts c,
+    as the fold does.  A pair draw is keyed by its two entries' keys, its
+    pair code (:func:`_keyed`).  Each channel forms the mean sum c v / n, the
+    two-pass variance sum c (v - mean)^2 / (n - 1) of a draw, and sum c |w|
+    . loss over its entries; the estimate is the folded table's."""
     terms_list = _channel_terms(ds, s)
     est = float((_fold(terms_list, s.j) * losses).sum())
     var = abs_terms = 0.0
     ones = np.ones(s.j.K)
     for t in terms_list:
         n = t.n_draws
-        # the K terms w_k loss_k of each key, or of each entry
-        if t.rows is not None:  # row i * m + c of the table is D(x_i)[:, c]
-            counts = np.bincount(t.rows, minlength=len(t.table))
-            terms = t.table * np.repeat(losses, len(t.table) // s.j.n_x, axis=0)
-        elif t.table.strides[0] == 0 and len(t.idx) == n:  # one shared row, keyed by instance
-            counts, terms = np.bincount(t.idx, minlength=s.j.n_x), t.table[0] * losses
-        else:
-            counts, terms = None, np.take(losses, t.idx, axis=0)
-            terms *= t.table
+        terms = t.table * losses[t.inst]  # the K terms w_k loss_k of each key
         vals, abs_vals = terms @ ones, np.abs(terms, out=terms) @ ones  # |w_k| loss_k = |w_k loss_k|
-        if counts is None:  # one key per draw, whose entries (both of a pair's) are summed
-            counts, vals = 1, vals.reshape(-1, n).sum(axis=0)
+        counts = t.counts
+        abs_terms += float(np.sum(counts * abs_vals)) / n
+        if len(t.rows) > n:  # pairs: a draw's two entry keys as one key
+            first, second = t.rows[:n], t.rows[n:]
+            key, one = _keyed(first * len(vals) + second, len(vals) ** 2)
+            counts, vals = np.bincount(key, minlength=len(one)), vals[first[one]] + vals[second[one]]
         mean = float(np.sum(counts * vals)) / n
         if n > 1:
             var += float(np.sum(counts * (vals - mean) ** 2)) / (n - 1) / n
-        abs_terms += float(np.sum(counts * abs_vals)) / n
     return est, math.sqrt(var), abs_terms
 
 
@@ -593,7 +585,7 @@ def _mc_consistency(cfg: VerifyConfig, inp: CheckInput) -> CheckReport:
     s, n = inp.system, cfg.mc_samples
     losses, exact = inp.exact
     ds = _sample(s, n, cfg.seed + 1000)
-    # in its own frame, so the per-draw terms are freed before the rerun draws as many again
+    # in its own frame, so the channel terms are freed before the rerun draws as many again
     est, se, abs_terms = _estimator_spread(ds, s, losses)
     tol = max(MC_SIGMAS * se, MC_ROUNDING * np.finfo(np.float64).eps * abs_terms)
 

@@ -1,6 +1,7 @@
 import json
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from wslrr.datagen import (
     sample_weak_dataset,
     sampling_channels,
 )
-from wslrr.errors import ParseError, SchemaMismatch, ValidationError, ZeroChannelMass
+from wslrr.errors import ParseError, SchemaMismatch, ShapeMismatch, ValidationError, ZeroChannelMass
 from wslrr.scenarios import (CL, MCL, PU, SD, Pcomp, Sconf, Soft, compound_label_space, observed_distribution,
                              scenario_to_json, specs_equal)
 from wslrr.verify import ABSTRACT_SCENARIO_NAMES, ALL_SCENARIO_NAMES, make_spec, scenario_joint
@@ -946,3 +947,140 @@ def test_codec_on_random_channels(ds):
     assert text == _reference_to_json(ds)
     _assert_read_bits(text)
     _assert_carved(text)
+
+
+# ---------------------------------------------------------------------------
+# Channels: checked against their kind when built, kept keyed
+# ---------------------------------------------------------------------------
+
+_IDX = np.array([0, 1, 1])
+_PAIRS3 = np.array([[0, 1], [1, 1], [0, 1]])
+BAD_CHANNELS = {
+    "2-D indices on a points channel": lambda: DatasetChannel("P", POINTS, indices=_IDX.reshape(3, 1)),
+    "float indices": lambda: DatasetChannel("P", POINTS, indices=_IDX.astype(float)),
+    "pairs on a points channel": lambda: DatasetChannel("P", POINTS, indices=_IDX, pairs=_PAIRS3),
+    "confidences on a points channel": lambda: DatasetChannel("P", POINTS, indices=_IDX,
+                                                              confidences=np.ones((3, 2))),
+    "3-column pairs": lambda: DatasetChannel("S", PAIRS, pairs=np.zeros((3, 3), dtype=int)),
+    "(n, 2) conf-pairs confidences": lambda: DatasetChannel("XX", CONF_PAIRS, pairs=_PAIRS3,
+                                                            confidences=np.full((3, 2), 0.5)),
+    "conf-pairs confidences of another length": lambda: DatasetChannel("XX", CONF_PAIRS, pairs=_PAIRS3,
+                                                                       confidences=np.full(4, 0.5)),
+    "conf-points confidences of another length": lambda: DatasetChannel("X", CONF_POINTS, indices=_IDX,
+                                                                        confidences=np.full((2, 2), 0.5)),
+    "1-D conf-points confidences": lambda: DatasetChannel("X", CONF_POINTS, indices=_IDX,
+                                                          confidences=np.full(3, 0.5)),
+    "conf-points draws without confidences": lambda: DatasetChannel("X", CONF_POINTS, indices=_IDX),
+    "string confidences": lambda: DatasetChannel("X", CONF_POINTS, indices=_IDX,
+                                                 confidences=np.full((3, 2), "0.5")),
+    "confidences and a table": lambda: DatasetChannel("X", CONF_POINTS, indices=_IDX, confidences=np.ones((3, 2)),
+                                                      table=np.ones((1, 2)), codes=np.zeros(3, dtype=int)),
+    "a code beyond the table": lambda: DatasetChannel("X", CONF_POINTS, indices=_IDX, table=np.ones((2, 2)),
+                                                      codes=np.array([0, 2, 1])),
+    "a negative code": lambda: DatasetChannel("X", CONF_POINTS, indices=_IDX, table=np.ones((2, 2)),
+                                              codes=np.array([0, -1, 1])),
+    "codes of another length": lambda: DatasetChannel("X", CONF_POINTS, indices=_IDX, table=np.ones((2, 2)),
+                                                      codes=np.array([0, 1])),
+    "a table without codes": lambda: DatasetChannel("X", CONF_POINTS, indices=_IDX, table=np.ones((2, 2))),
+    "a 1-D table of rows": lambda: DatasetChannel("X", CONF_POINTS, indices=_IDX, table=np.ones(2),
+                                                  codes=np.array([0, 1, 1])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CHANNELS))
+def test_channel_arrays_are_checked_against_the_kind(case):
+    with pytest.raises(ShapeMismatch):
+        BAD_CHANNELS[case]()
+
+
+def test_channels_that_fit_their_kind():
+    # every kind with no draws, with no arrays at all, and a table read by codes
+    for kind in (POINTS, PAIRS, CONF_POINTS, CONF_PAIRS):
+        assert DatasetChannel("c", kind).n_draws == 0
+    c = DatasetChannel("X", CONF_POINTS, indices=_IDX, table=np.array([[0.5, 0.5], [0.1, 0.9]]),
+                       codes=np.array([1, 0, 0]))
+    assert c.n_draws == 3 and c.confidences.tolist() == [[0.1, 0.9], [0.5, 0.5], [0.5, 0.5]]
+    c = DatasetChannel("XX", CONF_PAIRS, pairs=_PAIRS3, confidences=[0.25, 0.5, 0.25])  # keyed by pair code
+    assert c.table.tolist() == [0.25, 0.5] and c.codes.tolist() == [0, 1, 0]
+
+
+@pytest.mark.parametrize("reader", ["channel_terms", "dataset_to_json"])
+def test_confidences_set_later_are_checked_too(reader):
+    """Per-draw confidences assigned after building are keyed when next read,
+    and a shape that does not fit is a ShapeMismatch, not numpy's ValueError."""
+    from wslrr.risk import channel_terms
+    j = scenario_joint("Soft", 3, 5, 2, seed=43, trial=0)
+    ds = sample_weak_dataset(Soft(), j, 30, seed=9)
+    ds.channels[0].confidences = np.full((31, 3), 1.0 / 3)
+    with pytest.raises(ShapeMismatch, match="confidences"):
+        channel_terms(ds, Soft(), j) if reader == "channel_terms" else dataset_to_json(ds)
+
+
+def test_a_misshapen_channel_exits_2_through_the_cli(tmp_path, monkeypatch, capsys):
+    from wslrr.cli import main
+    from wslrr.core import joint_to_json
+    path = tmp_path / "j.json"
+    path.write_text(joint_to_json(scenario_joint("PU", 2, 5, 2, seed=7, trial=0)))
+    real = wslrr.datagen._categorical
+    monkeypatch.setattr(wslrr.datagen, "_categorical", lambda *a: real(*a).reshape(-1, 1))  # 2-D indices
+    assert main(["simulate", "--joint", str(path), "--scenario", "PU", "--n", "10", "--seed", "1"]) == 2
+    assert "ShapeMismatch" in capsys.readouterr().err
+
+
+def _rebuilt(ds: WeakDataset, edit=lambda conf: conf) -> WeakDataset:
+    """A copy of a dataset built from its per-draw arrays, the confidences
+    passed through ``edit``; ``ds`` itself is left keyed."""
+    def copy(c):
+        if c.kind not in (CONF_POINTS, CONF_PAIRS):
+            return DatasetChannel(c.label, c.kind, indices=c.indices, pairs=c.pairs)
+        table, codes = c.keyed()
+        return DatasetChannel(c.label, c.kind, indices=c.indices, pairs=c.pairs, confidences=edit(table[codes]))
+    return WeakDataset(ds.spec, ds.seed, tuple(copy(c) for c in ds.channels))
+
+
+class TestDatasetsEqualBitForBit:
+    @pytest.mark.parametrize("case", ["nan and inf", "nan and inf pairs"])
+    def test_a_nan_equals_itself(self, case):
+        ds = HAND_BUILT[case]
+        assert datasets_equal(ds, ds) and datasets_equal(ds, _rebuilt(ds))
+
+    @pytest.mark.parametrize("case", ["signed zeros", "signed zero pairs"])
+    def test_signed_zeros_differ(self, case):
+        ds = HAND_BUILT[case]
+        assert datasets_equal(ds, dataset_from_json(dataset_to_json(ds)))
+        flipped = _rebuilt(ds, lambda conf: np.abs(conf))  # -0.0 -> 0.0, equal as floats
+        assert not datasets_equal(ds, flipped) and not datasets_equal(flipped, ds)
+        assert datasets_equal(flipped, _rebuilt(flipped))
+
+    def test_equal_draws_under_other_codes(self):
+        # a sampled channel codes its draws by instance, a read one by distinct item
+        j = scenario_joint("Soft", 3, 5, 2, seed=43, trial=0)
+        ds = sample_weak_dataset(Soft(), j, 200, seed=9)
+        back = dataset_from_json(dataset_to_json(ds))
+        assert len(back.channels[0].table) < len(ds.channels[0].table) or not np.array_equal(
+            back.channels[0].codes, ds.channels[0].codes)
+        assert datasets_equal(ds, back) and datasets_equal(back, ds)
+        assert not datasets_equal(ds, _rebuilt(ds, lambda conf: np.where(conf == conf[7, 0], 0.5, conf)))
+
+
+def test_sampled_confidences_are_keyed_until_read():
+    """Soft at 100k draws holds its instances and the (n_x, K) table, not an
+    (n, K) copy: less than half of one in the traced memory kept, and less
+    than one at the peak, until ``confidences`` is first read."""
+    j = scenario_joint("Soft", 4, 6, 3, seed=7, trial=17)
+    sample_weak_dataset(Soft(), j, 1000, seed=5)  # warm every code path
+    n, K = 100_000, 4
+    tracemalloc.start()
+    try:
+        ds = sample_weak_dataset(Soft(), j, n, seed=5)
+        kept, peak = tracemalloc.get_traced_memory()
+        c = ds.channels[0]
+        assert "confidences=None" in repr(c)  # a repr makes no per-draw copy
+        assert c.codes is c.indices and c.table.shape == (6, 4)
+        conf = c.confidences
+        read = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < n * K * 8 / 2 and peak < n * K * 8 and read - kept >= n * K * 8
+    assert c.table is None and c.codes is None and c.confidences is conf
+    assert np.array_equal(conf, marginals(j).class_probabilities[:, c.indices].T)

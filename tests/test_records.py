@@ -45,7 +45,7 @@ VALUE = {
 IDENTITY = {
     FiniteJoint: (2, A2, A2), Marginals: (A2[0], A2[0], A2, A2), CCN: (FLIP,), GCCN: (FLIP,),
     PPL: (A2,), PairDistribution: ("tag", A2), ContaminationModel: (("P", "U"),), Reduction: ({},),
-    DecontaminationResult: ("inversion",), ChannelTerms: ("P", 1, A2[0], A2),
+    DecontaminationResult: ("inversion",), ChannelTerms: ("P", 1, A2[0], A2, A2[0]),
     CheckInput: (PU(), JOINT, MODEL),
 }
 MUTABLE = {DatasetChannel: ("P", "points"), WeakDataset: (PU(), 1, ()), LinearModel: (A2, A2[0])}

@@ -10,7 +10,7 @@ import pytest
 
 import wslrr.verify
 from wslrr.core import FiniteJoint
-from wslrr.datagen import _distinct_rows, dataset_to_json, sample_weak_dataset
+from wslrr.datagen import _distinct_rows, dataset_from_json, dataset_to_json, sample_weak_dataset
 import wslrr.decontam
 from wslrr.decontam import _decontaminate
 from wslrr.errors import (DegenerateParams, KTooLarge, ShapeMismatch, ValidationError, ZeroConfidence,
@@ -636,16 +636,17 @@ def _per_draw_conf_reference(inp, ds):
 
 
 class TestKeyedConfidenceChannels:
-    """A confidence channel whose instances each carry one row (compared bit
-    for bit) is folded and spread by instance counts; any other keeps the
-    per-draw path.  Both give the per-draw reference."""
+    """A sampled confidence channel is folded and spread by the counts of its
+    codes, which are its instances; one whose confidences were read and
+    edited is keyed anew by its distinct (instance, row).  Both give the
+    per-draw reference."""
 
     @pytest.mark.parametrize("edit, keyed", [("keyed", True), ("two rows", False), ("signed zero", False)])
     @pytest.mark.parametrize("name", ["Soft", "Pconf"])
     def test_fold_and_spread_match_the_per_draw_reference(self, name, edit, keyed):
         inp, ds = _conf_case(name, edit)
         (terms,) = _channel_terms(ds, inp.system)
-        assert (terms.rows is not None) == keyed
+        assert (terms.rows is ds.channels[0].indices) == keyed  # sampled codes are the instances
         if keyed:
             assert terms.table.shape == (inp.j.n_x, inp.j.K) and terms.rows is ds.channels[0].indices
         W_ref, est_ref, se_ref, abs_ref = _per_draw_conf_reference(inp, ds)
@@ -653,6 +654,18 @@ class TestKeyedConfidenceChannels:
         assert np.all(np.abs(W - W_ref) <= 1e-12 * np.abs(W_ref))
         est, se, abs_terms = wslrr.verify._estimator_spread(ds, inp.system, inp.exact[0])
         assert _relative_close((est, se, abs_terms), (est_ref, se_ref, abs_ref))
+
+    def test_a_code_read_at_two_instances_is_keyed_by_both(self):
+        # a read channel codes its draws by distinct item: a draw moved in place to
+        # another instance keeps the code it shares with the draws at the old one
+        inp, ds = _conf_case("Soft", "keyed")
+        ds = dataset_from_json(dataset_to_json(ds))
+        ch = ds.channels[0]
+        ch.indices[0] = (ch.indices[0] + 1) % inp.j.n_x
+        W = weight_table(ds, inp.spec, inp.j)
+        got = wslrr.verify._estimator_spread(ds, inp.system, inp.exact[0])
+        W_ref, *want = _per_draw_conf_reference(inp, ds)  # reads the per-draw confidences
+        assert np.all(np.abs(W - W_ref) <= 1e-12 * np.abs(W_ref)) and _relative_close(got, want)
 
     @pytest.mark.parametrize("edit", ["keyed", "two rows", "signed zero"])
     @pytest.mark.parametrize("name", ["Soft", "Pconf"])
@@ -736,3 +749,75 @@ def test_gradient_check_fails_on_a_perturbed_gradient(name, part, monkeypatch):
     monkeypatch.setattr(wslrr.verify, "weighted_loss", perturbed)
     rep = verify_gradient_check(CheckInput(spec, j, seeded_model(j, 7, 3)), ds, LOGISTIC, seed=7)
     assert not rep.passed and rep.max_abs_err >= 1e-4
+
+
+def test_monte_carlo_and_gradient_tasks_key_no_per_draw_confidences(monkeypatch):
+    """At the default config the sampled confidence channels stay keyed from
+    the sampler through the fold, the spread and the rerun comparison: no
+    mc-consistency or gradient-check task calls ``_distinct_rows``."""
+    import wslrr.datagen
+    calls = []
+    real = wslrr.datagen._distinct_rows
+    monkeypatch.setattr(wslrr.datagen, "_distinct_rows", lambda *a: calls.append(a) or real(*a))
+    tasks = [(label, fn) for label, fn in build_registry(VerifyConfig())
+             if label.startswith(("mc-consistency:", "gradient-check:"))]
+    assert len(tasks) == 3 + len(ALL_SCENARIO_NAMES)
+    for label, fn in tasks:
+        assert fn().passed, label
+    assert calls == []
+    # the counter sees a keying: per-draw confidences given to a channel
+    wslrr.datagen.DatasetChannel("X", "conf-points", indices=np.array([0]), confidences=np.array([[1.0]]))
+    assert len(calls) == 1
+
+
+def _per_draw_pair_reference(inp, ds):
+    """(weight table, estimate, se, mean |term|) of a pair-setting dataset
+    draw by draw, from the decontamination's columns and the stored
+    confidences: a point draw of channel c weighs the losses by D[:, c], a
+    pair of SU, DU or SD by D[:, c] / 2 at each instance, a Pcomp pair by
+    D[:, 0] at its first and D[:, 1] at its second instance, and a Sconf pair
+    by half the pair diagonal at its confidence at each instance.  The table
+    is summed in extended precision."""
+    j, spec, losses = inp.j, inp.spec, inp.exact[0]
+    W = np.zeros((j.n_x, j.K), dtype=np.longdouble)
+    est = var = abs_terms = 0.0
+    for c, ch in enumerate(ds.channels):
+        if spec.family == FAMILY_SCONF:
+            pi_p, pi_n = inp.system.m.priors
+            table, codes = ch.keyed()
+            r = table[codes]
+            w = np.column_stack([r - pi_n, pi_p - r]) / (pi_p - pi_n) / 2.0
+            entries = [(ch.pairs[:, 0], w), (ch.pairs[:, 1], w)]
+        else:
+            dag = _decontaminate(inp.system, spec.estimator).matrices[0]
+            if spec.streams:  # Pcomp
+                entries = [(ch.pairs[:, p], np.broadcast_to(dag[:, p], (ch.n_draws, j.K))) for p in (0, 1)]
+            elif ch.kind == "pairs":
+                entries = [(ch.pairs[:, p], np.broadcast_to(dag[:, c] / 2.0, (ch.n_draws, j.K))) for p in (0, 1)]
+            else:
+                entries = [(ch.indices, np.broadcast_to(dag[:, c], (ch.n_draws, j.K)))]
+        vals = np.zeros(ch.n_draws)
+        for at, w in entries:
+            np.add.at(W, at, w.astype(np.longdouble) / ch.n_draws)
+            vals += (w * losses[at]).sum(axis=1)
+            abs_terms += float((np.abs(w) * losses[at]).sum()) / ch.n_draws
+        est += float(vals.mean())
+        var += float(np.var(vals, ddof=1)) / ch.n_draws
+    return W.astype(np.float64), est, math.sqrt(var), abs_terms
+
+
+@pytest.mark.parametrize("name", ["SU", "DU", "SD", "Pcomp", "Sconf"])
+def test_pair_settings_fold_and_spread_match_the_per_draw_reference(name):
+    """At 100k draws per channel, the keyed fold and the spread, whose pair
+    draws are keyed by pair code, are a per-draw reference's within 1e-12
+    relative, and the setting's Monte-Carlo check passes at the default config."""
+    cfg, t = VerifyConfig(), wslrr.verify.MC_TRIAL
+    j = scenario_joint(name, cfg.K, cfg.nx, cfg.d_feat, cfg.seed, t)
+    inp = CheckInput(make_spec(name, j, cfg.seed, t), j, seeded_model(j, cfg.seed, t))
+    ds = sample_weak_dataset(inp.spec, j, cfg.mc_samples, seed=cfg.seed + 1000)
+    W = weight_table(ds, inp.spec, j)
+    est, se, abs_terms = wslrr.verify._estimator_spread(ds, inp.system, inp.exact[0])
+    W_ref, *want = _per_draw_pair_reference(inp, ds)
+    assert np.all(np.abs(W - W_ref) <= 1e-12 * np.abs(W_ref))
+    assert _relative_close((est, se, abs_terms), want) and se > 0.0
+    assert wslrr.verify.verify_mc_consistency(name, cfg).passed
