@@ -49,8 +49,8 @@ def _values(r) -> tuple:
     return tuple(getattr(r, f) for f in r._fields)
 
 
-def _repr(self) -> str:  # from the instance dict: a repr makes nothing, such as a channel's confidences
-    return f"{type(self).__qualname__}({', '.join(f'{f}={vars(self).get(f)!r}' for f in self._fields)})"
+def _repr(self) -> str:
+    return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
 
 
 def _eq(self, other):

@@ -13,7 +13,7 @@ or -1 when one lies strictly inside; only those draws are converted to u
 and searched.  The result is ``searchsorted(cum, u, "right")``.
 
 A confidence channel is keyed: it holds a table of confidence rows or pair
-values and one code per draw, never a per-draw copy until one is read.
+values and one code per draw, and makes a per-draw copy only when one is read.
 Datasets are written to and read from one line of JSON.  The writer builds
 each item list from per-field text tables joined once.  The reader parses a
 list of integers as one array, accepted when the writer gives back its
@@ -136,82 +136,63 @@ def _categorical(probs: np.ndarray, words: np.ndarray, what: str) -> np.ndarray:
 class DatasetChannel:
     """One channel's draws: the (n,) ``indices`` of points and conf-points,
     or the (n, 2) index ``pairs`` of pairs and conf-pairs.  A confidence
-    channel is keyed: ``table`` holds confidence rows (T, K) or pair values
-    (T,), and ``codes`` the entry of every draw; per-draw ``confidences=``
-    are keyed once by :func:`_distinct_rows`.  Reading ``confidences`` makes
-    the per-draw array and drops the table and codes, so that edits to it in
-    place reach every later reader.  Arrays that do not fit the kind raise
-    ShapeMismatch."""
+    channel holds ``table``, its confidence rows (T, K) or pair values (T,),
+    and ``codes``, the table entry of every draw; a channel built from
+    per-draw confidences passes them as the table with ``codes=np.arange(n)``.
+    Arrays that do not fit the kind raise ShapeMismatch."""
     label: str
     kind: str
-    indices: Optional[np.ndarray] = None      # (n,) instance indices
-    pairs: Optional[np.ndarray] = None        # (n, 2) index pairs
-    confidences: Optional[np.ndarray] = None  # (n, K) rows or (n,) pair values, per draw
-    table: Optional[np.ndarray] = None        # (T, K) rows or (T,) pair values
-    codes: Optional[np.ndarray] = None        # (n,) the table entry of every draw
+    indices: Optional[np.ndarray] = None  # (n,) instance indices
+    pairs: Optional[np.ndarray] = None    # (n, 2) index pairs
+    table: Optional[np.ndarray] = None    # (T, K) rows or (T,) pair values
+    codes: Optional[np.ndarray] = None    # (n,) the table entry of every draw
 
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in _CHANNEL_FIELDS:
             raise SchemaMismatch(f"unknown channel kind {self.kind!r}")
         (where, _, _, shape), *keyed = _CHANNEL_FIELDS[self.kind]
-        stray = ("pairs" if where == "indices" else "indices",) + (
-            () if keyed else ("confidences", "table", "codes"))
+        stray = ("pairs" if where == "indices" else "indices",) + (() if keyed else ("table", "codes"))
         if any(getattr(self, f) is not None for f in stray):
             raise ShapeMismatch(f"a {self.kind} channel holds no {' or '.join(stray)}")
         at = getattr(self, where)
         at = np.empty((0,) + shape[1:], dtype=np.int64) if at is None else np.asarray(at)
         setattr(self, where, _checked(at, where, "i", shape))
-        if keyed and self.table is None and self.codes is None:  # per-draw confidences, or none for no draws
-            if self.confidences is None:
-                self.confidences = np.empty((0,) * len(keyed[0][3]))
-            self.table, self.codes = self.keyed()
-        elif keyed and self.confidences is not None:
-            raise ShapeMismatch("a channel takes per-draw confidences or a table and codes, not both")
-        elif keyed:
+        if keyed:
+            if self.table is None and self.codes is None:  # none, for no draws
+                self.table, self.codes = np.empty((0,) * len(keyed[0][3])), np.empty(0, dtype=np.intp)
             self.table = _checked(np.asarray(self.table), "table", "f", (None,) + keyed[0][3][1:])
             self.codes = _checked(np.asarray(self.codes), "codes", "i", (self.n_draws,))
             if self.n_draws and not 0 <= self.codes.min() <= self.codes.max() < len(self.table):
                 raise ShapeMismatch(f"channel {self.label!r} has codes outside its table")
-        del self.confidences  # read through __getattr__ from now on
 
-    def __getattr__(self, name):  # ``confidences``, until its first read
-        if name != "confidences":
-            raise AttributeError(name)
-        conf = None if self.table is None else self.table[self.codes]
-        self.confidences, self.table, self.codes = conf, None, None
+    @property
+    def confidences(self) -> Optional[np.ndarray]:
+        """The (n, K) rows or (n,) pair values of every draw, ``table[codes]``:
+        a fresh read-only array, so that an edit in place raises instead of
+        missing the table."""
+        if self.table is None:
+            return None
+        conf = self.table[self.codes]
+        conf.flags.writeable = False
         return conf
-
-    def keyed(self) -> tuple:
-        """(table, codes) as kept or, while ``confidences`` is set, its
-        distinct (index or flat pair code, confidences) by :func:`_distinct_rows`."""
-        conf = self.__dict__.get("confidences")
-        if conf is None:
-            return self.table, self.codes
-        at = self.indices if self.kind == CONF_POINTS else self.pairs
-        conf = _checked(np.asarray(conf), "confidences", "f", (len(at),) + _CHANNEL_FIELDS[self.kind][1][3][1:])
-        if len(at) == 0:
-            return conf, np.empty(0, dtype=np.intp)
-        if at.ndim == 2:  # the flat pair code over the pairs' integer table
-            ints, texts = _int_texts(at)
-            at = ints[::2] * len(texts) + ints[1::2]
-        first, codes = _distinct_rows(at, conf)
-        return conf[first], codes
 
     @property
     def n_draws(self) -> int:
         return len(self.indices if self.kind in (POINTS, CONF_POINTS) else self.pairs)
 
 
-del DatasetChannel.confidences  # the default is __init__'s; until set, a read reaches __getattr__
-
-
 def _checked(arr: np.ndarray, what: str, kind: str, shape: tuple, error=ShapeMismatch) -> np.ndarray:
-    """``arr`` as integers (``kind`` "i") or float64 numbers ("f") of shape
-    ``shape``, None matching any length; anything else raises ``error``."""
-    if (arr.dtype.kind not in ("i" if kind == "i" else "if") or arr.ndim != len(shape)
+    """``arr`` as integers (``kind`` "i", unsigned ones as int64) or float64
+    numbers ("f") of shape ``shape``, None matching any length; anything
+    else, or an integer of 2**63 or more, raises ``error``."""
+    if (arr.dtype.kind not in ("iu" if kind == "i" else "if") or arr.ndim != len(shape)
             or any(n not in (None, m) for n, m in zip(shape, arr.shape))):
         raise error(f"channel {what} must be {'integers' if kind == 'i' else 'numbers'} "
                     f"of shape {shape}, got {arr.dtype} values of shape {arr.shape}")
+    if arr.dtype.kind == "u":
+        if arr.size and int(arr.max()) >= 2 ** 63:
+            raise error(f"channel {what} must be integers below 2**63, got {int(arr.max())}")
+        arr = arr.astype(np.int64)
     return arr if kind == "i" else arr.astype(np.float64, copy=False)
 
 
@@ -250,14 +231,14 @@ def datasets_equal(a: WeakDataset, b: WeakDataset) -> bool:
         if (ca.label, ca.kind) != (cb.label, cb.kind) or not np.array_equal(
                 *(c.indices if c.kind in (POINTS, CONF_POINTS) else c.pairs for c in (ca, cb))):
             return False
-        if ca.kind in (CONF_POINTS, CONF_PAIRS):
-            (ta, ka), (tb, kb) = ca.keyed(), cb.keyed()
+        if ca.kind in (CONF_POINTS, CONF_PAIRS) and ca.n_draws:  # no draws read no table
+            (ta, ka), (tb, kb) = (ca.table, ca.codes), (cb.table, cb.codes)
             if ta.shape[1:] != tb.shape[1:]:
                 return False
             if np.array_equal(ka, kb) and ta.tobytes() == tb.tobytes():  # as two samples of a system are
                 continue
             _, one = _keyed(ka * len(tb) + kb, len(ta) * len(tb))
-            if len(ka) and ta[ka[one]].tobytes() != tb[kb[one]].tobytes():
+            if ta[ka[one]].tobytes() != tb[kb[one]].tobytes():
                 return False
     return True
 
@@ -383,38 +364,6 @@ def _sample_label_stream(system: _System, count: int, seed: int) -> WeakDataset:
 _encode = json.JSONEncoder(check_circular=False).encode  # values are fresh lists and scalars
 
 
-KEY_BLOCK = 8192  # rows checked against their key's at a time: a 256 kB copy at K = 4
-
-
-def _distinct_rows(key: np.ndarray, rows: np.ndarray) -> tuple:
-    """(first, inverse) over the (integer key, row) pairs, compared bit for
-    bit (float equality would merge 0.0 with -0.0, which are written apart):
-    a pair of each distinct value, in key order, and every pair's rank.  In
-    O(n + n_keys) when the rows are a function of a key below max(2 n, 2**16),
-    as sampled confidences are of their instance or pair code: each row is
-    checked, KEY_BLOCK rows at a time, against a row of its key.  Otherwise
-    the pairs' unsigned-integer words, the narrower ones widened with zeros,
-    are sorted by one stable ``np.lexsort``, so equal pairs end up adjacent."""
-    n = len(key)
-    words = [np.ascontiguousarray(a).reshape(n, -1) for a in (key, rows)]
-    key_words, words = [a.view(f"u{a.itemsize}" if a.itemsize in (1, 2, 4, 8) else np.uint8) for a in words]
-    if 0 <= key.min() and key.max() < max(2 * n, 2 ** 16):
-        one = np.full(int(key.max()) + 1, -1, dtype=np.intp)
-        one[key] = np.arange(n)  # a row of each present key
-        b = KEY_BLOCK
-        if all(np.array_equal(words[one[key[i:i + b]]], words[i:i + b]) for i in range(0, n, b)):
-            present = one >= 0
-            return one[present], (np.cumsum(present) - 1)[key]
-    words = np.concatenate([words, key_words], axis=1)  # the key is the last, primary, sort key
-    order = np.lexsort(words.T)
-    rows = words[order]
-    starts = np.ones(n, dtype=bool)
-    np.any(rows[1:] != rows[:-1], axis=1, out=starts[1:])
-    inverse = np.empty(n, dtype=np.intp)
-    inverse[order] = np.cumsum(starts) - 1
-    return order[starts], inverse
-
-
 def _int_texts(values: np.ndarray) -> tuple:
     """(codes, texts): the JSON text of every integer in ``values`` is
     ``texts[code]``, the codes in ``values``' order, flattened.  Values in
@@ -463,16 +412,14 @@ def _items_json(c: DatasetChannel) -> str:
     if c.kind == POINTS:
         return _item_list("", (_int_texts(c.indices) + ("",),))
     if c.kind == CONF_POINTS:
-        table, codes = c.keyed()
         return _item_list('{"index": ', (_int_texts(c.indices) + (', "confidences": ',),
-                                         (codes, _entry_texts(table, codes), "}")))
+                                         (c.codes, _entry_texts(c.table, c.codes), "}")))
     ints, texts = _int_texts(c.pairs)
     a, b = ints.reshape(-1, 2).T
     if c.kind == PAIRS:
         return _item_list("[", ((a, texts, ", "), (b, texts, "]")))
-    table, codes = c.keyed()
     return _item_list('{"pair": [', ((a, texts, ", "), (b, texts, '], "confidence": '),
-                                     (codes, _entry_texts(table, codes), "}")))
+                                     (c.codes, _entry_texts(c.table, c.codes), "}")))
 
 
 def dataset_to_json(ds: WeakDataset) -> str:
@@ -515,16 +462,21 @@ _CHANNEL_FIELDS = {
 
 
 def _channel(label, kind, items, codes: Optional[np.ndarray] = None) -> DatasetChannel:
-    """A channel from its parsed items; with ``codes``, ``items`` are the
-    distinct items of a confidence channel and ``codes`` the position of
-    every draw's item in them: the instances or pairs are gathered, and the
-    confidences kept as the table the codes read."""
+    """A channel from its parsed items; a confidence channel keeps their
+    confidences as the table its codes read.  With ``codes``, ``items`` are
+    the distinct items and ``codes`` the position of every draw's item in
+    them, and the instances or pairs are gathered; without, every draw is
+    one item and its own code."""
     if not isinstance(kind, str) or kind not in _CHANNEL_FIELDS:
         raise SchemaMismatch(f"unknown channel kind {kind!r}")
     fields = {f: _item_array(items, key, t, shape) for f, key, t, shape in _CHANNEL_FIELDS[kind]}
-    if codes is not None:
+    if "confidences" in fields:
         where = _CHANNEL_FIELDS[kind][0][0]
-        fields = {where: fields[where][codes], "table": fields["confidences"], "codes": codes}
+        if codes is None:
+            codes = np.arange(len(fields[where]))
+        else:
+            fields[where] = fields[where][codes]
+        fields.update(table=fields.pop("confidences"), codes=codes)
     return DatasetChannel(label, kind, **fields)
 
 

@@ -384,7 +384,7 @@ def _channel_terms(ds, s: _System) -> list:
     # Sconf and the confidence family: one channel whose draws read a table of
     # confidences by code, each code keyed once at its instance or pair
     ch = ds.channels[0]
-    conf, codes = ch.keyed()
+    conf, codes = ch.table, ch.codes
     if ch.kind == CONF_POINTS and ch.n_draws and conf.shape[1] != j.K:
         raise ShapeMismatch(f"channel {ch.label!r} has {conf.shape[1]} confidences per draw, not K={j.K}")
     if not np.isfinite(conf).all():

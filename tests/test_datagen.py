@@ -19,7 +19,6 @@ from wslrr.datagen import (
     DatasetChannel,
     WeakDataset,
     _categorical,
-    _distinct_rows,
     _read_carved,
     _read_generic,
     _uniforms,
@@ -576,12 +575,14 @@ def _assert_carved(text: str) -> None:
 
 def _conf_points(indices, rows):
     return WeakDataset(Soft(), 7, (DatasetChannel("X", CONF_POINTS, indices=np.asarray(indices),
-                                                confidences=np.asarray(rows, dtype=np.float64)),))
+                                                table=np.asarray(rows, dtype=np.float64),
+                                                codes=np.arange(len(rows))),))
 
 
 def _conf_pairs(pairs, values):
     return WeakDataset(Sconf(), 7, (DatasetChannel("XX", CONF_PAIRS, pairs=np.asarray(pairs),
-                                                   confidences=np.asarray(values, dtype=np.float64)),))
+                                                   table=np.asarray(values, dtype=np.float64),
+                                                   codes=np.arange(len(values))),))
 
 
 _RNG = np.random.default_rng(5)
@@ -661,58 +662,6 @@ class TestJsonAgainstReference:
                 '"kind": "conf-pairs", "items": [{"pair": [0, 1], "confidence": 0.5}, '
                 '{"pair": [1, 0], "confidence": 5e-1}, {"pair": [1, 1], "confidence": -0.0}]}]}')
         _assert_read_bits(text)
-
-
-class TestDistinctRows:
-    """_distinct_rows keys rows by an integer in O(n + n_keys) when they are
-    a function of it, bit for bit, and finds the distinct (key, row) pairs
-    by one ``np.lexsort`` otherwise; either way in key order."""
-
-    KEY = np.array([5, 0, 5, 2, 0])
-    ROWS = np.array([[0.5, 0.5], [0.2, 0.8], [0.5, 0.5], [0.1, 0.9], [0.2, 0.8]])
-
-    @staticmethod
-    def _assert_distinct(key, rows, first, inverse):
-        """Each pair is its first's bit for bit, the firsts are distinct and in key order."""
-        pairs = [(k, r.tobytes()) for k, r in zip(key.tolist(), rows)]
-        assert [pairs[f] for f in first[inverse]] == pairs
-        assert len(set(pairs[f] for f in first)) == len(first)
-        assert np.all(np.diff(key[first]) >= 0)
-
-    def test_rows_that_are_a_function_of_the_key(self, monkeypatch):
-        monkeypatch.setattr(wslrr.datagen.np, "lexsort", None)  # the keyed path alone
-        first, inverse = _distinct_rows(self.KEY, self.ROWS)
-        assert self.KEY[first].tolist() == [0, 2, 5] and inverse.tolist() == [2, 0, 2, 1, 0]
-        self._assert_distinct(self.KEY, self.ROWS, first, inverse)
-        # a pair value per flat pair code, over several blocks
-        n = 2 * wslrr.datagen.KEY_BLOCK + 3
-        key, values = np.resize([7, 0], n), np.resize([0.3, 0.9], n)
-        assert len(_distinct_rows(key, values)[0]) == 2
-
-    @pytest.mark.parametrize("case", ["two rows", "signed zero", "two rows, last block", "beyond the range",
-                                      "negative"])
-    def test_anything_else_is_sorted(self, case, monkeypatch):
-        n = 2 * wslrr.datagen.KEY_BLOCK + 5  # three blocks
-        key, rows = np.resize(self.KEY, n), np.resize(self.ROWS, (n, 2))
-        if case == "two rows":
-            rows[2, 1] = 0.25
-        elif case == "signed zero":
-            rows[[1, 4]] = [[1.0, 0.0], [1.0, -0.0]]
-        elif case == "two rows, last block":
-            rows[-1, 0] = 0.25
-        elif case == "beyond the range":
-            key[3] = 2 ** 16 + 2 * n
-        else:
-            key[3] = -1
-        calls = []
-        real = np.lexsort
-        monkeypatch.setattr(wslrr.datagen.np, "lexsort", lambda *a, **k: calls.append(1) or real(*a, **k))
-        first, inverse = _distinct_rows(key, rows)
-        monkeypatch.undo()
-        assert calls == [1]
-        self._assert_distinct(key if case != "negative" else key.view(np.uint64), rows, first, inverse)
-        # three keys of one row each, plus a second row of one key (two for the signed zeros) or a new key
-        assert len(first) == (5 if case == "signed zero" else 4)
 
 
 # ---------------------------------------------------------------------------
@@ -926,9 +875,10 @@ def _random_channel(draw, label: str) -> DatasetChannel:
     if kind == PAIRS:
         return DatasetChannel(label, kind, pairs=ints(2 * n).reshape(n, 2))
     if kind == CONF_PAIRS:
-        return DatasetChannel(label, kind, pairs=ints(2 * n).reshape(n, 2), confidences=floats(n))
+        return DatasetChannel(label, kind, pairs=ints(2 * n).reshape(n, 2), table=floats(n), codes=np.arange(n))
     width = draw(st.integers(1, 3))
-    return DatasetChannel(label, kind, indices=ints(n), confidences=floats(n * width).reshape(n, width))
+    return DatasetChannel(label, kind, indices=ints(n), table=floats(n * width).reshape(n, width),
+                          codes=np.arange(n))
 
 
 @st.composite
@@ -954,27 +904,27 @@ def test_codec_on_random_channels(ds):
 # ---------------------------------------------------------------------------
 
 _IDX = np.array([0, 1, 1])
+_ARANGE3 = np.arange(3)
 _PAIRS3 = np.array([[0, 1], [1, 1], [0, 1]])
 BAD_CHANNELS = {
     "2-D indices on a points channel": lambda: DatasetChannel("P", POINTS, indices=_IDX.reshape(3, 1)),
     "float indices": lambda: DatasetChannel("P", POINTS, indices=_IDX.astype(float)),
     "pairs on a points channel": lambda: DatasetChannel("P", POINTS, indices=_IDX, pairs=_PAIRS3),
-    "confidences on a points channel": lambda: DatasetChannel("P", POINTS, indices=_IDX,
-                                                              confidences=np.ones((3, 2))),
+    "confidences on a points channel": lambda: DatasetChannel("P", POINTS, indices=_IDX, table=np.ones((3, 2)),
+                                                              codes=_ARANGE3),
     "3-column pairs": lambda: DatasetChannel("S", PAIRS, pairs=np.zeros((3, 3), dtype=int)),
     "(n, 2) conf-pairs confidences": lambda: DatasetChannel("XX", CONF_PAIRS, pairs=_PAIRS3,
-                                                            confidences=np.full((3, 2), 0.5)),
+                                                            table=np.full((3, 2), 0.5), codes=_ARANGE3),
     "conf-pairs confidences of another length": lambda: DatasetChannel("XX", CONF_PAIRS, pairs=_PAIRS3,
-                                                                       confidences=np.full(4, 0.5)),
+                                                                       table=np.full(4, 0.5), codes=np.arange(4)),
     "conf-points confidences of another length": lambda: DatasetChannel("X", CONF_POINTS, indices=_IDX,
-                                                                        confidences=np.full((2, 2), 0.5)),
+                                                                        table=np.full((2, 2), 0.5),
+                                                                        codes=np.arange(2)),
     "1-D conf-points confidences": lambda: DatasetChannel("X", CONF_POINTS, indices=_IDX,
-                                                          confidences=np.full(3, 0.5)),
+                                                          table=np.full(3, 0.5), codes=_ARANGE3),
     "conf-points draws without confidences": lambda: DatasetChannel("X", CONF_POINTS, indices=_IDX),
     "string confidences": lambda: DatasetChannel("X", CONF_POINTS, indices=_IDX,
-                                                 confidences=np.full((3, 2), "0.5")),
-    "confidences and a table": lambda: DatasetChannel("X", CONF_POINTS, indices=_IDX, confidences=np.ones((3, 2)),
-                                                      table=np.ones((1, 2)), codes=np.zeros(3, dtype=int)),
+                                                 table=np.full((3, 2), "0.5"), codes=_ARANGE3),
     "a code beyond the table": lambda: DatasetChannel("X", CONF_POINTS, indices=_IDX, table=np.ones((2, 2)),
                                                       codes=np.array([0, 2, 1])),
     "a negative code": lambda: DatasetChannel("X", CONF_POINTS, indices=_IDX, table=np.ones((2, 2)),
@@ -984,6 +934,9 @@ BAD_CHANNELS = {
     "a table without codes": lambda: DatasetChannel("X", CONF_POINTS, indices=_IDX, table=np.ones((2, 2))),
     "a 1-D table of rows": lambda: DatasetChannel("X", CONF_POINTS, indices=_IDX, table=np.ones(2),
                                                   codes=np.array([0, 1, 1])),
+    "an unsigned index of 2**63": lambda: DatasetChannel("P", POINTS, indices=np.array([0, 2 ** 63], np.uint64)),
+    "an unsigned code of 2**63": lambda: DatasetChannel("X", CONF_POINTS, indices=_IDX, table=np.ones((2, 2)),
+                                                        codes=np.array([0, 2 ** 63, 1], np.uint64)),
 }
 
 
@@ -1000,20 +953,36 @@ def test_channels_that_fit_their_kind():
     c = DatasetChannel("X", CONF_POINTS, indices=_IDX, table=np.array([[0.5, 0.5], [0.1, 0.9]]),
                        codes=np.array([1, 0, 0]))
     assert c.n_draws == 3 and c.confidences.tolist() == [[0.1, 0.9], [0.5, 0.5], [0.5, 0.5]]
-    c = DatasetChannel("XX", CONF_PAIRS, pairs=_PAIRS3, confidences=[0.25, 0.5, 0.25])  # keyed by pair code
-    assert c.table.tolist() == [0.25, 0.5] and c.codes.tolist() == [0, 1, 0]
+    # unsigned integers, as int64
+    for dtype in (np.uint8, np.uint32, np.uint64):
+        c = DatasetChannel("P", POINTS, indices=_IDX.astype(dtype))
+        assert c.indices.dtype == np.int64 and c.indices.tolist() == [0, 1, 1]
+        c = DatasetChannel("XX", CONF_PAIRS, pairs=_PAIRS3.astype(dtype), table=[0.25, 0.5],
+                           codes=np.array([0, 1, 0], dtype))
+        assert c.pairs.dtype == c.codes.dtype == np.int64 and c.confidences.tolist() == [0.25, 0.5, 0.25]
+    c = DatasetChannel("P", POINTS, indices=np.array([2 ** 63 - 1], np.uint64))
+    assert c.indices.tolist() == [2 ** 63 - 1]
 
 
 @pytest.mark.parametrize("reader", ["channel_terms", "dataset_to_json"])
 def test_confidences_set_later_are_checked_too(reader):
-    """Per-draw confidences assigned after building are keyed when next read,
-    and a shape that does not fit is a ShapeMismatch, not numpy's ValueError."""
+    """Confidences are not assigned to a channel but given to a new one, and
+    per-draw confidences that do not fit its draws are a ShapeMismatch, not
+    numpy's ValueError, before any reader sees them."""
     from wslrr.risk import channel_terms
     j = scenario_joint("Soft", 3, 5, 2, seed=43, trial=0)
     ds = sample_weak_dataset(Soft(), j, 30, seed=9)
-    ds.channels[0].confidences = np.full((31, 3), 1.0 / 3)
-    with pytest.raises(ShapeMismatch, match="confidences"):
-        channel_terms(ds, Soft(), j) if reader == "channel_terms" else dataset_to_json(ds)
+    c = ds.channels[0]
+    with pytest.raises(AttributeError):
+        c.confidences = np.full((30, 3), 1.0 / 3)
+    with pytest.raises(ShapeMismatch, match="codes"):
+        DatasetChannel(c.label, c.kind, indices=c.indices, table=np.full((31, 3), 1.0 / 3), codes=np.arange(31))
+    ds.channels = (DatasetChannel(c.label, c.kind, indices=c.indices, table=np.full((30, 3), 1.0 / 3),
+                                  codes=np.arange(30)),)
+    if reader == "channel_terms":  # Soft weighs the losses by the stored row itself
+        assert np.all(channel_terms(ds, Soft(), j)[0].table == 1.0 / 3)
+    else:
+        assert np.all(dataset_from_json(dataset_to_json(ds)).channels[0].confidences == 1.0 / 3)
 
 
 def test_a_misshapen_channel_exits_2_through_the_cli(tmp_path, monkeypatch, capsys):
@@ -1028,13 +997,13 @@ def test_a_misshapen_channel_exits_2_through_the_cli(tmp_path, monkeypatch, caps
 
 
 def _rebuilt(ds: WeakDataset, edit=lambda conf: conf) -> WeakDataset:
-    """A copy of a dataset built from its per-draw arrays, the confidences
-    passed through ``edit``; ``ds`` itself is left keyed."""
+    """A copy of a dataset built from its per-draw arrays, one code per draw,
+    the confidences passed through ``edit``."""
     def copy(c):
         if c.kind not in (CONF_POINTS, CONF_PAIRS):
             return DatasetChannel(c.label, c.kind, indices=c.indices, pairs=c.pairs)
-        table, codes = c.keyed()
-        return DatasetChannel(c.label, c.kind, indices=c.indices, pairs=c.pairs, confidences=edit(table[codes]))
+        return DatasetChannel(c.label, c.kind, indices=c.indices, pairs=c.pairs, table=edit(c.confidences),
+                              codes=np.arange(c.n_draws))
     return WeakDataset(ds.spec, ds.seed, tuple(copy(c) for c in ds.channels))
 
 
@@ -1062,11 +1031,36 @@ class TestDatasetsEqualBitForBit:
         assert datasets_equal(ds, back) and datasets_equal(back, ds)
         assert not datasets_equal(ds, _rebuilt(ds, lambda conf: np.where(conf == conf[7, 0], 0.5, conf)))
 
+    @pytest.mark.parametrize("name", ["Soft", "Pconf", "SubConf", "SCConf", "Sconf"])
+    def test_an_empty_channel_round_trips(self, name):
+        # a sampled channel with no draws keeps its (n_x, K) table, a read one an empty table
+        j = scenario_joint(name, 4, 9, 3, seed=13, trial=2)
+        ds = sample_weak_dataset(make_spec(name, j, 13, 2), j, 0, seed=29)
+        back = dataset_from_json(dataset_to_json(ds))
+        assert datasets_equal(ds, back) and datasets_equal(back, ds)
 
-def test_sampled_confidences_are_keyed_until_read():
+
+@pytest.mark.parametrize("name", ["Soft", "SubConf", "Sconf"])
+def test_carved_and_generic_reads_weigh_alike(name):
+    """The generic reader codes every draw, the carved one every distinct
+    item: the same per-draw confidences, and weight tables equal to 1e-12."""
+    from wslrr.risk import weight_table
+    j = scenario_joint(name, 4, 9, 3, seed=13, trial=2)
+    spec = make_spec(name, j, 13, 2)
+    text = dataset_to_json(sample_weak_dataset(spec, j, 3000, seed=29))
+    carved, generic = _read_carved(text), _read_generic(text)
+    c, g = carved.channels[0], generic.channels[0]
+    assert len(c.table) < len(g.table) and np.array_equal(g.codes, np.arange(g.n_draws))
+    assert np.array_equal(c.confidences, g.confidences)
+    W_c, W_g = weight_table(carved, spec, j), weight_table(generic, spec, j)
+    assert np.all(np.abs(W_c - W_g) <= 1e-12 * np.abs(W_g))
+
+
+def test_reading_confidences_leaves_the_channel_keyed():
     """Soft at 100k draws holds its instances and the (n_x, K) table, not an
     (n, K) copy: less than half of one in the traced memory kept, and less
-    than one at the peak, until ``confidences`` is first read."""
+    than one at the peak.  Reading ``confidences`` makes a fresh read-only
+    per-draw array and leaves the table and codes in place."""
     j = scenario_joint("Soft", 4, 6, 3, seed=7, trial=17)
     sample_weak_dataset(Soft(), j, 1000, seed=5)  # warm every code path
     n, K = 100_000, 4
@@ -1074,13 +1068,15 @@ def test_sampled_confidences_are_keyed_until_read():
     try:
         ds = sample_weak_dataset(Soft(), j, n, seed=5)
         kept, peak = tracemalloc.get_traced_memory()
-        c = ds.channels[0]
-        assert "confidences=None" in repr(c)  # a repr makes no per-draw copy
-        assert c.codes is c.indices and c.table.shape == (6, 4)
-        conf = c.confidences
-        read = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert kept < n * K * 8 / 2 and peak < n * K * 8 and read - kept >= n * K * 8
-    assert c.table is None and c.codes is None and c.confidences is conf
+    assert kept < n * K * 8 / 2 and peak < n * K * 8
+    c = ds.channels[0]
+    table, codes = c.table, c.codes
+    assert codes is c.indices and table.shape == (6, 4)
+    conf = c.confidences
     assert np.array_equal(conf, marginals(j).class_probabilities[:, c.indices].T)
+    with pytest.raises(ValueError):
+        conf[0] = 0.5
+    assert c.confidences is not conf and c.table is table and c.codes is codes
+    assert np.array_equal(c.confidences, conf) and not np.shares_memory(conf, table)

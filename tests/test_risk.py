@@ -10,7 +10,7 @@ import wslrr.core
 import wslrr.risk
 import wslrr.scenarios
 from wslrr.core import marginals, validate_joint
-from wslrr.datagen import philox_uniforms, sample_weak_dataset
+from wslrr.datagen import DatasetChannel, philox_uniforms, sample_weak_dataset
 from wslrr.decontam import (
     METHOD_DIAGONAL,
     METHOD_INVERSION,
@@ -476,6 +476,15 @@ class TestEmpiricalRisk:
         assert est == pytest.approx(exact, abs=1e-10)
 
 
+def _per_draw(ds, conf) -> DatasetChannel:
+    """``ds``'s one confidence channel, replaced in ``ds`` by one built from
+    the per-draw confidences ``conf``, one code per draw."""
+    c = ds.channels[0]
+    ds.channels = (DatasetChannel(c.label, c.kind, indices=c.indices, pairs=c.pairs, table=conf,
+                                  codes=np.arange(c.n_draws)),)
+    return ds.channels[0]
+
+
 @pytest.mark.parametrize("name", ALL_SCENARIO_NAMES + ABSTRACT_SCENARIO_NAMES)
 def test_channel_terms_match_reference_weights(name):
     """Every estimator entry carries the weight of an independent reference:
@@ -491,15 +500,15 @@ def test_channel_terms_match_reference_weights(name):
     dag = np.array([closed_form_corrected_loss(spec, m, 0, e) for e in np.eye(2)]) \
         if spec.family == FAMILY_MCD else None
     if spec.family == FAMILY_SCONF:  # each instance of a pair carries half the pair diagonal
-        ch = ds.channels[0]
-        ch.confidences = r = 0.5 * ch.confidences + 0.25
+        r = 0.5 * ds.channels[0].confidences + 0.25
+        ch = _per_draw(ds, r)
         pi_p, pi_n = m.priors
         half = np.column_stack([(r - pi_n) / (pi_p - pi_n) / 2.0, (pi_p - r) / (pi_p - pi_n) / 2.0])
         idx, rows = [ch.pairs[:, 0], ch.pairs[:, 1]], [half, half]
     elif spec.family == FAMILY_CONF:  # the super-class prior times r / r_sel
-        ch = ds.channels[0]
-        c = np.sqrt(ch.confidences)
-        ch.confidences = c = c / c.sum(axis=1, keepdims=True)
+        c = np.sqrt(ds.channels[0].confidences)
+        c = c / c.sum(axis=1, keepdims=True)
+        ch = _per_draw(ds, c)
         members = _members(spec)
         coeff = sum(m.priors[k] for k in members) if members else 1.0
         den = sum(c[:, k] for k in members) if members else 1.0
@@ -552,7 +561,9 @@ def test_non_finite_stored_confidence_is_refused(name, value):
     j = scenario_joint(name, 3, 5, 2, seed=43, trial=0)
     spec = make_spec(name, j, 43, 0)
     ds = sample_weak_dataset(spec, j, 30, seed=9)
-    ds.channels[0].confidences[7] = value
+    conf = ds.channels[0].confidences.copy()
+    conf[7] = value
+    _per_draw(ds, conf)
     with pytest.raises(NonFiniteConfidence, match="NaN or infinite"):
         channel_terms(ds, spec, j)
 
@@ -561,8 +572,9 @@ def test_zero_stored_superclass_confidence_names_the_draw():
     j = scenario_joint("SCConf", 3, 5, 2, seed=43, trial=0)
     spec = SCConf(y_s=1)
     ds = sample_weak_dataset(spec, j, 30, seed=9)
-    ch = ds.channels[0]
-    ch.confidences[7] = [0.0, 0.5, 0.5]
+    conf = ds.channels[0].confidences.copy()
+    conf[7] = [0.0, 0.5, 0.5]
+    ch = _per_draw(ds, conf)
     with pytest.raises(ZeroConfidence, match=f"instance {ch.indices[7]}$"):
         empirical_risk(ds, spec, seeded_model(j, 43, 0), LOGISTIC, j)
 

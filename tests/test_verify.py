@@ -10,7 +10,7 @@ import pytest
 
 import wslrr.verify
 from wslrr.core import FiniteJoint
-from wslrr.datagen import _distinct_rows, dataset_from_json, dataset_to_json, sample_weak_dataset
+from wslrr.datagen import DatasetChannel, dataset_from_json, dataset_to_json, sample_weak_dataset
 import wslrr.decontam
 from wslrr.decontam import _decontaminate
 from wslrr.errors import (DegenerateParams, KTooLarge, ShapeMismatch, ValidationError, ZeroConfidence,
@@ -604,18 +604,23 @@ def _conf_case(name, edit, n=3000):
     sample of it, its confidences edited: "keyed" leaves them as sampled;
     "two rows" gives the first draw's instance a second row in its second
     draw; "signed zero" gives every draw of that instance the row
-    (1, 0, ..., 0), with -0.0 as the last entry of its second draw."""
+    (1, 0, ..., 0), with -0.0 as the last entry of its second draw.  An
+    edited channel is built anew from its per-draw confidences, one code per
+    draw."""
     cfg, t = VerifyConfig(), wslrr.verify.MC_TRIAL
     j = scenario_joint(name, cfg.K, cfg.nx, cfg.d_feat, cfg.seed, t)
     inp = CheckInput(make_spec(name, j, cfg.seed, t), j, seeded_model(j, cfg.seed, t))
     ds = sample_weak_dataset(inp.spec, j, n, seed=cfg.seed + 1000)
     ch = ds.channels[0]
     mine = np.flatnonzero(ch.indices == ch.indices[0])
+    conf = ch.confidences.copy()
     if edit == "two rows":
-        ch.confidences[mine[1]] = ch.confidences[0][::-1]
+        conf[mine[1]] = conf[0][::-1]
     elif edit == "signed zero":
-        ch.confidences[mine] = np.eye(j.K)[0]
-        ch.confidences[mine[1], -1] = -0.0
+        conf[mine] = np.eye(j.K)[0]
+        conf[mine[1], -1] = -0.0
+    if edit != "keyed":
+        ds.channels = (DatasetChannel(ch.label, ch.kind, indices=ch.indices, table=conf, codes=np.arange(n)),)
     return inp, ds
 
 
@@ -637,9 +642,8 @@ def _per_draw_conf_reference(inp, ds):
 
 class TestKeyedConfidenceChannels:
     """A sampled confidence channel is folded and spread by the counts of its
-    codes, which are its instances; one whose confidences were read and
-    edited is keyed anew by its distinct (instance, row).  Both give the
-    per-draw reference."""
+    codes, which are its instances; one built from edited per-draw
+    confidences by one code per draw.  Both give the per-draw reference."""
 
     @pytest.mark.parametrize("edit, keyed", [("keyed", True), ("two rows", False), ("signed zero", False)])
     @pytest.mark.parametrize("name", ["Soft", "Pconf"])
@@ -686,9 +690,10 @@ class TestKeyedConfidenceChannels:
         ch = ds.channels[0]
         seen = list(dict.fromkeys(ch.indices.tolist()))  # instances by first draw
         first, later = next((a, b) for k, a in enumerate(seen) for b in seen[k + 1:] if b < a)
-        ch.confidences[np.isin(ch.indices, [first, later])] = np.eye(inp.j.K)[1]
-        first, _ = _distinct_rows(ch.indices, ch.confidences)
-        assert len(np.unique(ch.indices[first])) == len(first)  # one row per instance
+        conf = ch.confidences.copy()
+        conf[np.isin(ch.indices, [first, later])] = np.eye(inp.j.K)[1]
+        ds.channels = (DatasetChannel(ch.label, ch.kind, indices=ch.indices, table=conf,
+                                      codes=np.arange(ch.n_draws)),)
         with pytest.raises(ZeroConfidence, match=f"instance {first}$"):
             _channel_terms(ds, inp.system)
 
@@ -751,25 +756,6 @@ def test_gradient_check_fails_on_a_perturbed_gradient(name, part, monkeypatch):
     assert not rep.passed and rep.max_abs_err >= 1e-4
 
 
-def test_monte_carlo_and_gradient_tasks_key_no_per_draw_confidences(monkeypatch):
-    """At the default config the sampled confidence channels stay keyed from
-    the sampler through the fold, the spread and the rerun comparison: no
-    mc-consistency or gradient-check task calls ``_distinct_rows``."""
-    import wslrr.datagen
-    calls = []
-    real = wslrr.datagen._distinct_rows
-    monkeypatch.setattr(wslrr.datagen, "_distinct_rows", lambda *a: calls.append(a) or real(*a))
-    tasks = [(label, fn) for label, fn in build_registry(VerifyConfig())
-             if label.startswith(("mc-consistency:", "gradient-check:"))]
-    assert len(tasks) == 3 + len(ALL_SCENARIO_NAMES)
-    for label, fn in tasks:
-        assert fn().passed, label
-    assert calls == []
-    # the counter sees a keying: per-draw confidences given to a channel
-    wslrr.datagen.DatasetChannel("X", "conf-points", indices=np.array([0]), confidences=np.array([[1.0]]))
-    assert len(calls) == 1
-
-
 def _per_draw_pair_reference(inp, ds):
     """(weight table, estimate, se, mean |term|) of a pair-setting dataset
     draw by draw, from the decontamination's columns and the stored
@@ -784,8 +770,7 @@ def _per_draw_pair_reference(inp, ds):
     for c, ch in enumerate(ds.channels):
         if spec.family == FAMILY_SCONF:
             pi_p, pi_n = inp.system.m.priors
-            table, codes = ch.keyed()
-            r = table[codes]
+            r = ch.confidences
             w = np.column_stack([r - pi_n, pi_p - r]) / (pi_p - pi_n) / 2.0
             entries = [(ch.pairs[:, 0], w), (ch.pairs[:, 1], w)]
         else:
