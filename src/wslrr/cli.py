@@ -1,5 +1,8 @@
 """Command line front end: verify, verify-all, simulate, train.
 
+Each command imports the modules it runs when it runs, so ``simulate``
+never loads ``verify``, ``risk`` or ``train``.
+
 Exit codes: 0 success / all checks pass, 1 failed checks or divergence,
 2 usage or validation problems, a file that cannot be read or written, or
 a request too large for memory.  Stdout carries a human summary; files are
@@ -15,25 +18,10 @@ import math
 import sys
 from pathlib import Path
 
-from .core import joint_from_json, parse_json
+from .core import joint_from_json, marginals as compute_marginals, parse_json
 from .datagen import dataset_from_json, dataset_to_json, sample_weak_dataset
 from .errors import Diverged, ValidationError, WslrrError
-from .risk import LossSpec, classification_risk
 from .scenarios import _scenario_from_object, scenario_from_json, validate_spec
-from .train import TrainConfig, model_to_json, train_erm
-from .verify import (
-    TOL_MATRIX,
-    TOL_RISK,
-    AggregateReport,
-    CheckInput,
-    VerifyConfig,
-    seeded_model,
-    verify_all,
-    verify_formulation,
-    verify_reconstruction,
-    verify_risk_equality,
-)
-from .core import marginals as compute_marginals
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -82,6 +70,8 @@ def _write(path: str | None, text: str) -> None:
 
 
 def cmd_verify(args) -> int:
+    from .verify import (TOL_MATRIX, TOL_RISK, AggregateReport, CheckInput, seeded_model,
+                         verify_formulation, verify_reconstruction, verify_risk_equality)
     if not 0 <= args.seed <= 2 ** 64 - 2:  # the model's Philox key, seed + 1, is a u64
         raise ValidationError(f"--seed must be an integer in [0, 2**64 - 2], got {args.seed}")
     if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0.0):
@@ -107,6 +97,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
+    from .verify import VerifyConfig, verify_all
     cfg = VerifyConfig(K=args.K, nx=args.nx, trials=args.trials, seed=args.seed)
     report = verify_all(cfg)
     _write(args.out, report.to_json())
@@ -134,6 +125,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from .risk import LossSpec, classification_risk
+    from .train import TrainConfig, model_to_json, train_erm
     joint = joint_from_json(Path(args.joint).read_text())
     ds = dataset_from_json(Path(args.data).read_text())
     ls = LossSpec(args.loss)

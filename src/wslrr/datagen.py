@@ -132,14 +132,15 @@ def _categorical(probs: np.ndarray, words: np.ndarray, what: str) -> np.ndarray:
     return np.minimum(pos, np.flatnonzero(flat > 0)[-1], out=pos)
 
 
-@record(frozen=False, eq=False)
+@record(eq=False)
 class DatasetChannel:
     """One channel's draws: the (n,) ``indices`` of points and conf-points,
     or the (n, 2) index ``pairs`` of pairs and conf-pairs.  A confidence
     channel holds ``table``, its confidence rows (T, K) or pair values (T,),
     and ``codes``, the table entry of every draw; a channel built from
     per-draw confidences passes them as the table with ``codes=np.arange(n)``.
-    Arrays that do not fit the kind raise ShapeMismatch."""
+    Arrays that do not fit the kind raise ShapeMismatch; the record is
+    frozen, so every array it holds was checked when it was built."""
     label: str
     kind: str
     indices: Optional[np.ndarray] = None  # (n,) instance indices
@@ -156,12 +157,14 @@ class DatasetChannel:
             raise ShapeMismatch(f"a {self.kind} channel holds no {' or '.join(stray)}")
         at = getattr(self, where)
         at = np.empty((0,) + shape[1:], dtype=np.int64) if at is None else np.asarray(at)
-        setattr(self, where, _checked(at, where, "i", shape))
+        object.__setattr__(self, where, _checked(at, where, "i", shape))
         if keyed:
-            if self.table is None and self.codes is None:  # none, for no draws
-                self.table, self.codes = np.empty((0,) * len(keyed[0][3])), np.empty(0, dtype=np.intp)
-            self.table = _checked(np.asarray(self.table), "table", "f", (None,) + keyed[0][3][1:])
-            self.codes = _checked(np.asarray(self.codes), "codes", "i", (self.n_draws,))
+            table, codes = self.table, self.codes
+            if table is None and codes is None:  # none, for no draws
+                table, codes = np.empty((0,) * len(keyed[0][3])), np.empty(0, dtype=np.intp)
+            table = _checked(np.asarray(table), "table", "f", (None,) + keyed[0][3][1:])
+            object.__setattr__(self, "table", table)
+            object.__setattr__(self, "codes", _checked(np.asarray(codes), "codes", "i", (self.n_draws,)))
             if self.n_draws and not 0 <= self.codes.min() <= self.codes.max() < len(self.table):
                 raise ShapeMismatch(f"channel {self.label!r} has codes outside its table")
 
@@ -208,7 +211,7 @@ def _keyed(key: np.ndarray, size: int) -> tuple:
     return key, one
 
 
-@record(frozen=False, eq=False)
+@record(eq=False)
 class WeakDataset:
     spec: ScenarioSpec
     seed: int

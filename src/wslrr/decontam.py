@@ -18,7 +18,8 @@ every D(x) in one numpy pass; D(x_i) is its ``matrices[i]``.  Both diagonals
 are kernels of the confidences (:func:`_sconf_weights`, :func:`_conf_weights`)
 that ``risk.channel_terms`` also evaluates at a dataset's stored confidences.
 Square systems are inverted by the 2x2 closed form or by Gauss-Jordan with
-per-instance partial pivots, never a library call, so runs are repeatable.
+per-instance partial pivots, never a library call, so runs are repeatable;
+diagonal systems (the confidence family's) are inverted entrywise.
 """
 
 from __future__ import annotations
@@ -224,12 +225,18 @@ def _decontamination(s: _System, method: str) -> DecontaminationResult:
     if method == METHOD_INVERSION:
         if spec.family == FAMILY_SCONF:
             raise WrongFamily("use sconf-special for Sconf")
-        mat, t = spec.matrix(m), _transform_diagonal(spec, m)  # M M_trsf scales the columns of M
-        if mat is None:
-            mats = _invert_stack(s.tensor * t)
-        else:  # a system that is the same at every x is inverted once, then copied out
+        t = _transform_diagonal(spec, m)  # M M_trsf scales the columns of M
+        mat, diag = spec.matrix(m), spec.diagonal(m)
+        if mat is not None:  # a system that is the same at every x is inverted once, then copied out
             inv = _invert_stack((mat * t)[None])
             mats = np.broadcast_to(inv, (j.n_x,) + inv.shape[1:]).copy()
+        elif diag is not None:  # a diagonal system is inverted entrywise, as Gauss-Jordan would
+            v = diag * t[:, None]
+            if not np.all(v):
+                raise Singular("matrix has an all-zero row")
+            mats = _diagonal_stack(1.0 / v)
+        else:
+            mats = _invert_stack(s.tensor * t)
         return DecontaminationResult(method=method, matrices=mats)
 
     raise WrongFamily(f"unknown decontamination method {method!r}")

@@ -133,6 +133,11 @@ class _Setting:
         and ``tensor(m)`` stacks M(x_i) over every instance."""
         return None
 
+    def diagonal(self, m: Marginals) -> Optional[np.ndarray]:
+        """The (K, n_x) columns v with M(x_i) = diag(v[:, i]) when every M(x_i)
+        is diagonal, so that inversion is entrywise; None otherwise."""
+        return None
+
 
 class _Mixture(_Setting):
     """Two channels mixing the class conditionals by ``mixture(pi_p, pi_n)``."""
@@ -165,13 +170,16 @@ class _Confidence(_Setting):
     def labels(self, K: int) -> tuple:
         return tuple(str(k) for k in range(1, K + 1))
 
-    def tensor(self, m: Marginals) -> np.ndarray:
-        """diag(r_sel(x) / r_k(x)): (n_x, K, K)."""
+    def diagonal(self, m: Marginals) -> np.ndarray:
+        """r_sel(x) / r_k(x): (K, n_x)."""
         r = m.class_probabilities
         zero = np.any(r <= 0.0, axis=0)
         if np.any(zero):
             raise ZeroConfidence(f"instance {int(np.argmax(zero))} has zero class probabilities")
-        return _diagonal_stack(_superclass_probability(self, r) / r)
+        return _superclass_probability(self, r) / r
+
+    def tensor(self, m: Marginals) -> np.ndarray:
+        return _diagonal_stack(self.diagonal(m))
 
 
 @record()

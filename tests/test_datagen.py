@@ -977,12 +977,37 @@ def test_confidences_set_later_are_checked_too(reader):
         c.confidences = np.full((30, 3), 1.0 / 3)
     with pytest.raises(ShapeMismatch, match="codes"):
         DatasetChannel(c.label, c.kind, indices=c.indices, table=np.full((31, 3), 1.0 / 3), codes=np.arange(31))
-    ds.channels = (DatasetChannel(c.label, c.kind, indices=c.indices, table=np.full((30, 3), 1.0 / 3),
-                                  codes=np.arange(30)),)
+    ds = WeakDataset(ds.spec, ds.seed, (DatasetChannel(c.label, c.kind, indices=c.indices,
+                                                       table=np.full((30, 3), 1.0 / 3), codes=np.arange(30)),))
     if reader == "channel_terms":  # Soft weighs the losses by the stored row itself
         assert np.all(channel_terms(ds, Soft(), j)[0].table == 1.0 / 3)
     else:
         assert np.all(dataset_from_json(dataset_to_json(ds)).channels[0].confidences == 1.0 / 3)
+
+
+@pytest.mark.parametrize("field", ["table", "codes", "indices"])
+def test_a_sampled_channel_refuses_assignment(field):
+    """A channel and its dataset are frozen: arrays assigned after building
+    would skip the checks against the kind, so assignment raises and leaves
+    the channel as sampled, and the same arrays given to a new channel are a
+    ShapeMismatch."""
+    from wslrr.risk import channel_terms
+    j = scenario_joint("Soft", 3, 5, 2, seed=43, trial=0)
+    ds = sample_weak_dataset(Soft(), j, 30, seed=9)
+    c = ds.channels[0]
+    before = dataset_to_json(ds)
+    bad = {"table": np.full((31, 3), 1.0 / 3), "codes": np.arange(31), "indices": np.arange(31)}
+    with pytest.raises(AttributeError, match=field):
+        setattr(c, field, bad[field])
+    with pytest.raises(AttributeError, match="channels"):
+        ds.channels = ()
+    with pytest.raises(AttributeError):
+        delattr(c, field)
+    assert dataset_to_json(ds) == before and len(channel_terms(ds, Soft(), j)[0].idx) == 30
+    with pytest.raises(ShapeMismatch, match="codes"):
+        DatasetChannel(c.label, c.kind, indices=c.indices, table=bad["table"], codes=bad["codes"])
+    with pytest.raises(ShapeMismatch, match="codes"):
+        DatasetChannel(c.label, c.kind, indices=bad["indices"], table=c.table, codes=c.codes)
 
 
 def test_a_misshapen_channel_exits_2_through_the_cli(tmp_path, monkeypatch, capsys):

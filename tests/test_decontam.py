@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import wslrr.decontam
 from wslrr.core import marginals, validate_joint
 from wslrr.decontam import (
     METHOD_DIAGONAL,
@@ -26,10 +27,21 @@ from wslrr.scenarios import (
     Sconf,
     Soft,
     UU,
+    _System,
+    _transform_diagonal,
     compound_label_space,
     observed_distribution,
 )
-from wslrr.verify import ABSTRACT_SCENARIO_NAMES, ALL_SCENARIO_NAMES, make_spec, random_joint, scenario_joint
+from wslrr.risk import LossSpec, classification_risk, rewritten_risk
+from wslrr.verify import (
+    ABSTRACT_SCENARIO_NAMES,
+    ALL_SCENARIO_NAMES,
+    TOL_RISK,
+    make_spec,
+    random_joint,
+    scenario_joint,
+    seeded_model,
+)
 
 METHODS = {METHOD_INVERSION, METHOD_MARGINAL_CHAIN, METHOD_MCL_BLOCKWISE, METHOD_DIAGONAL, METHOD_SCONF}
 
@@ -210,6 +222,67 @@ class TestConfDiagonal:
         j = validate_joint(3, [[0.0]], np.array([[0.3], [0.6], [0.1]]))
         dag = decontaminate(SCConf(y_s=2), j, METHOD_DIAGONAL).matrices[0]
         assert np.allclose(dag, np.diag([0.5, 1.0, 1.0 / 6.0]), atol=1e-14)
+
+
+def _gauss_jordan(spec, j) -> np.ndarray:
+    """Gauss-Jordan (or the 2x2 closed form) on the whole stack M(x) M_trsf."""
+    s = _System(spec, j)
+    return _invert_stack(s.tensor * _transform_diagonal(spec, s.m))
+
+
+class TestDiagonalInversion:
+    """The confidence family's M(x) M_trsf is diagonal at every x, and its
+    declared diagonal is inverted entrywise, as Gauss-Jordan would: each row
+    scales to a pivot of 1 with nothing to eliminate."""
+
+    @pytest.mark.parametrize("nx", [5, 400])
+    @pytest.mark.parametrize("K", range(3, 9))
+    @pytest.mark.parametrize("name", ["SCConf", "SubConf", "Soft"])
+    def test_bit_identical_to_gauss_jordan(self, name, K, nx):
+        j = scenario_joint(name, K, nx, 2, 43, K)
+        spec = make_spec(name, j, 43, K)
+        got = decontaminate(spec, j, METHOD_INVERSION).matrices
+        want = _gauss_jordan(spec, j)
+        assert got.shape == want.shape == (nx, K, K) and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", ["Pconf", "Soft"])
+    def test_binary_systems_within_one_ulp_of_the_closed_form(self, name):
+        """At K = 2 the adjugate divides by a rounded determinant: an entry may
+        move by 1 ulp, and an off-diagonal -0.0 becomes 0.0."""
+        j = scenario_joint(name, 2, 400, 2, 43, 0)
+        spec = make_spec(name, j, 43, 0)
+        got, want = decontaminate(spec, j, METHOD_INVERSION).matrices, _gauss_jordan(spec, j)
+        assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+
+    def test_only_the_confidence_family_skips_gauss_jordan(self, monkeypatch):
+        def refused(a):
+            raise AssertionError("Gauss-Jordan ran")
+
+        monkeypatch.setattr(wslrr.decontam, "_invert_stack", refused)
+        for name, K in [("Pconf", 2), ("SCConf", 4), ("SubConf", 4), ("Soft", 4)]:
+            j = scenario_joint(name, K, 30, 2, 43, 1)
+            spec = make_spec(name, j, 43, 1)
+            dag = decontaminate(spec, j, METHOD_INVERSION).matrices
+            assert np.max(np.abs(dag @ _System(spec, j).tensor - np.eye(K))) < 1e-12
+        for name, K in [("CCN", 2), ("CL", 4), ("MCD", 2)]:
+            j = scenario_joint(name, K, 30, 2, 43, 1)
+            with pytest.raises(AssertionError, match="Gauss-Jordan ran"):
+                decontaminate(make_spec(name, j, 43, 1), j, METHOD_INVERSION)
+
+    def test_zero_diagonal_entry_is_singular(self, monkeypatch):
+        j = scenario_joint("Soft", 3, 5, 2, 43, 0)
+        diagonal = Soft.diagonal
+        monkeypatch.setattr(Soft, "diagonal", lambda self, m: diagonal(self, m) * (np.arange(5) != 2))
+        with pytest.raises(Singular, match="all-zero row"):
+            decontaminate(Soft(), j, METHOD_INVERSION)
+
+    @pytest.mark.parametrize("name", ["Pconf", "SCConf", "SubConf", "Soft"])
+    def test_rewritten_risk_equals_the_risk(self, name):
+        ls = LossSpec("logistic")
+        j = scenario_joint(name, 2 if name == "Pconf" else 4, 400, 3, 7, 1)
+        model = seeded_model(j, 7, 1)
+        risk = rewritten_risk(make_spec(name, j, 7, 1), j, model, ls, METHOD_INVERSION)
+        assert abs(risk - classification_risk(j, model, ls)) <= TOL_RISK
 
 
 class TestDecontaminateDispatch:

@@ -1,14 +1,15 @@
 """Every record class behaves as its declaration says.
 
 The 34 records are ``wslrr.core.record`` classes.  Frozen ones refuse
-assignment and deletion; the three mutable ones take reassignment (the
-descent reassigns a model's stacked weights every epoch).  Value records
-compare and hash by their field values and never equal a record of another
-class; ``eq=False`` records compare by identity and stay hashable.  The
-compiled ``__init__`` refuses missing, unknown and repeated arguments, and
-still runs each ``__post_init__``; reprs keep the text the stdlib
-dataclasses printed, and ``cached_property`` and ``ClassVar`` attributes
-keep working.
+assignment and deletion, datasets and their channels included, whose
+arrays are checked only when built; the one mutable record, the linear
+model, takes reassignment (the descent reassigns a model's stacked weights
+every epoch).  Value records compare and hash by their field values and
+never equal a record of another class; ``eq=False`` records compare by
+identity and stay hashable.  The compiled ``__init__`` refuses missing,
+unknown and repeated arguments, and still runs each ``__post_init__``;
+reprs keep the text the stdlib dataclasses printed, and
+``cached_property`` and ``ClassVar`` attributes keep working.
 """
 
 import inspect
@@ -17,7 +18,8 @@ import sys
 import numpy as np
 import pytest
 
-import wslrr.cli  # noqa: F401  (loads every module, so the record census sees them all)
+import wslrr.cli  # noqa: F401  (the CLI imports verify, risk and train only when a command runs them)
+import wslrr.verify  # noqa: F401  (with the CLI, loads every module, so the record census sees them all)
 from wslrr.core import FiniteJoint, Marginals, marginals, validate_joint
 from wslrr.datagen import DatasetChannel, WeakDataset
 from wslrr.decontam import DecontaminationResult
@@ -46,9 +48,9 @@ IDENTITY = {
     FiniteJoint: (2, A2, A2), Marginals: (A2[0], A2[0], A2, A2), CCN: (FLIP,), GCCN: (FLIP,),
     PPL: (A2,), PairDistribution: ("tag", A2), ContaminationModel: (("P", "U"),), Reduction: ({},),
     DecontaminationResult: ("inversion",), ChannelTerms: ("P", 1, A2[0], A2, A2[0]),
-    CheckInput: (PU(), JOINT, MODEL),
+    CheckInput: (PU(), JOINT, MODEL), DatasetChannel: ("P", "points"), WeakDataset: (PU(), 1, ()),
 }
-MUTABLE = {DatasetChannel: ("P", "points"), WeakDataset: (PU(), 1, ()), LinearModel: (A2, A2[0])}
+MUTABLE = {LinearModel: (A2, A2[0])}
 FROZEN = {**VALUE, **IDENTITY}
 ALL = {**FROZEN, **MUTABLE}
 UNHASHABLE_VALUES = {CheckReport, AggregateReport}  # a params dict, reports holding one

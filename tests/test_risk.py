@@ -10,7 +10,7 @@ import wslrr.core
 import wslrr.risk
 import wslrr.scenarios
 from wslrr.core import marginals, validate_joint
-from wslrr.datagen import DatasetChannel, philox_uniforms, sample_weak_dataset
+from wslrr.datagen import DatasetChannel, WeakDataset, philox_uniforms, sample_weak_dataset
 from wslrr.decontam import (
     METHOD_DIAGONAL,
     METHOD_INVERSION,
@@ -476,13 +476,12 @@ class TestEmpiricalRisk:
         assert est == pytest.approx(exact, abs=1e-10)
 
 
-def _per_draw(ds, conf) -> DatasetChannel:
-    """``ds``'s one confidence channel, replaced in ``ds`` by one built from
-    the per-draw confidences ``conf``, one code per draw."""
+def _per_draw(ds, conf) -> WeakDataset:
+    """``ds`` with its one confidence channel rebuilt from the per-draw
+    confidences ``conf``, one code per draw."""
     c = ds.channels[0]
-    ds.channels = (DatasetChannel(c.label, c.kind, indices=c.indices, pairs=c.pairs, table=conf,
-                                  codes=np.arange(c.n_draws)),)
-    return ds.channels[0]
+    return WeakDataset(ds.spec, ds.seed, (DatasetChannel(c.label, c.kind, indices=c.indices, pairs=c.pairs,
+                                                         table=conf, codes=np.arange(c.n_draws)),))
 
 
 @pytest.mark.parametrize("name", ALL_SCENARIO_NAMES + ABSTRACT_SCENARIO_NAMES)
@@ -501,14 +500,16 @@ def test_channel_terms_match_reference_weights(name):
         if spec.family == FAMILY_MCD else None
     if spec.family == FAMILY_SCONF:  # each instance of a pair carries half the pair diagonal
         r = 0.5 * ds.channels[0].confidences + 0.25
-        ch = _per_draw(ds, r)
+        ds = _per_draw(ds, r)
+        ch = ds.channels[0]
         pi_p, pi_n = m.priors
         half = np.column_stack([(r - pi_n) / (pi_p - pi_n) / 2.0, (pi_p - r) / (pi_p - pi_n) / 2.0])
         idx, rows = [ch.pairs[:, 0], ch.pairs[:, 1]], [half, half]
     elif spec.family == FAMILY_CONF:  # the super-class prior times r / r_sel
         c = np.sqrt(ds.channels[0].confidences)
         c = c / c.sum(axis=1, keepdims=True)
-        ch = _per_draw(ds, c)
+        ds = _per_draw(ds, c)
+        ch = ds.channels[0]
         members = _members(spec)
         coeff = sum(m.priors[k] for k in members) if members else 1.0
         den = sum(c[:, k] for k in members) if members else 1.0
@@ -563,7 +564,7 @@ def test_non_finite_stored_confidence_is_refused(name, value):
     ds = sample_weak_dataset(spec, j, 30, seed=9)
     conf = ds.channels[0].confidences.copy()
     conf[7] = value
-    _per_draw(ds, conf)
+    ds = _per_draw(ds, conf)
     with pytest.raises(NonFiniteConfidence, match="NaN or infinite"):
         channel_terms(ds, spec, j)
 
@@ -574,7 +575,8 @@ def test_zero_stored_superclass_confidence_names_the_draw():
     ds = sample_weak_dataset(spec, j, 30, seed=9)
     conf = ds.channels[0].confidences.copy()
     conf[7] = [0.0, 0.5, 0.5]
-    ch = _per_draw(ds, conf)
+    ds = _per_draw(ds, conf)
+    ch = ds.channels[0]
     with pytest.raises(ZeroConfidence, match=f"instance {ch.indices[7]}$"):
         empirical_risk(ds, spec, seeded_model(j, 43, 0), LOGISTIC, j)
 

@@ -26,7 +26,8 @@ small: every CLI command is a fresh process that imports the package, so
 the records are ``wslrr.core.record`` classes, which compile one
 ``__init__`` each at import (none for a fieldless record), where stdlib
 dataclasses compile about five methods each; no module imports
-``dataclasses``.
+``dataclasses``; and ``wslrr simulate`` imports neither the harness nor the
+trainer.
 """
 
 import ast
@@ -338,14 +339,15 @@ def test_call_graph_follows_helpers_and_classes():
     assert "_contamination_model" not in reached
 
 
-# ``import wslrr.cli`` in a fresh interpreter, after the modules it shares with
-# numpy and the standard library's argument parser, printing the source
-# compiles it makes and the record classes it defines
+# ``import wslrr.cli`` and the modules its commands import when they run, in a
+# fresh interpreter, after the modules it shares with numpy and the standard
+# library's argument parser, printing the source compiles it makes and the
+# record classes it defines
 _COMPILE_COUNT = """
 import inspect, json, sys, argparse, numpy
 compiles = []
 sys.addaudithook(lambda ev, args: ev == "compile" and args[1] == "<string>" and compiles.append(1))
-import wslrr.cli
+import wslrr.cli, wslrr.verify
 records = {c for m in list(sys.modules.values()) if m.__name__.startswith("wslrr")
            for c in vars(m).values() if isinstance(c, type) and "_fields" in vars(c)}
 print(len(compiles), len(records))
@@ -359,6 +361,24 @@ def test_import_compiles_at_most_one_method_per_record():
     compiles, records = map(int, out.split())
     assert compiles <= RECORDS  # stdlib dataclasses made 170
     assert records == RECORDS
+
+
+# ``wslrr simulate`` as a fresh ``python -m wslrr.cli`` process: the modules it imports
+def test_simulate_imports_neither_the_harness_nor_the_trainer(tmp_path):
+    from wslrr.core import joint_to_json
+    from wslrr.verify import scenario_joint
+    joint = tmp_path / "j.json"
+    joint.write_text(joint_to_json(scenario_joint("Soft", 3, 5, 2, 7, 0)))
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    argv = ["simulate", "--joint", str(joint), "--scenario", "Soft", "--n", "50", "--seed", "1",
+            "--out", str(tmp_path / "d.json")]
+    # -X importtime writes one "import time: self | cumulative | module" line per import
+    log = subprocess.run([sys.executable, "-X", "importtime", "-m", "wslrr.cli", *argv], env=env,
+                         capture_output=True, text=True, check=True).stderr
+    imported = {line.rsplit("|", 1)[1].strip() for line in log.splitlines() if line.startswith("import time:")}
+    assert (tmp_path / "d.json").exists()
+    assert {"wslrr.scenarios", "wslrr.datagen"} <= imported
+    assert {"wslrr.verify", "wslrr.train", "wslrr.risk", "wslrr.decontam"}.isdisjoint(imported)
 
 
 def _dataclass_imports(tree) -> list:

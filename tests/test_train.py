@@ -6,7 +6,7 @@ import pytest
 
 import wslrr.risk
 import wslrr.verify
-from wslrr.datagen import sample_weak_dataset
+from wslrr.datagen import DatasetChannel, WeakDataset, sample_weak_dataset
 from wslrr.errors import Diverged, NonDifferentiableLoss, SchemaMismatch, ShapeMismatch
 from wslrr.risk import (
     LossSpec,
@@ -270,8 +270,8 @@ class TestStackedDescent:
         def swapped(*args, **kwargs):
             ds = real(*args, **kwargs)
             p, u = ds.channels
-            p.indices, u.indices = u.indices, p.indices
-            return ds
+            return WeakDataset(ds.spec, ds.seed, (DatasetChannel(p.label, p.kind, indices=u.indices),
+                                                  DatasetChannel(u.label, u.kind, indices=p.indices)))
 
         monkeypatch.setattr(wslrr.verify, "sample_weak_dataset", swapped)
         rep = verify_erm_sanity(seed=7)

@@ -10,7 +10,7 @@ import pytest
 
 import wslrr.verify
 from wslrr.core import FiniteJoint
-from wslrr.datagen import DatasetChannel, dataset_from_json, dataset_to_json, sample_weak_dataset
+from wslrr.datagen import DatasetChannel, WeakDataset, dataset_from_json, dataset_to_json, sample_weak_dataset
 import wslrr.decontam
 from wslrr.decontam import _decontaminate
 from wslrr.errors import (DegenerateParams, KTooLarge, ShapeMismatch, ValidationError, ZeroConfidence,
@@ -620,7 +620,8 @@ def _conf_case(name, edit, n=3000):
         conf[mine] = np.eye(j.K)[0]
         conf[mine[1], -1] = -0.0
     if edit != "keyed":
-        ds.channels = (DatasetChannel(ch.label, ch.kind, indices=ch.indices, table=conf, codes=np.arange(n)),)
+        ds = WeakDataset(ds.spec, ds.seed,
+                         (DatasetChannel(ch.label, ch.kind, indices=ch.indices, table=conf, codes=np.arange(n)),))
     return inp, ds
 
 
@@ -692,8 +693,8 @@ class TestKeyedConfidenceChannels:
         first, later = next((a, b) for k, a in enumerate(seen) for b in seen[k + 1:] if b < a)
         conf = ch.confidences.copy()
         conf[np.isin(ch.indices, [first, later])] = np.eye(inp.j.K)[1]
-        ds.channels = (DatasetChannel(ch.label, ch.kind, indices=ch.indices, table=conf,
-                                      codes=np.arange(ch.n_draws)),)
+        ds = WeakDataset(ds.spec, ds.seed, (DatasetChannel(ch.label, ch.kind, indices=ch.indices, table=conf,
+                                                           codes=np.arange(ch.n_draws)),))
         with pytest.raises(ZeroConfidence, match=f"instance {first}$"):
             _channel_terms(ds, inp.system)
 
