@@ -65,30 +65,30 @@ def _refuse(self, name, *value):
     raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
 
 
-def record(frozen: bool = True, eq: bool = True):
+def record(eq: bool = True):
     """Class decorator for a record whose fields are the class's own
     non-ClassVar annotations, in order; a field's class attribute is its
     default.  ``_fields`` names the fields.  The one ``__init__`` compiled
     per class takes them positionally or by keyword and stores them (a
-    frozen record with several fields writes its ``__dict__``, which costs
-    less than an ``object.__setattr__`` call per field and more than one
-    call), then runs ``__post_init__`` if the class has one.  ``__repr__``,
-    and ``__eq__`` and ``__hash__`` over the field values when ``eq``, are
-    shared functions.  A frozen record refuses assignment and deletion
+    record with several fields writes its ``__dict__``, which costs less
+    than an ``object.__setattr__`` call per field and more than one call),
+    then runs ``__post_init__`` if the class has one.  ``__repr__``, and
+    ``__eq__`` and ``__hash__`` over the field values when ``eq``, are
+    shared functions.  Every record refuses assignment and deletion
     (``__post_init__`` normalises through ``object.__setattr__``); without
     ``eq`` records compare by identity."""
     def wrap(cls):
         names = tuple(f for f, t in inspect.get_annotations(cls).items()
                       if not str(t).startswith(("ClassVar", "typing.ClassVar")))
         defaults = {f: cls.__dict__[f] for f in names if f in cls.__dict__}
-        wide = frozen and len(names) > 1
+        wide = len(names) > 1
         lines = ["d = self.__dict__"] if wide else []
         for f in names:
             v = f
             if isinstance(defaults.get(f), default_factory):
                 v = f"_d_{f}.make() if {f} is _d_{f} else {f}"
                 delattr(cls, f)
-            lines.append(f"d[{f!r}] = {v}" if wide else f"_set(self, {f!r}, {v})" if frozen else f"self.{f} = {v}")
+            lines.append(f"d[{f!r}] = {v}" if wide else f"_set(self, {f!r}, {v})")
         if hasattr(cls, "__post_init__"):
             lines.append("self.__post_init__()")
         if lines:  # else object.__init__, which refuses every argument
@@ -99,9 +99,8 @@ def record(frozen: bool = True, eq: bool = True):
             cls.__init__ = ns["__init__"]
         cls.__repr__, cls._fields = _repr, names
         if eq:
-            cls.__eq__, cls.__hash__ = _eq, _hash if frozen else None
-        if frozen:
-            cls.__setattr__ = cls.__delattr__ = _refuse
+            cls.__eq__, cls.__hash__ = _eq, _hash
+        cls.__setattr__ = cls.__delattr__ = _refuse
         return cls
     return wrap
 

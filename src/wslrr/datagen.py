@@ -10,7 +10,8 @@ stands for the uniform u = (w >> 11) * 2**-53; for B <= 53 its bucket
 [b/2**B, (b+1)/2**B) is b = w >> (64 - B).  A table holds, per bucket, the
 number of cumulative values <= its lower edge, the count for every u in it,
 or -1 when one lies strictly inside; only those draws are converted to u
-and searched.  The result is ``searchsorted(cum, u, "right")``.
+and searched, for ``searchsorted(cum, u, "right")``.  The table is counted
+in O(items + buckets), and built when searching every draw costs more.
 
 A confidence channel is keyed: it holds a table of confidence rows or pair
 values and one code per draw, and makes a per-draw copy only when one is read.
@@ -107,25 +108,27 @@ MAX_BUCKET_BITS = 16  # at most 2**16 buckets: a 512 kB table
 def _categorical(probs: np.ndarray, words: np.ndarray, what: str) -> np.ndarray:
     """Invert Philox words against the cumulative of a flat probability
     vector: ``np.searchsorted(cum, u, side="right")`` at their uniforms u,
-    bit for bit, clamped to the last item that has mass.  With at least 4
-    draws per item the search is bucketed as the module docstring says, into
-    n/32 buckets, at least 4 per item and at most 2**16."""
+    bit for bit, clamped to the last item that has mass.  The search is
+    bucketed as the module docstring says, into n/32 buckets, at least 4 per
+    item and at most 2**16, when that costs less: a step per bucket and 2**13
+    for the table's numpy calls, against bit_length(items) steps per draw."""
     flat = probs.ravel()
     total = float(flat.sum())
     if total <= 0.0:
         raise ZeroChannelMass(f"{what} has zero total probability")
     cum = np.cumsum(flat / total)
-    if words.size < 4 * cum.size:
+    bits = min((max(4 * cum.size, words.size // 32) - 1).bit_length(), MAX_BUCKET_BITS)
+    if words.size * cum.size.bit_length() < 2 ** bits + 2 ** 13:
         pos = np.searchsorted(cum, _uniforms(words), side="right")
-    else:
-        bits = min((max(4 * cum.size, words.size // 32) - 1).bit_length(), MAX_BUCKET_BITS)
-        edges = np.arange(2 ** bits + 1) * 2.0 ** -bits  # exact: integers times a power of two
-        below = np.searchsorted(cum, edges[:-1], side="right")  # cum <= the lower edge
-        inside = np.searchsorted(cum, edges[1:], side="left") > below  # lower < cum < upper
+    else:  # entry b counts the s = cum * 2**bits <= b (ceil(s) <= b), or is -1 if one is in (b, b + 1)
+        s = cum * 2.0 ** bits  # exact; an s above 2**bits (cum[-1] > 1) is counted past the table, unread
+        table = np.bincount(np.ceil(s).astype(np.intp), minlength=2 ** bits)
+        np.cumsum(table, out=table)
+        table[np.floor(s[s % 1 > 0]).astype(np.intp)] = -1
         # each word's bucket, replaced in place by its table entry: an entry reads only its own
         # bucket, and "clip" (a no-op on these buckets), unlike "raise", writes ``out`` directly
         pos = (words >> np.uint64(64 - bits)).view(np.int64)
-        np.take(np.where(inside, -1, below), pos, out=pos, mode="clip")
+        np.take(table, pos, out=pos, mode="clip")
         hard = np.flatnonzero(pos < 0)
         pos[hard] = np.searchsorted(cum, _uniforms(words[hard]), side="right")
     # u >= cum[-1] < 1 by rounding: take the last item that has mass

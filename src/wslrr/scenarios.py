@@ -96,9 +96,9 @@ def _require(spec, kind, field: str, values) -> None:
 
 
 def _float_array(spec, field: str, value) -> np.ndarray:
-    """``value`` as a float64 array; SchemaMismatch unless it is a rectangular
-    array of integers or floats (strings and bools are refused, as for the
-    scalar parameters)."""
+    """``value`` as the spec's own read-only float64 array; SchemaMismatch
+    unless it is a rectangular array of integers or floats (strings and
+    bools are refused, as for the scalar parameters)."""
     try:
         arr = np.asarray(value)
     except (TypeError, ValueError) as e:
@@ -106,7 +106,7 @@ def _float_array(spec, field: str, value) -> np.ndarray:
     if arr.dtype.kind not in "iuf":
         raise SchemaMismatch(f"{spec.name} {field} must be a rectangular array of numbers, "
                              f"got {arr.dtype} values")
-    return arr.astype(np.float64, copy=False)
+    return _frozen(arr.astype(np.float64))
 
 
 class _Setting:

@@ -25,10 +25,11 @@ from .risk import LossSpec, score_matrix, weight_table, weighted_loss
 from .scenarios import ScenarioSpec
 
 
-@record(frozen=False, eq=False)
+@record(eq=False)
 class LinearModel:
     """Per-class affine scores g(x) = W x + b; the descent holds a stack of
-    B models as one, with (B, K, d_feat) weights and (B, K) bias."""
+    B models as one, with (B, K, d_feat) weights and (B, K) bias, and builds
+    a new stack each step."""
     weights: np.ndarray  # (K, d_feat)
     bias: np.ndarray     # (K,)
 
@@ -39,9 +40,6 @@ class LinearModel:
     @property
     def d_feat(self) -> int:
         return self.weights.shape[-1]
-
-    def copy(self) -> "LinearModel":
-        return LinearModel(self.weights.copy(), self.bias.copy())
 
 
 @record()
@@ -105,8 +103,8 @@ def _descend(W: np.ndarray, ls: LossSpec, cfg: TrainConfig, j: FiniteJoint, what
     with np.errstate(over="ignore", invalid="ignore"):  # overflow and inf times 0 are reported as Diverged
         dW, db = losses(0)
         for epoch in range(1, cfg.epochs + 1):
-            stack.weights = stack.weights - cfg.learning_rate * (dW + 2.0 * cfg.l2 * stack.weights)
-            stack.bias = stack.bias - cfg.learning_rate * db
+            stack = LinearModel(stack.weights - cfg.learning_rate * (dW + 2.0 * cfg.l2 * stack.weights),
+                                stack.bias - cfg.learning_rate * db)
             if not (np.isfinite(stack.weights).all() and np.isfinite(stack.bias).all()):
                 raise Diverged(f"parameters became non-finite at epoch {epoch}")
             dW, db = losses(epoch)

@@ -85,15 +85,58 @@ def _on_grid(values, bits):
     return np.floor(np.asarray(values) * 2.0 ** bits) * 2.0 ** -bits
 
 
+def _bucket_bits(n_cat, n):
+    """The bits of the sampler's bucket count: n/32 buckets, at least 4 per
+    item and at most 2**16, a power of two."""
+    return min((max(4 * n_cat, n // 32) - 1).bit_length(), wslrr.datagen.MAX_BUCKET_BITS)
+
+
+def _bucketed(n_cat, n):
+    """Whether n draws over n_cat items are bucketed: when their binary
+    searches, bit_length(n_cat) steps each, cost more than the table, a step
+    per bucket and 2**13 for its numpy calls."""
+    return n * n_cat.bit_length() >= 2 ** _bucket_bits(n_cat, n) + 2 ** 13
+
+
+BUCKETED = 2 ** 14  # a draw count bucketed on every law here, from 1 to 10 000 items
+
+
+def _hard_draws(probs, w, bits):
+    """How many of the words fall in a bucket that holds a cumulative value
+    strictly inside, the draws the bucketed inversion searches."""
+    s = np.cumsum(probs / probs.sum()) * 2.0 ** bits
+    hard = np.floor(s[(s != np.floor(s)) & (s < 2 ** bits)]).astype(np.uint64)
+    return int(np.isin(w >> np.uint64(64 - bits), hard).sum())
+
+
 class TestBucketedInversion:
-    """_categorical buckets the search when there are at least 4 draws per
-    item; on the words of the uniforms it must return what the binary search
-    returns at the uniforms, bit for bit."""
+    """_categorical buckets the search when the draws' binary searches would
+    cost more than the table; either way, on the words of the uniforms it
+    must return what the binary search returns at the uniforms, bit for bit."""
 
     @staticmethod
     def _assert_same(probs, u):
-        got, want = _categorical(probs, _words(u), "law"), _searched(probs, u)
-        assert got.dtype == want.dtype and _same_bits(got, want)
+        # the draws as given, and repeated to a count that is bucketed
+        for u in (u, np.resize(u, max(u.size, BUCKETED))):
+            got, want = _categorical(probs, _words(u), "law"), _searched(probs, u)
+            assert got.dtype == want.dtype and _same_bits(got, want)
+
+    @staticmethod
+    def _searches(monkeypatch, probs, w):
+        """The sizes of the np.searchsorted calls _categorical makes on the
+        words, whose draws must be the binary search's."""
+        searched = []
+        real = np.searchsorted
+
+        def counting(a, v, side="left", sorter=None):
+            searched.append(np.size(v))
+            return real(a, v, side=side, sorter=sorter)
+
+        monkeypatch.setattr(wslrr.datagen.np, "searchsorted", counting)
+        got = _categorical(probs, w, "law")
+        monkeypatch.undo()
+        assert _same_bits(got, _searched(probs, _uniforms(w)))
+        return searched
 
     @pytest.mark.parametrize("n_cat", [1, 2, 48, 10_000])
     def test_random_laws(self, n_cat):
@@ -101,8 +144,9 @@ class TestBucketedInversion:
         probs = philox_uniforms(12, n_cat, n_cat)
         self._assert_same(probs, u)
         # the raw words, whose low 11 bits the uniforms drop, give the same draws
-        w = philox_words(11, n_cat, 8 * n_cat + 1000)
-        assert _same_bits(_categorical(probs, w, "law"), _searched(probs, u))
+        w = philox_words(11, n_cat, 8 * n_cat + BUCKETED)
+        assert _bucketed(n_cat, w.size)
+        assert _same_bits(_categorical(probs, w, "law"), _searched(probs, _uniforms(w)))
 
     @pytest.mark.parametrize("n_cat", [2, 48, 10_000])
     def test_zero_mass_categories(self, n_cat):
@@ -113,35 +157,37 @@ class TestBucketedInversion:
         self._assert_same(probs, u)
 
     @staticmethod
-    def _edge_law(n_cat, seed):
-        """(bits, probs): dyadic masses on a grid twice as fine as the 2**bits
-        buckets, so every cumulative value is exact and about half of them lie
-        on bucket edges."""
-        bits = min((4 * n_cat - 1).bit_length(), wslrr.datagen.MAX_BUCKET_BITS)
+    def _edge_law(n_cat, seed, bits):
+        """Dyadic masses on a grid twice as fine as 2**bits buckets, so every
+        cumulative value is exact and about half of them lie on bucket edges."""
         cuts = _on_grid(philox_uniforms(seed, n_cat, n_cat - 1), bits + 1)
-        return bits, np.diff(np.concatenate([[0.0], np.sort(cuts), [1.0]]))  # zero masses where cuts coincide
+        return np.diff(np.concatenate([[0.0], np.sort(cuts), [1.0]]))  # zero masses where cuts coincide
 
     @pytest.mark.parametrize("n_cat", [2, 48, 10_000])
     def test_cumulative_values_on_bucket_edges(self, n_cat):
-        bits, probs = self._edge_law(n_cat, 15)
+        n = max(7 * n_cat, BUCKETED)
+        bits = _bucket_bits(n_cat, n)
+        probs = self._edge_law(n_cat, 15, bits)
         cum = np.cumsum(probs / probs.sum())
         on_edge = cum * 2.0 ** bits == np.floor(cum * 2.0 ** bits)
         assert probs.size == n_cat and on_edge.any() and (n_cat < 3 or not on_edge.all())
         # the uniforms hit the cuts, their neighbours on the 2**-53 grid, and random points
         hits = np.concatenate([cum, cum - 2.0 ** -53, cum + 2.0 ** -53,
                                philox_uniforms(16, n_cat, 4 * n_cat)])
-        self._assert_same(probs, np.clip(hits, 0.0, 1.0 - 2.0 ** -53))
+        self._assert_same(probs, np.resize(np.clip(hits, 0.0, 1.0 - 2.0 ** -53), n))
 
     @pytest.mark.parametrize("n_cat", [1, 2, 48, 10_000])
     def test_word_edges(self, n_cat):
-        # the words 0 and 2**64 - 1, every bucket's lower edge b << (64 - bits),
-        # and the word one below each edge, the last word of the bucket before
-        bits, probs = self._edge_law(n_cat, 21)
+        # the words 0 and 2**64 - 1, every bucket's lower edge b << (64 - bits), and the word
+        # one below each edge, the last word of the bucket before; random words fill the count
+        bits = _bucket_bits(n_cat, BUCKETED)
         edges = np.arange(2 ** bits, dtype=np.uint64) << np.uint64(64 - bits)
         w = np.concatenate([np.array([0, 2 ** 64 - 1], dtype=np.uint64), edges, edges[1:] - np.uint64(1)])
+        w = np.concatenate([w, philox_words(22, n_cat, max(0, BUCKETED - w.size))])
+        assert _bucket_bits(n_cat, w.size) == bits and _bucketed(n_cat, w.size)
+        probs = self._edge_law(n_cat, 21, bits)
         u = _uniforms(w)
         assert np.array_equal(w >> np.uint64(64 - bits), np.floor(u * 2.0 ** bits))  # the bucket is the floor
-        assert w.size >= 4 * n_cat  # bucketed
         got, want = _categorical(probs, w, "law"), _searched(probs, u)
         assert got.dtype == want.dtype and _same_bits(got, want)
 
@@ -161,42 +207,67 @@ class TestBucketedInversion:
         self._assert_same(probs, u)
         assert np.array_equal(_categorical(probs, _words(u), "tail")[:2], [9, 9])
 
+    def test_last_cumulative_value_above_one(self):
+        # seven masses of 0.1, normalised, sum to 1 + eps: the last scaled value lies past the table
+        probs = np.full(7, 0.1)
+        cum = np.cumsum(probs / probs.sum())
+        assert cum[-1] > 1.0
+        inner = _on_grid(cum[:-1], 53)  # the grid values at and below the inner cuts
+        u = np.concatenate([inner, inner - 2.0 ** -53, [0.0, 1.0 - 2.0 ** -53, 1.0 - 2.0 ** -52]])
+        self._assert_same(probs, u)
+        assert _categorical(probs, _words([1.0 - 2.0 ** -53]), "top")[0] == 6
+
     @pytest.mark.parametrize("n_cat", [1, 2, 48, 10_000])
-    def test_both_sides_of_the_draw_count_threshold(self, n_cat):
-        # below 4 draws per item every draw is searched, from 4 on they are bucketed
+    def test_both_sides_of_the_draw_count_threshold(self, n_cat, monkeypatch):
+        # one draw below the switch every draw is searched; from it on only those in buckets
+        # that hold a cumulative value strictly inside are
         probs = philox_uniforms(18, n_cat, n_cat)
-        for n in (4 * n_cat - 1, 4 * n_cat):
-            self._assert_same(probs, philox_uniforms(19, n, n))
+        n = next(n for n in range(1, BUCKETED + 1) if _bucketed(n_cat, n))
+        assert _bucketed(n_cat, 2 * n) and not _bucketed(n_cat, n - 1)
+        for count in (n - 1, n):
+            w = philox_words(19, count, count)
+            searched = self._searches(monkeypatch, probs, w)
+            assert searched == [count if count < n else _hard_draws(probs, w, _bucket_bits(n_cat, n))]
+
+    @pytest.mark.parametrize("n", [3_000, 30_000])
+    def test_pair_law_of_ten_thousand_cells(self, n, monkeypatch):
+        # a 100-instance pair law: 3 000 draws are searched, 30 000 bucketed into 2**16 buckets
+        p = philox_uniforms(23, 0, 100)
+        probs = np.outer(p, p).ravel()
+        w = philox_words(24, 0, n)
+        hard = n if n == 3_000 else _hard_draws(probs, w, 16)
+        assert self._searches(monkeypatch, probs, w) == [hard] and 0 < hard
+        assert n == 3_000 or hard < n // 4
 
     def test_searches_only_draws_in_buckets_that_hold_a_value(self, monkeypatch):
-        # 1000 draws: 1000 // 32 rounds up to 32 buckets
-        self._assert_no_draw_searched(monkeypatch, 1000, 32)
+        # 4 equal masses: every cumulative value lies on a bucket edge, so no bucket holds one
+        # inside; the table is built with no search, and no draw is searched
+        w = philox_words(20, 0, 3_000)
+        assert _bucketed(4, w.size)
+        assert self._searches(monkeypatch, np.full(4, 0.25), w) == [0]
 
-    # at least 4 buckets per item (16 here), about n / 32 in all, a power of two
-    @pytest.mark.parametrize("n, buckets", [(16, 16), (100, 16), (100_000, 4096)])
+    def _assert_bucket_count(self, monkeypatch, n_cat, n, buckets):
+        # a first mass of 1/buckets ends on bucket 0's upper edge, so no draw is searched; half of
+        # it ends inside bucket 0, whose draws (word 0 among them) alone are searched
+        assert _bucketed(n_cat, n)
+        w = philox_words(20, n_cat, n)
+        w[0] = 0
+        in_bucket_0 = int((w < 2 ** 64 // buckets).sum())
+        for a, hard in ((1.0 / buckets, 0), (0.5 / buckets, in_bucket_0)):
+            probs = np.zeros(n_cat)
+            probs[:2] = a, 1.0 - a
+            assert self._searches(monkeypatch, probs, w) == [hard]
+        assert 0 < in_bucket_0 < n // 32
+
+    # about n / 32 buckets in all, a power of two
+    @pytest.mark.parametrize("n, buckets", [(3_000, 128), (100_000, 4096)])
     def test_bucket_count_follows_the_draw_count(self, monkeypatch, n, buckets):
-        self._assert_no_draw_searched(monkeypatch, n, buckets)
+        self._assert_bucket_count(monkeypatch, 4, n, buckets)
 
-    @staticmethod
-    def _assert_no_draw_searched(monkeypatch, n, buckets):
-        # 4 equal masses: every cumulative value lies on a bucket edge, so no
-        # bucket holds one inside and no draw is searched
-        probs = np.full(4, 0.25)
-        u = philox_uniforms(20, 0, n)
-        w = _words(u)
-        searched = []
-        real = np.searchsorted
-
-        def counting(a, v, side="left", sorter=None):
-            searched.append(np.size(v))
-            return real(a, v, side=side, sorter=sorter)
-
-        monkeypatch.setattr(wslrr.datagen.np, "searchsorted", counting)
-        got = _categorical(probs, w, "law")
-        monkeypatch.undo()
-        # two searches build the table over the bucket edges; the third searches no draw
-        assert searched == [buckets, buckets, 0]
-        assert _same_bits(got, _searched(probs, u))
+    # at least 4 per item (4096 for 1 000 items), at most 2**16 (for 20 000 items)
+    @pytest.mark.parametrize("n_cat, buckets", [(1_000, 4096), (20_000, 2 ** 16)])
+    def test_bucket_count_follows_the_item_count(self, monkeypatch, n_cat, buckets):
+        self._assert_bucket_count(monkeypatch, n_cat, 6_000, buckets)
 
 
 M64 = 2 ** 64 - 1

@@ -134,9 +134,10 @@ def test_verify_all_layout(default_report):
     assert hashlib.sha256(json.dumps(layout).encode()).hexdigest() == VERIFY_ALL_LAYOUT
 
 
-# scenario -> sampled dataset digest at 20 draws per channel, below the 4
-# draws per item from which the inversion buckets its search: every draw is
-# converted to a uniform and searched (MCL's 4-item size law is bucketed)
+# scenario -> sampled dataset digest at 20 draws per channel, far below the
+# draw count from which the inversion buckets its search (its searches must
+# cost more than the table's 2**13 steps): every draw is converted to a
+# uniform and searched
 SMALL_GOLDEN = {
     "PU": "a40e6e3833da006f6db96c2f9c5177069978f1036e6faca3d2b4705ed2fc61fb",
     "Pconf": "4f48e29a04c3ffea0595f060def2354cd5cf3b8c3579f540722ecc72828f2799",
@@ -164,7 +165,7 @@ SMALL_COUNT = 20
 def test_sampled_dataset_hash_below_the_bucketing_switch(name):
     assert set(SMALL_GOLDEN) == set(GOLDEN)
     spec, j = _case(name)
-    assert SMALL_COUNT < 4 * j.n_x  # fewer draws than 4 per instance
+    assert SMALL_COUNT * 64 < 2 ** 13  # searched on any law: bit_length(items) <= 64
     ds = sample_weak_dataset(spec, j, SMALL_COUNT, seed=29)
     parts = []
     for c in ds.channels:

@@ -229,6 +229,19 @@ class TestSpecValidation:
         assert SCConf(y_s=np.int64(2)).y_s == 2 and type(SCConf(y_s=np.int64(2)).y_s) is int
         assert SubConf(Y_s=(np.int32(3), 1)).Y_s == (1, 3)
 
+    @pytest.mark.parametrize("cls, field, shape", [(CCN, "flip", (1, 2, 2)), (GCCN, "cond", (1, 2, 2)),
+                                                   (PPL, "C", (2, 3))])
+    def test_array_params_are_the_specs_own_read_only_copy(self, cls, field, shape):
+        a = np.full(shape, 0.5)
+        spec = cls(**{field: a})
+        held = getattr(spec, field)
+        assert held.dtype == np.float64 and not np.shares_memory(held, a)
+        a[(0,) * a.ndim] = 7.0  # the caller's later write does not reach the spec
+        assert np.array_equal(held, np.full(shape, 0.5))
+        with pytest.raises(ValueError):  # and the spec's array refuses one in place
+            held[(0,) * a.ndim] = 7.0
+        assert not getattr(cls(**{field: np.ones(shape, dtype=np.int64)}), field).flags.writeable
+
 
 class TestObservedDistribution:
     def test_pu_channels(self, toy_joint):

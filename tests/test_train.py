@@ -176,8 +176,8 @@ def _single_descent(W, ls, cfg, j, what):
             raise Diverged(f"initial {what} is {value}")
         trace = [value]
         for epoch in range(1, cfg.epochs + 1):
-            model.weights = model.weights - cfg.learning_rate * (dW + 2.0 * cfg.l2 * model.weights)
-            model.bias = model.bias - cfg.learning_rate * db
+            model = LinearModel(model.weights - cfg.learning_rate * (dW + 2.0 * cfg.l2 * model.weights),
+                                model.bias - cfg.learning_rate * db)
             if not (np.isfinite(model.weights).all() and np.isfinite(model.bias).all()):
                 raise Diverged(f"parameters became non-finite at epoch {epoch}")
             value, dW, db = _single_loss(W, model, ls, j)
