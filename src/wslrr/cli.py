@@ -18,10 +18,10 @@ import math
 import sys
 from pathlib import Path
 
-from .core import joint_from_json, marginals as compute_marginals, parse_json
+from .core import joint_from_json, parse_json
 from .datagen import dataset_from_json, dataset_to_json, sample_weak_dataset
 from .errors import Diverged, ValidationError, WslrrError
-from .scenarios import _scenario_from_object, scenario_from_json, validate_spec
+from .scenarios import _scenario_from_object, scenario_from_json
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -77,11 +77,10 @@ def cmd_verify(args) -> int:
     if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise ValidationError(f"--tol must be a finite number >= 0, got {args.tol!r}")
     joint = joint_from_json(Path(args.joint).read_text())
-    spec = _load_scenario(args.scenario, args.params)
-    validate_spec(spec, compute_marginals(joint))
+    inp = CheckInput(_load_scenario(args.scenario, args.params), joint, seeded_model(joint, args.seed, 0))
+    inp.system  # validates the spec on the joint once, raising before any check runs
     tol_matrix = args.tol if args.tol is not None else TOL_MATRIX
     tol_risk = args.tol if args.tol is not None else TOL_RISK
-    inp = CheckInput(spec, joint, seeded_model(joint, args.seed, 0))
     checks = [
         verify_formulation(inp, tol=tol_matrix, seed=args.seed),
         verify_reconstruction(inp, tol=tol_matrix, seed=args.seed),

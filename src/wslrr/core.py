@@ -38,13 +38,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class default_factory:
-    """A field default made afresh by ``make()`` for each record built without it."""
-
-    def __init__(self, make):
-        self.make = make
-
-
 def _values(r) -> tuple:
     return tuple(getattr(r, f) for f in r._fields)
 
@@ -83,12 +76,7 @@ def record(eq: bool = True):
         defaults = {f: cls.__dict__[f] for f in names if f in cls.__dict__}
         wide = len(names) > 1
         lines = ["d = self.__dict__"] if wide else []
-        for f in names:
-            v = f
-            if isinstance(defaults.get(f), default_factory):
-                v = f"_d_{f}.make() if {f} is _d_{f} else {f}"
-                delattr(cls, f)
-            lines.append(f"d[{f!r}] = {v}" if wide else f"_set(self, {f!r}, {v})")
+        lines += [f"d[{f!r}] = {f}" if wide else f"_set(self, {f!r}, {f})" for f in names]
         if hasattr(cls, "__post_init__"):
             lines.append("self.__post_init__()")
         if lines:  # else object.__init__, which refuses every argument

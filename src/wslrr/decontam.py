@@ -89,8 +89,7 @@ def _invert_stack(a: np.ndarray) -> np.ndarray:
     det_scaled = np.ones(n)
     rows = np.arange(n)
     for col in range(k):
-        # a swap with every pivot already on the diagonal, or an elimination
-        # in a column that is already zero off it, changes nothing: skip it
+        # a swap with every pivot already on the diagonal changes nothing: skip it
         pivot = col + np.argmax(np.abs(work[:, col:, col]), axis=1)
         swap = pivot != col
         if np.any(swap):
@@ -105,9 +104,8 @@ def _invert_stack(a: np.ndarray) -> np.ndarray:
         inv[:, col] /= p[:, None]
         f = work[:, :, col].copy()
         f[:, col] = 0.0
-        if np.any(f):
-            work -= f[:, :, None] * work[:, None, col]
-            inv -= f[:, :, None] * inv[:, None, col]
+        work -= f[:, :, None] * work[:, None, col]
+        inv -= f[:, :, None] * inv[:, None, col]
     if np.any(np.abs(det_scaled) <= SINGULAR_TOL):
         raise Singular(f"scaled determinant {np.min(np.abs(det_scaled)):.3e} below threshold")
     return inv

@@ -534,19 +534,17 @@ def _compound_str(members) -> str:
 # Validation
 # ---------------------------------------------------------------------------
 
-def validate_spec(spec: ScenarioSpec, m: Marginals, rewrite_preconditions: bool = True) -> None:
+def validate_spec(spec: ScenarioSpec, m: Marginals) -> None:
     """Check the scenario's parameter invariants against the marginals.
 
     The settings with ``offcenter_prior`` need the positive prior more than
-    PRIOR_GAP_TOL from 1/2.  ``rewrite_preconditions=False`` skips that
-    requirement; the pair laws themselves stay well defined at a prior of
-    exactly 1/2, only the rewrites divide by the prior gap.
+    PRIOR_GAP_TOL from 1/2, because their rewrites divide by the prior gap.
     Raises NotBinary, DegenerateParams, ShapeMismatch or KTooLarge.
     """
     K = m.K
     if spec.binary_only and K != 2:
         raise NotBinary(f"{spec.name} requires K=2, got K={K}")
-    if rewrite_preconditions and spec.offcenter_prior and abs(m.priors[0] - 0.5) <= PRIOR_GAP_TOL:
+    if spec.offcenter_prior and abs(m.priors[0] - 0.5) <= PRIOR_GAP_TOL:
         raise DegenerateParams(f"{spec.name} requires the positive prior more than {PRIOR_GAP_TOL:g} "
                                "from 1/2")
     spec.check(K, m.n_x)
@@ -735,11 +733,11 @@ def pair_distribution(spec: ScenarioSpec, j: FiniteJoint, channel: Optional[str]
 
     SU has the similar pair "S", DU the dissimilar pair "D", SD both (select
     with ``channel``), Pcomp the comparison pair "PC", Sconf the product "XX".
+    The pair laws need no prior gap, and the pair records carry no parameters.
     """
     if j.K != 2:
         raise NotBinary(f"pair distributions are defined for K=2, got K={j.K}")
     m = compute_marginals(j)
-    validate_spec(spec, m, rewrite_preconditions=False)
     if not spec.pair_channels:
         raise UnsupportedScenario(f"{spec.name} has no pair distribution")
     if channel is None:
@@ -790,17 +788,18 @@ def reduce_spec(child: ScenarioSpec, m: Marginals) -> Reduction:
     The child's parameters carry over where the edge depends on them (an
     MCD's rates are the UU rates, a PPL's weight table fixes GCCN's channel
     law, an MCL's size law fixes PPL's weights).  Raises NotAnEdge for a
-    root of the graph or a setting outside it.
+    root of the graph or a setting outside it, NotBinary for a binary-only
+    child on K != 2.
     """
     cname = child.name
     if cname not in _PARENT:
         raise NotAnEdge(f"{cname} is not the child of an edge of the reduction graph")
     pname = _PARENT[cname]
     K, n_x = m.K, m.n_x
+    if child.binary_only and K != 2:
+        raise NotBinary(f"{cname} requires K=2, got K={K}")
 
     if pname == "UU":
-        if K != 2:
-            raise NotBinary("the UU family is binary")
         if cname == "MCD":
             return Reduction({"gamma_p": child.gamma_p, "gamma_n": child.gamma_n},
                              parent=UU(gamma_1=child.gamma_p, gamma_2=child.gamma_n))
@@ -844,8 +843,6 @@ def reduce_spec(child: ScenarioSpec, m: Marginals) -> Reduction:
 
         return Reduction({"Y_s": "all classes (super-class probability 1)"}, parent_matrix=full_set_matrix)
     if cname == "Pconf":
-        if K != 2:
-            raise NotBinary("SCConf -> Pconf requires K=2")
         return Reduction({"y_s": 1}, parent=SCConf(y_s=1))
     raise NotAnEdge(f"{pname} -> {cname} has no reduction")
 

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import FiniteJoint, default_factory, marginals as compute_marginals, record, validate_joint
+from .core import FiniteJoint, marginals as compute_marginals, record, validate_joint
 from .datagen import datasets_equal, philox_uniforms, sample_weak_dataset, _keyed, _sample
 from .decontam import (
     METHOD_INVERSION,
@@ -306,11 +306,11 @@ class CheckInput:
     logistic loss table and exact risk on the joint, are made on first read
     inside the reading check, so an error fails each check reading them and
     is not kept.  ``exact`` is kept by joint in ``shared``, which the harness
-    passes to every input of one shape."""
+    passes to every input of one shape; without it, each read computes it."""
     spec: ScenarioSpec
     j: FiniteJoint
     model: LinearModel
-    shared: dict = default_factory(dict)
+    shared: dict | None = None
 
     @cached_property
     def system(self) -> _System:
@@ -318,7 +318,7 @@ class CheckInput:
 
     @property
     def exact(self) -> tuple:
-        return _memo(self.shared, self.j, lambda: _exact_risk(self.model, self.j))
+        return _memo({} if self.shared is None else self.shared, self.j, lambda: _exact_risk(self.model, self.j))
 
 
 # ---------------------------------------------------------------------------
@@ -372,21 +372,13 @@ def verify_reconstruction(inp: CheckInput, tol: float = TOL_MATRIX, method: str 
     return _guarded(f"reconstruction[{resolved}]", inp.spec.name, {}, tol, seed, body)
 
 
-def verify_risk_equality(inp: CheckInput, tol: float = TOL_RISK, flip_sign: bool = False,
-                         seed: int = 0) -> CheckReport:
+def verify_risk_equality(inp: CheckInput, tol: float = TOL_RISK, seed: int = 0) -> CheckReport:
     """|rewritten risk - exact risk| of the input's model under the logistic
-    loss, by the scenario's default method.
-
-    ``flip_sign`` is the mutation hook: it negates class 1's column of the
-    rewrite table, which must break the equality (used to prove the harness
-    can fail)."""
+    loss, by the scenario's default method."""
 
     def body():
         losses, exact = inp.exact
-        table = _rewrite_table(inp.system)
-        if flip_sign:
-            table[:, 0] = -table[:, 0]
-        return abs(float((table * losses).sum()) - exact)
+        return abs(float((_rewrite_table(inp.system) * losses).sum()) - exact)
 
     return _guarded("risk-equality", inp.spec.name, {"loss": _LOGISTIC.name}, tol, seed, body)
 

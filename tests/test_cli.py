@@ -42,6 +42,12 @@ class TestVerifyCommand:
         assert code == 2
         assert "DegenerateParams" in capsys.readouterr().err
 
+    def test_rates_outside_the_unit_interval_exit_2(self, joint_file, capsys):
+        # validated once, before any check runs, so exit 2 and not a failed check
+        assert main(["verify", "--joint", str(joint_file), "--scenario", "MCD",
+                     "--params", '{"gamma_p": 1.5, "gamma_n": 0.1}']) == 2
+        assert "DegenerateParams: MCD mixing rates must lie in [0, 1]" in capsys.readouterr().err
+
     def test_unknown_scenario_exit_2(self, joint_file, capsys):
         assert main(["verify", "--joint", str(joint_file), "--scenario", "NoSuch"]) == 2
         assert "NoSuch" in capsys.readouterr().err
@@ -375,6 +381,15 @@ class TestMalformedInputs:
         ds_path, _ = self._dataset(j4, tmp_path, "CL")
         assert self._train(ds_path, joint_file) == 2
         assert "SpecMismatch" in capsys.readouterr().err
+
+    def test_confidences_of_another_class_count(self, tmp_path, capsys):
+        # Soft's one channel "X" is named alike at every K, so its rows' width is what differs
+        j3, j4 = tmp_path / "j3.json", tmp_path / "j4.json"
+        j3.write_text(joint_to_json(scenario_joint("Soft", 3, 5, 3, 7, 0)))
+        j4.write_text(joint_to_json(scenario_joint("Soft", 4, 5, 3, 7, 0)))
+        ds_path, _ = self._dataset(j3, tmp_path, "Soft")
+        assert self._train(ds_path, j4) == 2
+        assert "ShapeMismatch: channel 'X' has 3 confidences per draw, not K=4" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flip", [[[["0.9", "0.2"], ["0.1", "0.8"]]] * 5,
                                       [[[True, False], [False, True]]] * 5])

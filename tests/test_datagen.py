@@ -1152,6 +1152,27 @@ def test_carved_and_generic_reads_weigh_alike(name):
     assert np.all(np.abs(W_c - W_g) <= 1e-12 * np.abs(W_g))
 
 
+def test_datasets_equal_keys_many_code_pairs_by_a_sort(monkeypatch):
+    """3 000 Sconf draws on a 10^4-cell pair law: the carved read codes each
+    distinct pair, the generic read each draw, so ``datasets_equal`` keys the
+    draws over millions of code pairs, which ``_keyed`` ranks by a sort."""
+    j = scenario_joint("Pcomp", 2, 100, 3, 7, 0)  # Sconf's own gate admits no 100-instance joint
+    text = dataset_to_json(sample_weak_dataset(Sconf(), j, 3000, seed=3))
+    carved, generic = _read_carved(text), _read_generic(text)
+    real, sizes = wslrr.datagen._keyed, []
+    monkeypatch.setattr(wslrr.datagen, "_keyed", lambda key, size: sizes.append(size) or real(key, size))
+    assert datasets_equal(carved, generic) and datasets_equal(generic, carved)
+    assert len(sizes) == 2 and min(sizes) >= max(2 * 3000, 2 ** 16)
+
+    def moved(conf):  # one draw's confidence one ulp up
+        conf = conf.copy()
+        conf.flat[1234] = np.nextafter(conf.flat[1234], np.inf)
+        return conf
+
+    nudged = _rebuilt(generic, moved)
+    assert not datasets_equal(carved, nudged) and not datasets_equal(nudged, carved)
+
+
 def test_reading_confidences_leaves_the_channel_keyed():
     """Soft at 100k draws holds its instances and the (n_x, K) table, not an
     (n, K) copy: less than half of one in the traced memory kept, and less

@@ -307,6 +307,13 @@ class TestDecontaminateDispatch:
         with pytest.raises(WrongFamily):
             decontaminate(PU(), binary_joint, method=METHOD_MARGINAL_CHAIN)
 
+    @pytest.mark.parametrize("spec, method, match", [(Sconf(), METHOD_INVERSION, "use sconf-special"),
+                                                     (PU(), "no-such", "unknown decontamination method")])
+    def test_inversion_of_sconf_and_an_unknown_method(self, spec, method, match):
+        j = scenario_joint(spec.name, 2, 5, 3, 7, 0)
+        with pytest.raises(WrongFamily, match=match):
+            decontaminate(spec, j, method=method)
+
     @pytest.mark.parametrize("K", [2, 3, 4, 6])
     def test_cl_blockwise_is_the_size_one_block(self, K):
         # the MCL -> CL edge: CL keeps only the excluded sets of size 1

@@ -125,12 +125,14 @@ def test_post_init_still_runs():
         TrainConfig(float("nan"), 5)
 
 
-def test_defaults_and_the_default_factory():
+def test_defaults_and_the_shared_exact_table():
     assert TrainConfig(0.2, 10) == TrainConfig(0.2, 10, 0, 0.0)
     assert ContaminationModel(("P",)).matrix is None
-    a, b = CheckInput(PU(), JOINT, MODEL), CheckInput(PU(), JOINT, MODEL)
-    assert a.shared == {} and a.shared is not b.shared
+    a = CheckInput(PU(), JOINT, MODEL)
+    assert a.shared is None and a.exact[1] == a.exact[1] and a.exact[0] is not a.exact[0]  # computed on read
     shared = {}
+    b = CheckInput(PU(), JOINT, MODEL, shared)
+    assert b.exact[0] is b.exact[0] and shared[JOINT] is b.exact  # kept by joint
     assert CheckInput(PU(), JOINT, MODEL, shared).shared is shared
     assert CheckInput(PU(), JOINT, MODEL, shared=shared).shared is shared
 

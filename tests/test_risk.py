@@ -26,6 +26,7 @@ from wslrr.errors import (
     NonFiniteConfidence,
     NonFiniteScore,
     NonSquare,
+    ShapeMismatch,
     SpecMismatch,
     UnsupportedScenario,
     ValidationError,
@@ -42,6 +43,7 @@ from wslrr.risk import (
     rewrite_table,
     rewritten_risk,
     score_matrix,
+    weight_table,
     weighted_loss,
     _loss_parts,
     _loss_table,
@@ -70,6 +72,7 @@ from wslrr.train import LinearModel, init_model
 from wslrr.verify import (
     ABSTRACT_SCENARIO_NAMES,
     ALL_SCENARIO_NAMES,
+    TOL_MATRIX,
     make_spec,
     random_joint,
     scenario_joint,
@@ -426,6 +429,18 @@ class TestClosedForms:
             generic = lam[:, i] @ dr.matrices[i]
             assert np.max(np.abs(closed - generic)) <= 1e-12
 
+    @pytest.mark.parametrize("trial", [0, 1, 2])
+    @pytest.mark.parametrize("K", [2, 3, 4, 5])
+    def test_mcl_matches_the_blockwise_inverse(self, K, trial):
+        # the harness's closed-form tasks leave CL and MCL out, so only this reaches MCL's branch
+        j = scenario_joint("MCL", K, 5, 3, 7, trial)
+        spec = make_spec("MCL", j, 7, trial)
+        lam = loss_matrix(LOGISTIC, seeded_model(j, 7, trial), j)
+        dr = decontaminate(spec, j, METHOD_MCL_BLOCKWISE)
+        for i in range(j.n_x):
+            closed = closed_form_corrected_loss(spec, marginals(j), i, lam[:, i])
+            assert np.max(np.abs(closed - lam[:, i] @ dr.matrices[i])) <= TOL_MATRIX
+
     def test_no_closed_form_for_gccn(self, multi_joint):
         spec = make_spec("GCCN", multi_joint, 1, 0)
         with pytest.raises(UnsupportedScenario):
@@ -445,6 +460,16 @@ class TestEmpiricalRisk:
         model = seeded_model(binary_joint, 4, 0)
         with pytest.raises(EmptyChannel):
             empirical_risk(ds, PU(), model, LOGISTIC, binary_joint)
+
+    def test_label_stream_of_no_draws(self, multi_joint):
+        ds = sample_weak_dataset(CL(), multi_joint, 0, seed=1)
+        with pytest.raises(EmptyChannel, match="no draws in any label channel"):
+            weight_table(ds, CL(), multi_joint)
+
+    def test_confidences_of_another_class_count(self):
+        ds = sample_weak_dataset(Soft(), scenario_joint("Soft", 3, 5, 3, 7, 0), 50, seed=1)
+        with pytest.raises(ShapeMismatch, match="3 confidences per draw, not K=4"):
+            channel_terms(ds, Soft(), scenario_joint("Soft", 4, 5, 3, 7, 0))
 
     def test_cl_estimator_shape(self, multi_joint):
         # mean over draws of (sum of losses minus (K-1) times the excluded loss)

@@ -12,6 +12,7 @@ from wslrr.errors import (
     NotAnEdge,
     NotBinary,
     SchemaMismatch,
+    ShapeMismatch,
     ValidationError,
 )
 from wslrr.scenarios import (
@@ -185,6 +186,25 @@ class TestSpecValidation:
     def test_subconf_strict_subset(self, multi_joint):
         with pytest.raises(DegenerateParams):
             validate_spec(SubConf(Y_s=(1, 2, 3, 4)), marginals(multi_joint))
+
+    # each record's own checks, one row per branch: (K, spec, error, message);
+    # the K = 2 joint has 5 instances, the K = 4 joint 6
+    @pytest.mark.parametrize("K, make, error, match", [
+        (2, lambda: MCD(1.5, 0.1), DegenerateParams, "MCD mixing rates must lie in"),
+        (2, lambda: MCD(0.6, 0.5), DegenerateParams, r"gamma_p \+ gamma_n < 1"),
+        (2, lambda: UU(1.5, 0.1), DegenerateParams, "UU mixing rates must lie in"),
+        (2, lambda: CCN(np.full((1, 2, 2), 0.5)), ShapeMismatch, r"CCN flip tensor must be \(5, 2, 2\)"),
+        (4, lambda: GCCN(np.full((6, 2, 4), 0.5)), ShapeMismatch, r"GCCN cond tensor must be \(6, 14, 4\)"),
+        (4, lambda: PPL(np.full((14, 1), 0.5)), ShapeMismatch, r"PPL weight table must be \(14, 6\)"),
+        (4, lambda: MCL((0.5, 0.5)), ShapeMismatch, "K-1=3 entries"),
+        (4, lambda: SubConf(()), DegenerateParams, "must be nonempty"),
+        (4, lambda: SubConf((1, 9)), ShapeMismatch, "not a set of classes"),
+        (4, lambda: SubConf((1, 1)), ShapeMismatch, "not a set of classes"),
+        (4, lambda: SCConf(9), ShapeMismatch, "outside 1..4"),
+    ])
+    def test_record_checks_raise_their_typed_error(self, K, make, error, match, binary_joint, multi_joint):
+        with pytest.raises(error, match=match):
+            validate_spec(make(), marginals(binary_joint if K == 2 else multi_joint))
 
     @pytest.mark.parametrize("make", [
         lambda: UU(gamma_1="0.1", gamma_2=0.2),
@@ -366,6 +386,11 @@ class TestReduce:
         for spec in (UU(gamma_1=0.2, gamma_2=0.3), Sconf()):
             with pytest.raises(NotAnEdge):
                 reduce_spec(spec, marginals(toy_joint))
+
+    def test_binary_only_child_on_more_classes(self, multi_joint):
+        # CCN -> GCCN needs the 2x2 flips, so a K = 4 joint is refused, not reduced
+        with pytest.raises(NotBinary, match="CCN requires K=2, got K=4"):
+            reduce_spec(CCN(np.full((6, 2, 2), 0.5)), marginals(multi_joint))
 
     def test_uu_to_mcd_carries_the_rates_over(self, toy_joint):
         red = reduce_spec(MCD(gamma_p=0.2, gamma_n=0.3), marginals(toy_joint))

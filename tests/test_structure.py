@@ -40,7 +40,7 @@ from wslrr.scenarios import SCENARIO_TYPES
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "wslrr"
 LADDERS = {"closed_form_corrected_loss", "reduce_spec"}
-MAX_DISPATCH_SITES = 10
+MAX_DISPATCH_SITES = 0
 MAX_NAME_RUNGS = 0
 MAX_TOL_PARAMETERS = 3  # verify_formulation, verify_reconstruction and verify_risk_equality
 INSTANCE_PARAMS = {"i", "i2"}

@@ -126,17 +126,32 @@ class TestChecks:
         assert not rep.passed
         assert "DegenerateParams" in rep.params["error"]
 
-    def test_mutation_flips_the_verdict(self, binary_joint):
+    @staticmethod
+    def _flip_class_1(monkeypatch):
+        """The mutation: negate class 1's column of every rewrite table, which
+        must break the risk equality (the harness can fail)."""
+        real = wslrr.verify._rewrite_table
+
+        def flipped(*args):
+            table = real(*args).copy()
+            table[:, 0] = -table[:, 0]
+            return table
+
+        monkeypatch.setattr(wslrr.verify, "_rewrite_table", flipped)
+
+    def test_mutation_flips_the_verdict(self, binary_joint, monkeypatch):
         inp = CheckInput(make_spec("UU", binary_joint, 1, 0), binary_joint, seeded_model(binary_joint, 1, 0))
         ok = verify_risk_equality(inp, seed=1)
-        bad = verify_risk_equality(inp, flip_sign=True, seed=1)
+        self._flip_class_1(monkeypatch)
+        bad = verify_risk_equality(inp, seed=1)
         assert ok.passed and not bad.passed
 
-    def test_mutation_caught_for_every_family(self):
+    def test_mutation_caught_for_every_family(self, monkeypatch):
+        self._flip_class_1(monkeypatch)
         for name in ("PU", "CL", "Soft", "Sconf"):
             j = scenario_joint(name, 4, 5, 3, seed=2, trial=0)
             inp = CheckInput(make_spec(name, j, 2, 0), j, seeded_model(j, 2, 0))
-            assert not verify_risk_equality(inp, flip_sign=True).passed
+            assert not verify_risk_equality(inp).passed
 
     def test_checks_are_deterministic(self, binary_joint):
         spec = make_spec("SU", binary_joint, 4, 0)
