@@ -4,7 +4,8 @@ The whole package works over a ground truth P(Y=k, x_i) on a finite instance
 set, so every expectation is an exact finite sum and every identity can be
 checked to float64 accuracy.  Values are immutable after construction: a
 joint owns read-only copies of its arrays, and its marginals are computed
-once, on first use, and kept on the joint.
+once, on first use, and kept on the joint, as is the validated
+contamination system of the last spec a public kernel read it with.
 
 Every record of the package, here and in the other modules, is a
 :func:`record` class rather than a stdlib dataclass: at import, which every
@@ -32,9 +33,11 @@ from .errors import (
 NORMALIZATION_TOL = 1e-12
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """``a`` made read-only in place; callers pass arrays they own."""
-    a.setflags(write=False)
+def _frozen(a: np.ndarray | None) -> np.ndarray | None:
+    """``a`` made read-only in place, so its readers can share it (None stays
+    None); callers pass arrays they own."""
+    if a is not None:
+        a.setflags(write=False)
     return a
 
 
@@ -100,7 +103,9 @@ class FiniteJoint:
     ``joint[k, i] = P(Y=k+1, x_i)``; ``features[i]`` is the real vector of
     instance i.  Construct through :func:`validate_joint`, which enforces the
     invariants (nonnegative entries, total mass one, positive instance mass)
-    and gives the joint its own read-only arrays.
+    and gives the joint its own read-only arrays.  The joint keeps its
+    marginals and, in one slot, the system of its last spec
+    (``scenarios._system``).
     """
 
     K: int

@@ -49,6 +49,7 @@ from .scenarios import (
     _sconf_confidences,
     _spec_object,
     _superclass_probability,
+    _system,
 )
 
 POINTS = "points"
@@ -295,9 +296,9 @@ def sample_weak_dataset(spec: ScenarioSpec, j: FiniteJoint, n: Union[int, dict],
     from the exact pair law, label channels sample (compound label, x)
     jointly, and confidence channels code each draw into the oracle class
     probabilities (by instance) or pair confidences (by flat pair code).
-    The spec is validated once, and every channel reads the one system.
+    Every channel reads the one validated system the joint keeps for ``spec``.
     """
-    return _sample(_System(spec, j), n, seed)
+    return _sample(_system(spec, j), n, seed)
 
 
 def _sample(system: _System, n: Union[int, dict], seed: int) -> WeakDataset:

@@ -13,13 +13,14 @@ constructions are implemented:
 * ``conf-diagonal``: diag(r_k(x) / r_sel(x)) for the confidence family;
 * ``sconf-special``: the per-pair diagonal built from the pair confidence.
 
-:func:`decontaminate`, the one entry point, validates the spec and builds
-every D(x) in one numpy pass; D(x_i) is its ``matrices[i]``.  Both diagonals
-are kernels of the confidences (:func:`_sconf_weights`, :func:`_conf_weights`)
-that ``risk.channel_terms`` also evaluates at a dataset's stored confidences.
+:func:`decontaminate`, the one entry point, reads the system the joint keeps
+for the spec and builds every D(x) in one numpy pass, once per method;
+D(x_i) is its ``matrices[i]``.  Both diagonals are kernels of the
+confidences (:func:`_sconf_weights`, :func:`_conf_weights`) that
+``risk.channel_terms`` also evaluates at a dataset's stored confidences.
 Square systems are inverted by the 2x2 closed form or by Gauss-Jordan with
-per-instance partial pivots, never a library call, so runs are repeatable;
-diagonal systems (the confidence family's) are inverted entrywise.
+partial pivots, one matrix at a time, never a library call, so runs are
+repeatable; diagonal systems (the confidence family's) are inverted entrywise.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import FiniteJoint, record
+from .core import FiniteJoint, _frozen, record
 from .errors import BadSize, NonSquare, Singular, WrongFamily, ZeroConfidence
 from .scenarios import (
     FAMILY_CCN,
@@ -43,11 +44,11 @@ from .scenarios import (
     ScenarioSpec,
     _System,
     _diagonal_stack,
-    _frozen,
     _member_mask,
     _sconf_confidences,
     _sconf_denominators,
     _superclass_probability,
+    _system,
     _transform_diagonal,
 )
 
@@ -68,7 +69,7 @@ class DecontaminationResult:
 
 def _invert_stack(a: np.ndarray) -> np.ndarray:
     """Inverse of every matrix in the (n, k, k) stack ``a``: the 2x2 closed form, or
-    Gauss-Jordan on the row-scaled system with each instance's own partial pivots.
+    Gauss-Jordan with partial pivots on each row-scaled matrix in turn.
     Raises NonSquare for non-square systems, Singular when a row-scaled
     determinant or pivot is below SINGULAR_TOL."""
     n, k = a.shape[0], a.shape[1]
@@ -84,30 +85,26 @@ def _invert_stack(a: np.ndarray) -> np.ndarray:
         det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
         adj = np.stack([a[:, 1, 1], -a[:, 0, 1], -a[:, 1, 0], a[:, 0, 0]], axis=1)
         return adj.reshape(n, 2, 2) / det[:, None, None]
-    work = a / scale[:, :, None]
     inv = np.eye(k) / scale[:, :, None]
-    det_scaled = np.ones(n)
-    rows = np.arange(n)
-    for col in range(k):
-        # a swap with every pivot already on the diagonal changes nothing: skip it
-        pivot = col + np.argmax(np.abs(work[:, col:, col]), axis=1)
-        swap = pivot != col
-        if np.any(swap):
-            for arr in (work, inv):
-                arr[rows, col], arr[rows, pivot] = arr[rows, pivot], arr[rows, col]
-            det_scaled = np.where(swap, -det_scaled, det_scaled)
-        p = work[rows, col, col]
-        det_scaled *= p
-        if np.any(np.abs(p) <= SINGULAR_TOL):
-            raise Singular(f"pivot {np.min(np.abs(p)):.3e} below threshold at column {col}")
-        work[:, col] /= p[:, None]
-        inv[:, col] /= p[:, None]
-        f = work[:, :, col].copy()
-        f[:, col] = 0.0
-        work -= f[:, :, None] * work[:, None, col]
-        inv -= f[:, :, None] * inv[:, None, col]
-    if np.any(np.abs(det_scaled) <= SINGULAR_TOL):
-        raise Singular(f"scaled determinant {np.min(np.abs(det_scaled)):.3e} below threshold")
+    for work, out in zip(a / scale[:, :, None], inv):  # in place, one matrix at a time
+        det_scaled = 1.0
+        for col in range(k):
+            pivot = col + int(np.argmax(np.abs(work[col:, col])))
+            if pivot != col:  # a pivot already on the diagonal needs no swap
+                work[[col, pivot]], out[[col, pivot]] = work[[pivot, col]], out[[pivot, col]]
+                det_scaled = -det_scaled
+            p = work[col, col]
+            det_scaled *= p
+            if abs(p) <= SINGULAR_TOL:
+                raise Singular(f"pivot {abs(p):.3e} below threshold at column {col}")
+            work[col] /= p
+            out[col] /= p
+            f = work[:, col].copy()
+            f[col] = 0.0
+            work -= f[:, None] * work[col]
+            out -= f[:, None] * out[col]
+        if abs(det_scaled) <= SINGULAR_TOL:
+            raise Singular(f"scaled determinant {abs(det_scaled):.3e} below threshold")
     return inv
 
 
@@ -178,8 +175,9 @@ def decontaminate(spec: ScenarioSpec, j: FiniteJoint, method: str = "auto") -> D
 
     ``method`` is "inversion", "marginal-chain", "mcl-blockwise",
     "conf-diagonal", "sconf-special" or "auto" (the record's default method).
+    The result is kept, read-only, on the system the joint keeps for ``spec``.
     """
-    return _decontaminate(_System(spec, j), method)
+    return _decontaminate(_system(spec, j), method)
 
 
 def _decontaminate(s: _System, method: str) -> DecontaminationResult:

@@ -61,6 +61,7 @@ from .scenarios import (
     _System,
     _sconf_confidences,
     _superclass_probability,
+    _system,
 )
 
 LOSS_NAMES = ("zero-one", "logistic", "squared")
@@ -175,16 +176,16 @@ def classification_risk(j: FiniteJoint, model, ls: LossSpec) -> float:
 
 def rewrite_table(spec: ScenarioSpec, j: FiniteJoint, method: str = "auto") -> np.ndarray:
     """The (n_x, K) table D(x_i) . observed(x_i) of the rewrite, which equals
-    joint.T whenever decontamination by ``method`` succeeded.  The spec is
-    validated and M(x) built once, for both the decontamination and the
-    observed masses.
+    joint.T whenever decontamination by ``method`` succeeded.  It reads the
+    system the joint keeps for ``spec``, so the spec is validated, and M(x),
+    the observed masses and each method's D(x) are built, once per joint.
 
     Sconf's only method is sconf-special; any other raises WrongFamily.  Its
     pair law p(x) p(x') is a product and the pair diagonal is affine in the
     confidence, so the sum over the partner is p(x) times the diagonal at the
     partner-averaged confidence r(x) = pi_p P(+|x) + pi_n P(-|x): one row per
     instance, never a pair object."""
-    return _rewrite_table(_System(spec, j), method)
+    return _rewrite_table(_system(spec, j), method)
 
 
 def _rewrite_table(s: _System, method: str = "auto") -> np.ndarray:
@@ -333,7 +334,7 @@ def channel_terms(ds, spec: ScenarioSpec, j: FiniteJoint) -> list:
     """
     if not specs_equal(ds.spec, spec):
         raise SpecMismatch(f"dataset was generated for {ds.spec.name}, not {spec.name}")
-    return _channel_terms(ds, _System(spec, j))
+    return _channel_terms(ds, _system(spec, j))
 
 
 def _channel_terms(ds, s: _System) -> list:

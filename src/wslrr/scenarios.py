@@ -29,10 +29,10 @@ A matrix M that is the same at every x is built once and copied out to
 the (n_x, ...) stack.  Sconf is pair-shaped and kept out of the generic
 pipeline; its structures live in the ``pair_*`` fields of
 :class:`ContaminationModel`, built from outer products.  Every kernel is
-batched over the whole instance axis with the spec validated once per
-call: M(x_i) is ``observed_distribution(spec, j).matrix[i]``, M_trsf is
-its ``transform``, one (b, K) matrix for every instance, and no array
-aliases a record's own.
+batched over the whole instance axis and reads the spec's validated system,
+which the joint keeps for its last spec: M(x_i) is
+``observed_distribution(spec, j).matrix[i]``, M_trsf is its ``transform``,
+one (b, K) matrix for every instance, and no array aliases a record's own.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from typing import Callable, ClassVar, Optional, Union
 
 import numpy as np
 
-from .core import FiniteJoint, Marginals, marginals as compute_marginals, parse_json, record
+from .core import FiniteJoint, Marginals, _frozen, marginals as compute_marginals, parse_json, record
 from .errors import (
     DegenerateParams,
     KTooLarge,
@@ -519,13 +519,6 @@ def _member_mask(K: int) -> np.ndarray:
     return _frozen(np.array([[float(c in s) for c in range(1, K + 1)] for s in compound_label_space(K)]))
 
 
-def _frozen(a: Optional[np.ndarray]) -> Optional[np.ndarray]:
-    """``a``, made read-only, so its readers can share it (None stays None)."""
-    if a is not None:
-        a.setflags(write=False)
-    return a
-
-
 def _compound_str(members) -> str:
     return ",".join(str(c) for c in members)
 
@@ -562,8 +555,7 @@ def _check_column_stochastic(tensor: np.ndarray, what: str) -> None:
 
 # ---------------------------------------------------------------------------
 # Matrix kernels, batched over the instance axis: each stacks one matrix per
-# instance on axis 0 and leaves validation to its caller, which runs
-# validate_spec once per call.
+# instance on axis 0 and leaves validation to its caller's _System.
 # ---------------------------------------------------------------------------
 
 def _superclass_probability(spec: ScenarioSpec, r: np.ndarray) -> np.ndarray:
@@ -675,7 +667,8 @@ class _System:
     its first read and read-only, the contamination ``tensor`` M(x_i) at every
     instance, the ``observed`` channel masses and, by ``decontam._decontaminate``,
     one ``decontaminated`` result per method.  The harness shares one system
-    per input among all its checks; each public kernel builds one per call."""
+    per input among all its checks; the public kernels read the one that
+    :func:`_system` keeps on the joint."""
 
     def __init__(self, spec: ScenarioSpec, j: FiniteJoint):
         self.spec, self.j = spec, j
@@ -698,6 +691,16 @@ class _System:
         return _frozen(out)
 
 
+def _system(spec: ScenarioSpec, j: FiniteJoint) -> _System:
+    """The system the joint keeps when its spec is ``spec`` itself, else a new
+    one that takes its one slot.  Specs and joints own read-only arrays, so
+    identity stands for their values; an invalid spec raises and keeps none."""
+    s = j.__dict__.get("_system")
+    if s is None or s.spec is not spec:
+        s = j.__dict__["_system"] = _System(spec, j)
+    return s
+
+
 def _contamination_model(s: _System) -> ContaminationModel:
     spec, j, m = s.spec, s.j, s.m
     labels = spec.labels(j.K)
@@ -711,7 +714,7 @@ def _contamination_model(s: _System) -> ContaminationModel:
 
 def observed_distribution(spec: ScenarioSpec, j: FiniteJoint) -> ContaminationModel:
     """Instantiate the full contamination model of ``spec`` on ``j``."""
-    return _contamination_model(_System(spec, j))
+    return _contamination_model(_system(spec, j))
 
 
 def _pair_law(m: Marginals, channel: str) -> np.ndarray:

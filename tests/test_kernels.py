@@ -5,8 +5,9 @@ tests compare instance i of each batch with the paper's formulas typed in
 below and evaluated one instance at a time with plain numpy (a per-instance
 Gauss-Jordan loop and a 2x2 adjugate for the inversions), check that every
 decontamination still reconstructs the joint, that the typed errors are
-unchanged, and that validation runs a constant number of times per call
-whatever the instance count.  The kernels that use the structure of their
+unchanged, that validation runs a constant number of times per call
+whatever the instance count, and that the system a joint keeps for its last
+spec gives, bit for bit, what a fresh joint gives.  The kernels that use the structure of their
 matrices (the diagonal M_trsf, Sconf's product pair law, steps of
 Gauss-Jordan with nothing to do) are also compared with the dense formulas
 they replace, typed in below: bit for bit where the arithmetic is the same.
@@ -21,10 +22,19 @@ import pytest
 import wslrr.decontam
 import wslrr.scenarios
 from wslrr.core import marginals, validate_joint
+from wslrr.datagen import dataset_to_json, sample_weak_dataset
 from wslrr.decontam import _invert_stack, decontaminate
-from wslrr.errors import DegenerateParams, NonSquare, Singular, ZeroConfidence, ZeroPairMass
-from wslrr.risk import LOSS_NAMES, LossSpec, classification_risk, loss_matrix, rewrite_table, rewritten_risk
-from wslrr.scenarios import CCN, MCL, SCConf, Sconf, Soft, observed_distribution
+from wslrr.errors import DegenerateParams, NonSquare, NotBinary, Singular, ZeroConfidence, ZeroPairMass
+from wslrr.risk import (
+    LOSS_NAMES,
+    LossSpec,
+    classification_risk,
+    loss_matrix,
+    rewrite_table,
+    rewritten_risk,
+    weight_table,
+)
+from wslrr.scenarios import CCN, CL, MCL, PCPL, PU, SCConf, Sconf, Soft, observed_distribution, specs_equal
 from wslrr.verify import (
     ABSTRACT_SCENARIO_NAMES,
     ALL_SCENARIO_NAMES,
@@ -486,3 +496,112 @@ def test_marginal_chain_zero_mass_channels_match():
         got = decontaminate(spec, j, "marginal-chain").matrices
         assert np.array_equal(got, _summed_marginal_chain(mats, j))
         assert np.any(np.all(got == 0.0, axis=1))
+
+
+# ---------------------------------------------------------------------------
+# The system a joint keeps for its last spec
+# ---------------------------------------------------------------------------
+
+def _kernel_outputs(spec, j, methods):
+    """What every public kernel that reads the spec's system on ``j`` returns,
+    by name: the contamination model's arrays, D(x) by each of ``methods``,
+    the rewritten risk of every loss, a sample (as its JSON bytes) and the
+    sample's weight table."""
+    cm = observed_distribution(spec, j)
+    out = {f"observed.{f}": getattr(cm, f) for f in ("matrix", "transform", "observed",
+                                                     "pair_matrix", "pair_confidence")}
+    out["observed.pair"] = None if cm.pair is None else cm.pair.matrix
+    for method in methods:
+        dr = decontaminate(spec, j, method)
+        out[f"{method}.matrices"], out[f"{method}.pair_matrices"] = dr.matrices, dr.pair_matrices
+    model = seeded_model(j, 5, 0)
+    for loss in LOSS_NAMES:
+        out[f"risk.{loss}"] = np.float64(rewritten_risk(spec, j, model, LossSpec(loss)))
+    ds = sample_weak_dataset(spec, j, 40, seed=1)
+    out["sample"] = np.frombuffer(dataset_to_json(ds).encode(), np.uint8)
+    out["weight_table"] = weight_table(ds, spec, j)
+    return out
+
+
+def _same_bits(a, b):
+    if a is None or b is None:
+        return a is b
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _fresh(j):
+    """The same joint as a new object, which keeps no system yet."""
+    return validate_joint(j.K, j.features, j.joint)
+
+
+def _other_spec(name):
+    """A setting valid on every joint of the scenarios' generator, other than ``name``."""
+    return PCPL() if name == "CL" else CL()
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_every_public_kernel_validates_a_spec_once_per_joint(name, monkeypatch):
+    spec, j = _case(name, 5)
+    j, methods = _fresh(j), _methods(name)
+    validated, real = [], wslrr.scenarios.validate_spec
+    monkeypatch.setattr(wslrr.scenarios, "validate_spec", lambda *a: validated.append(1) or real(*a))
+    _kernel_outputs(spec, j, methods)
+    decontaminate(spec, j)
+    assert len(validated) == 1
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_kept_systems_give_what_fresh_joints_give(name):
+    """A -> B -> A on one joint returns, bit for bit, what each spec returns on
+    a joint that has kept nothing."""
+    a, j = _case(name, 5)
+    b, methods = _other_spec(name), _methods(name)
+    for spec in (a, b, a, a):
+        got = _kernel_outputs(spec, j, methods if spec is a else ())
+        ref = _kernel_outputs(spec, _fresh(j), methods if spec is a else ())
+        assert got.keys() == ref.keys()
+        for key in got:
+            assert _same_bits(got[key], ref[key]), (spec.name, key)
+        assert j.__dict__["_system"].spec is spec
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_an_equal_spec_object_takes_the_one_slot(name):
+    spec, j = _case(name, 5)
+    j = _fresh(j)
+    decontaminate(spec, j)
+    kept = j.__dict__["_system"]
+    twin = make_spec(name, j, 17, 5)
+    assert twin is not spec and specs_equal(twin, spec)
+    decontaminate(twin, j)
+    assert j.__dict__["_system"] is not kept and j.__dict__["_system"].spec is twin
+    assert [type(v) for v in vars(j).values()].count(wslrr.scenarios._System) == 1
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_shared_results_are_read_only(name):
+    spec, j = _case(name, 5)
+    j, methods = _fresh(j), _methods(name)
+    first, second = _kernel_outputs(spec, j, methods), _kernel_outputs(spec, j, methods)
+    shared = [key for key in first if first[key] is not None and first[key] is second[key]]
+    kept = {"observed.matrix", "observed.observed"} | {f"{m}.matrices" for m in methods}
+    assert {k for k in kept if first[k] is not None} <= set(shared)
+    for key in shared:
+        assert not first[key].flags.writeable, key
+
+
+def test_an_invalid_spec_raises_on_every_call_and_keeps_nothing():
+    j = _fresh(scenario_joint("CL", 4, 5, 3, seed=17, trial=0))
+    decontaminate(CL(), j)
+    kept = j.__dict__["_system"]
+    binary = scenario_joint("PU", 2, 5, 3, seed=17, trial=0)
+    ds = sample_weak_dataset(PU(), binary, 20, seed=1)
+    bad, model = PU(), seeded_model(j, 5, 0)
+    calls = (lambda: observed_distribution(bad, j), lambda: decontaminate(bad, j),
+             lambda: rewrite_table(bad, j), lambda: rewritten_risk(bad, j, model, LossSpec("logistic")),
+             lambda: sample_weak_dataset(bad, j, 20, seed=1), lambda: weight_table(ds, bad, j))
+    for _ in range(2):
+        for call in calls:
+            with pytest.raises(NotBinary):
+                call()
+            assert j.__dict__["_system"] is kept
