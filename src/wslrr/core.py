@@ -3,9 +3,9 @@
 The whole package works over a ground truth P(Y=k, x_i) on a finite instance
 set, so every expectation is an exact finite sum and every identity can be
 checked to float64 accuracy.  Values are immutable after construction: a
-joint owns read-only copies of its arrays, and its marginals are computed
-once, on first use, and kept on the joint, as is the validated
-contamination system of the last spec a public kernel read it with.
+joint owns read-only copies of its arrays and keeps, each built on first
+use, its marginals, the validated system of its last spec and the loss
+table and exact risk of its last model and loss.
 
 Every record of the package, here and in the other modules, is a
 :func:`record` class rather than a stdlib dataclass: at import, which every
@@ -104,8 +104,9 @@ class FiniteJoint:
     instance i.  Construct through :func:`validate_joint`, which enforces the
     invariants (nonnegative entries, total mass one, positive instance mass)
     and gives the joint its own read-only arrays.  The joint keeps its
-    marginals and, in one slot, the system of its last spec
-    (``scenarios._system``).
+    marginals and, in one slot each, the system of its last spec
+    (``scenarios._system``) and the loss table and exact risk of its last
+    model and loss (``risk._losses``).
     """
 
     K: int

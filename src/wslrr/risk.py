@@ -25,7 +25,7 @@ from typing import ClassVar, Optional
 
 import numpy as np
 
-from .core import FiniteJoint, Marginals, record
+from .core import FiniteJoint, Marginals, _frozen, record
 from .datagen import CONF_POINTS, PAIRS, dataset_channels, _keyed
 from .decontam import _conf_weights, _decontaminate, _sconf_weights
 from .errors import (
@@ -139,10 +139,28 @@ def score_matrix(model, j: FiniteJoint) -> np.ndarray:
     return j.features @ np.asarray(model.weights).swapaxes(-1, -2) + np.asarray(model.bias)[..., None, :]
 
 
+def _losses(ls: LossSpec, model, j: FiniteJoint) -> tuple:
+    """(read-only (n_x, K) loss table, exact risk) of ``model`` under ``ls``,
+    kept in the joint's one loss slot by the loss and the values (dtype, shape,
+    bytes) of the weights and bias, so an edited model is built anew."""
+    w, b = np.asarray(model.weights), np.asarray(model.bias)
+    key = (ls.name, w.dtype.str, w.shape, w.tobytes(), b.dtype.str, b.shape, b.tobytes())
+    kept = j.__dict__.get("_losses")
+    if kept is None or kept[0] != key:
+        table = _frozen(_loss_table(ls, _check_scores(score_matrix(model, j))))
+        kept = j.__dict__["_losses"] = (key, table, _weighted(j.joint.T, table))
+    return kept[1:]
+
+
+def _weighted(W: np.ndarray, table: np.ndarray):
+    """sum_i W[i] . table[i]: a float, or (B,) for a stack."""
+    value = (W * table).sum(axis=(-2, -1))
+    return float(value) if value.ndim == 0 else value
+
+
 def loss_matrix(ls: LossSpec, model, j: FiniteJoint) -> np.ndarray:
-    """(K, n_x) table of per-class losses at every instance."""
-    scores = _check_scores(score_matrix(model, j))
-    return np.ascontiguousarray(_loss_table(ls, scores).T)
+    """(K, n_x) per-class losses at every instance, a fresh copy of the kept table."""
+    return _losses(ls, model, j)[0].T.copy()
 
 
 def weighted_loss(W: np.ndarray, model, ls: LossSpec, j: FiniteJoint, grad: bool = False):
@@ -156,8 +174,7 @@ def weighted_loss(W: np.ndarray, model, ls: LossSpec, j: FiniteJoint, grad: bool
     stack, each has the bits of its own call.
     """
     table, bases, scale = _loss_parts(ls, _check_scores(score_matrix(model, j)), slope=grad)
-    value = (W * table).sum(axis=(-2, -1))
-    value = float(value) if value.ndim == 0 else value
+    value = _weighted(W, table)
     if not grad:
         return value
     # the gradient of loss entry k in the scores is base(g) - scale * e_k
@@ -170,8 +187,10 @@ def weighted_loss(W: np.ndarray, model, ls: LossSpec, j: FiniteJoint, grad: bool
 # ---------------------------------------------------------------------------
 
 def classification_risk(j: FiniteJoint, model, ls: LossSpec) -> float:
-    """Exact risk: the double sum of joint mass times per-class loss."""
-    return weighted_loss(j.joint.T, model, ls, j)
+    """Exact risk: the double sum of joint mass times per-class loss, kept in
+    the joint's loss slot (a fresh (B,) array for a stack of models)."""
+    risk = _losses(ls, model, j)[1]
+    return risk if isinstance(risk, float) else risk.copy()
 
 
 def rewrite_table(spec: ScenarioSpec, j: FiniteJoint, method: str = "auto") -> np.ndarray:
@@ -200,10 +219,10 @@ def _rewrite_table(s: _System, method: str = "auto") -> np.ndarray:
 
 def rewritten_risk(spec: ScenarioSpec, j: FiniteJoint, model, ls: LossSpec,
                    method: str = "auto") -> float:
-    """Risk recomputed from the observed channels: the weighted loss of
-    :func:`rewrite_table`.  Equals :func:`classification_risk` whenever
-    decontamination succeeded."""
-    return weighted_loss(rewrite_table(spec, j, method), model, ls, j)
+    """Risk recomputed from the observed channels: :func:`rewrite_table`
+    weighing the loss table of the joint's loss slot.  Equals
+    :func:`classification_risk` whenever decontamination succeeded."""
+    return _weighted(rewrite_table(spec, j, method), _losses(ls, model, j)[0])
 
 
 # ---------------------------------------------------------------------------

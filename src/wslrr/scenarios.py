@@ -706,7 +706,7 @@ def _contamination_model(s: _System) -> ContaminationModel:
     labels = spec.labels(j.K)
     if spec.family == FAMILY_SCONF:
         conf, pm = _sconf_pair_tensor(m)
-        pair = PairDistribution(tag="XX", matrix=np.outer(m.instance_marginal, m.instance_marginal))
+        pair = PairDistribution(tag="XX", matrix=_pair_law(m, "XX"))
         return ContaminationModel(channels=labels, pair=pair, pair_matrix=pm, pair_confidence=conf)
     return ContaminationModel(channels=labels, matrix=s.tensor,
                               transform=np.diag(_transform_diagonal(spec, m)), observed=s.observed)
@@ -737,6 +737,7 @@ def pair_distribution(spec: ScenarioSpec, j: FiniteJoint, channel: Optional[str]
     SU has the similar pair "S", DU the dissimilar pair "D", SD both (select
     with ``channel``), Pcomp the comparison pair "PC", Sconf the product "XX".
     The pair laws need no prior gap, and the pair records carry no parameters.
+    Each call builds a fresh, writable matrix: the joint keeps no pair law.
     """
     if j.K != 2:
         raise NotBinary(f"pair distributions are defined for K=2, got K={j.K}")

@@ -33,13 +33,12 @@ from .risk import (
     LossSpec,
     closed_form_corrected_loss,
     loss_matrix,
-    score_matrix,
     weight_table,
     weighted_loss,
     _channel_terms,
-    _check_scores,
     _fold,
     _loss_table,
+    _losses,
     _rewrite_table,
 )
 from .scenarios import (
@@ -292,25 +291,16 @@ def seeded_model(j: FiniteJoint, seed: int, trial: int):
     return model
 
 
-def _exact_risk(model, j: FiniteJoint) -> tuple:
-    """(the (n_x, K) logistic loss table, the exact risk) of a model on a
-    joint, summed as ``weighted_loss`` sums it."""
-    losses = _loss_table(_LOGISTIC, _check_scores(score_matrix(model, j)))
-    return losses, float((j.joint.T * losses).sum())
-
-
 @record(eq=False)
 class CheckInput:
     """A setting's input to the checks: its spec, joint and model.  ``system``,
     the spec's validated system on the joint, and ``exact``, the model's
-    logistic loss table and exact risk on the joint, are made on first read
-    inside the reading check, so an error fails each check reading them and
-    is not kept.  ``exact`` is kept by joint in ``shared``, which the harness
-    passes to every input of one shape; without it, each read computes it."""
+    logistic loss table and exact risk from the joint's loss slot, are made on
+    first read inside the reading check, so an error fails each check reading
+    them and is not kept."""
     spec: ScenarioSpec
     j: FiniteJoint
     model: LinearModel
-    shared: dict | None = None
 
     @cached_property
     def system(self) -> _System:
@@ -318,7 +308,7 @@ class CheckInput:
 
     @property
     def exact(self) -> tuple:
-        return _memo({} if self.shared is None else self.shared, self.j, lambda: _exact_risk(self.model, self.j))
+        return _losses(_LOGISTIC, self.model, self.j)
 
 
 # ---------------------------------------------------------------------------
@@ -662,13 +652,12 @@ def _draw_keys(trial: int, K: int, nx: int) -> tuple:
 def _scenario_trial_inputs(cfg: VerifyConfig, table: dict, name: str, trial: int, K: int,
                            nx: int) -> CheckInput:
     """The input of a setting at a trial, built from the shared draws in
-    ``table``: candidate joints by (K, stream), each kept with its logistic
-    loss table and exact risk once read, and models by K."""
+    ``table``: candidate joints by (K, stream), and models by K."""
     joints, models = (table.setdefault(key, {}) for key in _draw_keys(trial, K, nx))
     j = _first_admissible(name, K, trial, lambda K, stream: _memo(
         joints, (K, stream), lambda: random_joint(K, nx, cfg.d_feat, cfg.seed, stream)))
     model = _memo(models, j.K, lambda: seeded_model(j, cfg.seed, trial))
-    return CheckInput(make_spec(name, j, cfg.seed, trial), j, model, joints)
+    return CheckInput(make_spec(name, j, cfg.seed, trial), j, model)
 
 
 def _trial_shapes(cfg: VerifyConfig, trials) -> list:

@@ -6,8 +6,9 @@ below and evaluated one instance at a time with plain numpy (a per-instance
 Gauss-Jordan loop and a 2x2 adjugate for the inversions), check that every
 decontamination still reconstructs the joint, that the typed errors are
 unchanged, that validation runs a constant number of times per call
-whatever the instance count, and that the system a joint keeps for its last
-spec gives, bit for bit, what a fresh joint gives.  The kernels that use the structure of their
+whatever the instance count, and that what a joint keeps (the system of
+its last spec and the loss table of its last model and loss) gives, bit for
+bit, what a fresh joint gives.  The kernels that use the structure of their
 matrices (the diagonal M_trsf, Sconf's product pair law, steps of
 Gauss-Jordan with nothing to do) are also compared with the dense formulas
 they replace, typed in below: bit for bit where the arithmetic is the same.
@@ -19,12 +20,14 @@ import math
 import numpy as np
 import pytest
 
+import wslrr.datagen
 import wslrr.decontam
 import wslrr.scenarios
 from wslrr.core import marginals, validate_joint
 from wslrr.datagen import dataset_to_json, sample_weak_dataset
 from wslrr.decontam import _invert_stack, decontaminate
-from wslrr.errors import DegenerateParams, NonSquare, NotBinary, Singular, ZeroConfidence, ZeroPairMass
+from wslrr.errors import (DegenerateParams, NonFiniteScore, NonSquare, NotBinary, Singular, ZeroConfidence,
+                          ZeroPairMass)
 from wslrr.risk import (
     LOSS_NAMES,
     LossSpec,
@@ -33,8 +36,11 @@ from wslrr.risk import (
     rewrite_table,
     rewritten_risk,
     weight_table,
+    weighted_loss,
 )
-from wslrr.scenarios import CCN, CL, MCL, PCPL, PU, SCConf, Sconf, Soft, observed_distribution, specs_equal
+from wslrr.scenarios import (CCN, CL, DU, MCL, PCPL, PU, SCConf, SD, SU, Pcomp, Sconf, Soft, observed_distribution,
+                             pair_distribution, specs_equal)
+from wslrr.train import LinearModel, init_model
 from wslrr.verify import (
     ABSTRACT_SCENARIO_NAMES,
     ALL_SCENARIO_NAMES,
@@ -605,3 +611,134 @@ def test_an_invalid_spec_raises_on_every_call_and_keeps_nothing():
             with pytest.raises(NotBinary):
                 call()
             assert j.__dict__["_system"] is kept
+
+
+# ---------------------------------------------------------------------------
+# The loss table a joint keeps for its last model and loss
+# ---------------------------------------------------------------------------
+
+LOSS_CALLS = {
+    "loss_matrix": lambda spec, j, model, ls: loss_matrix(ls, model, j),
+    "classification_risk": lambda spec, j, model, ls: np.float64(classification_risk(j, model, ls)),
+    "rewritten_risk": lambda spec, j, model, ls: np.float64(rewritten_risk(spec, j, model, ls)),
+}
+
+
+@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("nx", [5, 24])
+def test_kept_loss_tables_give_what_fresh_joints_give(name, nx):
+    """Every order of the three exact-risk calls, with the loss changing
+    between calls and between rounds, returns what one call on a joint that
+    has kept nothing returns; the exact risk is also the weighted loss of
+    the joint, and the rewritten risk that of the rewrite table."""
+    spec, j = _case(name, nx)
+    model = seeded_model(j, 5, 0)
+    ref = {(call, loss): LOSS_CALLS[call](spec, _fresh(j), model, LossSpec(loss))
+           for call in LOSS_CALLS for loss in LOSS_NAMES}
+    for loss in LOSS_NAMES:
+        fresh, ls = _fresh(j), LossSpec(loss)
+        assert ref["classification_risk", loss] == weighted_loss(fresh.joint.T, model, ls, fresh)
+        assert ref["rewritten_risk", loss] == weighted_loss(rewrite_table(spec, fresh), model, ls, fresh)
+    for order in itertools.permutations(LOSS_CALLS):
+        rounds = [[(call, loss) for call in order] for loss in LOSS_NAMES]
+        for pairs in (rounds, [list(r) for r in zip(*rounds)]):  # a loss per round, then a call per round
+            for call, loss in itertools.chain.from_iterable(pairs):
+                assert _same_bits(LOSS_CALLS[call](spec, j, model, LossSpec(loss)), ref[call, loss]), (call, loss)
+
+
+def test_a_model_edited_in_place_is_read_anew():
+    spec, j = _case("CL", 5)
+    model, ls = init_model(j.K, j.d_feat, 3), LossSpec("logistic")
+    outputs = [LOSS_CALLS[call](spec, j, model, ls) for call in LOSS_CALLS]
+    model.weights[1, 0] += 0.25
+    for call, before in zip(LOSS_CALLS, outputs):
+        after = LOSS_CALLS[call](spec, j, model, ls)
+        assert not np.array_equal(after, before) and _same_bits(after, LOSS_CALLS[call](spec, _fresh(j), model, ls))
+
+
+def test_a_model_whose_scores_overflow_raises_and_keeps_nothing():
+    j = validate_joint(2, [[1.0, 0.5], [0.25, 2.0], [3.0, 1.0]], [[0.2, 0.1, 0.3], [0.1, 0.2, 0.1]])
+    spec, ls = PU(), LossSpec("squared")
+    classification_risk(j, init_model(2, 2, 0), ls)
+    kept = j.__dict__["_losses"]
+    top = np.finfo(np.float64).max
+    huge = LinearModel(np.full((2, 2), top), np.full(2, top))  # positive features: every score is +inf
+    for _ in range(2):
+        for call in LOSS_CALLS.values():
+            with pytest.raises(NonFiniteScore), np.errstate(over="ignore"):
+                call(spec, j, huge, ls)
+            assert j.__dict__["_losses"] is kept
+
+
+def test_a_stack_of_models_gets_one_risk_each():
+    spec, j = _case("SU", 7)
+    models = [seeded_model(j, 5, t) for t in range(3)]
+    stack = LinearModel(np.stack([m.weights for m in models]), np.stack([m.bias for m in models]))
+    for loss in LOSS_NAMES:
+        ls = LossSpec(loss)
+        for risk in (classification_risk, lambda j, m, ls: rewritten_risk(spec, j, m, ls)):
+            got = [risk(j, stack, ls) for _ in range(2)]
+            want = np.array([risk(_fresh(j), m, ls) for m in models])
+            assert all(g.shape == (3,) and g.flags.writeable and _same_bits(g, want) for g in got)
+            assert got[0] is not got[1]
+
+
+@pytest.mark.parametrize("nx", [1, 6])
+def test_the_kept_table_is_read_only_and_loss_matrix_writable(nx):
+    spec, j = _case("PCPL", nx)
+    model, ls = seeded_model(j, 5, 0), LossSpec("logistic")
+    lam = loss_matrix(ls, model, j)
+    kept = j.__dict__["_losses"][1]
+    assert not kept.flags.writeable and kept.shape == (nx, j.K)
+    assert lam.flags.writeable and lam.flags.c_contiguous and not np.shares_memory(lam, kept)
+    lam[:] = 0.0
+    assert _same_bits(loss_matrix(ls, model, j), kept.T.copy())
+    with pytest.raises(ValueError):
+        kept[0, 0] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# The pair laws, built from one formula on every call
+# ---------------------------------------------------------------------------
+
+PAIR_LAWS = (("SU", "S"), ("DU", "D"), ("SD", "S"), ("SD", "D"), ("Pcomp", "PC"), ("Sconf", "XX"))
+PAIR_SPECS = {"SU": SU, "DU": DU, "SD": SD, "Pcomp": Pcomp, "Sconf": Sconf}
+
+
+def _pair_formula(j, channel):
+    """The pair law of ``channel``, typed in from the paper's formulas."""
+    m = marginals(j)
+    pi_p, pi_n = float(m.priors[0]), float(m.priors[1])
+    cp, cn = m.class_conditionals
+    if channel == "S":
+        return (pi_p ** 2 * np.outer(cp, cp) + pi_n ** 2 * np.outer(cn, cn)) / (pi_p * pi_p + pi_n * pi_n)
+    if channel == "D":
+        return (np.outer(cp, cn) + np.outer(cn, cp)) / 2.0
+    if channel == "PC":
+        return (pi_p ** 2 * np.outer(cp, cp) + pi_p * pi_n * np.outer(cp, cn)
+                + pi_n ** 2 * np.outer(cn, cn)) / (pi_p ** 2 + pi_p * pi_n + pi_n ** 2)
+    return np.outer(m.instance_marginal, m.instance_marginal)
+
+
+@pytest.mark.parametrize("name, channel", PAIR_LAWS)
+def test_a_pair_law_is_the_formula_and_fresh_on_every_call(name, channel):
+    spec, j = PAIR_SPECS[name](), _fresh(scenario_joint(name, 2, 9, 3, seed=17, trial=2))
+    q = pair_distribution(spec, j, channel).matrix
+    assert _same_bits(q, _pair_formula(j, channel))
+    again = pair_distribution(spec, j, channel).matrix
+    assert q.flags.writeable and not np.shares_memory(q, again)
+    q[0, 0] = -1.0
+    assert _same_bits(again, _pair_formula(j, channel))
+    if name == "Sconf":
+        assert _same_bits(observed_distribution(spec, j).pair.matrix, again)
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_SPECS))
+def test_the_sampler_reads_the_pair_law(name, monkeypatch):
+    spec, j = PAIR_SPECS[name](), _fresh(scenario_joint(name, 2, 9, 3, seed=17, trial=2))
+    read, real = [], wslrr.datagen._categorical
+    monkeypatch.setattr(wslrr.datagen, "_categorical", lambda probs, *a: read.append(probs) or real(probs, *a))
+    sample_weak_dataset(spec, j, 30, seed=4)
+    laws = [pair_distribution(spec, j, c).matrix for c in spec.pair_channels]
+    pairs = [q for q in read if q.ndim == 2]
+    assert len(pairs) == len(laws) and all(_same_bits(q, law) for q, law in zip(pairs, laws))

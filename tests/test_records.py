@@ -126,15 +126,19 @@ def test_post_init_still_runs():
 
 
 def test_defaults_and_the_shared_exact_table():
+    """An input's exact table is the joint's loss slot: inputs of one joint
+    and model share it, and a joint of the same arrays builds its own."""
     assert TrainConfig(0.2, 10) == TrainConfig(0.2, 10, 0, 0.0)
     assert ContaminationModel(("P",)).matrix is None
-    a = CheckInput(PU(), JOINT, MODEL)
-    assert a.shared is None and a.exact[1] == a.exact[1] and a.exact[0] is not a.exact[0]  # computed on read
-    shared = {}
-    b = CheckInput(PU(), JOINT, MODEL, shared)
-    assert b.exact[0] is b.exact[0] and shared[JOINT] is b.exact  # kept by joint
-    assert CheckInput(PU(), JOINT, MODEL, shared).shared is shared
-    assert CheckInput(PU(), JOINT, MODEL, shared=shared).shared is shared
+    assert CheckInput._fields == ("spec", "j", "model")
+    a, b = CheckInput(PU(), JOINT, MODEL), CheckInput(SU(), JOINT, MODEL)
+    assert a.exact[0] is b.exact[0] is JOINT.__dict__["_losses"][1] and a.exact[1] == b.exact[1]
+    assert not a.exact[0].flags.writeable
+    twin = CheckInput(PU(), validate_joint(JOINT.K, JOINT.features, JOINT.joint), MODEL)
+    assert twin.exact[0] is not a.exact[0] and twin.exact[0].tobytes() == a.exact[0].tobytes()
+    assert twin.exact[1] == a.exact[1]
+    with pytest.raises(TypeError):
+        CheckInput(PU(), JOINT, MODEL, {})
 
 
 def test_reprs_keep_the_dataclass_text():

@@ -16,6 +16,7 @@ from wslrr.decontam import _decontaminate
 from wslrr.errors import (DegenerateParams, KTooLarge, ShapeMismatch, ValidationError, ZeroConfidence,
                           ZeroPairMass)
 from wslrr.risk import LossSpec, _channel_terms, _fold, channel_terms, empirical_risk, loss_matrix, weight_table, weighted_loss
+import wslrr.risk
 import wslrr.scenarios
 from wslrr.scenarios import CCN, FAMILY_SCONF, UU, Soft, _member_mask, _spec_object, specs_equal
 from wslrr.train import LinearModel, empirical_gradient
@@ -232,38 +233,53 @@ class TestAggregate:
 def test_each_trial_input_is_drawn_once_and_dropped_after_its_last_reader(monkeypatch):
     """A default run builds each of its 18 x 20 (scenario, trial) inputs, and
     the three Monte-Carlo inputs, once, from the draws that every setting of
-    a trial shares.  When the first Monte-Carlo task starts, the only inputs,
-    joints and loss tables still alive are the trial-3 ones that the gradient
-    checks read later, and so are the only systems: each input builds one,
-    which dies with it.  The only models alive are trial 3's and the two of
-    trial 17 that the Monte-Carlo tasks read: they take trial 17's models,
-    which the per-setting readers of trial 17 drew.  Nothing outlives the
-    run."""
-    real_inputs, real_risk = wslrr.verify._scenario_trial_inputs, wslrr.verify._exact_risk
+    a trial shares.  Each joint builds its logistic loss table once, in its
+    loss slot, and the table lives and dies with the joint.  When the first
+    Monte-Carlo task starts, the only inputs, joints and loss tables still
+    alive are the trial-3 ones that the gradient checks read later, and so
+    are the only systems: each input builds one, which dies with it.  The
+    only models alive are trial 3's and the two of trial 17 that the
+    Monte-Carlo tasks read: they take trial 17's models, which the
+    per-setting readers of trial 17 drew.  Nothing outlives the run."""
+    real_inputs, real_table = wslrr.verify._scenario_trial_inputs, wslrr.risk._loss_table
     real_system = wslrr.verify._System
     inputs, draws, systems, alive_at_mc, reports = {}, {}, {}, [], []
     input_of = {}  # id of a live input's spec -> the input's key
+    holders = {}  # id of a joint that has kept a loss table -> a weak reference to it
+    counts = Counter()  # the draws tracked, by kind, the loss tables built and the joints that kept one
 
     def track(kind, trial, K, draw):
         if id(draw) not in draws or draws[id(draw)][1]() is not draw:
             draws[id(draw)] = (kind, trial, K), weakref.ref(draw)
+            counts[kind] += 1
 
     def tracked_inputs(cfg, table, name, trial, K, nx):
         out = real_inputs(cfg, table, name, trial, K, nx)
         assert (name, trial, K, nx) not in inputs
         inputs[name, trial, K, nx] = weakref.ref(out.spec)  # each input has its own spec
         input_of[id(out.spec)] = (name, trial, K, nx)
-        for draw in table["joints", trial, K, nx].values():  # the candidates, and the loss tables made so far
-            if isinstance(draw, FiniteJoint):
-                track("joint", trial, draw.K, draw)
+        for draw in table["joints", trial, K, nx].values():
+            track("joint", trial, draw.K, draw)
         for model in table["models", trial].values():
             track("model", trial, model.weights.shape[0], model)
         return out
 
-    def exact_risk(model, j):
-        out = real_risk(model, j)
-        track("loss table", draws[id(j)][0][1], j.K, out[0])
-        return out
+    def kept_tables() -> set:
+        """Tracks the loss table each live joint keeps; returns their ids."""
+        kept = set()
+        for (kind, trial, K), ref in list(draws.values()):
+            j = ref() if kind == "joint" else None
+            if j is not None and "_losses" in vars(j):
+                track("loss table", trial, K, j._losses[1])
+                if id(j) not in holders or holders[id(j)]() is not j:
+                    holders[id(j)] = weakref.ref(j)
+                    counts["holder"] += 1
+                kept.add(id(j._losses[1]))
+        return kept
+
+    def built_table(*args):
+        counts["built"] += 1
+        return real_table(*args)
 
     def system(spec, j):
         out = real_system(spec, j)
@@ -276,25 +292,30 @@ def test_each_trial_input_is_drawn_once_and_dropped_after_its_last_reader(monkey
 
     monkeypatch.setattr(wslrr.verify, "_scenario_trial_inputs", tracked_inputs)
     monkeypatch.setattr(wslrr.verify, "_System", system)
-    monkeypatch.setattr(wslrr.verify, "_exact_risk", exact_risk)
+    monkeypatch.setattr(wslrr.risk, "_loss_table", built_table)
     for label, run in build_registry(VerifyConfig()):
         if label.startswith("mc-consistency:") and not alive_at_mc:
             gc.collect()
-            alive_at_mc.append((alive(inputs.items()), alive(draws.values()), alive(systems.items())))
+            live_tables = {i for i, ((kind, _, _), ref) in draws.items() if kind == "loss table" and ref() is not None}
+            alive_at_mc.append((alive(inputs.items()), alive(draws.values()), alive(systems.items()),
+                                live_tables == kept_tables()))
         out = run()
         reports += out if isinstance(out, list) else [out]
+        kept_tables()
     del run
     assert all(r.passed for r in reports)
     mc_inputs = {(name, wslrr.verify.MC_TRIAL, 4, 6) for name in ("PU", "CL", "Soft")}
     assert len(inputs.keys() - mc_inputs) == len(ALL_SCENARIO_NAMES + ABSTRACT_SCENARIO_NAMES) * 20 == 360
     assert mc_inputs <= inputs.keys()
     assert systems.keys() == inputs.keys()
-    (inputs_at_mc, draws_at_mc, systems_at_mc), = alive_at_mc
+    assert counts["built"] == counts["loss table"] == counts["holder"] > 0  # no joint built a table twice
+    (inputs_at_mc, draws_at_mc, systems_at_mc, tables_are_kept), = alive_at_mc
     assert {key[:2] for key in inputs_at_mc} == {(name, 3) for name in ALL_SCENARIO_NAMES}
     assert len(inputs_at_mc) == len(ALL_SCENARIO_NAMES) and systems_at_mc == inputs_at_mc
     # trial 3 reads K = 2 + 3 % 3 = 2 for every setting; trial 17, K = 2 + 17 % 3 = 4, or 2 if binary
     assert {(kind, trial) for kind, trial, _ in draws_at_mc if kind != "model"} == {("joint", 3), ("loss table", 3)}
     assert {(trial, K) for kind, trial, K in draws_at_mc if kind == "model"} == {(3, 2), (17, 2), (17, 4)}
+    assert tables_are_kept  # every live loss table is the one a live joint keeps
     gc.collect()
     assert alive(inputs.items()) == set() and alive(draws.values()) == set() and alive(systems.items()) == set()
 
