@@ -26,9 +26,9 @@ families share one pipeline and differ in what M reads:
   for Soft, whose super-class probability is exactly 1).
 
 A matrix M that is the same at every x is built once and copied out to
-the (n_x, ...) stack.  Sconf is pair-shaped and kept out of the generic
-pipeline; its structures live in the ``pair_*`` fields of
-:class:`ContaminationModel`, built from outer products.  Every kernel is
+the (n_x, ...) stack.  Every pair law is one kernel's C Q C^T (:data:`PAIR_Q`).
+Sconf is pair-shaped and kept out of the generic pipeline; its structures
+live in the ``pair_*`` fields of :class:`ContaminationModel`.  Every kernel is
 batched over the whole instance axis and reads the spec's validated system,
 which the joint keeps for its last spec: M(x_i) is
 ``observed_distribution(spec, j).matrix[i]``, M_trsf is its ``transform``,
@@ -139,11 +139,24 @@ class _Setting:
         return None
 
 
+# Each pair channel's class-pair law Q: P(x, x') = sum of Q[y, y'] P(x|y) P(x'|y') = C Q C^T.
+PAIR_Q = {
+    "S": lambda p, n: np.array([[p * p, 0.0], [0.0, n * n]]) / (p * p + n * n),
+    "D": lambda p, n: np.array([[0.0, 0.5], [0.5, 0.0]]),
+    "PC": lambda p, n: np.array([[p * p, p * n], [0.0, n * n]]) / (p * p + p * n + n * n),
+    "XX": lambda p, n: np.array([[p * p, p * n], [n * p, n * n]]),
+}
+
+
 class _Mixture(_Setting):
-    """Two channels mixing the class conditionals by ``mixture(pi_p, pi_n)``."""
+    """Two channels mixing the class conditionals by ``mixture(pi_p, pi_n)``: by default a
+    pair channel's row is the row sums of its Q (:data:`PAIR_Q`), any other's the priors."""
     family = FAMILY_MCD
     binary_only = True
     method = estimator = METHOD_INVERSION
+
+    def mixture(self, pi_p, pi_n):
+        return [PAIR_Q[c](pi_p, pi_n).sum(1) if c in self.pair_channels else (pi_p, pi_n) for c in self.channels]
 
     def matrix(self, m: Marginals) -> np.ndarray:
         return np.array(self.mixture(float(m.priors[0]), float(m.priors[1])))
@@ -240,10 +253,6 @@ class SU(_Mixture):
     pair_channels = ("S",)
     offcenter_prior = True
 
-    def mixture(self, pi_p, pi_n):
-        s2 = pi_p * pi_p + pi_n * pi_n
-        return [[pi_p * pi_p / s2, pi_n * pi_n / s2], [pi_p, pi_n]]
-
 
 @record()
 class DU(_Mixture):
@@ -252,19 +261,12 @@ class DU(_Mixture):
     pair_channels = ("D",)
     offcenter_prior = True
 
-    def mixture(self, pi_p, pi_n):
-        return [[0.5, 0.5], [pi_p, pi_n]]
-
 
 @record()
 class SD(_Mixture):
     name = "SD"
     channels = pair_channels = ("S", "D")
     offcenter_prior = True
-
-    def mixture(self, pi_p, pi_n):
-        s2 = pi_p * pi_p + pi_n * pi_n
-        return [[pi_p * pi_p / s2, pi_n * pi_n / s2], [0.5, 0.5]]
 
 
 @record()
@@ -275,6 +277,7 @@ class Pcomp(_Mixture):
     pair_channels = streams = ("PC",)
 
     def mixture(self, pi_p, pi_n):
+        # the margins of Q["PC"] up to the last bits, which the golden masses pin
         return [[pi_p / (pi_p + pi_n * pi_n), pi_n * pi_n / (pi_p + pi_n * pi_n)],
                 [pi_p * pi_p / (pi_p * pi_p + pi_n), pi_n / (pi_p * pi_p + pi_n)]]
 
@@ -718,17 +721,14 @@ def observed_distribution(spec: ScenarioSpec, j: FiniteJoint) -> ContaminationMo
 
 
 def _pair_law(m: Marginals, channel: str) -> np.ndarray:
-    """The n_x x n_x law of pair channel ``channel`` (see :func:`pair_distribution`)."""
-    pi_p, pi_n = float(m.priors[0]), float(m.priors[1])
-    cp, cn = m.class_conditionals[0], m.class_conditionals[1]
-    if channel == "S":
-        return (pi_p ** 2 * np.outer(cp, cp) + pi_n ** 2 * np.outer(cn, cn)) / (pi_p * pi_p + pi_n * pi_n)
-    if channel == "D":
-        return (np.outer(cp, cn) + np.outer(cn, cp)) / 2.0
-    if channel == "PC":
-        return (pi_p ** 2 * np.outer(cp, cp) + pi_p * pi_n * np.outer(cp, cn)
-                + pi_n ** 2 * np.outer(cn, cn)) / (pi_p ** 2 + pi_p * pi_n + pi_n ** 2)
-    return np.outer(m.instance_marginal, m.instance_marginal)
+    """C Q C^T, the n_x x n_x law of pair channel ``channel``.  A symmetric Q is summed as
+    L + L^T, L = C U C^T with U Q's upper triangle and half its diagonal: exactly symmetric."""
+    q = PAIR_Q[channel](float(m.priors[0]), float(m.priors[1]))
+    c = m.class_conditionals.T
+    if q[0, 1] != q[1, 0]:
+        return c @ q @ c.T
+    half = c @ (q * [[0.5, 1.0], [0.0, 0.5]]) @ c.T
+    return half + half.T
 
 
 def pair_distribution(spec: ScenarioSpec, j: FiniteJoint, channel: Optional[str] = None) -> PairDistribution:
@@ -736,8 +736,8 @@ def pair_distribution(spec: ScenarioSpec, j: FiniteJoint, channel: Optional[str]
 
     SU has the similar pair "S", DU the dissimilar pair "D", SD both (select
     with ``channel``), Pcomp the comparison pair "PC", Sconf the product "XX".
-    The pair laws need no prior gap, and the pair records carry no parameters.
-    Each call builds a fresh, writable matrix: the joint keeps no pair law.
+    Each law is C Q C^T (:data:`PAIR_Q`), a function of the joint alone (no prior gap,
+    no parameters), built fresh and writable on every call: the joint keeps no pair law.
     """
     if j.K != 2:
         raise NotBinary(f"pair distributions are defined for K=2, got K={j.K}")

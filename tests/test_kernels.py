@@ -12,10 +12,14 @@ bit, what a fresh joint gives.  The kernels that use the structure of their
 matrices (the diagonal M_trsf, Sconf's product pair law, steps of
 Gauss-Jordan with nothing to do) are also compared with the dense formulas
 they replace, typed in below: bit for bit where the arithmetic is the same.
+The pair laws, each C Q C^T, keep the formula's bits for D, come within
+1e-15 relative of it for the others, and peak at about twice their own
+bytes or less.
 """
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -698,7 +702,7 @@ def test_the_kept_table_is_read_only_and_loss_matrix_writable(nx):
 
 
 # ---------------------------------------------------------------------------
-# The pair laws, built from one formula on every call
+# The pair laws, built as C Q C^T on every call
 # ---------------------------------------------------------------------------
 
 PAIR_LAWS = (("SU", "S"), ("DU", "D"), ("SD", "S"), ("SD", "D"), ("Pcomp", "PC"), ("Sconf", "XX"))
@@ -720,17 +724,44 @@ def _pair_formula(j, channel):
     return np.outer(m.instance_marginal, m.instance_marginal)
 
 
+def _is_the_formula(q, j, channel):
+    """D's law has the formula's bits; the others are C Q C^T summed in
+    another order, within 1e-15 relative of the formula."""
+    f = _pair_formula(j, channel)
+    if channel == "D":
+        return _same_bits(q, f)
+    return q.shape == f.shape and np.max(np.abs(q - f) / f) <= 1e-15
+
+
 @pytest.mark.parametrize("name, channel", PAIR_LAWS)
 def test_a_pair_law_is_the_formula_and_fresh_on_every_call(name, channel):
     spec, j = PAIR_SPECS[name](), _fresh(scenario_joint(name, 2, 9, 3, seed=17, trial=2))
     q = pair_distribution(spec, j, channel).matrix
-    assert _same_bits(q, _pair_formula(j, channel))
+    assert _is_the_formula(q, j, channel)
     again = pair_distribution(spec, j, channel).matrix
     assert q.flags.writeable and not np.shares_memory(q, again)
     q[0, 0] = -1.0
-    assert _same_bits(again, _pair_formula(j, channel))
+    assert _is_the_formula(again, j, channel)
     if name == "Sconf":
         assert _same_bits(observed_distribution(spec, j).pair.matrix, again)
+
+
+# peak traced allocation of one law, in units of its own bytes: C Q C^T of an
+# asymmetric Q writes only the law; a symmetric Q's L + L^T holds L and the law
+PAIR_PEAK = {"S": 2.1, "D": 2.1, "PC": 1.1, "XX": 2.1}
+
+
+@pytest.mark.parametrize("name, channel", PAIR_LAWS)
+def test_a_pair_law_allocates_at_most_twice_itself(name, channel):
+    spec, j = PAIR_SPECS[name](), random_joint(2, 1000, 3, seed=5, stream=0)
+    pair_distribution(spec, j, channel)  # builds the joint's marginals
+    tracemalloc.start()
+    try:
+        law = pair_distribution(spec, j, channel).matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= PAIR_PEAK[channel] * law.nbytes, peak / law.nbytes
 
 
 @pytest.mark.parametrize("name", sorted(PAIR_SPECS))

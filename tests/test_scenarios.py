@@ -303,6 +303,12 @@ class TestPairDistributions:
         assert q.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(q >= 0.0)
 
+    @pytest.mark.parametrize("nx", [9, 400])
+    @pytest.mark.parametrize("spec, channel", [(SU(), "S"), (SD(), "S"), (DU(), "D"), (SD(), "D"), (Sconf(), "XX")])
+    def test_a_symmetric_law_is_exactly_symmetric(self, spec, channel, nx):
+        q = pair_distribution(spec, random_joint(2, nx, 3, seed=41, stream=nx), channel).matrix
+        assert np.array_equal(q, q.T)
+
     def test_uniform_joint_pair_law_is_defined(self, uniform_joint):
         # the pair law itself does not need the prior away from 1/2
         q = pair_distribution(SU(), uniform_joint).matrix
