@@ -21,7 +21,7 @@ from pathlib import Path
 from .core import joint_from_json, parse_json
 from .datagen import dataset_from_json, dataset_to_json, sample_weak_dataset
 from .errors import Diverged, ValidationError, WslrrError
-from .scenarios import _scenario_from_object, scenario_from_json
+from .scenarios import _scenario_from_object, _system, scenario_from_json
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -78,7 +78,7 @@ def cmd_verify(args) -> int:
         raise ValidationError(f"--tol must be a finite number >= 0, got {args.tol!r}")
     joint = joint_from_json(Path(args.joint).read_text())
     inp = CheckInput(_load_scenario(args.scenario, args.params), joint, seeded_model(joint, args.seed, 0))
-    inp.system  # validates the spec on the joint once, raising before any check runs
+    _system(inp.spec, joint)  # validates the spec on the joint once, raising before any check runs
     tol_matrix = args.tol if args.tol is not None else TOL_MATRIX
     tol_risk = args.tol if args.tol is not None else TOL_RISK
     checks = [

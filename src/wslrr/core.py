@@ -4,8 +4,8 @@ The whole package works over a ground truth P(Y=k, x_i) on a finite instance
 set, so every expectation is an exact finite sum and every identity can be
 checked to float64 accuracy.  Values are immutable after construction: a
 joint owns read-only copies of its arrays and keeps, each built on first
-use, its marginals, the validated system of its last spec and the loss
-table and exact risk of its last model and loss.
+use, only its marginals and the loss table and exact risk of its last
+model and loss.
 
 Every record of the package, here and in the other modules, is a
 :func:`record` class rather than a stdlib dataclass: at import, which every
@@ -103,10 +103,10 @@ class FiniteJoint:
     ``joint[k, i] = P(Y=k+1, x_i)``; ``features[i]`` is the real vector of
     instance i.  Construct through :func:`validate_joint`, which enforces the
     invariants (nonnegative entries, total mass one, positive instance mass)
-    and gives the joint its own read-only arrays.  The joint keeps its
-    marginals and, in one slot each, the system of its last spec
-    (``scenarios._system``) and the loss table and exact risk of its last
-    model and loss (``risk._losses``).
+    and gives the joint its own read-only arrays.  The joint keeps only its
+    marginals and, in one slot, the loss table and exact risk of its last
+    model and loss (``risk._losses``); a spec's validated system is kept by
+    the spec (``scenarios._system``).
     """
 
     K: int

@@ -296,15 +296,10 @@ def sample_weak_dataset(spec: ScenarioSpec, j: FiniteJoint, n: Union[int, dict],
     from the exact pair law, label channels sample (compound label, x)
     jointly, and confidence channels code each draw into the oracle class
     probabilities (by instance) or pair confidences (by flat pair code).
-    Every channel reads the one validated system the joint keeps for ``spec``.
+    Every channel reads the one validated system ``spec`` keeps for ``j``.
     """
-    return _sample(_system(spec, j), n, seed)
-
-
-def _sample(system: _System, n: Union[int, dict], seed: int) -> WeakDataset:
-    """:func:`sample_weak_dataset` from a validated system."""
-    spec, j, m = system.spec, system.j, system.m
-    sizes = _resolve_sizes(spec, j.K, n)
+    system = _system(spec, j)
+    m, sizes = system.m, _resolve_sizes(spec, j.K, n)
     n_x = j.n_x
     if spec.family == FAMILY_CCN:
         return _sample_label_stream(system, sizes["SX"], seed)

@@ -13,8 +13,8 @@ constructions are implemented:
 * ``conf-diagonal``: diag(r_k(x) / r_sel(x)) for the confidence family;
 * ``sconf-special``: the per-pair diagonal built from the pair confidence.
 
-:func:`decontaminate`, the one entry point, reads the system the joint keeps
-for the spec and builds every D(x) in one numpy pass, once per method;
+:func:`decontaminate`, the one entry point, reads the system the spec keeps
+for its joint and builds every D(x) in one numpy pass, once per method;
 D(x_i) is its ``matrices[i]``.  Both diagonals are kernels of the
 confidences (:func:`_sconf_weights`, :func:`_conf_weights`) that
 ``risk.channel_terms`` also evaluates at a dataset's stored confidences.
@@ -175,15 +175,11 @@ def decontaminate(spec: ScenarioSpec, j: FiniteJoint, method: str = "auto") -> D
 
     ``method`` is "inversion", "marginal-chain", "mcl-blockwise",
     "conf-diagonal", "sconf-special" or "auto" (the record's default method).
-    The result is kept, read-only, on the system the joint keeps for ``spec``.
+    The result is built once per method and kept, read-only, on the system
+    the spec keeps for ``j``; a failure is not kept.
     """
-    return _decontaminate(_system(spec, j), method)
-
-
-def _decontaminate(s: _System, method: str) -> DecontaminationResult:
-    """:func:`decontaminate` on a validated system, built once per method and
-    kept, read-only, in ``s.decontaminated``; a failure is not kept."""
-    method = s.spec.method if method == "auto" else method
+    s = _system(spec, j)
+    method = spec.method if method == "auto" else method
     if method not in s.decontaminated:
         dr = s.decontaminated[method] = _decontamination(s, method)
         _frozen(dr.matrices)

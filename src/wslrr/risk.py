@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import FiniteJoint, Marginals, _frozen, record
 from .datagen import CONF_POINTS, PAIRS, dataset_channels, _keyed
-from .decontam import _conf_weights, _decontaminate, _sconf_weights
+from .decontam import _conf_weights, _sconf_weights, decontaminate
 from .errors import (
     EmptyChannel,
     IndexOutOfRange,
@@ -58,7 +58,6 @@ from .scenarios import (
     ScenarioSpec,
     compound_label_space,
     specs_equal,
-    _System,
     _sconf_confidences,
     _superclass_probability,
     _system,
@@ -196,25 +195,21 @@ def classification_risk(j: FiniteJoint, model, ls: LossSpec) -> float:
 def rewrite_table(spec: ScenarioSpec, j: FiniteJoint, method: str = "auto") -> np.ndarray:
     """The (n_x, K) table D(x_i) . observed(x_i) of the rewrite, which equals
     joint.T whenever decontamination by ``method`` succeeded.  It reads the
-    system the joint keeps for ``spec``, so the spec is validated, and M(x),
-    the observed masses and each method's D(x) are built, once per joint.
+    system the spec keeps for ``j``, so the spec is validated, and M(x), the
+    observed masses and each method's D(x) are built, once per joint.
 
     Sconf's only method is sconf-special; any other raises WrongFamily.  Its
     pair law p(x) p(x') is a product and the pair diagonal is affine in the
     confidence, so the sum over the partner is p(x) times the diagonal at the
     partner-averaged confidence r(x) = pi_p P(+|x) + pi_n P(-|x): one row per
     instance, never a pair object."""
-    return _rewrite_table(_system(spec, j), method)
-
-
-def _rewrite_table(s: _System, method: str = "auto") -> np.ndarray:
-    """:func:`rewrite_table` on a validated system."""
-    if s.spec.family == FAMILY_SCONF:
+    s = _system(spec, j)
+    if spec.family == FAMILY_SCONF:
         if method not in ("auto", METHOD_SCONF):
             raise WrongFamily(f"Sconf is decontaminated by {METHOD_SCONF} only, not {method!r}")
         m = s.m
         return m.instance_marginal[:, None] * _sconf_weights(m.priors, m.priors @ m.class_probabilities)
-    return np.einsum("ikm,im->ik", _decontaminate(s, method).matrices, s.observed)
+    return np.einsum("ikm,im->ik", decontaminate(spec, j, method).matrices, s.observed)
 
 
 def rewritten_risk(spec: ScenarioSpec, j: FiniteJoint, model, ls: LossSpec,
@@ -353,12 +348,7 @@ def channel_terms(ds, spec: ScenarioSpec, j: FiniteJoint) -> list:
     """
     if not specs_equal(ds.spec, spec):
         raise SpecMismatch(f"dataset was generated for {ds.spec.name}, not {spec.name}")
-    return _channel_terms(ds, _system(spec, j))
-
-
-def _channel_terms(ds, s: _System) -> list:
-    """:func:`channel_terms` on a validated system, for a dataset of its spec."""
-    spec, j, m = s.spec, s.j, s.m
+    m = _system(spec, j).m
     found, expected = tuple((c.label, c.kind) for c in ds.channels), dataset_channels(spec, j.K)
     if found != expected:
         raise SpecMismatch(f"dataset channels {found} do not match {spec.name} on a K={j.K} joint, "
@@ -371,7 +361,7 @@ def _channel_terms(ds, s: _System) -> list:
     inst = np.arange(j.n_x)
 
     if spec.family == FAMILY_MCD:
-        dag = _decontaminate(s, spec.estimator).matrices[0]  # the same at every x
+        dag = decontaminate(spec, j, spec.estimator).matrices[0]  # the same at every x
         if spec.streams:
             # one stream of pairs: the first element is a draw from observed channel 0
             # (Pcomp's Sup), the second from channel 1 (Inf); key p * n_x + i is element p at x_i
@@ -390,7 +380,7 @@ def _channel_terms(ds, s: _System) -> list:
         # one stream over all label channels, each draw weighed by its channel's
         # column of the record's estimator decontamination (the blockwise
         # inverse for CL and MCL, as in the literature, else the marginal chain)
-        dag = _decontaminate(s, spec.estimator).matrices  # (n_x, K, m)
+        dag = decontaminate(spec, j, spec.estimator).matrices  # (n_x, K, m)
         if not any(c.n_draws for c in ds.channels):
             raise EmptyChannel("dataset has no draws in any label channel")
         # key i*m + c, (instance, label), reads D(x_i)[:, c] in the (n_x*m, K) table of columns

@@ -30,7 +30,7 @@ the (n_x, ...) stack.  Every pair law is one kernel's C Q C^T (:data:`PAIR_Q`).
 Sconf is pair-shaped and kept out of the generic pipeline; its structures
 live in the ``pair_*`` fields of :class:`ContaminationModel`.  Every kernel is
 batched over the whole instance axis and reads the spec's validated system,
-which the joint keeps for its last spec: M(x_i) is
+which the spec keeps for its last joint (:func:`_system`): M(x_i) is
 ``observed_distribution(spec, j).matrix[i]``, M_trsf is its ``transform``,
 one (b, K) matrix for every instance, and no array aliases a record's own.
 """
@@ -41,6 +41,7 @@ import itertools
 import json
 import math
 import numbers
+import weakref
 from functools import cache, cached_property
 from typing import Callable, ClassVar, Optional, Union
 
@@ -124,6 +125,10 @@ class _Setting:
 
     def labels(self, K: int) -> tuple:
         return self.channels
+
+    def __getstate__(self) -> dict:
+        """The fields to copy or pickle: the system the spec keeps (:func:`_system`) is a cache."""
+        return {f: v for f, v in self.__dict__.items() if f != "_system"}
 
     def check(self, K: int, n_x: int) -> None:
         """Raise unless the parameters fit a K-class joint on n_x instances."""
@@ -600,13 +605,14 @@ def _sconf_confidences(m: Marginals, a, b) -> np.ndarray:
     outer products of the class-weighted conditionals: (len(a), len(b))."""
     pi_p, pi_n = float(m.priors[0]), float(m.priors[1])
     cp, cn = m.class_conditionals[0], m.class_conditionals[1]
-    num = np.outer(pi_p ** 2 * cp[a], cp[b]) + np.outer(pi_n ** 2 * cn[a], cn[b])
-    den = np.outer(m.instance_marginal[a], m.instance_marginal[b])
-    zero = den <= 0.0
+    num = np.multiply.outer(pi_p ** 2 * cp[a], cp[b])  # num / den in place: two buffers at the peak
+    den = np.multiply.outer(pi_n ** 2 * cn[a], cn[b])
+    num += den
+    zero = np.multiply.outer(m.instance_marginal[a], m.instance_marginal[b], out=den) <= 0.0
     if np.any(zero):
         ia, ib = np.argwhere(zero)[0]
         raise ZeroPairMass(f"pair ({a[ia]}, {b[ib]}) has zero product mass")
-    return num / den
+    return np.divide(num, den, out=num)
 
 
 def _sconf_denominators(m: Marginals, r: np.ndarray) -> tuple:
@@ -668,16 +674,19 @@ class ContaminationModel:
 class _System:
     """``spec`` validated once on ``j``: the marginals ``m`` and, each built on
     its first read and read-only, the contamination ``tensor`` M(x_i) at every
-    instance, the ``observed`` channel masses and, by ``decontam._decontaminate``,
-    one ``decontaminated`` result per method.  The harness shares one system
-    per input among all its checks; the public kernels read the one that
-    :func:`_system` keeps on the joint."""
+    instance, the ``observed`` channel masses and, by ``decontam.decontaminate``,
+    one ``decontaminated`` result per method.  The spec keeps it (:func:`_system`);
+    its ``spec`` is a weak reference, so spec -> system -> joint is no cycle."""
 
     def __init__(self, spec: ScenarioSpec, j: FiniteJoint):
-        self.spec, self.j = spec, j
+        self._spec, self.j = weakref.ref(spec), j
         self.m = compute_marginals(j)
         validate_spec(spec, self.m)
         self.decontaminated = {}
+
+    @property
+    def spec(self) -> ScenarioSpec:
+        return self._spec()
 
     @cached_property
     def tensor(self) -> np.ndarray:
@@ -695,29 +704,26 @@ class _System:
 
 
 def _system(spec: ScenarioSpec, j: FiniteJoint) -> _System:
-    """The system the joint keeps when its spec is ``spec`` itself, else a new
-    one that takes its one slot.  Specs and joints own read-only arrays, so
-    identity stands for their values; an invalid spec raises and keeps none."""
-    s = j.__dict__.get("_system")
-    if s is None or s.spec is not spec:
-        s = j.__dict__["_system"] = _System(spec, j)
+    """The system ``spec`` keeps while its joint is ``j`` itself, else a new one that takes the
+    spec's one slot.  Specs and joints own read-only arrays, so identity stands for their
+    values; an invalid spec raises and keeps none."""
+    s = spec.__dict__.get("_system")
+    if s is None or s.j is not j:
+        s = spec.__dict__["_system"] = _System(spec, j)
     return s
 
 
-def _contamination_model(s: _System) -> ContaminationModel:
-    spec, j, m = s.spec, s.j, s.m
+def observed_distribution(spec: ScenarioSpec, j: FiniteJoint) -> ContaminationModel:
+    """Instantiate the full contamination model of ``spec`` on ``j`` from the
+    spec's system; Sconf's pair structures are built on every call."""
+    s = _system(spec, j)
     labels = spec.labels(j.K)
     if spec.family == FAMILY_SCONF:
-        conf, pm = _sconf_pair_tensor(m)
-        pair = PairDistribution(tag="XX", matrix=_pair_law(m, "XX"))
+        conf, pm = _sconf_pair_tensor(s.m)
+        pair = PairDistribution(tag="XX", matrix=_pair_law(s.m, "XX"))
         return ContaminationModel(channels=labels, pair=pair, pair_matrix=pm, pair_confidence=conf)
     return ContaminationModel(channels=labels, matrix=s.tensor,
-                              transform=np.diag(_transform_diagonal(spec, m)), observed=s.observed)
-
-
-def observed_distribution(spec: ScenarioSpec, j: FiniteJoint) -> ContaminationModel:
-    """Instantiate the full contamination model of ``spec`` on ``j``."""
-    return _contamination_model(_system(spec, j))
+                              transform=np.diag(_transform_diagonal(spec, s.m)), observed=s.observed)
 
 
 def _pair_law(m: Marginals, channel: str) -> np.ndarray:

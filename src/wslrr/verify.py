@@ -12,12 +12,11 @@ import json
 import math
 import time
 from collections import Counter
-from functools import cached_property
 
 import numpy as np
 
 from .core import FiniteJoint, marginals as compute_marginals, record, validate_joint
-from .datagen import datasets_equal, philox_uniforms, sample_weak_dataset, _keyed, _sample
+from .datagen import datasets_equal, philox_uniforms, sample_weak_dataset, _keyed
 from .decontam import (
     METHOD_INVERSION,
     METHOD_MARGINAL_CHAIN,
@@ -26,20 +25,19 @@ from .decontam import (
     decontaminate,
     mcl_block,
     mcl_block_inverse,
-    _decontaminate,
 )
 from .errors import KTooLarge, ShapeMismatch, ValidationError, WslrrError
 from .risk import (
     LossSpec,
+    channel_terms,
     closed_form_corrected_loss,
     loss_matrix,
+    rewrite_table,
     weight_table,
     weighted_loss,
-    _channel_terms,
     _fold,
     _loss_table,
     _losses,
-    _rewrite_table,
 )
 from .scenarios import (
     CCN,
@@ -68,8 +66,6 @@ from .scenarios import (
     observed_distribution,
     pair_distribution,
     reduce_spec,
-    _System,
-    _contamination_model,
     _member_mask,
     _sconf_confidences,
 )
@@ -293,18 +289,14 @@ def seeded_model(j: FiniteJoint, seed: int, trial: int):
 
 @record(eq=False)
 class CheckInput:
-    """A setting's input to the checks: its spec, joint and model.  ``system``,
-    the spec's validated system on the joint, and ``exact``, the model's
-    logistic loss table and exact risk from the joint's loss slot, are made on
-    first read inside the reading check, so an error fails each check reading
-    them and is not kept."""
+    """A setting's input to the checks: its spec, joint and model.  The
+    kernels the checks call read the system the input's own spec keeps for
+    its joint, and ``exact``, the model's logistic loss table and exact risk,
+    comes from the joint's loss slot; each is made on first read inside the
+    reading check, so an error fails each check reading it and is not kept."""
     spec: ScenarioSpec
     j: FiniteJoint
     model: LinearModel
-
-    @cached_property
-    def system(self) -> _System:
-        return _System(self.spec, self.j)
 
     @property
     def exact(self) -> tuple:
@@ -321,8 +313,8 @@ def verify_formulation(inp: CheckInput, tol: float = TOL_MATRIX, seed: int = 0) 
     pair mass)."""
 
     def body():
-        s = inp.system
-        spec, j, m, cm = inp.spec, inp.j, s.m, _contamination_model(s)
+        spec, j = inp.spec, inp.j
+        cm, m = observed_distribution(spec, j), compute_marginals(j)
         if spec.family == FAMILY_SCONF:
             rows = cm.pair_matrix @ m.class_conditionals.T[:, None, :, None]  # (n_x, n_x, 2, 1)
             target = np.outer(m.instance_marginal, m.instance_marginal)[:, :, None, None]
@@ -352,11 +344,12 @@ def verify_reconstruction(inp: CheckInput, tol: float = TOL_MATRIX, method: str 
     resolved = inp.spec.method if method == "auto" or sconf else method  # Sconf has one method
 
     def body():
-        s = inp.system
+        spec, j = inp.spec, inp.j
         if not sconf:
-            return float(np.max(np.abs(_rewrite_table(s, resolved) - inp.j.joint.T)))
-        pairs = _decontaminate(s, METHOD_SCONF).pair_matrices
-        acc = (pairs @ np.diag(1.0 / s.m.priors) @ _contamination_model(s).pair_matrix).sum(axis=1)
+            return float(np.max(np.abs(rewrite_table(spec, j, resolved) - j.joint.T)))
+        pairs = decontaminate(spec, j, METHOD_SCONF).pair_matrices
+        pm = observed_distribution(spec, j).pair_matrix
+        acc = (pairs @ np.diag(1.0 / compute_marginals(j).priors) @ pm).sum(axis=1)
         return float(np.max(np.abs(acc - np.eye(2))))
 
     return _guarded(f"reconstruction[{resolved}]", inp.spec.name, {}, tol, seed, body)
@@ -368,7 +361,7 @@ def verify_risk_equality(inp: CheckInput, tol: float = TOL_RISK, seed: int = 0) 
 
     def body():
         losses, exact = inp.exact
-        return abs(float((_rewrite_table(inp.system) * losses).sum()) - exact)
+        return abs(float((rewrite_table(inp.spec, inp.j) * losses).sum()) - exact)
 
     return _guarded("risk-equality", inp.spec.name, {"loss": _LOGISTIC.name}, tol, seed, body)
 
@@ -376,18 +369,18 @@ def verify_risk_equality(inp: CheckInput, tol: float = TOL_RISK, seed: int = 0) 
 def verify_closed_form(inp: CheckInput, ls: LossSpec, seed: int = 0) -> CheckReport:
     """Hand-coded corrected losses match the generic matrix product."""
     t0 = time.perf_counter()
-    spec, j, s = inp.spec, inp.j, inp.system
-    lam = loss_matrix(ls, inp.model, j)
-    dr, err = _decontaminate(s, "auto"), 0.0  # Sconf's one method is sconf-special
+    spec, j = inp.spec, inp.j
+    dr, err = decontaminate(spec, j), 0.0  # Sconf's one method is sconf-special
+    m, lam = compute_marginals(j), loss_matrix(ls, inp.model, j)
     if spec.family == FAMILY_SCONF:
         for i in range(j.n_x):
             for i2 in range(j.n_x):
-                closed = closed_form_corrected_loss(spec, s.m, i, lam[:, i], i2=i2)
+                closed = closed_form_corrected_loss(spec, m, i, lam[:, i], i2=i2)
                 generic = lam[:, i] @ dr.pair_matrices[i, i2]
                 err = max(err, float(np.max(np.abs(closed - generic))))
     else:
         for i in range(j.n_x):
-            closed = closed_form_corrected_loss(spec, s.m, i, lam[:, i])
+            closed = closed_form_corrected_loss(spec, m, i, lam[:, i])
             generic = lam[:, i] @ dr.matrices[i]
             err = max(err, float(np.max(np.abs(closed - generic))))
     return _report("closed-form", spec.name, {"loss": ls.name}, err, TOL_MATRIX, seed, t0)
@@ -490,12 +483,12 @@ def verify_pcpl_half_identity(inp: CheckInput, ls: LossSpec, seed: int = 0) -> C
     """The partial-label expectation equals half the expectation of the full
     confidence-weighted loss sum, on a PCPL input."""
     t0 = time.perf_counter()
-    j, s = inp.j, inp.system
+    spec, j = inp.spec, inp.j
     lam = loss_matrix(ls, inp.model, j)
-    left = weighted_loss(_rewrite_table(s, METHOD_MARGINAL_CHAIN), inp.model, ls, j)
-    r = s.m.class_probabilities
+    left = weighted_loss(rewrite_table(spec, j, METHOD_MARGINAL_CHAIN), inp.model, ls, j)
+    r, observed = compute_marginals(j).class_probabilities, observed_distribution(spec, j).observed
     den = (_member_mask(j.K) @ r).T  # super-class probability of each label at each x
-    right = float(np.sum(0.5 * s.observed * ((r * lam).sum(axis=0)[:, None] / den)))
+    right = float(np.sum(0.5 * observed * ((r * lam).sum(axis=0)[:, None] / den)))
     return _report("pcpl-half-identity", "PCPL", {"loss": ls.name}, abs(left - right),
                    TOL_MATRIX, seed, t0)
 
@@ -516,16 +509,16 @@ def verify_method_agreement(inp: CheckInput, ls: LossSpec, seed: int = 0) -> Che
     """The exact inverse of CL or MCL (:data:`EXACT_INVERSE`) and the marginal
     chain give the same rewritten risk."""
     t0 = time.perf_counter()
-    a, b = (weighted_loss(_rewrite_table(inp.system, method), inp.model, ls, inp.j)
+    a, b = (weighted_loss(rewrite_table(inp.spec, inp.j, method), inp.model, ls, inp.j)
             for method in (EXACT_INVERSE[inp.spec.name], METHOD_MARGINAL_CHAIN))
     return _report("method-agreement", inp.spec.name, {"loss": ls.name}, abs(a - b),
                    TOL_RISK, seed, t0)
 
 
-def _estimator_spread(ds, s: _System, losses: np.ndarray) -> tuple:
+def _estimator_spread(ds, spec: ScenarioSpec, j: FiniteJoint, losses: np.ndarray) -> tuple:
     """(empirical risk, its standard error, sum over channels of the mean
-    |term|) of a dataset of ``s`` under the nonnegative (n_x, K) loss table
-    ``losses``, from one build of its channel terms.
+    |term|) of a dataset of ``spec`` on ``j`` under the nonnegative (n_x, K)
+    loss table ``losses``, from one build of its channel terms.
 
     An entry's value table[key] . loss(x_inst[key]) depends only on its key,
     so each channel sums over its keys with their ``np.bincount`` counts c,
@@ -533,10 +526,10 @@ def _estimator_spread(ds, s: _System, losses: np.ndarray) -> tuple:
     pair code (:func:`_keyed`).  Each channel forms the mean sum c v / n, the
     two-pass variance sum c (v - mean)^2 / (n - 1) of a draw, and sum c |w|
     . loss over its entries; the estimate is the folded table's."""
-    terms_list = _channel_terms(ds, s)
-    est = float((_fold(terms_list, s.j) * losses).sum())
+    terms_list = channel_terms(ds, spec, j)
+    est = float((_fold(terms_list, j) * losses).sum())
     var = abs_terms = 0.0
-    ones = np.ones(s.j.K)
+    ones = np.ones(j.K)
     for t in terms_list:
         n = t.n_draws
         terms = t.table * losses[t.inst]  # the K terms w_k loss_k of each key
@@ -564,17 +557,17 @@ def verify_mc_consistency(name: str, cfg: VerifyConfig) -> CheckReport:
 def _mc_consistency(cfg: VerifyConfig, inp: CheckInput) -> CheckReport:
     """:func:`verify_mc_consistency` on an input already built."""
     t0 = time.perf_counter()
-    s, n = inp.system, cfg.mc_samples
+    spec, j, n = inp.spec, inp.j, cfg.mc_samples
     losses, exact = inp.exact
-    ds = _sample(s, n, cfg.seed + 1000)
+    ds = sample_weak_dataset(spec, j, n, cfg.seed + 1000)
     # in its own frame, so the channel terms are freed before the rerun draws as many again
-    est, se, abs_terms = _estimator_spread(ds, s, losses)
+    est, se, abs_terms = _estimator_spread(ds, spec, j, losses)
     tol = max(MC_SIGMAS * se, MC_ROUNDING * np.finfo(np.float64).eps * abs_terms)
 
-    ds2 = _sample(s, n, cfg.seed + 1000)
+    ds2 = sample_weak_dataset(spec, j, n, cfg.seed + 1000)
     same_draws = datasets_equal(ds, ds2)
     del ds  # before the rerun's terms and fold, so only one dataset is alive at the task's peak
-    identical = same_draws and est == float((_fold(_channel_terms(ds2, s), inp.j) * losses).sum())
+    identical = same_draws and est == float((_fold(channel_terms(ds2, spec, j), j) * losses).sum())
 
     err = abs(est - exact) if identical else float("inf")
     return _report(f"mc-consistency[n={n}]", inp.spec.name,
@@ -589,7 +582,7 @@ def verify_gradient_check(inp: CheckInput, ds, ls: LossSpec, seed: int = 0) -> C
     (2P, n_x, K) stack of scores."""
     t0 = time.perf_counter()
     j, model = inp.j, inp.model
-    W = _fold(_channel_terms(ds, inp.system), j)  # the empirical risk is the weighted loss of this table
+    W = weight_table(ds, inp.spec, j)  # the empirical risk is the weighted loss of this table
     _, dW, db = weighted_loss(W, model, ls, j, grad=True)
     # every parameter in one flat vector: the weights row by row, then the bias
     theta = np.concatenate([model.weights.ravel(), model.bias])
@@ -705,8 +698,8 @@ _REGISTRY = (
     ("mc-consistency:{}", ("PU", "CL", "Soft"), lambda cfg: [(MC_TRIAL, cfg.K, cfg.nx)], _mc_consistency),
     # 40 draws per sampling channel
     ("gradient-check:{}", ALL_SCENARIO_NAMES, lambda cfg: _trial_shapes(cfg, (3,)),
-     lambda cfg, inp: verify_gradient_check(inp, _sample(inp.system, 40, cfg.seed + 5), _LOGISTIC,
-                                            seed=cfg.seed)),
+     lambda cfg, inp: verify_gradient_check(inp, sample_weak_dataset(inp.spec, inp.j, 40, cfg.seed + 5),
+                                            _LOGISTIC, seed=cfg.seed)),
     ("erm-sanity", _ONCE, _NO_INPUT, lambda cfg: verify_erm_sanity(seed=cfg.seed)),
 )
 

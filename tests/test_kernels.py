@@ -6,20 +6,24 @@ below and evaluated one instance at a time with plain numpy (a per-instance
 Gauss-Jordan loop and a 2x2 adjugate for the inversions), check that every
 decontamination still reconstructs the joint, that the typed errors are
 unchanged, that validation runs a constant number of times per call
-whatever the instance count, and that what a joint keeps (the system of
-its last spec and the loss table of its last model and loss) gives, bit for
-bit, what a fresh joint gives.  The kernels that use the structure of their
-matrices (the diagonal M_trsf, Sconf's product pair law, steps of
-Gauss-Jordan with nothing to do) are also compared with the dense formulas
-they replace, typed in below: bit for bit where the arithmetic is the same.
+whatever the instance count, and that what a spec keeps (the system of its
+last joint) and what a joint keeps (the loss table of its last model and
+loss) give, bit for bit, what fresh ones give.  The kernels that use the
+structure of their matrices (the diagonal M_trsf, Sconf's product pair law,
+steps of Gauss-Jordan with nothing to do) are also compared with the dense
+formulas they replace, typed in below: bit for bit where the arithmetic is
+the same.
 The pair laws, each C Q C^T, keep the formula's bits for D, come within
 1e-15 relative of it for the others, and peak at about twice their own
-bytes or less.
+bytes or less; Sconf's pair confidences keep the formula's bits and peak
+below 2.2 times their own bytes.
 """
 
+import gc
 import itertools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -42,8 +46,8 @@ from wslrr.risk import (
     weight_table,
     weighted_loss,
 )
-from wslrr.scenarios import (CCN, CL, DU, MCL, PCPL, PU, SCConf, SD, SU, Pcomp, Sconf, Soft, observed_distribution,
-                             pair_distribution, specs_equal)
+from wslrr.scenarios import (CCN, DU, MCL, PU, SCConf, SD, SU, Pcomp, Sconf, Soft, observed_distribution,
+                             pair_distribution)
 from wslrr.train import LinearModel, init_model
 from wslrr.verify import (
     ABSTRACT_SCENARIO_NAMES,
@@ -509,7 +513,7 @@ def test_marginal_chain_zero_mass_channels_match():
 
 
 # ---------------------------------------------------------------------------
-# The system a joint keeps for its last spec
+# The system a spec keeps for its last joint
 # ---------------------------------------------------------------------------
 
 def _kernel_outputs(spec, j, methods):
@@ -540,13 +544,8 @@ def _same_bits(a, b):
 
 
 def _fresh(j):
-    """The same joint as a new object, which keeps no system yet."""
+    """The same joint as a new object, which keeps nothing yet."""
     return validate_joint(j.K, j.features, j.joint)
-
-
-def _other_spec(name):
-    """A setting valid on every joint of the scenarios' generator, other than ``name``."""
-    return PCPL() if name == "CL" else CL()
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -562,30 +561,45 @@ def test_every_public_kernel_validates_a_spec_once_per_joint(name, monkeypatch):
 
 @pytest.mark.parametrize("name", NAMES)
 def test_kept_systems_give_what_fresh_joints_give(name):
-    """A -> B -> A on one joint returns, bit for bit, what each spec returns on
-    a joint that has kept nothing."""
-    a, j = _case(name, 5)
-    b, methods = _other_spec(name), _methods(name)
-    for spec in (a, b, a, a):
-        got = _kernel_outputs(spec, j, methods if spec is a else ())
-        ref = _kernel_outputs(spec, _fresh(j), methods if spec is a else ())
+    """One spec over joints A -> B -> A returns, bit for bit, what an equal
+    spec that has kept nothing returns on a joint that has kept nothing."""
+    spec, a = _case(name, 5)
+    b = scenario_joint(name, 4, 5, 3, seed=18, trial=5)
+    for j in (a, b, a, a):
+        got = _kernel_outputs(spec, j, _methods(name))
+        ref = _kernel_outputs(make_spec(name, a, 17, 5), _fresh(j), _methods(name))
         assert got.keys() == ref.keys()
         for key in got:
-            assert _same_bits(got[key], ref[key]), (spec.name, key)
-        assert j.__dict__["_system"].spec is spec
+            assert _same_bits(got[key], ref[key]), key
+        assert vars(spec)["_system"].j is j and "_system" not in vars(j)
 
 
 @pytest.mark.parametrize("name", NAMES)
-def test_an_equal_spec_object_takes_the_one_slot(name):
+def test_an_equal_joint_object_takes_the_one_slot(name):
     spec, j = _case(name, 5)
-    j = _fresh(j)
     decontaminate(spec, j)
-    kept = j.__dict__["_system"]
-    twin = make_spec(name, j, 17, 5)
-    assert twin is not spec and specs_equal(twin, spec)
-    decontaminate(twin, j)
-    assert j.__dict__["_system"] is not kept and j.__dict__["_system"].spec is twin
-    assert [type(v) for v in vars(j).values()].count(wslrr.scenarios._System) == 1
+    kept = vars(spec)["_system"]
+    twin = _fresh(j)
+    decontaminate(spec, twin)
+    assert vars(spec)["_system"] is not kept and vars(spec)["_system"].j is twin
+    assert [type(v) for v in vars(spec).values()].count(wslrr.scenarios._System) == 1
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_a_dropped_spec_frees_its_system(name):
+    """The system refers back to its spec weakly, so, with the cyclic
+    collector off, dropping a spec that went through every public kernel
+    frees its system, and no joint holds one."""
+    spec, j = _case(name, 5)
+    gc.disable()
+    try:
+        _kernel_outputs(spec, j, _methods(name))
+        system = weakref.ref(vars(spec)["_system"])
+        assert system().spec is spec and "_system" not in vars(j)
+        del spec
+        assert system() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -602,19 +616,21 @@ def test_shared_results_are_read_only(name):
 
 def test_an_invalid_spec_raises_on_every_call_and_keeps_nothing():
     j = _fresh(scenario_joint("CL", 4, 5, 3, seed=17, trial=0))
-    decontaminate(CL(), j)
-    kept = j.__dict__["_system"]
     binary = scenario_joint("PU", 2, 5, 3, seed=17, trial=0)
     ds = sample_weak_dataset(PU(), binary, 20, seed=1)
-    bad, model = PU(), seeded_model(j, 5, 0)
-    calls = (lambda: observed_distribution(bad, j), lambda: decontaminate(bad, j),
-             lambda: rewrite_table(bad, j), lambda: rewritten_risk(bad, j, model, LossSpec("logistic")),
-             lambda: sample_weak_dataset(bad, j, 20, seed=1), lambda: weight_table(ds, bad, j))
-    for _ in range(2):
-        for call in calls:
-            with pytest.raises(NotBinary):
-                call()
-            assert j.__dict__["_system"] is kept
+    bad, valid, model = PU(), PU(), seeded_model(j, 5, 0)
+    decontaminate(valid, binary)
+    kept = vars(valid)["_system"]
+    for spec in (bad, valid):
+        calls = (lambda: observed_distribution(spec, j), lambda: decontaminate(spec, j),
+                 lambda: rewrite_table(spec, j), lambda: rewritten_risk(spec, j, model, LossSpec("logistic")),
+                 lambda: sample_weak_dataset(spec, j, 20, seed=1), lambda: weight_table(ds, spec, j))
+        for _ in range(2):
+            for call in calls:
+                with pytest.raises(NotBinary):
+                    call()
+                assert "_system" not in vars(bad) and "_system" not in vars(j)
+                assert vars(valid)["_system"] is kept  # a spec keeps the system of its last valid joint
 
 
 # ---------------------------------------------------------------------------
@@ -762,6 +778,22 @@ def test_a_pair_law_allocates_at_most_twice_itself(name, channel):
     finally:
         tracemalloc.stop()
     assert peak <= PAIR_PEAK[channel] * law.nbytes, peak / law.nbytes
+
+
+def test_sconf_confidences_allocate_at_most_2_2_times_themselves():
+    """The (n_x, n_x) pair confidences are built in place in two buffers, with
+    the bits of the typed quotient of outer products."""
+    j = random_joint(2, 1000, 3, seed=5, stream=0)
+    m, idx = marginals(j), np.arange(j.n_x)
+    tracemalloc.start()
+    try:
+        r = wslrr.scenarios._sconf_confidences(m, idx, idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * r.nbytes, peak / r.nbytes
+    (pi_p, pi_n), (cp, cn), p = m.priors, m.class_conditionals, m.instance_marginal
+    assert _same_bits(r, (np.outer(pi_p ** 2 * cp, cp) + np.outer(pi_n ** 2 * cn, cn)) / np.outer(p, p))
 
 
 @pytest.mark.parametrize("name", sorted(PAIR_SPECS))

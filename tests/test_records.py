@@ -11,7 +11,9 @@ reprs keep the text the stdlib dataclasses printed, and
 ``cached_property`` and ``ClassVar`` attributes keep working.
 """
 
+import copy
 import inspect
+import pickle
 import sys
 
 import numpy as np
@@ -20,13 +22,13 @@ import pytest
 import wslrr.cli  # noqa: F401  (the CLI imports verify, risk and train only when a command runs them)
 import wslrr.verify  # noqa: F401  (with the CLI, loads every module, so the record census sees them all)
 from wslrr.core import FiniteJoint, Marginals, marginals, validate_joint
-from wslrr.datagen import DatasetChannel, WeakDataset
+from wslrr.datagen import DatasetChannel, WeakDataset, datasets_equal, sample_weak_dataset
 from wslrr.decontam import DecontaminationResult
 from wslrr.errors import SchemaMismatch, ShapeMismatch
 from wslrr.risk import ChannelTerms, LossSpec
 from wslrr.scenarios import (
     CCN, CL, DU, GCCN, MCD, MCL, PCPL, PPL, PU, SD, SU, UU, ContaminationModel, Pcomp,
-    Pconf, PairDistribution, Reduction, SCConf, Sconf, Soft, SubConf,
+    Pconf, PairDistribution, Reduction, SCConf, Sconf, Soft, SubConf, _system,
 )
 from wslrr.train import LinearModel, TrainConfig
 from wslrr.verify import AggregateReport, CheckInput, CheckReport, VerifyConfig
@@ -153,8 +155,24 @@ def test_reprs_keep_the_dataclass_text():
 def test_cached_properties_on_frozen_records():
     j = validate_joint(2, [[0.1, 0.2], [0.3, 0.4]], [[0.3, 0.1], [0.2, 0.4]])
     assert marginals(j) is marginals(j) and j._marginals is marginals(j)
-    inp = CheckInput(PU(), j, MODEL)
-    assert inp.system is inp.system
+    terms = ChannelTerms("P", 2, np.array([0, 0]), np.zeros((1, 2)), np.array([0]))
+    assert terms.counts is terms.counts and terms.counts.tolist() == [2]
+    spec = PU()  # a frozen spec keeps its system in its own __dict__, outside its fields
+    assert _system(spec, j) is _system(spec, j) and vars(spec)["_system"].j is j
+    assert spec == PU() and repr(spec) == "PU()"
+
+
+def test_a_spec_copies_and_pickles_without_its_system():
+    """The system a spec keeps is a cache: a copy or a pickle of the spec, or
+    of a dataset holding it, carries the fields only and equals the original."""
+    spec = UU(0.1, 0.2)
+    ds = sample_weak_dataset(spec, JOINT, 30, seed=1)
+    kept = vars(spec)["_system"]
+    for twin in (copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+        assert twin == spec and "_system" not in vars(twin)
+    again = pickle.loads(pickle.dumps(ds))
+    assert datasets_equal(again, ds) and "_system" not in vars(again.spec)
+    assert vars(spec)["_system"] is kept
 
 
 def test_class_vars_are_not_fields():

@@ -21,7 +21,8 @@ keep the exact kernels on the structure of their matrices: the modules that
 build them tile no matrix out to every instance and contract no three
 operands at once (M_trsf is diagonal, so the observed masses are a K-term
 sum), and the rewrite reads the system's observed masses without building a
-whole contamination model.  The last two keep the package's cold start
+whole contamination model.  Another keeps one owner for a validated system:
+only ``scenarios._system``, which keeps it on the spec, builds one.  The last two keep the package's cold start
 small: every CLI command is a fresh process that imports the package, so
 the records are ``wslrr.core.record`` classes, which compile one
 ``__init__`` each at import (none for a fieldless record), where stdlib
@@ -47,7 +48,8 @@ INSTANCE_PARAMS = {"i", "i2"}
 PER_INSTANCE_ORACLE = "closed_form_corrected_loss"
 RISKS = {"classification_risk", "rewritten_risk", "empirical_risk"}
 STRUCTURED = ("scenarios.py", "decontam.py", "risk.py")
-WHOLE_MODEL_BUILDERS = {"_contamination_model", "observed_distribution"}
+WHOLE_MODEL_BUILDERS = {"observed_distribution"}
+SYSTEM_OWNER = ("scenarios.py", "_system")  # the one function that builds a _System
 RECORDS = 34  # the 18 spec records and 16 result, config and model records
 
 
@@ -337,6 +339,46 @@ def test_call_graph_follows_helpers_and_classes():
     reached = _reached(_call_graph([tree]), "rewrite_table")
     assert {"_System", "helper", "observed_distribution"} <= reached
     assert "_contamination_model" not in reached
+
+
+def _system_builds(tree, owner=None) -> list:
+    """Line numbers of the ``_System(...)`` calls, by name or attribute,
+    outside the function named ``owner``."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, ast.FunctionDef) and node.name == owner:
+            return
+        if isinstance(node, ast.Call) and (getattr(node.func, "id", None) == "_System"
+                                           or getattr(node.func, "attr", None) == "_System"):
+            found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return found
+
+
+def test_only_the_spec_slot_builds_a_system():
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        owner = SYSTEM_OWNER[1] if path.name == SYSTEM_OWNER[0] else None
+        lines = _system_builds(ast.parse(path.read_text(), filename=str(path)), owner)
+        if lines:
+            found[path.name] = lines
+    assert found == {}
+
+
+def test_system_counter_sees_names_and_attributes():
+    tree = ast.parse(
+        "def _system(spec, j):\n"
+        "    return _System(spec, j)\n"
+        "def f(spec, j):\n"
+        "    s = _System(spec, j)\n"
+        "    return scenarios._System(spec, j), _system(spec, j)\n"
+    )
+    assert _system_builds(tree, "_system") == [4, 5]
+    assert _system_builds(tree) == [2, 4, 5]
 
 
 # ``import wslrr.cli`` and the modules its commands import when they run, in a

@@ -9,16 +9,16 @@ import numpy as np
 import pytest
 
 import wslrr.verify
-from wslrr.core import FiniteJoint
+from wslrr.core import FiniteJoint, marginals
 from wslrr.datagen import DatasetChannel, WeakDataset, dataset_from_json, dataset_to_json, sample_weak_dataset
 import wslrr.decontam
-from wslrr.decontam import _decontaminate
+from wslrr.decontam import decontaminate
 from wslrr.errors import (DegenerateParams, KTooLarge, ShapeMismatch, ValidationError, ZeroConfidence,
                           ZeroPairMass)
-from wslrr.risk import LossSpec, _channel_terms, _fold, channel_terms, empirical_risk, loss_matrix, weight_table, weighted_loss
+from wslrr.risk import LossSpec, _fold, channel_terms, empirical_risk, loss_matrix, weight_table, weighted_loss
 import wslrr.risk
 import wslrr.scenarios
-from wslrr.scenarios import CCN, FAMILY_SCONF, UU, Soft, _member_mask, _spec_object, specs_equal
+from wslrr.scenarios import CCN, FAMILY_SCONF, UU, Soft, _member_mask, _spec_object, _system, specs_equal
 from wslrr.train import LinearModel, empirical_gradient
 from wslrr.verify import (
     ABSTRACT_SCENARIO_NAMES,
@@ -131,14 +131,14 @@ class TestChecks:
     def _flip_class_1(monkeypatch):
         """The mutation: negate class 1's column of every rewrite table, which
         must break the risk equality (the harness can fail)."""
-        real = wslrr.verify._rewrite_table
+        real = wslrr.verify.rewrite_table
 
         def flipped(*args):
             table = real(*args).copy()
             table[:, 0] = -table[:, 0]
             return table
 
-        monkeypatch.setattr(wslrr.verify, "_rewrite_table", flipped)
+        monkeypatch.setattr(wslrr.verify, "rewrite_table", flipped)
 
     def test_mutation_flips_the_verdict(self, binary_joint, monkeypatch):
         inp = CheckInput(make_spec("UU", binary_joint, 1, 0), binary_joint, seeded_model(binary_joint, 1, 0))
@@ -242,9 +242,9 @@ def test_each_trial_input_is_drawn_once_and_dropped_after_its_last_reader(monkey
     Monte-Carlo tasks read: they take trial 17's models, which the
     per-setting readers of trial 17 drew.  Nothing outlives the run."""
     real_inputs, real_table = wslrr.verify._scenario_trial_inputs, wslrr.risk._loss_table
-    real_system = wslrr.verify._System
+    real_system = wslrr.scenarios._System
     inputs, draws, systems, alive_at_mc, reports = {}, {}, {}, [], []
-    input_of = {}  # id of a live input's spec -> the input's key
+    input_of = {}  # id of an input's spec -> (the input's key, a weak reference to the spec)
     holders = {}  # id of a joint that has kept a loss table -> a weak reference to it
     counts = Counter()  # the draws tracked, by kind, the loss tables built and the joints that kept one
 
@@ -257,7 +257,7 @@ def test_each_trial_input_is_drawn_once_and_dropped_after_its_last_reader(monkey
         out = real_inputs(cfg, table, name, trial, K, nx)
         assert (name, trial, K, nx) not in inputs
         inputs[name, trial, K, nx] = weakref.ref(out.spec)  # each input has its own spec
-        input_of[id(out.spec)] = (name, trial, K, nx)
+        input_of[id(out.spec)] = (name, trial, K, nx), weakref.ref(out.spec)
         for draw in table["joints", trial, K, nx].values():
             track("joint", trial, draw.K, draw)
         for model in table["models", trial].values():
@@ -283,15 +283,17 @@ def test_each_trial_input_is_drawn_once_and_dropped_after_its_last_reader(monkey
 
     def system(spec, j):
         out = real_system(spec, j)
-        assert input_of[id(spec)] not in systems
-        systems[input_of[id(spec)]] = weakref.ref(out)
+        key, ref = input_of.get(id(spec), (None, lambda: None))
+        if ref() is spec:  # an input's; the tasks that read no input build systems of their own
+            assert key not in systems
+            systems[key] = weakref.ref(out)
         return out
 
     def alive(refs):
         return {key for key, ref in refs if ref() is not None}
 
     monkeypatch.setattr(wslrr.verify, "_scenario_trial_inputs", tracked_inputs)
-    monkeypatch.setattr(wslrr.verify, "_System", system)
+    monkeypatch.setattr(wslrr.scenarios, "_System", system)
     monkeypatch.setattr(wslrr.risk, "_loss_table", built_table)
     for label, run in build_registry(VerifyConfig()):
         if label.startswith("mc-consistency:") and not alive_at_mc:
@@ -356,11 +358,27 @@ def test_default_run_builds_each_input_system_and_decontamination_once(monkeypat
     assert decontaminated and set(decontaminated.values()) == {1}
 
 
+def test_no_system_outlives_the_run_without_the_cyclic_collector():
+    """Each system dies with its spec: a spec keeps it, and it refers back to
+    the spec weakly, so with the cyclic collector off no system built by a
+    default run is left alive."""
+    gc.collect()
+    gc.disable()
+    try:
+        before = [o for o in gc.get_objects() if type(o) is wslrr.scenarios._System]  # held: no id reused
+        assert wslrr.verify.verify_all(VerifyConfig()).passed
+        left = [o for o in gc.get_objects() if type(o) is wslrr.scenarios._System
+                and not any(o is b for b in before)]
+    finally:
+        gc.enable()
+    assert left == []
+
+
 def test_a_failing_system_fails_each_reading_check_with_its_message_and_is_not_kept(monkeypatch):
     """UU's trial-0 spec, made degenerate, fails the four checks that read
     that input, each with the error a fresh build raises, and each builds
     the system anew; every other check passes."""
-    real_spec, real_system = wslrr.verify.make_spec, wslrr.verify._System
+    real_spec, real_system = wslrr.verify.make_spec, wslrr.scenarios._System
     bad, attempts = UU(gamma_1=0.4, gamma_2=0.6), []
 
     def make_spec_(name, j, seed, trial):
@@ -371,7 +389,7 @@ def test_a_failing_system_fails_each_reading_check_with_its_message_and_is_not_k
         return real_system(spec, j)
 
     monkeypatch.setattr(wslrr.verify, "make_spec", make_spec_)
-    monkeypatch.setattr(wslrr.verify, "_System", system)
+    monkeypatch.setattr(wslrr.scenarios, "_System", system)
     reports = {label: run() for label, run in build_registry(VerifyConfig(trials=1, mc_samples=2000))}
     j = scenario_joint("UU", 4, 3, 3, seed=7, trial=0)
     with pytest.raises(DegenerateParams) as e:
@@ -395,7 +413,7 @@ def test_a_failing_decontamination_fails_every_reader_and_is_not_kept():
     first, second = (verify_reconstruction(inp, method="inversion") for _ in range(2))
     assert not first.passed and first.params == second.params
     assert first.params["error"].startswith("Singular: ")
-    assert "inversion" not in inp.system.decontaminated
+    assert "inversion" not in vars(inp.spec)["_system"].decontaminated
 
 
 def test_shared_system_arrays_are_read_only():
@@ -404,11 +422,12 @@ def test_shared_system_arrays_are_read_only():
     masks shared across K are."""
     cfg = VerifyConfig()
     for name in ALL_SCENARIO_NAMES + ABSTRACT_SCENARIO_NAMES:
-        s = wslrr.verify._scenario_trial_inputs(cfg, {}, name, 1, 3, 4).system
-        methods = {s.spec.method, s.spec.estimator, wslrr.verify.EXACT_INVERSE.get(name)} - {None}
-        arrays = [a for method in methods for a in vars(_decontaminate(s, method)).values()
+        inp = wslrr.verify._scenario_trial_inputs(cfg, {}, name, 1, 3, 4)
+        spec, j, s = inp.spec, inp.j, _system(inp.spec, inp.j)
+        methods = {spec.method, spec.estimator, wslrr.verify.EXACT_INVERSE.get(name)} - {None}
+        arrays = [a for method in methods for a in vars(decontaminate(spec, j, method)).values()
                   if isinstance(a, np.ndarray)]
-        if s.spec.family != FAMILY_SCONF:
+        if spec.family != FAMILY_SCONF:
             arrays += [s.tensor, s.observed]
         assert arrays and not any(a.flags.writeable for a in arrays)
         with pytest.raises(ValueError):
@@ -502,7 +521,7 @@ def test_mc_consistency_frees_its_estimator_terms_before_the_rerun(monkeypatch):
     per-draw terms must be gone by then, or the task's memory peak grows by
     a weight table, and the first dataset must be gone before the rerun's
     terms are built, or the peak holds two datasets."""
-    real_terms, real_sample = wslrr.verify._channel_terms, wslrr.verify._sample
+    real_terms, real_sample = wslrr.verify.channel_terms, wslrr.verify.sample_weak_dataset
     terms, datasets, alive_at_rerun, first_alive_at_rerun_terms = [], [], [], []
 
     def channel_terms(*args):
@@ -521,8 +540,8 @@ def test_mc_consistency_frees_its_estimator_terms_before_the_rerun(monkeypatch):
         datasets.append(weakref.ref(ds))
         return ds
 
-    monkeypatch.setattr(wslrr.verify, "_channel_terms", channel_terms)
-    monkeypatch.setattr(wslrr.verify, "_sample", sample)
+    monkeypatch.setattr(wslrr.verify, "channel_terms", channel_terms)
+    monkeypatch.setattr(wslrr.verify, "sample_weak_dataset", sample)
     for name in ("PU", "CL", "Soft"):
         terms.clear()
         datasets.clear()
@@ -585,7 +604,7 @@ def _mc_spread_case(name, nx=None, n=None):
     j = scenario_joint(name, cfg.K, cfg.nx, cfg.d_feat, cfg.seed, t)
     inp = CheckInput(make_spec(name, j, cfg.seed, t), j, seeded_model(j, cfg.seed, t))
     ds = sample_weak_dataset(inp.spec, j, cfg.mc_samples if n is None else n, seed=cfg.seed + 1000)
-    est, *spread = wslrr.verify._estimator_spread(ds, inp.system, inp.exact[0])
+    est, *spread = wslrr.verify._estimator_spread(ds, inp.spec, inp.j, inp.exact[0])
     want = _spread_reference(ds, inp.spec, j, loss_matrix(LOGISTIC, inp.model, j))
     return inp, ds, tuple(spread), want, est, empirical_risk(ds, inp.spec, inp.model, LOGISTIC, j)
 
@@ -627,7 +646,7 @@ def test_a_channel_of_one_draw_adds_no_variance():
     inp = CheckInput(make_spec("PU", j, 0, 1), j, seeded_model(j, 0, 1))
     ds = sample_weak_dataset(inp.spec, j, {"P": 1, "U": 5000}, seed=4)
     lam = loss_matrix(LOGISTIC, inp.model, j)
-    _, se, abs_terms = wslrr.verify._estimator_spread(ds, inp.system, inp.exact[0])
+    _, se, abs_terms = wslrr.verify._estimator_spread(ds, inp.spec, inp.j, inp.exact[0])
     p_terms, u_terms = channel_terms(ds, inp.spec, j)
     assert p_terms.n_draws == 1 and _channel_spread(p_terms, lam)[0] == 0.0
     assert _relative_close((se ** 2,), (_channel_spread(u_terms, lam)[0],))
@@ -668,7 +687,7 @@ def _per_draw_conf_reference(inp, ds):
     ch, j, losses = ds.channels[0], inp.j, inp.exact[0]
     r, idx, n = ch.confidences, ch.indices, ch.n_draws
     members = list(range(j.K)) if inp.spec.members is None else list(inp.spec.members)
-    coeff = float(inp.system.m.priors[members].sum())
+    coeff = float(marginals(j).priors[members].sum())
     w = coeff * r / r[:, members].sum(axis=1, keepdims=True)
     W = np.zeros((j.n_x, j.K))
     np.add.at(W, idx, w / n)
@@ -686,14 +705,14 @@ class TestKeyedConfidenceChannels:
     @pytest.mark.parametrize("name", ["Soft", "Pconf"])
     def test_fold_and_spread_match_the_per_draw_reference(self, name, edit, keyed):
         inp, ds = _conf_case(name, edit)
-        (terms,) = _channel_terms(ds, inp.system)
+        (terms,) = channel_terms(ds, inp.spec, inp.j)
         assert (terms.rows is ds.channels[0].indices) == keyed  # sampled codes are the instances
         if keyed:
             assert terms.table.shape == (inp.j.n_x, inp.j.K) and terms.rows is ds.channels[0].indices
         W_ref, est_ref, se_ref, abs_ref = _per_draw_conf_reference(inp, ds)
         W = _fold([terms], inp.j)
         assert np.all(np.abs(W - W_ref) <= 1e-12 * np.abs(W_ref))
-        est, se, abs_terms = wslrr.verify._estimator_spread(ds, inp.system, inp.exact[0])
+        est, se, abs_terms = wslrr.verify._estimator_spread(ds, inp.spec, inp.j, inp.exact[0])
         assert _relative_close((est, se, abs_terms), (est_ref, se_ref, abs_ref))
 
     def test_a_code_read_at_two_instances_is_keyed_by_both(self):
@@ -704,7 +723,7 @@ class TestKeyedConfidenceChannels:
         ch = ds.channels[0]
         ch.indices[0] = (ch.indices[0] + 1) % inp.j.n_x
         W = weight_table(ds, inp.spec, inp.j)
-        got = wslrr.verify._estimator_spread(ds, inp.system, inp.exact[0])
+        got = wslrr.verify._estimator_spread(ds, inp.spec, inp.j, inp.exact[0])
         W_ref, *want = _per_draw_conf_reference(inp, ds)  # reads the per-draw confidences
         assert np.all(np.abs(W - W_ref) <= 1e-12 * np.abs(W_ref)) and _relative_close(got, want)
 
@@ -732,7 +751,7 @@ class TestKeyedConfidenceChannels:
         ds = WeakDataset(ds.spec, ds.seed, (DatasetChannel(ch.label, ch.kind, indices=ch.indices, table=conf,
                                                            codes=np.arange(ch.n_draws)),))
         with pytest.raises(ZeroConfidence, match=f"instance {first}$"):
-            _channel_terms(ds, inp.system)
+            channel_terms(ds, inp.spec, inp.j)
 
     def test_spread_and_fold_hold_no_per_draw_table(self):
         # on the default Soft input, the spread and the rerun's fold together
@@ -742,8 +761,8 @@ class TestKeyedConfidenceChannels:
         n, K = ds.channels[0].n_draws, inp.j.K
         tracemalloc.start()
         try:
-            wslrr.verify._estimator_spread(ds, inp.system, inp.exact[0])
-            _fold(_channel_terms(ds, inp.system), inp.j)
+            wslrr.verify._estimator_spread(ds, inp.spec, inp.j, inp.exact[0])
+            _fold(channel_terms(ds, inp.spec, inp.j), inp.j)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -806,12 +825,12 @@ def _per_draw_pair_reference(inp, ds):
     est = var = abs_terms = 0.0
     for c, ch in enumerate(ds.channels):
         if spec.family == FAMILY_SCONF:
-            pi_p, pi_n = inp.system.m.priors
+            pi_p, pi_n = marginals(j).priors
             r = ch.confidences
             w = np.column_stack([r - pi_n, pi_p - r]) / (pi_p - pi_n) / 2.0
             entries = [(ch.pairs[:, 0], w), (ch.pairs[:, 1], w)]
         else:
-            dag = _decontaminate(inp.system, spec.estimator).matrices[0]
+            dag = decontaminate(spec, j, spec.estimator).matrices[0]
             if spec.streams:  # Pcomp
                 entries = [(ch.pairs[:, p], np.broadcast_to(dag[:, p], (ch.n_draws, j.K))) for p in (0, 1)]
             elif ch.kind == "pairs":
@@ -838,7 +857,7 @@ def test_pair_settings_fold_and_spread_match_the_per_draw_reference(name):
     inp = CheckInput(make_spec(name, j, cfg.seed, t), j, seeded_model(j, cfg.seed, t))
     ds = sample_weak_dataset(inp.spec, j, cfg.mc_samples, seed=cfg.seed + 1000)
     W = weight_table(ds, inp.spec, j)
-    est, se, abs_terms = wslrr.verify._estimator_spread(ds, inp.system, inp.exact[0])
+    est, se, abs_terms = wslrr.verify._estimator_spread(ds, inp.spec, inp.j, inp.exact[0])
     W_ref, *want = _per_draw_pair_reference(inp, ds)
     assert np.all(np.abs(W - W_ref) <= 1e-12 * np.abs(W_ref))
     assert _relative_close((est, se, abs_terms), want) and se > 0.0
